@@ -39,33 +39,17 @@ from .quadrature import (
     double_integral_g,
 )
 from .result import EvalResult, Status
-from .series_engine import SeriesId, series_catalog, sum_series
+from .series_engine import series_by_name, series_catalog, sum_series
 from .verifier import (
     IdentityId,
     Report,
     Verdict,
     identity_catalog,
     serialize_report,
+    summarize,
     verify_all,
     verify_identity,
 )
-
-#: Closed-form-tag spellings accepted for --id alongside the engine names.
-SERIES_ALIASES = {
-    "EQ2_LHS": "GF_SKEW",
-    "EQ3_LHS": "GF_CENTERED",
-    "EQ5_LHS": "SKEW_OVER_N",
-    "EQ8_LHS": "CENTERED_OVER_N",
-    "EQ11_LHS": "CENTERED_SHIFT",
-    "EQ12_LHS": "SKEW_SQ",
-    "EQ13_LHS": "CENTERED_SQ",
-    "EQ17_LHS": "CENTERED_SQ_SHIFT",
-    "EQ20_LHS": "SKEW_OVER_NSQ",
-    "EQ22_LHS": "MU_LEWIN",
-    "EQ24_SERIES": "MU_DILOG",
-    "EQ27_SERIES": "RAMANUJAN_ODD",
-    "EQ28_SERIES": "MU_TRILOG",
-}
 
 _EVAL_TARGETS = (
     "li2", "li3", "harmonic", "harmonic2", "skew", "skew-mu",
@@ -76,17 +60,6 @@ _EVAL_TARGETS = (
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
-
-
-def _series_id(name: str) -> SeriesId:
-    key = SERIES_ALIASES.get(name.upper(), name.upper())
-    try:
-        return SeriesId[key]
-    except KeyError:
-        valid = sorted(list(SeriesId.__members__) + list(SERIES_ALIASES))
-        raise ValueError(
-            f"unknown series id {name!r}; valid ids: {', '.join(valid)}"
-        ) from None
 
 
 def _closed_id(name: str) -> ClosedFormId:
@@ -137,7 +110,7 @@ def _cmd_eval(args) -> int:
     elif t == "jx":
         print(f"value={_fmt(int_li2_over_1mt(_need(args, '--x')))}")
     elif t == "series":
-        sid = _series_id(_need(args, "--id"))
+        sid = series_by_name(_need(args, "--id"))
         r = sum_series(sid, _need(args, "--t"), args.tol, mu=args.mu)
         if r.status is Status.DIVERGENT_INPUT:
             print(f"error: t outside the domain of {sid.name}",
@@ -189,15 +162,6 @@ def _emit(payload: bytes | str, out: str | None) -> None:
             fh.write(payload)
 
 
-def _mini_report(records) -> Report:
-    summary: dict[str, dict[str, int]] = {}
-    for r in records:
-        row = summary.setdefault(r.identity.name,
-                                 {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-        row[r.verdict.name] += 1
-    return Report(list(records), summary, {"version": __version__}, [])
-
-
 def _cmd_verify(args) -> int:
     if bool(args.id) == bool(args.all):
         raise ValueError("verify needs exactly one of --id or --all")
@@ -210,13 +174,14 @@ def _cmd_verify(args) -> int:
             raise ValueError(
                 f"unknown identity {args.id!r}; valid ids: "
                 f"{', '.join(IdentityId.__members__)}") from None
-        report = _mini_report(verify_identity(identity, tolerance=args.tol))
+        records = verify_identity(identity, tolerance=args.tol)
+        report = Report(records, summarize(records),
+                        {"version": __version__}, [])
 
     if args.format == "text":
         lines = _record_lines(report.records)
-        counts = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
-        for r in report.records:
-            counts[r.verdict.name] += 1
+        counts = {k: sum(row[k] for row in report.summary.values())
+                  for k in ("PASS", "FAIL", "SKIPPED")}
         lines.append(
             f"summary: PASS={counts['PASS']} FAIL={counts['FAIL']} "
             f"SKIPPED={counts['SKIPPED']}")

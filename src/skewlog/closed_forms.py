@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Callable
 
-from .core_numerics import CONSTANTS, LOG2
+from .core_numerics import CONSTANTS, LOG2, check_real
 from .errors import DomainError, PoleError
 from .polylog import li2, li3
 from .series_engine import SeriesId, sum_series
@@ -79,43 +81,31 @@ def _li3_ext(w: float) -> float:
     return li3(1.0 / w) - lw**3 / 6.0 - _PI_SQ_OVER_6 * lw
 
 
-def _check_mu(mu: float) -> float:
-    if not -1.0 < mu <= 1.0:
-        raise DomainError("mu must satisfy -1 < mu <= 1")
-    return float(mu)
+def _eq2(t: float) -> float:
+    return math.log1p(t) / (1.0 - t)
 
 
 def _eq3(t: float) -> float:
-    if not (-1.0 < t <= 1.0):
-        raise DomainError("EQ3 requires -1 < t <= 1")
     if abs(1.0 - t) < NEAR_POLE_WINDOW:
         return -0.5  # removable: log((1+t)/2)/(1-t) -> -1/2
     return (math.log1p(t) - LOG2) / (1.0 - t)
 
 
 def _eq5(t: float) -> float:
-    if not (-1.0 <= t <= 1.0):
-        raise DomainError("EQ5 requires -1 <= t <= 1")
     if abs(1.0 - t) < NEAR_POLE_WINDOW:
         raise PoleError("EQ5 diverges at t = 1 (log(1-t) term)")
     return li2(0.5 * (1.0 - t)) - _LI2_HALF - li2(-t) - LOG2 * math.log1p(-t)
 
 
 def _eq8(t: float) -> float:
-    if not (-1.0 <= t <= 1.0):
-        raise DomainError("EQ8 requires -1 <= t <= 1")
     return li2(0.5 * (1.0 - t)) - _LI2_HALF - li2(-t)
 
 
 def _eq11(t: float) -> float:
-    if not (-1.0 <= t <= 1.0):
-        raise DomainError("EQ11 requires -1 <= t <= 1")
     return li2(0.5 * (1.0 - t)) - _LI2_HALF
 
 
 def _eq12(t: float) -> float:
-    if not (-1.0 < t < 1.0):
-        raise DomainError("EQ12 requires |t| < 1")
     if abs(1.0 - t) < NEAR_POLE_WINDOW:
         # the bracket tends to log^2 2 != 0, so 1/(1-t) is a genuine pole
         raise PoleError("EQ12 has a simple pole at t = 1")
@@ -129,8 +119,6 @@ def _eq12(t: float) -> float:
 
 
 def _eq13(t: float) -> float:
-    if not (-1.0 <= t <= 1.0):
-        raise DomainError("EQ13 requires -1 <= t <= 1")
     if abs(1.0 - t) < NEAR_POLE_WINDOW:
         return LOG2  # removable limit
     num = li2(t) + LOG2 * LOG2 - 2.0 * (li2(0.5 * (1.0 + t)) - _LI2_HALF)
@@ -138,8 +126,6 @@ def _eq13(t: float) -> float:
 
 
 def _eq20(x: float) -> float:
-    if not (-1.0 / 3.0 <= x <= 1.0):
-        raise DomainError("EQ20 requires -1/3 <= x <= 1")
     l1px = math.log1p(x)
     return (
         li3(2.0 * x / (1.0 + x))
@@ -152,8 +138,6 @@ def _eq20(x: float) -> float:
 
 
 def _eq22(x: float, mu: float) -> float:
-    if not (-1.0 < x < 1.0):
-        raise DomainError("EQ22 requires |x| < 1")
     return (
         _li2_ext(mu * (1.0 + x) / (1.0 + mu))
         - _li2_ext(mu / (1.0 + mu))
@@ -162,12 +146,10 @@ def _eq22(x: float, mu: float) -> float:
 
 
 def _eq24(x: float, mu: float) -> float:
-    if not (-1.0 < x < 1.0):
-        raise DomainError("EQ24 requires |x| < 1")
     return _li2_ext((1.0 + mu) * x / (1.0 + x)) - _li2_ext(x / (1.0 + x))
 
 
-def _eq26_rhs(x: float) -> float:
+def _eq26(x: float) -> float:
     l1px = math.log1p(x)
     return (
         -li2(0.5 * (1.0 + x))
@@ -179,35 +161,23 @@ def _eq26_rhs(x: float) -> float:
     )
 
 
-def _eq26(x: float) -> float:
-    if not (-1.0 / 3.0 <= x <= 1.0):
-        raise DomainError("EQ26 requires -1/3 <= x <= 1")
-    return _eq26_rhs(x)
-
-
 def _li2_two_x_over_1px(x: float) -> float:
     """Li2(2x/(1+x)) continued to -1 < x < -1/3, where 2x/(1+x) < -1."""
     if x >= -1.0 / 3.0:
         return li2(2.0 * x / (1.0 + x))
-    return _eq26_rhs(x)
+    return _eq26(x)
 
 
 def _eq27(x: float) -> float:
-    if not (-1.0 < x < 1.0):
-        raise DomainError("EQ27 requires |x| < 1")
     r = math.log1p(-x) - math.log1p(x)  # log((1-x)/(1+x))
     return _li2_two_x_over_1px(x) + 0.25 * r * r
 
 
 def _eq28(x: float, mu: float) -> float:
-    if not (-1.0 < x < 1.0):
-        raise DomainError("EQ28 requires |x| < 1")
     return _li3_ext((1.0 + mu) * x / (1.0 + x)) - _li3_ext(x / (1.0 + x))
 
 
 def _landen(x: float) -> float:
-    if not (-1.0 < x <= 1.0):
-        raise DomainError("LANDEN requires -1 < x <= 1")
     l1px = math.log1p(x)
     return -0.5 * l1px * l1px - li2(-x)
 
@@ -224,6 +194,7 @@ def int_li2_over_1mt(
     its log(1-x) coefficient, and the mismatch is surfaced in verification
     report notes.
     """
+    x = check_real("x", x)
     if not (-1.0 <= x < 1.0):
         raise DomainError("int_li2_over_1mt requires -1 <= x < 1")
     if version == "auto":
@@ -252,15 +223,7 @@ EQ18_VALUE = 1.5 * _ZETA3 - _PI_SQ_OVER_6 * LOG2 - LOG2**3 / 3.0
 EQ19_VALUE = _PI_SQ_OVER_12 * LOG2 - 0.75 * _ZETA3 - LOG2**3 / 3.0
 
 
-def closed_form_eq17(x: float) -> float:
-    """Closed form of sum_n (H_n^- - log 2)^2 x^(n+1)/(n+1) on [-1, 1].
-
-    The assembled expression has removable 0 * inf products at both
-    endpoints, so x within NEAR_POLE_WINDOW of +-1 returns the exact limit
-    values EQ18_VALUE / EQ19_VALUE instead.
-    """
-    if not (-1.0 <= x <= 1.0):
-        raise DomainError("closed_form_eq17 requires -1 <= x <= 1")
+def _eq17(x: float) -> float:
     if abs(1.0 - x) < NEAR_POLE_WINDOW:
         return EQ18_VALUE
     if abs(1.0 + x) < NEAR_POLE_WINDOW:
@@ -280,11 +243,7 @@ def closed_form_eq17(x: float) -> float:
     )
 
 
-def abel_sides(mu: float, x: float) -> tuple[float, float]:
-    """Both sides of the five-term Abel relation for (mu, x)."""
-    mu = _check_mu(mu)
-    if not (-1.0 < x < 1.0):
-        raise DomainError("abel relation requires |x| < 1")
+def _abel_sides(x: float, mu: float) -> tuple[float, float]:
     lhs = (
         _li2_ext((1.0 + mu) * x / (1.0 + x))
         + _li2_ext(mu * (1.0 + x) / (1.0 + mu))
@@ -298,6 +257,100 @@ def abel_sides(mu: float, x: float) -> tuple[float, float]:
     return lhs, rhs
 
 
+def _closed(t: float) -> bool:
+    return -1.0 <= t <= 1.0
+
+
+def _open(t: float) -> bool:
+    return -1.0 < t < 1.0
+
+
+def _open_left(t: float) -> bool:
+    return -1.0 < t <= 1.0
+
+
+def _from_minus_third(t: float) -> bool:
+    return -1.0 / 3.0 <= t <= 1.0
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One catalog row: evaluate(t), or evaluate(t, mu) when takes_mu, is
+    called only with t in domain and -1 < mu <= 1."""
+
+    evaluate: Callable[..., float]
+    domain: Callable[[float], bool]
+    domain_text: str
+    takes_mu: bool = False
+
+
+_MU_TEXT = "|t| < 1, -1 < mu <= 1"
+
+_FORMS: dict[ClosedFormId, _Form] = {
+    ClosedFormId.EQ2: _Form(_eq2, _open, "|t| < 1"),
+    ClosedFormId.EQ3: _Form(_eq3, _open_left, "-1 < t <= 1"),
+    ClosedFormId.EQ5: _Form(_eq5, _closed, "-1 <= t <= 1, t != 1"),
+    ClosedFormId.EQ8: _Form(_eq8, _closed, "|t| <= 1"),
+    ClosedFormId.EQ11: _Form(_eq11, _closed, "|t| <= 1"),
+    ClosedFormId.EQ12: _Form(_eq12, _open, "|t| < 1"),
+    ClosedFormId.EQ13: _Form(_eq13, _closed, "|t| <= 1"),
+    ClosedFormId.EQ17: _Form(_eq17, _closed, "|t| <= 1"),
+    ClosedFormId.EQ20: _Form(_eq20, _from_minus_third, "-1/3 <= t <= 1"),
+    ClosedFormId.EQ22: _Form(_eq22, _open, _MU_TEXT, takes_mu=True),
+    ClosedFormId.EQ24: _Form(_eq24, _open, _MU_TEXT, takes_mu=True),
+    ClosedFormId.EQ25_ABEL: _Form(
+        lambda x, mu: _abel_sides(x, mu)[1], _open, _MU_TEXT, takes_mu=True),
+    ClosedFormId.EQ26: _Form(_eq26, _from_minus_third, "-1/3 <= t <= 1"),
+    ClosedFormId.EQ27_RAMANUJAN: _Form(_eq27, _open, "|t| < 1"),
+    ClosedFormId.EQ28: _Form(_eq28, _open, _MU_TEXT, takes_mu=True),
+    ClosedFormId.EQ29_G: _Form(_eq13, _closed, "|t| <= 1"),
+    ClosedFormId.EQ30_BIGG: _Form(_eq17, _closed, "|t| <= 1"),
+    ClosedFormId.LANDEN: _Form(_landen, _open_left, "-1 < t <= 1"),
+}
+
+
+def _args(cf_id: ClosedFormId, t, mu) -> tuple[float, ...]:
+    """The checked evaluator arguments of cf_id: (t,), or (t, mu)."""
+    form = _FORMS[cf_id]
+    if form.takes_mu:
+        if mu is None:
+            raise ValueError(f"{cf_id.name} requires mu")
+        mu = check_real("mu", mu)
+        if not -1.0 < mu <= 1.0:
+            raise DomainError("mu must satisfy -1 < mu <= 1")
+    elif mu is not None:
+        raise ValueError(f"{cf_id.name} takes no mu")
+    t = check_real("t", t)
+    if not form.domain(t):
+        raise DomainError(f"{cf_id.name} requires {form.domain_text}")
+    return (t, mu) if form.takes_mu else (t,)
+
+
+def closed_form(cf_id: ClosedFormId, t: float, mu: float | None = None) -> float:
+    """Evaluate the tagged closed form at t (and mu where required)."""
+    return _FORMS[cf_id].evaluate(*_args(cf_id, t, mu))
+
+
+def closed_form_catalog() -> list[tuple[str, str]]:
+    """(closed-form tag, domain) rows in enum order, for the CLI listing."""
+    return [(cid.name, _FORMS[cid].domain_text) for cid in ClosedFormId]
+
+
+def closed_form_eq17(x: float) -> float:
+    """Closed form of sum_n (H_n^- - log 2)^2 x^(n+1)/(n+1) on [-1, 1].
+
+    The assembled expression has removable 0 * inf products at both
+    endpoints, so x within NEAR_POLE_WINDOW of +-1 returns the exact limit
+    values EQ18_VALUE / EQ19_VALUE instead.
+    """
+    return closed_form(ClosedFormId.EQ17, x)
+
+
+def abel_sides(mu: float, x: float) -> tuple[float, float]:
+    """Both sides of the five-term Abel relation for (mu, x)."""
+    return _abel_sides(*_args(ClosedFormId.EQ25_ABEL, x, mu))
+
+
 def abel_residual(mu: float, x: float) -> float:
     lhs, rhs = abel_sides(mu, x)
     return lhs - rhs
@@ -305,88 +358,5 @@ def abel_residual(mu: float, x: float) -> float:
 
 def ramanujan_eq27_residual(x: float) -> float:
     """Closed dilogarithm side minus the odd-harmonic series at x."""
-    r = sum_series(SeriesId.RAMANUJAN_ODD, x, 1e-13)
-    return _eq27(x) - r.value
-
-
-_MU_FORMS = {ClosedFormId.EQ22, ClosedFormId.EQ24,
-             ClosedFormId.EQ25_ABEL, ClosedFormId.EQ28}
-
-_DOMAIN_TEXT: dict[ClosedFormId, str] = {
-    ClosedFormId.EQ2: "|t| < 1",
-    ClosedFormId.EQ3: "-1 < t <= 1",
-    ClosedFormId.EQ5: "-1 <= t <= 1, t != 1",
-    ClosedFormId.EQ8: "|t| <= 1",
-    ClosedFormId.EQ11: "|t| <= 1",
-    ClosedFormId.EQ12: "|t| < 1",
-    ClosedFormId.EQ13: "|t| <= 1",
-    ClosedFormId.EQ17: "|t| <= 1",
-    ClosedFormId.EQ20: "-1/3 <= t <= 1",
-    ClosedFormId.EQ22: "|t| < 1, -1 < mu <= 1",
-    ClosedFormId.EQ24: "|t| < 1, -1 < mu <= 1",
-    ClosedFormId.EQ25_ABEL: "|t| < 1, -1 < mu <= 1",
-    ClosedFormId.EQ26: "-1/3 <= t <= 1",
-    ClosedFormId.EQ27_RAMANUJAN: "|t| < 1",
-    ClosedFormId.EQ28: "|t| < 1, -1 < mu <= 1",
-    ClosedFormId.EQ29_G: "|t| <= 1",
-    ClosedFormId.EQ30_BIGG: "|t| <= 1",
-    ClosedFormId.LANDEN: "-1 < t <= 1",
-}
-
-
-def closed_form_catalog() -> list[tuple[str, str]]:
-    """(closed-form tag, domain) rows in enum order, for the CLI listing."""
-    return [(cid.name, _DOMAIN_TEXT[cid]) for cid in ClosedFormId]
-
-
-def closed_form(cf_id: ClosedFormId, t: float, mu: float | None = None) -> float:
-    """Evaluate the tagged closed form at t (and mu where required)."""
-    if cf_id in _MU_FORMS:
-        if mu is None:
-            raise ValueError(f"{cf_id.name} requires mu")
-        mu = _check_mu(mu)
-    elif mu is not None:
-        raise ValueError(f"{cf_id.name} takes no mu")
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
-
-    if cf_id is ClosedFormId.EQ2:
-        if not (-1.0 < t < 1.0):
-            raise DomainError("EQ2 requires |t| < 1")
-        return math.log1p(t) / (1.0 - t)
-    if cf_id is ClosedFormId.EQ3:
-        return _eq3(t)
-    if cf_id is ClosedFormId.EQ5:
-        return _eq5(t)
-    if cf_id is ClosedFormId.EQ8:
-        return _eq8(t)
-    if cf_id is ClosedFormId.EQ11:
-        return _eq11(t)
-    if cf_id is ClosedFormId.EQ12:
-        return _eq12(t)
-    if cf_id is ClosedFormId.EQ13:
-        return _eq13(t)
-    if cf_id is ClosedFormId.EQ17:
-        return closed_form_eq17(t)
-    if cf_id is ClosedFormId.EQ20:
-        return _eq20(t)
-    if cf_id is ClosedFormId.EQ22:
-        return _eq22(t, mu)
-    if cf_id is ClosedFormId.EQ24:
-        return _eq24(t, mu)
-    if cf_id is ClosedFormId.EQ25_ABEL:
-        return abel_sides(mu, t)[1]
-    if cf_id is ClosedFormId.EQ26:
-        return _eq26(t)
-    if cf_id is ClosedFormId.EQ27_RAMANUJAN:
-        return _eq27(t)
-    if cf_id is ClosedFormId.EQ28:
-        return _eq28(t, mu)
-    if cf_id is ClosedFormId.EQ29_G:
-        return _eq13(t)
-    if cf_id is ClosedFormId.EQ30_BIGG:
-        return closed_form_eq17(t)
-    if cf_id is ClosedFormId.LANDEN:
-        return _landen(t)
-    raise ValueError(f"unknown closed form {cf_id!r}")
+    closed = closed_form(ClosedFormId.EQ27_RAMANUJAN, x)
+    return closed - sum_series(SeriesId.RAMANUJAN_ODD, x, 1e-13).value

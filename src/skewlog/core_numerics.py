@@ -9,6 +9,7 @@ compensated prefix cache and treated as exact thereafter.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 from .errors import DomainError
@@ -106,6 +107,22 @@ class HarmonicCache:
 _CACHE = HarmonicCache()
 
 
+def check_real(name: str, x, bounds: tuple[float, float] | None = None) -> float:
+    """x as a float, for every public entry point that takes a real argument.
+
+    A bool or a non-real value raises DomainError, and so does a value
+    outside the closed interval bounds (NaN included) when bounds is given.
+    """
+    if not isinstance(x, float) and (
+        isinstance(x, bool) or not isinstance(x, numbers.Real)
+    ):
+        raise DomainError(f"{name} must be a real number")
+    x = float(x)
+    if bounds is not None and not bounds[0] <= x <= bounds[1]:
+        raise DomainError(f"{name} must lie in [{bounds[0]:g}, {bounds[1]:g}]")
+    return x
+
+
 def _check_index(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError("n must be an integer")
@@ -143,6 +160,7 @@ def skew_harmonic_mu(n: int, mu: float) -> float:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError("n must be an integer >= 1")
+    mu = check_real("mu", mu)
     terms = []
     p = 1.0
     for k in range(1, n + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core_numerics import CONSTANTS
+from .core_numerics import CONSTANTS, check_real
 from .errors import DomainError
 
 _PI_SQ_OVER_6 = CONSTANTS["PI_SQ_OVER_6"]
@@ -37,8 +37,7 @@ def _series(m: int, x: float) -> float:
 
 def li2(x: float) -> float:
     """Dilogarithm Li_2(x) for -1 <= x <= 1."""
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("li2 requires -1 <= x <= 1")
+    x = check_real("li2 argument", x, (-1.0, 1.0))
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -59,8 +58,7 @@ def li2(x: float) -> float:
 
 def li3(x: float) -> float:
     """Trilogarithm Li_3(x) for -1 <= x <= 1."""
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("li3 requires -1 <= x <= 1")
+    x = check_real("li3 argument", x, (-1.0, 1.0))
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -97,7 +95,7 @@ def polylog_series_oracle(m: int, x: float, n_terms: int) -> float:
     """
     if m not in (2, 3):
         raise DomainError("order m must be 2 or 3")
-    if not -1.0 < x < 1.0:
+    if not -1.0 < check_real("x", x) < 1.0:
         raise DomainError("oracle requires |x| < 1")
     if n_terms < 0:
         raise DomainError("n_terms must be >= 0")

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core_numerics import check_real
 from .errors import DomainError
 from .result import EvalResult, Status
 
@@ -26,7 +27,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    singular_corner_substitution: bool = True
 
     def __post_init__(self) -> None:
         if not (isinstance(self.abs_tol, float) and self.abs_tol >= 1e-15):
@@ -38,8 +38,6 @@ class QuadratureConfig:
             and 1 <= self.max_subdivisions <= 1_000_000
         ):
             raise ValueError("max_subdivisions must be an int in [1, 1e6]")
-        if not isinstance(self.singular_corner_substitution, bool):
-            raise ValueError("singular_corner_substitution must be a bool")
 
 
 _DEFAULT_CFG = QuadratureConfig()
@@ -93,6 +91,7 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
 def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> EvalResult:
     """Oriented adaptive integral of f from a to b."""
     cfg = cfg or _DEFAULT_CFG
+    a, b = check_real("a", a), check_real("b", b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
     if a == b:
@@ -160,9 +159,8 @@ def _panel_2d(f2, x0, x1, y0, y1) -> tuple[float, float]:
     return vals[0], abs(vals[0] - vals[1])
 
 
-def _adapt_2d(f2, cfg: QuadratureConfig, tol_abs: float | None = None) -> EvalResult:
+def _adapt_2d(f2, cfg: QuadratureConfig) -> EvalResult:
     """Adaptive quadtree integration of f2 over [0,1]^2."""
-    abs_tol = cfg.abs_tol if tol_abs is None else tol_abs
     v, e = _panel_2d(f2, 0.0, 1.0, 0.0, 1.0)
     heap = [(-e, 0, 0.0, 1.0, 0.0, 1.0, v, e)]
     frozen: list[tuple] = []
@@ -172,7 +170,7 @@ def _adapt_2d(f2, cfg: QuadratureConfig, tol_abs: float | None = None) -> EvalRe
     while splits < cfg.max_subdivisions:
         total_val = math.fsum(x[6] for x in heap) + math.fsum(x[4] for x in frozen)
         total_err = math.fsum(x[7] for x in heap) + math.fsum(x[5] for x in frozen)
-        target = max(abs_tol, cfg.rel_tol * abs(total_val))
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
         if 1.5 * total_err <= 0.5 * target or not heap:
             break
         _, _, x0, x1, y0, y1, pv, pe = heapq.heappop(heap)
@@ -195,34 +193,21 @@ def _adapt_2d(f2, cfg: QuadratureConfig, tol_abs: float | None = None) -> EvalRe
     value = math.fsum(p[4] for p in panels)
     err_sum = math.fsum(p[5] for p in panels)
     bound = 1.5 * err_sum + 2e-16 * (1.0 + abs(value))
-    target = max(abs_tol, cfg.rel_tol * abs(value))
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
     return EvalResult(value, bound, evals, status)
-
-
-def _check_z(z: float) -> float:
-    if not (isinstance(z, (int, float)) and -1.0 <= z <= 1.0):
-        raise DomainError("z must lie in [-1, 1]")
-    return float(z)
 
 
 def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResult:
     """g(z) = integral over [0,1]^2 of 1 / ((1 - xyz)(1+x)(1+y)).
 
-    At z = 1 the integrand blows up like 1/(u+v) at the (1,1) corner
-    (integrable).  With cfg.singular_corner_substitution the change of
-    variables u = 1-x, v = 1-y moves the singularity to the origin and the
-    quadtree grades dyadic panels into it; accuracy target there is 1e-6
-    rather than the interior 1e-8.
+    At z = 1 the integrand blows up like 1/((1-x) + (1-y)) at the (1,1)
+    corner (integrable).  The quadtree samples no corner node and grades its
+    panels into the corner, so the same rule and the requested tolerance
+    apply there as everywhere else.
     """
-    z = _check_z(z)
+    z = check_real("z", z, (-1.0, 1.0))
     cfg = cfg or _DEFAULT_CFG
-
-    if z == 1.0 and cfg.singular_corner_substitution:
-        def f2(u, v):
-            return 1.0 / ((u + v - u * v) * (2.0 - u) * (2.0 - v))
-
-        return _adapt_2d(f2, cfg, tol_abs=max(cfg.abs_tol, 1e-8))
 
     def f2(x, y):
         return 1.0 / ((1.0 - x * y * z) * (1.0 + x) * (1.0 + y))
@@ -237,7 +222,7 @@ def double_integral_bigG(z: float, cfg: QuadratureConfig | None = None) -> EvalR
     xy |z| < 1e-4 the factor is replaced by its power series through w^5
     (w = xyz, truncation below 1e-24) to avoid cancellation.
     """
-    z = _check_z(z)
+    z = check_real("z", z, (-1.0, 1.0))
     cfg = cfg or _DEFAULT_CFG
 
     def f2(x, y):
@@ -252,8 +237,7 @@ def double_integral_bigG(z: float, cfg: QuadratureConfig | None = None) -> EvalR
         )
         return np.where(guard, series, direct) / ((1.0 + x) * (1.0 + y))
 
-    tol_abs = max(cfg.abs_tol, 1e-8) if abs(z) == 1.0 else None
-    return _adapt_2d(f2, cfg, tol_abs=tol_abs)
+    return _adapt_2d(f2, cfg)
 
 
 def double_integral_eq31(cfg: QuadratureConfig | None = None) -> EvalResult:

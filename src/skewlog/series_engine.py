@@ -22,15 +22,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core_numerics import (
-    LOG2,
-    odd_harmonic,
-    skew_harmonic,
-    skew_harmonic_mu,
-)
+from .core_numerics import LOG2, check_real, odd_harmonic, skew_harmonic
 from .errors import DomainError
 from .result import EvalResult, Status
 
@@ -80,95 +75,74 @@ def _c_mu(mu: float) -> float:
     return -math.log1p(-a) / a
 
 
-@dataclass(frozen=True)
-class _SeriesSpec:
-    label: str            # companion closed-form tag, interface data
-    p: int                # value = t^p * sum a_n t^n
-    needs_mu: bool
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-    exclude_plus_one: bool
-    domain_text: str
-    coeff: Callable[[int, float | None], float]
-    env: Callable[[int, float | None], float]
-
-    def in_domain(self, t: float) -> bool:
-        if t == 1.0 and self.exclude_plus_one:
-            return False
-        if not (self.lo < t < self.hi):
-            if t == self.lo and self.lo_closed:
-                return True
-            if t == self.hi and self.hi_closed:
-                return True
-            return False
-        return True
-
-
-def _coeff_gf_skew(n: int, mu: float | None) -> float:
+def _coeff_gf_skew(n: int) -> float:
     return skew_harmonic(n) if n >= 1 else 0.0
 
 
-def _coeff_gf_centered(n: int, mu: float | None) -> float:
+def _coeff_gf_centered(n: int) -> float:
     return skew_harmonic(n) - LOG2
 
 
-def _coeff_skew_over_n(n: int, mu: float | None) -> float:
+def _coeff_skew_over_n(n: int) -> float:
     return skew_harmonic(n) / n if n >= 1 else 0.0
 
 
-def _coeff_centered_over_n(n: int, mu: float | None) -> float:
+def _coeff_centered_over_n(n: int) -> float:
     return (skew_harmonic(n) - LOG2) / n if n >= 1 else 0.0
 
 
-def _coeff_centered_shift(n: int, mu: float | None) -> float:
+def _coeff_centered_shift(n: int) -> float:
     return (skew_harmonic(n) - LOG2) / (n + 1)
 
 
-def _coeff_skew_sq(n: int, mu: float | None) -> float:
+def _coeff_skew_sq(n: int) -> float:
     return skew_harmonic(n) ** 2 if n >= 1 else 0.0
 
 
-def _coeff_centered_sq(n: int, mu: float | None) -> float:
+def _coeff_centered_sq(n: int) -> float:
     return (skew_harmonic(n) - LOG2) ** 2
 
 
-def _coeff_centered_sq_shift(n: int, mu: float | None) -> float:
+def _coeff_centered_sq_shift(n: int) -> float:
     return (skew_harmonic(n) - LOG2) ** 2 / (n + 1)
 
 
-def _coeff_skew_over_nsq(n: int, mu: float | None) -> float:
+def _coeff_skew_over_nsq(n: int) -> float:
     return skew_harmonic(n) / (n + 1) ** 2 if n >= 1 else 0.0
 
 
-def _coeff_mu_lewin(n: int, mu: float | None) -> float:
-    if n < 1:
-        return 0.0
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return mu * sign * skew_harmonic_mu(n, mu) / (n + 1)
-
-
-def _coeff_mu_dilog(n: int, mu: float | None) -> float:
-    if n < 1:
-        return 0.0
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return mu * sign * skew_harmonic_mu(n, mu) / n
-
-
-def _coeff_mu_trilog(n: int, mu: float | None) -> float:
-    if n < 1:
-        return 0.0
-    sign = 1.0 if n % 2 == 1 else -1.0
-    inner = math.fsum(skew_harmonic_mu(k, mu) / k for k in range(1, n + 1))
-    return sign * inner / n
-
-
-def _coeff_ramanujan(n: int, mu: float | None) -> float:
+def _coeff_ramanujan(n: int) -> float:
     if n < 1 or n % 2 == 0:
         return 0.0
     m = (n + 1) // 2
     return 2.0 * odd_harmonic(m) / n
+
+
+def _mu_stream(term: Callable[[int, float, float, float], float],
+               mu: float) -> Iterator[float]:
+    """Yields a_0 = 0, a_1, ... of a mu series with O(1) work per term.
+
+    a_n = (-1)^(n-1) term(n, mu, H_n^-(mu), sum_{k<=n} H_k^-(mu)/k); both
+    running sums are Kahan-compensated.
+    """
+    yield 0.0
+    s = 0.0    # running H_n^-(mu)
+    cs = 0.0
+    inner = 0.0  # running sum_k H_k^-(mu)/k
+    ci = 0.0
+    p = 1.0    # (-mu)^(n-1)
+    for n in itertools.count(1):
+        y = p / n - cs
+        t = s + y
+        cs = (t - s) - y
+        s = t
+        p *= -mu
+        y = s / n - ci
+        t = inner + y
+        ci = (t - inner) - y
+        inner = t
+        sign = 1.0 if n % 2 == 1 else -1.0
+        yield sign * term(n, mu, s, inner)
 
 
 def _env_one(n: int, mu: float | None) -> float:
@@ -214,106 +188,6 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
     return (2.0 + math.log(n)) / n
 
 
-_SPECS: dict[SeriesId, _SeriesSpec] = {
-    SeriesId.GF_SKEW: _SeriesSpec(
-        "EQ2", 0, False, -1.0, 1.0, False, False, False, "|t| < 1",
-        _coeff_gf_skew, _env_one),
-    SeriesId.GF_CENTERED: _SeriesSpec(
-        "EQ3", 0, False, -1.0, 1.0, False, True, False, "|t| < 1 or t = 1",
-        _coeff_gf_centered, _env_inv_np1),
-    SeriesId.SKEW_OVER_N: _SeriesSpec(
-        "EQ5", 0, False, -1.0, 1.0, True, False, True, "|t| <= 1, t != 1",
-        _coeff_skew_over_n, _env_inv),
-    SeriesId.CENTERED_OVER_N: _SeriesSpec(
-        "EQ8", 0, False, -1.0, 1.0, True, True, False, "|t| <= 1",
-        _coeff_centered_over_n, _env_half_inv_sq),
-    SeriesId.CENTERED_SHIFT: _SeriesSpec(
-        "EQ11", 1, False, -1.0, 1.0, True, True, False, "|t| <= 1",
-        _coeff_centered_shift, _env_inv_np1_sq),
-    SeriesId.SKEW_SQ: _SeriesSpec(
-        "EQ12", 0, False, -1.0, 1.0, False, False, False, "|t| < 1",
-        _coeff_skew_sq, _env_one),
-    SeriesId.CENTERED_SQ: _SeriesSpec(
-        "EQ13", 0, False, -1.0, 1.0, True, True, False, "|t| <= 1",
-        _coeff_centered_sq, _env_inv_np1_sq),
-    SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
-        "EQ17", 1, False, -1.0, 1.0, True, True, False, "|t| <= 1",
-        _coeff_centered_sq_shift, _env_inv_np1_cube),
-    SeriesId.SKEW_OVER_NSQ: _SeriesSpec(
-        "EQ20", 1, False, -1.0 / 3.0, 1.0, True, True, False,
-        "-1/3 <= t <= 1",
-        _coeff_skew_over_nsq, _env_inv_np1_sq),
-    SeriesId.MU_LEWIN: _SeriesSpec(
-        "EQ22", 1, True, -1.0, 1.0, False, False, False,
-        "|t| < 1, -1 < mu <= 1",
-        _coeff_mu_lewin, _env_mu_shift),
-    SeriesId.MU_DILOG: _SeriesSpec(
-        "EQ24", 0, True, -1.0, 1.0, False, False, False,
-        "|t| < 1, -1 < mu <= 1",
-        _coeff_mu_dilog, _env_mu_over_n),
-    SeriesId.MU_TRILOG: _SeriesSpec(
-        "EQ28", 0, True, -1.0, 1.0, False, False, False,
-        "|t| < 1, -1 < mu <= 1",
-        _coeff_mu_trilog, _env_mu_log),
-    SeriesId.RAMANUJAN_ODD: _SeriesSpec(
-        "EQ27", 0, False, -1.0, 1.0, False, False, False, "|t| < 1",
-        _coeff_ramanujan, _env_ramanujan),
-}
-
-
-def series_catalog() -> list[tuple[str, str, str]]:
-    """(series tag, companion closed-form tag, domain) rows, enum order."""
-    return [(sid.name, sp.label, sp.domain_text) for sid, sp in _SPECS.items()]
-
-
-def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
-    """Coefficient a_n of the tagged series (exact rule, no caching tricks)."""
-    spec = _SPECS[series_id]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError("n must be an integer >= 0")
-    if spec.needs_mu and mu is None:
-        raise ValueError(f"{series_id.name} requires mu")
-    if not spec.needs_mu and mu is not None:
-        raise ValueError(f"{series_id.name} takes no mu")
-    return spec.coeff(n, mu)
-
-
-def _coeff_stream(series_id: SeriesId, mu: float | None) -> Iterator[float]:
-    """Yields a_0, a_1, ... with O(1) incremental work per term.
-
-    Kahan-compensated running accumulators keep the streamed coefficients
-    within a few ulp of the batch rule in `coefficient`.
-    """
-    spec = _SPECS[series_id]
-    if series_id in (SeriesId.MU_LEWIN, SeriesId.MU_DILOG, SeriesId.MU_TRILOG):
-        yield 0.0
-        s = 0.0    # running H_n^-(mu)
-        cs = 0.0
-        inner = 0.0  # running sum_k H_k^-(mu)/k
-        ci = 0.0
-        p = 1.0    # (-mu)^(n-1)
-        for n in itertools.count(1):
-            y = p / n - cs
-            t = s + y
-            cs = (t - s) - y
-            s = t
-            p *= -mu
-            sign = 1.0 if n % 2 == 1 else -1.0
-            if series_id is SeriesId.MU_LEWIN:
-                yield mu * sign * s / (n + 1)
-            elif series_id is SeriesId.MU_DILOG:
-                yield mu * sign * s / n
-            else:
-                y = s / n - ci
-                t = inner + y
-                ci = (t - inner) - y
-                inner = t
-                yield sign * inner / n
-    else:
-        for n in itertools.count(0):
-            yield spec.coeff(n, mu)
-
-
 def cauchy_divide(coeffs: list[float], lam: float, n_out: int) -> list[float]:
     """Coefficients of (sum a_n t^n) / (1 - lam t) through order n_out.
 
@@ -340,25 +214,16 @@ _FP_SLACK = 2e-16
 def accelerate_alternating(terms: list[float], tol: float) -> EvalResult:
     """Estimate the limit of sum(terms + tail) from a finite prefix.
 
-    For strictly alternating input with nonincreasing magnitudes, iterated
-    averaging of the partial sums is used; consecutive entries of every row
-    bracket the limit, so half the tightest bracket is a rigorous bound.
-    One-signed input falls back to Richardson extrapolation of the partial
-    sums at geometrically spaced indices (a documented asymptotic model,
-    bound 4x the last extrapolation increment).  Anything else is summed
-    plainly with a last-term scale bound.
+    The terms must alternate strictly in sign with nonincreasing magnitudes;
+    other input raises ValueError.  Iterated averaging of the partial sums
+    is used: consecutive entries of every row bracket the limit, so half the
+    tightest bracket is a rigorous bound.
     """
     if tol <= 0.0 or not math.isfinite(tol):
         raise ValueError("tol must be positive")
     terms = [float(x) for x in terms]
     if not terms:
         raise ValueError("terms must be non-empty")
-    if len(terms) == 1:
-        c = terms[0]
-        bound = abs(c)
-        status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-        return EvalResult(c, bound, 1, status)
-
     signs = [1 if x > 0 else -1 for x in terms if x != 0.0]
     alternating = (
         len(signs) == len(terms)
@@ -368,24 +233,12 @@ def accelerate_alternating(terms: list[float], tol: float) -> EvalResult:
     nonincreasing = all(
         mags[i + 1] <= mags[i] * (1.0 + 1e-12) for i in range(len(mags) - 1)
     )
-    one_signed = len(signs) == len(terms) and all(s == signs[0] for s in signs)
+    if not (alternating and nonincreasing):
+        raise ValueError(
+            "terms must alternate in sign with nonincreasing magnitudes")
 
-    partials = list(itertools.accumulate(terms))
-
-    if alternating and nonincreasing:
-        value, bound = _average_brackets(partials, terms)
-    elif one_signed and nonincreasing and len(terms) >= 8:
-        value, bound = _richardson_limit(partials)
-    else:
-        value = math.fsum(terms)
-        bound = 2.0 * abs(terms[-1]) + 8e-16 * (1.0 + abs(value))
-    status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-    return EvalResult(value, bound, len(terms), status)
-
-
-def _average_brackets(partials: list[float], terms: list[float]) -> tuple[float, float]:
-    row = partials
-    best_val = partials[-1]
+    row = list(itertools.accumulate(terms))
+    best_val = row[-1]
     best_hw = abs(terms[-1])
     while len(row) >= 2:
         a, b = row[-2], row[-1]
@@ -395,28 +248,8 @@ def _average_brackets(partials: list[float], terms: list[float]) -> tuple[float,
             best_val = 0.5 * (a + b)
         row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
     bound = 1.25 * best_hw + 8e-16 * (1.0 + abs(best_val))
-    return best_val, bound
-
-
-def _richardson_limit(partials: list[float]) -> tuple[float, float]:
-    # Neville extrapolation to h = 0 of s_k against h = 1/k at k, k/2, k/4...
-    m = len(partials)
-    ks = []
-    k = m
-    while k >= 4 and len(ks) < 8:
-        ks.append(k)
-        k //= 2
-    xs = [1.0 / k for k in ks]
-    tab = [partials[k - 1] for k in ks]
-    diag = [tab[0]]
-    for j in range(1, len(tab)):
-        for i in range(len(tab) - 1, j - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * xs[i] / (xs[i - j] - xs[i])
-        diag.append(tab[-1])
-    est = diag[-1]
-    step = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else abs(est)
-    bound = 4.0 * step + 8e-15 * (1.0 + abs(est))
-    return est, bound
+    status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
+    return EvalResult(best_val, bound, len(terms), status)
 
 
 def _tail_zeta(s: int, m_start: int) -> float:
@@ -487,18 +320,15 @@ def _endpoint_one_signed(
 
 
 def _endpoint_alternating(
-    series_id: SeriesId, sign: float, tol: float, prefactor: float
+    coeff: Callable[[int], float], sign: float, prefactor: float, tol: float
 ) -> EvalResult:
-    spec = _SPECS[series_id]
     m = 64
     best: EvalResult | None = None
     while True:
-        stream = _coeff_stream(series_id, None)
         terms = []
         s = 1.0
         for n in range(m):
-            a = next(stream)
-            terms.append(a * s)
+            terms.append(coeff(n) * s)
             s *= sign
         while terms and terms[0] == 0.0:
             terms.pop(0)
@@ -514,17 +344,13 @@ def _endpoint_skew_over_n_neg1(tol: float) -> EvalResult:
     # sum_{n>=1} (-1)^n H_n^-/n: split H_n^- = log2 - (-1)^n c_n; the
     # alternating log2 part beyond N is exactly -log2 * (-1)^N c_N, the c
     # part gets the c_n/n tail model.
-    def tail(N: int) -> tuple[float, float]:
-        t, b = _tail_c_over_n(N)
-        return t, b
-
-    N = _size_endpoint(tail, tol)
+    N = _size_endpoint(_tail_c_over_n, tol)
     partial = math.fsum(
         (skew_harmonic(n) / n if n % 2 == 0 else -skew_harmonic(n) / n)
         for n in range(1, N + 1)
     )
     alt_rem = -LOG2 * ((1.0 if N % 2 == 0 else -1.0) * _c(N))
-    correction, model_err = tail(N)
+    correction, model_err = _tail_c_over_n(N)
     value = partial + alt_rem - correction
     bound = model_err + _FP_SLACK * (1.0 + abs(value))
     status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
@@ -548,36 +374,155 @@ def _endpoint_skew_over_nsq_pos1(tol: float) -> EvalResult:
     return EvalResult(value, bound, N, status)
 
 
-def _dispatch_endpoint(series_id: SeriesId, t: float, tol: float) -> EvalResult:
-    sid = SeriesId
-    if series_id is sid.GF_CENTERED and t == 1.0:
-        return _endpoint_alternating(series_id, 1.0, tol, 1.0)
-    if series_id is sid.CENTERED_OVER_N:
-        if t == 1.0:
-            return _endpoint_alternating(series_id, 1.0, tol, 1.0)
-        return _endpoint_one_signed(
-            lambda n: -_c(n) / n, 1, _tail_c_over_n, -1.0, tol)
-    if series_id is sid.CENTERED_SHIFT:
-        if t == 1.0:
-            return _endpoint_alternating(series_id, 1.0, tol, 1.0)
-        # t^p prefactor is -1; the inner sum is -sum c_n/(n+1)
-        return _endpoint_one_signed(
-            lambda n: _c(n) / (n + 1), 0, _tail_c_shift, 1.0, tol)
-    if series_id is sid.CENTERED_SQ:
-        if t == -1.0:
-            return _endpoint_alternating(series_id, -1.0, tol, 1.0)
-        return _endpoint_one_signed(
-            lambda n: _c(n) ** 2, 0, _tail_c_sq, 1.0, tol)
-    if series_id is sid.CENTERED_SQ_SHIFT:
-        if t == -1.0:
-            return _endpoint_alternating(series_id, -1.0, tol, -1.0)
-        return _endpoint_one_signed(
-            lambda n: _c(n) ** 2 / (n + 1), 0, _tail_c_sq_shift, 1.0, tol)
-    if series_id is sid.SKEW_OVER_N and t == -1.0:
-        return _endpoint_skew_over_n_neg1(tol)
-    if series_id is sid.SKEW_OVER_NSQ and t == 1.0:
-        return _endpoint_skew_over_nsq_pos1(tol)
-    raise AssertionError(f"no endpoint rule for {series_id} at t={t}")
+#: An endpoint rule evaluates a series at t = +-1 to tolerance tol.
+_EndpointRule = Callable[["_SeriesSpec", float], EvalResult]
+
+
+def _alternating(sign: float, prefactor: float = 1.0) -> _EndpointRule:
+    """Rule for a series whose terms alternate at t = sign: averaged partial
+    sums of the coefficients, times prefactor (the value of t^p)."""
+    return lambda spec, tol: _endpoint_alternating(
+        spec.coeff, sign, prefactor, tol)
+
+
+def _one_signed(
+    term_fn: Callable[[int], float],
+    n_start: int,
+    tail_fn: Callable[[int], tuple[float, float]],
+    tail_sign: float,
+) -> _EndpointRule:
+    """Rule for one-signed terms: partial sum plus tail_sign * tail model."""
+    return lambda spec, tol: _endpoint_one_signed(
+        term_fn, n_start, tail_fn, tail_sign, tol)
+
+
+@dataclass(frozen=True)
+class _SeriesSpec:
+    """One catalog row.  A series without mu has the per-index rule coeff;
+    a mu series has mu_term instead (see _mu_stream).  The domain is
+    lo <= t <= 1 with |t| = 1 admitted exactly where an endpoint rule is."""
+
+    label: str            # companion closed-form tag, interface data
+    alias: str            # catalog spelling accepted by the CLI
+    p: int                # value = t^p * sum a_n t^n
+    lo: float
+    domain_text: str
+    env: Callable[[int, float | None], float]
+    coeff: Callable[[int], float] | None = None
+    mu_term: Callable[[int, float, float, float], float] | None = None
+    endpoints: dict[float, _EndpointRule] = field(default_factory=dict)
+
+    @property
+    def needs_mu(self) -> bool:
+        return self.mu_term is not None
+
+    def in_domain(self, t: float) -> bool:
+        return self.lo <= t <= 1.0 and (abs(t) < 1.0 or t in self.endpoints)
+
+
+_SPECS: dict[SeriesId, _SeriesSpec] = {
+    SeriesId.GF_SKEW: _SeriesSpec(
+        "EQ2", "EQ2_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_gf_skew),
+    SeriesId.GF_CENTERED: _SeriesSpec(
+        "EQ3", "EQ3_LHS", 0, -1.0, "|t| < 1 or t = 1", _env_inv_np1,
+        _coeff_gf_centered, endpoints={1.0: _alternating(1.0)}),
+    SeriesId.SKEW_OVER_N: _SeriesSpec(
+        "EQ5", "EQ5_LHS", 0, -1.0, "|t| <= 1, t != 1", _env_inv,
+        _coeff_skew_over_n,
+        endpoints={-1.0: lambda spec, tol: _endpoint_skew_over_n_neg1(tol)}),
+    SeriesId.CENTERED_OVER_N: _SeriesSpec(
+        "EQ8", "EQ8_LHS", 0, -1.0, "|t| <= 1", _env_half_inv_sq,
+        _coeff_centered_over_n, endpoints={
+            1.0: _alternating(1.0),
+            -1.0: _one_signed(lambda n: -_c(n) / n, 1, _tail_c_over_n, -1.0),
+        }),
+    SeriesId.CENTERED_SHIFT: _SeriesSpec(
+        "EQ11", "EQ11_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_sq,
+        _coeff_centered_shift, endpoints={
+            1.0: _alternating(1.0),
+            # t^p prefactor is -1; the inner sum is -sum c_n/(n+1)
+            -1.0: _one_signed(lambda n: _c(n) / (n + 1), 0, _tail_c_shift, 1.0),
+        }),
+    SeriesId.SKEW_SQ: _SeriesSpec(
+        "EQ12", "EQ12_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_skew_sq),
+    SeriesId.CENTERED_SQ: _SeriesSpec(
+        "EQ13", "EQ13_LHS", 0, -1.0, "|t| <= 1", _env_inv_np1_sq,
+        _coeff_centered_sq, endpoints={
+            -1.0: _alternating(-1.0),
+            1.0: _one_signed(lambda n: _c(n) ** 2, 0, _tail_c_sq, 1.0),
+        }),
+    SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
+        "EQ17", "EQ17_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_cube,
+        _coeff_centered_sq_shift, endpoints={
+            -1.0: _alternating(-1.0, -1.0),
+            1.0: _one_signed(
+                lambda n: _c(n) ** 2 / (n + 1), 0, _tail_c_sq_shift, 1.0),
+        }),
+    SeriesId.SKEW_OVER_NSQ: _SeriesSpec(
+        "EQ20", "EQ20_LHS", 1, -1.0 / 3.0, "-1/3 <= t <= 1", _env_inv_np1_sq,
+        _coeff_skew_over_nsq,
+        endpoints={1.0: lambda spec, tol: _endpoint_skew_over_nsq_pos1(tol)}),
+    SeriesId.MU_LEWIN: _SeriesSpec(
+        "EQ22", "EQ22_LHS", 1, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_shift,
+        mu_term=lambda n, mu, s, inner: mu * s / (n + 1)),
+    SeriesId.MU_DILOG: _SeriesSpec(
+        "EQ24", "EQ24_SERIES", 0, -1.0, "|t| < 1, -1 < mu <= 1",
+        _env_mu_over_n, mu_term=lambda n, mu, s, inner: mu * s / n),
+    SeriesId.MU_TRILOG: _SeriesSpec(
+        "EQ28", "EQ28_SERIES", 0, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_log,
+        mu_term=lambda n, mu, s, inner: inner / n),
+    SeriesId.RAMANUJAN_ODD: _SeriesSpec(
+        "EQ27", "EQ27_SERIES", 0, -1.0, "|t| < 1", _env_ramanujan,
+        _coeff_ramanujan),
+}
+
+
+def series_catalog() -> list[tuple[str, str, str]]:
+    """(series tag, companion closed-form tag, domain) rows, enum order."""
+    return [(sid.name, _SPECS[sid].label, _SPECS[sid].domain_text)
+            for sid in SeriesId]
+
+
+def series_by_name(name: str) -> SeriesId:
+    """The series with this engine tag or catalog alias, in any case."""
+    key = name.upper()
+    for sid, spec in _SPECS.items():
+        if key in (sid.name, spec.alias):
+            return sid
+    valid = sorted([sid.name for sid in SeriesId]
+                   + [spec.alias for spec in _SPECS.values()])
+    raise ValueError(
+        f"unknown series id {name!r}; valid ids: {', '.join(valid)}")
+
+
+def _mu_arg(series_id: SeriesId, mu) -> float | None:
+    """mu as a float for a mu series and None otherwise; a missing or an
+    unexpected mu is a ValueError."""
+    spec = _SPECS[series_id]
+    if spec.needs_mu and mu is None:
+        raise ValueError(f"{series_id.name} requires mu")
+    if not spec.needs_mu and mu is not None:
+        raise ValueError(f"{series_id.name} takes no mu")
+    return check_real("mu", mu) if spec.needs_mu else None
+
+
+def _coeff_stream(spec: _SeriesSpec, mu: float | None) -> Iterator[float]:
+    """Yields a_0, a_1, ... of the series."""
+    if spec.mu_term is not None:
+        return _mu_stream(spec.mu_term, mu)
+    return map(spec.coeff, itertools.count())
+
+
+def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
+    """Coefficient a_n of the tagged series.  A mu series reads it off its
+    coefficient stream, in O(n)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DomainError("n must be an integer >= 0")
+    mu = _mu_arg(series_id, mu)
+    spec = _SPECS[series_id]
+    if spec.mu_term is None:
+        return spec.coeff(n)
+    return next(itertools.islice(_mu_stream(spec.mu_term, mu), n, None))
 
 
 def sum_series(
@@ -591,34 +536,32 @@ def sum_series(
     """Evaluate the tagged series at t to absolute tolerance tol.
 
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
-    rather than an exception.  min_terms forces at least that many interior
-    terms; it exists so callers can check bound honesty and is ignored at
-    |t| = 1.
+    rather than an exception; a bool or non-real t, tol or mu raises
+    DomainError.  min_terms forces at least that many interior terms; it
+    exists so callers can check bound honesty and is ignored at |t| = 1.
     """
     spec = _SPECS[series_id]
-    if not (isinstance(tol, (int, float)) and tol > 0.0 and math.isfinite(tol)):
+    tol = check_real("tol", tol)
+    if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be a positive finite number")
-    if spec.needs_mu and mu is None:
-        raise ValueError(f"{series_id.name} requires mu")
-    if not spec.needs_mu and mu is not None:
-        raise ValueError(f"{series_id.name} takes no mu")
-    if spec.needs_mu and not (-1.0 < mu <= 1.0):
+    mu = _mu_arg(series_id, mu)
+    if mu is not None and not (-1.0 < mu <= 1.0):
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or not spec.in_domain(float(t)):
+    t = check_real("t", t)
+    if not spec.in_domain(t):
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
-    t = float(t)
 
     if abs(t) == 1.0:
-        return _dispatch_endpoint(series_id, t, tol)
+        return spec.endpoints[t](spec, tol)
 
+    stream = _coeff_stream(spec, mu)
     if t == 0.0:
-        a0 = spec.coeff(0, mu) if spec.p == 0 else 0.0
+        a0 = next(stream) if spec.p == 0 else 0.0
         return EvalResult(a0, 0.0, 1, Status.CONVERGED)
 
     q = abs(t)
     geom = q ** (spec.p + 1) / (1.0 - q)
     cap = get_max_terms()
-    stream = _coeff_stream(series_id, mu)
     terms: list[float] = []
     pw = 1.0
     tail = math.inf

@@ -19,6 +19,7 @@ import json
 import math
 import csv as csv_mod
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ._version import __version__
 from .closed_forms import (
@@ -126,96 +127,6 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
 
-_T6 = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
-_MU5 = (-0.8, -0.3, 0.2, 0.7, 1.0)
-_X4 = (-0.9, -0.4, 0.3, 0.8)
-
-DEFAULT_GRIDS: dict[IdentityId, GridSpec] = {
-    IdentityId.EQ1_DIGAMMA: GridSpec(n_range=(1, 1000)),
-    IdentityId.EQ2: GridSpec(t_values=_T6),
-    IdentityId.EQ3: GridSpec(t_values=_T6),
-    IdentityId.EQ4: GridSpec(t_values=(1.0,)),
-    IdentityId.EQ5: GridSpec(t_values=_T6),
-    IdentityId.EQ8: GridSpec(t_values=_T6),
-    IdentityId.EQ9: GridSpec(t_values=(-1.0,)),
-    IdentityId.EQ10: GridSpec(t_values=(-1.0,)),
-    IdentityId.EQ11: GridSpec(t_values=_T6),
-    IdentityId.EQ12: GridSpec(t_values=_T6),
-    IdentityId.EQ13: GridSpec(t_values=_T6),
-    IdentityId.EQ14_LEMMA6: GridSpec(n_range=(1, 1000)),
-    IdentityId.EQ15: GridSpec(t_values=(-1.0,)),
-    IdentityId.EQ16: GridSpec(t_values=(1.0,)),
-    IdentityId.EQ17: GridSpec(t_values=(-0.9, -0.5, -0.1, 0.3, 0.7)),
-    IdentityId.EQ18: GridSpec(t_values=(1.0,)),
-    IdentityId.EQ19: GridSpec(t_values=(-1.0,)),
-    IdentityId.EQ20: GridSpec(t_values=(-0.3, -0.1, 0.2, 0.5, 0.9)),
-    IdentityId.EQ21: GridSpec(t_values=(0.25, 0.5, 0.8, 1.0)),
-    IdentityId.EQ22: GridSpec(t_values=_X4, mu_values=_MU5),
-    IdentityId.EQ24: GridSpec(t_values=_X4, mu_values=_MU5),
-    IdentityId.EQ25_ABEL: GridSpec(t_values=_X4, mu_values=_MU5),
-    IdentityId.EQ26: GridSpec(t_values=(-0.3, 0.0, 0.25, 0.6, 0.9)),
-    IdentityId.EQ27_RAMANUJAN: GridSpec(
-        t_values=(-0.9, -0.6, -0.2, 0.0, 0.3, 0.6, 0.9)),
-    IdentityId.EQ28: GridSpec(t_values=_X4, mu_values=_MU5),
-    IdentityId.EQ29: GridSpec(t_values=(-0.99, -0.5, 0.0, 0.5, 0.9)),
-    IdentityId.EQ30: GridSpec(t_values=(-0.9, -0.5, 0.5, 0.9)),
-    IdentityId.EQ31: GridSpec(t_values=(0.0,)),
-    IdentityId.EQ32: GridSpec(t_values=(0.0,)),
-    IdentityId.LANDEN: GridSpec(t_values=(-0.99, -0.5, -0.1, 0.3, 0.9, 1.0)),
-    IdentityId.H_EVEN_ODD_SPLIT: GridSpec(n_range=(1, 5000)),
-}
-
-DEFAULT_TOLERANCES: dict[IdentityId, float] = {
-    IdentityId.EQ1_DIGAMMA: 1e-12,
-    IdentityId.EQ2: 1e-10,
-    IdentityId.EQ3: 1e-10,
-    IdentityId.EQ4: 1e-9,
-    IdentityId.EQ5: 1e-10,
-    IdentityId.EQ8: 1e-10,
-    IdentityId.EQ9: 1e-9,
-    IdentityId.EQ10: 1e-9,
-    IdentityId.EQ11: 1e-10,
-    IdentityId.EQ12: 1e-10,
-    IdentityId.EQ13: 1e-10,
-    IdentityId.EQ14_LEMMA6: 1e-12,
-    IdentityId.EQ15: 1e-10,
-    IdentityId.EQ16: 1e-8,
-    IdentityId.EQ17: 1e-9,
-    IdentityId.EQ18: 1e-8,
-    IdentityId.EQ19: 1e-8,
-    IdentityId.EQ20: 1e-9,
-    IdentityId.EQ21: 1e-8,
-    IdentityId.EQ22: 1e-9,
-    IdentityId.EQ24: 1e-9,
-    IdentityId.EQ25_ABEL: 1e-9,
-    IdentityId.EQ26: 1e-10,
-    IdentityId.EQ27_RAMANUJAN: 1e-10,
-    IdentityId.EQ28: 1e-9,
-    IdentityId.EQ29: 1e-8,
-    IdentityId.EQ30: 1e-7,
-    IdentityId.EQ31: 1e-8,
-    IdentityId.EQ32: 1e-8,
-    IdentityId.LANDEN: 1e-10,
-    IdentityId.H_EVEN_ODD_SPLIT: 5e-14,
-}
-
-#: |z| = 1 quadrature points get the relaxed singular tier.
-_SINGULAR_ENDPOINT_TOL = 1e-4
-
-#: Maps a series-vs-closed-form identity to its two participants.
-_SERIES_PAIRS: dict[IdentityId, tuple[SeriesId, ClosedFormId]] = {
-    IdentityId.EQ2: (SeriesId.GF_SKEW, ClosedFormId.EQ2),
-    IdentityId.EQ3: (SeriesId.GF_CENTERED, ClosedFormId.EQ3),
-    IdentityId.EQ5: (SeriesId.SKEW_OVER_N, ClosedFormId.EQ5),
-    IdentityId.EQ8: (SeriesId.CENTERED_OVER_N, ClosedFormId.EQ8),
-    IdentityId.EQ11: (SeriesId.CENTERED_SHIFT, ClosedFormId.EQ11),
-    IdentityId.EQ12: (SeriesId.SKEW_SQ, ClosedFormId.EQ12),
-    IdentityId.EQ13: (SeriesId.CENTERED_SQ, ClosedFormId.EQ13),
-    IdentityId.EQ17: (SeriesId.CENTERED_SQ_SHIFT, ClosedFormId.EQ17),
-    IdentityId.EQ20: (SeriesId.SKEW_OVER_NSQ, ClosedFormId.EQ20),
-}
-
-
 def _rec(identity, params, lhs, rhs, tol, note=""):
     residual = abs(lhs - rhs)
     verdict = Verdict.PASS if residual <= tol else Verdict.FAIL
@@ -232,32 +143,51 @@ def _series_tol(tol: float) -> float:
     return max(1e-13, 0.01 * tol)
 
 
-def _series_vs_closed(identity, sid, cid, grid, tol):
-    out = []
-    for t in grid.t_values:
-        params = (("t", float(t)),)
-        r = sum_series(sid, t, _series_tol(tol))
-        if r.status is Status.DIVERGENT_INPUT:
-            out.append(_skip(identity, params, tol, "t outside series domain"))
-            continue
-        try:
-            rhs = closed_form(cid, t)
-        except (DomainError, PoleError) as exc:
-            out.append(_skip(identity, params, tol, str(exc)))
-            continue
-        out.append(_rec(identity, params, r.value, rhs, tol))
-    return out
-
-
-def _mu_grid(grid):
-    for mu in grid.mu_values:
-        for x in grid.t_values:
-            yield float(mu), float(x)
-
-
 def _quad_cfg(tol: float) -> QuadratureConfig:
     return QuadratureConfig(
         abs_tol=max(1e-11, 0.01 * tol), rel_tol=1e-12, max_subdivisions=4000)
+
+
+def _points(grid: GridSpec):
+    """Record params of every grid point: (t,), or (mu, t) with mu outer."""
+    if grid.mu_values:
+        for mu in grid.mu_values:
+            for x in grid.t_values:
+                yield (("mu", float(mu)), ("t", float(x)))
+    else:
+        for t in grid.t_values:
+            yield (("t", float(t)),)
+
+
+def _pointwise(sides):
+    """Check that sides(tol, *point) returns two equal values at every grid
+    point; a DomainError or PoleError makes the point a SKIPPED record."""
+    def check(identity, grid, tol):
+        out = []
+        for params in _points(grid):
+            try:
+                lhs, rhs = sides(tol, *(v for _, v in params))
+            except (DomainError, PoleError) as exc:
+                out.append(_skip(identity, params, tol, str(exc)))
+                continue
+            out.append(_rec(identity, params, lhs, rhs, tol))
+        return out
+    return check
+
+
+def _series_vs_closed(sid: SeriesId, cid: ClosedFormId):
+    def sides(tol, t):
+        r = sum_series(sid, t, _series_tol(tol))
+        if r.status is Status.DIVERGENT_INPUT:
+            raise DomainError("t outside series domain")
+        return r.value, closed_form(cid, t)
+    return _pointwise(sides)
+
+
+def _endpoint_const(sid: SeriesId, rhs: float, sign: float = 1.0):
+    """sign * (series at the grid's t = +-1) against a known constant."""
+    return _pointwise(lambda tol, t: (
+        sign * sum_series(sid, t, _series_tol(tol)).value, rhs))
 
 
 def _verify_eq1(identity, grid, tol):
@@ -306,78 +236,140 @@ def _verify_split(identity, grid, tol):
     return out
 
 
-def _verify_endpoint_const(identity, sid, t, rhs, tol, sign=1.0):
-    r = sum_series(sid, t, _series_tol(tol))
-    return [_rec(identity, (("t", float(t)),), sign * r.value, rhs, tol)]
+def _eq21_integrand(t):
+    return (math.log1p(t) - LOG2) * math.log(t) / (1.0 - t)
 
 
-def _verify_eq21(identity, grid, tol):
-    out = []
-    cfg = _quad_cfg(tol)
-    for x in grid.t_values:
-        params = (("t", float(x)),)
-        if not 0.0 < x <= 1.0:
-            out.append(_skip(identity, params, tol,
-                             "log x term needs 0 < x <= 1"))
-            continue
-        series = sum_series(SeriesId.SKEW_OVER_NSQ, x, _series_tol(tol))
-
-        def f(t):
-            return (math.log1p(t) - LOG2) * math.log(t) / (1.0 - t)
-
-        quad = integrate_1d(f, 0.0, float(x), cfg)
-        rhs = (
-            math.log(x) * (li2(0.5 * (1.0 - x)) - _LI2_HALF)
-            + LOG2 * li2(x)
-            - quad.value
-        )
-        out.append(_rec(identity, params, series.value, rhs, tol))
-    return out
+def _eq21_sides(tol, x):
+    if not 0.0 < x <= 1.0:
+        raise DomainError("log x term needs 0 < x <= 1")
+    series = sum_series(SeriesId.SKEW_OVER_NSQ, x, _series_tol(tol))
+    quad = integrate_1d(_eq21_integrand, 0.0, x, _quad_cfg(tol))
+    rhs = (
+        math.log(x) * (li2(0.5 * (1.0 - x)) - _LI2_HALF)
+        + LOG2 * li2(x)
+        - quad.value
+    )
+    return series.value, rhs
 
 
-def _verify_mu_family(identity, grid, tol):
-    out = []
-    stol = _series_tol(tol)
-    for mu, x in _mu_grid(grid):
-        params = (("mu", mu), ("t", x))
-        try:
-            if identity is IdentityId.EQ22:
-                lhs = sum_series(SeriesId.MU_LEWIN, x, stol, mu=mu).value
-                rhs = closed_form(ClosedFormId.EQ22, x, mu=mu)
-            elif identity is IdentityId.EQ24:
-                lhs = closed_form(ClosedFormId.EQ24, x, mu=mu)
-                rhs = sum_series(SeriesId.MU_DILOG, x, stol, mu=mu).value
-            elif identity is IdentityId.EQ25_ABEL:
-                lhs, rhs = abel_sides(mu, x)
-            else:  # EQ28: closed trilogarithm difference vs mu * series
-                lhs = closed_form(ClosedFormId.EQ28, x, mu=mu)
-                rhs = mu * sum_series(SeriesId.MU_TRILOG, x, stol, mu=mu).value
-        except (DomainError, PoleError) as exc:
-            out.append(_skip(identity, params, tol, str(exc)))
-            continue
-        out.append(_rec(identity, params, lhs, rhs, tol))
-    return out
+def _square_integral(integral, rhs: float):
+    """A parameter-free double integral against its known value."""
+    def check(identity, grid, tol):
+        return [_rec(identity, (), integral(_quad_cfg(tol)).value, rhs, tol)]
+    return check
 
 
-def _verify_quad_family(identity, grid, tol):
-    out = []
-    for z in grid.t_values:
-        z = float(z)
-        point_tol = _SINGULAR_ENDPOINT_TOL if abs(z) == 1.0 else tol
-        cfg = _quad_cfg(point_tol)
-        params = (("t", z),)
-        try:
-            if identity is IdentityId.EQ29:
-                lhs = double_integral_g(z, cfg).value
-                rhs = closed_form(ClosedFormId.EQ29_G, z)
-            else:
-                lhs = double_integral_bigG(z, cfg).value
-                rhs = closed_form_eq17(z)
-        except (DomainError, PoleError) as exc:
-            out.append(_skip(identity, params, point_tol, str(exc)))
-            continue
-        out.append(_rec(identity, params, lhs, rhs, point_tol))
-    return out
+@dataclass(frozen=True)
+class _Check:
+    """One catalog row: run(identity, grid, tol) checks the identity on a
+    grid; a singular grid is checked as well by verify_all, at the relaxed
+    tolerance _SINGULAR_ENDPOINT_TOL."""
+
+    grid: GridSpec
+    tolerance: float
+    run: Callable[[IdentityId, GridSpec, float], list[VerificationRecord]]
+    singular: GridSpec | None = None
+
+
+#: |z| = 1 quadrature points get the relaxed singular tier.
+_SINGULAR_ENDPOINT_TOL = 1e-4
+
+_T6 = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
+_MU5 = (-0.8, -0.3, 0.2, 0.7, 1.0)
+_X4 = (-0.9, -0.4, 0.3, 0.8)
+_MU_GRID = GridSpec(t_values=_X4, mu_values=_MU5)
+_Z_ENDS = GridSpec(t_values=(-1.0, 1.0))
+
+# Lambdas look their callees up when they run, so wrappers installed on
+# other modules' functions (tracing) still see every call.
+_CHECKS: dict[IdentityId, _Check] = {
+    IdentityId.EQ1_DIGAMMA: _Check(GridSpec(n_range=(1, 1000)), 1e-12,
+                                   _verify_eq1),
+    IdentityId.EQ2: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.GF_SKEW, ClosedFormId.EQ2)),
+    IdentityId.EQ3: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.GF_CENTERED, ClosedFormId.EQ3)),
+    IdentityId.EQ4: _Check(GridSpec((1.0,)), 1e-9, _endpoint_const(
+        SeriesId.GF_CENTERED, -0.5)),
+    IdentityId.EQ5: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.SKEW_OVER_N, ClosedFormId.EQ5)),
+    IdentityId.EQ8: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.CENTERED_OVER_N, ClosedFormId.EQ8)),
+    # catalog orientation: weight (-1)^(n-1) flips the series sign
+    IdentityId.EQ9: _Check(GridSpec((-1.0,)), 1e-9, _endpoint_const(
+        SeriesId.CENTERED_OVER_N, _PI_SQ_OVER_12 - 0.5 * LOG2 * LOG2, -1.0)),
+    IdentityId.EQ10: _Check(GridSpec((-1.0,)), 1e-9, _endpoint_const(
+        SeriesId.SKEW_OVER_N, _PI_SQ_OVER_12 + 0.5 * LOG2 * LOG2, -1.0)),
+    IdentityId.EQ11: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.CENTERED_SHIFT, ClosedFormId.EQ11)),
+    IdentityId.EQ12: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.SKEW_SQ, ClosedFormId.EQ12)),
+    IdentityId.EQ13: _Check(GridSpec(_T6), 1e-10, _series_vs_closed(
+        SeriesId.CENTERED_SQ, ClosedFormId.EQ13)),
+    IdentityId.EQ14_LEMMA6: _Check(GridSpec(n_range=(1, 1000)), 1e-12,
+                                   _verify_eq14),
+    IdentityId.EQ15: _Check(GridSpec((-1.0,)), 1e-10, _endpoint_const(
+        SeriesId.CENTERED_SQ, _PI_SQ_OVER_6 / 4.0)),
+    IdentityId.EQ16: _Check(GridSpec((1.0,)), 1e-8, _endpoint_const(
+        SeriesId.CENTERED_SQ, LOG2)),
+    IdentityId.EQ17: _Check(
+        GridSpec((-0.9, -0.5, -0.1, 0.3, 0.7)), 1e-9, _series_vs_closed(
+            SeriesId.CENTERED_SQ_SHIFT, ClosedFormId.EQ17)),
+    IdentityId.EQ18: _Check(GridSpec((1.0,)), 1e-8, _endpoint_const(
+        SeriesId.CENTERED_SQ_SHIFT, EQ18_VALUE)),
+    IdentityId.EQ19: _Check(GridSpec((-1.0,)), 1e-8, _endpoint_const(
+        SeriesId.CENTERED_SQ_SHIFT, EQ19_VALUE)),
+    IdentityId.EQ20: _Check(
+        GridSpec((-0.3, -0.1, 0.2, 0.5, 0.9)), 1e-9, _series_vs_closed(
+            SeriesId.SKEW_OVER_NSQ, ClosedFormId.EQ20)),
+    IdentityId.EQ21: _Check(GridSpec((0.25, 0.5, 0.8, 1.0)), 1e-8,
+                            _pointwise(_eq21_sides)),
+    IdentityId.EQ22: _Check(_MU_GRID, 1e-9, _pointwise(lambda tol, mu, x: (
+        sum_series(SeriesId.MU_LEWIN, x, _series_tol(tol), mu=mu).value,
+        closed_form(ClosedFormId.EQ22, x, mu=mu)))),
+    IdentityId.EQ24: _Check(_MU_GRID, 1e-9, _pointwise(lambda tol, mu, x: (
+        closed_form(ClosedFormId.EQ24, x, mu=mu),
+        sum_series(SeriesId.MU_DILOG, x, _series_tol(tol), mu=mu).value))),
+    IdentityId.EQ25_ABEL: _Check(_MU_GRID, 1e-9, _pointwise(
+        lambda tol, mu, x: abel_sides(mu, x))),
+    IdentityId.EQ26: _Check(
+        GridSpec((-0.3, 0.0, 0.25, 0.6, 0.9)), 1e-10, _pointwise(
+            lambda tol, x: (li2(2.0 * x / (1.0 + x)),
+                            closed_form(ClosedFormId.EQ26, x)))),
+    IdentityId.EQ27_RAMANUJAN: _Check(
+        GridSpec((-0.9, -0.6, -0.2, 0.0, 0.3, 0.6, 0.9)), 1e-10, _pointwise(
+            lambda tol, x: (
+                closed_form(ClosedFormId.EQ27_RAMANUJAN, x),
+                sum_series(SeriesId.RAMANUJAN_ODD, x, _series_tol(tol)).value))),
+    # closed trilogarithm difference vs mu * series
+    IdentityId.EQ28: _Check(_MU_GRID, 1e-9, _pointwise(lambda tol, mu, x: (
+        closed_form(ClosedFormId.EQ28, x, mu=mu),
+        mu * sum_series(SeriesId.MU_TRILOG, x, _series_tol(tol), mu=mu).value))),
+    IdentityId.EQ29: _Check(
+        GridSpec((-0.99, -0.5, 0.0, 0.5, 0.9)), 1e-8, _pointwise(
+            lambda tol, z: (double_integral_g(z, _quad_cfg(tol)).value,
+                            closed_form(ClosedFormId.EQ29_G, z))),
+        singular=_Z_ENDS),
+    IdentityId.EQ30: _Check(
+        GridSpec((-0.9, -0.5, 0.5, 0.9)), 1e-7, _pointwise(
+            lambda tol, z: (double_integral_bigG(z, _quad_cfg(tol)).value,
+                            closed_form_eq17(z))),
+        singular=_Z_ENDS),
+    IdentityId.EQ31: _Check(GridSpec((0.0,)), 1e-8, _square_integral(
+        lambda cfg: double_integral_eq31(cfg),
+        0.875 * LOG2 * LOG2 + _PI / 8.0 * LOG2
+        - 0.5 * CONSTANTS["CATALAN_G"] - _PI_SQ_OVER_6 / 8.0)),
+    IdentityId.EQ32: _Check(GridSpec((0.0,)), 1e-8, _square_integral(
+        lambda cfg: double_integral_eq32(cfg),
+        _PI_SQ_OVER_12 * LOG2 + LOG2**3 / 3.0 - 0.5 * _ZETA3)),
+    IdentityId.LANDEN: _Check(
+        GridSpec((-0.99, -0.5, -0.1, 0.3, 0.9, 1.0)), 1e-10, _pointwise(
+            lambda tol, x: (_li2_ext(x / (1.0 + x)),
+                            closed_form(ClosedFormId.LANDEN, x)))),
+    IdentityId.H_EVEN_ODD_SPLIT: _Check(GridSpec(n_range=(1, 5000)), 5e-14,
+                                        _verify_split),
+}
 
 
 def verify_identity(
@@ -386,80 +378,9 @@ def verify_identity(
     tolerance: float | None = None,
 ) -> list[VerificationRecord]:
     """Check one identity over a grid; one record per evaluation point."""
-    grid = grid if grid is not None else DEFAULT_GRIDS[identity]
-    tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[identity]
-
-    if identity in _SERIES_PAIRS:
-        sid, cid = _SERIES_PAIRS[identity]
-        return _series_vs_closed(identity, sid, cid, grid, tol)
-    if identity is IdentityId.EQ1_DIGAMMA:
-        return _verify_eq1(identity, grid, tol)
-    if identity is IdentityId.EQ14_LEMMA6:
-        return _verify_eq14(identity, grid, tol)
-    if identity is IdentityId.H_EVEN_ODD_SPLIT:
-        return _verify_split(identity, grid, tol)
-    if identity is IdentityId.EQ4:
-        return _verify_endpoint_const(
-            identity, SeriesId.GF_CENTERED, 1.0, -0.5, tol)
-    if identity is IdentityId.EQ9:
-        # catalog orientation: weight (-1)^(n-1) flips the series sign
-        return _verify_endpoint_const(
-            identity, SeriesId.CENTERED_OVER_N, -1.0,
-            _PI_SQ_OVER_12 - 0.5 * LOG2 * LOG2, tol, sign=-1.0)
-    if identity is IdentityId.EQ10:
-        return _verify_endpoint_const(
-            identity, SeriesId.SKEW_OVER_N, -1.0,
-            _PI_SQ_OVER_12 + 0.5 * LOG2 * LOG2, tol, sign=-1.0)
-    if identity is IdentityId.EQ15:
-        return _verify_endpoint_const(
-            identity, SeriesId.CENTERED_SQ, -1.0, _PI_SQ_OVER_6 / 4.0, tol)
-    if identity is IdentityId.EQ16:
-        return _verify_endpoint_const(
-            identity, SeriesId.CENTERED_SQ, 1.0, LOG2, tol)
-    if identity is IdentityId.EQ18:
-        return _verify_endpoint_const(
-            identity, SeriesId.CENTERED_SQ_SHIFT, 1.0, EQ18_VALUE, tol)
-    if identity is IdentityId.EQ19:
-        return _verify_endpoint_const(
-            identity, SeriesId.CENTERED_SQ_SHIFT, -1.0, EQ19_VALUE, tol)
-    if identity is IdentityId.EQ21:
-        return _verify_eq21(identity, grid, tol)
-    if identity in (IdentityId.EQ22, IdentityId.EQ24,
-                    IdentityId.EQ25_ABEL, IdentityId.EQ28):
-        return _verify_mu_family(identity, grid, tol)
-    if identity is IdentityId.EQ26:
-        out = []
-        for x in grid.t_values:
-            lhs = li2(2.0 * x / (1.0 + x))
-            rhs = closed_form(ClosedFormId.EQ26, x)
-            out.append(_rec(identity, (("t", float(x)),), lhs, rhs, tol))
-        return out
-    if identity is IdentityId.EQ27_RAMANUJAN:
-        out = []
-        for x in grid.t_values:
-            lhs = closed_form(ClosedFormId.EQ27_RAMANUJAN, x)
-            rhs = sum_series(SeriesId.RAMANUJAN_ODD, x, _series_tol(tol)).value
-            out.append(_rec(identity, (("t", float(x)),), lhs, rhs, tol))
-        return out
-    if identity in (IdentityId.EQ29, IdentityId.EQ30):
-        return _verify_quad_family(identity, grid, tol)
-    if identity is IdentityId.EQ31:
-        rhs = (0.875 * LOG2 * LOG2 + _PI / 8.0 * LOG2
-               - 0.5 * CONSTANTS["CATALAN_G"] - _PI_SQ_OVER_6 / 8.0)
-        lhs = double_integral_eq31(_quad_cfg(tol)).value
-        return [_rec(identity, (), lhs, rhs, tol)]
-    if identity is IdentityId.EQ32:
-        rhs = _PI_SQ_OVER_12 * LOG2 + LOG2**3 / 3.0 - 0.5 * _ZETA3
-        lhs = double_integral_eq32(_quad_cfg(tol)).value
-        return [_rec(identity, (), lhs, rhs, tol)]
-    if identity is IdentityId.LANDEN:
-        out = []
-        for x in grid.t_values:
-            lhs = _li2_ext(x / (1.0 + x))
-            rhs = closed_form(ClosedFormId.LANDEN, x)
-            out.append(_rec(identity, (("t", float(x)),), lhs, rhs, tol))
-        return out
-    raise ValueError(f"unknown identity {identity!r}")
+    row = _CHECKS[identity]
+    return row.run(identity, row.grid if grid is None else grid,
+                   row.tolerance if tolerance is None else tolerance)
 
 
 def _correction_notes() -> list[str]:
@@ -500,31 +421,33 @@ def _correction_notes() -> list[str]:
     return notes
 
 
-def verify_all(tolerances: dict[IdentityId, float] | None = None) -> Report:
-    """Run every identity on its default grid and assemble a Report.
-
-    EQ29/EQ30 additionally get checked at z = +-1 under the relaxed
-    singular-quadrature tier.
-    """
-    tol_map = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol_map.update(tolerances)
-
-    records: list[VerificationRecord] = []
-    for identity in IdentityId:
-        records.extend(
-            verify_identity(identity, DEFAULT_GRIDS[identity],
-                            tol_map[identity]))
-        if identity in (IdentityId.EQ29, IdentityId.EQ30):
-            records.extend(
-                verify_identity(identity, GridSpec(t_values=(-1.0, 1.0)),
-                                tol_map[identity]))
-
+def summarize(records: list[VerificationRecord]) -> dict[str, dict[str, int]]:
+    """Verdict counts per identity, in order of first appearance."""
     summary: dict[str, dict[str, int]] = {}
     for r in records:
         row = summary.setdefault(
             r.identity.name, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
         row[r.verdict.name] += 1
+    return summary
+
+
+def verify_all(tolerances: dict[IdentityId, float] | None = None) -> Report:
+    """Run every identity on its default grid and assemble a Report.
+
+    Identities with a singular grid (EQ29/EQ30 at z = +-1) additionally get
+    checked there under the relaxed singular-quadrature tier.
+    """
+    tol_map = {identity: _CHECKS[identity].tolerance for identity in IdentityId}
+    tol_map.update(tolerances or {})
+
+    records: list[VerificationRecord] = []
+    for identity in IdentityId:
+        row = _CHECKS[identity]
+        records.extend(
+            verify_identity(identity, row.grid, tol_map[identity]))
+        if row.singular is not None:
+            records.extend(verify_identity(
+                identity, row.singular, _SINGULAR_ENDPOINT_TOL))
 
     metadata = {
         "tolerances": {k.name: v for k, v in sorted(
@@ -532,7 +455,7 @@ def verify_all(tolerances: dict[IdentityId, float] | None = None) -> Report:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
     }
-    return Report(records, summary, metadata, _correction_notes())
+    return Report(records, summarize(records), metadata, _correction_notes())
 
 
 _CSV_HEADER = ["identity", "params", "lhs", "rhs", "residual",
@@ -619,19 +542,15 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
         rows = list(csv_mod.reader(io.StringIO(data)))
         if not rows or rows[0] != _CSV_HEADER:
             raise ValueError("bad CSV header")
-        records = []
-        summary: dict[str, dict[str, int]] = {}
-        for row in rows[1:]:
-            rec = VerificationRecord(
+        records = [
+            VerificationRecord(
                 IdentityId[row[0]], _params_parse(row[1]),
                 float(row[2]), float(row[3]), float(row[4]), float(row[5]),
                 Verdict[row[6]],
             )
-            records.append(rec)
-            s = summary.setdefault(
-                rec.identity.name, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-            s[rec.verdict.name] += 1
-        return Report(records, summary, {}, [])
+            for row in rows[1:]
+        ]
+        return Report(records, summarize(records), {}, [])
     raise ValueError("format must be 'json' or 'csv'")
 
 
@@ -639,7 +558,7 @@ def identity_catalog() -> list[tuple[str, str]]:
     """(identity tag, grid description) rows in enum order."""
     out = []
     for identity in IdentityId:
-        g = DEFAULT_GRIDS[identity]
+        g = _CHECKS[identity].grid
         if g.n_range:
             desc = f"n in [{g.n_range[0]}, {g.n_range[1]}]"
         elif g.mu_values:

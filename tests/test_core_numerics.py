@@ -7,14 +7,28 @@ from hypothesis import given, strategies as st
 
 from skewlog import (
     CONSTANTS,
+    ClosedFormId,
+    DomainError,
     HarmonicCache,
+    SeriesId,
+    abel_sides,
+    closed_form,
+    closed_form_eq17,
+    coefficient,
     constant,
     digamma_half_diff,
+    double_integral_bigG,
+    double_integral_g,
     harmonic,
     harmonic2,
+    int_li2_over_1mt,
+    integrate_1d,
+    li2,
+    li3,
     odd_harmonic,
     skew_harmonic,
     skew_harmonic_mu,
+    sum_series,
 )
 
 LOG2 = math.log(2.0)
@@ -143,3 +157,33 @@ def test_cache_agrees_with_fresh_instance():
         assert fresh.h(n) == harmonic(n)
         assert fresh.h2(n) == harmonic2(n)
         assert fresh.skew(n) == skew_harmonic(n)
+
+
+# Every public entry point that takes a real argument, with one argument
+# left free.
+REAL_ENTRY_POINTS = {
+    "li2": li2,
+    "li3": li3,
+    "closed_form t": lambda x: closed_form(ClosedFormId.EQ2, x),
+    "closed_form mu": lambda x: closed_form(ClosedFormId.EQ24, 0.5, mu=x),
+    "closed_form_eq17": closed_form_eq17,
+    "abel_sides mu": lambda x: abel_sides(x, 0.5),
+    "abel_sides x": lambda x: abel_sides(0.5, x),
+    "int_li2_over_1mt": int_li2_over_1mt,
+    "sum_series t": lambda x: sum_series(SeriesId.GF_SKEW, x),
+    "sum_series tol": lambda x: sum_series(SeriesId.GF_SKEW, 0.5, tol=x),
+    "sum_series mu": lambda x: sum_series(SeriesId.MU_DILOG, 0.5, mu=x),
+    "coefficient mu": lambda x: coefficient(SeriesId.MU_DILOG, 3, mu=x),
+    "skew_harmonic_mu": lambda x: skew_harmonic_mu(3, x),
+    "harmonic": harmonic,
+    "double_integral_g": double_integral_g,
+    "double_integral_bigG": double_integral_bigG,
+    "integrate_1d": lambda x: integrate_1d(lambda t: t, 0.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "str"])
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+def test_bool_and_non_real_arguments_raise_domain_error(entry, bad):
+    with pytest.raises(DomainError):
+        REAL_ENTRY_POINTS[entry](bad)

@@ -29,8 +29,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-3)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(singular_corner_substitution="yes")
     cfg = QuadratureConfig()
     assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-10
 
@@ -121,11 +119,16 @@ def test_g_singular_corners():
     assert abs(res.value - math.pi**2 / 24.0) <= 1e-8
 
 
-def test_g_substitution_toggle():
-    cfg = QuadratureConfig(singular_corner_substitution=False)
-    res = double_integral_g(1.0, cfg)
-    # still converges to log 2, just without the corner remap
-    assert abs(res.value - LOG2) <= 1e-4
+def test_singular_corners_meet_requested_tolerance():
+    # the quadtree grades panels into the z = 1 corner down to the requested
+    # tolerance; CONVERGED means that tolerance was met
+    res = double_integral_g(1.0)
+    assert res.status is Status.CONVERGED
+    assert abs(res.value - LOG2) <= 1e-10
+    res = double_integral_bigG(1.0, QuadratureConfig(abs_tol=1e-10))
+    assert res.status is Status.CONVERGED
+    assert res.error_bound <= 1e-10
+    assert abs(res.value - closed_form_eq17(1.0)) <= res.error_bound
 
 
 def test_g_domain():
