@@ -131,18 +131,30 @@ def _check_index(n: int) -> int:
     return n
 
 
+# The cache's lists only grow, so these aliases stay valid.  Each accessor
+# reads an entry already filled straight from its list; any other input
+# (bool, negative, non-int, not yet cached) takes the checked path.
+_H, _H2, _SKEW = _CACHE.values_h, _CACHE.values_h2, _CACHE.values_skew
+
+
 def harmonic(n: int) -> float:
     """H_n = sum_{k=1..n} 1/k, with harmonic(0) = 0."""
+    if type(n) is int and 0 <= n < len(_H):
+        return _H[n]
     return _CACHE.h(_check_index(n))
 
 
 def harmonic2(n: int) -> float:
     """H_n^(2) = sum_{k=1..n} 1/k^2, with harmonic2(0) = 0."""
+    if type(n) is int and 0 <= n < len(_H2):
+        return _H2[n]
     return _CACHE.h2(_check_index(n))
 
 
 def skew_harmonic(n: int) -> float:
     """H_n^- = 1 - 1/2 + ... + (-1)^(n-1)/n, with skew_harmonic(0) = 0."""
+    if type(n) is int and 0 <= n < len(_SKEW):
+        return _SKEW[n]
     return _CACHE.skew(_check_index(n))
 
 

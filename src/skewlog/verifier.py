@@ -18,6 +18,7 @@ import io
 import json
 import math
 import csv as csv_mod
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -127,9 +128,17 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
 
-def _rec(identity, params, lhs, rhs, tol, note=""):
+def _rec(identity, params, lhs, rhs, tol, note="", parts=()):
+    """One checked point.  parts holds the (label, EvalResult) of each series
+    or quadrature participant; one that did not converge makes the record
+    FAIL whatever the residual, and the note names it and its status."""
     residual = abs(lhs - rhs)
     verdict = Verdict.PASS if residual <= tol else Verdict.FAIL
+    if parts:
+        unconverged = [f"{label} did not converge: {r.status.name}"
+                       for label, r in parts if r.status is not Status.CONVERGED]
+        if unconverged:
+            verdict, note = Verdict.FAIL, "; ".join(unconverged)
     return VerificationRecord(identity, params, lhs, rhs, residual, tol,
                               verdict, note)
 
@@ -161,33 +170,48 @@ def _points(grid: GridSpec):
 
 def _pointwise(sides):
     """Check that sides(tol, *point) returns two equal values at every grid
-    point; a DomainError or PoleError makes the point a SKIPPED record."""
+    point, as (lhs, rhs, parts) with parts as in _rec; a DomainError or
+    PoleError makes the point a SKIPPED record."""
     def check(identity, grid, tol):
         out = []
         for params in _points(grid):
             try:
-                lhs, rhs = sides(tol, *(v for _, v in params))
+                lhs, rhs, parts = sides(tol, *(v for _, v in params))
             except (DomainError, PoleError) as exc:
                 out.append(_skip(identity, params, tol, str(exc)))
                 continue
-            out.append(_rec(identity, params, lhs, rhs, tol))
+            out.append(_rec(identity, params, lhs, rhs, tol, parts=parts))
         return out
     return check
 
 
-def _series_vs_closed(sid: SeriesId, cid: ClosedFormId):
-    def sides(tol, t):
-        r = sum_series(sid, t, _series_tol(tol))
+def _with_series(sid: SeriesId, sides):
+    """Check sides(s, *point) -> (lhs, rhs) at every grid point, where s is
+    the series sid summed at the point's t (and mu), the record's one
+    participant; a point outside the series domain is SKIPPED."""
+    label = f"series {sid.name}"
+
+    def point_sides(tol, *point):
+        *mu, t = point  # (t,) or (mu, t)
+        r = sum_series(sid, t, _series_tol(tol), *mu)
         if r.status is Status.DIVERGENT_INPUT:
             raise DomainError("t outside series domain")
-        return r.value, closed_form(cid, t)
-    return _pointwise(sides)
+        return (*sides(r.value, *point), ((label, r),))
+    return _pointwise(point_sides)
+
+
+def _series_vs_closed(sid: SeriesId, cid: ClosedFormId):
+    return _with_series(sid, lambda s, t: (s, closed_form(cid, t)))
 
 
 def _endpoint_const(sid: SeriesId, rhs: float, sign: float = 1.0):
     """sign * (series at the grid's t = +-1) against a known constant."""
-    return _pointwise(lambda tol, t: (
-        sign * sum_series(sid, t, _series_tol(tol)).value, rhs))
+    return _with_series(sid, lambda s, t: (sign * s, rhs))
+
+
+def _quad_vs(label: str, quad, rhs: float):
+    """sides of a quadrature participant against a known value."""
+    return quad.value, rhs, ((label, quad),)
 
 
 def _verify_eq1(identity, grid, tol):
@@ -250,13 +274,16 @@ def _eq21_sides(tol, x):
         + LOG2 * li2(x)
         - quad.value
     )
-    return series.value, rhs
+    return series.value, rhs, (("series SKEW_OVER_NSQ", series),
+                               ("quadrature integrate_1d", quad))
 
 
-def _square_integral(integral, rhs: float):
+def _square_integral(label: str, integral, rhs: float):
     """A parameter-free double integral against its known value."""
     def check(identity, grid, tol):
-        return [_rec(identity, (), integral(_quad_cfg(tol)).value, rhs, tol)]
+        quad = integral(_quad_cfg(tol))
+        return [_rec(identity, (), quad.value, rhs, tol,
+                     parts=((label, quad),))]
     return check
 
 
@@ -325,48 +352,53 @@ _CHECKS: dict[IdentityId, _Check] = {
             SeriesId.SKEW_OVER_NSQ, ClosedFormId.EQ20)),
     IdentityId.EQ21: _Check(GridSpec((0.25, 0.5, 0.8, 1.0)), 1e-8,
                             _pointwise(_eq21_sides)),
-    IdentityId.EQ22: _Check(_MU_GRID, 1e-9, _pointwise(lambda tol, mu, x: (
-        sum_series(SeriesId.MU_LEWIN, x, _series_tol(tol), mu=mu).value,
-        closed_form(ClosedFormId.EQ22, x, mu=mu)))),
-    IdentityId.EQ24: _Check(_MU_GRID, 1e-9, _pointwise(lambda tol, mu, x: (
-        closed_form(ClosedFormId.EQ24, x, mu=mu),
-        sum_series(SeriesId.MU_DILOG, x, _series_tol(tol), mu=mu).value))),
+    IdentityId.EQ22: _Check(_MU_GRID, 1e-9, _with_series(
+        SeriesId.MU_LEWIN, lambda s, mu, x: (
+            s, closed_form(ClosedFormId.EQ22, x, mu=mu)))),
+    IdentityId.EQ24: _Check(_MU_GRID, 1e-9, _with_series(
+        SeriesId.MU_DILOG, lambda s, mu, x: (
+            closed_form(ClosedFormId.EQ24, x, mu=mu), s))),
     IdentityId.EQ25_ABEL: _Check(_MU_GRID, 1e-9, _pointwise(
-        lambda tol, mu, x: abel_sides(mu, x))),
+        lambda tol, mu, x: (*abel_sides(mu, x), ()))),
     IdentityId.EQ26: _Check(
         GridSpec((-0.3, 0.0, 0.25, 0.6, 0.9)), 1e-10, _pointwise(
             lambda tol, x: (li2(2.0 * x / (1.0 + x)),
-                            closed_form(ClosedFormId.EQ26, x)))),
+                            closed_form(ClosedFormId.EQ26, x), ()))),
     IdentityId.EQ27_RAMANUJAN: _Check(
-        GridSpec((-0.9, -0.6, -0.2, 0.0, 0.3, 0.6, 0.9)), 1e-10, _pointwise(
-            lambda tol, x: (
-                closed_form(ClosedFormId.EQ27_RAMANUJAN, x),
-                sum_series(SeriesId.RAMANUJAN_ODD, x, _series_tol(tol)).value))),
+        GridSpec((-0.9, -0.6, -0.2, 0.0, 0.3, 0.6, 0.9)), 1e-10, _with_series(
+            SeriesId.RAMANUJAN_ODD, lambda s, x: (
+                closed_form(ClosedFormId.EQ27_RAMANUJAN, x), s))),
     # closed trilogarithm difference vs mu * series
-    IdentityId.EQ28: _Check(_MU_GRID, 1e-9, _pointwise(lambda tol, mu, x: (
-        closed_form(ClosedFormId.EQ28, x, mu=mu),
-        mu * sum_series(SeriesId.MU_TRILOG, x, _series_tol(tol), mu=mu).value))),
+    IdentityId.EQ28: _Check(_MU_GRID, 1e-9, _with_series(
+        SeriesId.MU_TRILOG, lambda s, mu, x: (
+            closed_form(ClosedFormId.EQ28, x, mu=mu), mu * s))),
     IdentityId.EQ29: _Check(
         GridSpec((-0.99, -0.5, 0.0, 0.5, 0.9)), 1e-8, _pointwise(
-            lambda tol, z: (double_integral_g(z, _quad_cfg(tol)).value,
-                            closed_form(ClosedFormId.EQ29_G, z))),
+            lambda tol, z: _quad_vs(
+                "quadrature double_integral_g",
+                double_integral_g(z, _quad_cfg(tol)),
+                closed_form(ClosedFormId.EQ29_G, z))),
         singular=_Z_ENDS),
     IdentityId.EQ30: _Check(
         GridSpec((-0.9, -0.5, 0.5, 0.9)), 1e-7, _pointwise(
-            lambda tol, z: (double_integral_bigG(z, _quad_cfg(tol)).value,
-                            closed_form_eq17(z))),
+            lambda tol, z: _quad_vs(
+                "quadrature double_integral_bigG",
+                double_integral_bigG(z, _quad_cfg(tol)),
+                closed_form_eq17(z))),
         singular=_Z_ENDS),
     IdentityId.EQ31: _Check(GridSpec((0.0,)), 1e-8, _square_integral(
+        "quadrature double_integral_eq31",
         lambda cfg: double_integral_eq31(cfg),
         0.875 * LOG2 * LOG2 + _PI / 8.0 * LOG2
         - 0.5 * CONSTANTS["CATALAN_G"] - _PI_SQ_OVER_6 / 8.0)),
     IdentityId.EQ32: _Check(GridSpec((0.0,)), 1e-8, _square_integral(
+        "quadrature double_integral_eq32",
         lambda cfg: double_integral_eq32(cfg),
         _PI_SQ_OVER_12 * LOG2 + LOG2**3 / 3.0 - 0.5 * _ZETA3)),
     IdentityId.LANDEN: _Check(
         GridSpec((-0.99, -0.5, -0.1, 0.3, 0.9, 1.0)), 1e-10, _pointwise(
             lambda tol, x: (_li2_ext(x / (1.0 + x)),
-                            closed_form(ClosedFormId.LANDEN, x)))),
+                            closed_form(ClosedFormId.LANDEN, x), ()))),
     IdentityId.H_EVEN_ODD_SPLIT: _Check(GridSpec(n_range=(1, 5000)), 5e-14,
                                         _verify_split),
 }
@@ -425,9 +457,12 @@ def summarize(records: list[VerificationRecord]) -> dict[str, dict[str, int]]:
     """Verdict counts per identity, in order of first appearance."""
     summary: dict[str, dict[str, int]] = {}
     for r in records:
-        row = summary.setdefault(
-            r.identity.name, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-        row[r.verdict.name] += 1
+        # _name_ is a plain attribute; the .name property costs a call
+        name = r.identity._name_
+        row = summary.get(name)
+        if row is None:
+            row = summary[name] = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
+        row[r.verdict._name_] += 1
     return summary
 
 
@@ -461,6 +496,9 @@ def verify_all(tolerances: dict[IdentityId, float] | None = None) -> Report:
 _CSV_HEADER = ["identity", "params", "lhs", "rhs", "residual",
                "tolerance", "verdict"]
 
+_IDENTITY_BY_NAME = {m.name: m for m in IdentityId}
+_VERDICT_BY_NAME = {m.name: m for m in Verdict}
+
 
 def _params_str(params: tuple[tuple[str, float], ...]) -> str:
     return ";".join(f"{k}={v:.17g}" for k, v in params)
@@ -476,42 +514,79 @@ def _params_parse(s: str) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
+# The JSON form is exactly json.dumps(obj, sort_keys=True, indent=2) of the
+# report dict.  With indent set, json falls back to its pure-Python encoder,
+# so the records list, which is nearly all of the output, is written here
+# with that layout spelled out; strings go through json's own escaper and
+# floats get json's spelling (float.__repr__, NaN, Infinity, -Infinity).
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_RECORD = (
+    '    {\n      "identity": %s,\n      "lhs": %s,\n      "note": %s,\n'
+    '      "params": %s,\n      "residual": %s,\n      "rhs": %s,\n'
+    '      "tolerance": %s,\n      "verdict": %s\n    }')
+_JSON_PARAM = '        [\n          %s,\n          %s\n        ]'
+_JSON_NAME = {m: json.dumps(m.name) for m in (*IdentityId, *Verdict)}
+
+
+def _json_scalar(x) -> str:
+    """x as json.dumps writes it."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, float):
+        s = float.__repr__(x)
+        return _JSON_FLOAT.get(s, s)
+    return json.dumps(x)
+
+
+def _json_params(params) -> str:
+    if not params:
+        return "[]"
+    return "[\n" + ",\n".join([
+        _JSON_PARAM % (_json_scalar(k), _json_scalar(v)) for k, v in params
+    ]) + "\n      ]"
+
+
+def _json_nested(obj) -> str:
+    """obj as json.dumps lays it out one level down; json escapes every
+    newline inside a string, so each raw newline is layout."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _json_report(report: Report) -> str:
+    spell = _JSON_FLOAT.get
+    rep = float.__repr__
+    out = []
+    for r in report.records:
+        try:
+            lhs, rhs = rep(r.lhs), rep(r.rhs)
+            residual, tol = rep(r.residual), rep(r.tolerance)
+        except TypeError:  # not a float: ints, bools, None
+            lhs, rhs = _json_scalar(r.lhs), _json_scalar(r.rhs)
+            residual, tol = _json_scalar(r.residual), _json_scalar(r.tolerance)
+        out.append(_JSON_RECORD % (
+            _JSON_NAME[r.identity], spell(lhs, lhs), _json_scalar(r.note),
+            _json_params(r.params), spell(residual, residual),
+            spell(rhs, rhs), spell(tol, tol), _JSON_NAME[r.verdict]))
+    records = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
+    return ('{\n  "metadata": ' + _json_nested(report.metadata)
+            + ',\n  "notes": ' + _json_nested(report.notes)
+            + ',\n  "records": ' + records
+            + ',\n  "summary": ' + _json_nested(report.summary) + "\n}")
+
+
 def serialize_report(report: Report, fmt: str = "json") -> bytes:
     fmt = fmt.lower()
     if fmt == "json":
-        obj = {
-            "records": [
-                {
-                    "identity": r.identity.name,
-                    "params": [[k, v] for k, v in r.params],
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "verdict": r.verdict.name,
-                    "note": r.note,
-                }
-                for r in report.records
-            ],
-            "summary": report.summary,
-            "metadata": report.metadata,
-            "notes": report.notes,
-        }
-        return json.dumps(obj, sort_keys=True, indent=2).encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         w = csv_mod.writer(buf, lineterminator="\n")
         w.writerow(_CSV_HEADER)
-        for r in report.records:
-            w.writerow([
-                r.identity.name,
-                _params_str(r.params),
-                f"{r.lhs:.17g}",
-                f"{r.rhs:.17g}",
-                f"{r.residual:.17g}",
-                f"{r.tolerance:.17g}",
-                r.verdict.name,
-            ])
+        w.writerows([
+            (r.identity._name_, _params_str(r.params), f"{r.lhs:.17g}",
+             f"{r.rhs:.17g}", f"{r.residual:.17g}", f"{r.tolerance:.17g}",
+             r.verdict._name_)
+            for r in report.records])
         return buf.getvalue().encode("utf-8")
     raise ValueError("format must be 'json' or 'csv'")
 
@@ -529,26 +604,26 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
         obj = json.loads(data)
         records = [
             VerificationRecord(
-                IdentityId[d["identity"]],
-                tuple((k, float(v)) for k, v in d["params"]),
+                _IDENTITY_BY_NAME[d["identity"]],
+                tuple([(k, float(v)) for k, v in d["params"]]),
                 d["lhs"], d["rhs"], d["residual"], d["tolerance"],
-                Verdict[d["verdict"]], d.get("note", ""),
+                _VERDICT_BY_NAME[d["verdict"]], d.get("note", ""),
             )
             for d in obj["records"]
         ]
         return Report(records, obj["summary"], obj["metadata"],
                       obj.get("notes", []))
     if fmt == "csv":
-        rows = list(csv_mod.reader(io.StringIO(data)))
-        if not rows or rows[0] != _CSV_HEADER:
+        rows = csv_mod.reader(io.StringIO(data))
+        if next(rows, None) != _CSV_HEADER:
             raise ValueError("bad CSV header")
         records = [
             VerificationRecord(
-                IdentityId[row[0]], _params_parse(row[1]),
-                float(row[2]), float(row[3]), float(row[4]), float(row[5]),
-                Verdict[row[6]],
+                _IDENTITY_BY_NAME[identity], _params_parse(params),
+                float(lhs), float(rhs), float(residual), float(tol),
+                _VERDICT_BY_NAME[verdict],
             )
-            for row in rows[1:]
+            for identity, params, lhs, rhs, residual, tol, verdict in rows
         ]
         return Report(records, summarize(records), {}, [])
     raise ValueError("format must be 'json' or 'csv'")

@@ -142,12 +142,20 @@ def test_missing_required_argument(capsys):
 
 def test_broken_pipe_is_quiet():
     # piping a long report into a short-lived reader must not traceback
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import skewlog
+
+    # the child imports the same skewlog as this process, installed or not
+    home = str(Path(skewlog.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (home, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         f"{sys.executable} -m skewlog.cli report --format csv | head -1",
         shell=True, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.startswith("identity,params")
     assert "Traceback" not in proc.stderr

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from skewlog import core_numerics
 from skewlog import (
     CONSTANTS,
     ClosedFormId,
@@ -45,9 +46,23 @@ def test_harmonic_small_values():
 
 
 def test_negative_index_rejected():
-    for fn in (harmonic, harmonic2, skew_harmonic, odd_harmonic):
-        with pytest.raises(ValueError):
-            fn(-1)
+    # With the cache filled past every bad index below, a bool, a float, a
+    # string or a negative index still raises; good indices read the same
+    # values as a fresh cache both inside the fill and beyond it.
+    harmonic(64)
+    fresh = HarmonicCache()
+    expected = {
+        harmonic: fresh.h,
+        harmonic2: fresh.h2,
+        skew_harmonic: fresh.skew,
+        odd_harmonic: lambda n: fresh.h(2 * n) - 0.5 * fresh.h(n),
+    }
+    for fn, ref in expected.items():
+        for bad in (True, 2.0, "3", -1):
+            with pytest.raises(DomainError):
+                fn(bad)
+        for n in (50, len(core_numerics._CACHE.values_h) + 7):
+            assert fn(n) == ref(n)
 
 
 def test_skew_harmonic_mu_examples():
@@ -148,6 +163,10 @@ def test_cache_limit_enforced():
     assert cache.h(100) == pytest.approx(harmonic(100))
     with pytest.raises(ValueError):
         cache.ensure(101)
+    beyond = core_numerics.DEFAULT_CACHE_LIMIT + 1
+    for fn in (harmonic, harmonic2, skew_harmonic):
+        with pytest.raises(ValueError, match="cache limit"):
+            fn(beyond)
 
 
 def test_cache_agrees_with_fresh_instance():
@@ -176,6 +195,9 @@ REAL_ENTRY_POINTS = {
     "coefficient mu": lambda x: coefficient(SeriesId.MU_DILOG, 3, mu=x),
     "skew_harmonic_mu": lambda x: skew_harmonic_mu(3, x),
     "harmonic": harmonic,
+    "harmonic2": harmonic2,
+    "skew_harmonic": skew_harmonic,
+    "odd_harmonic": odd_harmonic,
     "double_integral_g": double_integral_g,
     "double_integral_bigG": double_integral_bigG,
     "integrate_1d": lambda x: integrate_1d(lambda t: t, 0.0, x),

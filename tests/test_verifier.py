@@ -1,17 +1,21 @@
 """Identity verification runs, report structure, and serialization round-trips."""
 
 import json
+import math
 
 import pytest
 
 from skewlog import (
     GridSpec,
     IdentityId,
+    Report,
     Verdict,
+    VerificationRecord,
     parse_report,
+    set_max_terms,
     verify_identity,
 )
-from skewlog.verifier import identity_catalog, serialize_report
+from skewlog.verifier import identity_catalog, serialize_report, summarize
 
 
 def test_single_identity_run():
@@ -48,6 +52,21 @@ def test_custom_tolerance_can_fail():
     assert any(r.verdict is Verdict.FAIL for r in recs)
 
 
+def test_unconverged_participant_fails_the_record():
+    # At 120 terms GF_SKEW stops at the cap for |t| = 0.9; at tolerance
+    # 3e-5 the t = 0.9 residual (2.2e-5) would still pass on its own.
+    set_max_terms(120)
+    recs = {dict(r.params)["t"]: r for r in
+            verify_identity(IdentityId.EQ2, tolerance=3e-5)}
+    for t in (-0.9, 0.9):
+        rec = recs[t]
+        assert rec.residual <= rec.tolerance
+        assert rec.verdict is Verdict.FAIL
+        assert rec.note == "series GF_SKEW did not converge: MAX_TERMS"
+    assert recs[0.5].verdict is Verdict.PASS
+    assert recs[0.5].note == ""
+
+
 def test_records_are_deterministic():
     a = verify_identity(IdentityId.EQ20)
     b = verify_identity(IdentityId.EQ20)
@@ -81,6 +100,7 @@ def test_report_metadata_and_notes(full_report):
 
 def test_json_round_trip(full_report):
     blob = serialize_report(full_report, "json")
+    assert blob == _reference_json(full_report)
     parsed = json.loads(blob)
     assert set(parsed) == {"metadata", "notes", "records", "summary"}
     restored = parse_report(blob, "json")
@@ -120,3 +140,69 @@ def test_unknown_format_rejected(full_report):
 def test_identity_catalog_covers_enum():
     cat = identity_catalog()
     assert len(cat) == len(IdentityId)
+
+
+def _reference_json(report):
+    """The report as the stdlib encoder writes it: the JSON form's definition."""
+    obj = {
+        "records": [
+            {
+                "identity": r.identity.name,
+                "params": [[k, v] for k, v in r.params],
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "residual": r.residual,
+                "tolerance": r.tolerance,
+                "verdict": r.verdict.name,
+                "note": r.note,
+            }
+            for r in report.records
+        ],
+        "summary": report.summary,
+        "metadata": report.metadata,
+        "notes": report.notes,
+    }
+    return json.dumps(obj, sort_keys=True, indent=2).encode()
+
+
+def _synthetic(records, metadata=None, notes=None):
+    return Report(records, summarize(records),
+                  {"version": "0", "tolerances": {"EQ2": 1e-10}}
+                  if metadata is None else metadata,
+                  ["a note"] if notes is None else notes)
+
+
+_ODD = [
+    VerificationRecord(IdentityId.EQ2, (("t", math.nan),), math.nan, 1.0,
+                       math.nan, 1e-10, Verdict.FAIL),
+    VerificationRecord(IdentityId.EQ3, (("t", -0.0),), math.inf, -math.inf,
+                       math.inf, 0.0, Verdict.FAIL, "inf"),
+    VerificationRecord(IdentityId.EQ22, (("mu", -0.8), ("t", 0.3)), -0.0,
+                       0.0, 0.0, 5e-324, Verdict.PASS),
+    VerificationRecord(IdentityId.EQ31, (), 1e300, 1.7976931348623157e308,
+                       1.5e-7, 1e-8, Verdict.FAIL),
+    # ints are spelled as json spells them, not as floats
+    VerificationRecord(IdentityId.EQ4, (("t", 1.0),), 1, 0, 1, 1e-9,
+                       Verdict.FAIL),
+    VerificationRecord(IdentityId.EQ13, (("t", 1.5),), 0.0, 0.0, 0.0, 1e-10,
+                       Verdict.SKIPPED,
+                       'say "x"; back\\slash\nnew line\ttab \u00e9\u2264 \U0001d70b'),
+]
+
+
+@pytest.mark.parametrize("report", [
+    _synthetic(_ODD),
+    _synthetic(_ODD, metadata={}, notes=[]),
+    _synthetic([], metadata={}, notes=[]),
+    _synthetic(_ODD[:1], metadata={"nested": {"z": [], "a": [1, math.inf]}},
+               notes=['quo"te', "line\nbreak", "\u00fcber"]),
+], ids=["odd-values", "empty-metadata-notes", "no-records", "odd-metadata"])
+def test_json_matches_stdlib_encoder(report):
+    blob = serialize_report(report, "json")
+    assert blob == _reference_json(report)
+    back = parse_report(blob, "json")
+    # repr compares NaN fields, which == does not
+    assert repr(back.records) == repr(report.records)
+    assert (back.summary, back.metadata, back.notes) == (
+        report.summary, report.metadata, report.notes)
+    assert serialize_report(back, "json") == blob
