@@ -182,17 +182,11 @@ def _landen(x: float) -> float:
     return -0.5 * l1px * l1px - li2(-x)
 
 
-def int_li2_over_1mt(
-    x: float, version: str = "auto", b_constant_corrected: bool = True
-) -> float:
+def int_li2_over_1mt(x: float, version: str = "auto") -> float:
     """Antiderivative J(x) = integral_0^x Li2(t)/(1-t) dt, -1 <= x < 1.
 
     Two independent closed forms are provided: version "a" holds on
-    [-1, 1/2], version "b" on [0, 1); "auto" picks whichever applies.  The
-    b_constant_corrected switch exists purely as evidence plumbing: with
-    False, version "b" uses the (wrong) constant pi/6 instead of pi^2/6 in
-    its log(1-x) coefficient, and the mismatch is surfaced in verification
-    report notes.
+    [-1, 1/2], version "b" on [0, 1); "auto" picks whichever applies.
     """
     x = check_real("x", x)
     if not (-1.0 <= x < 1.0):
@@ -211,9 +205,8 @@ def int_li2_over_1mt(
     if version == "b":
         if x < 0.0:
             raise DomainError("version b holds on 0 <= x < 1")
-        const = _PI_SQ_OVER_6 if b_constant_corrected else math.pi / 6.0
         return 2.0 * (li3(1.0 - x) - _ZETA3) - math.log1p(-x) * (
-            li2(1.0 - x) + const
+            li2(1.0 - x) + _PI_SQ_OVER_6
         )
     raise ValueError("version must be 'auto', 'a' or 'b'")
 

@@ -9,9 +9,13 @@ ways depending on t:
   majorant of |a_n|;
 * alternating endpoint: iterated averaging (accelerate_alternating) with a
   bracket-width bound;
-* one-signed endpoint: direct partial sum plus an explicit tail correction
-  built from the asymptotic c_n = (-1)^n (log 2 - H_n^-) ~ u/2 + u^2/4
-  - u^4/8 + O(u^6) in u = 1/(n+1), with the next omitted order as bound.
+* one-signed endpoint: a fixed 32-term partial sum plus the tail beyond it,
+  from the asymptotic expansion of c_n = (-1)^n (log 2 - H_n^-) in
+  u = 1/(n+1), generated from Bernoulli numbers through u^12 and summed
+  against Euler-Maclaurin Hurwitz zeta values; the two omitted orders,
+  doubled, and the rounding of each c_n make the bound.
+
+Either endpoint rule may add an exact constant.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -20,12 +24,14 @@ terms moves the value by at most the reported bound.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core_numerics import LOG2, check_real, odd_harmonic, skew_harmonic
+from .core_numerics import (
+    CONSTANTS, LOG2, check_real, odd_harmonic, skew_harmonic)
 from .errors import DomainError
 from .result import EvalResult, Status
 
@@ -252,148 +258,135 @@ def accelerate_alternating(terms: list[float], tol: float) -> EvalResult:
     return EvalResult(best_val, bound, len(terms), status)
 
 
-def _tail_zeta(s: int, m_start: int) -> float:
-    """sum_{n >= m_start} n^-s by Euler-Maclaurin; error << the model errors
-    these tails get folded into (next omitted term is O(m^-(s+5)))."""
-    m = float(m_start)
-    if s == 2:
-        return 1.0 / m + 0.5 / m**2 + 1.0 / (6.0 * m**3) - 1.0 / (30.0 * m**5)
-    if s == 3:
-        return 0.5 / m**2 + 0.5 / m**3 + 0.25 / m**4 - 1.0 / (12.0 * m**6)
-    if s == 4:
-        return 1.0 / (3.0 * m**3) + 0.5 / m**4 + 1.0 / (3.0 * m**5) - 1.0 / (6.0 * m**7)
-    if s == 5:
-        return 0.25 / m**4 + 0.5 / m**5 + 5.0 / (12.0 * m**6)
-    raise ValueError("tail order not supported")
-
-
-# Tail models for the one-signed endpoint sums, from
-# c_n = u/2 + u^2/4 - u^4/8 + O(u^6), u = 1/(n+1).  Each returns the
-# correction for sum over n > N and a rigorous bound on its model error.
-
-def _tail_c_over_n(N: int) -> tuple[float, float]:
-    # c_n/n = u^2/2 + 3u^3/4 + O(u^4)
-    m = N + 2
-    return 0.5 * _tail_zeta(2, m) + 0.75 * _tail_zeta(3, m), 2.0 * _tail_zeta(4, m)
-
-
-def _tail_c_shift(N: int) -> tuple[float, float]:
-    # c_n/(n+1) = u^2/2 + u^3/4 + O(u^5)
-    m = N + 2
-    return 0.5 * _tail_zeta(2, m) + 0.25 * _tail_zeta(3, m), _tail_zeta(4, m)
-
-
-def _tail_c_sq(N: int) -> tuple[float, float]:
-    # c_n^2 = u^2/4 + u^3/4 + u^4/16 + O(u^5)
-    m = N + 2
-    t = 0.25 * _tail_zeta(2, m) + 0.25 * _tail_zeta(3, m) + _tail_zeta(4, m) / 16.0
-    return t, _tail_zeta(5, m) + 0.25 * _tail_zeta(4, m)
-
-
-def _tail_c_sq_shift(N: int) -> tuple[float, float]:
-    # c_n^2/(n+1) = u^3/4 + u^4/4 + O(u^5)
-    m = N + 2
-    return 0.25 * _tail_zeta(3, m) + 0.25 * _tail_zeta(4, m), _tail_zeta(5, m)
-
-
-def _size_endpoint(tail_fn: Callable[[int], tuple[float, float]], tol: float) -> int:
-    n = 512
-    while tail_fn(n)[1] > 0.5 * tol and 2 * n <= _max_terms:
-        n *= 2
-    return min(n, _max_terms)
-
-
-def _endpoint_one_signed(
-    term_fn: Callable[[int], float],
-    n_start: int,
-    tail_fn: Callable[[int], tuple[float, float]],
-    tail_sign: float,
-    tol: float,
-) -> EvalResult:
-    N = _size_endpoint(tail_fn, tol)
-    partial = math.fsum(term_fn(n) for n in range(n_start, N + 1))
-    correction, model_err = tail_fn(N)
-    value = partial + tail_sign * correction
-    bound = model_err + _FP_SLACK * (1.0 + abs(value))
-    status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-    return EvalResult(value, bound, N + 1 - n_start, status)
-
-
-def _endpoint_alternating(
-    coeff: Callable[[int], float], sign: float, prefactor: float, tol: float
-) -> EvalResult:
-    m = 64
-    best: EvalResult | None = None
-    while True:
-        terms = []
-        s = 1.0
-        for n in range(m):
-            terms.append(coeff(n) * s)
-            s *= sign
-        while terms and terms[0] == 0.0:
-            terms.pop(0)
-        r = accelerate_alternating(terms, tol)
-        if best is None or r.error_bound < best.error_bound:
-            best = EvalResult(prefactor * r.value, r.error_bound, m, r.status)
-        if best.converged() or m >= 1024:
-            return best
-        m *= 2
-
-
-def _endpoint_skew_over_n_neg1(tol: float) -> EvalResult:
-    # sum_{n>=1} (-1)^n H_n^-/n: split H_n^- = log2 - (-1)^n c_n; the
-    # alternating log2 part beyond N is exactly -log2 * (-1)^N c_N, the c
-    # part gets the c_n/n tail model.
-    N = _size_endpoint(_tail_c_over_n, tol)
-    partial = math.fsum(
-        (skew_harmonic(n) / n if n % 2 == 0 else -skew_harmonic(n) / n)
-        for n in range(1, N + 1)
-    )
-    alt_rem = -LOG2 * ((1.0 if N % 2 == 0 else -1.0) * _c(N))
-    correction, model_err = _tail_c_over_n(N)
-    value = partial + alt_rem - correction
-    bound = model_err + _FP_SLACK * (1.0 + abs(value))
-    status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-    return EvalResult(value, bound, N, status)
-
-
-def _endpoint_skew_over_nsq_pos1(tol: float) -> EvalResult:
-    # sum_{n>=1} H_n^-/(n+1)^2 at t = 1: H_n^- = log2 - (-1)^n c_n; the
-    # log2 part beyond N is log2 * tail_zeta(2, N+2), the alternating c part
-    # is bounded by its first term ~ 1/(2 (N+2)^3).
-    def bound_fn(N: int) -> tuple[float, float]:
-        return 0.0, (N + 2.0) ** -3
-
-    N = _size_endpoint(bound_fn, tol)
-    partial = math.fsum(
-        skew_harmonic(n) / (n + 1) ** 2 for n in range(1, N + 1)
-    )
-    value = partial + LOG2 * _tail_zeta(2, N + 2)
-    bound = (N + 2.0) ** -3 + _FP_SLACK * (1.0 + abs(value))
-    status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-    return EvalResult(value, bound, N, status)
-
-
 #: An endpoint rule evaluates a series at t = +-1 to tolerance tol.
 _EndpointRule = Callable[["_SeriesSpec", float], EvalResult]
 
+#: Terms averaged at an alternating endpoint.  On every alternating row the
+#: bound from 64 terms is already at its rounding floor; 128 to 1024 terms
+#: give the same bound and a larger actual error.
+_ALT_TERMS = 64
 
-def _alternating(sign: float, prefactor: float = 1.0) -> _EndpointRule:
-    """Rule for a series whose terms alternate at t = sign: averaged partial
-    sums of the coefficients, times prefactor (the value of t^p)."""
-    return lambda spec, tol: _endpoint_alternating(
-        spec.coeff, sign, prefactor, tol)
+
+def _alternating(
+    sign: float, prefactor: float = 1.0,
+    coeff: Callable[[int], float] | None = None, const: float = 0.0,
+) -> _EndpointRule:
+    """Rule for terms that alternate at t = sign: averaged partial sums of
+    coeff (default the row's coefficients), times prefactor (the value of
+    t^p), plus const."""
+
+    def rule(spec: _SeriesSpec, tol: float) -> EvalResult:
+        a = coeff or spec.coeff
+        terms = [a(n) * sign**n for n in range(_ALT_TERMS)]
+        while terms[0] == 0.0:
+            terms.pop(0)
+        r = accelerate_alternating(terms, tol)
+        # the bound's rounding slack also covers adding const
+        return EvalResult(prefactor * r.value + const, r.error_bound,
+                          _ALT_TERMS, r.status)
+    return rule
+
+
+# -- asymptotic tail engine for the one-signed endpoint sums ----------------
+#
+# c_n is the Laplace transform of 1/(1+e^-s) = 1/2 + tanh(s/2)/2 at n+1, so
+# in u = 1/(n+1)
+#     c_n ~ u/2 + sum_k (4^k - 1) B_2k/(2k) u^2k = u/2 + u^2/4 - u^4/8 + ...
+# where (4^k - 1) B_2k/(2k) = (-1)^(k-1) T_(2k-1) / 4^k with the integer
+# tangent numbers T, exact in binary.  A one-signed term c_n^k / (n + d) is
+# that expansion multiplied out, and its sum over n >= N is
+# sum_j a_j zeta(j, N+1).
+
+def _tangent_numbers(k: int) -> list[int]:
+    """T_1, T_3, ..., T_(2k-1) of tan x = sum_j T_(2j-1) x^(2j-1)/(2j-1)!
+    (the Knuth-Buckholtz recurrence, in integers)."""
+    t = [0] + [math.factorial(j) for j in range(k)]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[1:]
+
+
+_TANGENT = _tangent_numbers(12)
+#: B_2, B_4, ..., B_24, each rounded once from the tangent numbers.
+_BERNOULLI = [(-1) ** (k - 1) * 2 * k * tk / (4**k * (4**k - 1))
+              for k, tk in enumerate(_TANGENT, 1)]
+
+_TAIL_TERMS = 32             # terms summed before the tail takes over
+_TAIL_ORDER = 12             # highest power of u the tail keeps
+_TAIL_DEG = _TAIL_ORDER + 2  # the two omitted powers bound the model error
+#: Error of each computed c_n, n < 40: LOG2's half ulp, the roundings of
+#: the 1/k in H_n^- (2^-53 H_n together) and the compensated sum's few ulp.
+_C_ERR = 8e-16
+
+
+def _mul(a: list[float], b: list[float]) -> list[float]:
+    """Product of two power series in u, truncated after u^_TAIL_DEG."""
+    return [math.fsum(a[i] * b[j - i] for i in range(j + 1))
+            for j in range(_TAIL_DEG + 1)]
+
+
+def _hurwitz(s: int, m: int) -> float:
+    """zeta(s, m) = sum_{n >= m} n^-s, s >= 2, by Euler-Maclaurin.  For n^-s
+    the remainder is below the first omitted correction; corrections are
+    added until one falls under 2^-60 of the sum."""
+    x = float(m)
+    total = x ** (1 - s) / (s - 1) + 0.5 * x**-s
+    g = 0.5 * s * x ** (-s - 1)  # s (s+1) ... (s+2k-2) m^(1-s-2k) / (2k)!
+    for k, b in enumerate(_BERNOULLI, 1):
+        total += b * g
+        if abs(b * g) < 2.0**-60 * total:
+            break
+        g *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * x**2)
+    return total
+
+
+@functools.cache
+def _tail(power: int, over: int | None, m: int) -> tuple[float, float]:
+    """sum_{n >= m-1} c_n^power / (n + over) (no divisor for over None) and
+    a bound on its model error: the expansion in u is multiplied out, its
+    powers through _TAIL_ORDER are summed against zeta(j, m), and twice the
+    two omitted powers are the bound."""
+    c = [0.0] * (_TAIL_DEG + 1)
+    c[1] = 0.5
+    for k in range(1, _TAIL_DEG // 2 + 1):
+        c[2 * k] = (-1) ** (k - 1) * _TANGENT[k - 1] / 4**k
+    a = [1.0] + [0.0] * _TAIL_DEG
+    for _ in range(power):
+        a = _mul(a, c)
+    if over is not None:  # 1/(n + over) = u / (1 - (1 - over) u)
+        a = _mul(a, [0.0] + [float((1 - over) ** (j - 1))
+                             for j in range(1, _TAIL_DEG + 1)])
+    # every term is O(u^2), so zeta(j, m) is never needed for j < 2
+    terms = [x * _hurwitz(j, m) if x else 0.0 for j, x in enumerate(a)]
+    return (math.fsum(terms[:_TAIL_ORDER + 1]),
+            2.0 * math.fsum(map(abs, terms[_TAIL_ORDER + 1:])))
 
 
 def _one_signed(
-    term_fn: Callable[[int], float],
-    n_start: int,
-    tail_fn: Callable[[int], tuple[float, float]],
-    tail_sign: float,
+    power: int, over: int | None = None, sign: float = 1.0, const: float = 0.0,
 ) -> _EndpointRule:
-    """Rule for one-signed terms: partial sum plus tail_sign * tail model."""
-    return lambda spec, tol: _endpoint_one_signed(
-        term_fn, n_start, tail_fn, tail_sign, tol)
+    """Rule for one-signed terms sign * c_n^power / (n + over) (no divisor
+    for over None): _TAIL_TERMS terms plus the asymptotic tail, plus const."""
+    n_start = 1 if over == 0 else 0
+
+    def rule(spec: _SeriesSpec, tol: float) -> EvalResult:
+        n_end = n_start + min(_TAIL_TERMS, _max_terms)
+        terms = []
+        dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
+        for n in range(n_start, n_end):
+            c = _c(n)
+            x = c**power if over is None else c**power / (n + over)
+            terms.append(x)
+            dc += power * x / c
+        tail, model_err = _tail(power, over, n_end + 1)
+        value = sign * (math.fsum(terms) + tail) + const
+        bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
+        if len(terms) < _TAIL_TERMS:  # a capped sum: the expansion is too
+            bound = math.inf          # coarse this early to bound the tail
+        status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
+        return EvalResult(value, bound, len(terms), status)
+    return rule
 
 
 @dataclass(frozen=True)
@@ -428,20 +421,21 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
         _coeff_gf_centered, endpoints={1.0: _alternating(1.0)}),
     SeriesId.SKEW_OVER_N: _SeriesSpec(
         "EQ5", "EQ5_LHS", 0, -1.0, "|t| <= 1, t != 1", _env_inv,
+        # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
         _coeff_skew_over_n,
-        endpoints={-1.0: lambda spec, tol: _endpoint_skew_over_n_neg1(tol)}),
+        endpoints={-1.0: _one_signed(1, over=0, sign=-1.0, const=-LOG2**2)}),
     SeriesId.CENTERED_OVER_N: _SeriesSpec(
         "EQ8", "EQ8_LHS", 0, -1.0, "|t| <= 1", _env_half_inv_sq,
         _coeff_centered_over_n, endpoints={
             1.0: _alternating(1.0),
-            -1.0: _one_signed(lambda n: -_c(n) / n, 1, _tail_c_over_n, -1.0),
+            -1.0: _one_signed(1, over=0, sign=-1.0),
         }),
     SeriesId.CENTERED_SHIFT: _SeriesSpec(
         "EQ11", "EQ11_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_sq,
         _coeff_centered_shift, endpoints={
             1.0: _alternating(1.0),
-            # t^p prefactor is -1; the inner sum is -sum c_n/(n+1)
-            -1.0: _one_signed(lambda n: _c(n) / (n + 1), 0, _tail_c_shift, 1.0),
+            # t^p = -1 times the terms -c_n/(n+1)
+            -1.0: _one_signed(1, over=1),
         }),
     SeriesId.SKEW_SQ: _SeriesSpec(
         "EQ12", "EQ12_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_skew_sq),
@@ -449,19 +443,20 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
         "EQ13", "EQ13_LHS", 0, -1.0, "|t| <= 1", _env_inv_np1_sq,
         _coeff_centered_sq, endpoints={
             -1.0: _alternating(-1.0),
-            1.0: _one_signed(lambda n: _c(n) ** 2, 0, _tail_c_sq, 1.0),
+            1.0: _one_signed(2),
         }),
     SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
         "EQ17", "EQ17_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_cube,
         _coeff_centered_sq_shift, endpoints={
             -1.0: _alternating(-1.0, -1.0),
-            1.0: _one_signed(
-                lambda n: _c(n) ** 2 / (n + 1), 0, _tail_c_sq_shift, 1.0),
+            1.0: _one_signed(2, over=1),
         }),
     SeriesId.SKEW_OVER_NSQ: _SeriesSpec(
         "EQ20", "EQ20_LHS", 1, -1.0 / 3.0, "-1/3 <= t <= 1", _env_inv_np1_sq,
-        _coeff_skew_over_nsq,
-        endpoints={1.0: lambda spec, tol: _endpoint_skew_over_nsq_pos1(tol)}),
+        # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating terms
+        _coeff_skew_over_nsq, endpoints={1.0: _alternating(
+            -1.0, -1.0, coeff=lambda n: _c(n) / (n + 1) ** 2 if n else 0.0,
+            const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
     SeriesId.MU_LEWIN: _SeriesSpec(
         "EQ22", "EQ22_LHS", 1, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_shift,
         mu_term=lambda n, mu, s, inner: mu * s / (n + 1)),

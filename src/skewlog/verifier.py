@@ -421,7 +421,7 @@ def _correction_notes() -> list[str]:
 
     a = int_li2_over_1mt(0.3, version="a")
     b_ok = int_li2_over_1mt(0.3, version="b")
-    b_raw = int_li2_over_1mt(0.3, version="b", b_constant_corrected=False)
+    b_raw = b_ok + math.log1p(-0.3) * (_PI_SQ_OVER_6 - math.pi / 6.0)
     notes.append(
         "antiderivative version b uses pi^2/6, not pi/6, as the constant in "
         f"its log(1-x) coefficient: at x=0.3 versions a/b agree to "
@@ -496,8 +496,16 @@ def verify_all(tolerances: dict[IdentityId, float] | None = None) -> Report:
 _CSV_HEADER = ["identity", "params", "lhs", "rhs", "residual",
                "tolerance", "verdict"]
 
-_IDENTITY_BY_NAME = {m.name: m for m in IdentityId}
-_VERDICT_BY_NAME = {m.name: m for m in Verdict}
+
+class _ByName(dict):
+    """Enum members by name; an unknown name is a ValueError naming it."""
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown identity or verdict name {name!r}")
+
+
+_IDENTITY_BY_NAME = _ByName((m.name, m) for m in IdentityId)
+_VERDICT_BY_NAME = _ByName((m.name, m) for m in Verdict)
 
 
 def _params_str(params: tuple[tuple[str, float], ...]) -> str:

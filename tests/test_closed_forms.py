@@ -104,10 +104,13 @@ def test_antiderivative_domain():
 
 
 def test_uncorrected_constant_is_visibly_wrong():
-    # the historical misprint shifts version b by (pi^2/6 - pi/6) * log(1-x)
-    good = int_li2_over_1mt(0.4, version="b")
-    bad = int_li2_over_1mt(0.4, version="b", b_constant_corrected=False)
-    assert abs(good - bad) > 0.3
+    # the historical misprint (pi/6 for pi^2/6) shifts version b by
+    # (pi^2/6 - pi/6) * log(1-x), far from the independent version a
+    x = 0.4
+    good = int_li2_over_1mt(x, version="b")
+    bad = good + math.log1p(-x) * (math.pi**2 / 6.0 - math.pi / 6.0)
+    assert abs(good - int_li2_over_1mt(x, version="a")) <= 1e-12
+    assert abs(int_li2_over_1mt(x, version="a") - bad) > 0.3
 
 
 def test_eq17_assembled_expression():

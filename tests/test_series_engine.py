@@ -19,10 +19,9 @@ from skewlog import (
     skew_harmonic_mu,
     sum_series,
 )
-from skewlog.series_engine import series_catalog
+from skewlog.series_engine import _SPECS, series_catalog
 
 LOG2 = math.log(2.0)
-PI = math.pi
 
 
 # --- coefficients -----------------------------------------------------------
@@ -234,31 +233,19 @@ def test_min_terms_is_honored():
 
 # --- sum_series: endpoints ---------------------------------------------------
 
-def test_endpoint_values():
-    e9 = PI**2 / 12.0 - 0.5 * LOG2**2
-    e10 = PI**2 / 12.0 + 0.5 * LOG2**2
-    z3 = 1.2020569031595942854
-    e18 = 1.5 * z3 - (PI**2 / 6.0) * LOG2 - LOG2**3 / 3.0
-    e19 = (PI**2 / 12.0) * LOG2 - 0.75 * z3 - LOG2**3 / 3.0
-    cases = [
-        (SeriesId.GF_CENTERED, 1.0, -0.5, 1e-10),
-        (SeriesId.CENTERED_SQ, -1.0, PI**2 / 24.0, 1e-10),
-        (SeriesId.CENTERED_SQ, 1.0, LOG2, 1e-6),
-        (SeriesId.CENTERED_OVER_N, 1.0, 0.5 * LOG2**2, 1e-10),
-        (SeriesId.CENTERED_OVER_N, -1.0, -e9, 1e-9),
-        (SeriesId.CENTERED_SHIFT, 1.0, -e9, 1e-10),
-        (SeriesId.CENTERED_SHIFT, -1.0, e10, 1e-9),
-        (SeriesId.CENTERED_SQ_SHIFT, 1.0, e18, 1e-8),
-        (SeriesId.CENTERED_SQ_SHIFT, -1.0, e19, 1e-10),
-        (SeriesId.SKEW_OVER_N, -1.0, -e10, 1e-9),
-        (SeriesId.SKEW_OVER_NSQ, 1.0, 0.50821521280468485, 1e-9),
-    ]
-    for sid, t, ref, tol in cases:
-        res = sum_series(sid, t, tol=tol)
-        assert res.status is Status.CONVERGED, (sid, t)
-        assert abs(res.value - ref) <= tol, (sid, t, abs(res.value - ref))
-        # reported bound must cover the actual error
-        assert abs(res.value - ref) <= res.error_bound + 1e-15, (sid, t)
+def test_endpoint_values(endpoint_values):
+    # every declared rule, to tolerances down to 1e-12, from at most 64 terms
+    assert set(endpoint_values) == {
+        (sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints}
+    for (sid, t), ref in endpoint_values.items():
+        for tol in (1e-6, 1e-8, 1e-10, 1e-11, 1e-12):
+            res = sum_series(sid, t, tol=tol)
+            err = abs(res.value - ref)
+            assert res.status is Status.CONVERGED, (sid, t, tol)
+            assert err <= tol, (sid, t, tol, err)
+            # reported bound must cover the actual error
+            assert err <= res.error_bound + math.ulp(ref), (sid, t, tol, err)
+            assert res.terms_used <= 64, (sid, t, tol, res.terms_used)
 
 
 def test_endpoint_bound_within_envelope():

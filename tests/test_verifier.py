@@ -135,6 +135,19 @@ def test_unknown_format_rejected(full_report):
         serialize_report(full_report, "xml")
     with pytest.raises(ValueError):
         parse_report(b"{}", "xml")
+    # an unknown identity or verdict name is rejected the same way, naming it
+    header = "identity,params,lhs,rhs,residual,tolerance,verdict\n"
+    for row, bad in (("NOPE,,1,1,0,1,PASS", "NOPE"),
+                     ("EQ4,t=1,1,1,0,1,MAYBE", "MAYBE")):
+        with pytest.raises(ValueError, match=bad):
+            parse_report(header + row, "csv")
+    record = {"identity": "EQ4", "params": [["t", 1.0]], "lhs": 1.0,
+              "rhs": 1.0, "residual": 0.0, "tolerance": 1.0, "verdict": "PASS"}
+    for key, bad in (("identity", "NOPE"), ("verdict", "MAYBE")):
+        doc = {"records": [{**record, key: bad}], "summary": {},
+               "metadata": {}}
+        with pytest.raises(ValueError, match=bad):
+            parse_report(json.dumps(doc), "json")
 
 
 def test_identity_catalog_covers_enum():
