@@ -6,12 +6,10 @@ from .closed_forms import (
     ClosedFormId,
     EQ18_VALUE,
     EQ19_VALUE,
-    abel_residual,
     abel_sides,
     closed_form,
     closed_form_eq17,
     int_li2_over_1mt,
-    ramanujan_eq27_residual,
 )
 from .core_numerics import (
     CONSTANTS,
@@ -38,7 +36,6 @@ from .result import EvalResult, Status
 from .series_engine import (
     SeriesId,
     accelerate_alternating,
-    cauchy_divide,
     coefficient,
     get_max_terms,
     set_max_terms,
@@ -74,10 +71,8 @@ __all__ = [
     "Status",
     "Verdict",
     "VerificationRecord",
-    "abel_residual",
     "abel_sides",
     "accelerate_alternating",
-    "cauchy_divide",
     "closed_form",
     "closed_form_eq17",
     "coefficient",
@@ -97,7 +92,6 @@ __all__ = [
     "odd_harmonic",
     "parse_report",
     "polylog_series_oracle",
-    "ramanujan_eq27_residual",
     "serialize_report",
     "set_max_terms",
     "skew_harmonic",

@@ -87,8 +87,7 @@ def _need(args, flag: str):
 
 
 def _quad_config(tol: float) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=max(tol, 1e-15), rel_tol=1e-12,
-                            max_subdivisions=4000)
+    return QuadratureConfig(abs_tol=max(tol, 1e-15))
 
 
 def _cmd_eval(args) -> int:

@@ -27,7 +27,6 @@ from typing import Callable
 from .core_numerics import CONSTANTS, LOG2, check_real
 from .errors import DomainError, PoleError
 from .polylog import li2, li3
-from .series_engine import SeriesId, sum_series
 
 _PI_SQ_OVER_6 = CONSTANTS["PI_SQ_OVER_6"]
 _PI_SQ_OVER_12 = CONSTANTS["PI_SQ_OVER_12"]
@@ -342,14 +341,3 @@ def closed_form_eq17(x: float) -> float:
 def abel_sides(mu: float, x: float) -> tuple[float, float]:
     """Both sides of the five-term Abel relation for (mu, x)."""
     return _abel_sides(*_args(ClosedFormId.EQ25_ABEL, x, mu))
-
-
-def abel_residual(mu: float, x: float) -> float:
-    lhs, rhs = abel_sides(mu, x)
-    return lhs - rhs
-
-
-def ramanujan_eq27_residual(x: float) -> float:
-    """Closed dilogarithm side minus the odd-harmonic series at x."""
-    closed = closed_form(ClosedFormId.EQ27_RAMANUJAN, x)
-    return closed - sum_series(SeriesId.RAMANUJAN_ODD, x, 1e-13).value

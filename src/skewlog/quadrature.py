@@ -2,10 +2,11 @@
 
 1D: Gauss-Kronrod 7/15 under worst-interval bisection.  2D: embedded
 8x8 / 16x16 tensor Gauss-Legendre panels under adaptive quadrant
-subdivision.  All nodes are interior, so integrable endpoint or corner
-singularities never get sampled; adaptivity grades panels toward them.
-Panel contributions are totalled with fsum in a fixed geometric order, so
-results are deterministic regardless of refinement order.
+subdivision.  Both run the same worst-panel-first refinement loop.  All
+nodes are interior, so integrable endpoint or corner singularities never get
+sampled; adaptivity grades panels toward them.  Panel contributions are
+totalled with fsum, which is correctly rounded, so the totals do not depend
+on the order in which panels were refined.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .result import EvalResult, Status
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
+    rel_tol: float = 1e-12
+    max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
         if not (isinstance(self.abs_tol, float) and self.abs_tol >= 1e-15):
@@ -88,9 +89,55 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return h * k, abs(h * (k - g))
 
 
+def _refine(rule, split, too_narrow, whole, cost: int, cfg: QuadratureConfig,
+            safety: float, slack: float) -> EvalResult:
+    """Worst-panel-first adaptive integration over the panel whole.
+
+    rule(*panel) gives a panel's value and error estimate from cost integrand
+    evaluations, split(*panel) its children, and a panel for which
+    too_narrow(*panel) holds is frozen instead of split.  Refinement stops
+    once safety times the summed estimates is within half the target, or
+    after cfg.max_subdivisions splits; the bound adds slack (1 + |value|)
+    for rounding.
+    """
+    v, e = rule(*whole)
+    heap = [(-e, 0, whole, v, e)]
+    frozen: list[tuple[float, float]] = []  # (value, error) of unsplittable
+    evals = cost
+    seq = 1
+    splits = 0
+    while splits < cfg.max_subdivisions:
+        total_val = math.fsum(x[3] for x in heap) + math.fsum(x[0] for x in frozen)
+        total_err = math.fsum(x[4] for x in heap) + math.fsum(x[1] for x in frozen)
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        if safety * total_err <= 0.5 * target or not heap:
+            break
+        _, _, panel, pv, pe = heapq.heappop(heap)
+        if too_narrow(*panel):
+            frozen.append((pv, pe))
+            continue
+        for child in split(*panel):
+            cv, ce = rule(*child)
+            evals += cost
+            heapq.heappush(heap, (-ce, seq, child, cv, ce))
+            seq += 1
+        splits += 1
+
+    panels = [x[3:] for x in heap] + frozen
+    value = math.fsum(p[0] for p in panels)
+    bound = safety * math.fsum(p[1] for p in panels) + slack * (1.0 + abs(value))
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
+    return EvalResult(value, bound, evals, status)
+
+
+def _halve(a: float, b: float):
+    m = 0.5 * (a + b)
+    return (a, m), (m, b)
+
+
 def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> EvalResult:
     """Oriented adaptive integral of f from a to b."""
-    cfg = cfg or _DEFAULT_CFG
     a, b = check_real("a", a), check_real("b", b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
@@ -100,43 +147,11 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     if b < a:
         a, b = b, a
         sign = -1.0
-
     scale = max(abs(a), abs(b), 1.0)
-    val, err = _gk15(f, a, b)
-    heap = [(-err, 0, a, b, val, err)]
-    frozen: list[tuple[float, float, float, float]] = []  # unsplittable
-    evals = 15
-    seq = 1
-    splits = 0
-    while splits < cfg.max_subdivisions:
-        total_val = math.fsum(x[4] for x in heap) + math.fsum(x[2] for x in frozen)
-        total_err = math.fsum(x[5] for x in heap) + math.fsum(x[3] for x in frozen)
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if 2.0 * total_err <= 0.5 * target or not heap:
-            break
-        _, _, pa, pb, pv, pe = heapq.heappop(heap)
-        if pb - pa < 1e-14 * scale:
-            frozen.append((pa, pb, pv, pe))
-            continue
-        mid = 0.5 * (pa + pb)
-        v1, e1 = _gk15(f, pa, mid)
-        v2, e2 = _gk15(f, mid, pb)
-        evals += 30
-        heapq.heappush(heap, (-e1, seq, pa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, pb, v2, e2))
-        seq += 2
-        splits += 1
-
-    panels = sorted(
-        [(x[2], x[3], x[4], x[5]) for x in heap] + frozen,
-        key=lambda p: (p[0], p[1]),
-    )
-    value = math.fsum(p[2] for p in panels)
-    err_sum = math.fsum(p[3] for p in panels)
-    bound = 2.0 * err_sum + 1e-16 * (1.0 + abs(value))
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
-    return EvalResult(sign * value, bound, evals, status)
+    r = _refine(partial(_gk15, f), _halve,
+                lambda pa, pb: pb - pa < 1e-14 * scale, (a, b), 15,
+                cfg or _DEFAULT_CFG, 2.0, 1e-16)
+    return EvalResult(sign * r.value, r.error_bound, r.terms_used, r.status)
 
 
 @lru_cache(maxsize=None)
@@ -159,43 +174,17 @@ def _panel_2d(f2, x0, x1, y0, y1) -> tuple[float, float]:
     return vals[0], abs(vals[0] - vals[1])
 
 
-def _adapt_2d(f2, cfg: QuadratureConfig) -> EvalResult:
-    """Adaptive quadtree integration of f2 over [0,1]^2."""
-    v, e = _panel_2d(f2, 0.0, 1.0, 0.0, 1.0)
-    heap = [(-e, 0, 0.0, 1.0, 0.0, 1.0, v, e)]
-    frozen: list[tuple] = []
-    evals = 256 + 64
-    seq = 1
-    splits = 0
-    while splits < cfg.max_subdivisions:
-        total_val = math.fsum(x[6] for x in heap) + math.fsum(x[4] for x in frozen)
-        total_err = math.fsum(x[7] for x in heap) + math.fsum(x[5] for x in frozen)
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if 1.5 * total_err <= 0.5 * target or not heap:
-            break
-        _, _, x0, x1, y0, y1, pv, pe = heapq.heappop(heap)
-        if x1 - x0 < 1e-13:
-            frozen.append((x0, x1, y0, y1, pv, pe))
-            continue
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        for qx0, qx1 in ((x0, xm), (xm, x1)):
-            for qy0, qy1 in ((y0, ym), (ym, y1)):
-                qv, qe = _panel_2d(f2, qx0, qx1, qy0, qy1)
-                evals += 256 + 64
-                heapq.heappush(heap, (-qe, seq, qx0, qx1, qy0, qy1, qv, qe))
-                seq += 1
-        splits += 1
+def _quarter(x0, x1, y0, y1):
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return [(qx0, qx1, qy0, qy1) for qx0, qx1 in ((x0, xm), (xm, x1))
+            for qy0, qy1 in ((y0, ym), (ym, y1))]
 
-    panels = sorted(
-        [(x[2], x[4], x[3], x[5], x[6], x[7]) for x in heap]
-        + [(x[0], x[2], x[1], x[3], x[4], x[5]) for x in frozen]
-    )
-    value = math.fsum(p[4] for p in panels)
-    err_sum = math.fsum(p[5] for p in panels)
-    bound = 1.5 * err_sum + 2e-16 * (1.0 + abs(value))
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
-    return EvalResult(value, bound, evals, status)
+
+def _adapt_2d(f2, cfg: QuadratureConfig | None) -> EvalResult:
+    """Adaptive quadtree integration of f2 over [0,1]^2."""
+    return _refine(partial(_panel_2d, f2), _quarter,
+                   lambda x0, x1, y0, y1: x1 - x0 < 1e-13, (0.0, 1.0, 0.0, 1.0),
+                   256 + 64, cfg or _DEFAULT_CFG, 1.5, 2e-16)
 
 
 def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResult:
@@ -207,7 +196,6 @@ def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResu
     apply there as everywhere else.
     """
     z = check_real("z", z, (-1.0, 1.0))
-    cfg = cfg or _DEFAULT_CFG
 
     def f2(x, y):
         return 1.0 / ((1.0 - x * y * z) * (1.0 + x) * (1.0 + y))
@@ -223,7 +211,6 @@ def double_integral_bigG(z: float, cfg: QuadratureConfig | None = None) -> EvalR
     (w = xyz, truncation below 1e-24) to avoid cancellation.
     """
     z = check_real("z", z, (-1.0, 1.0))
-    cfg = cfg or _DEFAULT_CFG
 
     def f2(x, y):
         xy = x * y
@@ -242,7 +229,6 @@ def double_integral_bigG(z: float, cfg: QuadratureConfig | None = None) -> EvalR
 
 def double_integral_eq31(cfg: QuadratureConfig | None = None) -> EvalResult:
     """Integral over [0,1]^2 of x^2 y^2 / ((1 + x^2 y^2)(1+x)(1+y))."""
-    cfg = cfg or _DEFAULT_CFG
 
     def f2(x, y):
         s = (x * y) ** 2
@@ -253,7 +239,6 @@ def double_integral_eq31(cfg: QuadratureConfig | None = None) -> EvalResult:
 
 def double_integral_eq32(cfg: QuadratureConfig | None = None) -> EvalResult:
     """Integral over [0,1]^2 of log(1 + xy) / ((1+x)(1+y))."""
-    cfg = cfg or _DEFAULT_CFG
 
     def f2(x, y):
         return np.log1p(x * y) / ((1.0 + x) * (1.0 + y))

@@ -40,7 +40,8 @@ _max_terms = DEFAULT_MAX_TERMS
 
 
 def set_max_terms(n: int) -> None:
-    """Set the global term cap used by sum_series."""
+    """Set the global term cap of sum_series's interior sums; the endpoint
+    rules sum a fixed number of terms and ignore it."""
     global _max_terms
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("max terms must be a positive integer")
@@ -192,24 +193,6 @@ def _env_mu_log(n: int, mu: float | None) -> float:
 def _env_ramanujan(n: int, mu: float | None) -> float:
     n = max(n, 1)
     return (2.0 + math.log(n)) / n
-
-
-def cauchy_divide(coeffs: list[float], lam: float, n_out: int) -> list[float]:
-    """Coefficients of (sum a_n t^n) / (1 - lam t) through order n_out.
-
-    The recurrence b_n = lam * b_(n-1) + a_n is the Cauchy product with the
-    geometric series and gives b_n = sum_{k<=n} lam^(n-k) a_k exactly.
-    """
-    if n_out < 0:
-        raise ValueError("n_out must be >= 0")
-    if len(coeffs) < n_out + 1:
-        raise ValueError("need at least n_out + 1 input coefficients")
-    out = []
-    b = 0.0
-    for n in range(n_out + 1):
-        b = lam * b + coeffs[n]
-        out.append(b)
-    return out
 
 
 # -- alternating / one-signed endpoint machinery ----------------------------
@@ -371,7 +354,7 @@ def _one_signed(
     n_start = 1 if over == 0 else 0
 
     def rule(spec: _SeriesSpec, tol: float) -> EvalResult:
-        n_end = n_start + min(_TAIL_TERMS, _max_terms)
+        n_end = n_start + _TAIL_TERMS
         terms = []
         dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
         for n in range(n_start, n_end):
@@ -382,8 +365,6 @@ def _one_signed(
         tail, model_err = _tail(power, over, n_end + 1)
         value = sign * (math.fsum(terms) + tail) + const
         bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
-        if len(terms) < _TAIL_TERMS:  # a capped sum: the expansion is too
-            bound = math.inf          # coarse this early to bound the tail
         status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
         return EvalResult(value, bound, len(terms), status)
     return rule
@@ -525,15 +506,13 @@ def sum_series(
     t: float,
     tol: float = 1e-12,
     mu: float | None = None,
-    *,
-    min_terms: int = 0,
 ) -> EvalResult:
     """Evaluate the tagged series at t to absolute tolerance tol.
 
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
     rather than an exception; a bool or non-real t, tol or mu raises
-    DomainError.  min_terms forces at least that many interior terms; it
-    exists so callers can check bound honesty and is ignored at |t| = 1.
+    DomainError.  Interior sums stop at the term cap (set_max_terms) with
+    status MAX_TERMS; the endpoint rules sum a fixed number of terms.
     """
     spec = _SPECS[series_id]
     tol = check_real("tol", tol)
@@ -566,7 +545,7 @@ def sum_series(
         pw *= t
         tail = spec.env(n + 1, mu) * geom
         geom *= q
-        if tail <= 0.5 * tol and n + 1 >= min_terms:
+        if tail <= 0.5 * tol:
             hit_cap = False
             break
     value = math.fsum(terms) * t**spec.p if spec.p else math.fsum(terms)

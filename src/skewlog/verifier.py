@@ -153,8 +153,7 @@ def _series_tol(tol: float) -> float:
 
 
 def _quad_cfg(tol: float) -> QuadratureConfig:
-    return QuadratureConfig(
-        abs_tol=max(1e-11, 0.01 * tol), rel_tol=1e-12, max_subdivisions=4000)
+    return QuadratureConfig(abs_tol=max(1e-11, 0.01 * tol))
 
 
 def _points(grid: GridSpec):
@@ -290,17 +289,15 @@ def _square_integral(label: str, integral, rhs: float):
 @dataclass(frozen=True)
 class _Check:
     """One catalog row: run(identity, grid, tol) checks the identity on a
-    grid; a singular grid is checked as well by verify_all, at the relaxed
-    tolerance _SINGULAR_ENDPOINT_TOL."""
+    grid; a singular grid (the integrable corners z = +-1) is checked as
+    well by verify_all, at the same tolerance, but is not part of the
+    default grid of verify_identity."""
 
     grid: GridSpec
     tolerance: float
     run: Callable[[IdentityId, GridSpec, float], list[VerificationRecord]]
     singular: GridSpec | None = None
 
-
-#: |z| = 1 quadrature points get the relaxed singular tier.
-_SINGULAR_ENDPOINT_TOL = 1e-4
 
 _T6 = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 _MU5 = (-0.8, -0.3, 0.2, 0.7, 1.0)
@@ -466,27 +463,22 @@ def summarize(records: list[VerificationRecord]) -> dict[str, dict[str, int]]:
     return summary
 
 
-def verify_all(tolerances: dict[IdentityId, float] | None = None) -> Report:
+def verify_all() -> Report:
     """Run every identity on its default grid and assemble a Report.
 
     Identities with a singular grid (EQ29/EQ30 at z = +-1) additionally get
-    checked there under the relaxed singular-quadrature tier.
+    checked there, at their row tolerance.
     """
-    tol_map = {identity: _CHECKS[identity].tolerance for identity in IdentityId}
-    tol_map.update(tolerances or {})
-
     records: list[VerificationRecord] = []
     for identity in IdentityId:
-        row = _CHECKS[identity]
-        records.extend(
-            verify_identity(identity, row.grid, tol_map[identity]))
-        if row.singular is not None:
-            records.extend(verify_identity(
-                identity, row.singular, _SINGULAR_ENDPOINT_TOL))
+        records.extend(verify_identity(identity))
+        singular = _CHECKS[identity].singular
+        if singular is not None:
+            records.extend(verify_identity(identity, singular))
 
     metadata = {
-        "tolerances": {k.name: v for k, v in sorted(
-            tol_map.items(), key=lambda kv: kv[0].name)},
+        "tolerances": {k.name: _CHECKS[k].tolerance
+                       for k in sorted(IdentityId, key=lambda k: k.name)},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
     }

@@ -200,7 +200,7 @@ def test_criterion_10_quadrature_suite():
         worst_g = max(worst_g, resid)
     corner_p = abs(double_integral_g(1.0).value - LOG2)
     corner_m = abs(double_integral_g(-1.0).value - PI * PI / 24.0)
-    assert corner_p <= 1e-4 and corner_m <= 1e-4
+    assert corner_p <= 1e-10 and corner_m <= 1e-10
     worst_big = 0.0
     for z in (-0.9, -0.5, 0.5, 0.9):
         resid = abs(double_integral_bigG(z).value - closed_form_eq17(z))

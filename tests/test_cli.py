@@ -135,6 +135,15 @@ def test_env_max_terms_small_cap(monkeypatch, capsys):
     assert "status=MAX_TERMS" in capsys.readouterr().out
 
 
+def test_env_max_terms_spares_endpoint_rules(monkeypatch, capsys):
+    # the cap bounds interior sums only; the alternating (EQ4) and the
+    # one-signed (EQ9) endpoint rules both sum their fixed terms
+    monkeypatch.setenv("SKEWLOG_MAX_TERMS", "2")
+    for identity in ("EQ4", "EQ9"):
+        assert run(["verify", "--id", identity]) == 0, identity
+        assert "PASS=1 FAIL=0" in capsys.readouterr().out, identity
+
+
 def test_missing_required_argument(capsys):
     assert run(["eval", "li2"]) == 2
     capsys.readouterr()

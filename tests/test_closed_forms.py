@@ -12,14 +12,14 @@ from skewlog import (
     EQ18_VALUE,
     EQ19_VALUE,
     PoleError,
-    abel_residual,
+    SeriesId,
     abel_sides,
     closed_form,
     closed_form_eq17,
     constant,
     int_li2_over_1mt,
     li2,
-    ramanujan_eq27_residual,
+    sum_series,
 )
 
 LOG2 = math.log(2.0)
@@ -134,13 +134,15 @@ def test_abel_degenerate_mu():
     for x in (-0.5, 0.0, 0.7):
         lhs, rhs = abel_sides(0.0, x)
         assert lhs == rhs
-    assert abel_residual(0.0, 0.3) == 0.0
+    lhs, rhs = abel_sides(0.0, 0.3)
+    assert lhs - rhs == 0.0
 
 
 def test_abel_residual_grid():
     for mu in (-0.8, -0.3, 0.2, 0.7, 1.0):
         for x in (-0.9, -0.4, 0.3, 0.8):
-            assert abel_residual(mu, x) <= 1e-12, (mu, x)
+            lhs, rhs = abel_sides(mu, x)
+            assert abs(lhs - rhs) <= 1e-12, (mu, x)
 
 
 @given(
@@ -149,7 +151,8 @@ def test_abel_residual_grid():
 )
 @settings(max_examples=60)
 def test_abel_residual_property(mu, x):
-    assert abel_residual(mu, x) <= 1e-11
+    lhs, rhs = abel_sides(mu, x)
+    assert abs(lhs - rhs) <= 1e-11
 
 
 # --- composed-argument identities ---------------------------------------------
@@ -171,7 +174,9 @@ def test_landen_matches_direct_dilog():
 
 def test_ramanujan_residuals():
     for x in (-0.9, -0.5, -0.34, 0.0, 0.3, 0.7, 0.95):
-        assert ramanujan_eq27_residual(x) <= 1e-11, x
+        closed = closed_form(ClosedFormId.EQ27_RAMANUJAN, x)
+        series = sum_series(SeriesId.RAMANUJAN_ODD, x, 1e-13).value
+        assert abs(closed - series) <= 1e-11, x
 
 
 # --- series/derivative consistency for the mu forms ---------------------------

@@ -1,5 +1,6 @@
 """Dependency guard: the library imports only the standard library and
-numpy, and the tests never import the tools that generate reference data."""
+numpy, its lower layers import none of the upper ones, and the tests never
+import the tools that generate reference data."""
 
 import ast
 import pathlib
@@ -27,3 +28,29 @@ def test_import_dependencies():
     assert [(f, m) for p in src for f, m in _imports(p) if m not in allowed] == []
     banned = {"mpmath", "scipy", "sympy"}
     assert [(f, m) for p in tests for f, m in _imports(p) if m in banned] == []
+
+
+def _skewlog_imports(path):
+    """The skewlog modules a library file imports, relative or absolute."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, (
+                "skewlog" if node.level else "", node.module)))
+            # from skewlog import x (or from . import x) may name a module
+            targets = ([f"{module}.{alias.name}" for alias in node.names]
+                       if module == "skewlog" else [module])
+        else:
+            continue
+        for name in targets:
+            parts = name.split(".")
+            if parts[0] == "skewlog" and len(parts) > 1:
+                yield parts[1]
+
+
+def test_layering():
+    src = ROOT / "src" / "skewlog"
+    upper = {"series_engine", "verifier", "cli"}
+    for lower in ("polylog", "closed_forms", "quadrature"):
+        assert set(_skewlog_imports(src / f"{lower}.py")) & upper == set(), lower
