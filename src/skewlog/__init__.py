@@ -23,7 +23,7 @@ from .core_numerics import (
     skew_harmonic_mu,
 )
 from .errors import DomainError, PoleError
-from .polylog import li2, li3, polylog_series_oracle
+from .polylog import li2, li3
 from .quadrature import (
     QuadratureConfig,
     double_integral_bigG,
@@ -35,7 +35,6 @@ from .quadrature import (
 from .result import EvalResult, Status
 from .series_engine import (
     SeriesId,
-    accelerate_alternating,
     coefficient,
     get_max_terms,
     set_max_terms,
@@ -72,7 +71,6 @@ __all__ = [
     "Verdict",
     "VerificationRecord",
     "abel_sides",
-    "accelerate_alternating",
     "closed_form",
     "closed_form_eq17",
     "coefficient",
@@ -91,7 +89,6 @@ __all__ = [
     "li3",
     "odd_harmonic",
     "parse_report",
-    "polylog_series_oracle",
     "serialize_report",
     "set_max_terms",
     "skew_harmonic",

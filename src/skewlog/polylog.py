@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .core_numerics import CONSTANTS, check_real
-from .errors import DomainError
 
 _PI_SQ_OVER_6 = CONSTANTS["PI_SQ_OVER_6"]
 _LOG2 = CONSTANTS["LOG2"]
@@ -86,22 +85,3 @@ def li3(x: float) -> float:
         return rhs - _series(3, 1.0 - x) - _series(3, -(1.0 - x) / x)
     # x in (-1, -0.75): duplication Li_3(x) = Li_3(x^2)/4 - Li_3(-x)
     return 0.25 * li3(x * x) - li3(-x)
-
-
-def polylog_series_oracle(m: int, x: float, n_terms: int) -> float:
-    """Plain partial sum sum_{k=1..n_terms} x^k / k^m, exactly as written.
-
-    Slow-but-obvious cross-check for li2/li3; no reductions, no shortcuts.
-    """
-    if m not in (2, 3):
-        raise DomainError("order m must be 2 or 3")
-    if not -1.0 < check_real("x", x) < 1.0:
-        raise DomainError("oracle requires |x| < 1")
-    if n_terms < 0:
-        raise DomainError("n_terms must be >= 0")
-    terms = []
-    p = 1.0
-    for k in range(1, n_terms + 1):
-        p *= x
-        terms.append(p / k**m)
-    return math.fsum(terms)

@@ -1,12 +1,18 @@
 """Adaptive quadrature for the double-integral representations.
 
-1D: Gauss-Kronrod 7/15 under worst-interval bisection.  2D: embedded
-8x8 / 16x16 tensor Gauss-Legendre panels under adaptive quadrant
-subdivision.  Both run the same worst-panel-first refinement loop.  All
-nodes are interior, so integrable endpoint or corner singularities never get
-sampled; adaptivity grades panels toward them.  Panel contributions are
-totalled with fsum, which is correctly rounded, so the totals do not depend
-on the order in which panels were refined.
+1D: Gauss-Kronrod 7/15 under worst-interval bisection.  All nodes are
+interior, so integrable endpoint singularities never get sampled; adaptivity
+grades panels toward them.
+
+2D: each double integral has the form F(xy) / ((1+x)(1+y)) over the unit
+square.  With p = xy the x-integral is done exactly, and the double integral
+is one 1D integral against a shared kernel,
+
+    F(0) log^2 2 + int_0^1 (F(p) - F(0)) K(p) dp,
+    K(p) = int_p^1 dx / ((1+x)(x+p)) = (2 log((1+p)/2) - log p) / (1 - p),
+
+taken by the 1D rule in p = u^3.  Subtracting F(0) turns the log p end of
+K into p log p.
 """
 
 from __future__ import annotations
@@ -14,9 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-
-import numpy as np
 
 from .core_numerics import check_real
 from .errors import DomainError
@@ -89,55 +92,31 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return h * k, abs(h * (k - g))
 
 
-def _refine(rule, split, too_narrow, whole, cost: int, cfg: QuadratureConfig,
-            safety: float, slack: float) -> EvalResult:
-    """Worst-panel-first adaptive integration over the panel whole.
-
-    rule(*panel) gives a panel's value and error estimate from cost integrand
-    evaluations, split(*panel) its children, and a panel for which
-    too_narrow(*panel) holds is frozen instead of split.  Refinement stops
-    once safety times the summed estimates is within half the target, or
-    after cfg.max_subdivisions splits; the bound adds slack (1 + |value|)
-    for rounding.
-    """
-    v, e = rule(*whole)
-    heap = [(-e, 0, whole, v, e)]
-    frozen: list[tuple[float, float]] = []  # (value, error) of unsplittable
-    evals = cost
-    seq = 1
-    splits = 0
-    while splits < cfg.max_subdivisions:
-        total_val = math.fsum(x[3] for x in heap) + math.fsum(x[0] for x in frozen)
-        total_err = math.fsum(x[4] for x in heap) + math.fsum(x[1] for x in frozen)
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if safety * total_err <= 0.5 * target or not heap:
-            break
-        _, _, panel, pv, pe = heapq.heappop(heap)
-        if too_narrow(*panel):
-            frozen.append((pv, pe))
-            continue
-        for child in split(*panel):
-            cv, ce = rule(*child)
-            evals += cost
-            heapq.heappush(heap, (-ce, seq, child, cv, ce))
-            seq += 1
-        splits += 1
-
-    panels = [x[3:] for x in heap] + frozen
-    value = math.fsum(p[0] for p in panels)
-    bound = safety * math.fsum(p[1] for p in panels) + slack * (1.0 + abs(value))
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
-    return EvalResult(value, bound, evals, status)
-
-
-def _halve(a: float, b: float):
-    m = 0.5 * (a + b)
-    return (a, m), (m, b)
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to partials, non-overlapping floats whose exact sum is a running
+    total (Shewchuk 1997, as inside math.fsum)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> EvalResult:
-    """Oriented adaptive integral of f from a to b."""
+    """Oriented adaptive integral of f from a to b.
+
+    The panel with the largest error estimate is bisected until twice the
+    summed estimates is within half the target, or after
+    cfg.max_subdivisions bisections.  A panel narrower than 1e-14 times the
+    scale of the limits is frozen instead of bisected.  The totals are kept
+    as exact running partials, so each equals the fsum of its panels.
+    """
     a, b = check_real("a", a), check_real("b", b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
@@ -147,100 +126,117 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     if b < a:
         a, b = b, a
         sign = -1.0
-    scale = max(abs(a), abs(b), 1.0)
-    r = _refine(partial(_gk15, f), _halve,
-                lambda pa, pb: pb - pa < 1e-14 * scale, (a, b), 15,
-                cfg or _DEFAULT_CFG, 2.0, 1e-16)
-    return EvalResult(sign * r.value, r.error_bound, r.terms_used, r.status)
+    cfg = cfg or _DEFAULT_CFG
+    narrow = 1e-14 * max(abs(a), abs(b), 1.0)
+    v, e = _gk15(f, a, b)
+    heap = [(-e, 0, a, b, v)]
+    vals, errs = [v], [e]
+    evals = 15
+    splits = 0
+    while splits < cfg.max_subdivisions and heap:
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(math.fsum(vals)))
+        if 2.0 * math.fsum(errs) <= 0.5 * target:
+            break
+        neg_e, _, pa, pb, pv = heapq.heappop(heap)
+        if pb - pa < narrow:
+            continue  # frozen: its value and error stay in the totals
+        _add_exact(vals, -pv)
+        _add_exact(errs, neg_e)
+        m = 0.5 * (pa + pb)
+        for ca, cb in ((pa, m), (m, pb)):
+            cv, ce = _gk15(f, ca, cb)
+            _add_exact(vals, cv)
+            _add_exact(errs, ce)
+            evals += 15
+            # evals is unique per panel, so ties go in insertion order
+            heapq.heappush(heap, (-ce, evals, ca, cb, cv))
+        splits += 1
+
+    value = math.fsum(vals)
+    bound = 2.0 * math.fsum(errs) + 1e-16 * (1.0 + abs(value))
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
+    return EvalResult(sign * value, bound, evals, status)
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# log^2 2, correctly rounded
+_LOG2_SQ = 0.48045301391820144
 
 
-def _panel_2d(f2, x0, x1, y0, y1) -> tuple[float, float]:
-    """16x16 tensor value and |I16 - I8| estimate on a rectangle."""
-    hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    vals = []
-    for n in (16, 8):
-        xn, wn = _gl_nodes(n)
-        gx = cx + hx * xn
-        gy = cy + hy * xn
-        fv = f2(gx[:, None], gy[None, :])
-        vals.append(hx * hy * float(wn @ fv @ wn))
-    return vals[0], abs(vals[0] - vals[1])
+def _kernel(p: float) -> float:
+    """K(p) in s = 1 - p, exact for p >= 1/2 by Sterbenz; below s = 1e-3
+    its series sum_k (1 - 2^(1-k))/k s^(k-1), k = 2..6."""
+    s = 1.0 - p
+    if s < 1e-3:
+        return s * (0.25 + s * (0.25 + s * (7.0 / 32.0 + s * (
+            3.0 / 16.0 + s * (31.0 / 192.0)))))
+    # log(p) of the same rounded p: 3 log(u) would not cancel against s
+    return (2.0 * math.log1p(-0.5 * s) - math.log(p)) / s
 
 
-def _quarter(x0, x1, y0, y1):
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return [(qx0, qx1, qy0, qy1) for qx0, qx1 in ((x0, xm), (xm, x1))
-            for qy0, qy1 in ((y0, ym), (ym, y1))]
+def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
+    """Integral over [0,1]^2 of F(xy) / ((1+x)(1+y)), given f0 = F(0) and
+    d(p) = F(p) - F(0); see the module docstring."""
 
+    def h(u):
+        p = u * u * u
+        return 3.0 * u * u * d(p) * _kernel(p)
 
-def _adapt_2d(f2, cfg: QuadratureConfig | None) -> EvalResult:
-    """Adaptive quadtree integration of f2 over [0,1]^2."""
-    return _refine(partial(_panel_2d, f2), _quarter,
-                   lambda x0, x1, y0, y1: x1 - x0 < 1e-13, (0.0, 1.0, 0.0, 1.0),
-                   256 + 64, cfg or _DEFAULT_CFG, 1.5, 2e-16)
+    cfg = cfg or _DEFAULT_CFG
+    r = integrate_1d(h, 0.0, 1.0, cfg)
+    value = f0 * _LOG2_SQ + r.value
+    bound = r.error_bound + 2.5e-16 * (abs(f0) * _LOG2_SQ + abs(value))
+    status = r.status
+    if bound > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        status = Status.MAX_TERMS
+    return EvalResult(value, bound, r.terms_used, status)
 
 
 def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResult:
     """g(z) = integral over [0,1]^2 of 1 / ((1 - xyz)(1+x)(1+y)).
 
-    At z = 1 the integrand blows up like 1/((1-x) + (1-y)) at the (1,1)
-    corner (integrable).  The quadtree samples no corner node and grades its
-    panels into the corner, so the same rule and the requested tolerance
-    apply there as everywhere else.
+    F(p) = 1/(1 - pz), and F(p) - 1 = pz/(1 - pz) is used as written.  At
+    z = 1 it grows like 1/(1 - p) while K(p) vanishes like (1 - p)/4, so the
+    1D integrand stays bounded.
     """
     z = check_real("z", z, (-1.0, 1.0))
 
-    def f2(x, y):
-        return 1.0 / ((1.0 - x * y * z) * (1.0 + x) * (1.0 + y))
+    def d(p):
+        w = p * z
+        return w / (1.0 - w)
 
-    return _adapt_2d(f2, cfg)
+    return _xy_integral(d, 1.0, cfg)
 
 
 def double_integral_bigG(z: float, cfg: QuadratureConfig | None = None) -> EvalResult:
     """G(z) = -integral over [0,1]^2 of log(1 - xyz) / (xy (1+x)(1+y)).
 
-    The xy -> 0 limit of -log(1-xyz)/(xy) is z (removable); for
-    xy |z| < 1e-4 the factor is replaced by its power series through w^5
-    (w = xyz, truncation below 1e-24) to avoid cancellation.
+    F(p) = -log(1 - pz)/p with F(0) = z.  For |pz| < 1e-4, F(p) - z is
+    replaced by its power series through w^5 (w = pz, truncation below
+    1e-20 relative) to avoid cancellation.
     """
     z = check_real("z", z, (-1.0, 1.0))
 
-    def f2(x, y):
-        xy = x * y
-        w = xy * z
-        guard = np.abs(w) < 1e-4
-        xy_safe = np.where(guard, 1.0, xy)
-        direct = -np.log1p(-w) / xy_safe
-        series = z * (
-            1.0 + w * (1.0 / 2.0 + w * (1.0 / 3.0 + w * (
+    def d(p):
+        w = p * z
+        if abs(w) < 1e-4:
+            return z * w * (1.0 / 2.0 + w * (1.0 / 3.0 + w * (
                 1.0 / 4.0 + w * (1.0 / 5.0 + w / 6.0))))
-        )
-        return np.where(guard, series, direct) / ((1.0 + x) * (1.0 + y))
+        return -math.log1p(-w) / p - z
 
-    return _adapt_2d(f2, cfg)
+    return _xy_integral(d, z, cfg)
 
 
 def double_integral_eq31(cfg: QuadratureConfig | None = None) -> EvalResult:
     """Integral over [0,1]^2 of x^2 y^2 / ((1 + x^2 y^2)(1+x)(1+y))."""
 
-    def f2(x, y):
-        s = (x * y) ** 2
-        return s / ((1.0 + s) * (1.0 + x) * (1.0 + y))
+    def d(p):
+        s = p * p
+        return s / (1.0 + s)
 
-    return _adapt_2d(f2, cfg)
+    return _xy_integral(d, 0.0, cfg)
 
 
 def double_integral_eq32(cfg: QuadratureConfig | None = None) -> EvalResult:
     """Integral over [0,1]^2 of log(1 + xy) / ((1+x)(1+y))."""
-
-    def f2(x, y):
-        return np.log1p(x * y) / ((1.0 + x) * (1.0 + y))
-
-    return _adapt_2d(f2, cfg)
+    return _xy_integral(math.log1p, 0.0, cfg)

@@ -7,7 +7,7 @@ ways depending on t:
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
   majorant of |a_n|;
-* alternating endpoint: iterated averaging (accelerate_alternating) with a
+* alternating endpoint: iterated averaging (_accelerate_alternating) with a
   bracket-width bound;
 * one-signed endpoint: a fixed 32-term partial sum plus the tail beyond it,
   from the asymptotic expansion of c_n = (-1)^n (log 2 - H_n^-) in
@@ -200,7 +200,7 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
 _FP_SLACK = 2e-16
 
 
-def accelerate_alternating(terms: list[float], tol: float) -> EvalResult:
+def _accelerate_alternating(terms: list[float], tol: float) -> EvalResult:
     """Estimate the limit of sum(terms + tail) from a finite prefix.
 
     The terms must alternate strictly in sign with nonincreasing magnitudes;
@@ -263,7 +263,7 @@ def _alternating(
         terms = [a(n) * sign**n for n in range(_ALT_TERMS)]
         while terms[0] == 0.0:
             terms.pop(0)
-        r = accelerate_alternating(terms, tol)
+        r = _accelerate_alternating(terms, tol)
         # the bound's rounding slack also covers adding const
         return EvalResult(prefactor * r.value + const, r.error_bound,
                           _ALT_TERMS, r.status)

@@ -1,9 +1,11 @@
-"""Dependency guard: the library imports only the standard library and
-numpy, its lower layers import none of the upper ones, and the tests never
-import the tools that generate reference data."""
+"""Dependency guard: the library imports only the standard library (and
+loads no numpy), its lower layers import none of the upper ones, and the
+tests never import the tools that generate reference data."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,10 +26,22 @@ def test_import_dependencies():
     src = sorted((ROOT / "src" / "skewlog").glob("*.py"))
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert src and tests
-    allowed = set(sys.stdlib_module_names) | {"numpy", "skewlog"}
+    allowed = set(sys.stdlib_module_names) | {"skewlog"}
     assert [(f, m) for p in src for f, m in _imports(p) if m not in allowed] == []
     banned = {"mpmath", "scipy", "sympy"}
     assert [(f, m) for p in tests for f, m in _imports(p) if m in banned] == []
+
+
+def test_import_loads_no_numpy():
+    # a clean interpreter: neither the package nor the CLI pulls numpy in
+    code = ("import sys, skewlog, skewlog.cli; "
+            "print('numpy' in sys.modules)")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _skewlog_imports(path):

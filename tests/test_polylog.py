@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from skewlog import DomainError, constant, li2, li3, polylog_series_oracle
+from skewlog import DomainError, constant, li2, li3
 
 # Reference values computed independently at 50-digit working precision,
 # then rounded to the nearest double.
@@ -54,6 +54,25 @@ def test_exact_table_points():
     assert li3(-1.0) == constant("LI3_MINUS1")
     assert li2(0.5) == constant("LI2_HALF")
     assert li3(0.5) == constant("LI3_HALF")
+
+
+def polylog_series_oracle(m: int, x: float, n_terms: int) -> float:
+    """Plain partial sum sum_{k=1..n_terms} x^k / k^m, exactly as written.
+
+    Slow-but-obvious cross-check for li2/li3; no reductions, no shortcuts.
+    """
+    if m not in (2, 3):
+        raise DomainError("order m must be 2 or 3")
+    if not -1.0 < x < 1.0:
+        raise DomainError("oracle requires |x| < 1")
+    if n_terms < 0:
+        raise DomainError("n_terms must be >= 0")
+    terms = []
+    p = 1.0
+    for k in range(1, n_terms + 1):
+        p *= x
+        terms.append(p / k**m)
+    return math.fsum(terms)
 
 
 def test_against_series_oracle():

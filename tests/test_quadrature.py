@@ -1,4 +1,5 @@
-"""Adaptive 1D Gauss-Kronrod and the 2D panels behind the double integrals."""
+"""Adaptive 1D Gauss-Kronrod and the 1D kernel integral behind the double
+integrals."""
 
 import math
 
@@ -6,6 +7,8 @@ import pytest
 
 from skewlog import (
     ClosedFormId,
+    EQ18_VALUE,
+    EQ19_VALUE,
     EvalResult,
     QuadratureConfig,
     Status,
@@ -19,6 +22,7 @@ from skewlog import (
     integrate_1d,
     li2,
 )
+from skewlog.quadrature import _xy_integral
 
 LOG2 = math.log(2.0)
 
@@ -94,15 +98,20 @@ def test_refinement_improves_bound():
 
 def test_unsplittable_panels_are_frozen():
     # panels too narrow to split stop refining but still count in the total;
-    # pinned bit for bit, the 2D case with one frozen panel, the 1D case
-    # with twelve
-    res = double_integral_g(1.0, QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15))
-    assert res == EvalResult(0.6931471805599452, 8.212732042389031e-16, 79680,
-                             Status.CONVERGED)
+    # pinned bit for bit, twelve frozen panels
     cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2000)
     res = integrate_1d(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, cfg)
     assert res == EvalResult(1.9999999961495978, 1.187697357901929e-08, 60015,
                              Status.MAX_TERMS)
+
+
+def test_g_at_one_to_full_precision():
+    # the 1D integrand of g stays bounded at z = 1, so the log 2 corner
+    # converges at the tightest tolerance in a few hundred evaluations
+    res = double_integral_g(1.0, QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15))
+    assert res.status is Status.CONVERGED
+    assert abs(res.value - LOG2) <= 1e-15
+    assert res.terms_used <= 2000
 
 
 def test_determinism():
@@ -135,8 +144,8 @@ def test_g_singular_corners():
 
 
 def test_singular_corners_meet_requested_tolerance():
-    # the quadtree grades panels into the z = 1 corner down to the requested
-    # tolerance; CONVERGED means that tolerance was met
+    # the z = 1 corner is met at the requested tolerance; CONVERGED means
+    # that tolerance was met
     res = double_integral_g(1.0)
     assert res.status is Status.CONVERGED
     assert abs(res.value - LOG2) <= 1e-10
@@ -188,19 +197,54 @@ def test_log_product_square():
     assert abs(res.value - 0.08007047107127240) <= 1e-8
 
 
-def test_swap_order_consistency():
-    # integrand of g is x<->y symmetric already; check a deliberately
-    # asymmetric variant agrees when the roles of the axes are exchanged
-    import numpy as np
-    from skewlog.quadrature import _adapt_2d
+def test_xy_reduction_of_monomials():
+    # for F(p) = p^n the double integral factors into beta_{n+1}^2, where
+    # beta_k = int_0^1 x^(k-1)/(1+x) dx: beta_1 = log 2, beta_{k+1} = 1/k - beta_k
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+    beta = LOG2
+    for n in range(9):
+        if n == 0:
+            res = _xy_integral(lambda p: 0.0, 1.0, cfg)
+        else:
+            res = _xy_integral(lambda p: p**n, 0.0, cfg)
+        ref = beta * beta
+        assert res.status is Status.CONVERGED, n
+        assert abs(res.value - ref) <= res.error_bound + 4 * math.ulp(ref), n
+        beta = 1.0 / (n + 1) - beta
 
-    def f(x, y):
-        return np.exp(x) * np.cos(2.0 * y)
 
-    def f_swapped(x, y):
-        return np.exp(y) * np.cos(2.0 * x)
+# exact values at the domain edges, 25 digits computed offline with mpmath at
+# 40-50 digits; g(+-0.999) and G(+-0.999) both by tanh-sinh on the kernel
+# integral and by summing z^n beta_{n+1}^2 and z^n beta_n^2 / n directly
+_EDGE_VALUES = {
+    ("g", 1.0): 0.6931471805599453094172321,  # log 2
+    ("g", 0.999): 0.6914667744800284307393439,
+    ("g", 0.0): 0.4804530139182014246671025,  # log^2 2
+    ("g", -0.999): 0.4112857189460731365612791,
+    ("g", -1.0): 0.4112335167120566091181038,  # pi^2/24
+    ("G", 1.0): EQ18_VALUE,
+    ("G", 0.999): 0.5512034820246955769311518,
+    ("G", 0.0): 0.0,
+    ("G", -0.999): -0.4420489297620646110462693,
+    ("G", -1.0): EQ19_VALUE,
+    ("EQ31", None): 0.02899509302173870,
+    ("EQ32", None): 0.08007047107127240,
+}
+_INTEGRALS = {
+    "g": double_integral_g,
+    "G": double_integral_bigG,
+    "EQ31": lambda z, cfg: double_integral_eq31(cfg),
+    "EQ32": lambda z, cfg: double_integral_eq32(cfg),
+}
 
-    cfg = QuadratureConfig()
-    a = _adapt_2d(f, cfg)
-    b = _adapt_2d(f_swapped, cfg)
-    assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-15
+
+@pytest.mark.parametrize("tol,budget", [(1e-10, 500), (1e-15, 1000)])
+def test_edges_bound_honesty_and_cost(tol, budget):
+    # the quadtree this replaced took 320 evaluations per panel and 13,120 or
+    # more at z = +-1, so the budget also pins the 1D route
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    for (kind, z), ref in _EDGE_VALUES.items():
+        res = _INTEGRALS[kind](z, cfg)
+        assert res.status is Status.CONVERGED, (kind, z)
+        assert abs(res.value - ref) <= res.error_bound, (kind, z)
+        assert res.terms_used <= budget, (kind, z)

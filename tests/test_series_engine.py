@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from skewlog import (
     SeriesId,
     Status,
-    accelerate_alternating,
     closed_form,
     coefficient,
     get_max_terms,
@@ -18,7 +17,7 @@ from skewlog import (
     skew_harmonic_mu,
     sum_series,
 )
-from skewlog.series_engine import _SPECS, series_catalog
+from skewlog.series_engine import _SPECS, _accelerate_alternating, series_catalog
 
 LOG2 = math.log(2.0)
 
@@ -80,14 +79,14 @@ def test_coefficient_negative_index():
 
 def test_accelerate_alternating_log2():
     terms = [(-1.0) ** (k - 1) / k for k in range(1, 61)]
-    res = accelerate_alternating(terms, 1e-12)
+    res = _accelerate_alternating(terms, 1e-12)
     assert res.status is Status.CONVERGED
     assert abs(res.value - LOG2) <= res.error_bound
     assert res.error_bound <= 1e-12
 
 
 def test_accelerate_single_term():
-    res = accelerate_alternating([0.25], 1e-30)
+    res = _accelerate_alternating([0.25], 1e-30)
     assert res.value == 0.25
     assert res.error_bound >= 0.25  # one term tells us nothing about the tail
 
@@ -97,25 +96,25 @@ def test_accelerate_one_signed_extrapolation():
     terms = [(-1.0) ** n * (LOG2 - skew_harmonic(n)) / n for n in range(1, 257)]
     assert all(t > 0 for t in terms)
     with pytest.raises(ValueError):
-        accelerate_alternating(terms, 1e-8)
+        _accelerate_alternating(terms, 1e-8)
 
 
 def test_accelerate_mixed_signs_falls_back():
     # irregular signs have no plain-sum fallback: they are rejected
     terms = [1.0, 0.5, -0.2, 0.3, -0.1, 0.05, 0.01, -0.002]
     with pytest.raises(ValueError):
-        accelerate_alternating(terms, 1e-3)
+        _accelerate_alternating(terms, 1e-3)
 
 
 def test_accelerate_rejects_growing_terms():
     terms = [(-2.0) ** k for k in range(10)]
     with pytest.raises(ValueError):
-        accelerate_alternating(terms, 1e-8)
+        _accelerate_alternating(terms, 1e-8)
 
 
 def test_accelerate_empty_rejected():
     with pytest.raises(ValueError):
-        accelerate_alternating([], 1e-10)
+        _accelerate_alternating([], 1e-10)
 
 
 @given(r=st.floats(min_value=0.05, max_value=0.95))
@@ -123,7 +122,7 @@ def test_accelerate_empty_rejected():
 def test_accelerate_geometric_property(r):
     # sum (-r)^(k-1) = 1/(1+r)
     terms = [(-r) ** (k - 1) for k in range(1, 50)]
-    res = accelerate_alternating(terms, 1e-11)
+    res = _accelerate_alternating(terms, 1e-11)
     assert abs(res.value - 1.0 / (1.0 + r)) <= max(res.error_bound, 1e-11)
 
 
