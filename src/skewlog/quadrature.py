@@ -33,10 +33,11 @@ class QuadratureConfig:
     max_subdivisions: int = 4000
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.abs_tol, float) and self.abs_tol >= 1e-15):
-            raise ValueError("abs_tol must be a float >= 1e-15")
-        if not (isinstance(self.rel_tol, float) and self.rel_tol >= 1e-15):
-            raise ValueError("rel_tol must be a float >= 1e-15")
+        for name in ("abs_tol", "rel_tol"):
+            tol = check_real(name, getattr(self, name))
+            if not (tol >= 1e-15 and math.isfinite(tol)):
+                raise ValueError(f"{name} must be a finite number >= 1e-15")
+            object.__setattr__(self, name, tol)
         if not (
             isinstance(self.max_subdivisions, int)
             and 1 <= self.max_subdivisions <= 1_000_000

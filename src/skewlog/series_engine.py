@@ -1,21 +1,20 @@
 """Tagged power series with rigorous tail bounds.
 
 Each SeriesId names one concrete power series sum_{n} a_n t^(n+p) whose
-coefficients involve skew-harmonic numbers.  sum_series evaluates it three
+coefficients involve skew-harmonic numbers.  sum_series evaluates it two
 ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
   majorant of |a_n|;
-* alternating endpoint: iterated averaging (_accelerate_alternating) with a
-  bracket-width bound;
-* one-signed endpoint: a fixed 32-term partial sum plus the tail beyond it,
-  from the asymptotic expansion of c_n = (-1)^n (log 2 - H_n^-) in
-  u = 1/(n+1), generated from Bernoulli numbers through u^12 and summed
-  against Euler-Maclaurin Hurwitz zeta values; the two omitted orders,
-  doubled, and the rounding of each c_n make the bound.
-
-Either endpoint rule may add an exact constant.
+* endpoint t = +-1: every term there is s_n c_n^k / (n + d)^e with
+  c_n = (-1)^n (log 2 - H_n^-) and s_n = 1 or (-1)^n.  One rule sums a
+  fixed 32 terms plus the tail beyond them, from the asymptotic expansion
+  of c_n in u = 1/(n+1), generated from Bernoulli numbers through u^12 and
+  summed against Euler-Maclaurin Hurwitz zeta values (their alternating
+  combination eta for s_n = (-1)^n); the two omitted orders, doubled, and
+  the rounding of each c_n make the bound.  A rule may add an exact
+  constant.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -195,90 +194,22 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
     return (2.0 + math.log(n)) / n
 
 
-# -- alternating / one-signed endpoint machinery ----------------------------
-
-_FP_SLACK = 2e-16
-
-
-def _accelerate_alternating(terms: list[float], tol: float) -> EvalResult:
-    """Estimate the limit of sum(terms + tail) from a finite prefix.
-
-    The terms must alternate strictly in sign with nonincreasing magnitudes;
-    other input raises ValueError.  Iterated averaging of the partial sums
-    is used: consecutive entries of every row bracket the limit, so half the
-    tightest bracket is a rigorous bound.
-    """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ValueError("tol must be positive")
-    terms = [float(x) for x in terms]
-    if not terms:
-        raise ValueError("terms must be non-empty")
-    signs = [1 if x > 0 else -1 for x in terms if x != 0.0]
-    alternating = (
-        len(signs) == len(terms)
-        and all(signs[i] == -signs[i + 1] for i in range(len(signs) - 1))
-    )
-    mags = [abs(x) for x in terms]
-    nonincreasing = all(
-        mags[i + 1] <= mags[i] * (1.0 + 1e-12) for i in range(len(mags) - 1)
-    )
-    if not (alternating and nonincreasing):
-        raise ValueError(
-            "terms must alternate in sign with nonincreasing magnitudes")
-
-    row = list(itertools.accumulate(terms))
-    best_val = row[-1]
-    best_hw = abs(terms[-1])
-    while len(row) >= 2:
-        a, b = row[-2], row[-1]
-        hw = 0.5 * abs(b - a)
-        if hw < best_hw:
-            best_hw = hw
-            best_val = 0.5 * (a + b)
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-    bound = 1.25 * best_hw + 8e-16 * (1.0 + abs(best_val))
-    status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-    return EvalResult(best_val, bound, len(terms), status)
-
-
-#: An endpoint rule evaluates a series at t = +-1 to tolerance tol.
-_EndpointRule = Callable[["_SeriesSpec", float], EvalResult]
-
-#: Terms averaged at an alternating endpoint.  On every alternating row the
-#: bound from 64 terms is already at its rounding floor; 128 to 1024 terms
-#: give the same bound and a larger actual error.
-_ALT_TERMS = 64
-
-
-def _alternating(
-    sign: float, prefactor: float = 1.0,
-    coeff: Callable[[int], float] | None = None, const: float = 0.0,
-) -> _EndpointRule:
-    """Rule for terms that alternate at t = sign: averaged partial sums of
-    coeff (default the row's coefficients), times prefactor (the value of
-    t^p), plus const."""
-
-    def rule(spec: _SeriesSpec, tol: float) -> EvalResult:
-        a = coeff or spec.coeff
-        terms = [a(n) * sign**n for n in range(_ALT_TERMS)]
-        while terms[0] == 0.0:
-            terms.pop(0)
-        r = _accelerate_alternating(terms, tol)
-        # the bound's rounding slack also covers adding const
-        return EvalResult(prefactor * r.value + const, r.error_bound,
-                          _ALT_TERMS, r.status)
-    return rule
-
-
-# -- asymptotic tail engine for the one-signed endpoint sums ----------------
+# -- endpoint rules: a fixed prefix plus an asymptotic tail ------------------
 #
 # c_n is the Laplace transform of 1/(1+e^-s) = 1/2 + tanh(s/2)/2 at n+1, so
 # in u = 1/(n+1)
 #     c_n ~ u/2 + sum_k (4^k - 1) B_2k/(2k) u^2k = u/2 + u^2/4 - u^4/8 + ...
 # where (4^k - 1) B_2k/(2k) = (-1)^(k-1) T_(2k-1) / 4^k with the integer
-# tangent numbers T, exact in binary.  A one-signed term c_n^k / (n + d) is
-# that expansion multiplied out, and its sum over n >= N is
-# sum_j a_j zeta(j, N+1).
+# tangent numbers T, exact in binary.  An endpoint term s_n c_n^k / (n + d)^e,
+# with s_n = 1 or (-1)^n, is that expansion multiplied out, and its sum over
+# n >= N is sum_j a_j zeta(j, N+1), or (-1)^N sum_j a_j eta(j, N+1) for the
+# alternating s_n, with eta(j, m) = sum_{i >= 0} (-1)^i (m+i)^-j.
+
+_FP_SLACK = 2e-16
+
+#: An endpoint rule evaluates a series at t = +-1 to tolerance tol.
+_EndpointRule = Callable[[float], EvalResult]
+
 
 def _tangent_numbers(k: int) -> list[int]:
     """T_1, T_3, ..., T_(2k-1) of tan x = sum_j T_(2j-1) x^(2j-1)/(2j-1)!
@@ -309,27 +240,37 @@ def _mul(a: list[float], b: list[float]) -> list[float]:
             for j in range(_TAIL_DEG + 1)]
 
 
-def _hurwitz(s: int, m: int) -> float:
-    """zeta(s, m) = sum_{n >= m} n^-s, s >= 2, by Euler-Maclaurin.  For n^-s
-    the remainder is below the first omitted correction; corrections are
-    added until one falls under 2^-60 of the sum."""
-    x = float(m)
-    total = x ** (1 - s) / (s - 1) + 0.5 * x**-s
-    g = 0.5 * s * x ** (-s - 1)  # s (s+1) ... (s+2k-2) m^(1-s-2k) / (2k)!
+def _hurwitz(s: int, x: float) -> float:
+    """zeta(s, x) = sum_{i >= 0} (x+i)^-s for s >= 2 and real x > 0, and its
+    finite part -psi(x) at s = 1, by Euler-Maclaurin.  For (x+i)^-s the
+    remainder is below the first omitted correction; corrections are added
+    until one falls under 2^-60 of |sum|."""
+    total = (-math.log(x) if s == 1 else x ** (1 - s) / (s - 1)) + 0.5 * x**-s
+    g = 0.5 * s * x ** (-s - 1)  # s (s+1) ... (s+2k-2) x^(1-s-2k) / (2k)!
     for k, b in enumerate(_BERNOULLI, 1):
         total += b * g
-        if abs(b * g) < 2.0**-60 * total:
+        if abs(b * g) < 2.0**-60 * abs(total):
             break
         g *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * x**2)
     return total
 
 
+def _eta(s: int, x: float) -> float:
+    """eta(s, x) = sum_{i >= 0} (-1)^i (x+i)^-s, s >= 1, as the difference
+    2^-s (zeta(s, x/2) - zeta(s, (x+1)/2)).  The difference cancels most at
+    s = 1, where zeta(1, x/2) ~ -log(x/2); at x = 33 and 34 its rounding is
+    below 7.4e-17 (5e-15 relative), far inside the bound's _C_ERR term."""
+    return 2.0**-s * (_hurwitz(s, 0.5 * x) - _hurwitz(s, 0.5 * (x + 1.0)))
+
+
 @functools.cache
-def _tail(power: int, over: int | None, m: int) -> tuple[float, float]:
-    """sum_{n >= m-1} c_n^power / (n + over) (no divisor for over None) and
-    a bound on its model error: the expansion in u is multiplied out, its
-    powers through _TAIL_ORDER are summed against zeta(j, m), and twice the
-    two omitted powers are the bound."""
+def _tail(power: int, over: int | None, deg: int, alt: bool,
+          m: int) -> tuple[float, float]:
+    """sum_{n >= m-1} s_n c_n^power / (n + over)^deg (no divisor for over
+    None), s_n = (-1)^n if alt else 1, and a bound on its model error: the
+    expansion in u is multiplied out, its powers through _TAIL_ORDER are
+    summed against zeta(j, m) (eta(j, m) if alt), and twice the two omitted
+    powers, summed against zeta(j, m) without signs, are the bound."""
     c = [0.0] * (_TAIL_DEG + 1)
     c[1] = 0.5
     for k in range(1, _TAIL_DEG // 2 + 1):
@@ -338,31 +279,42 @@ def _tail(power: int, over: int | None, m: int) -> tuple[float, float]:
     for _ in range(power):
         a = _mul(a, c)
     if over is not None:  # 1/(n + over) = u / (1 - (1 - over) u)
-        a = _mul(a, [0.0] + [float((1 - over) ** (j - 1))
-                             for j in range(1, _TAIL_DEG + 1)])
-    # every term is O(u^2), so zeta(j, m) is never needed for j < 2
-    terms = [x * _hurwitz(j, m) if x else 0.0 for j, x in enumerate(a)]
-    return (math.fsum(terms[:_TAIL_ORDER + 1]),
-            2.0 * math.fsum(map(abs, terms[_TAIL_ORDER + 1:])))
+        inv = [0.0] + [float((1 - over) ** (j - 1))
+                       for j in range(1, _TAIL_DEG + 1)]
+        for _ in range(deg):
+            a = _mul(a, inv)
+
+    def against(f: Callable[[int, float], float], js: range) -> list[float]:
+        return [a[j] * f(j, float(m)) if a[j] else 0.0 for j in js]
+
+    # a[0] = 0: every term is O(u)
+    head = against(_eta if alt else _hurwitz, range(1, _TAIL_ORDER + 1))
+    omitted = against(_hurwitz, range(_TAIL_ORDER + 1, _TAIL_DEG + 1))
+    sign = -1.0 if alt and m % 2 == 0 else 1.0  # (-1)^(m-1)
+    return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
 
 
-def _one_signed(
-    power: int, over: int | None = None, sign: float = 1.0, const: float = 0.0,
+def _endpoint(
+    power: int, over: int | None = None, deg: int = 1, sign: float = 1.0,
+    alt: bool = False, const: float = 0.0, start: int | None = None,
 ) -> _EndpointRule:
-    """Rule for one-signed terms sign * c_n^power / (n + over) (no divisor
-    for over None): _TAIL_TERMS terms plus the asymptotic tail, plus const."""
-    n_start = 1 if over == 0 else 0
+    """Rule for the terms sign * s_n c_n^power / (n + over)^deg (no divisor
+    for over None), s_n = (-1)^n if alt else 1, from n = start (default 1
+    for over 0, else 0): _TAIL_TERMS terms plus the asymptotic tail, plus
+    const."""
+    if start is None:
+        start = 1 if over == 0 else 0
+    n_end = start + _TAIL_TERMS
 
-    def rule(spec: _SeriesSpec, tol: float) -> EvalResult:
-        n_end = n_start + _TAIL_TERMS
+    def rule(tol: float) -> EvalResult:
         terms = []
         dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
-        for n in range(n_start, n_end):
+        for n in range(start, n_end):
             c = _c(n)
-            x = c**power if over is None else c**power / (n + over)
-            terms.append(x)
+            x = c**power if over is None else c**power / (n + over) ** deg
+            terms.append(-x if alt and n % 2 else x)
             dc += power * x / c
-        tail, model_err = _tail(power, over, n_end + 1)
+        tail, model_err = _tail(power, over, deg, alt, n_end + 1)
         value = sign * (math.fsum(terms) + tail) + const
         bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
         status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
@@ -399,44 +351,48 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
         "EQ2", "EQ2_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_gf_skew),
     SeriesId.GF_CENTERED: _SeriesSpec(
         "EQ3", "EQ3_LHS", 0, -1.0, "|t| < 1 or t = 1", _env_inv_np1,
-        _coeff_gf_centered, endpoints={1.0: _alternating(1.0)}),
+        # H_n^- - log 2 = -(-1)^n c_n
+        _coeff_gf_centered,
+        endpoints={1.0: _endpoint(1, sign=-1.0, alt=True)}),
     SeriesId.SKEW_OVER_N: _SeriesSpec(
         "EQ5", "EQ5_LHS", 0, -1.0, "|t| <= 1, t != 1", _env_inv,
         # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
         _coeff_skew_over_n,
-        endpoints={-1.0: _one_signed(1, over=0, sign=-1.0, const=-LOG2**2)}),
+        endpoints={-1.0: _endpoint(1, over=0, sign=-1.0, const=-LOG2**2)}),
     SeriesId.CENTERED_OVER_N: _SeriesSpec(
         "EQ8", "EQ8_LHS", 0, -1.0, "|t| <= 1", _env_half_inv_sq,
         _coeff_centered_over_n, endpoints={
-            1.0: _alternating(1.0),
-            -1.0: _one_signed(1, over=0, sign=-1.0),
+            1.0: _endpoint(1, over=0, sign=-1.0, alt=True),
+            -1.0: _endpoint(1, over=0, sign=-1.0),
         }),
     SeriesId.CENTERED_SHIFT: _SeriesSpec(
         "EQ11", "EQ11_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_sq,
         _coeff_centered_shift, endpoints={
-            1.0: _alternating(1.0),
+            1.0: _endpoint(1, over=1, sign=-1.0, alt=True),
             # t^p = -1 times the terms -c_n/(n+1)
-            -1.0: _one_signed(1, over=1),
+            -1.0: _endpoint(1, over=1),
         }),
     SeriesId.SKEW_SQ: _SeriesSpec(
         "EQ12", "EQ12_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_skew_sq),
     SeriesId.CENTERED_SQ: _SeriesSpec(
         "EQ13", "EQ13_LHS", 0, -1.0, "|t| <= 1", _env_inv_np1_sq,
         _coeff_centered_sq, endpoints={
-            -1.0: _alternating(-1.0),
-            1.0: _one_signed(2),
+            -1.0: _endpoint(2, alt=True),
+            1.0: _endpoint(2),
         }),
     SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
         "EQ17", "EQ17_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_cube,
         _coeff_centered_sq_shift, endpoints={
-            -1.0: _alternating(-1.0, -1.0),
-            1.0: _one_signed(2, over=1),
+            # t^p = -1
+            -1.0: _endpoint(2, over=1, sign=-1.0, alt=True),
+            1.0: _endpoint(2, over=1),
         }),
     SeriesId.SKEW_OVER_NSQ: _SeriesSpec(
         "EQ20", "EQ20_LHS", 1, -1.0 / 3.0, "-1/3 <= t <= 1", _env_inv_np1_sq,
-        # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating terms
-        _coeff_skew_over_nsq, endpoints={1.0: _alternating(
-            -1.0, -1.0, coeff=lambda n: _c(n) / (n + 1) ** 2 if n else 0.0,
+        # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating
+        # terms, both from n = 1
+        _coeff_skew_over_nsq, endpoints={1.0: _endpoint(
+            1, over=1, deg=2, sign=-1.0, alt=True, start=1,
             const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
     SeriesId.MU_LEWIN: _SeriesSpec(
         "EQ22", "EQ22_LHS", 1, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_shift,
@@ -491,10 +447,13 @@ def _coeff_stream(spec: _SeriesSpec, mu: float | None) -> Iterator[float]:
 
 def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
     """Coefficient a_n of the tagged series.  A mu series reads it off its
-    coefficient stream, in O(n)."""
+    coefficient stream, in O(n); a mu outside -1 < mu <= 1 raises
+    DomainError."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError("n must be an integer >= 0")
     mu = _mu_arg(series_id, mu)
+    if mu is not None and not -1.0 < mu <= 1.0:
+        raise DomainError("mu must satisfy -1 < mu <= 1")
     spec = _SPECS[series_id]
     if spec.mu_term is None:
         return spec.coeff(n)
@@ -526,7 +485,7 @@ def sum_series(
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
 
     if abs(t) == 1.0:
-        return spec.endpoints[t](spec, tol)
+        return spec.endpoints[t](tol)
 
     stream = _coeff_stream(spec, mu)
     if t == 0.0:

@@ -7,6 +7,7 @@ import pytest
 
 from skewlog import (
     ClosedFormId,
+    DomainError,
     EQ18_VALUE,
     EQ19_VALUE,
     EvalResult,
@@ -37,6 +38,17 @@ def test_config_validation():
     cfg = QuadratureConfig()
     assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-12
     assert cfg.max_subdivisions == 4000
+    # tolerances are checked like sum_series's tol: any real, stored as a
+    # float, finite and >= 1e-15
+    cfg = QuadratureConfig(abs_tol=1, rel_tol=1)
+    assert type(cfg.abs_tol) is float and type(cfg.rel_tol) is float
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tol=bad)
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tol=bad)
+    with pytest.raises(DomainError):
+        QuadratureConfig(abs_tol=True)
 
 
 def test_integrate_constant_and_poly():

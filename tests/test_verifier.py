@@ -219,3 +219,33 @@ def test_json_matches_stdlib_encoder(report):
     assert (back.summary, back.metadata, back.notes) == (
         report.summary, report.metadata, report.notes)
     assert serialize_report(back, "json") == blob
+
+
+def test_report_diff_names_each_changed_record():
+    # tools/report_diff.py compares two trees' reports record by record
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "tools" / "report_diff.py"
+    spec = importlib.util.spec_from_file_location("report_diff", path)
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+
+    recs = [VerificationRecord(IdentityId.EQ4, (("t", 1.0),), -0.5, -0.5, 0.0,
+                               1e-10, Verdict.PASS),
+            VerificationRecord(IdentityId.EQ15, (), 0.4, 0.4, 0.0, 1e-10,
+                               Verdict.PASS)]
+    old = Report(recs, summarize(recs), {"version": "x"}, ["n"])
+    moved = [recs[0], VerificationRecord(IdentityId.EQ15, (), 0.4, 0.5, 0.1,
+                                         1e-10, Verdict.FAIL)]
+    new = Report(moved, summarize(moved), {"version": "x"}, ["n"])
+    for fmt, diff in (("json", report_diff.diff_json),
+                      ("csv", report_diff.diff_csv)):
+        a, b = (serialize_report(r, fmt).decode() for r in (old, new))
+        assert [line for line in diff(a, a) if "changed" in line] == []
+        changed = [line for line in diff(a, b) if "changed" in line]
+        assert len(changed) == 1 and "EQ15" in changed[0], changed
+        assert "verdict: " in changed[0] and "FAIL" in changed[0]
+    assert "  summary equal: False" in report_diff.diff_json(
+        *(serialize_report(r, "json").decode() for r in (old, new)))
