@@ -1,99 +1,55 @@
 """skewlog: dilogarithms, skew-harmonic series, and a numerical
-identity-verification harness for the closed forms that connect them."""
+identity-verification harness for the closed forms that connect them.
+
+The namespace is lazy (PEP 562): ``import skewlog`` loads no library
+module, and a public name or a submodule is imported when first read.
+"""
+
+import importlib
 
 from ._version import __version__
-from .closed_forms import (
-    ClosedFormId,
-    EQ18_VALUE,
-    EQ19_VALUE,
-    abel_sides,
-    closed_form,
-    closed_form_eq17,
-    int_li2_over_1mt,
-)
-from .core_numerics import (
-    CONSTANTS,
-    HarmonicCache,
-    constant,
-    digamma_half_diff,
-    harmonic,
-    harmonic2,
-    odd_harmonic,
-    skew_harmonic,
-    skew_harmonic_mu,
-)
-from .errors import DomainError, PoleError
-from .polylog import li2, li3
-from .quadrature import (
-    QuadratureConfig,
-    double_integral_bigG,
-    double_integral_eq31,
-    double_integral_eq32,
-    double_integral_g,
-    integrate_1d,
-)
-from .result import EvalResult, Status
-from .series_engine import (
-    SeriesId,
-    coefficient,
-    get_max_terms,
-    set_max_terms,
-    sum_series,
-)
-from .verifier import (
-    GridSpec,
-    IdentityId,
-    Report,
-    Verdict,
-    VerificationRecord,
-    parse_report,
-    serialize_report,
-    verify_all,
-    verify_identity,
-)
 
-__all__ = [
-    "__version__",
-    "CONSTANTS",
-    "ClosedFormId",
-    "DomainError",
-    "EQ18_VALUE",
-    "EQ19_VALUE",
-    "EvalResult",
-    "GridSpec",
-    "HarmonicCache",
-    "IdentityId",
-    "PoleError",
-    "QuadratureConfig",
-    "Report",
-    "SeriesId",
-    "Status",
-    "Verdict",
-    "VerificationRecord",
-    "abel_sides",
-    "closed_form",
-    "closed_form_eq17",
-    "coefficient",
-    "constant",
-    "digamma_half_diff",
-    "double_integral_bigG",
-    "double_integral_eq31",
-    "double_integral_eq32",
-    "double_integral_g",
-    "get_max_terms",
-    "harmonic",
-    "harmonic2",
-    "int_li2_over_1mt",
-    "integrate_1d",
-    "li2",
-    "li3",
-    "odd_harmonic",
-    "parse_report",
-    "serialize_report",
-    "set_max_terms",
-    "skew_harmonic",
-    "skew_harmonic_mu",
-    "sum_series",
-    "verify_all",
-    "verify_identity",
-]
+#: Library module -> the public names it defines.
+_EXPORTS = {
+    "closed_forms": ("ClosedFormId", "EQ18_VALUE", "EQ19_VALUE",
+                     "abel_sides", "closed_form", "closed_form_eq17",
+                     "int_li2_over_1mt"),
+    "core_numerics": ("CONSTANTS", "HarmonicCache", "constant",
+                      "digamma_half_diff", "harmonic", "harmonic2",
+                      "odd_harmonic", "skew_harmonic", "skew_harmonic_mu"),
+    "errors": ("DomainError", "PoleError"),
+    "polylog": ("li2", "li3"),
+    "quadrature": ("QuadratureConfig", "double_integral_bigG",
+                   "double_integral_eq31", "double_integral_eq32",
+                   "double_integral_g", "integrate_1d"),
+    "result": ("EvalResult", "Status"),
+    "series_engine": ("SeriesId", "coefficient", "get_max_terms",
+                      "set_max_terms", "sum_series"),
+    "verifier": ("GridSpec", "IdentityId", "Report", "Verdict",
+                 "VerificationRecord", "parse_report", "serialize_report",
+                 "verify_all", "verify_identity"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+_SUBMODULES = frozenset((*_EXPORTS, "cli"))
+
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name: str):
+    # Nothing is cached here: each read goes to the defining module, so a
+    # wrapper installed there is what the package hands out.  The import
+    # system binds each submodule here once it has loaded, so later reads
+    # find the module without going through importlib.
+    module = _HOME.get(name)
+    if module is not None:
+        home = globals().get(module) or importlib.import_module(
+            f".{module}", __name__)
+        return getattr(home, name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -5,74 +5,58 @@ identity or all of them), report (full verification run to JSON/CSV),
 constants (the reference constant table), list (the series / closed-form /
 identity catalogs).  Exit codes: 0 success or all-PASS, 1 any FAIL verdict,
 2 usage or domain errors.
+
+Each verb imports the library modules it uses when it runs, each with
+the modules it builds on: constants loads core_numerics, eval li2 polylog,
+eval series series_engine, an eval integral quadrature; list, verify and
+report load the catalogs and the verifier.  No verb pays for a module it
+does not touch.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from . import series_engine
 from ._version import __version__
-from .closed_forms import (
-    ClosedFormId,
-    closed_form,
-    closed_form_catalog,
-    int_li2_over_1mt,
-)
-from .core_numerics import (
-    CONSTANTS,
-    digamma_half_diff,
-    harmonic,
-    harmonic2,
-    skew_harmonic,
-    skew_harmonic_mu,
-)
-from .errors import DomainError, PoleError
-from .polylog import li2, li3
-from .quadrature import (
-    QuadratureConfig,
-    double_integral_bigG,
-    double_integral_eq31,
-    double_integral_eq32,
-    double_integral_g,
-)
-from .result import EvalResult, Status
-from .series_engine import series_by_name, series_catalog, sum_series
-from .verifier import (
-    IdentityId,
-    Report,
-    Verdict,
-    identity_catalog,
-    serialize_report,
-    summarize,
-    verify_all,
-    verify_identity,
-)
 
-_EVAL_TARGETS = (
-    "li2", "li3", "harmonic", "harmonic2", "skew", "skew-mu",
-    "digamma-half-diff", "jx", "series", "closed",
-    "integral-g", "integral-bigg", "integral-eq31", "integral-eq32",
-)
+#: eval targets that print one value: target -> (library module, function,
+#: the flags that give its arguments, in order).
+_SCALAR_TARGETS = {
+    "li2": ("polylog", "li2", ("--x",)),
+    "li3": ("polylog", "li3", ("--x",)),
+    "harmonic": ("core_numerics", "harmonic", ("--n",)),
+    "harmonic2": ("core_numerics", "harmonic2", ("--n",)),
+    "skew": ("core_numerics", "skew_harmonic", ("--n",)),
+    "skew-mu": ("core_numerics", "skew_harmonic_mu", ("--n", "--mu")),
+    "digamma-half-diff": ("core_numerics", "digamma_half_diff", ("--n",)),
+    "jx": ("closed_forms", "int_li2_over_1mt", ("--x",)),
+}
+#: eval targets that print a quadrature result: target -> (quadrature
+#: function, the flag of its point or None).
+_INTEGRAL_TARGETS = {
+    "integral-g": ("double_integral_g", "--z"),
+    "integral-bigg": ("double_integral_bigG", "--z"),
+    "integral-eq31": ("double_integral_eq31", None),
+    "integral-eq32": ("double_integral_eq32", None),
+}
+_EVAL_TARGETS = (*_SCALAR_TARGETS, "series", "closed", *_INTEGRAL_TARGETS)
+
+
+def _lib(module: str):
+    """A library module, imported when a verb first needs it.  Functions
+    are read off it as the verb runs, so wrappers installed on the module
+    see the call."""
+    return importlib.import_module(f".{module}", __package__)
 
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _closed_id(name: str) -> ClosedFormId:
-    try:
-        return ClosedFormId[name.upper()]
-    except KeyError:
-        raise ValueError(
-            f"unknown closed form {name!r}; valid ids: "
-            f"{', '.join(ClosedFormId.__members__)}"
-        ) from None
-
-
-def _print_result(r: EvalResult) -> None:
+def _print_result(r) -> None:
     print(f"value={_fmt(r.value)}")
     print(f"error_bound={_fmt(r.error_bound)}")
     print(f"terms={r.terms_used}")
@@ -86,29 +70,22 @@ def _need(args, flag: str):
     return v
 
 
-def _quad_config(tol: float) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=max(tol, 1e-15))
-
-
 def _cmd_eval(args) -> int:
     t = args.target
-    if t == "li2":
-        print(f"value={_fmt(li2(_need(args, '--x')))}")
-    elif t == "li3":
-        print(f"value={_fmt(li3(_need(args, '--x')))}")
-    elif t == "harmonic":
-        print(f"value={_fmt(harmonic(_need(args, '--n')))}")
-    elif t == "harmonic2":
-        print(f"value={_fmt(harmonic2(_need(args, '--n')))}")
-    elif t == "skew":
-        print(f"value={_fmt(skew_harmonic(_need(args, '--n')))}")
-    elif t == "skew-mu":
-        print(f"value={_fmt(skew_harmonic_mu(_need(args, '--n'), _need(args, '--mu')))}")
-    elif t == "digamma-half-diff":
-        print(f"value={_fmt(digamma_half_diff(_need(args, '--n')))}")
-    elif t == "jx":
-        print(f"value={_fmt(int_li2_over_1mt(_need(args, '--x')))}")
+    if t in _SCALAR_TARGETS:
+        module, name, flags = _SCALAR_TARGETS[t]
+        fn = getattr(_lib(module), name)
+        print(f"value={_fmt(fn(*[_need(args, f) for f in flags]))}")
+    elif t in _INTEGRAL_TARGETS:
+        name, flag = _INTEGRAL_TARGETS[t]
+        quadrature = _lib("quadrature")
+        point = () if flag is None else (_need(args, flag),)
+        cfg = quadrature.QuadratureConfig(abs_tol=max(args.tol, 1e-15))
+        _print_result(getattr(quadrature, name)(*point, cfg))
     elif t == "series":
+        from .result import Status
+        from .series_engine import series_by_name, sum_series
+
         sid = series_by_name(_need(args, "--id"))
         r = sum_series(sid, _need(args, "--t"), args.tol, mu=args.mu)
         if r.status is Status.DIVERGENT_INPUT:
@@ -117,19 +94,18 @@ def _cmd_eval(args) -> int:
             return 2
         _print_result(r)
     elif t == "closed":
-        cid = _closed_id(_need(args, "--id"))
+        from .closed_forms import ClosedFormId, closed_form
+
+        name = _need(args, "--id")
+        try:
+            cid = ClosedFormId[name.upper()]
+        except KeyError:
+            raise ValueError(
+                f"unknown closed form {name!r}; valid ids: "
+                f"{', '.join(ClosedFormId.__members__)}"
+            ) from None
         v = closed_form(cid, _need(args, "--t"), mu=args.mu)
         print(f"value={_fmt(v)}")
-    elif t == "integral-g":
-        _print_result(double_integral_g(_need(args, "--z"),
-                                        _quad_config(args.tol)))
-    elif t == "integral-bigg":
-        _print_result(double_integral_bigG(_need(args, "--z"),
-                                           _quad_config(args.tol)))
-    elif t == "integral-eq31":
-        _print_result(double_integral_eq31(_quad_config(args.tol)))
-    elif t == "integral-eq32":
-        _print_result(double_integral_eq32(_quad_config(args.tol)))
     else:
         raise ValueError(f"unknown eval target {t!r}")
     return 0
@@ -164,6 +140,10 @@ def _emit(payload: bytes | str, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     if bool(args.id) == bool(args.all):
         raise ValueError("verify needs exactly one of --id or --all")
+    from .verifier import (
+        IdentityId, Report, Verdict, serialize_report, summarize, verify_all,
+        verify_identity)
+
     if args.all:
         report = verify_all()
     else:
@@ -192,6 +172,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .verifier import Verdict, serialize_report, verify_all
+
     report = verify_all()
     _emit(serialize_report(report, args.format), args.out)
     failed = any(r.verdict is Verdict.FAIL for r in report.records)
@@ -199,12 +181,18 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_constants() -> int:
+    from .core_numerics import CONSTANTS
+
     for name in sorted(CONSTANTS):
         print(f"{name}={_fmt(CONSTANTS[name])}")
     return 0
 
 
 def _cmd_list() -> int:
+    from .closed_forms import closed_form_catalog
+    from .series_engine import series_catalog
+    from .verifier import identity_catalog
+
     for name, eq, domain in sorted(series_catalog()):
         print(f"series {name} eq={eq} domain={domain}")
     for name, domain in sorted(closed_form_catalog()):
@@ -252,8 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     raw = os.environ.get("SKEWLOG_MAX_TERMS")
     if raw is not None:
+        from .series_engine import set_max_terms
+
         try:
-            series_engine.set_max_terms(int(raw))
+            set_max_terms(int(raw))
         except ValueError:
             print(f"error: SKEWLOG_MAX_TERMS={raw!r} is not a positive "
                   "integer", file=sys.stderr)
@@ -277,7 +267,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         raise ValueError(f"unknown command {args.command!r}")
-    except (DomainError, PoleError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # DomainError and PoleError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

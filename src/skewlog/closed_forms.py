@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .core_numerics import CONSTANTS, LOG2, check_real
 from .errors import DomainError, PoleError
@@ -265,15 +264,13 @@ def _from_minus_third(t: float) -> bool:
     return -1.0 / 3.0 <= t <= 1.0
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(namedtuple("_Form", "evaluate domain domain_text takes_mu",
+                        defaults=(False,))):
     """One catalog row: evaluate(t), or evaluate(t, mu) when takes_mu, is
-    called only with t in domain and -1 < mu <= 1."""
+    called only with t in domain(t) and -1 < mu <= 1; domain_text states
+    the domain."""
 
-    evaluate: Callable[..., float]
-    domain: Callable[[float], bool]
-    domain_text: str
-    takes_mu: bool = False
+    __slots__ = ()
 
 
 _MU_TEXT = "|t| < 1, -1 < mu <= 1"

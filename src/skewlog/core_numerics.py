@@ -46,9 +46,9 @@ class HarmonicCache:
     """
 
     def __init__(self, limit: int = DEFAULT_CACHE_LIMIT) -> None:
-        if limit < 1:
-            raise ValueError("cache limit must be positive")
-        self.limit = int(limit)
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+            raise ValueError("cache limit must be a positive integer")
+        self.limit = limit
         self.values_h: list[float] = [0.0]
         self.values_h2: list[float] = [0.0]
         self.values_skew: list[float] = [0.0]

@@ -19,30 +19,41 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core_numerics import check_real
 from .errors import DomainError
 from .result import EvalResult, Status
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 4000
+class QuadratureConfig(namedtuple("QuadratureConfig",
+                                  "abs_tol rel_tol max_subdivisions")):
+    """Targets of one quadrature call.  abs_tol and rel_tol are checked
+    like sum_series's tol (any real, stored as a float) and must be finite
+    and >= 1e-15; max_subdivisions must be an int in [1, 1e6]."""
 
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol"):
-            tol = check_real(name, getattr(self, name))
+    __slots__ = ()
+
+    def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-12,
+                max_subdivisions: int = 4000):
+        tols = []
+        for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+            tol = check_real(name, tol)
             if not (tol >= 1e-15 and math.isfinite(tol)):
                 raise ValueError(f"{name} must be a finite number >= 1e-15")
-            object.__setattr__(self, name, tol)
+            tols.append(tol)
         if not (
-            isinstance(self.max_subdivisions, int)
-            and 1 <= self.max_subdivisions <= 1_000_000
+            isinstance(max_subdivisions, int)
+            and not isinstance(max_subdivisions, bool)
+            and 1 <= max_subdivisions <= 1_000_000
         ):
             raise ValueError("max_subdivisions must be an int in [1, 1e6]")
+        return super().__new__(cls, *tols, max_subdivisions)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
 _DEFAULT_CFG = QuadratureConfig()

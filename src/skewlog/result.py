@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class Status(enum.Enum):
@@ -12,19 +12,17 @@ class Status(enum.Enum):
     DIVERGENT_INPUT = "DIVERGENT_INPUT"
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult",
+                            "value error_bound terms_used status")):
     """Value plus a rigorous error bound under the evaluator's stated tail model.
 
+    value and error_bound are floats, terms_used an int, status a Status.
     terms_used counts coefficient evaluations for series, integrand panels for
     quadrature.  status is CONVERGED only when error_bound met the requested
     tolerance.
     """
 
-    value: float
-    error_bound: float
-    terms_used: int
-    status: Status
+    __slots__ = ()
 
     def converged(self) -> bool:
         return self.status is Status.CONVERGED

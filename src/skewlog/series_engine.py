@@ -26,8 +26,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .core_numerics import (
     CONSTANTS, LOG2, check_real, odd_harmonic, skew_harmonic)
@@ -322,21 +322,22 @@ def _endpoint(
     return rule
 
 
-@dataclass(frozen=True)
-class _SeriesSpec:
-    """One catalog row.  A series without mu has the per-index rule coeff;
-    a mu series has mu_term instead (see _mu_stream).  The domain is
-    lo <= t <= 1 with |t| = 1 admitted exactly where an endpoint rule is."""
+class _SeriesSpec(namedtuple(
+        "_SeriesSpec",
+        "label alias p lo domain_text env coeff mu_term endpoints",
+        defaults=(None, None, {}))):
+    """One catalog row.
 
-    label: str            # companion closed-form tag, interface data
-    alias: str            # catalog spelling accepted by the CLI
-    p: int                # value = t^p * sum a_n t^n
-    lo: float
-    domain_text: str
-    env: Callable[[int, float | None], float]
-    coeff: Callable[[int], float] | None = None
-    mu_term: Callable[[int, float, float, float], float] | None = None
-    endpoints: dict[float, _EndpointRule] = field(default_factory=dict)
+    label is the companion closed-form tag (interface data) and alias the
+    catalog spelling the CLI accepts; the value is t^p * sum a_n t^n.  A
+    series without mu has the per-index rule coeff(n); a mu series has
+    mu_term instead (see _mu_stream).  env(n, mu) is the majorant of
+    |a_n| in the interior tail bound.  The domain is lo <= t <= 1 with
+    |t| = 1 admitted exactly where endpoints (t -> _EndpointRule; the
+    shared empty default is never mutated) has a rule.
+    """
+
+    __slots__ = ()
 
     @property
     def needs_mu(self) -> bool:
@@ -495,6 +496,7 @@ def sum_series(
     q = abs(t)
     geom = q ** (spec.p + 1) / (1.0 - q)
     cap = get_max_terms()
+    env = spec.env
     terms: list[float] = []
     pw = 1.0
     tail = math.inf
@@ -502,7 +504,7 @@ def sum_series(
     for n in range(cap):
         terms.append(next(stream) * pw)
         pw *= t
-        tail = spec.env(n + 1, mu) * geom
+        tail = env(n + 1, mu) * geom
         geom *= q
         if tail <= 0.5 * tol:
             hit_cap = False

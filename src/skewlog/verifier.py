@@ -8,19 +8,17 @@ participant's domain produce SKIPPED records with a reason.
 
 The report's notes section documents the three catalog corrections shipped
 in closed_forms, each with numeric evidence computed at report time.
+
+Records and grids are named tuples; the Report is a plain mutable class.
+json, csv, io and datetime are imported by the functions that write, read
+or timestamp a report, so checking identities loads none of them.
 """
 
 from __future__ import annotations
 
-import datetime
 import enum
-import io
-import json
 import math
-import csv as csv_mod
-from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
 
 from ._version import __version__
 from .closed_forms import (
@@ -36,6 +34,7 @@ from .closed_forms import (
 from .core_numerics import (
     CONSTANTS,
     LOG2,
+    check_real,
     digamma_half_diff,
     harmonic,
     harmonic2,
@@ -101,31 +100,50 @@ class Verdict(enum.Enum):
     SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    identity: IdentityId
-    params: tuple[tuple[str, float], ...]
-    lhs: float
-    rhs: float
-    residual: float
-    tolerance: float
-    verdict: Verdict
-    note: str = ""
+class VerificationRecord(namedtuple(
+        "VerificationRecord",
+        "identity params lhs rhs residual tolerance verdict note",
+        defaults=("",))):
+    """One checked point: the IdentityId, its params as ((name, value),
+    ...) pairs, both sides, |lhs - rhs|, the tolerance, the Verdict and a
+    note (why it was skipped, or which participant did not converge)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    t_values: tuple[float, ...] = ()
-    mu_values: tuple[float, ...] = ()
-    n_range: tuple[int, int] | None = None
+class GridSpec(namedtuple("GridSpec", "t_values mu_values n_range",
+                          defaults=((), (), None))):
+    """Evaluation points: t_values (crossed with mu_values when those are
+    given), or the integers n_range = (lo, hi) inclusive."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Report:
-    records: list[VerificationRecord]
-    summary: dict[str, dict[str, int]]
-    metadata: dict
-    notes: list[str] = field(default_factory=list)
+    """A verification run: the records, verdict counts per identity,
+    metadata and notes.  Two reports are equal when all four are."""
+
+    __slots__ = ("records", "summary", "metadata", "notes")
+
+    def __init__(self, records: list[VerificationRecord],
+                 summary: dict[str, dict[str, int]], metadata: dict,
+                 notes: list[str] | None = None) -> None:
+        self.records = records
+        self.summary = summary
+        self.metadata = metadata
+        self.notes = [] if notes is None else notes
+
+    def _astuple(self) -> tuple:
+        return self.records, self.summary, self.metadata, self.notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return ("Report(records=%r, summary=%r, metadata=%r, notes=%r)"
+                % self._astuple())
 
 
 def _rec(identity, params, lhs, rhs, tol, note="", parts=()):
@@ -286,17 +304,14 @@ def _square_integral(label: str, integral, rhs: float):
     return check
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(namedtuple("_Check", "grid tolerance run singular",
+                         defaults=(None,))):
     """One catalog row: run(identity, grid, tol) checks the identity on a
     grid; a singular grid (the integrable corners z = +-1) is checked as
     well by verify_all, at the same tolerance, but is not part of the
     default grid of verify_identity."""
 
-    grid: GridSpec
-    tolerance: float
-    run: Callable[[IdentityId, GridSpec, float], list[VerificationRecord]]
-    singular: GridSpec | None = None
+    __slots__ = ()
 
 
 _T6 = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
@@ -406,10 +421,19 @@ def verify_identity(
     grid: GridSpec | None = None,
     tolerance: float | None = None,
 ) -> list[VerificationRecord]:
-    """Check one identity over a grid; one record per evaluation point."""
+    """Check one identity over a grid; one record per evaluation point.
+
+    tolerance, when given, is checked like sum_series's tol: a bool or a
+    non-real value raises DomainError, and it must be positive and finite
+    (ValueError)."""
     row = _CHECKS[identity]
-    return row.run(identity, row.grid if grid is None else grid,
-                   row.tolerance if tolerance is None else tolerance)
+    if tolerance is None:
+        tolerance = row.tolerance
+    else:
+        tolerance = check_real("tolerance", tolerance)
+        if not (tolerance > 0.0 and math.isfinite(tolerance)):
+            raise ValueError("tolerance must be a positive finite number")
+    return row.run(identity, row.grid if grid is None else grid, tolerance)
 
 
 def _correction_notes() -> list[str]:
@@ -476,6 +500,8 @@ def verify_all() -> Report:
         if singular is not None:
             records.extend(verify_identity(identity, singular))
 
+    import datetime
+
     metadata = {
         "tolerances": {k.name: _CHECKS[k].tolerance
                        for k in sorted(IdentityId, key=lambda k: k.name)},
@@ -525,53 +551,54 @@ _JSON_RECORD = (
     '      "params": %s,\n      "residual": %s,\n      "rhs": %s,\n'
     '      "tolerance": %s,\n      "verdict": %s\n    }')
 _JSON_PARAM = '        [\n          %s,\n          %s\n        ]'
-_JSON_NAME = {m: json.dumps(m.name) for m in (*IdentityId, *Verdict)}
-
-
-def _json_scalar(x) -> str:
-    """x as json.dumps writes it."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if isinstance(x, float):
-        s = float.__repr__(x)
-        return _JSON_FLOAT.get(s, s)
-    return json.dumps(x)
-
-
-def _json_params(params) -> str:
-    if not params:
-        return "[]"
-    return "[\n" + ",\n".join([
-        _JSON_PARAM % (_json_scalar(k), _json_scalar(v)) for k, v in params
-    ]) + "\n      ]"
-
-
-def _json_nested(obj) -> str:
-    """obj as json.dumps lays it out one level down; json escapes every
-    newline inside a string, so each raw newline is layout."""
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
+# the member names are ASCII identifiers: json.dumps only quotes them
+_JSON_NAME = {m: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
 
 
 def _json_report(report: Report) -> str:
+    import json
+    from json.encoder import encode_basestring_ascii
+
+    def scalar(x) -> str:
+        """x as json.dumps writes it."""
+        if isinstance(x, str):
+            return encode_basestring_ascii(x)
+        if isinstance(x, float):
+            s = float.__repr__(x)
+            return _JSON_FLOAT.get(s, s)
+        return json.dumps(x)
+
+    def nested(obj) -> str:
+        """obj as json.dumps lays it out one level down; json escapes every
+        newline inside a string, so each raw newline is layout."""
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
+
     spell = _JSON_FLOAT.get
     rep = float.__repr__
     out = []
-    for r in report.records:
+    for identity, params, lhs, rhs, residual, tol, verdict, note \
+            in report.records:
         try:
-            lhs, rhs = rep(r.lhs), rep(r.rhs)
-            residual, tol = rep(r.residual), rep(r.tolerance)
+            lhs, rhs = rep(lhs), rep(rhs)
+            residual, tol = rep(residual), rep(tol)
         except TypeError:  # not a float: ints, bools, None
-            lhs, rhs = _json_scalar(r.lhs), _json_scalar(r.rhs)
-            residual, tol = _json_scalar(r.residual), _json_scalar(r.tolerance)
+            lhs, rhs = scalar(lhs), scalar(rhs)
+            residual, tol = scalar(residual), scalar(tol)
+        if params:
+            params = "[\n" + ",\n".join([
+                _JSON_PARAM % (scalar(k), scalar(v)) for k, v in params
+            ]) + "\n      ]"
+        else:
+            params = "[]"
         out.append(_JSON_RECORD % (
-            _JSON_NAME[r.identity], spell(lhs, lhs), _json_scalar(r.note),
-            _json_params(r.params), spell(residual, residual),
-            spell(rhs, rhs), spell(tol, tol), _JSON_NAME[r.verdict]))
+            _JSON_NAME[identity], spell(lhs, lhs), scalar(note), params,
+            spell(residual, residual), spell(rhs, rhs), spell(tol, tol),
+            _JSON_NAME[verdict]))
     records = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
-    return ('{\n  "metadata": ' + _json_nested(report.metadata)
-            + ',\n  "notes": ' + _json_nested(report.notes)
+    return ('{\n  "metadata": ' + nested(report.metadata)
+            + ',\n  "notes": ' + nested(report.notes)
             + ',\n  "records": ' + records
-            + ',\n  "summary": ' + _json_nested(report.summary) + "\n}")
+            + ',\n  "summary": ' + nested(report.summary) + "\n}")
 
 
 def serialize_report(report: Report, fmt: str = "json") -> bytes:
@@ -579,8 +606,11 @@ def serialize_report(report: Report, fmt: str = "json") -> bytes:
     if fmt == "json":
         return _json_report(report).encode("utf-8")
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
-        w = csv_mod.writer(buf, lineterminator="\n")
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(_CSV_HEADER)
         w.writerows([
             (r.identity._name_, _params_str(r.params), f"{r.lhs:.17g}",
@@ -601,6 +631,8 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
         data = data.decode("utf-8")
     fmt = fmt.lower()
     if fmt == "json":
+        import json
+
         obj = json.loads(data)
         records = [
             VerificationRecord(
@@ -614,7 +646,10 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
         return Report(records, obj["summary"], obj["metadata"],
                       obj.get("notes", []))
     if fmt == "csv":
-        rows = csv_mod.reader(io.StringIO(data))
+        import csv
+        import io
+
+        rows = csv.reader(io.StringIO(data))
         if next(rows, None) != _CSV_HEADER:
             raise ValueError("bad CSV header")
         records = [

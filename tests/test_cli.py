@@ -88,6 +88,14 @@ def test_verify_tight_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_bad_tolerance_is_usage_error(capsys):
+    for tol in ("-1", "0", "nan", "inf"):
+        assert run(["verify", "--id", "EQ2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be a positive finite number" in captured.err
+
+
 def test_verify_all_json_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     assert run(["verify", "--all", "--format", "json", "--out", str(target)]) == 0

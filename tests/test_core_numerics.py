@@ -169,6 +169,14 @@ def test_cache_limit_enforced():
             fn(beyond)
 
 
+def test_cache_limit_validation():
+    # a positive int, like set_max_terms's cap
+    for bad in (True, False, 2.5, 0, -3, "10"):
+        with pytest.raises(ValueError, match="cache limit"):
+            HarmonicCache(bad)
+    assert HarmonicCache(1).limit == 1
+
+
 def test_cache_agrees_with_fresh_instance():
     fresh = HarmonicCache(limit=2000)
     fresh.ensure(2000)

@@ -32,16 +32,68 @@ def test_import_dependencies():
     assert [(f, m) for p in tests for f, m in _imports(p) if m in banned] == []
 
 
-def test_import_loads_no_numpy():
-    # a clean interpreter: neither the package nor the CLI pulls numpy in
-    code = ("import sys, skewlog, skewlog.cli; "
-            "print('numpy' in sys.modules)")
+def _child(code, *argv):
+    """stdout of code run by a clean interpreter on the tree's sources."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    env.pop("SKEWLOG_MAX_TERMS", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_numpy():
+    # a clean interpreter: neither the package nor the CLI pulls numpy in
+    out = _child("import sys, skewlog, skewlog.cli; "
+                 "print('numpy' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_no_dataclasses():
+    src = sorted((ROOT / "src" / "skewlog").glob("*.py"))
+    assert [(f, m) for p in src for f, m in _imports(p)
+            if m == "dataclasses"] == []
+
+
+#: Modules a child loaded, beyond those its interpreter started with.
+_LOADED = "import sys; before = set(sys.modules)\n{}\n" \
+    "print(' '.join(sorted(set(sys.modules) - before)))"
+
+
+def test_bare_import_loads_no_library_module():
+    loaded = _child(_LOADED.format("import skewlog")).split()
+    assert sorted(m for m in loaded if m.startswith("skewlog")) == [
+        "skewlog", "skewlog._version"]
+
+
+def test_cli_verbs_load_only_what_they_use():
+    # the CLI run as python -m would run it, its own output sent to stderr
+    run_cli = ("import runpy\nsys.argv = ['skewlog', *sys.argv[1:]]\n"
+               "sys.stdout, out = sys.stderr, sys.stdout\ntry:\n"
+               "    runpy.run_module('skewlog.cli', run_name='__main__')\n"
+               "except SystemExit as exc:\n    assert exc.code == 0\n"
+               "sys.stdout = out")
+    heavy = {"skewlog.verifier", "skewlog.quadrature", "dataclasses", "json",
+             "csv"}
+    for argv in (["constants"], ["eval", "li2", "--x", "0.5"]):
+        loaded = set(_child(_LOADED.format(run_cli), *argv).split())
+        assert "skewlog.core_numerics" in loaded, argv  # the verb ran
+        assert loaded & heavy == set(), argv
+
+
+def test_lazy_namespace_resolves_every_name():
+    out = _child(
+        "import skewlog\n"
+        "mod = skewlog.series_engine\n"  # no explicit submodule import
+        "assert mod.__name__ == 'skewlog.series_engine'\n"
+        "names = {}\n"
+        "exec('from skewlog import *', names)\n"
+        "missing = [n for n in skewlog.__all__ if n not in names]\n"
+        "assert missing == [], missing\n"
+        "assert set(skewlog.__all__) <= set(dir(skewlog))\n"
+        "try:\n    skewlog.no_such_name\n"
+        "except AttributeError:\n    print('ok')\n")
+    assert out.strip() == "ok"
 
 
 def _skewlog_imports(path):

@@ -49,6 +49,22 @@ def test_config_validation():
             QuadratureConfig(rel_tol=bad)
     with pytest.raises(DomainError):
         QuadratureConfig(abs_tol=True)
+    # the cap is an int, not a bool or a whole float
+    for bad in (True, False, 2.0, 1_000_001):
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_subdivisions=bad)
+    # a named tuple: positional or keyword, immutable, and _replace
+    # validates like the constructor
+    cfg = QuadratureConfig(1e-8, max_subdivisions=10)
+    assert cfg == QuadratureConfig(abs_tol=1e-8, rel_tol=1e-12,
+                                   max_subdivisions=10)
+    assert repr(cfg) == ("QuadratureConfig(abs_tol=1e-08, rel_tol=1e-12, "
+                         "max_subdivisions=10)")
+    with pytest.raises(AttributeError):
+        cfg.abs_tol = 1.0
+    assert cfg._replace(rel_tol=1) == QuadratureConfig(1e-8, 1.0, 10)
+    with pytest.raises(ValueError):
+        cfg._replace(max_subdivisions=True)
 
 
 def test_integrate_constant_and_poly():

@@ -197,6 +197,43 @@ def test_endpoint_values(endpoint_values):
             assert res.terms_used == 32, (sid, t, tol, res.terms_used)
 
 
+# float.hex of (value, error_bound) of every endpoint rule at tol 1e-10.  A
+# change to a rule that moves either by one ulp must update this table on
+# purpose (tools/report_diff.py shows what it does to the report).
+ENDPOINT_BITS = {
+    (SeriesId.GF_CENTERED, 1.0):
+        ("-0x1.ffffffffffffbp-2", "0x1.d2a7fa1ee68f8p-46"),
+    (SeriesId.SKEW_OVER_N, -1.0):
+        ("-0x1.100caf119dc9cp+0", "0x1.082ab9951cf31p-48"),
+    (SeriesId.CENTERED_OVER_N, 1.0):
+        ("0x1.ebfbdff82c58fp-3", "0x1.f8a0b6dd3b19ep-49"),
+    (SeriesId.CENTERED_OVER_N, -1.0):
+        ("-0x1.2a1b6e2725670p-1", "0x1.013e2a8a62b73p-48"),
+    (SeriesId.CENTERED_SHIFT, 1.0):
+        ("-0x1.2a1b6e272566fp-1", "0x1.018050a541ec2p-48"),
+    (SeriesId.CENTERED_SHIFT, -1.0):
+        ("0x1.100caf119dc9bp+0", "0x1.086cdfaffc280p-48"),
+    (SeriesId.CENTERED_SQ, -1.0):
+        ("0x1.a51a6625307d2p-2", "0x1.261e53200d054p-48"),
+    (SeriesId.CENTERED_SQ, 1.0):
+        ("0x1.62e42fefa39efp-1", "0x1.2a2e670d79f7bp-48"),
+    (SeriesId.CENTERED_SQ_SHIFT, -1.0):
+        ("-0x1.c51448aca3f17p-2", "0x1.1b280e680cc41p-49"),
+    (SeriesId.CENTERED_SQ_SHIFT, 1.0):
+        ("0x1.1a9213a2882cfp-1", "0x1.1e4f8c4abe382p-49"),
+    (SeriesId.SKEW_OVER_NSQ, 1.0):
+        ("0x1.0434c8cca6cf8p-1", "0x1.c9a83ea091a08p-51"),
+}
+
+
+def test_endpoint_rules_bit_for_bit():
+    assert set(ENDPOINT_BITS) == {
+        (sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints}
+    for (sid, t), bits in ENDPOINT_BITS.items():
+        res = sum_series(sid, t, tol=1e-10)
+        assert (res.value.hex(), res.error_bound.hex()) == bits, (sid, t)
+
+
 def test_endpoint_bound_within_envelope():
     # the direct-sum endpoint must report a bound no worse than 1/(N+1)
     res = sum_series(SeriesId.CENTERED_SQ, 1.0, tol=1e-6)

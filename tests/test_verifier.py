@@ -52,6 +52,37 @@ def test_custom_tolerance_can_fail():
     assert any(r.verdict is Verdict.FAIL for r in recs)
 
 
+def test_tolerance_validation():
+    # checked like sum_series's tol: a real, positive and finite
+    for bad in (True, -1.0, 0.0, math.nan, math.inf, "1e-9"):
+        with pytest.raises(ValueError):
+            verify_identity(IdentityId.EQ2, tolerance=bad)
+    recs = verify_identity(IdentityId.EQ15, tolerance=1)
+    assert [type(r.tolerance) for r in recs] == [float]
+
+
+def test_records_and_reports_are_plain_values():
+    rec = VerificationRecord(IdentityId.EQ4, (("t", 1.0),), 1.0, 1.0, 0.0,
+                             1e-9, Verdict.PASS)
+    assert rec.note == ""
+    assert rec == VerificationRecord(
+        identity=IdentityId.EQ4, params=(("t", 1.0),), lhs=1.0, rhs=1.0,
+        residual=0.0, tolerance=1e-9, verdict=Verdict.PASS, note="")
+    assert repr(rec).startswith("VerificationRecord(identity=<IdentityId.EQ4")
+    with pytest.raises(AttributeError):
+        rec.lhs = 2.0
+    assert GridSpec() == GridSpec((), (), None)
+    report = Report([rec], summarize([rec]), {"version": "x"})
+    assert report.notes == []
+    assert report == Report([rec], summarize([rec]), {"version": "x"}, [])
+    assert report != Report([], {}, {"version": "x"})
+    assert repr(report) == (f"Report(records=[{rec!r}], summary="
+                            f"{report.summary!r}, metadata={{'version': "
+                            "'x'}, notes=[])")
+    with pytest.raises(TypeError):
+        hash(report)
+
+
 def test_unconverged_participant_fails_the_record():
     # At 120 terms GF_SKEW stops at the cap for |t| = 0.9; at tolerance
     # 3e-5 the t = 0.9 residual (2.2e-5) would still pass on its own.
