@@ -10,15 +10,20 @@ The report's notes section documents the three catalog corrections shipped
 in closed_forms, each with numeric evidence computed at report time.
 
 Records and grids are named tuples; the Report is a plain mutable class.
-json, csv, io and datetime are imported by the functions that write, read
-or timestamp a report, so checking identities loads none of them.
+Checking identities loads none of json, csv, io, array and datetime: the
+JSON writer imports json, both writers import array when a column's values
+repeat (tolerances and residuals do), parse_report imports json, or csv and
+io, and verify_all imports datetime for the report's timestamp.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import re
 from collections import namedtuple
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter, mul
 
 from ._version import __version__
 from .closed_forms import (
@@ -32,11 +37,11 @@ from .closed_forms import (
     int_li2_over_1mt,
 )
 from .core_numerics import (
+    _CACHE,
     CONSTANTS,
     LOG2,
     check_real,
     digamma_half_diff,
-    harmonic,
     harmonic2,
     skew_harmonic,
 )
@@ -231,11 +236,23 @@ def _quad_vs(label: str, quad, rhs: float):
     return quad.value, rhs, ((label, quad),)
 
 
+def _skip_negative(identity, grid, tol):
+    """SKIPPED records for the grid's n < 0, outside the harmonic sums'
+    domain."""
+    lo, hi = grid.n_range
+    return [_skip(identity, (("n", float(n)),), tol, "n must be >= 0")
+            for n in range(lo, min(0, hi + 1))]
+
+
 def _verify_eq1(identity, grid, tol):
     lo, hi = grid.n_range
     out = []
     for n in range(lo, hi + 1):
-        lhs = digamma_half_diff(n)
+        try:
+            lhs = digamma_half_diff(n)
+        except DomainError as exc:
+            out.append(_skip(identity, (("n", float(n)),), tol, str(exc)))
+            continue
         sign = 1.0 if n % 2 == 1 else -1.0
         rhs = 2.0 * sign * (LOG2 - skew_harmonic(n - 1))
         out.append(_rec(identity, (("n", float(n)),), lhs, rhs, tol))
@@ -244,17 +261,18 @@ def _verify_eq1(identity, grid, tol):
 
 def _verify_eq14(identity, grid, tol):
     lo, hi = grid.n_range
-    out = []
+    out = _skip_negative(identity, grid, tol)
     s = 0.0
     comp = 0.0
-    for n in range(1, hi + 1):
-        term = skew_harmonic(n) / n
-        if n % 2 == 0:
-            term = -term
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
+    for n in range(0, hi + 1):
+        if n:
+            term = skew_harmonic(n) / n
+            if n % 2 == 0:
+                term = -term
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
         if n >= lo:
             lhs = 2.0 * s
             rhs = skew_harmonic(n) ** 2 + harmonic2(n)
@@ -264,10 +282,15 @@ def _verify_eq14(identity, grid, tol):
 
 def _verify_split(identity, grid, tol):
     lo, hi = grid.n_range
-    out = []
-    for n in range(lo, hi + 1):
-        le, re_ = skew_harmonic(2 * n), harmonic(2 * n) - harmonic(n)
-        lo_, ro = skew_harmonic(2 * n + 1), harmonic(2 * n + 1) - harmonic(n)
+    out = _skip_negative(identity, grid, tol)
+    # one fill, then the entries straight from the cache's lists; n >= 0
+    # here, so no index is negative
+    _CACHE.ensure(2 * hi + 1)
+    h, sk = _CACHE.values_h, _CACHE.values_skew
+    for n in range(max(lo, 0), hi + 1):
+        hn = h[n]
+        le, re_ = sk[2 * n], h[2 * n] - hn
+        lo_, ro = sk[2 * n + 1], h[2 * n + 1] - hn
         if abs(le - re_) >= abs(lo_ - ro):
             out.append(_rec(identity, (("n", float(n)),), le, re_, tol,
                             "even half (odd half residual is smaller)"))
@@ -423,17 +446,25 @@ def verify_identity(
 ) -> list[VerificationRecord]:
     """Check one identity over a grid; one record per evaluation point.
 
+    The grid must be of the identity's kind, integers n_range or reals
+    t_values (ValueError); a point outside the domain is a SKIPPED record.
     tolerance, when given, is checked like sum_series's tol: a bool or a
     non-real value raises DomainError, and it must be positive and finite
     (ValueError)."""
     row = _CHECKS[identity]
+    if grid is None:
+        grid = row.grid
+    elif (grid.n_range is None) != (row.grid.n_range is None):
+        kind = ("with an n_range" if row.grid.n_range
+                else "of t_values, not an n_range")
+        raise ValueError(f"{identity.name} takes a grid {kind}")
     if tolerance is None:
         tolerance = row.tolerance
     else:
         tolerance = check_real("tolerance", tolerance)
         if not (tolerance > 0.0 and math.isfinite(tolerance)):
             raise ValueError("tolerance must be a positive finite number")
-    return row.run(identity, row.grid if grid is None else grid, tolerance)
+    return row.run(identity, grid, tolerance)
 
 
 def _correction_notes() -> list[str]:
@@ -526,18 +557,74 @@ _IDENTITY_BY_NAME = _ByName((m.name, m) for m in IdentityId)
 _VERDICT_BY_NAME = _ByName((m.name, m) for m in Verdict)
 
 
-def _params_str(params: tuple[tuple[str, float], ...]) -> str:
-    return ";".join(f"{k}={v:.17g}" for k, v in params)
+def _format(fmt) -> str:
+    """fmt, a str naming JSON or CSV in any case, as 'json' or 'csv'."""
+    if isinstance(fmt, str) and fmt.lower() in ("json", "csv"):
+        return fmt.lower()
+    raise ValueError(f"format must be 'json' or 'csv', not {fmt!r}")
 
 
 def _params_parse(s: str) -> tuple[tuple[str, float], ...]:
     if not s:
         return ()
     out = []
-    for piece in s.split(";"):
-        k, v = piece.split("=")
-        out.append((k, float(v)))
+    try:
+        for piece in s.split(";"):
+            k, v = piece.split("=")
+            out.append((k, float(v)))
+    except ValueError:
+        raise ValueError(
+            f"params piece {piece!r} is not name=number") from None
     return tuple(out)
+
+
+# Both writers work on columns: the records are transposed once, each
+# column is turned into text by C-level maps, and every record is one
+# %-template filled from the zipped columns.
+
+
+def _columns(records) -> list[list]:
+    """The eight record fields as columns.  (zip(*records) would hold an
+    iterator per record, enough young objects to set off the collector.)"""
+    return [list(map(itemgetter(i), records))
+            for i in range(len(VerificationRecord._fields))]
+
+
+def _texts(column, spell, scalar) -> list[str]:
+    """The text of each value of a record column.  A column of floats is
+    spelled by spell (floats -> texts); where values repeat, as tolerances
+    and residuals do, once per distinct IEEE bit pattern, so 0.0 and -0.0,
+    or two NaNs, never share a text.  Any other column (an int from a
+    hand-made record, say) is spelled value by value by scalar."""
+    if set(map(type, column)) - {float}:
+        return list(map(scalar, column))
+    if 2 * len(set(column)) > len(column):
+        # mostly distinct (results, grid points): the lookups would cost more
+        # than the spelling they save
+        return list(spell(column))
+    from array import array
+
+    bits = array("Q", array("d", column).tobytes())
+    distinct = dict(zip(bits, column))
+    text = dict(zip(distinct, spell(distinct.values())))
+    return list(map(text.__getitem__, bits))
+
+
+def _params_texts(params, name_texts, value_texts, template) -> list[str]:
+    """The text of each record's params.  The names and the values of all
+    records are spelled as two columns, name_texts(names) and
+    value_texts(values); a record of k pairs is template(k) filled with its
+    name and value texts in turn."""
+    sizes = list(map(len, params))
+    pairs = list(chain.from_iterable(params))
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("every params pair must be (name, value)")
+    texts = chain.from_iterable(zip(
+        name_texts(list(map(itemgetter(0), pairs))),
+        value_texts(list(map(itemgetter(1), pairs)))))
+    templates = {k: template(k) for k in set(sizes)}
+    return list(map(str.__mod__, map(templates.__getitem__, sizes), map(
+        tuple, map(islice, repeat(texts), map(mul, sizes, repeat(2))))))
 
 
 # The JSON form is exactly json.dumps(obj, sort_keys=True, indent=2) of the
@@ -555,70 +642,96 @@ _JSON_PARAM = '        [\n          %s,\n          %s\n        ]'
 _JSON_NAME = {m: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
 
 
-def _json_report(report: Report) -> str:
+def _json_params(k: int) -> str:
+    return "[\n" + ",\n".join([_JSON_PARAM] * k) + "\n      ]" if k else "[]"
+
+
+def _json_records(records) -> str:
     import json
     from json.encoder import encode_basestring_ascii
 
-    def scalar(x) -> str:
-        """x as json.dumps writes it."""
-        if isinstance(x, str):
-            return encode_basestring_ascii(x)
-        if isinstance(x, float):
-            s = float.__repr__(x)
-            return _JSON_FLOAT.get(s, s)
-        return json.dumps(x)
+    def floats(column):
+        def spell(xs):
+            reprs = list(map(float.__repr__, xs))
+            return map(_JSON_FLOAT.get, reprs, reprs)
+        return _texts(column, spell, json.dumps)
+
+    def strings(column):
+        """Notes and names: a few distinct strs, each escaped once."""
+        if set(map(type, column)) - {str}:
+            return list(map(json.dumps, column))
+        distinct = set(column)
+        text = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+        return list(map(text.__getitem__, column))
+
+    identity, params, lhs, rhs, residual, tol, verdict, note = \
+        _columns(records)
+    return ",\n".join(map(_JSON_RECORD.__mod__, zip(
+        map(_JSON_NAME.__getitem__, identity), floats(lhs), strings(note),
+        _params_texts(params, strings, floats, _json_params),
+        floats(residual), floats(rhs), floats(tol),
+        map(_JSON_NAME.__getitem__, verdict))))
+
+
+def _json_report(report: Report) -> str:
+    import json
 
     def nested(obj) -> str:
         """obj as json.dumps lays it out one level down; json escapes every
         newline inside a string, so each raw newline is layout."""
         return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
 
-    spell = _JSON_FLOAT.get
-    rep = float.__repr__
-    out = []
-    for identity, params, lhs, rhs, residual, tol, verdict, note \
-            in report.records:
-        try:
-            lhs, rhs = rep(lhs), rep(rhs)
-            residual, tol = rep(residual), rep(tol)
-        except TypeError:  # not a float: ints, bools, None
-            lhs, rhs = scalar(lhs), scalar(rhs)
-            residual, tol = scalar(residual), scalar(tol)
-        if params:
-            params = "[\n" + ",\n".join([
-                _JSON_PARAM % (scalar(k), scalar(v)) for k, v in params
-            ]) + "\n      ]"
-        else:
-            params = "[]"
-        out.append(_JSON_RECORD % (
-            _JSON_NAME[identity], spell(lhs, lhs), scalar(note), params,
-            spell(residual, residual), spell(rhs, rhs), spell(tol, tol),
-            _JSON_NAME[verdict]))
-    records = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
-    return ('{\n  "metadata": ' + nested(report.metadata)
-            + ',\n  "notes": ' + nested(report.notes)
-            + ',\n  "records": ' + records
-            + ',\n  "summary": ' + nested(report.summary) + "\n}")
+    records = _json_records(report.records)
+    return "".join((
+        '{\n  "metadata": ', nested(report.metadata),
+        ',\n  "notes": ', nested(report.notes),
+        ',\n  "records": ', "[\n" if records else "[]", records,
+        "\n  ]" if records else "",
+        ',\n  "summary": ', nested(report.summary), "\n}"))
+
+
+# The CSV form is exactly what csv.writer(buf, lineterminator="\n") writes
+# for the header and one row per record: the identity name, the params as
+# name=value pieces joined by ";", the four floats as %.17g and the verdict
+# name.  Only a params name can hold a character that calls for quoting:
+# csv's QUOTE_MINIMAL, which this writer applies to a params field holding
+# the delimiter, the quote character, CR or LF.
+_CSV_RECORD = "%s,%s,%s,%s,%s,%s,%s\n"
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_params(k: int) -> str:
+    return ";".join(["%s=%s"] * k)
+
+
+def _csv_quote(field: str) -> str:
+    return '"%s"' % field.replace('"', '""')
+
+
+def _csv_report(report: Report) -> str:
+    def floats(column):
+        return _texts(column, lambda xs: map("%.17g".__mod__, xs),
+                      lambda x: format(x, ".17g"))
+
+    identity, params, lhs, rhs, residual, tol, verdict, _ = \
+        _columns(report.records)
+    params = _params_texts(params, lambda names: map(format, names), floats,
+                           _csv_params)
+    special = set(filter(_CSV_QUOTED.search, params))
+    quoted = dict(zip(special, map(_csv_quote, special)))
+    name = attrgetter("_name_")
+    return "".join(chain((",".join(_CSV_HEADER) + "\n",), map(
+        _CSV_RECORD.__mod__, zip(
+            map(name, identity), map(quoted.get, params, params),
+            floats(lhs), floats(rhs), floats(residual), floats(tol),
+            map(name, verdict)))))
 
 
 def serialize_report(report: Report, fmt: str = "json") -> bytes:
-    fmt = fmt.lower()
-    if fmt == "json":
+    """The report as UTF-8 JSON or CSV bytes (fmt in any case)."""
+    if _format(fmt) == "json":
         return _json_report(report).encode("utf-8")
-    if fmt == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_CSV_HEADER)
-        w.writerows([
-            (r.identity._name_, _params_str(r.params), f"{r.lhs:.17g}",
-             f"{r.rhs:.17g}", f"{r.residual:.17g}", f"{r.tolerance:.17g}",
-             r.verdict._name_)
-            for r in report.records])
-        return buf.getvalue().encode("utf-8")
-    raise ValueError("format must be 'json' or 'csv'")
+    return _csv_report(report).encode("utf-8")
 
 
 def parse_report(data: bytes | str, fmt: str = "json") -> Report:
@@ -626,32 +739,46 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
 
     JSON round-trips the full report; CSV carries only the tabular record
     fields, so summary is recomputed and metadata/notes come back empty.
+    A malformed report is a ValueError that names what is wrong: the
+    missing JSON key or record field, or the CSV line.  Blank lines at the
+    end of a CSV report are ignored.
     """
+    fmt = _format(fmt)
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    fmt = fmt.lower()
     if fmt == "json":
         import json
 
         obj = json.loads(data)
-        records = [
-            VerificationRecord(
-                _IDENTITY_BY_NAME[d["identity"]],
-                tuple([(k, float(v)) for k, v in d["params"]]),
-                d["lhs"], d["rhs"], d["residual"], d["tolerance"],
-                _VERDICT_BY_NAME[d["verdict"]], d.get("note", ""),
-            )
-            for d in obj["records"]
-        ]
+        if not isinstance(obj, dict):
+            raise ValueError("a JSON report must be an object")
+        for key in ("records", "summary", "metadata"):
+            if key not in obj:
+                raise ValueError(f"JSON report has no {key!r} key")
+        try:
+            records = [
+                VerificationRecord(
+                    _IDENTITY_BY_NAME[d["identity"]],
+                    tuple([(k, float(v)) for k, v in d["params"]]),
+                    d["lhs"], d["rhs"], d["residual"], d["tolerance"],
+                    _VERDICT_BY_NAME[d["verdict"]], d.get("note", ""),
+                )
+                for d in obj["records"]
+            ]
+        except KeyError as exc:
+            key = exc.args[0]
+            i = next(i for i, d in enumerate(obj["records"]) if key not in d)
+            raise ValueError(
+                f"JSON record {i} has no {key!r} field") from None
         return Report(records, obj["summary"], obj["metadata"],
                       obj.get("notes", []))
-    if fmt == "csv":
-        import csv
-        import io
+    import csv
+    import io
 
-        rows = csv.reader(io.StringIO(data))
-        if next(rows, None) != _CSV_HEADER:
-            raise ValueError("bad CSV header")
+    rows = csv.reader(io.StringIO(data.rstrip("\r\n")))
+    if next(rows, None) != _CSV_HEADER:
+        raise ValueError("bad CSV header")
+    try:
         records = [
             VerificationRecord(
                 _IDENTITY_BY_NAME[identity], _params_parse(params),
@@ -660,8 +787,15 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
             )
             for identity, params, lhs, rhs, residual, tol, verdict in rows
         ]
-        return Report(records, summarize(records), {}, [])
-    raise ValueError("format must be 'json' or 'csv'")
+    except (ValueError, csv.Error) as exc:
+        line = rows.line_num
+        rows = csv.reader(io.StringIO(data))
+        row = next(row for row in rows if rows.line_num == line)
+        if len(row) != len(_CSV_HEADER):
+            raise ValueError(f"CSV line {line} has {len(row)} fields, "
+                             f"expected {len(_CSV_HEADER)}") from None
+        raise ValueError(f"CSV line {line}: {exc}") from None
+    return Report(records, summarize(records), {}, [])
 
 
 def identity_catalog() -> list[tuple[str, str]]:

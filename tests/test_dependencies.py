@@ -73,12 +73,16 @@ def test_cli_verbs_load_only_what_they_use():
                "    runpy.run_module('skewlog.cli', run_name='__main__')\n"
                "except SystemExit as exc:\n    assert exc.code == 0\n"
                "sys.stdout = out")
-    heavy = {"skewlog.verifier", "skewlog.quadrature", "dataclasses", "json",
-             "csv"}
-    for argv in (["constants"], ["eval", "li2", "--x", "0.5"]):
+    # the report writers' and readers' modules load only with a report
+    writers = {"dataclasses", "json", "csv", "array", "datetime"}
+    heavy = writers | {"skewlog.verifier", "skewlog.quadrature"}
+    for argv, banned in ((["constants"], heavy),
+                         (["eval", "li2", "--x", "0.5"], heavy),
+                         (["list"], writers),
+                         (["verify", "--id", "EQ2"], writers)):
         loaded = set(_child(_LOADED.format(run_cli), *argv).split())
         assert "skewlog.core_numerics" in loaded, argv  # the verb ran
-        assert loaded & heavy == set(), argv
+        assert loaded & banned == set(), argv
 
 
 def test_lazy_namespace_resolves_every_name():

@@ -1,5 +1,7 @@
 """Identity verification runs, report structure, and serialization round-trips."""
 
+import csv
+import io
 import json
 import math
 
@@ -45,6 +47,40 @@ def test_custom_grid_and_skip():
     skipped = [r for r in recs if r.verdict is Verdict.SKIPPED]
     assert all(r.residual == 0.0 for r in skipped)
     assert all(r.note for r in skipped)
+
+
+def test_integer_grid_outside_the_domain_is_skipped():
+    # one record per n; an n outside the domain is SKIPPED with the reason,
+    # never an exception and never a read of a negative cache index
+    def split(recs):
+        return [(dict(r.params)["n"], r.verdict, r.note) for r in recs]
+
+    eq1 = verify_identity(IdentityId.EQ1_DIGAMMA, GridSpec(n_range=(0, 2)))
+    assert [r[:2] for r in split(eq1)] == [
+        (0.0, Verdict.SKIPPED), (1.0, Verdict.PASS), (2.0, Verdict.PASS)]
+    assert eq1[0].note == "n must be an integer >= 1"
+    assert eq1[1:] == verify_identity(IdentityId.EQ1_DIGAMMA,
+                                      GridSpec(n_range=(1, 2)))
+    for identity in (IdentityId.H_EVEN_ODD_SPLIT, IdentityId.EQ14_LEMMA6):
+        recs = verify_identity(identity, GridSpec(n_range=(-2, 2)))
+        assert [r[:2] for r in split(recs)] == [
+            (-2.0, Verdict.SKIPPED), (-1.0, Verdict.SKIPPED),
+            (0.0, Verdict.PASS), (1.0, Verdict.PASS), (2.0, Verdict.PASS)]
+        assert {r.note for r in recs[:2]} == {"n must be >= 0"}
+        assert recs[2].lhs == recs[2].rhs == 0.0  # the empty sums
+        assert recs[3:] == verify_identity(identity, GridSpec(n_range=(1, 2)))
+        # a grid wholly below the domain
+        assert [r[1] for r in split(verify_identity(
+            identity, GridSpec(n_range=(-3, -2))))] == [Verdict.SKIPPED] * 2
+
+
+def test_grid_kind_must_match_the_identity():
+    with pytest.raises(ValueError, match="n_range"):
+        verify_identity(IdentityId.EQ2, GridSpec(n_range=(1, 3)))
+    with pytest.raises(ValueError, match="n_range"):
+        verify_identity(IdentityId.H_EVEN_ODD_SPLIT, GridSpec(t_values=(0.5,)))
+    with pytest.raises(ValueError, match="n_range"):
+        verify_identity(IdentityId.EQ1_DIGAMMA, GridSpec())
 
 
 def test_custom_tolerance_can_fail():
@@ -181,6 +217,48 @@ def test_unknown_format_rejected(full_report):
             parse_report(json.dumps(doc), "json")
 
 
+def test_malformed_reports_are_value_errors(full_report):
+    records = full_report.records[:3]
+    report = _synthetic(records)
+    for fmt in (None, 1, b"json"):
+        with pytest.raises(ValueError, match="format"):
+            serialize_report(report, fmt)
+        with pytest.raises(ValueError, match="format"):
+            parse_report(b"{}", fmt)
+    # JSON: a missing top-level key or record field is named
+    doc = json.loads(serialize_report(report, "json"))
+    for key in ("records", "summary", "metadata"):
+        with pytest.raises(ValueError, match=repr(key)):
+            parse_report(json.dumps({k: v for k, v in doc.items()
+                                     if k != key}), "json")
+    with pytest.raises(ValueError, match="'records'"):
+        parse_report(b"{}", "json")
+    with pytest.raises(ValueError, match="object"):
+        parse_report(b"[]", "json")
+    for field in ("identity", "params", "lhs", "verdict"):
+        bad = json.loads(json.dumps(doc))
+        del bad["records"][1][field]
+        with pytest.raises(ValueError, match=f"record 1 .*'{field}'"):
+            parse_report(json.dumps(bad), "json")
+    bad = json.loads(json.dumps(doc))
+    del bad["notes"], bad["records"][0]["note"]  # optional: default empty
+    back = parse_report(json.dumps(bad), "json")
+    assert back.notes == [] and back.records[0].note == ""
+    # CSV: the line of a row without 7 fields or a params piece without =
+    lines = serialize_report(report, "csv").decode().split("\n")
+    assert lines[-1] == ""
+    for line, bad in ((2, "EQ1_DIGAMMA,n=2,1,1,0"),
+                      (3, lines[3] + ",extra"),
+                      (2, lines[2].replace("n=", "n", 1))):
+        text = "\n".join(lines[:line] + [bad] + lines[line + 1:])
+        with pytest.raises(ValueError, match=f"line {line + 1}"):
+            parse_report(text, "csv")
+    # a trailing blank line is ignored; the records come back as they were
+    blob = serialize_report(report, "csv")
+    assert parse_report(blob + b"\n", "csv") == parse_report(blob, "csv")
+    assert parse_report(blob, "csv").records == records
+
+
 def test_identity_catalog_covers_enum():
     cat = identity_catalog()
     assert len(cat) == len(IdentityId)
@@ -234,13 +312,27 @@ _ODD = [
 ]
 
 
+# Columns where repeats dominate, so each distinct bit pattern is spelled
+# once: 0.0 and -0.0, NaNs held by distinct objects, +-inf, the smallest
+# subnormal, ints and floats in one column.
+_REPEATS = [
+    VerificationRecord(IdentityId.EQ2, (("t", x),), x, -x, y, 5e-324,
+                       Verdict.PASS, "same" if x else "")
+    for x, y in zip([0.0, -0.0] * 4, [float("nan"), float("nan"), math.inf,
+                                      -math.inf] * 2)
+] + [VerificationRecord(IdentityId.EQ3, (), 0, 0.0, 0.0, 1e-10,
+                        Verdict.PASS)] * 2
+
+
 @pytest.mark.parametrize("report", [
     _synthetic(_ODD),
+    _synthetic(_REPEATS),
     _synthetic(_ODD, metadata={}, notes=[]),
     _synthetic([], metadata={}, notes=[]),
     _synthetic(_ODD[:1], metadata={"nested": {"z": [], "a": [1, math.inf]}},
                notes=['quo"te', "line\nbreak", "\u00fcber"]),
-], ids=["odd-values", "empty-metadata-notes", "no-records", "odd-metadata"])
+], ids=["odd-values", "repeats", "empty-metadata-notes", "no-records",
+        "odd-metadata"])
 def test_json_matches_stdlib_encoder(report):
     blob = serialize_report(report, "json")
     assert blob == _reference_json(report)
@@ -250,6 +342,65 @@ def test_json_matches_stdlib_encoder(report):
     assert (back.summary, back.metadata, back.notes) == (
         report.summary, report.metadata, report.notes)
     assert serialize_report(back, "json") == blob
+
+
+def _stdlib_csv(report):
+    """The report as csv.writer writes it: the CSV form's definition."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["identity", "params", "lhs", "rhs", "residual", "tolerance",
+                "verdict"])
+    for r in report.records:
+        w.writerow([r.identity.name,
+                    ";".join("%s=%.17g" % kv for kv in r.params),
+                    "%.17g" % r.lhs, "%.17g" % r.rhs, "%.17g" % r.residual,
+                    "%.17g" % r.tolerance, r.verdict.name])
+    return buf.getvalue().encode()
+
+
+# equal values held by distinct objects, which must not share a spelling slot
+# with anything but their own bit pattern
+_A, _B = float("0.1") * 3, float("0.1") * 3
+assert _A == _B and _A is not _B
+
+_QUOTING = [
+    # params names that csv must quote: a comma, a quote, a newline
+    VerificationRecord(IdentityId.EQ22, (("a,b", 0.5), ('q"', -0.0)), 0.0,
+                       -0.0, 0.0, 1e-9, Verdict.PASS),
+    VerificationRecord(IdentityId.EQ2, (("new\nline", 1.0),), -0.0, 0.0, _A,
+                       _B, Verdict.PASS),
+    VerificationRecord(IdentityId.EQ2, (("mu", _B), ("t", _A)), _A, _B,
+                       -0.0, 0.0, Verdict.FAIL, "a note"),
+]
+
+
+@pytest.mark.parametrize("records", [
+    _ODD, _QUOTING, _REPEATS, _ODD + _QUOTING + _REPEATS, []],
+    ids=["odd-values", "quoting", "repeats", "all", "no-records"])
+def test_csv_matches_stdlib_writer(records):
+    report = _synthetic(records)
+    blob = serialize_report(report, "csv")
+    assert blob == _stdlib_csv(report)
+    back = parse_report(blob, "csv")
+    assert len(back.records) == len(records)
+
+    def bits(r):
+        floats = (*(v for _, v in r.params), r.lhs, r.rhs, r.residual,
+                  r.tolerance)
+        return (r.identity, [k for k, _ in r.params], r.verdict,
+                [float(x).hex() for x in floats])
+    # every float comes back bit for bit, -0.0, NaN, +-inf and 5e-324 too
+    assert [bits(r) for r in back.records] == [bits(r) for r in records]
+
+
+def test_csv_quotes_a_carriage_return():
+    # csv.writer with lineterminator "\n" leaves a CR bare, which csv.reader
+    # then rejects; the writer quotes it, so the report reads back
+    rec = VerificationRecord(IdentityId.EQ2, (("a\rb", 0.5),), 1.0, 1.0, 0.0,
+                             1e-10, Verdict.PASS)
+    blob = serialize_report(_synthetic([rec]), "csv")
+    assert blob.endswith(b'\nEQ2,"a\rb=0.5",1,1,0,1e-10,PASS\n')
+    assert parse_report(blob, "csv").records == [rec]
 
 
 def test_report_diff_names_each_changed_record():
