@@ -240,13 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     raw = os.environ.get("SKEWLOG_MAX_TERMS")
     if raw is not None:
+        from .core_numerics import DEFAULT_CACHE_LIMIT
         from .series_engine import set_max_terms
 
         try:
             set_max_terms(int(raw))
         except ValueError:
-            print(f"error: SKEWLOG_MAX_TERMS={raw!r} is not a positive "
-                  "integer", file=sys.stderr)
+            print(f"error: SKEWLOG_MAX_TERMS={raw!r} is not an integer from "
+                  f"1 to {DEFAULT_CACHE_LIMIT}", file=sys.stderr)
             return 2
 
     parser = _build_parser()

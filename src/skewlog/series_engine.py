@@ -6,7 +6,13 @@ ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
-  majorant of |a_n|;
+  majorant of |a_n|.  The terms come in blocks: coefficients by C-level
+  maps over the harmonic cache (a fused loop for the mu series), powers
+  and geometric factors by running products carried from block to block,
+  the stopping index by bisection on the nonincreasing tail bound, and one
+  math.fsum.  Every float is rounded as in a term-by-term loop, so value,
+  bound, terms and status are those of that loop, bit for bit (the
+  argument is in _SeriesSpec);
 * endpoint t = +-1: every term there is s_n c_n^k / (n + d)^e with
   c_n = (-1)^n (log 2 - H_n^-) and s_n = 1 or (-1)^n.  One rule sums a
   fixed 32 terms plus the tail beyond them, from the asymptotic expansion
@@ -24,26 +30,32 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import mul, sub, truediv
 
 from .core_numerics import (
-    CONSTANTS, LOG2, check_real, odd_harmonic, skew_harmonic)
+    _CACHE, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2, check_real, skew_harmonic)
 from .errors import DomainError
 from .result import EvalResult, Status
 
 DEFAULT_MAX_TERMS = 200_000
 _max_terms = DEFAULT_MAX_TERMS
+_BLOCK = 64  # the first block of an interior sum, in terms
 
 
 def set_max_terms(n: int) -> None:
-    """Set the global term cap of sum_series's interior sums; the endpoint
-    rules sum a fixed number of terms and ignore it."""
+    """Set the global term cap of sum_series's interior sums, 1 to the
+    harmonic cache limit; the endpoint rules sum a fixed number of terms
+    and ignore it."""
     global _max_terms
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("max terms must be a positive integer")
+    if n > DEFAULT_CACHE_LIMIT:
+        raise ValueError(f"max terms {n} exceeds the harmonic cache limit "
+                         f"{DEFAULT_CACHE_LIMIT}")
     _max_terms = n
 
 
@@ -81,74 +93,112 @@ def _c_mu(mu: float) -> float:
     return -math.log1p(-a) / a
 
 
-def _coeff_gf_skew(n: int) -> float:
-    return skew_harmonic(n) if n >= 1 else 0.0
+# -- coefficients, a block at a time ----------------------------------------
+#
+# A block rule block(lo, hi) returns an iterable of a_lo, ..., a_(hi-1).
+# Those of the series without mu are C-level maps over slices of the
+# harmonic cache, with the float operations of the one-term formula; each
+# fills the cache no further than the last index it reads.
+
+#: block(lo, hi) -> a_lo, ..., a_(hi-1)
+_Block = Callable[[int, int], Iterable[float]]
+_H, _SKEW = _CACHE.values_h, _CACHE.values_skew
 
 
-def _coeff_gf_centered(n: int) -> float:
-    return skew_harmonic(n) - LOG2
+def _skew(lo: int, hi: int) -> list[float]:
+    """H_n^- (0.0 at n = 0)."""
+    if hi > len(_SKEW):
+        _CACHE.ensure(hi - 1)
+    return _SKEW[lo:hi]
 
 
-def _coeff_skew_over_n(n: int) -> float:
-    return skew_harmonic(n) / n if n >= 1 else 0.0
+def _centered(lo: int, hi: int) -> Iterable[float]:
+    """H_n^- - log 2."""
+    return map(sub, _skew(lo, hi), repeat(LOG2))
 
 
-def _coeff_centered_over_n(n: int) -> float:
-    return (skew_harmonic(n) - LOG2) / n if n >= 1 else 0.0
+def _over_n(x: Iterable[float], lo: int, hi: int) -> Iterable[float]:
+    """x_n / n, 0.0 at n = 0, for x = x_lo, ..., x_(hi-1)."""
+    if lo:
+        return map(truediv, x, range(lo, hi))
+    return chain((0.0,), map(truediv, islice(x, 1, None), range(1, hi)))
 
 
-def _coeff_centered_shift(n: int) -> float:
-    return (skew_harmonic(n) - LOG2) / (n + 1)
+def _over_np1(x: Iterable[float], lo: int, hi: int) -> Iterable[float]:
+    """x_n / (n + 1)."""
+    return map(truediv, x, range(lo + 1, hi + 1))
 
 
-def _coeff_skew_sq(n: int) -> float:
-    return skew_harmonic(n) ** 2 if n >= 1 else 0.0
+def _squares(x: Iterable[float]) -> Iterable[float]:
+    """x_n ** 2."""
+    return map(pow, x, repeat(2))
 
 
-def _coeff_centered_sq(n: int) -> float:
-    return (skew_harmonic(n) - LOG2) ** 2
+def _ramanujan(lo: int, hi: int) -> list[float]:
+    """2 O_m / n at odd n = 2m - 1, with O_m = H_2m - H_m/2 as in
+    odd_harmonic; 0.0 at even n."""
+    out = [0.0] * (hi - lo)
+    odd = range(lo | 1, hi, 2)
+    if odd:
+        m = (odd[0] + 1) // 2
+        end = m + len(odd)
+        _CACHE.ensure(2 * end - 2)
+        o = map(sub, _H[2 * m:2 * end:2], map(mul, repeat(0.5), _H[m:end]))
+        out[odd[0] - lo::2] = map(truediv, map(mul, repeat(2.0), o), odd)
+    return out
 
 
-def _coeff_centered_sq_shift(n: int) -> float:
-    return (skew_harmonic(n) - LOG2) ** 2 / (n + 1)
+def _plain(block: _Block) -> Callable[[float | None], _Block]:
+    """The rule of a series without mu: one block rule for every sum."""
+    return lambda mu: block
 
 
-def _coeff_skew_over_nsq(n: int) -> float:
-    return skew_harmonic(n) / (n + 1) ** 2 if n >= 1 else 0.0
+def _mu_rule(term: Callable[[float, list[float], int, int], Iterable[float]],
+             inner: bool = False) -> Callable[[float], _Block]:
+    """The rule of a mu series: rule(mu) is a fresh block rule.
 
-
-def _coeff_ramanujan(n: int) -> float:
-    if n < 1 or n % 2 == 0:
-        return 0.0
-    m = (n + 1) // 2
-    return 2.0 * odd_harmonic(m) / n
-
-
-def _mu_stream(term: Callable[[int, float, float, float], float],
-               mu: float) -> Iterator[float]:
-    """Yields a_0 = 0, a_1, ... of a mu series with O(1) work per term.
-
-    a_n = (-1)^(n-1) term(n, mu, H_n^-(mu), sum_{k<=n} H_k^-(mu)/k); both
-    running sums are Kahan-compensated.
+    a_0 = 0 and a_n = (-1)^(n-1) term(n) for n >= 1, where term is mapped
+    over s_n = H_n^-(mu) (or, with inner, i_n = sum_{k<=n} s_k/k).  Both
+    run as Kahan sums in one loop per block, with no call per term; the
+    block rule carries them, so its calls must cover 0, 1, 2, ... in order.
     """
-    yield 0.0
-    s = 0.0    # running H_n^-(mu)
-    cs = 0.0
-    inner = 0.0  # running sum_k H_k^-(mu)/k
-    ci = 0.0
-    p = 1.0    # (-mu)^(n-1)
-    for n in itertools.count(1):
-        y = p / n - cs
-        t = s + y
-        cs = (t - s) - y
-        s = t
-        p *= -mu
-        y = s / n - ci
-        t = inner + y
-        ci = (t - inner) - y
-        inner = t
-        sign = 1.0 if n % 2 == 1 else -1.0
-        yield sign * term(n, mu, s, inner)
+    def rule(mu: float) -> _Block:
+        s = cs = i = ci = 0.0
+        p = 1.0  # (-mu)^(n-1)
+        neg = -mu
+
+        def block(lo: int, hi: int) -> list[float]:
+            nonlocal s, cs, i, ci, p
+            first = max(lo, 1)
+            s_, cs_, p_, i_, ci_, runs = s, cs, p, i, ci, []
+            # the s_n recurrence is written twice: the loop without i_n is
+            # the mu series' hot path
+            if inner:
+                for n in range(first, hi):
+                    y = p_ / n - cs_
+                    x = s_ + y
+                    cs_ = (x - s_) - y
+                    s_ = x
+                    p_ *= neg
+                    y = s_ / n - ci_
+                    x = i_ + y
+                    ci_ = (x - i_) - y
+                    i_ = x
+                    runs.append(i_)
+            else:
+                for n in range(first, hi):
+                    y = p_ / n - cs_
+                    x = s_ + y
+                    cs_ = (x - s_) - y
+                    s_ = x
+                    p_ *= neg
+                    runs.append(s_)
+            s, cs, p, i, ci = s_, cs_, p_, i_, ci_
+            signs = cycle((1.0, -1.0) if first % 2 else (-1.0, 1.0))
+            a = map(mul, signs, term(mu, runs, first, hi))
+            return chain((0.0,), a) if lo == 0 else a
+        return block
+    return rule
 
 
 def _env_one(n: int, mu: float | None) -> float:
@@ -324,24 +374,38 @@ def _endpoint(
 
 class _SeriesSpec(namedtuple(
         "_SeriesSpec",
-        "label alias p lo domain_text env coeff mu_term endpoints",
-        defaults=(None, None, {}))):
+        "label alias p lo domain_text env coeffs needs_mu endpoints",
+        defaults=(False, {}))):
     """One catalog row.
 
     label is the companion closed-form tag (interface data) and alias the
-    catalog spelling the CLI accepts; the value is t^p * sum a_n t^n.  A
-    series without mu has the per-index rule coeff(n); a mu series has
-    mu_term instead (see _mu_stream).  env(n, mu) is the majorant of
-    |a_n| in the interior tail bound.  The domain is lo <= t <= 1 with
-    |t| = 1 admitted exactly where endpoints (t -> _EndpointRule; the
-    shared empty default is never mutated) has a rule.
+    catalog spelling the CLI accepts; the value is t^p * sum a_n t^n.
+    coeffs(mu) returns the series' block rule (a _Block; mu is None
+    without needs_mu).  env(n, mu) is the majorant of |a_n| in the interior
+    tail bound; it must be nonincreasing in n as computed, not only in
+    exact arithmetic, because the interior sum finds its stopping index by
+    bisection.  Each env here is a constant over an exact integer power of
+    n or n + 1, or (c + log n)/n, whose relative step of about 1/n is far
+    above its rounding for every n the cache allows.  The domain is lo <= t <= 1 with |t| = 1 admitted exactly
+    where endpoints (t -> _EndpointRule; the shared empty default is never
+    mutated) has a rule.
+
+    An interior sum takes its terms in blocks that double from 64 up to
+    the term cap; a block ends early where the tail bound would reach
+    tol/2 if env kept its value at the block's start, which only saves
+    work.  A block's powers t^n and geometric factors
+    q^(n+1+p)/(1-q), q = |t|, are running products (itertools.accumulate
+    with operator.mul) continued from the last value of the block before,
+    so each is rounded exactly as in a term-by-term loop.  The geometric
+    factors never grow (q < 1, and rounding is monotone), so the tail
+    bounds env(n+1) * geom_n are nonincreasing as computed, and the first n
+    whose bound is at most tol/2 is found by bisection: env is evaluated
+    only at the O(log N) probes, and the index is the one the term-by-term
+    test would stop at.  The terms a_n t^n of every block go into one
+    math.fsum, which is exactly rounded whatever their order.
     """
 
     __slots__ = ()
-
-    @property
-    def needs_mu(self) -> bool:
-        return self.mu_term is not None
 
     def in_domain(self, t: float) -> bool:
         return self.lo <= t <= 1.0 and (abs(t) < 1.0 or t in self.endpoints)
@@ -349,41 +413,45 @@ class _SeriesSpec(namedtuple(
 
 _SPECS: dict[SeriesId, _SeriesSpec] = {
     SeriesId.GF_SKEW: _SeriesSpec(
-        "EQ2", "EQ2_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_gf_skew),
+        "EQ2", "EQ2_LHS", 0, -1.0, "|t| < 1", _env_one, _plain(_skew)),
     SeriesId.GF_CENTERED: _SeriesSpec(
         "EQ3", "EQ3_LHS", 0, -1.0, "|t| < 1 or t = 1", _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
-        _coeff_gf_centered,
+        _plain(_centered),
         endpoints={1.0: _endpoint(1, sign=-1.0, alt=True)}),
     SeriesId.SKEW_OVER_N: _SeriesSpec(
         "EQ5", "EQ5_LHS", 0, -1.0, "|t| <= 1, t != 1", _env_inv,
         # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
-        _coeff_skew_over_n,
+        _plain(lambda lo, hi: _over_n(_skew(lo, hi), lo, hi)),
         endpoints={-1.0: _endpoint(1, over=0, sign=-1.0, const=-LOG2**2)}),
     SeriesId.CENTERED_OVER_N: _SeriesSpec(
         "EQ8", "EQ8_LHS", 0, -1.0, "|t| <= 1", _env_half_inv_sq,
-        _coeff_centered_over_n, endpoints={
+        _plain(lambda lo, hi: _over_n(_centered(lo, hi), lo, hi)),
+        endpoints={
             1.0: _endpoint(1, over=0, sign=-1.0, alt=True),
             -1.0: _endpoint(1, over=0, sign=-1.0),
         }),
     SeriesId.CENTERED_SHIFT: _SeriesSpec(
         "EQ11", "EQ11_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_sq,
-        _coeff_centered_shift, endpoints={
+        _plain(lambda lo, hi: _over_np1(_centered(lo, hi), lo, hi)),
+        endpoints={
             1.0: _endpoint(1, over=1, sign=-1.0, alt=True),
             # t^p = -1 times the terms -c_n/(n+1)
             -1.0: _endpoint(1, over=1),
         }),
     SeriesId.SKEW_SQ: _SeriesSpec(
-        "EQ12", "EQ12_LHS", 0, -1.0, "|t| < 1", _env_one, _coeff_skew_sq),
+        "EQ12", "EQ12_LHS", 0, -1.0, "|t| < 1", _env_one,
+        _plain(lambda lo, hi: _squares(_skew(lo, hi)))),
     SeriesId.CENTERED_SQ: _SeriesSpec(
         "EQ13", "EQ13_LHS", 0, -1.0, "|t| <= 1", _env_inv_np1_sq,
-        _coeff_centered_sq, endpoints={
+        _plain(lambda lo, hi: _squares(_centered(lo, hi))), endpoints={
             -1.0: _endpoint(2, alt=True),
             1.0: _endpoint(2),
         }),
     SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
         "EQ17", "EQ17_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_cube,
-        _coeff_centered_sq_shift, endpoints={
+        _plain(lambda lo, hi: _over_np1(_squares(_centered(lo, hi)), lo, hi)),
+        endpoints={
             # t^p = -1
             -1.0: _endpoint(2, over=1, sign=-1.0, alt=True),
             1.0: _endpoint(2, over=1),
@@ -392,21 +460,29 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
         "EQ20", "EQ20_LHS", 1, -1.0 / 3.0, "-1/3 <= t <= 1", _env_inv_np1_sq,
         # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating
         # terms, both from n = 1
-        _coeff_skew_over_nsq, endpoints={1.0: _endpoint(
+        _plain(lambda lo, hi: map(truediv, _skew(lo, hi), map(
+            pow, range(lo + 1, hi + 1), repeat(2)))),
+        endpoints={1.0: _endpoint(
             1, over=1, deg=2, sign=-1.0, alt=True, start=1,
             const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
     SeriesId.MU_LEWIN: _SeriesSpec(
         "EQ22", "EQ22_LHS", 1, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_shift,
-        mu_term=lambda n, mu, s, inner: mu * s / (n + 1)),
+        _mu_rule(lambda mu, s, lo, hi: map(
+            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))),
+        needs_mu=True),
     SeriesId.MU_DILOG: _SeriesSpec(
         "EQ24", "EQ24_SERIES", 0, -1.0, "|t| < 1, -1 < mu <= 1",
-        _env_mu_over_n, mu_term=lambda n, mu, s, inner: mu * s / n),
+        _env_mu_over_n, _mu_rule(lambda mu, s, lo, hi: map(
+            truediv, map(mul, repeat(mu), s), range(lo, hi))),
+        needs_mu=True),
     SeriesId.MU_TRILOG: _SeriesSpec(
         "EQ28", "EQ28_SERIES", 0, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_log,
-        mu_term=lambda n, mu, s, inner: inner / n),
+        _mu_rule(lambda mu, i, lo, hi: map(truediv, i, range(lo, hi)),
+                 inner=True),
+        needs_mu=True),
     SeriesId.RAMANUJAN_ODD: _SeriesSpec(
         "EQ27", "EQ27_SERIES", 0, -1.0, "|t| < 1", _env_ramanujan,
-        _coeff_ramanujan),
+        _plain(_ramanujan)),
 }
 
 
@@ -439,26 +515,24 @@ def _mu_arg(series_id: SeriesId, mu) -> float | None:
     return check_real("mu", mu) if spec.needs_mu else None
 
 
-def _coeff_stream(spec: _SeriesSpec, mu: float | None) -> Iterator[float]:
-    """Yields a_0, a_1, ... of the series."""
-    if spec.mu_term is not None:
-        return _mu_stream(spec.mu_term, mu)
-    return map(spec.coeff, itertools.count())
-
-
 def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
-    """Coefficient a_n of the tagged series.  A mu series reads it off its
-    coefficient stream, in O(n); a mu outside -1 < mu <= 1 raises
-    DomainError."""
+    """Coefficient a_n of the tagged series.  A mu series runs its block
+    rule from a_0, in O(n) time, a bounded block at a time; a mu outside
+    -1 < mu <= 1 raises DomainError."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError("n must be an integer >= 0")
     mu = _mu_arg(series_id, mu)
     if mu is not None and not -1.0 < mu <= 1.0:
         raise DomainError("mu must satisfy -1 < mu <= 1")
     spec = _SPECS[series_id]
-    if spec.mu_term is None:
-        return spec.coeff(n)
-    return next(itertools.islice(_mu_stream(spec.mu_term, mu), n, None))
+    block = spec.coeffs(mu)
+    lo = 0 if spec.needs_mu else n
+    while True:
+        hi = min(lo + 4096, n + 1)
+        *_, a = block(lo, hi)
+        if hi > n:
+            return a
+        lo = hi
 
 
 def sum_series(
@@ -488,29 +562,50 @@ def sum_series(
     if abs(t) == 1.0:
         return spec.endpoints[t](tol)
 
-    stream = _coeff_stream(spec, mu)
+    block = spec.coeffs(mu)
     if t == 0.0:
-        a0 = next(stream) if spec.p == 0 else 0.0
+        a0 = next(iter(block(0, 1))) if spec.p == 0 else 0.0
         return EvalResult(a0, 0.0, 1, Status.CONVERGED)
 
+    # blocks of terms, see _SeriesSpec; geom is q^(n+1+p)/(1-q) and pw is
+    # t^n at the block's first n
     q = abs(t)
     geom = q ** (spec.p + 1) / (1.0 - q)
-    cap = get_max_terms()
-    env = spec.env
-    terms: list[float] = []
     pw = 1.0
-    tail = math.inf
-    hit_cap = True
-    for n in range(cap):
-        terms.append(next(stream) * pw)
-        pw *= t
-        tail = env(n + 1, mu) * geom
-        geom *= q
-        if tail <= 0.5 * tol:
-            hit_cap = False
+    cap = get_max_terms()
+    env, half = spec.env, 0.5 * tol
+    terms: list[float] = []
+    lo, size = 0, _BLOCK
+    while True:
+        # were env to keep its value at lo, the tail bound would reach tol/2
+        # about k terms on: the block ends there (a term to spare for
+        # rounding) unless its doubled size ends first.  This only saves
+        # work; the bisection below finds the stop.
+        tail = env(lo + 1, mu) * geom
+        ratio = half / tail if tail > half else 1.0
+        k = math.ceil(math.log(ratio) / math.log(q)) if ratio else cap
+        hi = min(lo + size, cap, lo + k + 2)
+        geoms = list(accumulate(repeat(q, hi - lo - 1), mul, initial=geom))
+        tail = env(hi, mu) * geoms[-1]
+        done = tail <= half
+        if done:  # bisection for the first n whose tail bound is <= tol/2
+            a, b = lo, hi - 1
+            while a < b:
+                m = (a + b) // 2
+                x = env(m + 1, mu) * geoms[m - lo]
+                if x <= half:
+                    b, tail = m, x
+                else:
+                    a = m + 1
+            hi = b + 1
+        powers = list(accumulate(repeat(t, hi - lo - 1), mul, initial=pw))
+        terms += map(mul, block(lo, hi), powers)
+        if done or hi == cap:
             break
+        geom, pw = geoms[-1] * q, powers[-1] * t
+        lo, size = hi, 2 * size
     value = math.fsum(terms) * t**spec.p if spec.p else math.fsum(terms)
     bound = tail + _FP_SLACK * (1.0 + abs(value))
-    if hit_cap or bound > tol:
+    if not done or bound > tol:
         return EvalResult(value, bound, len(terms), Status.MAX_TERMS)
     return EvalResult(value, bound, len(terms), Status.CONVERGED)

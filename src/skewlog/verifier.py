@@ -22,8 +22,8 @@ import enum
 import math
 import re
 from collections import namedtuple
-from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter, mul
+from itertools import chain, cycle, islice, repeat
+from operator import add, attrgetter, ge, getitem, itemgetter, mul, sub
 
 from ._version import __version__
 from .closed_forms import (
@@ -42,8 +42,6 @@ from .core_numerics import (
     LOG2,
     check_real,
     digamma_half_diff,
-    harmonic2,
-    skew_harmonic,
 )
 from .errors import DomainError, PoleError
 from .polylog import li2
@@ -236,67 +234,98 @@ def _quad_vs(label: str, quad, rhs: float):
     return quad.value, rhs, ((label, quad),)
 
 
-def _skip_negative(identity, grid, tol):
-    """SKIPPED records for the grid's n < 0, outside the harmonic sums'
-    domain."""
+_VERDICTS = (Verdict.FAIL, Verdict.PASS)
+
+
+def _n_records(identity, first, lhs, rhs, tol, residual=None, notes=None):
+    """The records of the integers first, first + 1, ... from their columns
+    lhs and rhs (lists), and residual and notes when given: what _rec gives
+    point by point, built by C-level maps."""
+    if residual is None:
+        residual = list(map(abs, map(sub, lhs, rhs)))
+    params = zip(zip(repeat("n"), map(float, range(first, first + len(lhs)))))
+    verdicts = map(_VERDICTS.__getitem__, map(tol.__ge__, residual))
+    return list(map(tuple.__new__, repeat(VerificationRecord), zip(
+        repeat(identity), params, lhs, rhs, residual, repeat(tol), verdicts,
+        repeat("") if notes is None else notes)))
+
+
+def _skip_below(identity, grid, tol, first, reason):
+    """SKIPPED records for the grid's n < first, outside the domain."""
     lo, hi = grid.n_range
-    return [_skip(identity, (("n", float(n)),), tol, "n must be >= 0")
-            for n in range(lo, min(0, hi + 1))]
+    return [_skip(identity, (("n", float(n)),), tol, reason)
+            for n in range(lo, min(first, hi + 1))]
 
 
 def _verify_eq1(identity, grid, tol):
     lo, hi = grid.n_range
-    out = []
-    for n in range(lo, hi + 1):
-        try:
-            lhs = digamma_half_diff(n)
-        except DomainError as exc:
-            out.append(_skip(identity, (("n", float(n)),), tol, str(exc)))
-            continue
-        sign = 1.0 if n % 2 == 1 else -1.0
-        rhs = 2.0 * sign * (LOG2 - skew_harmonic(n - 1))
-        out.append(_rec(identity, (("n", float(n)),), lhs, rhs, tol))
+    out = _skip_below(identity, grid, tol, 1, "n must be an integer >= 1")
+    first = max(lo, 1)
+    if first <= hi:
+        lhs = list(map(digamma_half_diff, range(first, hi + 1)))
+        # 2 (-1)^(n-1) (log 2 - H_(n-1)^-)
+        _CACHE.ensure(hi - 1)
+        signs = cycle((2.0, -2.0) if first % 2 else (-2.0, 2.0))
+        rhs = list(map(mul, signs, map(
+            sub, repeat(LOG2), _CACHE.values_skew[first - 1:hi])))
+        out += _n_records(identity, first, lhs, rhs, tol)
     return out
 
 
 def _verify_eq14(identity, grid, tol):
     lo, hi = grid.n_range
-    out = _skip_negative(identity, grid, tol)
-    s = 0.0
-    comp = 0.0
-    for n in range(0, hi + 1):
-        if n:
-            term = skew_harmonic(n) / n
+    out = _skip_below(identity, grid, tol, 0, "n must be >= 0")
+    first = max(lo, 0)
+    if first <= hi:
+        _CACHE.ensure(hi)
+        sk, h2 = _CACHE.values_skew, _CACHE.values_h2
+        # 2 sum_{k<=n} (-1)^(k-1) H_k^-/k, Kahan-compensated, from n = 0
+        lhs = [0.0] if first == 0 else []
+        s = comp = 0.0
+        for n in range(1, hi + 1):
+            term = sk[n] / n
             if n % 2 == 0:
                 term = -term
             y = term - comp
             t = s + y
             comp = (t - s) - y
             s = t
-        if n >= lo:
-            lhs = 2.0 * s
-            rhs = skew_harmonic(n) ** 2 + harmonic2(n)
-            out.append(_rec(identity, (("n", float(n)),), lhs, rhs, tol))
+            if n >= first:
+                lhs.append(2.0 * s)
+        rhs = list(map(add, map(pow, sk[first:hi + 1], repeat(2)),
+                       h2[first:hi + 1]))
+        out += _n_records(identity, first, lhs, rhs, tol)
     return out
 
 
+_SPLIT_NOTES = ("odd half (even half residual is smaller)",
+                "even half (odd half residual is smaller)")
+
+
 def _verify_split(identity, grid, tol):
+    """H_2n^- = H_2n - H_n and H_(2n+1)^- = H_(2n+1) - H_n; a record keeps
+    the half with the larger residual (the even half on a tie)."""
     lo, hi = grid.n_range
-    out = _skip_negative(identity, grid, tol)
-    # one fill, then the entries straight from the cache's lists; n >= 0
-    # here, so no index is negative
-    _CACHE.ensure(2 * hi + 1)
-    h, sk = _CACHE.values_h, _CACHE.values_skew
-    for n in range(max(lo, 0), hi + 1):
-        hn = h[n]
-        le, re_ = sk[2 * n], h[2 * n] - hn
-        lo_, ro = sk[2 * n + 1], h[2 * n + 1] - hn
-        if abs(le - re_) >= abs(lo_ - ro):
-            out.append(_rec(identity, (("n", float(n)),), le, re_, tol,
-                            "even half (odd half residual is smaller)"))
-        else:
-            out.append(_rec(identity, (("n", float(n)),), lo_, ro, tol,
-                            "odd half (even half residual is smaller)"))
+    out = _skip_below(identity, grid, tol, 0, "n must be >= 0")
+    first = max(lo, 0)
+    if first <= hi:
+        # one fill, then the entries straight from the cache's lists
+        _CACHE.ensure(2 * hi + 1)
+        h, sk = _CACHE.values_h, _CACHE.values_skew
+        hn = h[first:hi + 1]
+        # (lhs, rhs, residual) columns of the odd half (k = 1), then of the
+        # even half, so that a pick of False (0) indexes the odd one
+        halves = []
+        for k in (1, 0):
+            sides = sk[2 * first + k:2 * hi + 2:2]
+            diffs = list(map(sub, h[2 * first + k:2 * hi + 2:2], hn))
+            halves.append((sides, diffs,
+                           list(map(abs, map(sub, sides, diffs)))))
+        even = list(map(ge, halves[1][2], halves[0][2]))
+        lhs, rhs, residual = (list(map(getitem, zip(*pair), even))
+                              for pair in zip(*halves))
+        out += _n_records(identity, first, lhs, rhs, tol, residual,
+                          map(_SPLIT_NOTES.__getitem__, even))
     return out
 
 
@@ -316,6 +345,11 @@ def _eq21_sides(tol, x):
     )
     return series.value, rhs, (("series SKEW_OVER_NSQ", series),
                                ("quadrature integrate_1d", quad))
+
+
+#: The grid of a parameter-free identity: one point, whose record has no
+#: params.  verify_identity takes no other grid for it.
+_NO_PARAMS = GridSpec((0.0,))
 
 
 def _square_integral(label: str, integral, rhs: float):
@@ -421,12 +455,12 @@ _CHECKS: dict[IdentityId, _Check] = {
                 double_integral_bigG(z, _quad_cfg(tol)),
                 closed_form_eq17(z))),
         singular=_Z_ENDS),
-    IdentityId.EQ31: _Check(GridSpec((0.0,)), 1e-8, _square_integral(
+    IdentityId.EQ31: _Check(_NO_PARAMS, 1e-8, _square_integral(
         "quadrature double_integral_eq31",
         lambda cfg: double_integral_eq31(cfg),
         0.875 * LOG2 * LOG2 + _PI / 8.0 * LOG2
         - 0.5 * CONSTANTS["CATALAN_G"] - _PI_SQ_OVER_6 / 8.0)),
-    IdentityId.EQ32: _Check(GridSpec((0.0,)), 1e-8, _square_integral(
+    IdentityId.EQ32: _Check(_NO_PARAMS, 1e-8, _square_integral(
         "quadrature double_integral_eq32",
         lambda cfg: double_integral_eq32(cfg),
         _PI_SQ_OVER_12 * LOG2 + LOG2**3 / 3.0 - 0.5 * _ZETA3)),
@@ -447,13 +481,17 @@ def verify_identity(
     """Check one identity over a grid; one record per evaluation point.
 
     The grid must be of the identity's kind, integers n_range or reals
-    t_values (ValueError); a point outside the domain is a SKIPPED record.
+    t_values, and a parameter-free identity (EQ31, EQ32) takes only its
+    own (ValueError); a point outside the domain is a SKIPPED record.
     tolerance, when given, is checked like sum_series's tol: a bool or a
     non-real value raises DomainError, and it must be positive and finite
     (ValueError)."""
     row = _CHECKS[identity]
     if grid is None:
         grid = row.grid
+    elif row.grid is _NO_PARAMS and grid != _NO_PARAMS:
+        raise ValueError(f"{identity.name} has no parameters and takes no "
+                         "grid")
     elif (grid.n_range is None) != (row.grid.n_range is None):
         kind = ("with an n_range" if row.grid.n_range
                 else "of t_values, not an n_range")

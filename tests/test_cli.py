@@ -136,6 +136,17 @@ def test_env_max_terms_bad_value(monkeypatch, capsys):
     assert "SKEWLOG_MAX_TERMS" in capsys.readouterr().err
 
 
+def test_env_max_terms_above_the_cache_limit(monkeypatch, capsys):
+    # a usage error naming the range, before any series is summed
+    monkeypatch.setenv("SKEWLOG_MAX_TERMS", "2000000")
+    assert run(["eval", "series", "--id", "GF_SKEW", "--t", "0.9999999",
+                "--tol", "1e-12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SKEWLOG_MAX_TERMS='2000000' is not an integer from 1 to " \
+        "1000000" in captured.err
+
+
 def test_env_max_terms_small_cap(monkeypatch, capsys):
     monkeypatch.setenv("SKEWLOG_MAX_TERMS", "20")
     assert run(["eval", "series", "--id", "GF_SKEW", "--t", "0.99",

@@ -1,6 +1,7 @@
 """Coefficient streams, the endpoint tail engine, and series evaluation."""
 
 import math
+import pathlib
 import time
 
 import pytest
@@ -17,7 +18,9 @@ from skewlog import (
     skew_harmonic_mu,
     sum_series,
 )
-from skewlog.series_engine import _SPECS, _eta, _hurwitz, series_catalog
+from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
+from skewlog.series_engine import (
+    _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz, series_catalog)
 
 LOG2 = math.log(2.0)
 
@@ -172,6 +175,29 @@ def test_sum_series_at_zero():
     assert res0.value == pytest.approx(-LOG2)
 
 
+def _interior_rows():
+    path = pathlib.Path(__file__).parent / "data" / "interior_bits.txt"
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            yield line.split()
+
+
+def test_interior_sums_bit_for_bit():
+    # every field of ~240 interior sums as the term-by-term loop gave them,
+    # caps of 5 terms and of one that ends inside a block included
+    rows = list(_interior_rows())
+    assert {row[0] for row in rows} == {sid.name for sid in SeriesId}
+    for sid, t, tol, mu, cap, *expected in rows:
+        if cap != "-":
+            set_max_terms(int(cap))
+        res = sum_series(SeriesId[sid], float(t), float(tol),
+                         mu=None if mu == "None" else float(mu))
+        set_max_terms(DEFAULT_MAX_TERMS)
+        got = [res.value.hex(), res.error_bound.hex(), str(res.terms_used),
+               res.status.name]
+        assert got == expected, (sid, t, tol, mu, cap)
+
+
 def test_min_terms_is_honored():
     # a sum at a 1000x smaller tol moves the value by at most the bound
     lo = sum_series(SeriesId.GF_SKEW, 0.1, tol=1e-10)
@@ -290,6 +316,18 @@ def test_set_max_terms_validation():
         set_max_terms(0)
     with pytest.raises(ValueError):
         set_max_terms(-5)
+
+
+def test_term_cap_stays_within_the_cache_limit():
+    # a cap the harmonic cache cannot serve is refused up front, rather
+    # than accepted and failing in the middle of a sum
+    old = get_max_terms()
+    with pytest.raises(ValueError, match=str(DEFAULT_CACHE_LIMIT)):
+        set_max_terms(DEFAULT_CACHE_LIMIT + 1)
+    assert get_max_terms() == old
+    set_max_terms(DEFAULT_CACHE_LIMIT)
+    res = sum_series(SeriesId.RAMANUJAN_ODD, 0.5, tol=1e-12)
+    assert res.status is Status.CONVERGED
 
 
 # --- catalog -----------------------------------------------------------------

@@ -83,6 +83,40 @@ def test_grid_kind_must_match_the_identity():
         verify_identity(IdentityId.EQ1_DIGAMMA, GridSpec())
 
 
+@pytest.mark.parametrize("identity", [IdentityId.EQ31, IdentityId.EQ32])
+def test_parameter_free_identity_takes_no_grid(identity):
+    # a grid would be ignored: one record with params () whatever it holds
+    for grid in (GridSpec((0.1, 0.2, 0.3)), GridSpec((0.0,), (0.5,)),
+                 GridSpec(n_range=(1, 3)), GridSpec()):
+        with pytest.raises(ValueError, match=identity.name):
+            verify_identity(identity, grid)
+    [rec] = verify_identity(identity, GridSpec((0.0,)))  # its own grid
+    assert rec.params == () and rec.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize("identity", [
+    IdentityId.EQ1_DIGAMMA, IdentityId.EQ14_LEMMA6,
+    IdentityId.H_EVEN_ODD_SPLIT])
+def test_integer_grid_records_are_whole(identity):
+    # records built column by column hold what a point-by-point check
+    # gives: the residual of their sides, its verdict, one point each
+    recs = verify_identity(identity, GridSpec(n_range=(-2, 300)),
+                           tolerance=2e-16)
+    assert [r.params for r in recs] == [
+        (("n", float(n)),) for n in range(-2, 301)]
+    verdicts = {r.verdict for r in recs}
+    assert {Verdict.PASS, Verdict.FAIL} <= verdicts
+    for r in recs:
+        assert type(r) is VerificationRecord and r.identity is identity
+        assert r.tolerance == 2e-16
+        if r.verdict is Verdict.SKIPPED:
+            continue
+        assert r.residual == abs(r.lhs - r.rhs)
+        assert r.verdict is (Verdict.PASS if r.residual <= 2e-16
+                             else Verdict.FAIL)
+        assert ("half" in r.note) == (identity is IdentityId.H_EVEN_ODD_SPLIT)
+
+
 def test_custom_tolerance_can_fail():
     recs = verify_identity(IdentityId.EQ13, tolerance=1e-18)
     assert any(r.verdict is Verdict.FAIL for r in recs)
