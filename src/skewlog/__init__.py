@@ -11,9 +11,9 @@ from ._version import __version__
 
 #: Library module -> the public names it defines.
 _EXPORTS = {
-    "closed_forms": ("ClosedFormId", "EQ18_VALUE", "EQ19_VALUE",
-                     "abel_sides", "closed_form", "closed_form_eq17",
-                     "int_li2_over_1mt"),
+    "catalog": ("ClosedFormId", "GridSpec", "IdentityId", "SeriesId"),
+    "closed_forms": ("EQ18_VALUE", "EQ19_VALUE", "abel_sides", "closed_form",
+                     "closed_form_eq17", "int_li2_over_1mt"),
     "core_numerics": ("CONSTANTS", "HarmonicCache", "constant",
                       "digamma_half_diff", "harmonic", "harmonic2",
                       "odd_harmonic", "skew_harmonic", "skew_harmonic_mu"),
@@ -22,12 +22,12 @@ _EXPORTS = {
     "quadrature": ("QuadratureConfig", "double_integral_bigG",
                    "double_integral_eq31", "double_integral_eq32",
                    "double_integral_g", "integrate_1d"),
+    "report": ("Report", "Verdict", "VerificationRecord", "parse_report",
+               "serialize_report"),
     "result": ("EvalResult", "Status"),
-    "series_engine": ("SeriesId", "coefficient", "get_max_terms",
-                      "set_max_terms", "sum_series"),
-    "verifier": ("GridSpec", "IdentityId", "Report", "Verdict",
-                 "VerificationRecord", "parse_report", "serialize_report",
-                 "verify_all", "verify_identity"),
+    "series_engine": ("coefficient", "get_max_terms", "set_max_terms",
+                      "sum_series"),
+    "verifier": ("verify_all", "verify_identity"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -8,8 +8,8 @@ identity catalogs).  Exit codes: 0 success or all-PASS, 1 any FAIL verdict,
 
 Each verb imports the library modules it uses when it runs, each with
 the modules it builds on: constants loads core_numerics, eval li2 polylog,
-eval series series_engine, an eval integral quadrature; list, verify and
-report load the catalogs and the verifier.  No verb pays for a module it
+eval series series_engine, an eval integral quadrature, verify and report
+the verifier; list loads only the catalog.  No verb pays for a module it
 does not touch.
 """
 
@@ -83,10 +83,13 @@ def _cmd_eval(args) -> int:
         cfg = quadrature.QuadratureConfig(abs_tol=max(args.tol, 1e-15))
         _print_result(getattr(quadrature, name)(*point, cfg))
     elif t == "series":
+        from .catalog import SERIES, SeriesId, lookup
         from .result import Status
-        from .series_engine import series_by_name, sum_series
+        from .series_engine import sum_series
 
-        sid = series_by_name(_need(args, "--id"))
+        names = {**SeriesId.__members__,
+                 **{row.alias: SeriesId[name] for name, row in SERIES.items()}}
+        sid = lookup(names, _need(args, "--id").upper(), "series id")
         r = sum_series(sid, _need(args, "--t"), args.tol, mu=args.mu)
         if r.status is Status.DIVERGENT_INPUT:
             print(f"error: t outside the domain of {sid.name}",
@@ -94,16 +97,11 @@ def _cmd_eval(args) -> int:
             return 2
         _print_result(r)
     elif t == "closed":
-        from .closed_forms import ClosedFormId, closed_form
+        from .catalog import ClosedFormId, lookup
+        from .closed_forms import closed_form
 
-        name = _need(args, "--id")
-        try:
-            cid = ClosedFormId[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown closed form {name!r}; valid ids: "
-                f"{', '.join(ClosedFormId.__members__)}"
-            ) from None
+        cid = lookup(ClosedFormId.__members__, _need(args, "--id").upper(),
+                     "closed form")
         v = closed_form(cid, _need(args, "--t"), mu=args.mu)
         print(f"value={_fmt(v)}")
     else:
@@ -140,19 +138,14 @@ def _emit(payload: bytes | str, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     if bool(args.id) == bool(args.all):
         raise ValueError("verify needs exactly one of --id or --all")
-    from .verifier import (
-        IdentityId, Report, Verdict, serialize_report, summarize, verify_all,
-        verify_identity)
+    from .catalog import IdentityId, lookup
+    from .report import Report, Verdict, serialize_report, summarize
+    from .verifier import verify_all, verify_identity
 
     if args.all:
         report = verify_all()
     else:
-        try:
-            identity = IdentityId[args.id.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown identity {args.id!r}; valid ids: "
-                f"{', '.join(IdentityId.__members__)}") from None
+        identity = lookup(IdentityId.__members__, args.id.upper(), "identity")
         records = verify_identity(identity, tolerance=args.tol)
         report = Report(records, summarize(records),
                         {"version": __version__}, [])
@@ -172,7 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .verifier import Verdict, serialize_report, verify_all
+    from .report import Verdict, serialize_report
+    from .verifier import verify_all
 
     report = verify_all()
     _emit(serialize_report(report, args.format), args.out)
@@ -188,17 +182,27 @@ def _cmd_constants() -> int:
     return 0
 
 
-def _cmd_list() -> int:
-    from .closed_forms import closed_form_catalog
-    from .series_engine import series_catalog
-    from .verifier import identity_catalog
+def _grid_text(g) -> str:
+    def values(xs):
+        return "{" + ", ".join(f"{x:g}" for x in xs) + "}"
 
-    for name, eq, domain in sorted(series_catalog()):
-        print(f"series {name} eq={eq} domain={domain}")
-    for name, domain in sorted(closed_form_catalog()):
-        print(f"closed {name} domain={domain}")
-    for name, grid in sorted(identity_catalog()):
-        print(f"identity {name} grid={grid}")
+    if g.n_range:
+        return f"n in [{g.n_range[0]}, {g.n_range[1]}]"
+    if g.mu_values:
+        return f"mu in {values(g.mu_values)} x t in {values(g.t_values)}"
+    return f"t in {values(g.t_values)}"
+
+
+def _cmd_list() -> int:
+    from .catalog import CLOSED_FORMS, IDENTITIES, SERIES
+
+    for name in sorted(SERIES):
+        row = SERIES[name]
+        print(f"series {name} eq={row.closed_form} domain={row.domain}")
+    for name in sorted(CLOSED_FORMS):
+        print(f"closed {name} domain={CLOSED_FORMS[name]}")
+    for name in sorted(IDENTITIES):
+        print(f"identity {name} grid={_grid_text(IDENTITIES[name].grid)}")
     return 0
 
 

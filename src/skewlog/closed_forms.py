@@ -1,7 +1,8 @@
 """Closed-form companion expressions for the tagged series.
 
 Each ClosedFormId names the dilogarithm/trilogarithm expression that a
-series in the catalog converges to.  Arguments produced by the mu-family
+series in the catalog converges to; its domain text is in catalog, and its
+row here holds only the numerics.  Arguments produced by the mu-family
 transformations can leave [-1, 1]; those go through private real-axis
 extensions of li2/li3 built on the standard inversion formulas, keeping the
 public polylog API restricted to [-1, 1].
@@ -19,10 +20,10 @@ report carries numeric evidence for each correction:
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
+from .catalog import CLOSED_FORMS, ClosedFormId, lookup
 from .core_numerics import CONSTANTS, LOG2, check_real
 from .errors import DomainError, PoleError
 from .polylog import li2, li3
@@ -36,27 +37,6 @@ _ZETA3 = CONSTANTS["ZETA3"]
 #: Half-width of the window around a removable point where the limit value
 #: is substituted (or a pole is refused).
 NEAR_POLE_WINDOW = 1e-8
-
-
-class ClosedFormId(enum.Enum):
-    EQ2 = "EQ2"
-    EQ3 = "EQ3"
-    EQ5 = "EQ5"
-    EQ8 = "EQ8"
-    EQ11 = "EQ11"
-    EQ12 = "EQ12"
-    EQ13 = "EQ13"
-    EQ17 = "EQ17"
-    EQ20 = "EQ20"
-    EQ22 = "EQ22"
-    EQ24 = "EQ24"
-    EQ25_ABEL = "EQ25_ABEL"
-    EQ26 = "EQ26"
-    EQ27_RAMANUJAN = "EQ27_RAMANUJAN"
-    EQ28 = "EQ28"
-    EQ29_G = "EQ29_G"
-    EQ30_BIGG = "EQ30_BIGG"
-    LANDEN = "LANDEN"
 
 
 def _li2_ext(w: float) -> float:
@@ -264,43 +244,44 @@ def _from_minus_third(t: float) -> bool:
     return -1.0 / 3.0 <= t <= 1.0
 
 
-class _Form(namedtuple("_Form", "evaluate domain domain_text takes_mu",
+class _Form(namedtuple("_Form", "evaluate domain takes_mu",
                         defaults=(False,))):
-    """One catalog row: evaluate(t), or evaluate(t, mu) when takes_mu, is
-    called only with t in domain(t) and -1 < mu <= 1; domain_text states
-    the domain."""
+    """The numerics of one closed form: evaluate(t), or evaluate(t, mu)
+    when takes_mu, is called only with t in domain(t) and -1 < mu <= 1."""
 
     __slots__ = ()
 
 
-_MU_TEXT = "|t| < 1, -1 < mu <= 1"
-
 _FORMS: dict[ClosedFormId, _Form] = {
-    ClosedFormId.EQ2: _Form(_eq2, _open, "|t| < 1"),
-    ClosedFormId.EQ3: _Form(_eq3, _open_left, "-1 < t <= 1"),
-    ClosedFormId.EQ5: _Form(_eq5, _closed, "-1 <= t <= 1, t != 1"),
-    ClosedFormId.EQ8: _Form(_eq8, _closed, "|t| <= 1"),
-    ClosedFormId.EQ11: _Form(_eq11, _closed, "|t| <= 1"),
-    ClosedFormId.EQ12: _Form(_eq12, _open, "|t| < 1"),
-    ClosedFormId.EQ13: _Form(_eq13, _closed, "|t| <= 1"),
-    ClosedFormId.EQ17: _Form(_eq17, _closed, "|t| <= 1"),
-    ClosedFormId.EQ20: _Form(_eq20, _from_minus_third, "-1/3 <= t <= 1"),
-    ClosedFormId.EQ22: _Form(_eq22, _open, _MU_TEXT, takes_mu=True),
-    ClosedFormId.EQ24: _Form(_eq24, _open, _MU_TEXT, takes_mu=True),
+    ClosedFormId.EQ2: _Form(_eq2, _open),
+    ClosedFormId.EQ3: _Form(_eq3, _open_left),
+    ClosedFormId.EQ5: _Form(_eq5, _closed),
+    ClosedFormId.EQ8: _Form(_eq8, _closed),
+    ClosedFormId.EQ11: _Form(_eq11, _closed),
+    ClosedFormId.EQ12: _Form(_eq12, _open),
+    ClosedFormId.EQ13: _Form(_eq13, _closed),
+    ClosedFormId.EQ17: _Form(_eq17, _closed),
+    ClosedFormId.EQ20: _Form(_eq20, _from_minus_third),
+    ClosedFormId.EQ22: _Form(_eq22, _open, takes_mu=True),
+    ClosedFormId.EQ24: _Form(_eq24, _open, takes_mu=True),
     ClosedFormId.EQ25_ABEL: _Form(
-        lambda x, mu: _abel_sides(x, mu)[1], _open, _MU_TEXT, takes_mu=True),
-    ClosedFormId.EQ26: _Form(_eq26, _from_minus_third, "-1/3 <= t <= 1"),
-    ClosedFormId.EQ27_RAMANUJAN: _Form(_eq27, _open, "|t| < 1"),
-    ClosedFormId.EQ28: _Form(_eq28, _open, _MU_TEXT, takes_mu=True),
-    ClosedFormId.EQ29_G: _Form(_eq13, _closed, "|t| <= 1"),
-    ClosedFormId.EQ30_BIGG: _Form(_eq17, _closed, "|t| <= 1"),
-    ClosedFormId.LANDEN: _Form(_landen, _open_left, "-1 < t <= 1"),
+        lambda x, mu: _abel_sides(x, mu)[1], _open, takes_mu=True),
+    ClosedFormId.EQ26: _Form(_eq26, _from_minus_third),
+    ClosedFormId.EQ27_RAMANUJAN: _Form(_eq27, _open),
+    ClosedFormId.EQ28: _Form(_eq28, _open, takes_mu=True),
+    ClosedFormId.EQ29_G: _Form(_eq13, _closed),
+    ClosedFormId.EQ30_BIGG: _Form(_eq17, _closed),
+    ClosedFormId.LANDEN: _Form(_landen, _open_left),
 }
 
 
 def _args(cf_id: ClosedFormId, t, mu) -> tuple[float, ...]:
-    """The checked evaluator arguments of cf_id: (t,), or (t, mu)."""
-    form = _FORMS[cf_id]
+    """The checked evaluator arguments of cf_id: (t,), or (t, mu); a cf_id
+    that is not a ClosedFormId is a ValueError."""
+    try:
+        form = _FORMS[cf_id]
+    except KeyError:
+        form = lookup(_FORMS, cf_id, "closed form")
     if form.takes_mu:
         if mu is None:
             raise ValueError(f"{cf_id.name} requires mu")
@@ -311,18 +292,15 @@ def _args(cf_id: ClosedFormId, t, mu) -> tuple[float, ...]:
         raise ValueError(f"{cf_id.name} takes no mu")
     t = check_real("t", t)
     if not form.domain(t):
-        raise DomainError(f"{cf_id.name} requires {form.domain_text}")
+        raise DomainError(
+            f"{cf_id.name} requires {CLOSED_FORMS[cf_id.name]}")
     return (t, mu) if form.takes_mu else (t,)
 
 
 def closed_form(cf_id: ClosedFormId, t: float, mu: float | None = None) -> float:
     """Evaluate the tagged closed form at t (and mu where required)."""
-    return _FORMS[cf_id].evaluate(*_args(cf_id, t, mu))
-
-
-def closed_form_catalog() -> list[tuple[str, str]]:
-    """(closed-form tag, domain) rows in enum order, for the CLI listing."""
-    return [(cid.name, _FORMS[cid].domain_text) for cid in ClosedFormId]
+    args = _args(cf_id, t, mu)
+    return _FORMS[cf_id].evaluate(*args)
 
 
 def closed_form_eq17(x: float) -> float:

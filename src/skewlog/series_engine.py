@@ -1,8 +1,9 @@
 """Tagged power series with rigorous tail bounds.
 
 Each SeriesId names one concrete power series sum_{n} a_n t^(n+p) whose
-coefficients involve skew-harmonic numbers.  sum_series evaluates it two
-ways depending on t:
+coefficients involve skew-harmonic numbers; its companion closed form,
+alias and domain text are in catalog, and its row here holds only the
+numerics.  sum_series evaluates it two ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
@@ -28,7 +29,6 @@ terms moves the value by at most the reported bound.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections import namedtuple
@@ -36,6 +36,7 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import mul, sub, truediv
 
+from .catalog import SeriesId, lookup
 from .core_numerics import (
     _CACHE, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2, check_real, skew_harmonic)
 from .errors import DomainError
@@ -61,22 +62,6 @@ def set_max_terms(n: int) -> None:
 
 def get_max_terms() -> int:
     return _max_terms
-
-
-class SeriesId(enum.Enum):
-    GF_SKEW = "GF_SKEW"
-    GF_CENTERED = "GF_CENTERED"
-    SKEW_OVER_N = "SKEW_OVER_N"
-    CENTERED_OVER_N = "CENTERED_OVER_N"
-    CENTERED_SHIFT = "CENTERED_SHIFT"
-    SKEW_SQ = "SKEW_SQ"
-    CENTERED_SQ = "CENTERED_SQ"
-    CENTERED_SQ_SHIFT = "CENTERED_SQ_SHIFT"
-    SKEW_OVER_NSQ = "SKEW_OVER_NSQ"
-    MU_LEWIN = "MU_LEWIN"
-    MU_DILOG = "MU_DILOG"
-    MU_TRILOG = "MU_TRILOG"
-    RAMANUJAN_ODD = "RAMANUJAN_ODD"
 
 
 def _c(n: int) -> float:
@@ -374,21 +359,19 @@ def _endpoint(
 
 class _SeriesSpec(namedtuple(
         "_SeriesSpec",
-        "label alias p lo domain_text env coeffs needs_mu endpoints",
+        "p lo env coeffs needs_mu endpoints",
         defaults=(False, {}))):
-    """One catalog row.
-
-    label is the companion closed-form tag (interface data) and alias the
-    catalog spelling the CLI accepts; the value is t^p * sum a_n t^n.
+    """The numerics of one series: the value is t^p * sum a_n t^n.
     coeffs(mu) returns the series' block rule (a _Block; mu is None
     without needs_mu).  env(n, mu) is the majorant of |a_n| in the interior
     tail bound; it must be nonincreasing in n as computed, not only in
     exact arithmetic, because the interior sum finds its stopping index by
     bisection.  Each env here is a constant over an exact integer power of
     n or n + 1, or (c + log n)/n, whose relative step of about 1/n is far
-    above its rounding for every n the cache allows.  The domain is lo <= t <= 1 with |t| = 1 admitted exactly
-    where endpoints (t -> _EndpointRule; the shared empty default is never
-    mutated) has a rule.
+    above its rounding for every n the cache allows.  The domain is
+    lo <= t <= 1 with |t| = 1 admitted exactly where endpoints
+    (t -> _EndpointRule; the shared empty default is never mutated) has a
+    rule.
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -412,27 +395,26 @@ class _SeriesSpec(namedtuple(
 
 
 _SPECS: dict[SeriesId, _SeriesSpec] = {
-    SeriesId.GF_SKEW: _SeriesSpec(
-        "EQ2", "EQ2_LHS", 0, -1.0, "|t| < 1", _env_one, _plain(_skew)),
+    SeriesId.GF_SKEW: _SeriesSpec(0, -1.0, _env_one, _plain(_skew)),
     SeriesId.GF_CENTERED: _SeriesSpec(
-        "EQ3", "EQ3_LHS", 0, -1.0, "|t| < 1 or t = 1", _env_inv_np1,
+        0, -1.0, _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
         _plain(_centered),
         endpoints={1.0: _endpoint(1, sign=-1.0, alt=True)}),
     SeriesId.SKEW_OVER_N: _SeriesSpec(
-        "EQ5", "EQ5_LHS", 0, -1.0, "|t| <= 1, t != 1", _env_inv,
+        0, -1.0, _env_inv,
         # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
         _plain(lambda lo, hi: _over_n(_skew(lo, hi), lo, hi)),
         endpoints={-1.0: _endpoint(1, over=0, sign=-1.0, const=-LOG2**2)}),
     SeriesId.CENTERED_OVER_N: _SeriesSpec(
-        "EQ8", "EQ8_LHS", 0, -1.0, "|t| <= 1", _env_half_inv_sq,
+        0, -1.0, _env_half_inv_sq,
         _plain(lambda lo, hi: _over_n(_centered(lo, hi), lo, hi)),
         endpoints={
             1.0: _endpoint(1, over=0, sign=-1.0, alt=True),
             -1.0: _endpoint(1, over=0, sign=-1.0),
         }),
     SeriesId.CENTERED_SHIFT: _SeriesSpec(
-        "EQ11", "EQ11_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_sq,
+        1, -1.0, _env_inv_np1_sq,
         _plain(lambda lo, hi: _over_np1(_centered(lo, hi), lo, hi)),
         endpoints={
             1.0: _endpoint(1, over=1, sign=-1.0, alt=True),
@@ -440,16 +422,15 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
             -1.0: _endpoint(1, over=1),
         }),
     SeriesId.SKEW_SQ: _SeriesSpec(
-        "EQ12", "EQ12_LHS", 0, -1.0, "|t| < 1", _env_one,
-        _plain(lambda lo, hi: _squares(_skew(lo, hi)))),
+        0, -1.0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi)))),
     SeriesId.CENTERED_SQ: _SeriesSpec(
-        "EQ13", "EQ13_LHS", 0, -1.0, "|t| <= 1", _env_inv_np1_sq,
+        0, -1.0, _env_inv_np1_sq,
         _plain(lambda lo, hi: _squares(_centered(lo, hi))), endpoints={
             -1.0: _endpoint(2, alt=True),
             1.0: _endpoint(2),
         }),
     SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
-        "EQ17", "EQ17_LHS", 1, -1.0, "|t| <= 1", _env_inv_np1_cube,
+        1, -1.0, _env_inv_np1_cube,
         _plain(lambda lo, hi: _over_np1(_squares(_centered(lo, hi)), lo, hi)),
         endpoints={
             # t^p = -1
@@ -457,7 +438,7 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
             1.0: _endpoint(2, over=1),
         }),
     SeriesId.SKEW_OVER_NSQ: _SeriesSpec(
-        "EQ20", "EQ20_LHS", 1, -1.0 / 3.0, "-1/3 <= t <= 1", _env_inv_np1_sq,
+        1, -1.0 / 3.0, _env_inv_np1_sq,
         # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating
         # terms, both from n = 1
         _plain(lambda lo, hi: map(truediv, _skew(lo, hi), map(
@@ -466,48 +447,33 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
             1, over=1, deg=2, sign=-1.0, alt=True, start=1,
             const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
     SeriesId.MU_LEWIN: _SeriesSpec(
-        "EQ22", "EQ22_LHS", 1, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_shift,
+        1, -1.0, _env_mu_shift,
         _mu_rule(lambda mu, s, lo, hi: map(
             truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))),
         needs_mu=True),
     SeriesId.MU_DILOG: _SeriesSpec(
-        "EQ24", "EQ24_SERIES", 0, -1.0, "|t| < 1, -1 < mu <= 1",
-        _env_mu_over_n, _mu_rule(lambda mu, s, lo, hi: map(
+        0, -1.0, _env_mu_over_n,
+        _mu_rule(lambda mu, s, lo, hi: map(
             truediv, map(mul, repeat(mu), s), range(lo, hi))),
         needs_mu=True),
     SeriesId.MU_TRILOG: _SeriesSpec(
-        "EQ28", "EQ28_SERIES", 0, -1.0, "|t| < 1, -1 < mu <= 1", _env_mu_log,
+        0, -1.0, _env_mu_log,
         _mu_rule(lambda mu, i, lo, hi: map(truediv, i, range(lo, hi)),
                  inner=True),
         needs_mu=True),
     SeriesId.RAMANUJAN_ODD: _SeriesSpec(
-        "EQ27", "EQ27_SERIES", 0, -1.0, "|t| < 1", _env_ramanujan,
-        _plain(_ramanujan)),
+        0, -1.0, _env_ramanujan, _plain(_ramanujan)),
 }
-
-
-def series_catalog() -> list[tuple[str, str, str]]:
-    """(series tag, companion closed-form tag, domain) rows, enum order."""
-    return [(sid.name, _SPECS[sid].label, _SPECS[sid].domain_text)
-            for sid in SeriesId]
-
-
-def series_by_name(name: str) -> SeriesId:
-    """The series with this engine tag or catalog alias, in any case."""
-    key = name.upper()
-    for sid, spec in _SPECS.items():
-        if key in (sid.name, spec.alias):
-            return sid
-    valid = sorted([sid.name for sid in SeriesId]
-                   + [spec.alias for spec in _SPECS.values()])
-    raise ValueError(
-        f"unknown series id {name!r}; valid ids: {', '.join(valid)}")
 
 
 def _mu_arg(series_id: SeriesId, mu) -> float | None:
     """mu as a float for a mu series and None otherwise; a missing or an
-    unexpected mu is a ValueError."""
-    spec = _SPECS[series_id]
+    unexpected mu is a ValueError, and so is a series_id that is not a
+    SeriesId."""
+    try:
+        spec = _SPECS[series_id]
+    except KeyError:
+        spec = lookup(_SPECS, series_id, "series")
     if spec.needs_mu and mu is None:
         raise ValueError(f"{series_id.name} requires mu")
     if not spec.needs_mu and mu is not None:
@@ -548,11 +514,11 @@ def sum_series(
     DomainError.  Interior sums stop at the term cap (set_max_terms) with
     status MAX_TERMS; the endpoint rules sum a fixed number of terms.
     """
-    spec = _SPECS[series_id]
     tol = check_real("tol", tol)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be a positive finite number")
     mu = _mu_arg(series_id, mu)
+    spec = _SPECS[series_id]
     if mu is not None and not (-1.0 < mu <= 1.0):
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
     t = check_real("t", t)

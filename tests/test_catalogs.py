@@ -1,12 +1,14 @@
-"""Catalog tables: one row per enum member, and every declared endpoint
-rule converges, also under a term cap, which bounds interior sums only."""
+"""Catalog tables: one row per enum member, a wrong id is a ValueError,
+and every declared endpoint rule converges, also under a term cap, which
+bounds interior sums only."""
 
 import math
 
 import pytest
 
 from skewlog import (
-    ClosedFormId, IdentityId, SeriesId, Status, set_max_terms, sum_series)
+    ClosedFormId, IdentityId, SeriesId, Status, closed_form, coefficient,
+    set_max_terms, sum_series, verify_identity)
 from skewlog.closed_forms import _FORMS
 from skewlog.series_engine import _SPECS
 from skewlog.verifier import _CHECKS
@@ -18,6 +20,20 @@ from skewlog.verifier import _CHECKS
 def test_one_row_per_member(table, members):
     assert set(table) == set(members)
     assert len(table) == len(members)
+
+
+@pytest.mark.parametrize("call,valid", [
+    (lambda: sum_series("GF_SKEW", 0.1), "SeriesId.GF_SKEW"),
+    (lambda: coefficient("GF_SKEW", 3), "SeriesId.GF_SKEW"),
+    (lambda: closed_form("EQ2", 0.1), "ClosedFormId.EQ2"),
+    (lambda: verify_identity("EQ2"), "IdentityId.EQ2"),
+    (lambda: sum_series(ClosedFormId.EQ2, 0.1), "SeriesId.GF_SKEW"),
+], ids=["sum_series", "coefficient", "closed_form", "verify_identity",
+        "other_enum"])
+def test_wrong_id_names_the_valid_ones(call, valid):
+    # a name, or a member of another catalog, is not an id
+    with pytest.raises(ValueError, match=f"unknown .*; valid ids: .*{valid}"):
+        call()
 
 
 ENDPOINTS = [(sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints]

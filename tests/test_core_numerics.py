@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlog import core_numerics
+from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
 from skewlog import (
     CONSTANTS,
     ClosedFormId,
@@ -51,17 +52,22 @@ def test_negative_index_rejected():
     # values as a fresh cache both inside the fill and beyond it.
     harmonic(64)
     fresh = HarmonicCache()
+    # fn: (reference, the cache index fn(n) reads per unit of n)
     expected = {
-        harmonic: fresh.h,
-        harmonic2: fresh.h2,
-        skew_harmonic: fresh.skew,
-        odd_harmonic: lambda n: fresh.h(2 * n) - 0.5 * fresh.h(n),
+        harmonic: (fresh.h, 1),
+        harmonic2: (fresh.h2, 1),
+        skew_harmonic: (fresh.skew, 1),
+        odd_harmonic: (lambda n: fresh.h(2 * n) - 0.5 * fresh.h(n), 2),
     }
-    for fn, ref in expected.items():
+    for fn, (ref, reach) in expected.items():
         for bad in (True, 2.0, "3", -1):
             with pytest.raises(DomainError):
                 fn(bad)
-        for n in (50, len(core_numerics._CACHE.values_h) + 7):
+        # beyond the fill, but never past the cache limit, however full an
+        # earlier test left the cache
+        far = min(len(core_numerics._CACHE.values_h) + 7,
+                  DEFAULT_CACHE_LIMIT // reach)
+        for n in (50, far):
             assert fn(n) == ref(n)
 
 

@@ -66,6 +66,13 @@ def test_bare_import_loads_no_library_module():
         "skewlog", "skewlog._version"]
 
 
+#: The modules that compute: listing the catalogs or reading a report
+#: loads none of them.
+_NUMERICS = {f"skewlog.{m}" for m in (
+    "core_numerics", "polylog", "series_engine", "closed_forms",
+    "quadrature", "verifier")}
+
+
 def test_cli_verbs_load_only_what_they_use():
     # the CLI run as python -m would run it, its own output sent to stderr
     run_cli = ("import runpy\nsys.argv = ['skewlog', *sys.argv[1:]]\n"
@@ -76,13 +83,31 @@ def test_cli_verbs_load_only_what_they_use():
     # the report writers' and readers' modules load only with a report
     writers = {"dataclasses", "json", "csv", "array", "datetime"}
     heavy = writers | {"skewlog.verifier", "skewlog.quadrature"}
-    for argv, banned in ((["constants"], heavy),
-                         (["eval", "li2", "--x", "0.5"], heavy),
-                         (["list"], writers),
-                         (["verify", "--id", "EQ2"], writers)):
+    # each verb's marker module shows that it ran
+    for argv, marker, banned in (
+            (["constants"], "skewlog.core_numerics", heavy),
+            (["eval", "li2", "--x", "0.5"], "skewlog.polylog", heavy),
+            (["list"], "skewlog.catalog", writers | _NUMERICS),
+            (["verify", "--id", "EQ2"], "skewlog.verifier", writers)):
         loaded = set(_child(_LOADED.format(run_cli), *argv).split())
-        assert "skewlog.core_numerics" in loaded, argv  # the verb ran
+        assert marker in loaded, argv
         assert loaded & banned == set(), argv
+
+
+def test_parse_report_loads_no_numerics():
+    from skewlog import IdentityId, Report, Verdict, VerificationRecord
+    from skewlog.report import serialize_report, summarize
+
+    records = [VerificationRecord(IdentityId.EQ4, (("t", 1.0),), -0.5, -0.5,
+                                  0.0, 1e-9, Verdict.PASS)]
+    report = Report(records, summarize(records), {"version": "x"}, ["a"])
+    parse = ("from skewlog import parse_report\n"
+             "for fmt, text in zip(('json', 'csv'), sys.argv[1:]):\n"
+             "    assert len(parse_report(text, fmt).records) == 1\n")
+    texts = [serialize_report(report, fmt).decode() for fmt in ("json", "csv")]
+    loaded = set(_child(_LOADED.format(parse), *texts).split())
+    assert "skewlog.report" in loaded
+    assert loaded & _NUMERICS == set()
 
 
 def test_lazy_namespace_resolves_every_name():
@@ -124,3 +149,6 @@ def test_layering():
     upper = {"series_engine", "verifier", "cli"}
     for lower in ("polylog", "closed_forms", "quadrature"):
         assert set(_skewlog_imports(src / f"{lower}.py")) & upper == set(), lower
+    # the catalog and the report form build on nothing that computes
+    assert set(_skewlog_imports(src / "catalog.py")) == set()
+    assert set(_skewlog_imports(src / "report.py")) == {"catalog"}

@@ -18,9 +18,9 @@ from skewlog import (
     skew_harmonic_mu,
     sum_series,
 )
+from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
-from skewlog.series_engine import (
-    _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz, series_catalog)
+from skewlog.series_engine import _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz
 
 LOG2 = math.log(2.0)
 
@@ -333,10 +333,8 @@ def test_term_cap_stays_within_the_cache_limit():
 # --- catalog -----------------------------------------------------------------
 
 def test_series_catalog_shape():
-    cat = series_catalog()
-    assert len(cat) == len(SeriesId)
-    names = [row[0] for row in cat]
-    assert names == [sid.name for sid in SeriesId]
-    for name, label, domain in cat:
-        assert label.startswith("EQ")
+    assert len(SERIES) == len(SeriesId)
+    assert list(SERIES) == [sid.name for sid in SeriesId]
+    for closed_form, alias, domain in SERIES.values():
+        assert closed_form.startswith("EQ") and alias.startswith("EQ")
         assert domain

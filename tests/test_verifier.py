@@ -17,7 +17,8 @@ from skewlog import (
     set_max_terms,
     verify_identity,
 )
-from skewlog.verifier import identity_catalog, serialize_report, summarize
+from skewlog.catalog import IDENTITIES
+from skewlog.report import serialize_report, summarize
 
 
 def test_single_identity_run():
@@ -294,8 +295,7 @@ def test_malformed_reports_are_value_errors(full_report):
 
 
 def test_identity_catalog_covers_enum():
-    cat = identity_catalog()
-    assert len(cat) == len(IdentityId)
+    assert list(IDENTITIES) == [identity.name for identity in IdentityId]
 
 
 def _reference_json(report):

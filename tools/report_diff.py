@@ -5,10 +5,13 @@
 Each argument is a tree's `src` directory, or a checkout that contains one.
 One child process per tree imports skewlog from there and writes
 `serialize_report(verify_all(), fmt)` for JSON and CSV, with the metadata
-timestamp fixed.  The diff prints every changed, added or removed record
-with its differing fields, then whether metadata, notes and summary are
-equal and whether the whole output is byte-identical.  The exit status is
-0 when both formats are byte-identical and 1 otherwise.
+timestamp fixed, and the exit code and stdout of the CLI's `list` and of
+`verify --id ID` for every identity, each run in-process by `cli.run`.
+The diff prints every changed, added or removed record with its differing
+fields, then whether metadata, notes and summary are equal and whether the
+whole output is byte-identical; then each CLI run whose exit code or
+output differs.  The exit status is 0 when both formats and every CLI run
+are byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,16 +26,24 @@ import sys
 FIXED_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
 _CHILD = r"""
-import json, pathlib, sys
+import contextlib, io, json, pathlib, sys
 sys.path.insert(0, sys.argv[1])
 import skewlog
-from skewlog.verifier import serialize_report, verify_all
+from skewlog import IdentityId, serialize_report, verify_all
+from skewlog.cli import run
 if not pathlib.Path(skewlog.__file__).is_relative_to(sys.argv[1]):
     sys.exit(f"skewlog came from {skewlog.__file__}, not {sys.argv[1]}")
 report = verify_all()
 report.metadata["timestamp"] = sys.argv[2]
-json.dump({fmt: serialize_report(report, fmt).decode("utf-8")
-           for fmt in ("json", "csv")}, sys.stdout)
+out = {fmt: serialize_report(report, fmt).decode("utf-8")
+       for fmt in ("json", "csv")}
+cli = out["cli"] = {}
+for argv in [["list"]] + [["verify", "--id", i.name] for i in IdentityId]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    cli[" ".join(argv)] = [code, buf.getvalue()]
+json.dump(out, sys.stdout)
 """
 
 
@@ -41,8 +52,9 @@ def _src(path: str) -> pathlib.Path:
     return p / "src" if (p / "src" / "skewlog").is_dir() else p
 
 
-def render(path: str) -> dict[str, str]:
-    """The JSON and CSV reports of the tree at path, from a child process."""
+def render(path: str) -> dict:
+    """The JSON and CSV reports and the CLI runs of the tree at path, from
+    a child process."""
     out = subprocess.run(
         [sys.executable, "-c", _CHILD, str(_src(path)), FIXED_TIMESTAMP],
         check=True, stdout=subprocess.PIPE, text=True).stdout
@@ -124,6 +136,13 @@ def main(argv: list[str]) -> int:
         same &= identical
         print(f"{fmt}: byte-identical: {identical}")
         print("\n".join(diff(old[fmt], new[fmt])))
+    runs = [*old["cli"], *(k for k in new["cli"] if k not in old["cli"])]
+    differ = [k for k in runs if old["cli"].get(k) != new["cli"].get(k)]
+    same &= not differ
+    print(f"cli: {len(runs)} runs, byte-identical: {not differ}")
+    for k in differ:
+        print(f"  differs: {k}: exit {(old['cli'].get(k) or ['-'])[0]} -> "
+              f"{(new['cli'].get(k) or ['-'])[0]}")
     return 0 if same else 1
 
 
