@@ -31,6 +31,37 @@ CONSTANTS: dict[str, float] = {
 
 LOG2 = CONSTANTS["LOG2"]
 
+
+def _tangent_numbers(k: int) -> list[int]:
+    """T_1, T_3, ..., T_(2k-1) of tan x = sum_j T_(2j-1) x^(2j-1)/(2j-1)!
+    (the Knuth-Buckholtz recurrence, in integers)."""
+    t = [0] + [math.factorial(j) for j in range(k)]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[1:]
+
+
+_TANGENT = _tangent_numbers(12)
+
+
+def _bernoulli_numerators(den: int) -> list[int]:
+    """B_0, B_1, ..., B_24 times den, a common denominator of them all:
+    B_2k = (-1)^(k-1) 2k T_(2k-1) / (4^k (4^k - 1)), B_1 = -1/2 and the
+    other odd B_n are 0."""
+    b = [den, -den // 2]
+    for k, t in enumerate(_TANGENT, 1):
+        b += [(-1) ** (k - 1) * 2 * k * t * den // (4**k * (4**k - 1)), 0]
+    return b[:-1]
+
+
+#: Bernoulli numbers as integers over one denominator, so that coefficients
+#: built from them stay exact rationals until one division rounds each.
+_BERNOULLI_DEN = math.lcm(*(4**k * (4**k - 1) for k in range(1, 13)))
+_BERNOULLI_NUM = _bernoulli_numerators(_BERNOULLI_DEN)
+#: B_2, B_4, ..., B_24, each rounded once.
+_BERNOULLI = [b / _BERNOULLI_DEN for b in _BERNOULLI_NUM[2::2]]
+
 DEFAULT_CACHE_LIMIT = 1_000_000
 
 

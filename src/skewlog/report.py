@@ -86,6 +86,15 @@ _CSV_HEADER = ["identity", "params", "lhs", "rhs", "residual",
 _IDENTITIES, _VERDICTS = IdentityId.__members__, Verdict.__members__
 
 
+def _members(table, names: list, what: str) -> list:
+    """table[name] for each of names, resolved in one pass; an unknown name
+    is the ValueError of catalog.lookup."""
+    members = list(map(table.get, names))
+    if None in members:
+        lookup(table, names[members.index(None)], what)
+    return members
+
+
 def _format(fmt) -> str:
     """fmt, a str naming JSON or CSV in any case, as 'json' or 'csv'."""
     if isinstance(fmt, str) and fmt.lower() in ("json", "csv"):
@@ -284,20 +293,25 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
         for key in ("records", "summary", "metadata"):
             if key not in obj:
                 raise ValueError(f"JSON report has no {key!r} key")
+        rows = obj["records"]
         try:
+            identities = _members(
+                _IDENTITIES, list(map(itemgetter("identity"), rows)),
+                "identity")
+            verdicts = _members(
+                _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
             records = [
                 VerificationRecord(
-                    lookup(_IDENTITIES, d["identity"], "identity"),
+                    identity,
                     tuple([(k, float(v)) for k, v in d["params"]]),
                     d["lhs"], d["rhs"], d["residual"], d["tolerance"],
-                    lookup(_VERDICTS, d["verdict"], "verdict"),
-                    d.get("note", ""),
+                    verdict, d.get("note", ""),
                 )
-                for d in obj["records"]
+                for d, identity, verdict in zip(rows, identities, verdicts)
             ]
         except KeyError as exc:
             key = exc.args[0]
-            i = next(i for i, d in enumerate(obj["records"]) if key not in d)
+            i = next(i for i, d in enumerate(rows) if key not in d)
             raise ValueError(
                 f"JSON record {i} has no {key!r} field") from None
         return Report(records, obj["summary"], obj["metadata"],
@@ -305,25 +319,32 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
     import csv
     import io
 
+    # the rows stream from the reader: each name is resolved by a subscript
+    # as it comes, and lookup runs only on the row that failed
     rows = csv.reader(io.StringIO(data.rstrip("\r\n")))
     if next(rows, None) != _CSV_HEADER:
         raise ValueError("bad CSV header")
     try:
         records = [
             VerificationRecord(
-                lookup(_IDENTITIES, identity, "identity"),
-                _params_parse(params),
+                _IDENTITIES[identity], _params_parse(params),
                 float(lhs), float(rhs), float(residual), float(tol),
-                lookup(_VERDICTS, verdict, "verdict"),
+                _VERDICTS[verdict],
             )
             for identity, params, lhs, rhs, residual, tol, verdict in rows
         ]
-    except (ValueError, csv.Error) as exc:
+    except (KeyError, ValueError, csv.Error) as exc:
         line = rows.line_num
         rows = csv.reader(io.StringIO(data))
         row = next(row for row in rows if rows.line_num == line)
         if len(row) != len(_CSV_HEADER):
             raise ValueError(f"CSV line {line} has {len(row)} fields, "
                              f"expected {len(_CSV_HEADER)}") from None
+        if isinstance(exc, KeyError):
+            try:
+                lookup(_IDENTITIES, row[0], "identity")
+                lookup(_VERDICTS, row[6], "verdict")
+            except ValueError as unknown:
+                exc = unknown
         raise ValueError(f"CSV line {line}: {exc}") from None
     return Report(records, summarize(records), {}, [])

@@ -38,7 +38,8 @@ from operator import mul, sub, truediv
 
 from .catalog import SeriesId, lookup
 from .core_numerics import (
-    _CACHE, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2, check_real, skew_harmonic)
+    _BERNOULLI, _CACHE, _TANGENT, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2,
+    check_real, skew_harmonic)
 from .errors import DomainError
 from .result import EvalResult, Status
 
@@ -244,22 +245,6 @@ _FP_SLACK = 2e-16
 
 #: An endpoint rule evaluates a series at t = +-1 to tolerance tol.
 _EndpointRule = Callable[[float], EvalResult]
-
-
-def _tangent_numbers(k: int) -> list[int]:
-    """T_1, T_3, ..., T_(2k-1) of tan x = sum_j T_(2j-1) x^(2j-1)/(2j-1)!
-    (the Knuth-Buckholtz recurrence, in integers)."""
-    t = [0] + [math.factorial(j) for j in range(k)]
-    for i in range(2, k + 1):
-        for j in range(i, k + 1):
-            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-    return t[1:]
-
-
-_TANGENT = _tangent_numbers(12)
-#: B_2, B_4, ..., B_24, each rounded once from the tangent numbers.
-_BERNOULLI = [(-1) ** (k - 1) * 2 * k * tk / (4**k * (4**k - 1))
-              for k, tk in enumerate(_TANGENT, 1)]
 
 _TAIL_TERMS = 32             # terms summed before the tail takes over
 _TAIL_ORDER = 12             # highest power of u the tail keeps
@@ -564,9 +549,13 @@ def sum_series(
                 else:
                     a = m + 1
             hi = b + 1
+            # the last block's powers go straight into its terms
+            terms += map(mul, block(lo, hi), accumulate(
+                repeat(t, hi - lo - 1), mul, initial=pw))
+            break
         powers = list(accumulate(repeat(t, hi - lo - 1), mul, initial=pw))
         terms += map(mul, block(lo, hi), powers)
-        if done or hi == cap:
+        if hi == cap:
             break
         geom, pw = geoms[-1] * q, powers[-1] * t
         lo, size = hi, 2 * size

@@ -1,0 +1,81 @@
+"""Write the golden table that the tests check the library against.
+
+    python3 tools/make_reference.py [OUT]
+
+Builds a list of reference keys, computes each one with
+`perfbench/reference.py` (mpmath at 32 digits, sharing no code with
+skewlog) and writes `{"digits": ..., "values": {json key: [hi, lo]}}` as
+JSON to OUT, by default `tests/data/reference.json`.  A value is the
+double-double `hi + lo` of the exact result at the key's binary argument,
+so a test can form `value - hi - lo` in plain floats.  The tests read the
+file; they never import mpmath.
+
+Each builder in KEY_BUILDERS returns one family of keys; a new family (the
+closed forms, say) is one more builder.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEFAULT_OUT = ROOT / "tests" / "data" / "reference.json"
+
+GRID = 1000  # the uniform grid is -1 + 2k/GRID, k = 0..GRID
+
+
+def _neighbours(x: float) -> list[float]:
+    """x and the doubles 1 and 4 ulp either side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for n in range(1, 5):
+            y = math.nextafter(y, direction)
+            if n in (1, 4):
+                out.append(y)
+    return out
+
+
+def polylog_arguments() -> list[float]:
+    """The li2/li3 arguments: a uniform grid on [-1, 1], +-(1 - 10^-k) for
+    k = 1..15, the zone edges 1/2 and +-0.75 with their 1 and 4 ulp
+    neighbours, -1 + 2^-52 and 1e-300."""
+    xs = [-1.0 + 2.0 * k / GRID for k in range(GRID + 1)]
+    for k in range(1, 16):
+        xs += [1.0 - 10.0**-k, -(1.0 - 10.0**-k)]
+    for edge in (0.5, 0.75, -0.75):
+        xs += _neighbours(edge)
+    xs += [-1.0 + 2.0**-52, 1e-300]
+    return list(dict.fromkeys(xs))  # in order, each once
+
+
+def polylog_keys() -> list[list]:
+    return [[fn, x] for fn in ("li2", "li3") for x in polylog_arguments()]
+
+
+KEY_BUILDERS = [polylog_keys]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = pathlib.Path(argv[0]) if argv else DEFAULT_OUT
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import reference
+
+    keys = [key for build in KEY_BUILDERS for key in build()]
+    values = reference.compute(keys)
+    lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                       for k, v in values.items())
+    out.write_text(f'{{"digits": {reference.mp.mp.dps}, "values": {{\n'
+                   f"{lines}\n}}}}\n")
+    print(f"{len(keys)} keys -> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,11 +7,13 @@ One child process per tree imports skewlog from there and writes
 `serialize_report(verify_all(), fmt)` for JSON and CSV, with the metadata
 timestamp fixed, and the exit code and stdout of the CLI's `list` and of
 `verify --id ID` for every identity, each run in-process by `cli.run`.
-The diff prints every changed, added or removed record with its differing
-fields, then whether metadata, notes and summary are equal and whether the
-whole output is byte-identical; then each CLI run whose exit code or
-output differs.  The exit status is 0 when both formats and every CLI run
-are byte-identical and 1 otherwise.
+The diff prints every changed, added or removed record, a changed one with
+its residual old -> new and its other differing fields; then whether
+metadata, notes and summary are equal and whether the whole output is
+byte-identical; then each CLI run whose exit code or output differs.  Its
+last line gives the largest residual growth of any record and the total
+residual of each side.  The exit status is 0 when both formats and every
+CLI run are byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -71,37 +74,47 @@ def _keyed(rows: list[tuple[tuple[str, str], tuple]]) -> dict[tuple, tuple]:
     return out
 
 
+def _label(key: tuple) -> str:
+    return f"{key[0]} {key[1]}" + (f" #{key[2]}" if key[2] else "")
+
+
 def _diff_rows(old: dict, new: dict, fields: list[str]) -> list[str]:
+    """A line per removed, added or changed row; a changed row shows its
+    residual old -> new, then every other field that differs."""
+    r = fields.index("residual")
     lines = []
     for key in [*old, *(k for k in new if k not in old)]:
-        label = f"{key[0]} {key[1]}" + (f" #{key[2]}" if key[2] else "")
         if key not in new:
-            lines.append(f"  removed {label}")
+            lines.append(f"  removed {_label(key)}")
         elif key not in old:
-            lines.append(f"  added   {label}")
+            lines.append(f"  added   {_label(key)}")
         elif old[key] != new[key]:
-            changes = ", ".join(
-                f"{f}: {a} -> {b}"
-                for f, a, b in zip(fields, old[key], new[key]) if a != b)
-            lines.append(f"  changed {label}: {changes}")
+            changes = "".join(
+                f", {f}: {a} -> {b}"
+                for f, a, b in zip(fields, old[key], new[key])
+                if a != b and f != "residual")
+            lines.append(f"  changed {_label(key)}: residual "
+                         f"{old[key][r]} -> {new[key][r]}{changes}")
     return lines
 
 
 _JSON_FIELDS = ["lhs", "rhs", "residual", "tolerance", "verdict", "note"]
 
 
+def _json_rows(text: str) -> dict[tuple, tuple]:
+    """A JSON report's records by (identity, params, occurrence), their
+    fields spelled as JSON."""
+    return _keyed([
+        ((r["identity"], ";".join(f"{k}={v!r}" for k, v in r["params"])),
+         tuple(json.dumps(r[f]) for f in _JSON_FIELDS))
+        for r in json.loads(text)["records"]])
+
+
 def diff_json(old: str, new: str) -> list[str]:
     """Changed records, then the equality of the other top-level parts;
     values compare by their JSON spelling, so -0.0 and 0.0 differ."""
     a, b = json.loads(old), json.loads(new)
-
-    def rows(report):
-        return _keyed([
-            ((r["identity"], ";".join(f"{k}={v!r}" for k, v in r["params"])),
-             tuple(json.dumps(r[f]) for f in _JSON_FIELDS))
-            for r in report["records"]])
-
-    lines = _diff_rows(rows(a), rows(b), _JSON_FIELDS)
+    lines = _diff_rows(_json_rows(old), _json_rows(new), _JSON_FIELDS)
     lines.append(f"  records: {len(a['records'])} -> {len(b['records'])}, "
                  f"{len(lines)} differ")
     for part in ("metadata", "notes", "summary"):
@@ -125,6 +138,25 @@ def diff_csv(old: str, new: str) -> list[str]:
     return lines
 
 
+def residual_line(old: str, new: str) -> str:
+    """The largest residual growth over the records both JSON reports
+    have, and the total residual of each; NaN residuals (skipped points)
+    count in neither."""
+    old, new = _json_rows(old), _json_rows(new)
+    r = _JSON_FIELDS.index("residual")
+
+    def residual(row: tuple) -> float:
+        x = float(row[r])
+        return x if math.isfinite(x) else 0.0
+
+    grown = max(((residual(new[k]) - residual(old[k]), k)
+                 for k in old if k in new), default=(0.0, None))
+    where = f" ({_label(grown[1])})" if grown[0] > 0.0 else ""
+    totals = [math.fsum(map(residual, rows.values())) for rows in (old, new)]
+    return (f"residual: largest growth {grown[0]:.3g}{where}, total "
+            f"{totals[0]!r} -> {totals[1]!r}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -143,6 +175,7 @@ def main(argv: list[str]) -> int:
     for k in differ:
         print(f"  differs: {k}: exit {(old['cli'].get(k) or ['-'])[0]} -> "
               f"{(new['cli'].get(k) or ['-'])[0]}")
+    print(residual_line(old["json"], new["json"]))
     return 0 if same else 1
 
 
