@@ -17,9 +17,9 @@ class EvalResult(namedtuple("EvalResult",
     """Value plus a rigorous error bound under the evaluator's stated tail model.
 
     value and error_bound are floats, terms_used an int, status a Status.
-    terms_used counts coefficient evaluations for series, integrand panels for
-    quadrature.  status is CONVERGED only when error_bound met the requested
-    tolerance.
+    terms_used counts coefficient evaluations for series and integrand
+    evaluations for quadrature (15 per Gauss-Kronrod panel).  status is
+    CONVERGED only when error_bound met the requested tolerance.
     """
 
     __slots__ = ()

@@ -314,6 +314,28 @@ def _tail(power: int, over: int | None, deg: int, alt: bool,
     return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
 
 
+@functools.cache
+def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
+                  alt: bool, const: float,
+                  start: int) -> tuple[float, EvalResult, EvalResult]:
+    """The bound of one endpoint rule (see _endpoint) and its two results,
+    CONVERGED and MAX_TERMS."""
+    n_end = start + _TAIL_TERMS
+    terms = []
+    dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
+    for n in range(start, n_end):
+        c = _c(n)
+        x = c**power if over is None else c**power / (n + over) ** deg
+        terms.append(-x if alt and n % 2 else x)
+        dc += power * x / c
+    tail, model_err = _tail(power, over, deg, alt, n_end + 1)
+    value = sign * (math.fsum(terms) + tail) + const
+    bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
+    return (bound,
+            EvalResult(value, bound, _TAIL_TERMS, Status.CONVERGED),
+            EvalResult(value, bound, _TAIL_TERMS, Status.MAX_TERMS))
+
+
 def _endpoint(
     power: int, over: int | None = None, deg: int = 1, sign: float = 1.0,
     alt: bool = False, const: float = 0.0, start: int | None = None,
@@ -321,24 +343,16 @@ def _endpoint(
     """Rule for the terms sign * s_n c_n^power / (n + over)^deg (no divisor
     for over None), s_n = (-1)^n if alt else 1, from n = start (default 1
     for over 0, else 0): _TAIL_TERMS terms plus the asymptotic tail, plus
-    const."""
+    const.  Value and bound do not depend on tol: _endpoint_sum computes
+    them on the rule's first call, and each call only compares the bound
+    with tol."""
     if start is None:
         start = 1 if over == 0 else 0
-    n_end = start + _TAIL_TERMS
+    key = (power, over, deg, sign, alt, const, start)
 
     def rule(tol: float) -> EvalResult:
-        terms = []
-        dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
-        for n in range(start, n_end):
-            c = _c(n)
-            x = c**power if over is None else c**power / (n + over) ** deg
-            terms.append(-x if alt and n % 2 else x)
-            dc += power * x / c
-        tail, model_err = _tail(power, over, deg, alt, n_end + 1)
-        value = sign * (math.fsum(terms) + tail) + const
-        bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
-        status = Status.CONVERGED if bound <= tol else Status.MAX_TERMS
-        return EvalResult(value, bound, len(terms), status)
+        bound, converged, short = _endpoint_sum(*key)
+        return converged if bound <= tol else short
     return rule
 
 
@@ -497,7 +511,10 @@ def sum_series(
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
     rather than an exception; a bool or non-real t, tol or mu raises
     DomainError.  Interior sums stop at the term cap (set_max_terms) with
-    status MAX_TERMS; the endpoint rules sum a fixed number of terms.
+    status MAX_TERMS; the endpoint rules sum a fixed number of terms.  An
+    endpoint rule's value and bound do not depend on tol: each is computed
+    once per process, on the rule's first call, and a call only compares
+    the stored bound with tol (CONVERGED when bound <= tol, else MAX_TERMS).
     """
     tol = check_real("tol", tol)
     if not (tol > 0.0 and math.isfinite(tol)):

@@ -276,3 +276,127 @@ def test_edges_bound_honesty_and_cost(tol, budget):
         assert res.status is Status.CONVERGED, (kind, z)
         assert abs(res.value - ref) <= res.error_bound, (kind, z)
         assert res.terms_used <= budget, (kind, z)
+
+
+# --- bit for bit ---------------------------------------------------------------
+
+def _eq21(t):
+    # the EQ21 quadrature term's integrand, log-singular at t = 0
+    return (math.log1p(t) - 0.6931471805599453) * math.log(t) / (1.0 - t)
+
+
+# float.hex of value and error_bound, evaluations and status of each integral
+# at abs_tol = rel_tol = tol, keyed (kind, z or limits, tol).  A change to the
+# rule, the kernel or the subdivision that moves any field must update this
+# table on purpose (tools/series_diff.py diffs a wider grid).
+QUAD_BITS = {
+    ("g", -1.0, 1e-10):
+        ("0x1.a51a6625307dcp-2", "0x1.7bf7b65148e58p-37", 75, "CONVERGED"),
+    ("G", -1.0, 1e-10):
+        ("-0x1.c51448aca3f1bp-2", "0x1.e5ffaf78ec663p-39", 75, "CONVERGED"),
+    ("g", -0.99, 1e-10):
+        ("0x1.a5a38676a756bp-2", "0x1.70c800bf9a14cp-37", 75, "CONVERGED"),
+    ("G", -0.99, 1e-10):
+        ("-0x1.c0dd932511ebap-2", "0x1.d705b444f83adp-39", 75, "CONVERGED"),
+    ("g", -0.5, 1e-10):
+        ("0x1.c3639fa0c8831p-2", "0x1.dd8023305d608p-39", 75, "CONVERGED"),
+    ("G", -0.5, 1e-10):
+        ("-0x1.d68e0de67d8e4p-3", "0x1.aa4f1b7b5d59bp-35", 45, "CONVERGED"),
+    ("g", 0.3, 1e-10):
+        ("0x1.068226405a401p-1", "0x1.a759880585707p-36", 75, "CONVERGED"),
+    ("G", 0.3, 1e-10):
+        ("0x1.30a6cfef3e035p-3", "0x1.3d0617beb9b98p-36", 45, "CONVERGED"),
+    ("g", 0.99, 1e-10):
+        ("0x1.5d2ee4828ec67p-1", "0x1.da1a13d489312p-38", 285, "CONVERGED"),
+    ("G", 0.99, 1e-10):
+        ("0x1.170da8799062bp-1", "0x1.e79d64d790237p-39", 255, "CONVERGED"),
+    ("g", 1.0, 1e-10):
+        ("0x1.62e42fefa39eap-1", "0x1.a925c7d34bcbfp-38", 75, "CONVERGED"),
+    ("G", 1.0, 1e-10):
+        ("0x1.1a9213a2889b3p-1", "0x1.add751981c9d9p-36", 405, "CONVERGED"),
+    ("EQ31", None, 1e-10):
+        ("0x1.db0e3c11764d2p-6", "0x1.7970afe08ec52p-40", 75, "CONVERGED"),
+    ("EQ32", None, 1e-10):
+        ("0x1.47f7f96a05d86p-4", "0x1.c23fb568d8ba9p-38", 75, "CONVERGED"),
+    ("EQ21", (0.0, 0.5), 1e-10):
+        ("0x1.186b4199bade6p-1", "0x1.cb8448520b727p-36", 855, "CONVERGED"),
+    ("EQ21", (1.0, 0.0), 1e-10):
+        ("-0x1.439112cfc41a0p-1", "0x1.e4d1f20957755p-36", 885, "CONVERGED"),
+    ("g", -1.0, 1e-13):
+        ("0x1.a51a6625307d4p-2", "0x1.66df7d8e57a30p-49", 165, "CONVERGED"),
+    ("G", -1.0, 1e-13):
+        ("-0x1.c51448aca3f18p-2", "0x1.add79e3b198a4p-45", 135, "CONVERGED"),
+    ("g", -0.99, 1e-13):
+        ("0x1.a5a38676a7563p-2", "0x1.613dcca14bb16p-49", 165, "CONVERGED"),
+    ("G", -0.99, 1e-13):
+        ("-0x1.c0dd932511eb6p-2", "0x1.a549e23e0eb2bp-45", 135, "CONVERGED"),
+    ("g", -0.5, 1e-13):
+        ("0x1.c3639fa0c882dp-2", "0x1.acf4531758209p-45", 135, "CONVERGED"),
+    ("G", -0.5, 1e-13):
+        ("-0x1.d68e0de67d869p-3", "0x1.b1a45cd59b811p-47", 135, "CONVERGED"),
+    ("g", 0.3, 1e-13):
+        ("0x1.068226405a402p-1", "0x1.4b8efc0ae0deep-45", 135, "CONVERGED"),
+    ("G", 0.3, 1e-13):
+        ("0x1.30a6cfef3e061p-3", "0x1.4e02b29b98091p-48", 135, "CONVERGED"),
+    ("g", 0.99, 1e-13):
+        ("0x1.5d2ee4828ec6bp-1", "0x1.c39cb70c988c8p-45", 465, "CONVERGED"),
+    ("G", 0.99, 1e-13):
+        ("0x1.170da8799062dp-1", "0x1.656ab24011b6ap-46", 375, "CONVERGED"),
+    ("g", 1.0, 1e-13):
+        ("0x1.62e42fefa39eep-1", "0x1.e29417de5fe1fp-49", 135, "CONVERGED"),
+    ("G", 1.0, 1e-13):
+        ("0x1.1a9213a2882d1p-1", "0x1.747ad3ee830cap-45", 645, "CONVERGED"),
+    ("EQ31", None, 1e-13):
+        ("0x1.db0e3c11764d4p-6", "0x1.51c02a23b1496p-46", 135, "CONVERGED"),
+    ("EQ32", None, 1e-13):
+        ("0x1.47f7f96a05da6p-4", "0x1.02c173c5d464dp-49", 165, "CONVERGED"),
+    ("EQ21", (0.0, 0.5), 1e-13):
+        ("0x1.186b4199bfac0p-1", "0x1.37e2bc71a2a8fp-45", 1365, "CONVERGED"),
+    ("EQ21", (1.0, 0.0), 1e-13):
+        ("-0x1.439112cfc8e7ap-1", "0x1.3bb62b09a8536p-45", 1425, "CONVERGED"),
+}
+
+
+def test_quadrature_bit_for_bit():
+    for (kind, arg, tol), expected in QUAD_BITS.items():
+        cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
+        if kind == "EQ21":
+            res = integrate_1d(_eq21, *arg, cfg)
+        else:
+            res = _INTEGRALS[kind](arg, cfg)
+        got = (res.value.hex(), res.error_bound.hex(), res.terms_used,
+               res.status.name)
+        assert got == expected, (kind, arg, tol)
+
+
+def test_terms_used_counts_evaluations():
+    # terms_used is the number of integrand calls, 15 per panel
+    calls = [0]
+
+    def counted(f):
+        def g(t):
+            calls[0] += 1
+            return f(t)
+        return g
+
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+    for f, a, b in ((_eq21, 0.0, 0.5), (_eq21, 1.0, 0.0),
+                    (lambda t: 1.0 / math.sqrt(t), 0.0, 1.0),
+                    (math.cos, 0.0, 1.0)):
+        calls[0] = 0
+        res = integrate_1d(counted(f), a, b, cfg)
+        assert res.terms_used == calls[0] > 0, (a, b)
+        assert res.terms_used % 15 == 0
+
+
+def test_non_finite_integrand_stops():
+    # a panel whose value or error estimate is not finite ends the integral
+    # at once, rather than after every subdivision: the first panel, or the
+    # first split, whose right half holds the one node above 0.997
+    for bad in (math.nan, math.inf, -math.inf):
+        for f, evals in ((lambda t: bad, 15),
+                         (lambda t: bad if t > 0.997 else t**-0.5, 45)):
+            res = integrate_1d(f, 0.0, 1.0)
+            assert res.status is Status.DIVERGENT_INPUT, bad
+            assert math.isnan(res.value) and res.error_bound == math.inf
+            assert res.terms_used == evals, bad

@@ -260,6 +260,24 @@ def test_endpoint_rules_bit_for_bit():
         assert (res.value.hex(), res.error_bound.hex()) == bits, (sid, t)
 
 
+def test_endpoint_rule_ignores_tol():
+    # value, bound and terms do not depend on tol or on earlier calls; tol
+    # only picks the status, CONVERGED exactly when bound <= tol
+    for sid, spec in _SPECS.items():
+        for t in spec.endpoints:
+            first = sum_series(sid, t, tol=1e-10)
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15):
+                for _ in range(2):
+                    res = sum_series(sid, t, tol=tol)
+                    assert res[:3] == first[:3], (sid, t, tol)
+                    assert res.terms_used == 32
+            bound = first.error_bound
+            assert sum_series(sid, t, tol=bound).status is Status.CONVERGED
+            short = sum_series(sid, t, tol=math.nextafter(bound, 0.0))
+            assert short.status is Status.MAX_TERMS, (sid, t)
+            assert short[:3] == first[:3], (sid, t)
+
+
 def test_endpoint_bound_within_envelope():
     # the direct-sum endpoint must report a bound no worse than 1/(N+1)
     res = sum_series(SeriesId.CENTERED_SQ, 1.0, tol=1e-6)
