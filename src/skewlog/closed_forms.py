@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 
 from .catalog import CLOSED_FORMS, ClosedFormId, lookup
-from .core_numerics import CONSTANTS, LOG2, check_real
+from .core_numerics import CONSTANTS, LOG2, check_mu, check_real
 from .errors import DomainError, PoleError
 from .polylog import li2, li3
 
@@ -275,32 +275,26 @@ _FORMS: dict[ClosedFormId, _Form] = {
 }
 
 
-def _args(cf_id: ClosedFormId, t, mu) -> tuple[float, ...]:
-    """The checked evaluator arguments of cf_id: (t,), or (t, mu); a cf_id
-    that is not a ClosedFormId is a ValueError."""
+def _checked(cf_id: ClosedFormId, t, mu) -> tuple[_Form, tuple[float, ...]]:
+    """The row of cf_id and its checked evaluator arguments, (t,) or
+    (t, mu); a cf_id that is not a ClosedFormId is a ValueError."""
     try:
         form = _FORMS[cf_id]
     except KeyError:
         form = lookup(_FORMS, cf_id, "closed form")
-    if form.takes_mu:
-        if mu is None:
-            raise ValueError(f"{cf_id.name} requires mu")
-        mu = check_real("mu", mu)
-        if not -1.0 < mu <= 1.0:
-            raise DomainError("mu must satisfy -1 < mu <= 1")
-    elif mu is not None:
-        raise ValueError(f"{cf_id.name} takes no mu")
+    if form.takes_mu or mu is not None:
+        mu = check_mu(cf_id, form.takes_mu, mu)
     t = check_real("t", t)
     if not form.domain(t):
         raise DomainError(
             f"{cf_id.name} requires {CLOSED_FORMS[cf_id.name]}")
-    return (t, mu) if form.takes_mu else (t,)
+    return form, ((t,) if mu is None else (t, mu))
 
 
 def closed_form(cf_id: ClosedFormId, t: float, mu: float | None = None) -> float:
     """Evaluate the tagged closed form at t (and mu where required)."""
-    args = _args(cf_id, t, mu)
-    return _FORMS[cf_id].evaluate(*args)
+    form, args = _checked(cf_id, t, mu)
+    return form.evaluate(*args)
 
 
 def closed_form_eq17(x: float) -> float:
@@ -315,4 +309,4 @@ def closed_form_eq17(x: float) -> float:
 
 def abel_sides(mu: float, x: float) -> tuple[float, float]:
     """Both sides of the five-term Abel relation for (mu, x)."""
-    return _abel_sides(*_args(ClosedFormId.EQ25_ABEL, x, mu))
+    return _abel_sides(*_checked(ClosedFormId.EQ25_ABEL, x, mu)[1])

@@ -77,9 +77,7 @@ class HarmonicCache:
     """
 
     def __init__(self, limit: int = DEFAULT_CACHE_LIMIT) -> None:
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise ValueError("cache limit must be a positive integer")
-        self.limit = limit
+        self.limit = check_int("cache limit", limit, 1)
         self.values_h: list[float] = [0.0]
         self.values_h2: list[float] = [0.0]
         self.values_skew: list[float] = [0.0]
@@ -87,9 +85,11 @@ class HarmonicCache:
         self._lock = threading.Lock()
 
     def ensure(self, n: int) -> None:
-        """Fill the cache through index n.  Usage error beyond the limit."""
+        """Fill the cache through index n, an int in [0, limit], else
+        DomainError."""
+        check_int("n", n)
         if n > self.limit:
-            raise ValueError(
+            raise DomainError(
                 f"index {n} exceeds the configured cache limit {self.limit}"
             )
         if n < len(self.values_h):
@@ -135,9 +135,6 @@ class HarmonicCache:
         return self.values_skew[n]
 
 
-_CACHE = HarmonicCache()
-
-
 def check_real(name: str, x, bounds: tuple[float, float] | None = None) -> float:
     """x as a float, for every public entry point that takes a real argument.
 
@@ -154,17 +151,56 @@ def check_real(name: str, x, bounds: tuple[float, float] | None = None) -> float
     return x
 
 
-def _check_index(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError("n must be an integer")
-    if n < 0:
-        raise DomainError("n must be >= 0")
+def check_int(name: str, n, lo: int | None = 0, hi: int | None = None) -> int:
+    """n, for every public entry point that takes an integer argument.  A
+    bool, a non-int or a value outside [lo, hi] (None: no bound) raises
+    DomainError, whose message names the argument and its range."""
+    if (not isinstance(n, int) or isinstance(n, bool)
+            or (lo is not None and n < lo) or (hi is not None and n > hi)):
+        span = ("" if lo is None else f" >= {lo}" if hi is None
+                else f" in [{lo}, {hi}]")
+        raise DomainError(f"{name} must be an integer{span}")
     return n
+
+
+def check_tol(name: str, tol, floor: float = 0.0) -> float:
+    """tol as a float, for every public entry point that takes a
+    tolerance: a real number, finite and positive, and >= floor when floor
+    is positive.  Anything else raises DomainError."""
+    if type(tol) is not float:
+        tol = check_real(name, tol)
+    if not (0.0 < tol < math.inf and tol >= floor):
+        if floor:
+            raise DomainError(f"{name} must be a finite number >= {floor:g}")
+        raise DomainError(f"{name} must be a positive finite number")
+    return tol
+
+
+def check_mu(owner, takes_mu: bool, mu, strict: bool = True) -> float | None:
+    """The mu of owner, a series or closed form id: None when owner takes
+    no mu, else a float in -1 < mu <= 1.  A missing or an unexpected mu is
+    a ValueError and a bool or non-real one a DomainError; a mu out of
+    range (NaN included) raises DomainError when strict, else is NaN."""
+    if not takes_mu:
+        if mu is not None:
+            raise ValueError(f"{owner.name} takes no mu")
+        return None
+    if mu is None:
+        raise ValueError(f"{owner.name} requires mu")
+    mu = check_real("mu", mu)
+    if -1.0 < mu <= 1.0:
+        return mu
+    if strict:
+        raise DomainError("mu must satisfy -1 < mu <= 1")
+    return math.nan
+
+
+_CACHE = HarmonicCache()
 
 
 # The cache's lists only grow, so these aliases stay valid.  Each accessor
 # reads an entry already filled straight from its list; any other input
-# (bool, negative, non-int, not yet cached) takes the checked path.
+# (bool, negative, non-int, not yet cached) goes to the cache's checks.
 _H, _H2, _SKEW = _CACHE.values_h, _CACHE.values_h2, _CACHE.values_skew
 
 
@@ -172,27 +208,27 @@ def harmonic(n: int) -> float:
     """H_n = sum_{k=1..n} 1/k, with harmonic(0) = 0."""
     if type(n) is int and 0 <= n < len(_H):
         return _H[n]
-    return _CACHE.h(_check_index(n))
+    return _CACHE.h(n)
 
 
 def harmonic2(n: int) -> float:
     """H_n^(2) = sum_{k=1..n} 1/k^2, with harmonic2(0) = 0."""
     if type(n) is int and 0 <= n < len(_H2):
         return _H2[n]
-    return _CACHE.h2(_check_index(n))
+    return _CACHE.h2(n)
 
 
 def skew_harmonic(n: int) -> float:
     """H_n^- = 1 - 1/2 + ... + (-1)^(n-1)/n, with skew_harmonic(0) = 0."""
     if type(n) is int and 0 <= n < len(_SKEW):
         return _SKEW[n]
-    return _CACHE.skew(_check_index(n))
+    return _CACHE.skew(n)
 
 
 def odd_harmonic(n: int) -> float:
     """O_n = 1 + 1/3 + ... + 1/(2n-1), via O_n = H_{2n} - H_n/2."""
-    _check_index(n)
-    return _CACHE.h(2 * n) - 0.5 * _CACHE.h(n)
+    check_int("n", n)
+    return harmonic(2 * n) - 0.5 * harmonic(n)
 
 
 def skew_harmonic_mu(n: int, mu: float) -> float:
@@ -201,8 +237,7 @@ def skew_harmonic_mu(n: int, mu: float) -> float:
     Defined for n >= 1; reduces to skew_harmonic(n) at mu = 1.  The intended
     parameter range is |mu| < 1 with the endpoints admitted as closure.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError("n must be an integer >= 1")
+    check_int("n", n, 1)
     mu = check_real("mu", mu)
     terms = []
     p = 1.0
@@ -219,8 +254,7 @@ def digamma_half_diff(n: int) -> float:
     base values psi(1) = -gamma and psi(1/2) = -gamma - 2 log 2; gamma
     cancels in the difference, leaving only harmonic-type sums.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError("n must be an integer >= 1")
+    check_int("n", n, 1)
     if n % 2 == 0:
         m = n // 2
         # psi(m + 1/2) - psi(m)

@@ -21,7 +21,7 @@ import heapq
 import math
 from collections import namedtuple
 
-from .core_numerics import check_real
+from .core_numerics import check_int, check_real, check_tol
 from .errors import DomainError
 from .result import EvalResult, Status
 
@@ -30,25 +30,17 @@ class QuadratureConfig(namedtuple("QuadratureConfig",
                                   "abs_tol rel_tol max_subdivisions")):
     """Targets of one quadrature call.  abs_tol and rel_tol are checked
     like sum_series's tol (any real, stored as a float) and must be finite
-    and >= 1e-15; max_subdivisions must be an int in [1, 1e6]."""
+    and >= 1e-15; max_subdivisions must be an int in [1, 1e6].  A bad
+    value raises DomainError."""
 
     __slots__ = ()
 
     def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-12,
                 max_subdivisions: int = 4000):
-        tols = []
-        for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
-            tol = check_real(name, tol)
-            if not (tol >= 1e-15 and math.isfinite(tol)):
-                raise ValueError(f"{name} must be a finite number >= 1e-15")
-            tols.append(tol)
-        if not (
-            isinstance(max_subdivisions, int)
-            and not isinstance(max_subdivisions, bool)
-            and 1 <= max_subdivisions <= 1_000_000
-        ):
-            raise ValueError("max_subdivisions must be an int in [1, 1e6]")
-        return super().__new__(cls, *tols, max_subdivisions)
+        return super().__new__(
+            cls, check_tol("abs_tol", abs_tol, 1e-15),
+            check_tol("rel_tol", rel_tol, 1e-15),
+            check_int("max_subdivisions", max_subdivisions, 1, 1_000_000))
 
     @classmethod
     def _make(cls, iterable):

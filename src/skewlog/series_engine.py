@@ -39,8 +39,7 @@ from operator import mul, sub, truediv
 from .catalog import SeriesId, lookup
 from .core_numerics import (
     _BERNOULLI, _CACHE, _TANGENT, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2,
-    check_real, skew_harmonic)
-from .errors import DomainError
+    check_int, check_mu, check_real, check_tol, skew_harmonic)
 from .result import EvalResult, Status
 
 DEFAULT_MAX_TERMS = 200_000
@@ -49,16 +48,11 @@ _BLOCK = 64  # the first block of an interior sum, in terms
 
 
 def set_max_terms(n: int) -> None:
-    """Set the global term cap of sum_series's interior sums, 1 to the
-    harmonic cache limit; the endpoint rules sum a fixed number of terms
-    and ignore it."""
+    """Set the global term cap of sum_series's interior sums, an integer
+    from 1 to the harmonic cache limit (DomainError otherwise); the
+    endpoint rules sum a fixed number of terms and ignore it."""
     global _max_terms
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("max terms must be a positive integer")
-    if n > DEFAULT_CACHE_LIMIT:
-        raise ValueError(f"max terms {n} exceeds the harmonic cache limit "
-                         f"{DEFAULT_CACHE_LIMIT}")
-    _max_terms = n
+    _max_terms = check_int("max terms", n, 1, DEFAULT_CACHE_LIMIT)
 
 
 def get_max_terms() -> int:
@@ -128,7 +122,8 @@ def _ramanujan(lo: int, hi: int) -> list[float]:
     if odd:
         m = (odd[0] + 1) // 2
         end = m + len(odd)
-        _CACHE.ensure(2 * end - 2)
+        if 2 * end - 2 >= len(_H):
+            _CACHE.ensure(2 * end - 2)
         o = map(sub, _H[2 * m:2 * end:2], map(mul, repeat(0.5), _H[m:end]))
         out[odd[0] - lo::2] = map(truediv, map(mul, repeat(2.0), o), odd)
     return out
@@ -465,31 +460,13 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
 }
 
 
-def _mu_arg(series_id: SeriesId, mu) -> float | None:
-    """mu as a float for a mu series and None otherwise; a missing or an
-    unexpected mu is a ValueError, and so is a series_id that is not a
-    SeriesId."""
-    try:
-        spec = _SPECS[series_id]
-    except KeyError:
-        spec = lookup(_SPECS, series_id, "series")
-    if spec.needs_mu and mu is None:
-        raise ValueError(f"{series_id.name} requires mu")
-    if not spec.needs_mu and mu is not None:
-        raise ValueError(f"{series_id.name} takes no mu")
-    return check_real("mu", mu) if spec.needs_mu else None
-
-
 def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
-    """Coefficient a_n of the tagged series.  A mu series runs its block
-    rule from a_0, in O(n) time, a bounded block at a time; a mu outside
-    -1 < mu <= 1 raises DomainError."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError("n must be an integer >= 0")
-    mu = _mu_arg(series_id, mu)
-    if mu is not None and not -1.0 < mu <= 1.0:
-        raise DomainError("mu must satisfy -1 < mu <= 1")
-    spec = _SPECS[series_id]
+    """Coefficient a_n of the tagged series, n an integer >= 0.  A mu
+    series runs its block rule from a_0, in O(n) time, a bounded block at
+    a time.  A bad n, or a mu outside -1 < mu <= 1, raises DomainError."""
+    check_int("n", n)
+    spec = lookup(_SPECS, series_id, "series")
+    mu = check_mu(series_id, spec.needs_mu, mu)
     block = spec.coeffs(mu)
     lo = 0 if spec.needs_mu else n
     while True:
@@ -509,22 +486,24 @@ def sum_series(
     """Evaluate the tagged series at t to absolute tolerance tol.
 
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
-    rather than an exception; a bool or non-real t, tol or mu raises
-    DomainError.  Interior sums stop at the term cap (set_max_terms) with
-    status MAX_TERMS; the endpoint rules sum a fixed number of terms.  An
-    endpoint rule's value and bound do not depend on tol: each is computed
-    once per process, on the rule's first call, and a call only compares
-    the stored bound with tol (CONVERGED when bound <= tol, else MAX_TERMS).
+    rather than an exception; a bool or non-real t, tol or mu, or a tol
+    that is not positive and finite, raises DomainError.  Interior sums
+    stop at the term cap (set_max_terms) with status MAX_TERMS; the
+    endpoint rules sum a fixed number of terms.  An endpoint rule's value
+    and bound do not depend on tol: each is computed once per process, on
+    the rule's first call, and a call only compares the stored bound with
+    tol (CONVERGED when bound <= tol, else MAX_TERMS).
     """
-    tol = check_real("tol", tol)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError("tol must be a positive finite number")
-    mu = _mu_arg(series_id, mu)
-    spec = _SPECS[series_id]
-    if mu is not None and not (-1.0 < mu <= 1.0):
-        return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
+    tol = check_tol("tol", tol)
+    try:
+        spec = _SPECS[series_id]
+    except KeyError:
+        spec = lookup(_SPECS, series_id, "series")
+    if spec.needs_mu or mu is not None:
+        mu = check_mu(series_id, spec.needs_mu, mu, strict=False)
     t = check_real("t", t)
-    if not spec.in_domain(t):
+    # check_mu turned a mu outside -1 < mu <= 1 into NaN, so mu != mu
+    if not spec.in_domain(t) or mu != mu:
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
 
     if abs(t) == 1.0:

@@ -33,7 +33,9 @@ from .core_numerics import (
     _CACHE,
     CONSTANTS,
     LOG2,
+    check_int,
     check_real,
+    check_tol,
     digamma_half_diff,
 )
 from .errors import DomainError, PoleError
@@ -89,14 +91,16 @@ def _quad_cfg(tol: float) -> QuadratureConfig:
 
 
 def _points(grid: GridSpec):
-    """Record params of every grid point: (t,), or (mu, t) with mu outer."""
+    """Record params of every grid point: (t,), or (mu, t) with mu outer,
+    each value checked by check_real."""
     if grid.mu_values:
         for mu in grid.mu_values:
             for x in grid.t_values:
-                yield (("mu", float(mu)), ("t", float(x)))
+                yield (("mu", check_real("grid mu", mu)),
+                       ("t", check_real("grid t", x)))
     else:
         for t in grid.t_values:
-            yield (("t", float(t)),)
+            yield (("t", check_real("grid t", t)),)
 
 
 def _pointwise(sides):
@@ -161,17 +165,20 @@ def _n_records(identity, first, lhs, rhs, tol, residual=None, notes=None):
         repeat("") if notes is None else notes)))
 
 
-def _skip_below(identity, grid, tol, first, reason):
-    """SKIPPED records for the grid's n < first, outside the domain."""
+def _n_range(identity, grid, tol, first, reason):
+    """The grid's n_range (lo, hi) as (SKIPPED records for its n < first,
+    outside the domain, max(lo, first), hi).  lo and hi must be integers
+    with hi >= lo."""
     lo, hi = grid.n_range
-    return [_skip(identity, (("n", float(n)),), tol, reason)
-            for n in range(lo, min(first, hi + 1))]
+    lo = check_int("n_range start", lo, None)
+    hi = check_int("n_range end", hi, lo)
+    return ([_skip(identity, (("n", float(n)),), tol, reason)
+             for n in range(lo, min(first, hi + 1))], max(lo, first), hi)
 
 
 def _verify_eq1(identity, grid, tol):
-    lo, hi = grid.n_range
-    out = _skip_below(identity, grid, tol, 1, "n must be an integer >= 1")
-    first = max(lo, 1)
+    out, first, hi = _n_range(identity, grid, tol, 1,
+                              "n must be an integer >= 1")
     if first <= hi:
         lhs = list(map(digamma_half_diff, range(first, hi + 1)))
         # 2 (-1)^(n-1) (log 2 - H_(n-1)^-)
@@ -184,9 +191,7 @@ def _verify_eq1(identity, grid, tol):
 
 
 def _verify_eq14(identity, grid, tol):
-    lo, hi = grid.n_range
-    out = _skip_below(identity, grid, tol, 0, "n must be >= 0")
-    first = max(lo, 0)
+    out, first, hi = _n_range(identity, grid, tol, 0, "n must be >= 0")
     if first <= hi:
         _CACHE.ensure(hi)
         sk, h2 = _CACHE.values_skew, _CACHE.values_h2
@@ -216,9 +221,7 @@ _SPLIT_NOTES = ("odd half (even half residual is smaller)",
 def _verify_split(identity, grid, tol):
     """H_2n^- = H_2n - H_n and H_(2n+1)^- = H_(2n+1) - H_n; a record keeps
     the half with the larger residual (the even half on a tie)."""
-    lo, hi = grid.n_range
-    out = _skip_below(identity, grid, tol, 0, "n must be >= 0")
-    first = max(lo, 0)
+    out, first, hi = _n_range(identity, grid, tol, 0, "n must be >= 0")
     if first <= hi:
         # one fill, then the entries straight from the cache's lists
         _CACHE.ensure(2 * hi + 1)
@@ -343,14 +346,12 @@ def verify_identity(
 
     The grid must be of the identity's kind, integers n_range or reals
     t_values, and a parameter-free identity (EQ31, EQ32) takes only its
-    own (ValueError); a point outside the domain is a SKIPPED record.
-    tolerance, when given, is checked like sum_series's tol: a bool or a
-    non-real value raises DomainError, and it must be positive and finite
-    (ValueError).  An identity that is not an IdentityId is a ValueError."""
-    try:
-        run = _CHECKS[identity]
-    except KeyError:
-        run = lookup(_CHECKS, identity, "identity")
+    own (ValueError); a point outside the domain is a SKIPPED record.  A
+    bool or non-real grid value, an n_range (lo, hi) that is not two
+    integers with hi >= lo, and a tolerance (when given) that is not a
+    positive finite real raise DomainError.  An identity that is not an
+    IdentityId is a ValueError."""
+    run = lookup(_CHECKS, identity, "identity")
     row = IDENTITIES[identity.name]
     if grid is None:
         grid = row.grid
@@ -364,9 +365,7 @@ def verify_identity(
     if tolerance is None:
         tolerance = row.tolerance
     else:
-        tolerance = check_real("tolerance", tolerance)
-        if not (tolerance > 0.0 and math.isfinite(tolerance)):
-            raise ValueError("tolerance must be a positive finite number")
+        tolerance = check_tol("tolerance", tolerance)
     return run(identity, grid, tolerance)
 
 

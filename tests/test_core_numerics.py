@@ -11,7 +11,10 @@ from skewlog import (
     CONSTANTS,
     ClosedFormId,
     DomainError,
+    GridSpec,
     HarmonicCache,
+    IdentityId,
+    QuadratureConfig,
     SeriesId,
     abel_sides,
     closed_form,
@@ -28,9 +31,11 @@ from skewlog import (
     li2,
     li3,
     odd_harmonic,
+    set_max_terms,
     skew_harmonic,
     skew_harmonic_mu,
     sum_series,
+    verify_identity,
 )
 
 LOG2 = math.log(2.0)
@@ -215,6 +220,10 @@ REAL_ENTRY_POINTS = {
     "double_integral_g": double_integral_g,
     "double_integral_bigG": double_integral_bigG,
     "integrate_1d": lambda x: integrate_1d(lambda t: t, 0.0, x),
+    "verify_identity grid t": lambda x: verify_identity(
+        IdentityId.EQ2, GridSpec((x,))),
+    "verify_identity grid mu": lambda x: verify_identity(
+        IdentityId.EQ22, GridSpec((0.5,), (x,))),
 }
 
 
@@ -223,3 +232,34 @@ REAL_ENTRY_POINTS = {
 def test_bool_and_non_real_arguments_raise_domain_error(entry, bad):
     with pytest.raises(DomainError):
         REAL_ENTRY_POINTS[entry](bad)
+
+
+# Every public entry point that takes an integer argument, with one argument
+# left free.
+INT_ENTRY_POINTS = {
+    "harmonic": harmonic,
+    "harmonic2": harmonic2,
+    "skew_harmonic": skew_harmonic,
+    "odd_harmonic": odd_harmonic,
+    "skew_harmonic_mu n": lambda n: skew_harmonic_mu(n, 0.5),
+    "digamma_half_diff": digamma_half_diff,
+    "coefficient n": lambda n: coefficient(SeriesId.GF_SKEW, n),
+    "set_max_terms": set_max_terms,
+    "HarmonicCache limit": HarmonicCache,
+    "HarmonicCache.h": lambda n: HarmonicCache(100).h(n),
+    "HarmonicCache.ensure": lambda n: HarmonicCache(100).ensure(n),
+    "QuadratureConfig max_subdivisions": lambda n: QuadratureConfig(
+        max_subdivisions=n),
+    "verify_identity n_range": lambda n: verify_identity(
+        IdentityId.EQ14_LEMMA6, GridSpec(n_range=(0, n))),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", -1],
+                         ids=["bool", "float", "str", "negative"])
+@pytest.mark.parametrize("entry", sorted(INT_ENTRY_POINTS))
+def test_bad_integer_arguments_raise_domain_error(entry, bad):
+    # one check for every integer: the message names the argument and its
+    # range
+    with pytest.raises(DomainError, match="must be an integer"):
+        INT_ENTRY_POINTS[entry](bad)

@@ -8,13 +8,17 @@ import math
 import pytest
 
 from skewlog import (
+    DomainError,
     GridSpec,
     IdentityId,
+    QuadratureConfig,
     Report,
+    SeriesId,
     Verdict,
     VerificationRecord,
     parse_report,
     set_max_terms,
+    sum_series,
     verify_identity,
 )
 from skewlog.catalog import IDENTITIES
@@ -123,13 +127,39 @@ def test_custom_tolerance_can_fail():
     assert any(r.verdict is Verdict.FAIL for r in recs)
 
 
+# Every tolerance argument, with the value left free.
+TOL_ENTRY_POINTS = {
+    "sum_series tol": lambda x: sum_series(SeriesId.GF_SKEW, 0.5, tol=x),
+    "verify_identity tolerance": lambda x: verify_identity(
+        IdentityId.EQ2, tolerance=x),
+    "QuadratureConfig abs_tol": lambda x: QuadratureConfig(abs_tol=x),
+    "QuadratureConfig rel_tol": lambda x: QuadratureConfig(rel_tol=x),
+}
+
+
 def test_tolerance_validation():
-    # checked like sum_series's tol: a real, positive and finite
-    for bad in (True, -1.0, 0.0, math.nan, math.inf, "1e-9"):
-        with pytest.raises(ValueError):
-            verify_identity(IdentityId.EQ2, tolerance=bad)
+    # one check for every tolerance: a real, positive and finite, and at or
+    # above the floor 1e-15 in QuadratureConfig
+    for name, entry in TOL_ENTRY_POINTS.items():
+        for bad in (True, "1e-9", 0, -1, math.nan, math.inf):
+            with pytest.raises(DomainError, match=name.split()[-1]):
+                entry(bad)
+        if name.startswith("QuadratureConfig"):
+            entry(1e-15)
+            with pytest.raises(DomainError, match="1e-15"):
+                entry(math.nextafter(1e-15, 0.0))
     recs = verify_identity(IdentityId.EQ15, tolerance=1)
     assert [type(r.tolerance) for r in recs] == [float]
+
+
+def test_nan_grid_point_is_skipped():
+    # grid values go through check_real: a NaN is a real number, so its
+    # point is SKIPPED rather than refused, and an int becomes a float
+    recs = verify_identity(IdentityId.EQ2, GridSpec((math.nan, 0)))
+    assert [r.verdict for r in recs] == [Verdict.SKIPPED, Verdict.PASS]
+    assert [type(r.params[0][1]) for r in recs] == [float, float]
+    [rec] = verify_identity(IdentityId.EQ22, GridSpec((0.5,), (math.nan,)))
+    assert rec.verdict is Verdict.SKIPPED
 
 
 def test_records_and_reports_are_plain_values():
