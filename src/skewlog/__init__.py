@@ -17,7 +17,7 @@ _EXPORTS = {
     "core_numerics": ("CONSTANTS", "HarmonicCache", "constant",
                       "digamma_half_diff", "harmonic", "harmonic2",
                       "odd_harmonic", "skew_harmonic", "skew_harmonic_mu"),
-    "errors": ("DomainError", "PoleError"),
+    "errors": ("DomainError",),
     "polylog": ("li2", "li3"),
     "quadrature": ("QuadratureConfig", "double_integral_bigG",
                    "double_integral_eq31", "double_integral_eq32",

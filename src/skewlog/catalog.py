@@ -1,9 +1,11 @@
 """The three catalogs by name: series, closed forms and identities.
 
-Each table is the one place its catalog's names are written, with the text
+Each table is the one place its catalog's names are written, with the data
 and settings that need no numerics: a series' companion closed form, CLI
-alias and domain; a closed form's domain; an identity's default grid, row
-tolerance and extra z = +-1 grid.  SeriesId, ClosedFormId and IdentityId
+alias and Domain; a closed form's Domain; an identity's default grid, row
+tolerance and extra z = +-1 grid.  A Domain is the one place a domain is
+written: the numerics modules copy its fields into their rows, and its
+str is the domain's text.  SeriesId, ClosedFormId and IdentityId
 are built from the tables' keys, in table order, each member's value its
 name.  The numerics modules key their rows by those enums.
 
@@ -37,48 +39,71 @@ class GridSpec(namedtuple("GridSpec", "t_values mu_values n_range",
     __slots__ = ()
 
 
-_MU_TEXT = "|t| < 1, -1 < mu <= 1"
+class Domain(namedtuple("Domain", "lo ends mu", defaults=(False,))):
+    """The points lo < t < 1 and the ends in ends, a tuple holding lo, 1.0,
+    both or neither, with lo -1.0 or -1/3; with mu, each point also takes
+    a mu in -1 < mu <= 1.  str gives the domain's text."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        lo, ends = self.lo, self.ends
+        if lo == -1.0 and (lo in ends) == (1.0 in ends):
+            text = "|t| <= 1" if ends else "|t| < 1"
+        else:
+            low = "-1" if lo == -1.0 else f"-1/{round(-1.0 / lo)}"
+            text = (f"{low} {'<=' if lo in ends else '<'} t "
+                    f"{'<=' if 1.0 in ends else '<'} 1")
+        return f"{text}, -1 < mu <= 1" if self.mu else text
+
+
+_OPEN = Domain(-1.0, ())
+_CLOSED = Domain(-1.0, (-1.0, 1.0))
+_UP_TO_ONE = Domain(-1.0, (1.0,))
+_BELOW_ONE = Domain(-1.0, (-1.0,))
+_FROM_THIRD = Domain(-1.0 / 3.0, (-1.0 / 3.0, 1.0))
+_MU = Domain(-1.0, (), mu=True)
 
 #: A series row: the tag of its companion closed form, the alias the CLI
 #: accepts as well, and its domain.
 _Series = namedtuple("_Series", "closed_form alias domain")
 
 SERIES = {
-    "GF_SKEW": _Series("EQ2", "EQ2_LHS", "|t| < 1"),
-    "GF_CENTERED": _Series("EQ3", "EQ3_LHS", "|t| < 1 or t = 1"),
-    "SKEW_OVER_N": _Series("EQ5", "EQ5_LHS", "|t| <= 1, t != 1"),
-    "CENTERED_OVER_N": _Series("EQ8", "EQ8_LHS", "|t| <= 1"),
-    "CENTERED_SHIFT": _Series("EQ11", "EQ11_LHS", "|t| <= 1"),
-    "SKEW_SQ": _Series("EQ12", "EQ12_LHS", "|t| < 1"),
-    "CENTERED_SQ": _Series("EQ13", "EQ13_LHS", "|t| <= 1"),
-    "CENTERED_SQ_SHIFT": _Series("EQ17", "EQ17_LHS", "|t| <= 1"),
-    "SKEW_OVER_NSQ": _Series("EQ20", "EQ20_LHS", "-1/3 <= t <= 1"),
-    "MU_LEWIN": _Series("EQ22", "EQ22_LHS", _MU_TEXT),
-    "MU_DILOG": _Series("EQ24", "EQ24_SERIES", _MU_TEXT),
-    "MU_TRILOG": _Series("EQ28", "EQ28_SERIES", _MU_TEXT),
-    "RAMANUJAN_ODD": _Series("EQ27", "EQ27_SERIES", "|t| < 1"),
+    "GF_SKEW": _Series("EQ2", "EQ2_LHS", _OPEN),
+    "GF_CENTERED": _Series("EQ3", "EQ3_LHS", _UP_TO_ONE),
+    "SKEW_OVER_N": _Series("EQ5", "EQ5_LHS", _BELOW_ONE),
+    "CENTERED_OVER_N": _Series("EQ8", "EQ8_LHS", _CLOSED),
+    "CENTERED_SHIFT": _Series("EQ11", "EQ11_LHS", _CLOSED),
+    "SKEW_SQ": _Series("EQ12", "EQ12_LHS", _OPEN),
+    "CENTERED_SQ": _Series("EQ13", "EQ13_LHS", _CLOSED),
+    "CENTERED_SQ_SHIFT": _Series("EQ17", "EQ17_LHS", _CLOSED),
+    "SKEW_OVER_NSQ": _Series("EQ20", "EQ20_LHS", _FROM_THIRD),
+    "MU_LEWIN": _Series("EQ22", "EQ22_LHS", _MU),
+    "MU_DILOG": _Series("EQ24", "EQ24_SERIES", _MU),
+    "MU_TRILOG": _Series("EQ28", "EQ28_SERIES", _MU),
+    "RAMANUJAN_ODD": _Series("EQ27", "EQ27_SERIES", _OPEN),
 }
 
 #: A closed form's domain.
 CLOSED_FORMS = {
-    "EQ2": "|t| < 1",
-    "EQ3": "-1 < t <= 1",
-    "EQ5": "-1 <= t <= 1, t != 1",
-    "EQ8": "|t| <= 1",
-    "EQ11": "|t| <= 1",
-    "EQ12": "|t| < 1",
-    "EQ13": "|t| <= 1",
-    "EQ17": "|t| <= 1",
-    "EQ20": "-1/3 <= t <= 1",
-    "EQ22": _MU_TEXT,
-    "EQ24": _MU_TEXT,
-    "EQ25_ABEL": _MU_TEXT,
-    "EQ26": "-1/3 <= t <= 1",
-    "EQ27_RAMANUJAN": "|t| < 1",
-    "EQ28": _MU_TEXT,
-    "EQ29_G": "|t| <= 1",
-    "EQ30_BIGG": "|t| <= 1",
-    "LANDEN": "-1 < t <= 1",
+    "EQ2": _OPEN,
+    "EQ3": _UP_TO_ONE,
+    "EQ5": _BELOW_ONE,
+    "EQ8": _CLOSED,
+    "EQ11": _CLOSED,
+    "EQ12": _OPEN,
+    "EQ13": _CLOSED,
+    "EQ17": _CLOSED,
+    "EQ20": _FROM_THIRD,
+    "EQ22": _MU,
+    "EQ24": _MU,
+    "EQ25_ABEL": _MU,
+    "EQ26": _FROM_THIRD,
+    "EQ27_RAMANUJAN": _OPEN,
+    "EQ28": _MU,
+    "EQ29_G": _CLOSED,
+    "EQ30_BIGG": _CLOSED,
+    "LANDEN": _UP_TO_ONE,
 }
 
 #: An identity row: the default grid of verify_identity, the row tolerance,

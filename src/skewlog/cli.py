@@ -92,8 +92,8 @@ def _cmd_eval(args) -> int:
         sid = lookup(names, _need(args, "--id").upper(), "series id")
         r = sum_series(sid, _need(args, "--t"), args.tol, mu=args.mu)
         if r.status is Status.DIVERGENT_INPUT:
-            print(f"error: t outside the domain of {sid.name}",
-                  file=sys.stderr)
+            print(f"error: outside the domain of {sid.name}: "
+                  f"{SERIES[sid.name].domain}", file=sys.stderr)
             return 2
         _print_result(r)
     elif t == "closed":
@@ -272,7 +272,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, KeyError) as exc:  # DomainError and PoleError too
+    except (ValueError, KeyError) as exc:  # DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

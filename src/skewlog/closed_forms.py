@@ -1,11 +1,12 @@
 """Closed-form companion expressions for the tagged series.
 
 Each ClosedFormId names the dilogarithm/trilogarithm expression that a
-series in the catalog converges to; its domain text is in catalog, and its
-row here holds only the numerics.  Arguments produced by the mu-family
-transformations can leave [-1, 1]; those go through private real-axis
-extensions of li2/li3 built on the standard inversion formulas, keeping the
-public polylog API restricted to [-1, 1].
+series in the catalog converges to; its domain is in catalog, and its row
+here adds the numerics.  Arguments produced by the mu-family
+transformations, and EQ27's 2x/(1+x) below x = -1/3, can leave [-1, 1];
+those go through private real-axis extensions of li2/li3 built on the
+standard inversion formulas, keeping the public polylog API restricted to
+[-1, 1].
 
 Three catalog entries are shipped in corrected form; the verification
 report carries numeric evidence for each correction:
@@ -25,7 +26,7 @@ from collections import namedtuple
 
 from .catalog import CLOSED_FORMS, ClosedFormId, lookup
 from .core_numerics import CONSTANTS, LOG2, check_mu, check_real
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .polylog import li2, li3
 
 _PI_SQ_OVER_6 = CONSTANTS["PI_SQ_OVER_6"]
@@ -35,7 +36,7 @@ _LI3_HALF = CONSTANTS["LI3_HALF"]
 _ZETA3 = CONSTANTS["ZETA3"]
 
 #: Half-width of the window around a removable point where the limit value
-#: is substituted (or a pole is refused).
+#: is substituted.
 NEAR_POLE_WINDOW = 1e-8
 
 
@@ -70,8 +71,6 @@ def _eq3(t: float) -> float:
 
 
 def _eq5(t: float) -> float:
-    if abs(1.0 - t) < NEAR_POLE_WINDOW:
-        raise PoleError("EQ5 diverges at t = 1 (log(1-t) term)")
     return li2(0.5 * (1.0 - t)) - _LI2_HALF - li2(-t) - LOG2 * math.log1p(-t)
 
 
@@ -84,9 +83,6 @@ def _eq11(t: float) -> float:
 
 
 def _eq12(t: float) -> float:
-    if abs(1.0 - t) < NEAR_POLE_WINDOW:
-        # the bracket tends to log^2 2 != 0, so 1/(1-t) is a genuine pole
-        raise PoleError("EQ12 has a simple pole at t = 1")
     num = (
         li2(t)
         + 2.0 * LOG2 * math.log1p(t)
@@ -139,16 +135,9 @@ def _eq26(x: float) -> float:
     )
 
 
-def _li2_two_x_over_1px(x: float) -> float:
-    """Li2(2x/(1+x)) continued to -1 < x < -1/3, where 2x/(1+x) < -1."""
-    if x >= -1.0 / 3.0:
-        return li2(2.0 * x / (1.0 + x))
-    return _eq26(x)
-
-
 def _eq27(x: float) -> float:
     r = math.log1p(-x) - math.log1p(x)  # log((1-x)/(1+x))
-    return _li2_two_x_over_1px(x) + 0.25 * r * r
+    return _li2_ext(2.0 * x / (1.0 + x)) + 0.25 * r * r
 
 
 def _eq28(x: float, mu: float) -> float:
@@ -228,51 +217,36 @@ def _abel_sides(x: float, mu: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _closed(t: float) -> bool:
-    return -1.0 <= t <= 1.0
-
-
-def _open(t: float) -> bool:
-    return -1.0 < t < 1.0
-
-
-def _open_left(t: float) -> bool:
-    return -1.0 < t <= 1.0
-
-
-def _from_minus_third(t: float) -> bool:
-    return -1.0 / 3.0 <= t <= 1.0
-
-
-class _Form(namedtuple("_Form", "evaluate domain takes_mu",
-                        defaults=(False,))):
-    """The numerics of one closed form: evaluate(t), or evaluate(t, mu)
-    when takes_mu, is called only with t in domain(t) and -1 < mu <= 1."""
+class _Form(namedtuple("_Form", "lo ends mu evaluate")):
+    """A closed form's domain, copied from catalog.Domain, and its
+    numerics: evaluate(t), or evaluate(t, mu) when mu, is called only with
+    lo < t < 1 or t in ends, and -1 < mu <= 1."""
 
     __slots__ = ()
 
 
 _FORMS: dict[ClosedFormId, _Form] = {
-    ClosedFormId.EQ2: _Form(_eq2, _open),
-    ClosedFormId.EQ3: _Form(_eq3, _open_left),
-    ClosedFormId.EQ5: _Form(_eq5, _closed),
-    ClosedFormId.EQ8: _Form(_eq8, _closed),
-    ClosedFormId.EQ11: _Form(_eq11, _closed),
-    ClosedFormId.EQ12: _Form(_eq12, _open),
-    ClosedFormId.EQ13: _Form(_eq13, _closed),
-    ClosedFormId.EQ17: _Form(_eq17, _closed),
-    ClosedFormId.EQ20: _Form(_eq20, _from_minus_third),
-    ClosedFormId.EQ22: _Form(_eq22, _open, takes_mu=True),
-    ClosedFormId.EQ24: _Form(_eq24, _open, takes_mu=True),
-    ClosedFormId.EQ25_ABEL: _Form(
-        lambda x, mu: _abel_sides(x, mu)[1], _open, takes_mu=True),
-    ClosedFormId.EQ26: _Form(_eq26, _from_minus_third),
-    ClosedFormId.EQ27_RAMANUJAN: _Form(_eq27, _open),
-    ClosedFormId.EQ28: _Form(_eq28, _open, takes_mu=True),
-    ClosedFormId.EQ29_G: _Form(_eq13, _closed),
-    ClosedFormId.EQ30_BIGG: _Form(_eq17, _closed),
-    ClosedFormId.LANDEN: _Form(_landen, _open_left),
-}
+    cf_id: _Form(*CLOSED_FORMS[cf_id.name], evaluate)
+    for cf_id, evaluate in {
+        ClosedFormId.EQ2: _eq2,
+        ClosedFormId.EQ3: _eq3,
+        ClosedFormId.EQ5: _eq5,
+        ClosedFormId.EQ8: _eq8,
+        ClosedFormId.EQ11: _eq11,
+        ClosedFormId.EQ12: _eq12,
+        ClosedFormId.EQ13: _eq13,
+        ClosedFormId.EQ17: _eq17,
+        ClosedFormId.EQ20: _eq20,
+        ClosedFormId.EQ22: _eq22,
+        ClosedFormId.EQ24: _eq24,
+        ClosedFormId.EQ25_ABEL: lambda x, mu: _abel_sides(x, mu)[1],
+        ClosedFormId.EQ26: _eq26,
+        ClosedFormId.EQ27_RAMANUJAN: _eq27,
+        ClosedFormId.EQ28: _eq28,
+        ClosedFormId.EQ29_G: _eq13,
+        ClosedFormId.EQ30_BIGG: _eq17,
+        ClosedFormId.LANDEN: _landen,
+    }.items()}
 
 
 def _checked(cf_id: ClosedFormId, t, mu) -> tuple[_Form, tuple[float, ...]]:
@@ -282,10 +256,10 @@ def _checked(cf_id: ClosedFormId, t, mu) -> tuple[_Form, tuple[float, ...]]:
         form = _FORMS[cf_id]
     except KeyError:
         form = lookup(_FORMS, cf_id, "closed form")
-    if form.takes_mu or mu is not None:
-        mu = check_mu(cf_id, form.takes_mu, mu)
+    if form.mu or mu is not None:
+        mu = check_mu(cf_id, form.mu, mu)
     t = check_real("t", t)
-    if not form.domain(t):
+    if not (form.lo < t < 1.0 or t in form.ends):
         raise DomainError(
             f"{cf_id.name} requires {CLOSED_FORMS[cf_id.name]}")
     return form, ((t,) if mu is None else (t, mu))

@@ -1,12 +1,7 @@
-"""Exception types shared across the library."""
+"""The exception type shared across the library."""
 
 from __future__ import annotations
 
 
 class DomainError(ValueError):
     """Argument outside a function's documented domain."""
-
-
-class PoleError(ValueError):
-    """Evaluation requested at a point where the expression has a pole
-    (no finite limit exists, so no limit value can be substituted)."""

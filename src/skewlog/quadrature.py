@@ -193,7 +193,8 @@ _LOG2_SQ = 0.48045301391820144
 
 def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
     """Integral over [0,1]^2 of F(xy) / ((1+x)(1+y)), given f0 = F(0) and
-    d(p) = F(p) - F(0); see the module docstring."""
+    d(p) = F(p) - F(0); see the module docstring.  A DIVERGENT_INPUT from
+    integrate_1d is returned as it is."""
 
     def h(u):
         p = u * u * u
@@ -211,6 +212,8 @@ def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
 
     cfg = cfg or _DEFAULT_CFG
     r = integrate_1d(h, 0.0, 1.0, cfg)
+    if r.status is Status.DIVERGENT_INPUT:
+        return r
     value = f0 * _LOG2_SQ + r.value
     bound = r.error_bound + 2.5e-16 * (abs(f0) * _LOG2_SQ + abs(value))
     status = r.status

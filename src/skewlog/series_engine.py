@@ -2,8 +2,8 @@
 
 Each SeriesId names one concrete power series sum_{n} a_n t^(n+p) whose
 coefficients involve skew-harmonic numbers; its companion closed form,
-alias and domain text are in catalog, and its row here holds only the
-numerics.  sum_series evaluates it two ways depending on t:
+alias and domain are in catalog, and its row here adds the numerics.
+sum_series evaluates it two ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import mul, sub, truediv
 
-from .catalog import SeriesId, lookup
+from .catalog import SERIES, SeriesId, lookup
 from .core_numerics import (
     _BERNOULLI, _CACHE, _TANGENT, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2,
     check_int, check_mu, check_real, check_tol, skew_harmonic)
@@ -238,9 +238,6 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
 
 _FP_SLACK = 2e-16
 
-#: An endpoint rule evaluates a series at t = +-1 to tolerance tol.
-_EndpointRule = Callable[[float], EvalResult]
-
 _TAIL_TERMS = 32             # terms summed before the tail takes over
 _TAIL_ORDER = 12             # highest power of u the tail keeps
 _TAIL_DEG = _TAIL_ORDER + 2  # the two omitted powers bound the model error
@@ -309,12 +306,20 @@ def _tail(power: int, over: int | None, deg: int, alt: bool,
     return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
 
 
+#: The parameters of an endpoint rule, the arguments of _endpoint_sum.
+_Rule = namedtuple("_Rule", "power over deg sign alt const start",
+                   defaults=(None, 1, 1.0, False, 0.0, 0))
+
+
 @functools.cache
 def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
                   alt: bool, const: float,
                   start: int) -> tuple[float, EvalResult, EvalResult]:
-    """The bound of one endpoint rule (see _endpoint) and its two results,
-    CONVERGED and MAX_TERMS."""
+    """The rule for the terms sign * s_n c_n^power / (n + over)^deg (no
+    divisor for over None), s_n = (-1)^n if alt else 1, from n = start:
+    _TAIL_TERMS terms plus the asymptotic tail, plus const.  Returns its
+    bound and its two results, CONVERGED and MAX_TERMS; value and bound do
+    not depend on tol, so each rule is computed once, on its first call."""
     n_end = start + _TAIL_TERMS
     terms = []
     dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
@@ -331,41 +336,20 @@ def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
             EvalResult(value, bound, _TAIL_TERMS, Status.MAX_TERMS))
 
 
-def _endpoint(
-    power: int, over: int | None = None, deg: int = 1, sign: float = 1.0,
-    alt: bool = False, const: float = 0.0, start: int | None = None,
-) -> _EndpointRule:
-    """Rule for the terms sign * s_n c_n^power / (n + over)^deg (no divisor
-    for over None), s_n = (-1)^n if alt else 1, from n = start (default 1
-    for over 0, else 0): _TAIL_TERMS terms plus the asymptotic tail, plus
-    const.  Value and bound do not depend on tol: _endpoint_sum computes
-    them on the rule's first call, and each call only compares the bound
-    with tol."""
-    if start is None:
-        start = 1 if over == 0 else 0
-    key = (power, over, deg, sign, alt, const, start)
-
-    def rule(tol: float) -> EvalResult:
-        bound, converged, short = _endpoint_sum(*key)
-        return converged if bound <= tol else short
-    return rule
-
-
-class _SeriesSpec(namedtuple(
-        "_SeriesSpec",
-        "p lo env coeffs needs_mu endpoints",
-        defaults=(False, {}))):
-    """The numerics of one series: the value is t^p * sum a_n t^n.
-    coeffs(mu) returns the series' block rule (a _Block; mu is None
-    without needs_mu).  env(n, mu) is the majorant of |a_n| in the interior
-    tail bound; it must be nonincreasing in n as computed, not only in
-    exact arithmetic, because the interior sum finds its stopping index by
-    bisection.  Each env here is a constant over an exact integer power of
-    n or n + 1, or (c + log n)/n, whose relative step of about 1/n is far
-    above its rounding for every n the cache allows.  The domain is
-    lo <= t <= 1 with |t| = 1 admitted exactly where endpoints
-    (t -> _EndpointRule; the shared empty default is never mutated) has a
-    rule.
+class _SeriesSpec(namedtuple("_SeriesSpec",
+                              "lo ends mu p env coeffs endpoints",
+                              defaults=({},))):
+    """One series: its domain, copied from catalog.Domain (lo < t < 1 and
+    the ends in ends; mu, whether it takes mu), and its numerics.  The
+    value is t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
+    (a _Block; mu is None for a series without mu).  env(n, mu) is the
+    majorant of |a_n| in the interior tail bound; it must be nonincreasing
+    in n as computed, not only in exact arithmetic, because the interior
+    sum finds its stopping index by bisection.  Each env here is a constant
+    over an exact integer power of n or n + 1, or (c + log n)/n, whose
+    relative step of about 1/n is far above its rounding for every n the
+    cache allows.  endpoints maps each end t = +-1 in ends to its _Rule
+    (the shared empty default is never mutated).
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -384,80 +368,76 @@ class _SeriesSpec(namedtuple(
 
     __slots__ = ()
 
-    def in_domain(self, t: float) -> bool:
-        return self.lo <= t <= 1.0 and (abs(t) < 1.0 or t in self.endpoints)
 
-
-_SPECS: dict[SeriesId, _SeriesSpec] = {
-    SeriesId.GF_SKEW: _SeriesSpec(0, -1.0, _env_one, _plain(_skew)),
-    SeriesId.GF_CENTERED: _SeriesSpec(
-        0, -1.0, _env_inv_np1,
+#: series -> (p, env, coeffs[, endpoints]); _SPECS adds the catalog domain.
+_ROWS = {
+    SeriesId.GF_SKEW: (0, _env_one, _plain(_skew)),
+    SeriesId.GF_CENTERED: (
+        0, _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
         _plain(_centered),
-        endpoints={1.0: _endpoint(1, sign=-1.0, alt=True)}),
-    SeriesId.SKEW_OVER_N: _SeriesSpec(
-        0, -1.0, _env_inv,
+        {1.0: _Rule(1, sign=-1.0, alt=True)}),
+    SeriesId.SKEW_OVER_N: (
+        0, _env_inv,
         # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
         _plain(lambda lo, hi: _over_n(_skew(lo, hi), lo, hi)),
-        endpoints={-1.0: _endpoint(1, over=0, sign=-1.0, const=-LOG2**2)}),
-    SeriesId.CENTERED_OVER_N: _SeriesSpec(
-        0, -1.0, _env_half_inv_sq,
+        {-1.0: _Rule(1, over=0, sign=-1.0, const=-LOG2**2, start=1)}),
+    SeriesId.CENTERED_OVER_N: (
+        0, _env_half_inv_sq,
         _plain(lambda lo, hi: _over_n(_centered(lo, hi), lo, hi)),
-        endpoints={
-            1.0: _endpoint(1, over=0, sign=-1.0, alt=True),
-            -1.0: _endpoint(1, over=0, sign=-1.0),
+        {
+            1.0: _Rule(1, over=0, sign=-1.0, alt=True, start=1),
+            -1.0: _Rule(1, over=0, sign=-1.0, start=1),
         }),
-    SeriesId.CENTERED_SHIFT: _SeriesSpec(
-        1, -1.0, _env_inv_np1_sq,
+    SeriesId.CENTERED_SHIFT: (
+        1, _env_inv_np1_sq,
         _plain(lambda lo, hi: _over_np1(_centered(lo, hi), lo, hi)),
-        endpoints={
-            1.0: _endpoint(1, over=1, sign=-1.0, alt=True),
+        {
+            1.0: _Rule(1, over=1, sign=-1.0, alt=True),
             # t^p = -1 times the terms -c_n/(n+1)
-            -1.0: _endpoint(1, over=1),
+            -1.0: _Rule(1, over=1),
         }),
-    SeriesId.SKEW_SQ: _SeriesSpec(
-        0, -1.0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi)))),
-    SeriesId.CENTERED_SQ: _SeriesSpec(
-        0, -1.0, _env_inv_np1_sq,
-        _plain(lambda lo, hi: _squares(_centered(lo, hi))), endpoints={
-            -1.0: _endpoint(2, alt=True),
-            1.0: _endpoint(2),
+    SeriesId.SKEW_SQ: (
+        0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi)))),
+    SeriesId.CENTERED_SQ: (
+        0, _env_inv_np1_sq,
+        _plain(lambda lo, hi: _squares(_centered(lo, hi))), {
+            -1.0: _Rule(2, alt=True),
+            1.0: _Rule(2),
         }),
-    SeriesId.CENTERED_SQ_SHIFT: _SeriesSpec(
-        1, -1.0, _env_inv_np1_cube,
+    SeriesId.CENTERED_SQ_SHIFT: (
+        1, _env_inv_np1_cube,
         _plain(lambda lo, hi: _over_np1(_squares(_centered(lo, hi)), lo, hi)),
-        endpoints={
+        {
             # t^p = -1
-            -1.0: _endpoint(2, over=1, sign=-1.0, alt=True),
-            1.0: _endpoint(2, over=1),
+            -1.0: _Rule(2, over=1, sign=-1.0, alt=True),
+            1.0: _Rule(2, over=1),
         }),
-    SeriesId.SKEW_OVER_NSQ: _SeriesSpec(
-        1, -1.0 / 3.0, _env_inv_np1_sq,
+    SeriesId.SKEW_OVER_NSQ: (
+        1, _env_inv_np1_sq,
         # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating
         # terms, both from n = 1
         _plain(lambda lo, hi: map(truediv, _skew(lo, hi), map(
             pow, range(lo + 1, hi + 1), repeat(2)))),
-        endpoints={1.0: _endpoint(
-            1, over=1, deg=2, sign=-1.0, alt=True, start=1,
-            const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
-    SeriesId.MU_LEWIN: _SeriesSpec(
-        1, -1.0, _env_mu_shift,
+        {1.0: _Rule(1, over=1, deg=2, sign=-1.0, alt=True, start=1,
+                    const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
+    SeriesId.MU_LEWIN: (
+        1, _env_mu_shift,
         _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))),
-        needs_mu=True),
-    SeriesId.MU_DILOG: _SeriesSpec(
-        0, -1.0, _env_mu_over_n,
+            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1)))),
+    SeriesId.MU_DILOG: (
+        0, _env_mu_over_n,
         _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo, hi))),
-        needs_mu=True),
-    SeriesId.MU_TRILOG: _SeriesSpec(
-        0, -1.0, _env_mu_log,
+            truediv, map(mul, repeat(mu), s), range(lo, hi)))),
+    SeriesId.MU_TRILOG: (
+        0, _env_mu_log,
         _mu_rule(lambda mu, i, lo, hi: map(truediv, i, range(lo, hi)),
-                 inner=True),
-        needs_mu=True),
-    SeriesId.RAMANUJAN_ODD: _SeriesSpec(
-        0, -1.0, _env_ramanujan, _plain(_ramanujan)),
+                 inner=True)),
+    SeriesId.RAMANUJAN_ODD: (0, _env_ramanujan, _plain(_ramanujan)),
 }
+_SPECS: dict[SeriesId, _SeriesSpec] = {
+    sid: _SeriesSpec(*SERIES[sid.name].domain, *row)
+    for sid, row in _ROWS.items()}
 
 
 def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
@@ -466,9 +446,9 @@ def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
     a time.  A bad n, or a mu outside -1 < mu <= 1, raises DomainError."""
     check_int("n", n)
     spec = lookup(_SPECS, series_id, "series")
-    mu = check_mu(series_id, spec.needs_mu, mu)
+    mu = check_mu(series_id, spec.mu, mu)
     block = spec.coeffs(mu)
-    lo = 0 if spec.needs_mu else n
+    lo = 0 if spec.mu else n
     while True:
         hi = min(lo + 4096, n + 1)
         *_, a = block(lo, hi)
@@ -499,15 +479,16 @@ def sum_series(
         spec = _SPECS[series_id]
     except KeyError:
         spec = lookup(_SPECS, series_id, "series")
-    if spec.needs_mu or mu is not None:
-        mu = check_mu(series_id, spec.needs_mu, mu, strict=False)
+    if spec.mu or mu is not None:
+        mu = check_mu(series_id, spec.mu, mu, strict=False)
     t = check_real("t", t)
     # check_mu turned a mu outside -1 < mu <= 1 into NaN, so mu != mu
-    if not spec.in_domain(t) or mu != mu:
+    if not (spec.lo < t < 1.0 or t in spec.ends) or mu != mu:
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
 
     if abs(t) == 1.0:
-        return spec.endpoints[t](tol)
+        bound, converged, short = _endpoint_sum(*spec.endpoints[t])
+        return converged if bound <= tol else short
 
     block = spec.coeffs(mu)
     if t == 0.0:

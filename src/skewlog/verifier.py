@@ -38,7 +38,7 @@ from .core_numerics import (
     check_tol,
     digamma_half_diff,
 )
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .polylog import li2
 from .quadrature import (
     QuadratureConfig,
@@ -105,14 +105,14 @@ def _points(grid: GridSpec):
 
 def _pointwise(sides):
     """Check that sides(tol, *point) returns two equal values at every grid
-    point, as (lhs, rhs, parts) with parts as in _rec; a DomainError or
-    PoleError makes the point a SKIPPED record."""
+    point, as (lhs, rhs, parts) with parts as in _rec; a DomainError makes
+    the point a SKIPPED record."""
     def check(identity, grid, tol):
         out = []
         for params in _points(grid):
             try:
                 lhs, rhs, parts = sides(tol, *(v for _, v in params))
-            except (DomainError, PoleError) as exc:
+            except DomainError as exc:
                 out.append(_skip(identity, params, tol, str(exc)))
                 continue
             out.append(_rec(identity, params, lhs, rhs, tol, parts=parts))
@@ -337,6 +337,12 @@ _CHECKS = {
 }
 
 
+def _kind(grid: GridSpec) -> str:
+    if grid.n_range is not None:
+        return "n_range"
+    return "t_values x mu_values" if grid.mu_values else "t_values"
+
+
 def verify_identity(
     identity: IdentityId,
     grid: GridSpec | None = None,
@@ -344,24 +350,25 @@ def verify_identity(
 ) -> list[VerificationRecord]:
     """Check one identity over a grid; one record per evaluation point.
 
-    The grid must be of the identity's kind, integers n_range or reals
-    t_values, and a parameter-free identity (EQ31, EQ32) takes only its
-    own (ValueError); a point outside the domain is a SKIPPED record.  A
-    bool or non-real grid value, an n_range (lo, hi) that is not two
-    integers with hi >= lo, and a tolerance (when given) that is not a
-    positive finite real raise DomainError.  An identity that is not an
-    IdentityId is a ValueError."""
+    The grid must be of the identity's kind, integers n_range, reals
+    t_values, or t_values crossed with mu_values, and a parameter-free
+    identity (EQ31, EQ32) takes only its own (ValueError); a point outside
+    the domain is a SKIPPED record.  A bool or non-real grid value, an
+    n_range (lo, hi) that is not two integers with hi >= lo, and a
+    tolerance (when given) that is not a positive finite real raise
+    DomainError.  An identity that is not an IdentityId is a ValueError."""
     run = lookup(_CHECKS, identity, "identity")
     row = IDENTITIES[identity.name]
     if grid is None:
         grid = row.grid
-    elif row.grid is NO_PARAMS and grid != NO_PARAMS:
+    elif row.grid is NO_PARAMS and (
+            # == alone would take False or 0 for NO_PARAMS's 0.0
+            grid != NO_PARAMS or type(grid.t_values[0]) is not float):
         raise ValueError(f"{identity.name} has no parameters and takes no "
                          "grid")
-    elif (grid.n_range is None) != (row.grid.n_range is None):
-        kind = ("with an n_range" if row.grid.n_range
-                else "of t_values, not an n_range")
-        raise ValueError(f"{identity.name} takes a grid {kind}")
+    elif _kind(grid) != _kind(row.grid):
+        raise ValueError(f"{identity.name} takes a grid of "
+                         f"{_kind(row.grid)}, not of {_kind(grid)}")
     if tolerance is None:
         tolerance = row.tolerance
     else:

@@ -1,14 +1,17 @@
 """Catalog tables: one row per enum member, a wrong id is a ValueError,
-and every declared endpoint rule converges, also under a term cap, which
-bounds interior sums only."""
+every entry point answers exactly on its catalog domain, and every declared
+endpoint rule converges, also under a term cap, which bounds interior sums
+only."""
 
 import math
+import re
 
 import pytest
 
 from skewlog import (
-    ClosedFormId, IdentityId, SeriesId, Status, closed_form, coefficient,
-    set_max_terms, sum_series, verify_identity)
+    ClosedFormId, DomainError, IdentityId, SeriesId, Status, closed_form,
+    coefficient, set_max_terms, sum_series, verify_identity)
+from skewlog.catalog import CLOSED_FORMS, SERIES
 from skewlog.closed_forms import _FORMS
 from skewlog.series_engine import _SPECS
 from skewlog.verifier import _CHECKS
@@ -34,6 +37,51 @@ def test_wrong_id_names_the_valid_ones(call, valid):
     # a name, or a member of another catalog, is not an id
     with pytest.raises(ValueError, match=f"unknown .*; valid ids: .*{valid}"):
         call()
+
+
+def _edge_points(domain):
+    """(t, mu, admitted) at the edges of a catalog Domain: t at lo, one ulp
+    above it, one ulp below 1 and 1, each with mu 0.5 when mu is taken; and
+    mu at -1, one ulp above it, 1 and one ulp above 1, at t = 0.5."""
+    lo = domain.lo
+    ts = (lo, math.nextafter(lo, 1.0), math.nextafter(1.0, 0.0), 1.0)
+    if not domain.mu:
+        return [(t, None, lo < t < 1.0 or t in domain.ends) for t in ts]
+    mus = (-1.0, math.nextafter(-1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+    return ([(t, 0.5, lo < t < 1.0 or t in domain.ends) for t in ts]
+            + [(0.5, mu, -1.0 < mu <= 1.0) for mu in mus])
+
+
+@pytest.mark.parametrize("cf", list(ClosedFormId), ids=lambda c: c.name)
+def test_closed_forms_answer_exactly_on_their_domain(cf):
+    # a point the catalog admits has a finite value; any other point is a
+    # DomainError that states the domain (or, for mu, the range of mu)
+    domain = CLOSED_FORMS[cf.name]
+    for t, mu, admitted in _edge_points(domain):
+        if admitted:
+            assert math.isfinite(closed_form(cf, t, mu)), (t, mu)
+        else:
+            text = f"requires {domain}" if t != 0.5 else "-1 < mu <= 1"
+            with pytest.raises(DomainError, match=re.escape(text) + "$"):
+                closed_form(cf, t, mu)
+
+
+@pytest.mark.parametrize("sid", list(SeriesId), ids=lambda s: s.name)
+def test_series_answer_exactly_on_their_domain(sid):
+    # a point the catalog admits is summed (a small term cap keeps the
+    # points next to |t| = 1 short); any other point is DIVERGENT_INPUT.
+    # The series has an endpoint rule at each end t = +-1 it admits.
+    domain = SERIES[sid.name].domain
+    assert set(_SPECS[sid].endpoints) == {
+        t for t in domain.ends if abs(t) == 1.0}
+    set_max_terms(64)
+    for t, mu, admitted in _edge_points(domain):
+        res = sum_series(sid, t, mu=mu)
+        if admitted:
+            assert res.status is not Status.DIVERGENT_INPUT, (t, mu)
+            assert math.isfinite(res.value), (t, mu)
+        else:
+            assert res.status is Status.DIVERGENT_INPUT, (t, mu)
 
 
 ENDPOINTS = [(sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints]

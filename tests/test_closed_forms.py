@@ -1,7 +1,9 @@
 """Closed-form right-hand sides, the log-weighted dilog antiderivative, and
 the small identity helpers built on top of it."""
 
+import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from skewlog import (
     DomainError,
     EQ18_VALUE,
     EQ19_VALUE,
-    PoleError,
     SeriesId,
     abel_sides,
     closed_form,
@@ -45,15 +46,38 @@ def test_value_at_zero_and_limits():
 
 
 def test_simple_poles_raise():
-    with pytest.raises(PoleError):
-        closed_form(ClosedFormId.EQ5, 1.0)
-    with pytest.raises((PoleError, DomainError)):
-        closed_form(ClosedFormId.EQ12, 1.0)
-    for cf in (ClosedFormId.EQ5, ClosedFormId.EQ12):
-        with pytest.raises(PoleError):
-            closed_form(cf, 1.0 - 1e-12)
-        # just outside the pole window the value is finite but large
-        assert abs(closed_form(cf, 1.0 - 1e-4)) > 1.0
+    # t = 1 is outside the domains, [-1, 1) and (-1, 1); every t below it
+    # has a finite value, large near the pole
+    for cf, text in ((ClosedFormId.EQ5, "-1 <= t < 1"),
+                     (ClosedFormId.EQ12, "|t| < 1")):
+        with pytest.raises(DomainError, match=f"{cf.name} requires {text}"):
+            closed_form(cf, 1.0)
+        for t in (1.0 - 1e-4, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+            assert 1.0 < closed_form(cf, t) < math.inf, (cf, t)
+    assert closed_form(ClosedFormId.EQ12, 1.0 - 1e-12) > 1e11
+
+
+#: Relative error gate per closed form against the golden table
+#: (tests/data/reference.json, keys ["cf", id, t, null]) at the points
+#: 1 - 10^-k, k = 8..15, and the double below 1, next to the pole t = 1:
+#: each is the measured worst error there, EQ5 1.58e-16 (1.1 ulp) and EQ12
+#: 8.16e-15 (71 ulp, the 1/(1-t) of a bracket that cancels to log^2 2).
+GOLDEN_REL = {"EQ5": 1.6e-16, "EQ12": 8.2e-15}
+GOLDEN = pathlib.Path(__file__).parent / "data" / "reference.json"
+
+
+def test_golden_table_next_to_the_pole():
+    values = json.loads(GOLDEN.read_text())["values"]
+    seen = {}
+    for key, (hi, lo) in values.items():
+        kind, *args = json.loads(key)
+        if kind != "cf":
+            continue
+        cid, t, mu = args
+        err = abs((closed_form(ClosedFormId[cid], t, mu) - hi) - lo)
+        assert err <= GOLDEN_REL[cid] * abs(hi), (key, err / abs(hi))
+        seen[cid] = seen.get(cid, 0) + 1
+    assert seen == {"EQ5": 9, "EQ12": 9}
 
 
 def test_domain_checks():

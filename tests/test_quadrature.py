@@ -241,6 +241,15 @@ def test_xy_reduction_of_monomials():
         beta = 1.0 / (n + 1) - beta
 
 
+def test_xy_integral_passes_divergent_input_on():
+    # a nan integrand stops the 1D integral at its first panel; the double
+    # integral returns that result as it is, bound inf
+    res = _xy_integral(lambda p: math.nan, 0.0, None)
+    assert res.status is Status.DIVERGENT_INPUT
+    assert math.isnan(res.value) and res.error_bound == math.inf
+    assert res.terms_used == 15
+
+
 # exact values at the domain edges, 25 digits computed offline with mpmath at
 # 40-50 digits; g(+-0.999) and G(+-0.999) both by tanh-sinh on the kernel
 # integral and by summing z^n beta_{n+1}^2 and z^n beta_n^2 / n directly

@@ -21,7 +21,7 @@ from skewlog import (
     sum_series,
     verify_identity,
 )
-from skewlog.catalog import IDENTITIES
+from skewlog.catalog import IDENTITIES, NO_PARAMS
 from skewlog.report import serialize_report, summarize
 
 
@@ -86,17 +86,29 @@ def test_grid_kind_must_match_the_identity():
         verify_identity(IdentityId.H_EVEN_ODD_SPLIT, GridSpec(t_values=(0.5,)))
     with pytest.raises(ValueError, match="n_range"):
         verify_identity(IdentityId.EQ1_DIGAMMA, GridSpec())
+    # mu_values where the identity takes none, or none where it takes them:
+    # refused before any evaluation, not a TypeError from a participant
+    for identity, grid in ((IdentityId.EQ25_ABEL, GridSpec((0.5,))),
+                           (IdentityId.EQ22, GridSpec((0.5,))),
+                           (IdentityId.EQ26, GridSpec((0.5,), (0.3,))),
+                           (IdentityId.EQ2, GridSpec((0.5,), (0.3,)))):
+        with pytest.raises(ValueError, match=f"{identity.name} takes a grid "
+                                             "of t_values.*not of t_values"):
+            verify_identity(identity, grid)
 
 
 @pytest.mark.parametrize("identity", [IdentityId.EQ31, IdentityId.EQ32])
 def test_parameter_free_identity_takes_no_grid(identity):
     # a grid would be ignored: one record with params () whatever it holds
+    # (False and 0 compare equal to its one value 0.0)
     for grid in (GridSpec((0.1, 0.2, 0.3)), GridSpec((0.0,), (0.5,)),
-                 GridSpec(n_range=(1, 3)), GridSpec()):
+                 GridSpec(n_range=(1, 3)), GridSpec(), GridSpec((False,)),
+                 GridSpec((0,))):
         with pytest.raises(ValueError, match=identity.name):
             verify_identity(identity, grid)
-    [rec] = verify_identity(identity, GridSpec((0.0,)))  # its own grid
-    assert rec.params == () and rec.verdict is Verdict.PASS
+    for grid in (GridSpec((0.0,)), NO_PARAMS, None):  # its own grid
+        [rec] = verify_identity(identity, grid)
+        assert rec.params == () and rec.verdict is Verdict.PASS
 
 
 @pytest.mark.parametrize("identity", [

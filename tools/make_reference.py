@@ -56,7 +56,14 @@ def polylog_keys() -> list[list]:
     return [[fn, x] for fn in ("li2", "li3") for x in polylog_arguments()]
 
 
-KEY_BUILDERS = [polylog_keys]
+def pole_keys() -> list[list]:
+    """EQ5 and EQ12 next to their pole t = 1: 1 - 10^-k, k = 8..15, and
+    the double just below 1."""
+    ts = [1.0 - 10.0**-k for k in range(8, 16)] + [math.nextafter(1.0, 0.0)]
+    return [["cf", cid, t, None] for cid in ("EQ5", "EQ12") for t in ts]
+
+
+KEY_BUILDERS = [polylog_keys, pole_keys]
 
 
 def main(argv: list[str]) -> int:
