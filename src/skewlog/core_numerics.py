@@ -176,13 +176,13 @@ def check_tol(name: str, tol, floor: float = 0.0) -> float:
     return tol
 
 
-def check_mu(owner, mu_taken: bool, mu, strict: bool = True) -> float | None:
-    """The mu of owner, a series or closed form id whose catalog Domain
-    takes a mu when mu_taken: None when it takes none, else a float in
+def check_mu(owner, domain, mu, strict: bool = True) -> float | None:
+    """The mu of owner, a series or closed form id with catalog Domain
+    domain: None when the domain takes no mu, else a float in
     -1 < mu <= 1.  A missing or an unexpected mu is a ValueError and a bool
     or non-real one a DomainError; a mu out of range (NaN included) raises
-    DomainError when strict, else is NaN."""
-    if not mu_taken:
+    DomainError "<owner> requires <domain>" when strict, else is NaN."""
+    if not domain.mu:
         if mu is not None:
             raise ValueError(f"{owner.name} takes no mu")
         return None
@@ -192,7 +192,7 @@ def check_mu(owner, mu_taken: bool, mu, strict: bool = True) -> float | None:
     if -1.0 < mu <= 1.0:
         return mu
     if strict:
-        raise DomainError("mu must satisfy -1 < mu <= 1")
+        raise DomainError(f"{owner.name} requires {domain}")
     return math.nan
 
 

@@ -1,8 +1,17 @@
-"""Real-argument dilogarithm and trilogarithm on [-1, 1].
+"""Real-argument dilogarithm and trilogarithm.
 
-Each zone is one fixed-length Horner polynomial whose coefficients are
-exact rationals in the Bernoulli numbers B_n (B_1 = -1/2), each rounded
-once:
+li2 and li3 check -1 <= x <= 1, then call their kernels li2_real and
+li3_real, which take any float x <= 1 unchecked (x > 1 is a math domain
+error).  The other modules call the kernels on arguments composed from
+checked inputs, each at most 1 since rounding is monotone: with x <= 1,
+1 + x >= 2x, so fl(1+x) >= 2x and fl(2x/fl(1+x)) <= 1; likewise
+mu(1+x)/(1+mu), (1+mu)x/(1+x) and x/(1+x) for -1 < x, mu <= 1.  Below -1
+the inversions Li2(x) = -Li2(1/x) - pi^2/6 - log^2(-x)/2 and
+Li3(x) = Li3(1/x) - log^3(-x)/6 - (pi^2/6) log(-x) map x into (-1, 0).
+
+On [-1, 1] each zone is one fixed-length Horner polynomial whose
+coefficients are exact rationals in the Bernoulli numbers B_n
+(B_1 = -1/2), each rounded once:
 
 * li2 on [-1, 1/2): with u = -log(1 - x), so |u| <= log 2,
   Li2 = sum_n B_n u^(n+1)/(n+1)! = u - u^2/4 + u v P(v), v = u^2, where P
@@ -29,7 +38,8 @@ whole li3 u-series by 2.5e-16 (4.7e-16 relative); the rest is the rounding
 of u (or mu) and of the few leading terms.  Against a 32-digit reference
 (tests/data/reference.json) the worst errors are 1.5 ulp (li2, u-series),
 2.3 ulp (li2, reflection), 1.9 ulp (li3, u-series) and 1.4 ulp (li3,
-mu-series).  x = 0, +-1 and 1/2 return the tabled constants.
+mu-series); below -1, against mpmath at 1,500 log-uniform points down to
+-2^53, 1.8 ulp.  x = 0, +-1 and 1/2 return the tabled constants.
 """
 
 from __future__ import annotations
@@ -51,6 +61,11 @@ _LI3_U = [sum(math.comb(m + 1, j + 1) * _B[j] * _B[m - j]
               for j in range(m + 1)) / (_D * _D * _F(m + 1) * (m + 1))
           for m in range(20, -1, -1)]
 _LI3_Q = [-_B[k - 2] / (_D * (k - 2) * _F(k)) for k in range(18, 2, -2)]
+#: The tabled values at 0 (-0.0 too), +-1 and 1/2.
+_LI2_AT = {0.0: 0.0, 1.0: _PI_SQ_OVER_6, -1.0: CONSTANTS["LI2_MINUS1"],
+           0.5: CONSTANTS["LI2_HALF"]}
+_LI3_AT = {0.0: 0.0, 1.0: _ZETA3, -1.0: CONSTANTS["LI3_MINUS1"],
+           0.5: CONSTANTS["LI3_HALF"]}
 
 
 def _li2_u(u: float) -> float:
@@ -62,17 +77,13 @@ def _li2_u(u: float) -> float:
     return u - 0.25 * v + u * v * p
 
 
-def li2(x: float) -> float:
-    """Dilogarithm Li_2(x) for -1 <= x <= 1."""
-    x = check_real("li2 argument", x, (-1.0, 1.0))
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return _PI_SQ_OVER_6
-    if x == -1.0:
-        return CONSTANTS["LI2_MINUS1"]
-    if x == 0.5:
-        return CONSTANTS["LI2_HALF"]
+def li2_real(x: float) -> float:
+    """Li_2(x) for a float x <= 1, unchecked."""
+    if x in _LI2_AT:
+        return _LI2_AT[x]
+    if x < -1.0:
+        lx = math.log(-x)
+        return -li2_real(1.0 / x) - _PI_SQ_OVER_6 - 0.5 * lx * lx
     if x < 0.5:
         return _li2_u(-math.log1p(-x))
     # Euler reflection; 1 - x in (0, 1/2) is exact and -log x its u
@@ -80,17 +91,13 @@ def li2(x: float) -> float:
     return _PI_SQ_OVER_6 - lx * math.log1p(-x) - _li2_u(-lx)
 
 
-def li3(x: float) -> float:
-    """Trilogarithm Li_3(x) for -1 <= x <= 1."""
-    x = check_real("li3 argument", x, (-1.0, 1.0))
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return _ZETA3
-    if x == -1.0:
-        return CONSTANTS["LI3_MINUS1"]
-    if x == 0.5:
-        return CONSTANTS["LI3_HALF"]
+def li3_real(x: float) -> float:
+    """Li_3(x) for a float x <= 1, unchecked."""
+    if x in _LI3_AT:
+        return _LI3_AT[x]
+    if x < -1.0:
+        lx = math.log(-x)
+        return li3_real(1.0 / x) - lx**3 / 6.0 - _PI_SQ_OVER_6 * lx
     p = 0.0
     if x < 0.5:
         u = -math.log1p(-x)
@@ -103,3 +110,13 @@ def li3(x: float) -> float:
         p = p * v + c
     return _ZETA3 + mu * (_PI_SQ_OVER_6 + mu * (
         0.75 - 0.5 * math.log(-mu) + mu * (-1.0 / 12.0 + mu * p)))
+
+
+def li2(x: float) -> float:
+    """Dilogarithm Li_2(x) for -1 <= x <= 1."""
+    return li2_real(check_real("li2 argument", x, (-1.0, 1.0)))
+
+
+def li3(x: float) -> float:
+    """Trilogarithm Li_3(x) for -1 <= x <= 1."""
+    return li3_real(check_real("li3 argument", x, (-1.0, 1.0)))

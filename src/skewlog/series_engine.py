@@ -446,7 +446,7 @@ def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
     a time.  A bad n, or a mu outside -1 < mu <= 1, raises DomainError."""
     check_int("n", n)
     spec = lookup(_SPECS, series_id, "series")
-    mu = check_mu(series_id, spec.mu, mu)
+    mu = check_mu(series_id, SERIES[series_id.name].domain, mu)
     block = spec.coeffs(mu)
     lo = 0 if spec.mu else n
     while True:
@@ -480,7 +480,8 @@ def sum_series(
     except KeyError:
         spec = lookup(_SPECS, series_id, "series")
     if spec.mu or mu is not None:
-        mu = check_mu(series_id, spec.mu, mu, strict=False)
+        mu = check_mu(series_id, SERIES[series_id.name].domain, mu,
+                      strict=False)
     t = check_real("t", t)
     # check_mu turned a mu outside -1 < mu <= 1 into NaN, so mu != mu
     if not (spec.lo < t < 1.0 or t in spec.ends) or mu != mu:

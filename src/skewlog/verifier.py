@@ -23,10 +23,8 @@ from .closed_forms import (
     ClosedFormId,
     EQ18_VALUE,
     EQ19_VALUE,
-    _li2_ext,
     abel_sides,
     closed_form,
-    closed_form_eq17,
     int_li2_over_1mt,
 )
 from .core_numerics import (
@@ -39,7 +37,7 @@ from .core_numerics import (
     digamma_half_diff,
 )
 from .errors import DomainError
-from .polylog import li2
+from .polylog import li2_real
 from .quadrature import (
     QuadratureConfig,
     double_integral_bigG,
@@ -137,6 +135,15 @@ def _with_series(sid: SeriesId, sides):
 
 def _series_vs_closed(sid: SeriesId, cid: ClosedFormId):
     return _with_series(sid, lambda s, t: (s, closed_form(cid, t)))
+
+
+def _direct_vs_closed(direct, cid: ClosedFormId):
+    """direct(t) against the closed form cid at t, which goes first: its
+    DomainError skips a point outside its domain before direct runs."""
+    def sides(tol, t):
+        rhs = closed_form(cid, t)
+        return direct(t), rhs, ()
+    return _pointwise(sides)
 
 
 def _endpoint_const(sid: SeriesId, rhs: float, sign: float = 1.0):
@@ -253,8 +260,8 @@ def _eq21_sides(tol, x):
     series = sum_series(SeriesId.SKEW_OVER_NSQ, x, _series_tol(tol))
     quad = integrate_1d(_eq21_integrand, 0.0, x, _quad_cfg(tol))
     rhs = (
-        math.log(x) * (li2(0.5 * (1.0 - x)) - _LI2_HALF)
-        + LOG2 * li2(x)
+        math.log(x) * (li2_real(0.5 * (1.0 - x)) - _LI2_HALF)
+        + LOG2 * li2_real(x)
         - quad.value
     )
     return series.value, rhs, (("series SKEW_OVER_NSQ", series),
@@ -308,8 +315,8 @@ _CHECKS = {
         closed_form(ClosedFormId.EQ24, x, mu=mu), s)),
     IdentityId.EQ25_ABEL: _pointwise(
         lambda tol, mu, x: (*abel_sides(mu, x), ())),
-    IdentityId.EQ26: _pointwise(lambda tol, x: (
-        li2(2.0 * x / (1.0 + x)), closed_form(ClosedFormId.EQ26, x), ())),
+    IdentityId.EQ26: _direct_vs_closed(
+        lambda x: li2_real(2.0 * x / (1.0 + x)), ClosedFormId.EQ26),
     IdentityId.EQ27_RAMANUJAN: _with_series(
         SeriesId.RAMANUJAN_ODD, lambda s, x: (
             closed_form(ClosedFormId.EQ27_RAMANUJAN, x), s)),
@@ -321,7 +328,8 @@ _CHECKS = {
         closed_form(ClosedFormId.EQ29_G, z))),
     IdentityId.EQ30: _pointwise(lambda tol, z: _quad_vs(
         "quadrature double_integral_bigG",
-        double_integral_bigG(z, _quad_cfg(tol)), closed_form_eq17(z))),
+        double_integral_bigG(z, _quad_cfg(tol)),
+        closed_form(ClosedFormId.EQ30_BIGG, z))),
     IdentityId.EQ31: _square_integral(
         "quadrature double_integral_eq31",
         lambda cfg: double_integral_eq31(cfg),
@@ -331,8 +339,8 @@ _CHECKS = {
         "quadrature double_integral_eq32",
         lambda cfg: double_integral_eq32(cfg),
         _PI_SQ_OVER_12 * LOG2 + LOG2**3 / 3.0 - 0.5 * _ZETA3),
-    IdentityId.LANDEN: _pointwise(lambda tol, x: (
-        _li2_ext(x / (1.0 + x)), closed_form(ClosedFormId.LANDEN, x), ())),
+    IdentityId.LANDEN: _direct_vs_closed(
+        lambda x: li2_real(x / (1.0 + x)), ClosedFormId.LANDEN),
     IdentityId.H_EVEN_ODD_SPLIT: _verify_split,
 }
 
@@ -412,8 +420,6 @@ def _correction_notes() -> list[str]:
         f"{abs(lhs28 - ser28):.3e}."
     )
     return notes
-
-
 
 
 def verify_all() -> Report:

@@ -22,6 +22,7 @@ from skewlog import (
     li2,
     sum_series,
 )
+from skewlog.polylog import li2_real
 
 LOG2 = math.log(2.0)
 
@@ -188,11 +189,9 @@ def test_eq26_matches_direct_dilog():
 
 
 def test_landen_matches_direct_dilog():
-    # x/(1+x) drops below -1 once x < -1/2, so compare via the extension
-    from skewlog.closed_forms import _li2_ext
-
+    # x/(1+x) drops below -1 once x < -1/2, where the kernel inverts
     for x in (-0.9, -0.5, 0.0, 0.3, 0.9, 1.0):
-        direct = _li2_ext(x / (1.0 + x))
+        direct = li2_real(x / (1.0 + x))
         assert closed_form(ClosedFormId.LANDEN, x) == pytest.approx(direct, abs=1e-13)
 
 
@@ -225,22 +224,3 @@ def test_mu_closed_forms_differentiate_consistently():
             for n in range(1, 200)
         )
         assert stencil * (1.0 + x) == pytest.approx(series * (1.0 + x), abs=5e-9)
-
-
-def test_private_extensions_match_inversion_formula():
-    from skewlog.closed_forms import _li2_ext, _li3_ext
-
-    # agree with li2/li3 inside [-1, 1]
-    assert _li2_ext(-0.7) == li2(-0.7)
-    # w < -1: Li2(w) + Li2(1/w) = -pi^2/6 - log^2(-w)/2
-    for w in (-1.5, -3.0, -10.0):
-        lhs = _li2_ext(w) + li2(1.0 / w)
-        rhs = -constant("PI_SQ_OVER_6") - 0.5 * math.log(-w) ** 2
-        assert lhs == pytest.approx(rhs, abs=1e-13)
-    # Li3(w) - Li3(1/w) = -pi^2/6 log(-w) - log^3(-w)/6
-    for w in (-1.5, -4.0):
-        lhs = _li3_ext(w) - _li3_ext(1.0 / w)
-        rhs = -constant("PI_SQ_OVER_6") * math.log(-w) - math.log(-w) ** 3 / 6.0
-        assert lhs == pytest.approx(rhs, abs=1e-13)
-    with pytest.raises(DomainError):
-        _li2_ext(1.5)

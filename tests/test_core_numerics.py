@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlog import core_numerics
-from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
+from skewlog.core_numerics import DEFAULT_CACHE_LIMIT, HarmonicCache
 from skewlog import (
     CONSTANTS,
     ClosedFormId,
     DomainError,
     GridSpec,
-    HarmonicCache,
     IdentityId,
     QuadratureConfig,
     SeriesId,

@@ -1,8 +1,11 @@
 """Dependency guard: the library imports only the standard library (and
-loads no numpy), its lower layers import none of the upper ones, and the
-tests never import the tools that generate reference data."""
+loads no numpy), its lower layers import none of the upper ones, the
+tests never import the tools that generate reference data, and every name
+the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -154,3 +157,20 @@ def test_layering():
     # the catalog and the report form build on nothing that computes
     assert set(_skewlog_imports(src / "catalog.py")) == set()
     assert set(_skewlog_imports(src / "report.py")) == {"catalog"}
+
+
+def test_traced_boundary_names_resolve():
+    # the benchmark's tracer wraps each name of its BOUNDARY on its layer's
+    # module; a name the library drops must fail here, not only in traced
+    # benchmark runs
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(tracing.BOUNDARY) == set(tracing.LAYERS)
+    missing = [f"{layer}.{name}"
+               for layer, names in tracing.BOUNDARY.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"skewlog.{layer}"), name, None))]
+    assert missing == []

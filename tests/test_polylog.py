@@ -7,7 +7,10 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
-from skewlog import DomainError, constant, li2, li3
+from skewlog import (
+    ClosedFormId, DomainError, closed_form, closed_forms, constant, li2, li3)
+from skewlog.catalog import CLOSED_FORMS
+from skewlog.polylog import li2_real, li3_real
 
 #: Error budgets.  Reference values are doubles rounded from the exact
 #: value, so they carry half an ulp of their own; the functional equations
@@ -206,3 +209,73 @@ def test_domain_errors_outside_closed_interval():
             li3(bad)
     with pytest.raises(DomainError):
         li2(math.nan)
+
+
+def test_kernels_are_the_public_functions_bit_for_bit():
+    # li2 and li3 are a check of [-1, 1] and then the kernel; -0.0 keeps
+    # the tabled 0.0
+    xs = [k / 64.0 for k in range(-64, 65)] + [
+        -0.0, math.nextafter(-1.0, 0.0), math.nextafter(0.5, 0.0),
+        math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+    for x in xs:
+        assert li2_real(x).hex() == li2(x).hex(), x
+        assert li3_real(x).hex() == li3(x).hex(), x
+    assert li2_real(-0.0).hex() == li3_real(-0.0).hex() == (0.0).hex()
+
+
+#: Li2(w), Li3(w) below -1, computed with mpmath at 50 digits and rounded.
+INVERSION_REFS = {
+    -1.0000000000000002: (-0.8224670334241133721457994,
+                          -0.9015426773696958966741711),
+    -1.5: (-1.147380660375570754079977, -1.297837450156250147922643),
+    -3.0: (-1.939375420766708953077272, -2.348790554584076557805871),
+    -10.0: (-4.198277886858103857912145, -5.921064803756973491351928),
+    -1000.0: (-25.50247581388996883291656, -66.30012385080927042118810),
+    -2.0**53: (-676.4411921149621272703956, -8323.714800456713554941136),
+}
+
+
+def test_inversion_below_minus_one():
+    # the kernels map w < -1 to 1/w: within 2 ulp of the reference, and
+    # Li2(w) + Li2(1/w) = -pi^2/6 - log^2(-w)/2,
+    # Li3(w) - Li3(1/w) = -(pi^2/6) log(-w) - log^3(-w)/6
+    pi2_6 = constant("PI_SQ_OVER_6")
+    for w, (ref2, ref3) in INVERSION_REFS.items():
+        assert abs(li2_real(w) - ref2) <= 2 * math.ulp(ref2), w
+        assert abs(li3_real(w) - ref3) <= 2 * math.ulp(ref3), w
+    for w in (-1.5, -3.0, -10.0):
+        lhs = li2_real(w) + li2(1.0 / w)
+        rhs = -pi2_6 - 0.5 * math.log(-w) ** 2
+        assert lhs == pytest.approx(rhs, abs=1e-13)
+    for w in (-1.5, -4.0):
+        lhs = li3_real(w) - li3_real(1.0 / w)
+        rhs = -pi2_6 * math.log(-w) - math.log(-w) ** 3 / 6.0
+        assert lhs == pytest.approx(rhs, abs=1e-13)
+    # above 1 a kernel is outside its contract and math refuses it
+    for kernel in (li2_real, li3_real):
+        with pytest.raises(ValueError, match="math domain error"):
+            kernel(1.5)
+
+
+@pytest.mark.parametrize("cf", list(ClosedFormId), ids=lambda c: c.name)
+def test_closed_forms_pass_the_kernels_at_most_one(cf, monkeypatch):
+    # at the edges of each form's domain, crossed with the mu edges, the
+    # form is finite and every kernel argument it composes is <= 1
+    args = []
+
+    def recording(kernel):
+        def call(w):
+            args.append(w)
+            return kernel(w)
+        return call
+
+    monkeypatch.setattr(closed_forms, "li2_real", recording(li2_real))
+    monkeypatch.setattr(closed_forms, "li3_real", recording(li3_real))
+    domain = CLOSED_FORMS[cf.name]
+    ts = [math.nextafter(1.0, 0.0), math.nextafter(domain.lo, 0.0),
+          *domain.ends]
+    mus = (math.nextafter(-1.0, 0.0), 1.0) if domain.mu else (None,)
+    for t in ts:
+        for mu in mus:
+            assert math.isfinite(closed_form(cf, t, mu)), (t, mu)
+    assert all(w <= 1.0 for w in args), max(args)

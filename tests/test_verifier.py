@@ -21,7 +21,7 @@ from skewlog import (
     sum_series,
     verify_identity,
 )
-from skewlog.catalog import IDENTITIES, NO_PARAMS
+from skewlog.catalog import CLOSED_FORMS, IDENTITIES, NO_PARAMS
 from skewlog.report import serialize_report, summarize
 
 
@@ -172,6 +172,18 @@ def test_nan_grid_point_is_skipped():
     assert [type(r.params[0][1]) for r in recs] == [float, float]
     [rec] = verify_identity(IdentityId.EQ22, GridSpec((0.5,), (math.nan,)))
     assert rec.verdict is Verdict.SKIPPED
+
+
+@pytest.mark.parametrize("identity,t", [
+    (IdentityId.LANDEN, -1.0), (IdentityId.LANDEN, -3.0),
+    (IdentityId.EQ26, -1.0), (IdentityId.EQ26, -0.9), (IdentityId.EQ26, 5.0),
+])
+def test_direct_side_waits_for_the_closed_form(identity, t):
+    # the closed form is checked first, so a point outside its domain is
+    # SKIPPED with its text before x/(1+x) or 2x/(1+x) divides by 1 + t
+    [rec] = verify_identity(identity, GridSpec((t,)))
+    assert rec.verdict is Verdict.SKIPPED
+    assert rec.note == f"{identity.name} requires {CLOSED_FORMS[identity.name]}"
 
 
 def test_records_and_reports_are_plain_values():
