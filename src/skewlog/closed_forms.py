@@ -134,6 +134,25 @@ def _landen(x: float) -> float:
     return -0.5 * l1px * l1px - li2_real(-x)
 
 
+def _j_a(x: float) -> float:
+    """J(x) by version a, for x <= 1/2 (unchecked)."""
+    l1mx = math.log1p(-x)
+    return (-2.0 * li3_real(-x / (1.0 - x)) - 2.0 * li3_real(x)
+            + l1mx * li2_real(x) + l1mx**3 / 3.0)
+
+
+def _j_b(x: float) -> float:
+    """J(x) by version b, for 0 <= x < 1 (unchecked)."""
+    return 2.0 * (li3_real(1.0 - x) - _ZETA3) - math.log1p(-x) * (
+        li2_real(1.0 - x) + _PI_SQ_OVER_6
+    )
+
+
+def _j(x: float) -> float:
+    """The unchecked J kernel, -1 <= x < 1: version a up to 1/2, else b."""
+    return _j_a(x) if x <= 0.5 else _j_b(x)
+
+
 def int_li2_over_1mt(x: float, version: str = "auto") -> float:
     """Antiderivative J(x) = integral_0^x Li2(t)/(1-t) dt, -1 <= x < 1.
 
@@ -144,22 +163,15 @@ def int_li2_over_1mt(x: float, version: str = "auto") -> float:
     if not (-1.0 <= x < 1.0):
         raise DomainError("int_li2_over_1mt requires -1 <= x < 1")
     if version == "auto":
-        version = "a" if x <= 0.5 else "b"
+        return _j(x)
     if version == "a":
         if x > 0.5:
             raise DomainError("version a holds on -1 <= x <= 1/2")
-        return (
-            -2.0 * li3_real(-x / (1.0 - x))
-            - 2.0 * li3_real(x)
-            + math.log1p(-x) * li2_real(x)
-            + math.log1p(-x) ** 3 / 3.0
-        )
+        return _j_a(x)
     if version == "b":
         if x < 0.0:
             raise DomainError("version b holds on 0 <= x < 1")
-        return 2.0 * (li3_real(1.0 - x) - _ZETA3) - math.log1p(-x) * (
-            li2_real(1.0 - x) + _PI_SQ_OVER_6
-        )
+        return _j_b(x)
     raise ValueError("version must be 'auto', 'a' or 'b'")
 
 
@@ -173,7 +185,7 @@ def _eq17(x: float) -> float:
         return EQ18_VALUE
     if abs(1.0 + x) < NEAR_POLE_WINDOW:
         return EQ19_VALUE
-    j = int_li2_over_1mt(x)
+    j = _j(x)
     l1mx = math.log1p(-x)
     l1px = math.log1p(x)
     half_up = li2_real(0.5 * (1.0 + x))

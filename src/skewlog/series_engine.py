@@ -3,7 +3,7 @@
 Each SeriesId names one concrete power series sum_{n} a_n t^(n+p) whose
 coefficients involve skew-harmonic numbers; its companion closed form,
 alias and domain are in catalog, and its row here adds the numerics.
-sum_series evaluates it two ways depending on t:
+sum_series evaluates it three ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
@@ -21,7 +21,12 @@ sum_series evaluates it two ways depending on t:
   summed against Euler-Maclaurin Hurwitz zeta values (their alternating
   combination eta for s_n = (-1)^n); the two omitted orders, doubled, and
   the rounding of each c_n make the bound.  A rule may add an exact
-  constant.
+  constant;
+* near an endpoint, 0.99 <= |t| < 1, for the nine series without mu but
+  RAMANUJAN_ODD: an elementary part plus one or two sums of endpoint
+  terms, each times t^n, as 32 terms plus a Lerch tail (near_endpoint,
+  loaded by the first call in the band).  A bound above tol falls back
+  to the interior sum.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -34,7 +39,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import accumulate, chain, cycle, islice, repeat
-from operator import mul, sub, truediv
+from operator import add, mul, sub, truediv
 
 from .catalog import SERIES, SeriesId, lookup
 from .core_numerics import (
@@ -245,6 +250,12 @@ _TAIL_DEG = _TAIL_ORDER + 2  # the two omitted powers bound the model error
 #: the 1/k in H_n^- (2^-53 H_n together) and the compensated sum's few ulp.
 _C_ERR = 8e-16
 
+#: |t| from which sum_series tries the near-endpoint rule (near_endpoint).
+#: Its tail's terms alternate and shrink as (lam a)^r/r!, lam = -log|t|,
+#: a = _TAIL_TERMS + 1; at |t| = 0.99, lam a = 0.332 and they cancel by
+#: under a bit, but the loss grows as exp(2 lam a) below.
+_NEAR_START = 0.99
+
 
 def _mul(a: list[float], b: list[float]) -> list[float]:
     """Product of two power series in u, truncated after u^_TAIL_DEG."""
@@ -276,13 +287,10 @@ def _eta(s: int, x: float) -> float:
 
 
 @functools.cache
-def _tail(power: int, over: int | None, deg: int, alt: bool,
-          m: int) -> tuple[float, float]:
-    """sum_{n >= m-1} s_n c_n^power / (n + over)^deg (no divisor for over
-    None), s_n = (-1)^n if alt else 1, and a bound on its model error: the
-    expansion in u is multiplied out, its powers through _TAIL_ORDER are
-    summed against zeta(j, m) (eta(j, m) if alt), and twice the two omitted
-    powers, summed against zeta(j, m) without signs, are the bound."""
+def _expansion(power: int, over: int | None, deg: int) -> list[float]:
+    """a_0, ..., a__TAIL_DEG of c_n^power / (n + over)^deg ~ sum_j a_j u^j
+    (no divisor for over None), u = 1/(n+1): the expansion of c_n
+    multiplied out."""
     c = [0.0] * (_TAIL_DEG + 1)
     c[1] = 0.5
     for k in range(1, _TAIL_DEG // 2 + 1):
@@ -295,6 +303,18 @@ def _tail(power: int, over: int | None, deg: int, alt: bool,
                        for j in range(1, _TAIL_DEG + 1)]
         for _ in range(deg):
             a = _mul(a, inv)
+    return a
+
+
+@functools.cache
+def _tail(power: int, over: int | None, deg: int, alt: bool,
+          m: int) -> tuple[float, float]:
+    """sum_{n >= m-1} s_n c_n^power / (n + over)^deg (no divisor for over
+    None), s_n = (-1)^n if alt else 1, and a bound on its model error: the
+    _expansion's powers through _TAIL_ORDER are summed against zeta(j, m)
+    (eta(j, m) if alt), and twice the two omitted powers, summed against
+    zeta(j, m) without signs, are the bound."""
+    a = _expansion(power, over, deg)
 
     def against(f: Callable[[int, float], float], js: range) -> list[float]:
         return [a[j] * f(j, float(m)) if a[j] else 0.0 for j in js]
@@ -311,6 +331,20 @@ _Rule = namedtuple("_Rule", "power over deg sign alt const start",
                    defaults=(None, 1, 1.0, False, 0.0, 0))
 
 
+def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
+           hi: int) -> tuple[list[float], list[float]]:
+    """The terms s_n c_n^power / (n + over)^deg (no divisor for over None),
+    s_n = (-1)^n if alt else 1, for n = lo, ..., hi-1, and the |derivative
+    in c_n| of each."""
+    terms, dterms = [], []
+    for n in range(lo, hi):
+        c = _c(n)
+        x = c**power if over is None else c**power / (n + over) ** deg
+        terms.append(-x if alt and n % 2 else x)
+        dterms.append(power * x / c)
+    return terms, dterms
+
+
 @functools.cache
 def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
                   alt: bool, const: float,
@@ -321,13 +355,9 @@ def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
     bound and its two results, CONVERGED and MAX_TERMS; value and bound do
     not depend on tol, so each rule is computed once, on its first call."""
     n_end = start + _TAIL_TERMS
-    terms = []
-    dc = 0.0  # sum of |d term / d c_n|, to carry the error of each c_n
-    for n in range(start, n_end):
-        c = _c(n)
-        x = c**power if over is None else c**power / (n + over) ** deg
-        terms.append(-x if alt and n % 2 else x)
-        dc += power * x / c
+    terms, dterms = _terms(power, over, deg, alt, start, n_end)
+    # sum of |d term / d c_n|, to carry the error of each c_n, in order
+    dc = functools.reduce(add, dterms, 0.0)
     tail, model_err = _tail(power, over, deg, alt, n_end + 1)
     value = sign * (math.fsum(terms) + tail) + const
     bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
@@ -337,8 +367,8 @@ def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
 
 
 class _SeriesSpec(namedtuple("_SeriesSpec",
-                              "lo ends mu p env coeffs endpoints",
-                              defaults=({},))):
+                              "lo ends mu p env coeffs endpoints near",
+                              defaults=({}, None))):
     """One series: its domain, copied from catalog.Domain (lo < t < 1 and
     the ends in ends; mu, whether it takes mu), and its numerics.  The
     value is t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
@@ -349,7 +379,9 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
     over an exact integer power of n or n + 1, or (c + log n)/n, whose
     relative step of about 1/n is far above its rounding for every n the
     cache allows.  endpoints maps each end t = +-1 in ends to its _Rule
-    (the shared empty default is never mutated).
+    (the shared empty default is never mutated).  near, for the series of
+    the near-endpoint rule, is (elementary, rules): elementary(t), or None
+    for 0, plus t^p times the sum of the c-sums of the _Rules in rules.
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -369,26 +401,40 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
     __slots__ = ()
 
 
-#: series -> (p, env, coeffs[, endpoints]); _SPECS adds the catalog domain.
+def _log2_li2(t: float) -> float:
+    from .polylog import li2_real  # only the near rule needs polylog
+    return LOG2 * li2_real(t)
+
+
+#: series -> (p, env, coeffs[, endpoints[, near]]); _SPECS adds the catalog
+#: domain.  Near t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry
+#: is the series' elementary part and its c-sums.
 _ROWS = {
-    SeriesId.GF_SKEW: (0, _env_one, _plain(_skew)),
+    SeriesId.GF_SKEW: (
+        0, _env_one, _plain(_skew), {},
+        # log 2/(1-t) - sum c_n (-t)^n
+        (lambda t: LOG2 / (1.0 - t), (_Rule(1, sign=-1.0, alt=True),))),
     SeriesId.GF_CENTERED: (
         0, _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
         _plain(_centered),
-        {1.0: _Rule(1, sign=-1.0, alt=True)}),
+        {1.0: _Rule(1, sign=-1.0, alt=True)},
+        (None, (_Rule(1, sign=-1.0, alt=True),))),
     SeriesId.SKEW_OVER_N: (
         0, _env_inv,
         # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
         _plain(lambda lo, hi: _over_n(_skew(lo, hi), lo, hi)),
-        {-1.0: _Rule(1, over=0, sign=-1.0, const=-LOG2**2, start=1)}),
+        {-1.0: _Rule(1, over=0, sign=-1.0, const=-LOG2**2, start=1)},
+        (lambda t: -LOG2 * math.log1p(-t),
+         (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
     SeriesId.CENTERED_OVER_N: (
         0, _env_half_inv_sq,
         _plain(lambda lo, hi: _over_n(_centered(lo, hi), lo, hi)),
         {
             1.0: _Rule(1, over=0, sign=-1.0, alt=True, start=1),
             -1.0: _Rule(1, over=0, sign=-1.0, start=1),
-        }),
+        },
+        (None, (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
     SeriesId.CENTERED_SHIFT: (
         1, _env_inv_np1_sq,
         _plain(lambda lo, hi: _over_np1(_centered(lo, hi), lo, hi)),
@@ -396,15 +442,20 @@ _ROWS = {
             1.0: _Rule(1, over=1, sign=-1.0, alt=True),
             # t^p = -1 times the terms -c_n/(n+1)
             -1.0: _Rule(1, over=1),
-        }),
+        },
+        (None, (_Rule(1, over=1, sign=-1.0, alt=True),))),
     SeriesId.SKEW_SQ: (
-        0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi)))),
+        0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi))), {},
+        # log^2 2/(1-t) - 2 log 2 sum c_n (-t)^n + sum c_n^2 t^n
+        (lambda t: LOG2**2 / (1.0 - t),
+         (_Rule(1, sign=-2.0 * LOG2, alt=True), _Rule(2)))),
     SeriesId.CENTERED_SQ: (
         0, _env_inv_np1_sq,
         _plain(lambda lo, hi: _squares(_centered(lo, hi))), {
             -1.0: _Rule(2, alt=True),
             1.0: _Rule(2),
-        }),
+        },
+        (None, (_Rule(2),))),
     SeriesId.CENTERED_SQ_SHIFT: (
         1, _env_inv_np1_cube,
         _plain(lambda lo, hi: _over_np1(_squares(_centered(lo, hi)), lo, hi)),
@@ -412,7 +463,8 @@ _ROWS = {
             # t^p = -1
             -1.0: _Rule(2, over=1, sign=-1.0, alt=True),
             1.0: _Rule(2, over=1),
-        }),
+        },
+        (None, (_Rule(2, over=1),))),
     SeriesId.SKEW_OVER_NSQ: (
         1, _env_inv_np1_sq,
         # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating
@@ -420,7 +472,9 @@ _ROWS = {
         _plain(lambda lo, hi: map(truediv, _skew(lo, hi), map(
             pow, range(lo + 1, hi + 1), repeat(2)))),
         {1.0: _Rule(1, over=1, deg=2, sign=-1.0, alt=True, start=1,
-                    const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))}),
+                    const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))},
+        # log 2 Li2(t) - t sum c_n (-t)^n/(n+1)^2, from n = 0
+        (_log2_li2, (_Rule(1, over=1, deg=2, sign=-1.0, alt=True),))),
     SeriesId.MU_LEWIN: (
         1, _env_mu_shift,
         _mu_rule(lambda mu, s, lo, hi: map(
@@ -469,10 +523,14 @@ def sum_series(
     rather than an exception; a bool or non-real t, tol or mu, or a tol
     that is not positive and finite, raises DomainError.  Interior sums
     stop at the term cap (set_max_terms) with status MAX_TERMS; the
-    endpoint rules sum a fixed number of terms.  An endpoint rule's value
-    and bound do not depend on tol: each is computed once per process, on
-    the rule's first call, and a call only compares the stored bound with
-    tol (CONVERGED when bound <= tol, else MAX_TERMS).
+    endpoint and near-endpoint rules sum a fixed 32 terms and ignore the
+    cap.  An endpoint rule's value and bound do not depend on tol: each is
+    computed once per process, on the rule's first call, and a call only
+    compares the stored bound with tol (CONVERGED when bound <= tol, else
+    MAX_TERMS).  At 0.99 <= |t| < 1 a series with a near entry returns the
+    near-endpoint rule's result (CONVERGED) when its bound is at most tol,
+    else the interior sum; the rule's tables are built on the first call
+    that needs them, never at import.
     """
     tol = check_tol("tol", tol)
     try:
@@ -490,7 +548,23 @@ def sum_series(
     if abs(t) == 1.0:
         bound, converged, short = _endpoint_sum(*spec.endpoints[t])
         return converged if bound <= tol else short
+    if spec.near and abs(t) >= _NEAR_START:
+        near = _near_rule()(spec, t)
+        if near.error_bound <= tol:
+            return near
+    return _interior_sum(spec, t, tol, mu)
 
+
+@functools.cache
+def _near_rule() -> Callable[[_SeriesSpec, float], EvalResult]:
+    """near_endpoint.near_sum, imported by the first call in the band."""
+    from .near_endpoint import near_sum
+    return near_sum
+
+
+def _interior_sum(spec: _SeriesSpec, t: float, tol: float,
+                  mu: float | None) -> EvalResult:
+    """The interior sum of spec at |t| < 1, in blocks (see _SeriesSpec)."""
     block = spec.coeffs(mu)
     if t == 0.0:
         a0 = next(iter(block(0, 1))) if spec.p == 0 else 0.0

@@ -128,6 +128,25 @@ def test_antiderivative_domain():
         int_li2_over_1mt(0.5, version="c")
 
 
+def test_eq17_takes_the_unchecked_j_kernel(monkeypatch):
+    # closed_form has checked x, so EQ17 and EQ30_BIGG skip the public J's
+    # checks; the kernel is the public function bit for bit
+    from skewlog import closed_forms
+
+    for k in range(-40, 40):
+        x = k / 40.0
+        assert closed_forms._j(x) == int_li2_over_1mt(x), x
+    forms = (ClosedFormId.EQ17, ClosedFormId.EQ30_BIGG)
+    before = {(cf, x): closed_form(cf, x)
+              for cf in forms for x in (-0.7, 0.3, 0.8)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the public J was called")
+
+    monkeypatch.setattr(closed_forms, "int_li2_over_1mt", refuse)
+    assert {key: closed_form(*key) for key in before} == before
+
+
 def test_uncorrected_constant_is_visibly_wrong():
     # the historical misprint (pi/6 for pi^2/6) shifts version b by
     # (pi^2/6 - pi/6) * log(1-x), far from the independent version a

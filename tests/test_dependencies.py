@@ -52,6 +52,25 @@ def test_import_loads_no_numpy():
     assert out.strip() == "False"
 
 
+def test_near_rule_waits_for_a_near_call():
+    # neither importing series_engine nor the t = +-1 rules nor an
+    # interior sum loads the near-endpoint rule; the first call in the
+    # band builds the shared values and its own c-sum tables only
+    out = _child(
+        "import sys\n"
+        "from skewlog import series_engine as se\n"
+        "for sid, spec in se._SPECS.items():\n"
+        "    for t in spec.endpoints:\n"
+        "        se.sum_series(sid, t)\n"
+        "se.sum_series(se.SeriesId.SKEW_SQ, -0.9899)\n"
+        "assert 'skewlog.near_endpoint' not in sys.modules\n"
+        "se.sum_series(se.SeriesId.SKEW_SQ, 0.995)\n"
+        "from skewlog import near_endpoint as ne\n"
+        "print(ne._lerch_values.cache_info().currsize,\n"
+        "      ne._near_table.cache_info().currsize)\n")
+    assert out.split() == ["1", "2"]
+
+
 def test_no_dataclasses():
     src = sorted((ROOT / "src" / "skewlog").glob("*.py"))
     assert [(f, m) for p in src for f, m in _imports(p)
@@ -72,8 +91,8 @@ def test_bare_import_loads_no_library_module():
 #: The modules that compute: listing the catalogs or reading a report
 #: loads none of them.
 _NUMERICS = {f"skewlog.{m}" for m in (
-    "core_numerics", "polylog", "series_engine", "closed_forms",
-    "quadrature", "verifier")}
+    "core_numerics", "polylog", "series_engine", "near_endpoint",
+    "closed_forms", "quadrature", "verifier")}
 
 
 def test_cli_verbs_load_only_what_they_use():
@@ -151,7 +170,7 @@ def _skewlog_imports(path):
 
 def test_layering():
     src = ROOT / "src" / "skewlog"
-    upper = {"series_engine", "verifier", "cli"}
+    upper = {"series_engine", "near_endpoint", "verifier", "cli"}
     for lower in ("polylog", "closed_forms", "quadrature"):
         assert set(_skewlog_imports(src / f"{lower}.py")) & upper == set(), lower
     # the catalog and the report form build on nothing that computes

@@ -1,5 +1,6 @@
 """Coefficient streams, the endpoint tail engine, and series evaluation."""
 
+import json
 import math
 import pathlib
 import re
@@ -21,7 +22,9 @@ from skewlog import (
 )
 from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
-from skewlog.series_engine import _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz
+from skewlog.near_endpoint import near_sum
+from skewlog.series_engine import (
+    _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz, _interior_sum)
 
 LOG2 = math.log(2.0)
 
@@ -317,6 +320,107 @@ def test_mu_domain():
         sum_series(SeriesId.MU_DILOG, 0.5)  # mu is required
     with pytest.raises(ValueError):
         sum_series(SeriesId.GF_SKEW, 0.5, mu=0.5)
+
+
+# --- sum_series: near-endpoint rule ------------------------------------------
+
+NEAR = [sid for sid, spec in _SPECS.items() if spec.near]
+
+#: Worst |value - reference| / error_bound per series over its golden keys
+#: (tests/data/reference.json, ["series", id, t, null]: +-0.99, +-0.995 and
+#: +-(1 - 10^-k), k = 3..15).  A gate may only tighten.
+NEAR_RATIO = {
+    SeriesId.GF_SKEW: 0.20,
+    SeriesId.GF_CENTERED: 0.12,
+    SeriesId.SKEW_OVER_N: 0.22,
+    SeriesId.CENTERED_OVER_N: 0.03,
+    SeriesId.CENTERED_SHIFT: 0.06,
+    SeriesId.SKEW_SQ: 0.28,
+    SeriesId.CENTERED_SQ: 0.04,
+    SeriesId.CENTERED_SQ_SHIFT: 0.08,
+    SeriesId.SKEW_OVER_NSQ: 0.10,
+}
+
+
+def _near_golden():
+    path = pathlib.Path(__file__).parent / "data" / "reference.json"
+    for key, ref in json.loads(path.read_text())["values"].items():
+        key = json.loads(key)
+        if key[0] == "series":
+            yield SeriesId[key[1]], key[2], ref
+
+
+def test_near_rule_series():
+    # the nine series without mu, RAMANUJAN_ODD excepted
+    assert set(NEAR) == set(NEAR_RATIO) == set(SeriesId) - {
+        SeriesId.MU_LEWIN, SeriesId.MU_DILOG, SeriesId.MU_TRILOG,
+        SeriesId.RAMANUJAN_ODD}
+
+
+def test_near_rule_against_golden():
+    worst = dict.fromkeys(NEAR, 0.0)
+    keys = list(_near_golden())
+    assert len(keys) == 8 * 30 + 15
+    for sid, t, (hi, lo) in keys:
+        res = sum_series(sid, t, tol=1e-12 * max(1.0, abs(hi)))
+        assert res.status is Status.CONVERGED, (sid, t)
+        assert res.terms_used == 32, (sid, t)
+        err = abs(res.value - hi - lo)
+        assert err <= res.error_bound, (sid, t, err, res.error_bound)
+        worst[sid] = max(worst[sid], err / res.error_bound)
+    assert {sid: r for sid, r in worst.items() if r > NEAR_RATIO[sid]} == {}
+
+
+def test_near_rule_meets_the_endpoint_rules():
+    # 1e-15 from an end, the near rule agrees with the end's rule
+    t_near = 1.0 - 1e-15
+    for sid in NEAR:
+        for end in _SPECS[sid].endpoints:
+            near = sum_series(sid, end * t_near, tol=1e-6)
+            rule = sum_series(sid, end, tol=1e-6)
+            assert near.terms_used == 32 and near.status is Status.CONVERGED
+            gap = abs(near.value - rule.value)
+            assert gap <= near.error_bound + rule.error_bound + 1e-12, (
+                sid, end, gap)
+
+
+def test_near_rule_meets_the_interior_sum():
+    # at the band's start, and one double inside it, both regimes agree
+    for sid in NEAR:
+        spec = _SPECS[sid]
+        for edge in (0.99, -0.99):
+            for t in (edge, math.nextafter(edge, 0.0)):
+                if t <= spec.lo:
+                    continue
+                near = near_sum(spec, t)
+                inner = _interior_sum(spec, t, 1e-13, None)
+                assert inner.status is Status.CONVERGED, (sid, t)
+                gap = abs(near.value - inner.value)
+                assert gap <= near.error_bound + inner.error_bound + 1e-11, (
+                    sid, t, gap)
+
+
+def test_near_rule_dispatch():
+    t = 0.99
+    below = math.nextafter(t, 0.0)
+    for sid in NEAR:
+        # the band starts at |t| = 0.99
+        assert sum_series(sid, t, tol=1e-10).terms_used == 32
+        assert sum_series(sid, below, tol=1e-10).terms_used > 500
+        # the near rule ignores the term cap
+        first = sum_series(sid, t, tol=1e-10)
+        set_max_terms(5)
+        assert sum_series(sid, t, tol=1e-10) == first, sid
+        set_max_terms(DEFAULT_MAX_TERMS)
+    # a bound above tol falls back to the interior sum
+    near = sum_series(SeriesId.GF_SKEW, t, tol=1e-10)
+    tight = sum_series(SeriesId.GF_SKEW, t, tol=near.error_bound / 2)
+    assert tight.terms_used > 32
+    assert tight == _interior_sum(_SPECS[SeriesId.GF_SKEW], t,
+                                  near.error_bound / 2, None)
+    # the mu series and RAMANUJAN_ODD stay interior sums
+    assert sum_series(SeriesId.MU_DILOG, t, mu=0.5).terms_used > 32
+    assert sum_series(SeriesId.RAMANUJAN_ODD, -t).terms_used > 32
 
 
 # --- term cap ----------------------------------------------------------------

@@ -63,7 +63,19 @@ def pole_keys() -> list[list]:
     return [["cf", cid, t, None] for cid in ("EQ5", "EQ12") for t in ts]
 
 
-KEY_BUILDERS = [polylog_keys, pole_keys]
+def near_endpoint_keys() -> list[list]:
+    """The series with a near-endpoint rule in sum_series at +-0.99,
+    +-0.995 and +-(1 - 10^-k), k = 3..15, where each is in its domain."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from skewlog.series_engine import _SPECS
+
+    ts = [0.99, 0.995] + [1.0 - 10.0**-k for k in range(3, 16)]
+    return [["series", sid.name, s * t, None]
+            for sid, spec in _SPECS.items() if spec.near
+            for s in (1.0, -1.0) for t in ts if s * t > spec.lo]
+
+
+KEY_BUILDERS = [polylog_keys, pole_keys, near_endpoint_keys]
 
 
 def main(argv: list[str]) -> int:
