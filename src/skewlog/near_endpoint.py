@@ -24,6 +24,22 @@ log lam terms of the even and odd halves of the alternating sum cancel).
 They are tabled once per c-sum and sign of x, on the first call that needs
 them; a call sums N products and runs Horner's rule once or twice.
 
+The mu series split instead (mu_split).  With L = log1p(mu) and
+r_n = int_0^mu x^n/(1+x) dx, H_n^-(mu) = L - (-1)^n r_n, so
+
+    MU_DILOG   = L log1p(t) + sum_(n>=1) r_n t^n/n,
+    MU_LEWIN   = L (t - log1p(t)) + t sum_(n>=1) r_n t^n/(n+1),
+    MU_TRILOG  = (-L (Li2(-t) + log1p(t)^2/2) - R log1p(t)
+                  + sum_(n>=1) (-1)^(n-1) rho_n t^n/n) / mu,
+
+the last from mu i_n = L H_n - R + rho_n, with R = sum_k (-1)^k r_k/k
+and rho_n its tail beyond n.  |r_n| <= |mu|^(n+1)/((n+1) min(1, 1+mu)),
+so the sums' terms shrink like |mu t|^n.  The r_n come from the backward
+recurrence r_(n-1) = mu^n/n - r_n seeded with r_N = 0.  The seed's error
+-r_N reaches every r_n, n < N, at full size (with alternating sign), so N
+must come from that bound on |r_N|, not from the rate |mu t| of the terms:
+at mu = 0.999, t = 0.99 the latter leaves each r_n off by ~1e-5.
+
 series_engine imports this module on the first call in the band, so a
 process that never reaches it neither compiles nor builds any of it.
 """
@@ -32,10 +48,11 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
-from operator import mul
+from itertools import accumulate, repeat
+from operator import mul, truediv
 
 from .core_numerics import _BERNOULLI_DEN, _BERNOULLI_NUM
+from .polylog import li2_real
 from .result import EvalResult, Status
 from .series_engine import (
     _C_ERR, _FP_SLACK, _NEAR_START, _TAIL_ORDER, _TAIL_TERMS, _Rule, _eta,
@@ -147,3 +164,92 @@ def near_sum(spec, t: float) -> EvalResult:
     value = e + (total * t if spec.p else total)
     bound = err + _FP_SLACK * (1.0 + mass)
     return EvalResult(value, bound, _TAIL_TERMS, Status.CONVERGED)
+
+
+#: The mu split's sums stop at the N where the seed error a^N/((N+1) m) of
+#: its backward recurrence falls to about this; each r_n, n < N, carries
+#: that error at full size, so N comes from |mu|, not from |mu t|.
+_SEED_ERR = 2.0**-60
+
+
+def mu_split(spec, t: float, mu: float, most: float) -> EvalResult | None:
+    """The split of a mu series at _NEAR_START <= |t| < 1, -1 < mu < 1 (see
+    the module docstring), or None when it would take `most` terms or more.
+
+    With a = |mu|, m = min(1, 1 + mu) and x = -t, it writes
+    r_n = (-1)^n mu G_n, G_n = sum_(k>n) (-mu)^(k-1)/k, and
+    rho_n = mu F_n, F_n = sum_(k>n) G_k/k:
+
+        MU_DILOG   L log1p(t) + mu sum_(n>=1) G_n x^n/n
+        MU_LEWIN   L (t - log1p(t)) + t mu sum_(n>=1) G_n x^n/(n+1)
+        MU_TRILOG  -(L/mu)(Li2(-t) + log1p(t)^2/2) - F_0 log1p(t)
+                   - sum_(n>=1) F_n x^n/n
+
+    (L/mu = 1 at mu = +-0.0).  The G_n are suffix sums of the terms
+    k <= N, which is the backward recurrence seeded with r_N = 0: each is
+    off by the same omitted sum, at most s = a^N/((N+1) m), and N is where
+    s is about _SEED_ERR.  The bound adds the seed error (s H_(N-1) in
+    each F_n, with the omitted G_k/k, k >= N), the omitted terms n >= N
+    (geometric in a|t|), and _FP_SLACK times 1 plus the parts, which may
+    cancel in the value: the elementary part, counted for each of its
+    roundings (li2_real's 2.3 ulp), the sums, and majorants of what the
+    suffix sums' roundings add up to (each G_n within (2 + 1/m)/(1 - a)
+    units of a^n/(n+1))."""
+    over, inner = spec.near
+    a = abs(mu)
+    if a >= 1.0:
+        return None
+    m = min(1.0, 1.0 + mu)
+    n_end = 2
+    if a:  # a^N ~ _SEED_ERR m (N+1), with N+1 taken from a first guess
+        la = math.log(a)
+        guess = math.log(_SEED_ERR * m) / la
+        n_end = max(n_end, math.ceil(guess + math.log1p(guess) / la))
+    if n_end >= most:
+        return None
+    # G_n, n = 1..N-1: suffix sums of (-mu)^(k-1)/k, k = N down to 2
+    g = list(accumulate(map(truediv, map(pow, repeat(-mu), range(
+        n_end - 1, 0, -1)), range(n_end, 1, -1))))[::-1]
+    # x^n/(n + over), n = 1..N-1
+    w = list(map(truediv, map(pow, repeat(-t), range(1, n_end)),
+                 range(1 + over, n_end + over)))
+    lg = math.log1p(t)
+    h = 1.0 + math.log(n_end)  # >= H_(N-1) >= sum_n |x^n/(n + over)|
+    s = a**n_end / ((n_end + 1) * m)
+    aq = a * abs(t)
+    # the G_n's roundings, in units of a^n/(n+1)
+    k1 = (2.0 + 1.0 / m) / (1.0 - a)
+    if inner:
+        # F_n, n = 0..N-2: suffix sums of G_k/k, k = N-1 down to 1
+        f = list(accumulate(map(truediv, reversed(g), range(
+            n_end - 1, 0, -1))))[::-1]
+        lmu = math.log1p(mu) / mu if mu else 1.0
+        li = li2_real(-t)
+        e = -lmu * (li + 0.5 * lg * lg)
+        f0 = -f[0] * lg
+        tail = math.fsum(map(mul, f[1:], w))
+        value = e + f0 - tail
+        # the omitted G_k/k, k >= N, shift every F_n as the seed does
+        shift = s * h + a**n_end / (n_end * (n_end + 1) * m * (1.0 - a))
+        err = (shift * (abs(lg) + h)
+               + a**n_end * abs(t) ** (n_end - 1)
+               / ((n_end - 1) * n_end * (n_end + 1) * m * (1.0 - a)
+                  * (1.0 - aq)))
+        # the F_n's roundings, in units of a^(n+1)/(n+1)
+        k3 = k1 + 1.0 / (m * (1.0 - a))
+        rounding = a * (k3 * (abs(lg) + a) + (2.0 * abs(lg) + 3.0) / m)
+        mass = (4.0 * abs(lmu) * (abs(li) + 0.5 * lg * lg) + abs(f0)
+                + abs(tail) + rounding)
+    else:
+        lmu = math.log1p(mu)
+        e = lmu * (t - lg) if over else lmu * lg
+        part = mu * math.fsum(map(mul, g, w))
+        if over:
+            part *= t
+        value = e + part
+        err = a * (s * h + aq**n_end
+                   / (n_end * (n_end + 1) * m * (1.0 - aq)))
+        mass = (2.0 * abs(e) + (abs(lmu * lg) if over else 0.0) + abs(part)
+                + a * a * (k1 + 3.0 / m))
+    bound = err + _FP_SLACK * (1.0 + mass)
+    return EvalResult(value, bound, n_end, Status.CONVERGED)

@@ -22,11 +22,14 @@ sum_series evaluates it three ways depending on t:
   combination eta for s_n = (-1)^n); the two omitted orders, doubled, and
   the rounding of each c_n make the bound.  A rule may add an exact
   constant;
-* near an endpoint, 0.99 <= |t| < 1, for the nine series without mu but
-  RAMANUJAN_ODD: an elementary part plus one or two sums of endpoint
-  terms, each times t^n, as 32 terms plus a Lerch tail (near_endpoint,
-  loaded by the first call in the band).  A bound above tol falls back
-  to the interior sum.
+* near an endpoint, 0.99 <= |t| < 1, for every series but RAMANUJAN_ODD
+  (near_endpoint, loaded by the first call in the band): the nine without
+  mu as an elementary part plus one or two sums of endpoint terms, each
+  times t^n, as 32 terms plus a Lerch tail; the mu series, at |mu| < 1,
+  split by H_n^-(mu) = log1p(mu) - (-1)^n r_n into an elementary part
+  plus sums whose terms shrink like |mu t|^n, when that takes fewer terms
+  than the interior sum would.  A bound above tol falls back to the
+  interior sum.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -381,7 +384,8 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
     cache allows.  endpoints maps each end t = +-1 in ends to its _Rule
     (the shared empty default is never mutated).  near, for the series of
     the near-endpoint rule, is (elementary, rules): elementary(t), or None
-    for 0, plus t^p times the sum of the c-sums of the _Rules in rules.
+    for 0, plus t^p times the sum of the c-sums of the _Rules in rules; or,
+    for a mu series, its _MuSplit.
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -406,9 +410,15 @@ def _log2_li2(t: float) -> float:
     return LOG2 * li2_real(t)
 
 
+#: The near entry of a mu series: with H_n^-(mu) = L - (-1)^n r_n,
+#: L = log1p(mu) and r_n = int_0^mu x^n/(1+x) dx, the series is an
+#: elementary part in L plus a sum of r_n t^n/(n + over), taken through
+#: i_n = sum_(k<=n) H_k^-(mu)/(mu k) if inner (near_endpoint.mu_split).
+_MuSplit = namedtuple("_MuSplit", "over inner", defaults=(False,))
+
 #: series -> (p, env, coeffs[, endpoints[, near]]); _SPECS adds the catalog
 #: domain.  Near t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry
-#: is the series' elementary part and its c-sums.
+#: of a series without mu is its elementary part and its c-sums.
 _ROWS = {
     SeriesId.GF_SKEW: (
         0, _env_one, _plain(_skew), {},
@@ -478,15 +488,22 @@ _ROWS = {
     SeriesId.MU_LEWIN: (
         1, _env_mu_shift,
         _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1)))),
+            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))), {},
+        # L (t - log1p(t)) + t sum r_n t^n/(n+1)
+        _MuSplit(over=1)),
     SeriesId.MU_DILOG: (
         0, _env_mu_over_n,
         _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo, hi)))),
+            truediv, map(mul, repeat(mu), s), range(lo, hi))), {},
+        # L log1p(t) + sum r_n t^n/n
+        _MuSplit(over=0)),
     SeriesId.MU_TRILOG: (
         0, _env_mu_log,
         _mu_rule(lambda mu, i, lo, hi: map(truediv, i, range(lo, hi)),
-                 inner=True)),
+                 inner=True), {},
+        # mu i_n = L H_n - R + rho_n, R = sum_k (-1)^k r_k/k and rho_n its
+        # tail beyond n
+        _MuSplit(over=0, inner=True)),
     SeriesId.RAMANUJAN_ODD: (0, _env_ramanujan, _plain(_ramanujan)),
 }
 _SPECS: dict[SeriesId, _SeriesSpec] = {
@@ -523,14 +540,17 @@ def sum_series(
     rather than an exception; a bool or non-real t, tol or mu, or a tol
     that is not positive and finite, raises DomainError.  Interior sums
     stop at the term cap (set_max_terms) with status MAX_TERMS; the
-    endpoint and near-endpoint rules sum a fixed 32 terms and ignore the
-    cap.  An endpoint rule's value and bound do not depend on tol: each is
-    computed once per process, on the rule's first call, and a call only
-    compares the stored bound with tol (CONVERGED when bound <= tol, else
-    MAX_TERMS).  At 0.99 <= |t| < 1 a series with a near entry returns the
-    near-endpoint rule's result (CONVERGED) when its bound is at most tol,
-    else the interior sum; the rule's tables are built on the first call
-    that needs them, never at import.
+    endpoint and near-endpoint rules ignore the cap, and all but the mu
+    series' split sum a fixed 32 terms.  An endpoint rule's value and bound
+    do not depend on tol: each is computed once per process, on the rule's
+    first call, and a call only compares the stored bound with tol
+    (CONVERGED when bound <= tol, else MAX_TERMS).  At 0.99 <= |t| < 1 a
+    series with a near entry returns the near-endpoint rule's result
+    (CONVERGED) when its bound is at most tol, else the interior sum; the
+    rule's tables are built on the first call that needs them, never at
+    import.  For a mu series that rule is near_endpoint.mu_split, taken at
+    |mu| < 1 when its N terms are fewer than the interior sum's estimate
+    and than _SPLIT_MOST.
     """
     tol = check_tol("tol", tol)
     try:
@@ -549,17 +569,40 @@ def sum_series(
         bound, converged, short = _endpoint_sum(*spec.endpoints[t])
         return converged if bound <= tol else short
     if spec.near and abs(t) >= _NEAR_START:
-        near = _near_rule()(spec, t)
-        if near.error_bound <= tol:
+        if spec.mu:
+            near = _near_rule().mu_split(
+                spec, t, mu, min(_interior_terms(spec, t, tol, mu),
+                                 _SPLIT_MOST))
+        else:
+            near = _near_rule().near_sum(spec, t)
+        if near and near.error_bound <= tol:
             return near
     return _interior_sum(spec, t, tol, mu)
 
 
+#: The most terms the mu split takes, whatever the cap: it holds them in
+#: lists, as an interior sum under the default cap does.
+_SPLIT_MOST = DEFAULT_MAX_TERMS
+
+
+def _interior_terms(spec: _SeriesSpec, t: float, tol: float,
+                    mu: float | None) -> float:
+    """About how many terms the interior sum takes at t: the n at which
+    env(1, mu) |t|^(n+1+p)/(1-|t|) falls to tol/2 (rather more, as env
+    only shrinks)."""
+    env = spec.env(1, mu)
+    if not env:
+        return 0.0
+    q = abs(t)
+    return ((math.log(tol) - math.log(2.0 * env) + math.log1p(-q))
+            / math.log(q) - spec.p - 1)
+
+
 @functools.cache
-def _near_rule() -> Callable[[_SeriesSpec, float], EvalResult]:
-    """near_endpoint.near_sum, imported by the first call in the band."""
-    from .near_endpoint import near_sum
-    return near_sum
+def _near_rule():
+    """The near_endpoint module, imported by the first call in the band."""
+    from . import near_endpoint
+    return near_endpoint
 
 
 def _interior_sum(spec: _SeriesSpec, t: float, tol: float,

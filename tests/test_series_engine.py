@@ -22,7 +22,7 @@ from skewlog import (
 )
 from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
-from skewlog.near_endpoint import near_sum
+from skewlog.near_endpoint import mu_split, near_sum
 from skewlog.series_engine import (
     _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz, _interior_sum)
 
@@ -324,7 +324,8 @@ def test_mu_domain():
 
 # --- sum_series: near-endpoint rule ------------------------------------------
 
-NEAR = [sid for sid, spec in _SPECS.items() if spec.near]
+NEAR = [sid for sid, spec in _SPECS.items() if spec.near and not spec.mu]
+MU_NEAR = [sid for sid, spec in _SPECS.items() if spec.near and spec.mu]
 
 #: Worst |value - reference| / error_bound per series over its golden keys
 #: (tests/data/reference.json, ["series", id, t, null]: +-0.99, +-0.995 and
@@ -342,26 +343,37 @@ NEAR_RATIO = {
 }
 
 
-def _near_golden():
+#: The same for the mu series' split, over the keys
+#: ["series", id, t, mu], mu = -0.9, 0.5, 0.9, on the points above.
+NEAR_MU_RATIO = {
+    SeriesId.MU_LEWIN: 0.33,
+    SeriesId.MU_DILOG: 0.39,
+    SeriesId.MU_TRILOG: 0.26,
+}
+
+
+def _series_golden(with_mu):
     path = pathlib.Path(__file__).parent / "data" / "reference.json"
     for key, ref in json.loads(path.read_text())["values"].items():
         key = json.loads(key)
-        if key[0] == "series":
-            yield SeriesId[key[1]], key[2], ref
+        if key[0] == "series" and (key[3] is not None) == with_mu:
+            yield SeriesId[key[1]], key[2], key[3], ref
 
 
 def test_near_rule_series():
-    # the nine series without mu, RAMANUJAN_ODD excepted
-    assert set(NEAR) == set(NEAR_RATIO) == set(SeriesId) - {
-        SeriesId.MU_LEWIN, SeriesId.MU_DILOG, SeriesId.MU_TRILOG,
+    # every series but RAMANUJAN_ODD: nine by c-sums, the mu series split
+    assert set(NEAR) | set(MU_NEAR) == set(SeriesId) - {
         SeriesId.RAMANUJAN_ODD}
+    assert set(NEAR) == set(NEAR_RATIO)
+    assert set(MU_NEAR) == set(NEAR_MU_RATIO) == {
+        SeriesId.MU_LEWIN, SeriesId.MU_DILOG, SeriesId.MU_TRILOG}
 
 
 def test_near_rule_against_golden():
     worst = dict.fromkeys(NEAR, 0.0)
-    keys = list(_near_golden())
+    keys = list(_series_golden(False))
     assert len(keys) == 8 * 30 + 15
-    for sid, t, (hi, lo) in keys:
+    for sid, t, _, (hi, lo) in keys:
         res = sum_series(sid, t, tol=1e-12 * max(1.0, abs(hi)))
         assert res.status is Status.CONVERGED, (sid, t)
         assert res.terms_used == 32, (sid, t)
@@ -384,20 +396,30 @@ def test_near_rule_meets_the_endpoint_rules():
                 sid, end, gap)
 
 
+#: tools/series_diff.py's mu grid, less mu = 1
+SPLIT_MUS = (-0.9, -0.7, -0.3, -0.0, 0.0, 0.25, 0.5, 0.8)
+
+
 def test_near_rule_meets_the_interior_sum():
-    # at the band's start, and one double inside it, both regimes agree
-    for sid in NEAR:
+    # at the band's start, and one double inside it, both regimes agree;
+    # the mu series' split at each mu of the grid
+    cases = [(sid, None) for sid in NEAR]
+    cases += [(sid, mu) for sid in MU_NEAR for mu in SPLIT_MUS]
+    for sid, mu in cases:
         spec = _SPECS[sid]
         for edge in (0.99, -0.99):
             for t in (edge, math.nextafter(edge, 0.0)):
                 if t <= spec.lo:
                     continue
-                near = near_sum(spec, t)
-                inner = _interior_sum(spec, t, 1e-13, None)
-                assert inner.status is Status.CONVERGED, (sid, t)
+                if mu is None:
+                    near = near_sum(spec, t)
+                else:
+                    near = mu_split(spec, t, mu, math.inf)
+                inner = _interior_sum(spec, t, 1e-13, mu)
+                assert inner.status is Status.CONVERGED, (sid, t, mu)
                 gap = abs(near.value - inner.value)
                 assert gap <= near.error_bound + inner.error_bound + 1e-11, (
-                    sid, t, gap)
+                    sid, t, mu, gap)
 
 
 def test_near_rule_dispatch():
@@ -418,9 +440,75 @@ def test_near_rule_dispatch():
     assert tight.terms_used > 32
     assert tight == _interior_sum(_SPECS[SeriesId.GF_SKEW], t,
                                   near.error_bound / 2, None)
-    # the mu series and RAMANUJAN_ODD stay interior sums
-    assert sum_series(SeriesId.MU_DILOG, t, mu=0.5).terms_used > 32
+    # RAMANUJAN_ODD stays an interior sum
     assert sum_series(SeriesId.RAMANUJAN_ODD, -t).terms_used > 32
+
+
+def test_mu_near_rule_against_golden():
+    worst = dict.fromkeys(MU_NEAR, 0.0)
+    keys = list(_series_golden(True))
+    assert len(keys) == 3 * 3 * 30
+    for sid, t, mu, (hi, lo) in keys:
+        res = sum_series(sid, t, tol=1e-12 * max(1.0, abs(hi)), mu=mu)
+        assert res.status is Status.CONVERGED, (sid, t, mu)
+        # the split, not the interior sum: ~55 terms at |mu| = 0.5
+        assert res == mu_split(_SPECS[sid], t, mu, math.inf), (sid, t, mu)
+        err = abs(res.value - hi - lo)
+        assert err <= res.error_bound, (sid, t, mu, err, res.error_bound)
+        worst[sid] = max(worst[sid], err / res.error_bound)
+    assert {sid: r for sid, r in worst.items() if r > NEAR_MU_RATIO[sid]} == {}
+
+
+def test_mu_split_seeds_deep_enough():
+    # Each r_n carries the seed's error at full size, so the depth comes
+    # from |mu|, not from |mu t|: at |mu| = |t| = 0.99 a depth from
+    # |mu t| would leave the r_n off by ~1e-11, which neither the bound
+    # nor the value may miss.
+    for sid in MU_NEAR:
+        spec = _SPECS[sid]
+        for mu in (0.99, -0.99):
+            for t in (0.99, -0.99):
+                split = mu_split(spec, t, mu, math.inf)
+                inner = _interior_sum(spec, t, 1e-13, mu)
+                assert inner.status is Status.CONVERGED, (sid, t, mu)
+                gap = abs(split.value - inner.value)
+                assert gap <= split.error_bound + inner.error_bound, (
+                    sid, t, mu, gap)
+                if mu > 0.0:
+                    assert split.error_bound <= 1e-12, (sid, t, mu)
+
+
+def test_mu_split_dispatch():
+    t = 0.99
+    for sid in MU_NEAR:
+        split = sum_series(sid, t, tol=1e-10, mu=0.5)
+        assert split.terms_used < 60 and split.status is Status.CONVERGED
+        assert split == mu_split(_SPECS[sid], t, 0.5, math.inf)
+        # the band starts at |t| = 0.99
+        below = math.nextafter(-t, 0.0)
+        assert sum_series(sid, below, tol=1e-10, mu=0.5) == _interior_sum(
+            _SPECS[sid], below, 1e-10, 0.5)
+        # the split ignores the term cap
+        set_max_terms(5)
+        try:
+            assert sum_series(sid, t, tol=1e-10, mu=0.5) == split, sid
+        finally:
+            set_max_terms(DEFAULT_MAX_TERMS)
+        # mu = 1 has no split, and next to it the split would take more
+        # terms than the interior sum, or than any sum may: both stay
+        # interior sums
+        for mu in (1.0, math.nextafter(1.0, 0.0)):
+            for tt in (t, -t):
+                assert sum_series(sid, tt, tol=1e-10, mu=mu) == _interior_sum(
+                    _SPECS[sid], tt, 1e-10, mu), (sid, tt, mu)
+            assert mu_split(_SPECS[sid], 1.0 - 1e-6, mu,
+                            DEFAULT_MAX_TERMS) is None, (sid, mu)
+        assert mu_split(_SPECS[sid], t, 1.0, math.inf) is None
+    # a split bound above tol falls back to the interior sum
+    spec = _SPECS[SeriesId.MU_DILOG]
+    split = mu_split(spec, t, 0.5, math.inf)
+    tight = sum_series(SeriesId.MU_DILOG, t, tol=split.error_bound / 2, mu=0.5)
+    assert tight == _interior_sum(spec, t, split.error_bound / 2, 0.5)
 
 
 # --- term cap ----------------------------------------------------------------
