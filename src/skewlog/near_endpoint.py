@@ -1,14 +1,30 @@
 """The near-endpoint rule of sum_series, for 0.99 <= |t| < 1.
 
-With H_n^- = log 2 - (-1)^n c_n, each series without mu (RAMANUJAN_ODD
-aside) is an elementary part plus t^p times c-sums: the terms of an
-endpoint rule, sign s_n c_n^power / (n + over)^deg from n = start, each
-times t^n (the near entries of series_engine._ROWS).  A c-sum is its terms
-below N = _TAIL_TERMS plus the tail sum_j A_j L_j, with A_j the endpoint
-rules' _expansion of the terms in u = 1/(n+1) through _TAIL_ORDER and
-L_j = sum_{n >= N} x^n (n+1)^-j, x = -t if alt else t.  With a = N + 1 and
-lam = -log|x| (Erdelyi et al., Higher Transcendental Functions I, 1.11),
-for x > 0
+With H_n^- = log 2 - (-1)^n c_n, each series without mu is an elementary
+part plus t^p times c-sums: the terms of an endpoint rule, sign s_n
+c_n^power / (n + over)^deg from n = start, each times t^n (the near
+entries of series_engine._ROWS).  RAMANUJAN_ODD's coefficients 2 O_m/n,
+n = 2m - 1, hold log n / n, but O_m = H_2m - H_m/2 = H_m/2 + H_2m^-, with
+H_2m^- = log 2 - c_2m and c_2m = 1/(n+1) - c_n, makes them
+(H_m + 2 log 2 - 2/(n+1) + 2 c_n)/n.  The odd powers of the first three
+sum in closed form, and 2 sum_odd c_n t^n/n is sum c_n t^n/n -
+sum c_n (-t)^n/n, so with s = |t| and v = (1-s)/2
+
+    f(t) = sign(t) (atanh(s)^2 + pi^2/12 - Li2(v) - log^2(1-v)/2)
+           + sum_(n>=1) c_n t^n/n - sum_(n>=1) c_n (-t)^n/n,
+
+the Li2((1+s)/2) of the plain sum reflected, as f is odd, so that only
+v, exact for s >= 1/2, reaches li2_real.  Its rounding: with each log
+within 1 ulp, a = atanh(s) = (log1p(-v) - log v)/2 is within 3u
+(u = 2^-53; -log v >= 5.29 in the band), a^2 within 7u, and with the
+other terms (at most 0.0052 together) and three additions the part is
+within 10.1u of itself, under the 6 _FP_SLACK its near entry charges.
+
+A c-sum is its terms below N = _TAIL_TERMS plus the tail sum_j A_j L_j,
+with A_j the endpoint rules' _expansion of the terms in u = 1/(n+1)
+through _TAIL_ORDER and L_j = sum_{n >= N} x^n (n+1)^-j, x = -t if alt
+else t.  With a = N + 1 and lam = -log|x| (Erdelyi et al., Higher
+Transcendental Functions I, 1.11), for x > 0
 
     x L_j = sum_{r != j-1} zeta(j-r, a) (-lam)^r/r!
             + (-lam)^(j-1)/(j-1)! (psi(j) - psi(a) - log lam),
@@ -136,14 +152,14 @@ def near_sum(spec, t: float) -> EvalResult:
     _FP_SLACK times 1 plus the magnitudes of the parts, which may cancel in
     the value: each head, each of P and log(lam) Q over x, and thrice the
     elementary part, whose error is two roundings more than its one call
-    (log 2 Li2(t): li2_real's 2.3 ulp)."""
-    elementary, rules = spec.near
+    (log 2 Li2(t): li2_real's 2.3 ulp), or the rounding its entry names."""
+    elementary, rules, rounding = (*spec.near, 3.0)[:3]
     y = math.log(abs(t))  # -lam
     log_lam = math.log(-y)
     pw = list(map(pow, repeat(t), range(_TAIL_TERMS)))
     qw = list(map(abs, pw))
     e = elementary(t) if elementary else 0.0
-    sums, mass, err = [], 3.0 * abs(e), 0.0
+    sums, mass, err = [], rounding * abs(e), 0.0
     for rule in rules:
         head_c, dhead, p_c, q_c, bound = _near_table(
             rule, (t < 0.0) != rule.alt)

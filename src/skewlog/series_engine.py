@@ -22,14 +22,14 @@ sum_series evaluates it three ways depending on t:
   combination eta for s_n = (-1)^n); the two omitted orders, doubled, and
   the rounding of each c_n make the bound.  A rule may add an exact
   constant;
-* near an endpoint, 0.99 <= |t| < 1, for every series but RAMANUJAN_ODD
-  (near_endpoint, loaded by the first call in the band): the nine without
-  mu as an elementary part plus one or two sums of endpoint terms, each
-  times t^n, as 32 terms plus a Lerch tail; the mu series, at |mu| < 1,
-  split by H_n^-(mu) = log1p(mu) - (-1)^n r_n into an elementary part
-  plus sums whose terms shrink like |mu t|^n, when that takes fewer terms
-  than the interior sum would.  A bound above tol falls back to the
-  interior sum.
+* near an endpoint, 0.99 <= |t| < 1, for every series (near_endpoint,
+  loaded by the first call in the band): the ten without mu as an
+  elementary part plus one or two sums of endpoint terms, each times t^n,
+  as 32 terms plus a Lerch tail; the mu series, at |mu| < 1, split by
+  H_n^-(mu) = log1p(mu) - (-1)^n r_n into an elementary part plus sums
+  whose terms shrink like |mu t|^n, when that takes fewer terms than the
+  interior sum would.  A bound above tol falls back to the interior sum,
+  unless that sum could only end at the term cap with a larger bound.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -383,9 +383,11 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
     relative step of about 1/n is far above its rounding for every n the
     cache allows.  endpoints maps each end t = +-1 in ends to its _Rule
     (the shared empty default is never mutated).  near, for the series of
-    the near-endpoint rule, is (elementary, rules): elementary(t), or None
-    for 0, plus t^p times the sum of the c-sums of the _Rules in rules; or,
-    for a mu series, its _MuSplit.
+    the near-endpoint rule, is (elementary, rules[, rounding]):
+    elementary(t), or None for 0, plus t^p times the sum of the c-sums of
+    the _Rules in rules, where elementary(t) is within rounding (3 if not
+    given) times _FP_SLACK |elementary(t)|; or, for a mu series, its
+    _MuSplit.
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -408,6 +410,18 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
 def _log2_li2(t: float) -> float:
     from .polylog import li2_real  # only the near rule needs polylog
     return LOG2 * li2_real(t)
+
+
+def _ramanujan_near(t: float) -> float:
+    """RAMANUJAN_ODD's elementary part near t = +-1 (near_endpoint):
+    sign(t) (atanh(s)^2 + pi^2/12 - Li2(v) - log^2(1-v)/2), s = |t| and
+    v = (1-s)/2, exact, within 6 _FP_SLACK of its size."""
+    from .polylog import li2_real
+    v = 0.5 * (1.0 - abs(t))
+    lv = math.log1p(-v)
+    a = 0.5 * (lv - math.log(v))  # atanh(s)
+    e = a * a + 0.5 * CONSTANTS["PI_SQ_OVER_6"] - li2_real(v) - 0.5 * lv * lv
+    return math.copysign(e, t)
 
 
 #: The near entry of a mu series: with H_n^-(mu) = L - (-1)^n r_n,
@@ -504,7 +518,13 @@ _ROWS = {
         # mu i_n = L H_n - R + rho_n, R = sum_k (-1)^k r_k/k and rho_n its
         # tail beyond n
         _MuSplit(over=0, inner=True)),
-    SeriesId.RAMANUJAN_ODD: (0, _env_ramanujan, _plain(_ramanujan)),
+    SeriesId.RAMANUJAN_ODD: (
+        0, _env_ramanujan, _plain(_ramanujan), {},
+        # O_m = H_m/2 + log 2 - c_2m and c_2m = 1/2m - c_(2m-1): elementary
+        # plus sum c_n t^n/n - sum c_n (-t)^n/n; rounding 6
+        (_ramanujan_near, (_Rule(1, over=0, start=1),
+                           _Rule(1, over=0, sign=-1.0, alt=True, start=1)),
+         6.0)),
 }
 _SPECS: dict[SeriesId, _SeriesSpec] = {
     sid: _SeriesSpec(*SERIES[sid.name].domain, *row)
@@ -545,12 +565,14 @@ def sum_series(
     do not depend on tol: each is computed once per process, on the rule's
     first call, and a call only compares the stored bound with tol
     (CONVERGED when bound <= tol, else MAX_TERMS).  At 0.99 <= |t| < 1 a
-    series with a near entry returns the near-endpoint rule's result
-    (CONVERGED) when its bound is at most tol, else the interior sum; the
-    rule's tables are built on the first call that needs them, never at
-    import.  For a mu series that rule is near_endpoint.mu_split, taken at
-    |mu| < 1 when its N terms are fewer than the interior sum's estimate
-    and than _SPLIT_MOST.
+    series returns the near-endpoint rule's result (CONVERGED) when its
+    bound is at most tol, else the interior sum; the rule's tables are
+    built on the first call that needs them, never at import.  For a mu
+    series that rule is near_endpoint.mu_split, taken at |mu| < 1 when its
+    N terms are fewer than the interior sum's estimate and than
+    _SPLIT_MOST.  A near result whose bound exceeds tol but not
+    _capped_tail returns as MAX_TERMS, without the interior sum, which
+    could only end at the cap with a bound no smaller.
     """
     tol = check_tol("tol", tol)
     try:
@@ -575,9 +597,24 @@ def sum_series(
                                  _SPLIT_MOST))
         else:
             near = _near_rule().near_sum(spec, t)
-        if near and near.error_bound <= tol:
-            return near
+        if near:
+            if near.error_bound <= tol:
+                return near
+            if near.error_bound <= _capped_tail(spec, t, mu):
+                return near._replace(status=Status.MAX_TERMS)
     return _interior_sum(spec, t, tol, mu)
+
+
+def _capped_tail(spec: _SeriesSpec, t: float, mu: float | None) -> float:
+    """A floor under the interior sum's tail bound at the term cap,
+    env(cap) |t|^(cap+p)/(1-|t|), less a margin for the ~cap roundings of
+    the running product that sum computes it by.  As env and the geometric
+    factors never grow, a sum whose tail bound there exceeds tol/2 ends at
+    the cap, with a bound of at least this."""
+    cap = get_max_terms()
+    q = abs(t)
+    return (spec.env(cap, mu) * q ** (cap + spec.p) / (1.0 - q)
+            * (1.0 - (cap + 8) * 2.0**-52))
 
 
 #: The most terms the mu split takes, whatever the cap: it holds them in

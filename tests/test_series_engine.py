@@ -340,6 +340,7 @@ NEAR_RATIO = {
     SeriesId.CENTERED_SQ: 0.04,
     SeriesId.CENTERED_SQ_SHIFT: 0.08,
     SeriesId.SKEW_OVER_NSQ: 0.10,
+    SeriesId.RAMANUJAN_ODD: 0.25,
 }
 
 
@@ -361,9 +362,8 @@ def _series_golden(with_mu):
 
 
 def test_near_rule_series():
-    # every series but RAMANUJAN_ODD: nine by c-sums, the mu series split
-    assert set(NEAR) | set(MU_NEAR) == set(SeriesId) - {
-        SeriesId.RAMANUJAN_ODD}
+    # every series: ten by c-sums, the mu series split
+    assert set(NEAR) | set(MU_NEAR) == set(SeriesId)
     assert set(NEAR) == set(NEAR_RATIO)
     assert set(MU_NEAR) == set(NEAR_MU_RATIO) == {
         SeriesId.MU_LEWIN, SeriesId.MU_DILOG, SeriesId.MU_TRILOG}
@@ -372,7 +372,7 @@ def test_near_rule_series():
 def test_near_rule_against_golden():
     worst = dict.fromkeys(NEAR, 0.0)
     keys = list(_series_golden(False))
-    assert len(keys) == 8 * 30 + 15
+    assert len(keys) == 9 * 30 + 15
     for sid, t, _, (hi, lo) in keys:
         res = sum_series(sid, t, tol=1e-12 * max(1.0, abs(hi)))
         assert res.status is Status.CONVERGED, (sid, t)
@@ -440,8 +440,38 @@ def test_near_rule_dispatch():
     assert tight.terms_used > 32
     assert tight == _interior_sum(_SPECS[SeriesId.GF_SKEW], t,
                                   near.error_bound / 2, None)
-    # RAMANUJAN_ODD stays an interior sum
-    assert sum_series(SeriesId.RAMANUJAN_ODD, -t).terms_used > 32
+    # RAMANUJAN_ODD too, by O_m = H_m/2 + log 2 - c_2m
+    assert sum_series(SeriesId.RAMANUJAN_ODD, -t) == near_sum(
+        _SPECS[SeriesId.RAMANUJAN_ODD], -t)
+
+
+def test_hopeless_interior_sum_is_skipped():
+    # a near bound above tol, under the interior sum's tail bound at the
+    # term cap: that sum could only end at the cap with a larger bound, so
+    # the near result returns, as MAX_TERMS, without it (~100 ms each)
+    cases = [(SeriesId.SKEW_SQ, 1.0 - 1e-6, 1e-13, None),
+             (SeriesId.GF_CENTERED, 1.0 - 1e-6, 1e-14, None),
+             (SeriesId.MU_TRILOG, -0.999999, 1e-13, -0.3)]
+    for sid, t, tol, mu in cases:
+        spec = _SPECS[sid]
+        near = (near_sum(spec, t) if mu is None
+                else mu_split(spec, t, mu, DEFAULT_MAX_TERMS))
+        assert near.error_bound > tol, sid
+        sum_series(sid, t, tol, mu=mu)  # builds the near tables
+        t0 = time.perf_counter()
+        res = sum_series(sid, t, tol, mu=mu)
+        assert time.perf_counter() - t0 < 5e-3, sid
+        assert res == near._replace(status=Status.MAX_TERMS), sid
+    # at 0.99 the interior sum may end with the smaller bound, and runs
+    # (test_near_rule_dispatch), but not under a cap of 100 terms
+    spec = _SPECS[SeriesId.GF_SKEW]
+    tol = near_sum(spec, 0.99).error_bound / 2
+    set_max_terms(100)
+    try:
+        assert sum_series(SeriesId.GF_SKEW, 0.99, tol) == near_sum(
+            spec, 0.99)._replace(status=Status.MAX_TERMS)
+    finally:
+        set_max_terms(DEFAULT_MAX_TERMS)
 
 
 def test_mu_near_rule_against_golden():

@@ -5,17 +5,18 @@
 Each argument is a tree's `src` directory, or a checkout that contains one.
 One child process per tree imports skewlog from there and prints one row
 per call: `sum_series` over a seeded grid (every series on its domain,
-including the near-endpoint band at t = +-0.99, +-0.995, +-(1 - 1e-6) and
-+-0.999, and the endpoints; tol 1e-6 to 1e-13; a mu grid for the mu
-series; one pass under each of two small term caps), with
+including the near-endpoint band at t = +-0.99, +-0.995, +-(1 - 1e-6),
++-(1 - 1e-12) and +-0.999, and the endpoints; tol 1e-6 to 1e-13; a mu
+grid for the mu series; one pass under each of two small term caps), with
 the value and bound as `float.hex`, the terms used and the status; then
 `coefficient(sid, n)` for n <= 200; then the quadratures, in the same
 format, at abs_tol = rel_tol = 1e-6 to 1e-15: g and G at 21 values of z
 (0, +-1e-3 up to +-0.999, and +-1), EQ31, EQ32, `integrate_1d` of the
 log-singular EQ21 integrand over [0, x] and [x, 0] for x = 0.25, 0.5, 1,
 and of 1/sqrt(t) over [0, 1] with max_subdivisions=2000 (frozen panels at
-the tight tolerances).  That is 15,629 rows.  The diff prints the first differing rows.  The
-exit status is 0 when both outputs are identical and 1 otherwise.
+the tight tolerances).  That is 16,213 rows.  The diff prints the first
+differing rows.  The exit status is 0 when both outputs are identical and
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ rng = random.Random(20171)
 
 def domain(sid):
     lo = -1.0 / 3.0 if sid is SeriesId.SKEW_OVER_NSQ else -1.0
-    near = (0.99, 0.995, 1.0 - 1e-6)  # the near-endpoint band
+    near = (0.99, 0.995, 1.0 - 1e-6, 1.0 - 1e-12)  # the near-endpoint band
     ts = [0.0, -0.0, 1e-3, -1e-3, 0.5, 0.9, *near, 1.0, -1.0, lo]
     ts += [-t for t in (0.5, 0.9, *near) if -t >= lo]
     ts += [rng.uniform(lo, 1.0) for _ in range(8)]
