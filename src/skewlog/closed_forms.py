@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 
 from .catalog import CLOSED_FORMS, ClosedFormId, lookup
-from .core_numerics import CONSTANTS, LOG2, check_mu, check_real
+from .core_numerics import (
+    _BERNOULLI_DEN as _D, _BERNOULLI_NUM as _B, CONSTANTS, LOG2, check_mu,
+    check_real)
 from .errors import DomainError
 from .polylog import li2_real, li3_real
 
@@ -148,8 +150,30 @@ def _j_b(x: float) -> float:
     )
 
 
+# dJ/du = Li2 with u = -log(1 - x), so polylog's u-series integrates to
+# J = u^2/2 - u^3/12 + sum_(k>=1) B_2k u^(2k+2)/((2k+2)(2k+1)!).  Below
+# |x| = 1/16, |u| < 0.0646 and the first omitted term (k = 5) is under
+# 4e-22 of J.  Horner order, each coefficient rounded once.
+_J_P = [_B[2 * k] / (_D * (2 * k + 2) * math.factorial(2 * k + 1))
+        for k in range(4, 0, -1)]
+
+
+def _j_u(x: float) -> float:
+    """J(x) by its u-series, for |x| < 1/16 (unchecked).  Versions a and b
+    add terms of size ~|x| that cancel to J ~ x^2/2; this sum does not."""
+    u = -math.log1p(-x)
+    v = u * u
+    p = 0.0
+    for c in _J_P:
+        p = p * v + c
+    return v * (0.5 - u / 12.0 + v * p)
+
+
 def _j(x: float) -> float:
-    """The unchecked J kernel, -1 <= x < 1: version a up to 1/2, else b."""
+    """The unchecked J kernel, -1 <= x < 1: the u-series for |x| < 1/16,
+    else version a up to 1/2 and b above."""
+    if -0.0625 < x < 0.0625:
+        return _j_u(x)
     return _j_a(x) if x <= 0.5 else _j_b(x)
 
 
@@ -157,7 +181,9 @@ def int_li2_over_1mt(x: float, version: str = "auto") -> float:
     """Antiderivative J(x) = integral_0^x Li2(t)/(1-t) dt, -1 <= x < 1.
 
     Two independent closed forms are provided: version "a" holds on
-    [-1, 1/2], version "b" on [0, 1); "auto" picks whichever applies.
+    [-1, 1/2], version "b" on [0, 1).  "auto" takes the series in
+    u = -log(1 - x) for |x| < 1/16, where both versions cancel, and
+    otherwise whichever version applies.
     """
     x = check_real("x", x)
     if not (-1.0 <= x < 1.0):

@@ -2,7 +2,9 @@
 
 1D: Gauss-Kronrod 7/15 under worst-interval bisection.  All nodes are
 interior, so integrable endpoint singularities never get sampled; adaptivity
-grades panels toward them.
+grades panels toward them.  Every decision reads the panels' summed values
+and error estimates as math.fsum gives them, yet a split costs O(1) work
+(see integrate_1d).
 
 2D: each double integral has the form F(xy) / ((1+x)(1+y)) over the unit
 square.  With p = xy the x-integral is done exactly, and the double integral
@@ -110,20 +112,20 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return h * k, abs(h * (k - g))
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add x to partials, non-overlapping floats whose exact sum is a running
-    total (Shewchuk 1997, as inside math.fsum)."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+#: 2^-52, twice the unit roundoff u = 2^-53.  A running float sum is within
+#: u times the summed magnitudes of its partial results of the exact sum of
+#: its terms (Higham, Accuracy and Stability of Numerical Algorithms, 4.2);
+#: the factor 2 covers the rounding of that magnitude sum, gamma_n for n
+#: additions.
+_U2 = 2.0 ** -52
+
+
+def _totals(heap: list, frozen: list) -> tuple[float, float]:
+    """The fsum of the values and of the error estimates of every panel,
+    live and frozen: each the exact total, correctly rounded."""
+    panels = heap + frozen
+    return (math.fsum([p[4] for p in panels]),
+            math.fsum([-p[0] for p in panels]))
 
 
 def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> EvalResult:
@@ -132,9 +134,16 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     The panel with the largest error estimate is bisected until twice the
     summed estimates is within half the target, or after
     cfg.max_subdivisions bisections.  A panel narrower than 1e-14 times the
-    scale of the limits is frozen instead of bisected.  The totals are kept
-    as exact running partials, so each equals the fsum of its panels.
-    terms_used counts integrand evaluations, 15 per panel.
+    scale of the limits is frozen instead of bisected.  terms_used counts
+    integrand evaluations, 15 per panel.
+
+    Every decision is taken on the fsum of the panels' values and error
+    estimates, the exact totals correctly rounded, as if they were kept
+    exactly.  A split updates float running totals instead, each with a
+    bound on its own rounding, which decide the stop test when they put it
+    clearly on one side; only when they cannot are the two fsums formed,
+    and the running totals restart from them.  The returned value and
+    bound come from the same fsums.
 
     At the first panel whose value or error estimate is not finite (f
     returned nan or inf there) the integral stops and returns
@@ -150,23 +159,49 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
         a, b = b, a
         sign = -1.0
     cfg = cfg or _DEFAULT_CFG
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     narrow = 1e-14 * max(abs(a), abs(b), 1.0)
     v, e = _gk15(f, a, b)
     evals = 15
     if not math.isfinite(v + e):
         return EvalResult(math.nan, math.inf, evals, Status.DIVERGENT_INPUT)
     heap = [(-e, 0, a, b, v)]
-    vals, errs = [v], [e]
+    frozen = []
+    # The running totals over live and frozen panels, and the summed
+    # magnitudes of their partial results: |val - exact| <= _U2 val_mu.
+    val, err, val_mu, err_mu = v, e, 0.0, 0.0
+    moved = True  # the totals changed since the last stop test, which
+    # otherwise would give the same answer again
     splits = 0
     while splits < cfg.max_subdivisions and heap:
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(math.fsum(vals)))
-        if 2.0 * math.fsum(errs) <= 0.5 * target:
-            break
-        neg_e, _, pa, pb, pv = heapq.heappop(heap)
+        if moved:
+            # The test is 2 fsum(errs) <= 0.5 max(abs_tol, rel_tol
+            # |fsum(vals)|).  lhs - rhs is within slack of that difference:
+            # the running bounds give the _U2 terms; the fsums' half ulp,
+            # the products in rhs, the difference and slack itself round by
+            # a few u of lhs + rhs, inside 1e-15 (lhs + rhs), about 9u.
+            lhs = 2.0 * err
+            rhs = 0.5 * max(abs_tol, rel_tol * abs(val))
+            slack = (_U2 * (2.0 * err_mu + 0.5 * rel_tol * val_mu)
+                     + 1e-15 * (lhs + rhs))
+            if abs(lhs - rhs) <= slack:  # too close: take the exact sums
+                val, err = _totals(heap, frozen)
+                val_mu, err_mu = abs(val), err
+                lhs = 2.0 * err
+                rhs = 0.5 * max(abs_tol, rel_tol * abs(val))
+            if lhs <= rhs:
+                break
+        neg_e, n, pa, pb, pv = heapq.heappop(heap)
         if pb - pa < narrow:
-            continue  # frozen: its value and error stay in the totals
-        _add_exact(vals, -pv)
-        _add_exact(errs, neg_e)
+            # frozen: its value and error stay in the totals
+            frozen.append((neg_e, n, pa, pb, pv))
+            moved = False
+            continue
+        moved = True
+        val -= pv
+        err += neg_e
+        val_mu += abs(val)
+        err_mu += abs(err)
         m = 0.5 * (pa + pb)
         for ca, cb in ((pa, m), (m, pb)):
             cv, ce = _gk15(f, ca, cb)
@@ -174,15 +209,17 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
             if not math.isfinite(cv + ce):
                 return EvalResult(math.nan, math.inf, evals,
                                   Status.DIVERGENT_INPUT)
-            _add_exact(vals, cv)
-            _add_exact(errs, ce)
+            val += cv
+            err += ce
+            val_mu += abs(val)
+            err_mu += abs(err)
             # evals is unique per panel, so ties go in insertion order
             heapq.heappush(heap, (-ce, evals, ca, cb, cv))
         splits += 1
 
-    value = math.fsum(vals)
-    bound = 2.0 * math.fsum(errs) + 1e-16 * (1.0 + abs(value))
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    value, err = _totals(heap, frozen)
+    bound = 2.0 * err + 1e-16 * (1.0 + abs(value))
+    target = max(abs_tol, rel_tol * abs(value))
     status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
     return EvalResult(sign * value, bound, evals, status)
 

@@ -1,9 +1,12 @@
 """Adaptive 1D Gauss-Kronrod and the 1D kernel integral behind the double
 integrals."""
 
+import json
 import math
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewlog import (
     ClosedFormId,
@@ -287,6 +290,53 @@ def test_edges_bound_honesty_and_cost(tol, budget):
         assert res.terms_used <= budget, (kind, z)
 
 
+# --- golden table ------------------------------------------------------------
+
+#: Worst |value - reference| / error_bound per family over its golden keys
+#: (tests/data/reference.json: g and G through ["cf", "EQ29_G" or
+#: "EQ30_BIGG", z, null] at z in {+-1, +-0.999, +-0.5, 0}, EQ31 and EQ32
+#: through ["const", ...], and the EQ21 integrand over [0, x] through
+#: ["int1d", x], x = 0.25, 0.5, 0.8, 1), each at abs_tol = rel_tol = 1e-10
+#: and 1e-13, just above the measured worst: 0.0558, 0.0081, 0.00037,
+#: 0.0083 and 0.086.  These may only get tighter.
+QUAD_RATIO = {"EQ29_G": 0.06, "EQ30_BIGG": 0.009, "EQ31": 0.0004,
+              "EQ32": 0.009, "EQ21": 0.09}
+GOLDEN = pathlib.Path(__file__).parent / "data" / "reference.json"
+
+
+def _quad_golden():
+    """(family, integral of cfg, hi, lo) for each quadrature key."""
+    values = json.loads(GOLDEN.read_text())["values"]
+    for key, (hi, lo) in values.items():
+        kind, name, *args = json.loads(key)
+        if kind == "cf" and name in ("EQ29_G", "EQ30_BIGG"):
+            fn = {"EQ29_G": double_integral_g,
+                  "EQ30_BIGG": double_integral_bigG}[name]
+            yield name, (lambda cfg, fn=fn, z=args[0]: fn(z, cfg)), hi, lo
+        elif kind == "const" and name in ("EQ31", "EQ32"):
+            fn = {"EQ31": double_integral_eq31,
+                  "EQ32": double_integral_eq32}[name]
+            yield name, fn, hi, lo
+        elif kind == "int1d":
+            yield "EQ21", (lambda cfg, x=name: integrate_1d(_eq21, 0.0, x,
+                                                            cfg)), hi, lo
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_quadrature_against_golden(tol):
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    keys = list(_quad_golden())
+    assert len(keys) == 2 * 7 + 2 + 4
+    worst = dict.fromkeys(QUAD_RATIO, 0.0)
+    for family, integral, hi, lo in keys:
+        res = integral(cfg)
+        err = abs((res.value - hi) - lo)
+        assert res.status is Status.CONVERGED, (family, hi)
+        assert err <= res.error_bound, (family, hi, err, res.error_bound)
+        worst[family] = max(worst[family], err / res.error_bound)
+    assert {f: r for f, r in worst.items() if r > QUAD_RATIO[f]} == {}
+
+
 # --- bit for bit ---------------------------------------------------------------
 
 def _eq21(t):
@@ -409,3 +459,176 @@ def test_non_finite_integrand_stops():
             assert res.status is Status.DIVERGENT_INPUT, bad
             assert math.isnan(res.value) and res.error_bound == math.inf
             assert res.terms_used == evals, bad
+
+
+# --- the same decisions as exact running partials ---------------------------
+
+def _add_exact(partials, x):
+    """Add x to partials, non-overlapping floats whose exact sum is a running
+    total (Shewchuk 1997, as inside math.fsum)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _exact_partials_loop(f, a, b, cfg, trace=None):
+    """integrate_1d as it was with both totals kept as exact running
+    partials and summed by fsum at every stop test: the oracle.  trace, if
+    given, collects fsum(errs) at each test."""
+    from skewlog.quadrature import _gk15
+    import heapq
+
+    if a == b:
+        return EvalResult(0.0, 0.0, 0, Status.CONVERGED)
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    narrow = 1e-14 * max(abs(a), abs(b), 1.0)
+    v, e = _gk15(f, a, b)
+    evals = 15
+    if not math.isfinite(v + e):
+        return EvalResult(math.nan, math.inf, evals, Status.DIVERGENT_INPUT)
+    heap = [(-e, 0, a, b, v)]
+    vals, errs = [v], [e]
+    splits = 0
+    while splits < cfg.max_subdivisions and heap:
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(math.fsum(vals)))
+        if trace is not None:
+            trace.append(math.fsum(errs))
+        if 2.0 * math.fsum(errs) <= 0.5 * target:
+            break
+        neg_e, _, pa, pb, pv = heapq.heappop(heap)
+        if pb - pa < narrow:
+            continue
+        _add_exact(vals, -pv)
+        _add_exact(errs, neg_e)
+        m = 0.5 * (pa + pb)
+        for ca, cb in ((pa, m), (m, pb)):
+            cv, ce = _gk15(f, ca, cb)
+            evals += 15
+            if not math.isfinite(cv + ce):
+                return EvalResult(math.nan, math.inf, evals,
+                                  Status.DIVERGENT_INPUT)
+            _add_exact(vals, cv)
+            _add_exact(errs, ce)
+            heapq.heappush(heap, (-ce, evals, ca, cb, cv))
+        splits += 1
+    value = math.fsum(vals)
+    bound = 2.0 * math.fsum(errs) + 1e-16 * (1.0 + abs(value))
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
+    return EvalResult(sign * value, bound, evals, status)
+
+
+def _bits(r):
+    return r.value.hex(), r.error_bound.hex(), r.terms_used, r.status
+
+
+def _integrand(kind, lo, w, nan_after):
+    """A fresh integrand of the given kind, singular (if at all) at lo; a
+    nan_after counts calls and returns nan after that many."""
+    base = {
+        "log": lambda t: math.log(abs(t - lo) + 1e-300),
+        "rsqrt": lambda t: 1.0 / math.sqrt(abs(t - lo) + 1e-300),
+        "cos": lambda t: math.cos(w * t),
+        "smooth": lambda t: 1.0 / (1.0 + t * t),
+    }[kind]
+    if nan_after is None:
+        return base
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        return math.nan if calls[0] > nan_after else base(t)
+    return f
+
+
+@given(
+    kind=st.sampled_from(["log", "rsqrt", "cos", "smooth"]),
+    a=st.floats(-5.0, 5.0),
+    width=st.one_of(st.floats(1e-3, 10.0), st.floats(2e-14, 1e-12)),
+    reverse=st.booleans(),
+    w=st.floats(1.0, 300.0),
+    nan_after=st.one_of(st.none(), st.integers(16, 400)),
+    abs_exp=st.floats(6.0, 15.0),
+    rel_exp=st.floats(6.0, 15.0),
+    max_subdivisions=st.integers(1, 50),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_same_decisions_as_exact_partials(kind, a, width, reverse, w,
+                                          nan_after, abs_exp, rel_exp,
+                                          max_subdivisions):
+    # value, bound, evaluations and status equal the exact-partials loop
+    # bit for bit: stops, the max_subdivisions exit, frozen panels (the
+    # tiny widths) and DIVERGENT_INPUT (nan_after)
+    b = a + width * max(abs(a), 1.0)
+    lo = a
+    if reverse:
+        a, b = b, a
+    cfg = QuadratureConfig(10.0 ** -abs_exp, 10.0 ** -rel_exp,
+                           max_subdivisions)
+    want = _exact_partials_loop(_integrand(kind, lo, w, nan_after), a, b, cfg)
+    got = integrate_1d(_integrand(kind, lo, w, nan_after), a, b, cfg)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.fixture
+def exact_sums(monkeypatch):
+    """A count of the calls of quadrature._totals, the exact sums."""
+    from skewlog import quadrature
+
+    count = [0]
+    totals = quadrature._totals
+
+    def counted(heap, frozen):
+        count[0] += 1
+        return totals(heap, frozen)
+
+    monkeypatch.setattr(quadrature, "_totals", counted)
+    return count
+
+
+def test_stop_test_on_its_boundary(exact_sums):
+    # abs_tol = 4 fsum(errs) at a test, so 2 fsum(errs) == 0.5 target
+    # exactly there: the running totals cannot decide, the exact sums are
+    # formed, and the result still equals the exact-partials loop, also a
+    # float either side of the boundary
+    cases = [(_eq21, 0.0, 0.8), (lambda t: math.cos(50.0 * t), 0.0, 20.0),
+             (lambda t: 1.0 / math.sqrt(t), 1.0, 0.0)]
+    for f, a, b in cases:
+        trace = []
+        _exact_partials_loop(f, a, b, QuadratureConfig(1e-15, 1e-15, 200),
+                             trace)
+        # each test where fsum(errs) is a new low, above 1e-13
+        lows = [e for i, e in enumerate(trace)
+                if e >= 1e-13 and e < min(trace[:i], default=math.inf)]
+        assert len(lows) >= 5
+        for e in lows[::len(lows) // 4][:4]:
+            for abs_tol in (4.0 * e, math.nextafter(4.0 * e, 0.0),
+                            math.nextafter(4.0 * e, math.inf)):
+                cfg = QuadratureConfig(abs_tol, 1e-15, 200)
+                exact_sums[0] = 0
+                got = integrate_1d(f, a, b, cfg)
+                assert _bits(got) == _bits(_exact_partials_loop(f, a, b, cfg))
+                if abs_tol == 4.0 * e:
+                    assert exact_sums[0] >= 2  # the boundary and the end
+
+
+def test_exact_sums_are_rare(exact_sums):
+    # a split costs no work in proportion to the panel count: over 3,911
+    # splits the running totals decide every stop test but the last, and
+    # the exact sums are formed twice, there and for the result
+    cfg = QuadratureConfig(1e-14, 1e-14, max_subdivisions=100_000)
+    res = integrate_1d(lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg)
+    assert res.status is Status.CONVERGED
+    assert res.terms_used == 15 + 30 * 3911
+    assert exact_sums[0] == 2

@@ -63,6 +63,28 @@ def pole_keys() -> list[list]:
     return [["cf", cid, t, None] for cid in ("EQ5", "EQ12") for t in ts]
 
 
+def antiderivative_keys() -> list[list]:
+    """J at +-10^-k, k = 1..15, and at +-1/16 with its 1 and 4 ulp
+    neighbours, where the kernel switches from its u-series to version a."""
+    xs = [s * 10.0**-k for k in range(1, 16) for s in (1.0, -1.0)]
+    xs += [s * x for x in _neighbours(0.0625) for s in (1.0, -1.0)]
+    return [["J", x] for x in xs]
+
+
+QUAD_ZS = [1.0, -1.0, 0.999, -0.999, 0.5, -0.5, 0.0]
+
+
+def quadrature_keys() -> list[list]:
+    """The double integrals and the EQ21 integral: g and G at QUAD_ZS
+    through their closed forms EQ29_G and EQ30_BIGG, EQ31 and EQ32 through
+    their constants, and the EQ21 integrand's integral over [0, x] for
+    x = 0.25, 0.5, 0.8 and 1."""
+    keys = [["cf", cid, z, None] for cid in ("EQ29_G", "EQ30_BIGG")
+            for z in QUAD_ZS]
+    keys += [["const", "EQ31"], ["const", "EQ32"]]
+    return keys + [["int1d", x] for x in (0.25, 0.5, 0.8, 1.0)]
+
+
 NEAR_TS = [0.99, 0.995] + [1.0 - 10.0**-k for k in range(3, 16)]
 
 
@@ -90,7 +112,10 @@ def mu_near_keys() -> list[list]:
             for s in (1.0, -1.0) for t in NEAR_TS]
 
 
-KEY_BUILDERS = [polylog_keys, pole_keys, near_endpoint_keys, mu_near_keys]
+# A new family goes before the last one, so that every existing line of
+# the output, the last one's missing comma included, stays as it is.
+KEY_BUILDERS = [polylog_keys, antiderivative_keys, pole_keys,
+                quadrature_keys, near_endpoint_keys, mu_near_keys]
 
 
 def main(argv: list[str]) -> int:

@@ -14,9 +14,13 @@ format, at abs_tol = rel_tol = 1e-6 to 1e-15: g and G at 21 values of z
 (0, +-1e-3 up to +-0.999, and +-1), EQ31, EQ32, `integrate_1d` of the
 log-singular EQ21 integrand over [0, x] and [x, 0] for x = 0.25, 0.5, 1,
 and of 1/sqrt(t) over [0, 1] with max_subdivisions=2000 (frozen panels at
-the tight tolerances).  That is 16,213 rows.  The diff prints the first
-differing rows.  The exit status is 0 when both outputs are identical and
-1 otherwise.
+the tight tolerances); g and those EQ21 integrals under max_subdivisions
+1, 3 and 10 at tol 1e-10 and 1e-13; EQ21 over [0, 0.8] at rel_tol 1e-12
+and abs_tol 1e-8 to 1e-11, as endpoint-quad runs it; and cos(50t) over
+[0, 20] at tol 1e-11 to 1e-14, 480 to 3,900 splits, whose last stop test
+the running totals cannot decide.  That is 16,287 rows.  The diff prints
+the first differing rows.  The exit status is 0 when both outputs are
+identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -109,6 +113,30 @@ for k in range(6, 16):
                    cfg._replace(max_subdivisions=2000))))
     for name, fn, args in calls:
         print(f"quad {name} tol={tol!r} -> {fields(fn(*args))}")
+
+# the max_subdivisions exit
+for cap in (1, 3, 10):
+    for tol in (1e-10, 1e-13):
+        cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=cap)
+        calls = [(f"g z={z!r}", double_integral_g, (z, cfg))
+                 for z in (0.0, -1.0, 0.5, 0.99, 1.0)]
+        for x in (0.25, 0.5, 1.0):
+            calls += [(f"EQ21 [0, {x!r}]", integrate_1d, (eq21, 0.0, x, cfg)),
+                      (f"EQ21 [{x!r}, 0]", integrate_1d, (eq21, x, 0.0, cfg))]
+        for name, fn, args in calls:
+            print(f"quad {name} tol={tol!r} max_subdivisions={cap} -> "
+                  f"{fields(fn(*args))}")
+
+# the EQ21 integral as endpoint-quad runs it, and a spread error over
+# thousands of splits, whose last stop test takes the exact sums
+for k in range(8, 12):
+    cfg = QuadratureConfig(abs_tol=10.0 ** -k, rel_tol=1e-12)
+    print(f"quad EQ21 [0, 0.8] {cfg} -> "
+          f"{fields(integrate_1d(eq21, 0.0, 0.8, cfg))}")
+for k in range(11, 15):
+    cfg = QuadratureConfig(10.0 ** -k, 10.0 ** -k, max_subdivisions=100_000)
+    r = integrate_1d(lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg)
+    print(f"quad cos(50t) [0, 20] {cfg} -> {fields(r)}")
 """
 
 
