@@ -1,10 +1,15 @@
 """Adaptive quadrature for the double-integral representations.
 
 1D: Gauss-Kronrod 7/15 under worst-interval bisection.  All nodes are
-interior, so integrable endpoint singularities never get sampled; adaptivity
-grades panels toward them.  Every decision reads the panels' summed values
-and error estimates as math.fsum gives them, yet a split costs O(1) work
-(see integrate_1d).
+interior: a panel whose halves' outermost nodes would round onto their ends
+is frozen, not split, so integrable endpoint singularities never get
+sampled; adaptivity grades panels toward them.  A zero limit is mapped by
+t = e u^3 (e the other limit), which turns a log or power singularity at 0
+into a zero of the new integrand: the EQ21 integral over [0, x] takes about
+a quarter of the evaluations it takes in t.  A nonzero limit is not mapped,
+because nodes clustered toward it would round onto it.  Every decision
+reads the panels' summed values and error estimates as math.fsum gives
+them, yet a split costs O(1) work (see integrate_1d).
 
 2D: each double integral has the form F(xy) / ((1+x)(1+y)) over the unit
 square.  With p = xy the x-integral is done exactly, and the double integral
@@ -128,14 +133,32 @@ def _totals(heap: list, frozen: list) -> tuple[float, float]:
             math.fsum([-p[0] for p in panels]))
 
 
+def _interior(a: float, b: float) -> bool:
+    """Whether _gk15's outermost nodes on [a, b], computed as it computes
+    them, lie strictly inside (a, b); then so do all its nodes."""
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    x = h * _X0
+    return a < c - x and c + x < b
+
+
 def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> EvalResult:
     """Oriented adaptive integral of f from a to b.
 
+    When one limit is zero (0.0 or -0.0) and the other is e, the integral is
+    taken as int_0^1 f(e u^3) 3e u^2 du, so a singularity of f at 0 (a log
+    or a power of t) becomes a zero of the new integrand; from e to 0 it is
+    the exact negation of that.  Only a zero limit is mapped: near 0 floats
+    resolve nodes that cluster like u^3, while nodes clustered toward a
+    nonzero limit round onto it.  Otherwise f is integrated as it is.
+
     The panel with the largest error estimate is bisected until twice the
     summed estimates is within half the target, or after
-    cfg.max_subdivisions bisections.  A panel narrower than 1e-14 times the
-    scale of the limits is frozen instead of bisected.  terms_used counts
-    integrand evaluations, 15 per panel.
+    cfg.max_subdivisions bisections.  A panel is frozen instead of bisected
+    when it is narrower than 1e-14 times the scale of its limits, or when a
+    half's outermost node would round onto that half's ends, so f is
+    called strictly inside (a, b) only (with the map, unless e u^3
+    underflows).  terms_used counts integrand evaluations, 15 per panel.
 
     Every decision is taken on the fsum of the panels' values and error
     estimates, the exact totals correctly rounded, as if they were kept
@@ -154,11 +177,27 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
         raise DomainError("integration limits must be finite")
     if a == b:
         return EvalResult(0.0, 0.0, 0, Status.CONVERGED)
+    cfg = cfg or _DEFAULT_CFG
+    if a and b:
+        return _adaptive(f, a, b, cfg)
+    e = a or b  # the nonzero limit
+    w = 3.0 * e
+
+    def g(u):
+        uu = u * u
+        return f(e * (uu * u)) * (w * uu)
+
+    # from e to 0 is the same loop oriented the other way: its exact negation
+    return _adaptive(g, 0.0, 1.0, cfg) if b else _adaptive(g, 1.0, 0.0, cfg)
+
+
+def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> EvalResult:
+    """The adaptive loop of integrate_1d on f from a to b, a != b, without
+    the map at a zero limit."""
     sign = 1.0
     if b < a:
         a, b = b, a
         sign = -1.0
-    cfg = cfg or _DEFAULT_CFG
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     narrow = 1e-14 * max(abs(a), abs(b), 1.0)
     v, e = _gk15(f, a, b)
@@ -192,7 +231,8 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
             if lhs <= rhs:
                 break
         neg_e, n, pa, pb, pv = heapq.heappop(heap)
-        if pb - pa < narrow:
+        m = 0.5 * (pa + pb)
+        if pb - pa < narrow or not (_interior(pa, m) and _interior(m, pb)):
             # frozen: its value and error stay in the totals
             frozen.append((neg_e, n, pa, pb, pv))
             moved = False
@@ -202,7 +242,6 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
         err += neg_e
         val_mu += abs(val)
         err_mu += abs(err)
-        m = 0.5 * (pa + pb)
         for ca, cb in ((pa, m), (m, pb)):
             cv, ce = _gk15(f, ca, cb)
             evals += 15
@@ -231,7 +270,7 @@ _LOG2_SQ = 0.48045301391820144
 def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
     """Integral over [0,1]^2 of F(xy) / ((1+x)(1+y)), given f0 = F(0) and
     d(p) = F(p) - F(0); see the module docstring.  A DIVERGENT_INPUT from
-    integrate_1d is returned as it is."""
+    the loop is returned as it is."""
 
     def h(u):
         p = u * u * u
@@ -247,8 +286,12 @@ def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
             k = (2.0 * math.log1p(-0.5 * s) - math.log(p)) / s
         return 3.0 * u * u * d(p) * k
 
+    # h maps p = u^3 itself and runs on the loop, not through integrate_1d's
+    # map at 0: the same evaluations, but the map's wrapper call made g
+    # about 7% slower (9 values of z, interleaved), and its weight
+    # 3.0 * (u * u) rounds differently from 3.0 * u * u here
     cfg = cfg or _DEFAULT_CFG
-    r = integrate_1d(h, 0.0, 1.0, cfg)
+    r = _adaptive(h, 0.0, 1.0, cfg)
     if r.status is Status.DIVERGENT_INPUT:
         return r
     value = f0 * _LOG2_SQ + r.value

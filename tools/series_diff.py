@@ -13,14 +13,17 @@ the value and bound as `float.hex`, the terms used and the status; then
 format, at abs_tol = rel_tol = 1e-6 to 1e-15: g and G at 21 values of z
 (0, +-1e-3 up to +-0.999, and +-1), EQ31, EQ32, `integrate_1d` of the
 log-singular EQ21 integrand over [0, x] and [x, 0] for x = 0.25, 0.5, 1,
-and of 1/sqrt(t) over [0, 1] with max_subdivisions=2000 (frozen panels at
-the tight tolerances); g and those EQ21 integrals under max_subdivisions
-1, 3 and 10 at tol 1e-10 and 1e-13; EQ21 over [0, 0.8] at rel_tol 1e-12
-and abs_tol 1e-8 to 1e-11, as endpoint-quad runs it; and cos(50t) over
-[0, 20] at tol 1e-11 to 1e-14, 480 to 3,900 splits, whose last stop test
-the running totals cannot decide.  That is 16,287 rows.  The diff prints
-the first differing rows.  The exit status is 0 when both outputs are
-identical and 1 otherwise.
+and of 1/sqrt(t) over [0, 1] with max_subdivisions=2000; g and those EQ21
+integrals under max_subdivisions 1, 3 and 10 at tol 1e-10 and 1e-13; EQ21
+over [0, 0.8] at rel_tol 1e-12 and abs_tol 1e-8 to 1e-11, as endpoint-quad
+runs it; cos(50t) over [0, 20] at tol 1e-11 to 1e-14, up to 100,000
+splits; and, without the map at a zero limit, log(t - 0.3) and
+(t - 0.3)^-0.5 over [0.3, 1] and log(t + 5) over [-5, -4], each in both
+orientations at tol 1e-10 to 1e-15 and once at the default config (frozen
+panels next to the singular limit).  A call that raises prints the
+exception's name.  That is 16,326 rows.  The diff prints the first
+differing rows.  The exit status is 0 when both outputs are identical and
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ def domain(sid):
 def fields(r):
     value = r.value.hex() if math.isfinite(r.value) else repr(r.value)
     return f"{value} {r.error_bound.hex()} {r.terms_used} {r.status.name}"
+
+
+def quad(fn, args):
+    # fields of fn(*args), or the name of the exception it raised
+    try:
+        return fields(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__
 
 
 def row(sid, t, tol, mu, cap=""):
@@ -112,7 +123,7 @@ for k in range(6, 16):
                   (lambda t: 1.0 / math.sqrt(t), 0.0, 1.0,
                    cfg._replace(max_subdivisions=2000))))
     for name, fn, args in calls:
-        print(f"quad {name} tol={tol!r} -> {fields(fn(*args))}")
+        print(f"quad {name} tol={tol!r} -> {quad(fn, args)}")
 
 # the max_subdivisions exit
 for cap in (1, 3, 10):
@@ -125,18 +136,34 @@ for cap in (1, 3, 10):
                       (f"EQ21 [{x!r}, 0]", integrate_1d, (eq21, x, 0.0, cfg))]
         for name, fn, args in calls:
             print(f"quad {name} tol={tol!r} max_subdivisions={cap} -> "
-                  f"{fields(fn(*args))}")
+                  f"{quad(fn, args)}")
 
 # the EQ21 integral as endpoint-quad runs it, and a spread error over
 # thousands of splits, whose last stop test takes the exact sums
 for k in range(8, 12):
     cfg = QuadratureConfig(abs_tol=10.0 ** -k, rel_tol=1e-12)
     print(f"quad EQ21 [0, 0.8] {cfg} -> "
-          f"{fields(integrate_1d(eq21, 0.0, 0.8, cfg))}")
+          f"{quad(integrate_1d, (eq21, 0.0, 0.8, cfg))}")
 for k in range(11, 15):
     cfg = QuadratureConfig(10.0 ** -k, 10.0 ** -k, max_subdivisions=100_000)
-    r = integrate_1d(lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg)
-    print(f"quad cos(50t) [0, 20] {cfg} -> {fields(r)}")
+    r = quad(integrate_1d, (lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg))
+    print(f"quad cos(50t) [0, 20] {cfg} -> {r}")
+
+# singularities at a nonzero limit, which integrate_1d takes without a
+# map, in both orientations; at 1e-15 and at the default config these
+# sample the limit unless panels whose nodes round onto it are frozen
+singular = {"log(t - 0.3)": (lambda t: math.log(t - 0.3), 0.3, 1.0),
+            "log(t + 5)": (lambda t: math.log(t + 5.0), -5.0, -4.0),
+            "(t - 0.3)^-0.5": (lambda t: (t - 0.3) ** -0.5, 0.3, 1.0)}
+for k in range(10, 16):
+    cfg = QuadratureConfig(10.0 ** -k, 10.0 ** -k)
+    for name, (f, a, b) in singular.items():
+        for lo, hi in ((a, b), (b, a)):
+            print(f"quad {name} [{lo!r}, {hi!r}] tol={cfg.abs_tol!r} -> "
+                  f"{quad(integrate_1d, (f, lo, hi, cfg))}")
+for name, (f, a, b) in singular.items():
+    print(f"quad {name} [{a!r}, {b!r}] default -> "
+          f"{quad(integrate_1d, (f, a, b))}")
 """
 
 
