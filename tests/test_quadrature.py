@@ -548,12 +548,12 @@ def _exact_partials_loop(f, a, b, cfg, trace=None):
     partials and summed by fsum at every stop test: the oracle.  trace, if
     given, collects fsum(errs) at each test."""
     from skewlog.quadrature import _X0, _gk15
+    import heapq
 
     def interior(a, b):
         h = 0.5 * (b - a)
         c = 0.5 * (a + b)
         return a < c - h * _X0 and c + h * _X0 < b
-    import heapq
 
     if a == b:
         return EvalResult(0.0, 0.0, 0, Status.CONVERGED)
