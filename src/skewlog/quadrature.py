@@ -158,7 +158,9 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     when it is narrower than 1e-14 times the scale of its limits, or when a
     half's outermost node would round onto that half's ends, so f is
     called strictly inside (a, b) only (with the map, unless e u^3
-    underflows).  terms_used counts integrand evaluations, 15 per panel.
+    underflows).  Nonzero limits so close together (about a hundred ulps)
+    that the first panel's outermost nodes would round onto them raise
+    DomainError.  terms_used counts integrand evaluations, 15 per panel.
 
     Every decision is taken on the fsum of the panels' values and error
     estimates, the exact totals correctly rounded, as if they were kept
@@ -179,6 +181,9 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
         return EvalResult(0.0, 0.0, 0, Status.CONVERGED)
     cfg = cfg or _DEFAULT_CFG
     if a and b:
+        if not _interior(min(a, b), max(a, b)):
+            raise DomainError("integration limits too close together: "
+                              "the rule's nodes would round onto them")
         return _adaptive(f, a, b, cfg)
     e = a or b  # the nonzero limit
     w = 3.0 * e

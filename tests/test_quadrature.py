@@ -169,6 +169,23 @@ def test_f_is_called_strictly_inside(f, a, b, exact):
                 assert abs(res.value - sign * exact) <= res.error_bound, tol
 
 
+def test_limits_too_close_for_interior_nodes():
+    # nonzero limits within about a hundred ulps: the first panel's outermost
+    # nodes would round onto them, so integrate_1d raises before calling f
+    for a, b in ((0.3, math.nextafter(0.3, 1.0)), (-5.0, -5.0 + 2.0 ** -48)):
+        for lo, hi in ((a, b), (b, a)):
+            seen = []
+            with pytest.raises(DomainError):
+                integrate_1d(_recorded(math.log, -1.0, 1.0, seen), lo, hi)
+            assert seen == []
+    # the same width from 0 is mapped onto [0, 1]: f sees only (0, b)
+    b = math.ulp(0.3)
+    seen = []
+    res = integrate_1d(_recorded(math.log, 0.0, b, seen), 0.0, b)
+    assert res.status is Status.CONVERGED and res.terms_used == len(seen)
+    assert abs(res.value - b * (math.log(b) - 1.0)) <= res.error_bound
+
+
 def _mapped(f, e):
     """The integrand integrate_1d takes over [0, 1] for f over [0, e]."""
     w = 3.0 * e
@@ -701,3 +718,29 @@ def test_exact_sums_are_rare(exact_sums):
     assert res.status is Status.CONVERGED
     assert res.terms_used == 15 + 30 * 4210
     assert exact_sums[0] == 2
+    # from 0 the map's rounding floor keeps the summed estimates near 5e-14,
+    # so the loop runs to the cap (the unmapped loop converged in 3,911
+    # splits); the running totals decide all 100,000 stop tests, and the
+    # exact sums are formed once, for the result
+    exact_sums[0] = 0
+    res = integrate_1d(lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg)
+    assert res.status is Status.MAX_TERMS
+    assert res.terms_used == 15 + 30 * 100_000
+    assert exact_sums[0] == 1
+    assert abs(res.value - math.sin(1000.0) / 50.0) <= res.error_bound
+
+
+def test_oscillation_from_zero_at_the_rounding_floor():
+    # a cost of the map at a zero limit, pinned so that a change to it
+    # shows: in t = 20 u^3 a node's rounding, times the stretch 60 u^2,
+    # puts a floor near 5e-14 under the summed error estimates of
+    # cos(50 t) on [0, 20].  1e-12 still converges; at 1e-13 the default
+    # cap of 4,000 splits ends MAX_TERMS (the unmapped loop converged in
+    # 18,075 evaluations); the bound stays honest
+    f = lambda t: math.cos(50.0 * t)
+    exact = math.sin(1000.0) / 50.0
+    for tol, evals, status in ((1e-12, 15135, Status.CONVERGED),
+                               (1e-13, 120015, Status.MAX_TERMS)):
+        res = integrate_1d(f, 0.0, 20.0, QuadratureConfig(tol, tol))
+        assert (res.terms_used, res.status) == (evals, status), tol
+        assert abs(res.value - exact) <= res.error_bound
