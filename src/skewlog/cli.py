@@ -43,6 +43,10 @@ _INTEGRAL_TARGETS = {
     "integral-eq32": ("double_integral_eq32", None),
 }
 _EVAL_TARGETS = (*_SCALAR_TARGETS, "series", "closed", *_INTEGRAL_TARGETS)
+#: The options that take a float.  argparse reads a value after one of
+#: them as an option when it starts with '-' but is not a plain decimal
+#: (-1e-20, -inf), so run joins such a value to its option (--x=-1e-20).
+_FLOAT_OPTIONS = frozenset({"--x", "--t", "--z", "--mu", "--tol"})
 
 
 def _lib(module: str):
@@ -206,6 +210,27 @@ def _cmd_list() -> int:
     return 0
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_floats(argv: list[str]) -> list[str]:
+    """argv with each negative float value of a _FLOAT_OPTIONS option
+    joined to it as --opt=value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-")
+                and _is_float(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewlog",
@@ -256,7 +281,8 @@ def run(argv: list[str] | None = None) -> int:
 
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_floats(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
 

@@ -1,14 +1,14 @@
 """The near-endpoint rule of sum_series, for 0.99 <= |t| < 1.
 
 With H_n^- = log 2 - (-1)^n c_n, each series without mu is an elementary
-part plus t^p times c-sums: the terms of an endpoint rule, sign s_n
-c_n^power / (n + over)^deg from n = start, each times t^n (the near
-entries of series_engine._ROWS).  RAMANUJAN_ODD's coefficients 2 O_m/n,
-n = 2m - 1, hold log n / n, but O_m = H_2m - H_m/2 = H_m/2 + H_2m^-, with
-H_2m^- = log 2 - c_2m and c_2m = 1/(n+1) - c_n, makes them
-(H_m + 2 log 2 - 2/(n+1) + 2 c_n)/n.  The odd powers of the first three
-sum in closed form, and 2 sum_odd c_n t^n/n is sum c_n t^n/n -
-sum c_n (-t)^n/n, so with s = |t| and v = (1-s)/2
+part plus t^p times c-sums, the terms sign c_n^power / (n + over)^deg
+x^n from n = start, x = -t or t (the near entries of series_engine._ROWS,
+which at t = +-1 sums them itself).  RAMANUJAN_ODD's coefficients
+2 O_m/n, n = 2m - 1, hold log n / n, but O_m = H_2m - H_m/2 =
+H_m/2 + H_2m^-, with H_2m^- = log 2 - c_2m and c_2m = 1/(n+1) - c_n,
+makes them (H_m + 2 log 2 - 2/(n+1) + 2 c_n)/n.  The odd powers of the
+first three sum in closed form, and 2 sum_odd c_n t^n/n is
+sum c_n t^n/n - sum c_n (-t)^n/n, so with s = |t| and v = (1-s)/2
 
     f(t) = sign(t) (atanh(s)^2 + pi^2/12 - Li2(v) - log^2(1-v)/2)
            + sum_(n>=1) c_n t^n/n - sum_(n>=1) c_n (-t)^n/n,
@@ -21,7 +21,7 @@ other terms (at most 0.0052 together) and three additions the part is
 within 10.1u of itself, under the 6 _FP_SLACK its near entry charges.
 
 A c-sum is its terms below N = _TAIL_TERMS plus the tail sum_j A_j L_j,
-with A_j the endpoint rules' _expansion of the terms in u = 1/(n+1)
+with A_j the _expansion of c_n^power / (n + over)^deg in u = 1/(n+1)
 through _TAIL_ORDER and L_j = sum_{n >= N} x^n (n+1)^-j, x = -t if alt
 else t.  With a = N + 1 and lam = -log|x| (Erdelyi et al., Higher
 Transcendental Functions I, 1.11), for x > 0
@@ -106,13 +106,13 @@ def _lerch_values() -> tuple[dict[int, float], dict[int, float]]:
 
 @functools.cache
 def _near_table(rule: _Rule, neg: bool) -> tuple:
-    """The c-sum of rule, without its sign or const, for x = -t if
+    """The c-sum of rule, without its sign, for x = -t if
     rule.alt else t, x < 0 if neg: (head, dhead, p, q, bound).  head[n] t^n
     is its term n < N and dhead[n] |t|^n that term's |derivative in c_n|;
     p and q are P's and Q's coefficients in -lam, highest power first (q
     empty for x < 0); bound is the _tail model error, a majorant here as
     |x|^n <= 1, plus P's truncation at |t| = _NEAR_START."""
-    power, over, deg, _, alt, _, start = rule
+    power, over, deg, _, alt, start = rule
     n_end = _TAIL_TERMS
     head, dhead = _terms(power, over, deg, alt, start, n_end)
     head, dhead = [0.0] * start + head, [0.0] * start + dhead

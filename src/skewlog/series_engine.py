@@ -14,18 +14,18 @@ sum_series evaluates it three ways depending on t:
   math.fsum.  Every float is rounded as in a term-by-term loop, so value,
   bound, terms and status are those of that loop, bit for bit (the
   argument is in _SeriesSpec);
-* endpoint t = +-1: every term there is s_n c_n^k / (n + d)^e with
-  c_n = (-1)^n (log 2 - H_n^-) and s_n = 1 or (-1)^n.  One rule sums a
-  fixed 32 terms plus the tail beyond them, from the asymptotic expansion
-  of c_n in u = 1/(n+1), generated from Bernoulli numbers through u^12 and
-  summed against Euler-Maclaurin Hurwitz zeta values (their alternating
-  combination eta for s_n = (-1)^n); the two omitted orders, doubled, and
-  the rounding of each c_n make the bound.  A rule may add an exact
-  constant;
+* endpoint t = +-1, where the series' catalog Domain admits it: its near
+  entry (below) at lam = 0.  Every term of a c-sum there is
+  s_n c_n^k / (n + d)^e with c_n = (-1)^n (log 2 - H_n^-) and s_n = 1 or
+  (-1)^n.  A c-sum is a fixed 32 terms plus the tail beyond them, from the
+  asymptotic expansion of c_n in u = 1/(n+1), generated from Bernoulli
+  numbers through u^12 and summed against Euler-Maclaurin Hurwitz zeta
+  values (their alternating combination eta for s_n = (-1)^n); the two
+  omitted orders, doubled, and the rounding of each c_n make the bound;
 * near an endpoint, 0.99 <= |t| < 1, for every series (near_endpoint,
   loaded by the first call in the band): the ten without mu as an
-  elementary part plus one or two sums of endpoint terms, each times t^n,
-  as 32 terms plus a Lerch tail; the mu series, at |mu| < 1, split by
+  elementary part plus one or two c-sums, their terms each times t^n, as
+  32 terms plus a Lerch tail; the mu series, at |mu| < 1, split by
   H_n^-(mu) = log1p(mu) - (-1)^n r_n into an elementary part plus sums
   whose terms shrink like |mu t|^n, when that takes fewer terms than the
   interior sum would.  A bound above tol falls back to the interior sum,
@@ -42,7 +42,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import accumulate, chain, cycle, islice, repeat
-from operator import add, mul, sub, truediv
+from operator import mul, sub, truediv
 
 from .catalog import SERIES, SeriesId, lookup
 from .core_numerics import (
@@ -58,7 +58,7 @@ _BLOCK = 64  # the first block of an interior sum, in terms
 def set_max_terms(n: int) -> None:
     """Set the global term cap of sum_series's interior sums, an integer
     from 1 to the harmonic cache limit (DomainError otherwise); the
-    endpoint rules sum a fixed number of terms and ignore it."""
+    endpoint and near-endpoint rules ignore it."""
     global _max_terms
     _max_terms = check_int("max terms", n, 1, DEFAULT_CACHE_LIMIT)
 
@@ -233,16 +233,17 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
     return (2.0 + math.log(n)) / n
 
 
-# -- endpoint rules: a fixed prefix plus an asymptotic tail ------------------
+# -- c-sums at t = +-1: a fixed prefix plus an asymptotic tail ---------------
 #
 # c_n is the Laplace transform of 1/(1+e^-s) = 1/2 + tanh(s/2)/2 at n+1, so
 # in u = 1/(n+1)
 #     c_n ~ u/2 + sum_k (4^k - 1) B_2k/(2k) u^2k = u/2 + u^2/4 - u^4/8 + ...
 # where (4^k - 1) B_2k/(2k) = (-1)^(k-1) T_(2k-1) / 4^k with the integer
-# tangent numbers T, exact in binary.  An endpoint term s_n c_n^k / (n + d)^e,
-# with s_n = 1 or (-1)^n, is that expansion multiplied out, and its sum over
-# n >= N is sum_j a_j zeta(j, N+1), or (-1)^N sum_j a_j eta(j, N+1) for the
-# alternating s_n, with eta(j, m) = sum_{i >= 0} (-1)^i (m+i)^-j.
+# tangent numbers T, exact in binary.  A c-sum's term at t = +-1,
+# s_n c_n^k / (n + d)^e with s_n = 1 or (-1)^n, is that expansion multiplied
+# out, and its sum over n >= N is sum_j a_j zeta(j, N+1), or
+# (-1)^N sum_j a_j eta(j, N+1) for the alternating s_n, with
+# eta(j, m) = sum_{i >= 0} (-1)^i (m+i)^-j.
 
 _FP_SLACK = 2e-16
 
@@ -329,9 +330,10 @@ def _tail(power: int, over: int | None, deg: int, alt: bool,
     return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
 
 
-#: The parameters of an endpoint rule, the arguments of _endpoint_sum.
-_Rule = namedtuple("_Rule", "power over deg sign alt const start",
-                   defaults=(None, 1, 1.0, False, 0.0, 0))
+#: A c-sum of a near entry: the terms sign c_n^power / (n + over)^deg x^n
+#: (no divisor for over None) from n = start, x = -t if alt else t.
+_Rule = namedtuple("_Rule", "power over deg sign alt start",
+                   defaults=(None, 1, 1.0, False, 0))
 
 
 def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
@@ -349,29 +351,37 @@ def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
 
 
 @functools.cache
-def _endpoint_sum(power: int, over: int | None, deg: int, sign: float,
-                  alt: bool, const: float,
-                  start: int) -> tuple[float, EvalResult, EvalResult]:
-    """The rule for the terms sign * s_n c_n^power / (n + over)^deg (no
-    divisor for over None), s_n = (-1)^n if alt else 1, from n = start:
-    _TAIL_TERMS terms plus the asymptotic tail, plus const.  Returns its
-    bound and its two results, CONVERGED and MAX_TERMS; value and bound do
-    not depend on tol, so each rule is computed once, on its first call."""
-    n_end = start + _TAIL_TERMS
-    terms, dterms = _terms(power, over, deg, alt, start, n_end)
-    # sum of |d term / d c_n|, to carry the error of each c_n, in order
-    dc = functools.reduce(add, dterms, 0.0)
-    tail, model_err = _tail(power, over, deg, alt, n_end + 1)
-    value = sign * (math.fsum(terms) + tail) + const
-    bound = model_err + _C_ERR * dc + _FP_SLACK * (1.0 + abs(value))
+def _endpoint(series_id: SeriesId,
+              end: float) -> tuple[float, EvalResult, EvalResult]:
+    """The series at an end t = +-1 its domain admits: the near entry at
+    lam = 0, where a c-sum's x^n is s_n = (-1)^n if x < 0, else 1.  One
+    math.fsum adds the elementary part and each c-sum's _TAIL_TERMS terms
+    and asymptotic tail, all times sign end^p, which is +-1 (so exact) at
+    every admitted end.  The bound is near_sum's without the Lerch cut.
+    Returns the bound, then the result as CONVERGED and as MAX_TERMS: they
+    do not depend on tol, so each end is computed once, on its first call."""
+    spec = _SPECS[series_id]
+    elementary, rules, rounding = (*spec.near, 3.0)[:3]
+    e = elementary(end) if elementary else 0.0
+    parts, err, mass = [e], 0.0, rounding * abs(e)
+    for power, over, deg, sign, alt, start in rules:
+        w = sign * end**spec.p
+        neg = (-end if alt else end) < 0.0
+        n_end = start + _TAIL_TERMS
+        terms, dterms = _terms(power, over, deg, neg, start, n_end)
+        tail, model = _tail(power, over, deg, neg, n_end + 1)
+        parts += [w * x for x in terms]
+        parts.append(w * tail)
+        err += abs(w) * (model + _C_ERR * math.fsum(dterms))
+        mass += abs(w) * (abs(math.fsum(terms)) + abs(tail))
+    value = math.fsum(parts)
+    bound = err + _FP_SLACK * (1.0 + mass)
     return (bound,
             EvalResult(value, bound, _TAIL_TERMS, Status.CONVERGED),
             EvalResult(value, bound, _TAIL_TERMS, Status.MAX_TERMS))
 
 
-class _SeriesSpec(namedtuple("_SeriesSpec",
-                              "lo ends mu p env coeffs endpoints near",
-                              defaults=({}, None))):
+class _SeriesSpec(namedtuple("_SeriesSpec", "lo ends mu p env coeffs near")):
     """One series: its domain, copied from catalog.Domain (lo < t < 1 and
     the ends in ends; mu, whether it takes mu), and its numerics.  The
     value is t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
@@ -381,13 +391,12 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
     sum finds its stopping index by bisection.  Each env here is a constant
     over an exact integer power of n or n + 1, or (c + log n)/n, whose
     relative step of about 1/n is far above its rounding for every n the
-    cache allows.  endpoints maps each end t = +-1 in ends to its _Rule
-    (the shared empty default is never mutated).  near, for the series of
-    the near-endpoint rule, is (elementary, rules[, rounding]):
-    elementary(t), or None for 0, plus t^p times the sum of the c-sums of
-    the _Rules in rules, where elementary(t) is within rounding (3 if not
-    given) times _FP_SLACK |elementary(t)|; or, for a mu series, its
-    _MuSplit.
+    cache allows.  near, the entry of the near-endpoint rule, is
+    (elementary, rules[, rounding]): elementary(t), or None for 0, plus
+    t^p times the sum of the c-sums of the _Rules in rules, where
+    elementary(t) is within rounding (3 if not given) times _FP_SLACK
+    |elementary(t)|; or, for a mu series, its _MuSplit.  An end t = +-1
+    in ends is the near entry at lam = 0 (_endpoint).
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -408,6 +417,8 @@ class _SeriesSpec(namedtuple("_SeriesSpec",
 
 
 def _log2_li2(t: float) -> float:
+    if t == 1.0:  # li2_real(1.0), without loading polylog at the end
+        return LOG2 * CONSTANTS["PI_SQ_OVER_6"]
     from .polylog import li2_real  # only the near rule needs polylog
     return LOG2 * li2_real(t)
 
@@ -430,96 +441,73 @@ def _ramanujan_near(t: float) -> float:
 #: i_n = sum_(k<=n) H_k^-(mu)/(mu k) if inner (near_endpoint.mu_split).
 _MuSplit = namedtuple("_MuSplit", "over inner", defaults=(False,))
 
-#: series -> (p, env, coeffs[, endpoints[, near]]); _SPECS adds the catalog
-#: domain.  Near t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry
-#: of a series without mu is its elementary part and its c-sums.
+#: series -> (p, env, coeffs, near); _SPECS adds the catalog domain.  Near
+#: t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry of a series
+#: without mu is its elementary part and its c-sums.
 _ROWS = {
     SeriesId.GF_SKEW: (
-        0, _env_one, _plain(_skew), {},
+        0, _env_one, _plain(_skew),
         # log 2/(1-t) - sum c_n (-t)^n
         (lambda t: LOG2 / (1.0 - t), (_Rule(1, sign=-1.0, alt=True),))),
     SeriesId.GF_CENTERED: (
         0, _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
         _plain(_centered),
-        {1.0: _Rule(1, sign=-1.0, alt=True)},
         (None, (_Rule(1, sign=-1.0, alt=True),))),
     SeriesId.SKEW_OVER_N: (
         0, _env_inv,
-        # (-1)^n H_n^- = (-1)^n log 2 - c_n: CENTERED_OVER_N less log^2 2
         _plain(lambda lo, hi: _over_n(_skew(lo, hi), lo, hi)),
-        {-1.0: _Rule(1, over=0, sign=-1.0, const=-LOG2**2, start=1)},
+        # -log 2 log(1-t) - sum c_n (-t)^n/n
         (lambda t: -LOG2 * math.log1p(-t),
          (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
     SeriesId.CENTERED_OVER_N: (
         0, _env_half_inv_sq,
         _plain(lambda lo, hi: _over_n(_centered(lo, hi), lo, hi)),
-        {
-            1.0: _Rule(1, over=0, sign=-1.0, alt=True, start=1),
-            -1.0: _Rule(1, over=0, sign=-1.0, start=1),
-        },
         (None, (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
     SeriesId.CENTERED_SHIFT: (
         1, _env_inv_np1_sq,
         _plain(lambda lo, hi: _over_np1(_centered(lo, hi), lo, hi)),
-        {
-            1.0: _Rule(1, over=1, sign=-1.0, alt=True),
-            # t^p = -1 times the terms -c_n/(n+1)
-            -1.0: _Rule(1, over=1),
-        },
         (None, (_Rule(1, over=1, sign=-1.0, alt=True),))),
     SeriesId.SKEW_SQ: (
-        0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi))), {},
+        0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi))),
         # log^2 2/(1-t) - 2 log 2 sum c_n (-t)^n + sum c_n^2 t^n
         (lambda t: LOG2**2 / (1.0 - t),
          (_Rule(1, sign=-2.0 * LOG2, alt=True), _Rule(2)))),
     SeriesId.CENTERED_SQ: (
         0, _env_inv_np1_sq,
-        _plain(lambda lo, hi: _squares(_centered(lo, hi))), {
-            -1.0: _Rule(2, alt=True),
-            1.0: _Rule(2),
-        },
+        _plain(lambda lo, hi: _squares(_centered(lo, hi))),
         (None, (_Rule(2),))),
     SeriesId.CENTERED_SQ_SHIFT: (
         1, _env_inv_np1_cube,
         _plain(lambda lo, hi: _over_np1(_squares(_centered(lo, hi)), lo, hi)),
-        {
-            # t^p = -1
-            -1.0: _Rule(2, over=1, sign=-1.0, alt=True),
-            1.0: _Rule(2, over=1),
-        },
         (None, (_Rule(2, over=1),))),
     SeriesId.SKEW_OVER_NSQ: (
         1, _env_inv_np1_sq,
-        # H_n^- = log 2 - (-1)^n c_n: log 2 (pi^2/6 - 1) less alternating
-        # terms, both from n = 1
         _plain(lambda lo, hi: map(truediv, _skew(lo, hi), map(
             pow, range(lo + 1, hi + 1), repeat(2)))),
-        {1.0: _Rule(1, over=1, deg=2, sign=-1.0, alt=True, start=1,
-                    const=LOG2 * (CONSTANTS["PI_SQ_OVER_6"] - 1.0))},
         # log 2 Li2(t) - t sum c_n (-t)^n/(n+1)^2, from n = 0
         (_log2_li2, (_Rule(1, over=1, deg=2, sign=-1.0, alt=True),))),
     SeriesId.MU_LEWIN: (
         1, _env_mu_shift,
         _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))), {},
+            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))),
         # L (t - log1p(t)) + t sum r_n t^n/(n+1)
         _MuSplit(over=1)),
     SeriesId.MU_DILOG: (
         0, _env_mu_over_n,
         _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo, hi))), {},
+            truediv, map(mul, repeat(mu), s), range(lo, hi))),
         # L log1p(t) + sum r_n t^n/n
         _MuSplit(over=0)),
     SeriesId.MU_TRILOG: (
         0, _env_mu_log,
         _mu_rule(lambda mu, i, lo, hi: map(truediv, i, range(lo, hi)),
-                 inner=True), {},
+                 inner=True),
         # mu i_n = L H_n - R + rho_n, R = sum_k (-1)^k r_k/k and rho_n its
         # tail beyond n
         _MuSplit(over=0, inner=True)),
     SeriesId.RAMANUJAN_ODD: (
-        0, _env_ramanujan, _plain(_ramanujan), {},
+        0, _env_ramanujan, _plain(_ramanujan),
         # O_m = H_m/2 + log 2 - c_2m and c_2m = 1/2m - c_(2m-1): elementary
         # plus sum c_n t^n/n - sum c_n (-t)^n/n; rounding 6
         (_ramanujan_near, (_Rule(1, over=0, start=1),
@@ -561,9 +549,10 @@ def sum_series(
     that is not positive and finite, raises DomainError.  Interior sums
     stop at the term cap (set_max_terms) with status MAX_TERMS; the
     endpoint and near-endpoint rules ignore the cap, and all but the mu
-    series' split sum a fixed 32 terms.  An endpoint rule's value and bound
-    do not depend on tol: each is computed once per process, on the rule's
-    first call, and a call only compares the stored bound with tol
+    series' split sum a fixed 32 terms.  At an end t = +-1 that its catalog
+    Domain admits, a series is its near entry at lam = 0, whose value and
+    bound do not depend on tol: each end is computed once per process, on
+    its first call, and a call only compares the stored bound with tol
     (CONVERGED when bound <= tol, else MAX_TERMS).  At 0.99 <= |t| < 1 a
     series returns the near-endpoint rule's result (CONVERGED) when its
     bound is at most tol, else the interior sum; the rule's tables are
@@ -588,9 +577,9 @@ def sum_series(
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
 
     if abs(t) == 1.0:
-        bound, converged, short = _endpoint_sum(*spec.endpoints[t])
+        bound, converged, short = _endpoint(series_id, t)
         return converged if bound <= tol else short
-    if spec.near and abs(t) >= _NEAR_START:
+    if abs(t) >= _NEAR_START:
         if spec.mu:
             near = _near_rule().mu_split(
                 spec, t, mu, min(_interior_terms(spec, t, tol, mu),

@@ -1,7 +1,7 @@
 """Catalog tables: one row per enum member, a wrong id is a ValueError,
-every entry point answers exactly on its catalog domain, and every declared
-endpoint rule converges, also under a term cap, which bounds interior sums
-only."""
+every entry point answers exactly on its catalog domain, and every series
+converges at each end t = +-1 its domain admits, also under a term cap,
+which bounds interior sums only."""
 
 import math
 import re
@@ -69,11 +69,8 @@ def test_closed_forms_answer_exactly_on_their_domain(cf):
 @pytest.mark.parametrize("sid", list(SeriesId), ids=lambda s: s.name)
 def test_series_answer_exactly_on_their_domain(sid):
     # a point the catalog admits is summed (a small term cap keeps the
-    # points next to |t| = 1 short); any other point is DIVERGENT_INPUT.
-    # The series has an endpoint rule at each end t = +-1 it admits.
+    # points next to |t| = 1 short); any other point is DIVERGENT_INPUT
     domain = SERIES[sid.name].domain
-    assert set(_SPECS[sid].endpoints) == {
-        t for t in domain.ends if abs(t) == 1.0}
     set_max_terms(64)
     for t, mu, admitted in _edge_points(domain):
         res = sum_series(sid, t, mu=mu)
@@ -84,7 +81,8 @@ def test_series_answer_exactly_on_their_domain(sid):
             assert res.status is Status.DIVERGENT_INPUT, (t, mu)
 
 
-ENDPOINTS = [(sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints]
+ENDPOINTS = [(sid, t) for sid in SeriesId
+             for t in SERIES[sid.name].domain.ends if abs(t) == 1.0]
 
 
 @pytest.mark.parametrize("sid,t", ENDPOINTS,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from skewlog.cli import run
 
 
@@ -35,6 +37,23 @@ def test_eval_harmonic(capsys):
 def test_eval_skew_mu(capsys):
     assert run(["eval", "skew-mu", "--n", "2", "--mu", "0.5"]) == 0
     assert capsys.readouterr().out.strip() == "value=0.75"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "li2", "--x", "-1e-20"],
+    ["eval", "series", "--id", "GF_SKEW", "--t", "-9.6e-05"],
+    ["eval", "integral-g", "--z", "-9.634730978680395e-05"],
+    ["eval", "series", "--id", "MU_DILOG", "--t", "0.5", "--mu", "-2.5E-1"],
+    # li2 takes no tol, so any tol that parses is run
+    ["eval", "li2", "--x", "0.5", "--tol", "-1e-300"],
+], ids=["x", "t", "z", "mu", "tol"])
+def test_negative_value_in_exponent_notation(argv, capsys):
+    # argparse alone reads -1e-20 as an option and exits 2; the value must
+    # act as it does in the --opt=value form
+    assert run(argv) == 0
+    separate = capsys.readouterr()
+    assert run([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == 0
+    assert capsys.readouterr() == separate
 
 
 def test_eval_series_reports_full_result(capsys):

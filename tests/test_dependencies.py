@@ -53,17 +53,20 @@ def test_import_loads_no_numpy():
 
 
 def test_near_rule_waits_for_a_near_call():
-    # neither importing series_engine nor the t = +-1 rules nor an
-    # interior sum loads the near-endpoint rule; the first call in the
-    # band builds the shared values and its own c-sum tables only
+    # neither importing series_engine nor a series at t = +-1 nor an
+    # interior sum loads the near-endpoint rule or polylog; the first call
+    # in the band builds the shared values and its own c-sum tables only
     out = _child(
         "import sys\n"
         "from skewlog import series_engine as se\n"
-        "for sid, spec in se._SPECS.items():\n"
-        "    for t in spec.endpoints:\n"
-        "        se.sum_series(sid, t)\n"
+        "from skewlog.catalog import SERIES\n"
+        "for sid in se.SeriesId:\n"
+        "    for t in SERIES[sid.name].domain.ends:\n"
+        "        if abs(t) == 1.0:\n"
+        "            se.sum_series(sid, t)\n"
         "se.sum_series(se.SeriesId.SKEW_SQ, -0.9899)\n"
         "assert 'skewlog.near_endpoint' not in sys.modules\n"
+        "assert 'skewlog.polylog' not in sys.modules\n"
         "se.sum_series(se.SeriesId.SKEW_SQ, 0.995)\n"
         "from skewlog import near_endpoint as ne\n"
         "print(ne._lerch_values.cache_info().currsize,\n"

@@ -24,7 +24,7 @@ from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
 from skewlog.near_endpoint import mu_split, near_sum
 from skewlog.series_engine import (
-    _SPECS, DEFAULT_MAX_TERMS, _eta, _hurwitz, _interior_sum)
+    _SPECS, DEFAULT_MAX_TERMS, _endpoint, _eta, _hurwitz, _interior_sum)
 
 LOG2 = math.log(2.0)
 
@@ -215,10 +215,14 @@ def test_min_terms_is_honored():
 
 # --- sum_series: endpoints ---------------------------------------------------
 
+#: Every (series, t = +-1) pair that a catalog Domain admits.
+ENDS = [(sid, t) for sid in SeriesId for t in SERIES[sid.name].domain.ends
+        if abs(t) == 1.0]
+
+
 def test_endpoint_values(endpoint_values):
-    # every declared rule, to tolerances down to 1e-12, from exactly 32 terms
-    assert set(endpoint_values) == {
-        (sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints}
+    # every admitted end, to tolerances down to 1e-12, from exactly 32 terms
+    assert set(endpoint_values) == set(ENDS)
     for (sid, t), ref in endpoint_values.items():
         for tol in (1e-6, 1e-8, 1e-10, 1e-11, 1e-12):
             res = sum_series(sid, t, tol=tol)
@@ -230,16 +234,16 @@ def test_endpoint_values(endpoint_values):
             assert res.terms_used == 32, (sid, t, tol, res.terms_used)
 
 
-# float.hex of (value, error_bound) of every endpoint rule at tol 1e-10.  A
-# change to a rule that moves either by one ulp must update this table on
-# purpose (tools/report_diff.py shows what it does to the report).
+# float.hex of (value, error_bound) of every admitted end at tol 1e-10.  A
+# change that moves either by one ulp must update this table on purpose
+# (tools/report_diff.py shows what it does to the report).
 ENDPOINT_BITS = {
     (SeriesId.GF_CENTERED, 1.0):
         ("-0x1.ffffffffffffbp-2", "0x1.d2a7fa1ee68f8p-46"),
     (SeriesId.SKEW_OVER_N, -1.0):
-        ("-0x1.100caf119dc9cp+0", "0x1.082ab9951cf31p-48"),
+        ("-0x1.100caf119dc9bp+0", "0x1.1603d7aa916acp-48"),
     (SeriesId.CENTERED_OVER_N, 1.0):
-        ("0x1.ebfbdff82c58fp-3", "0x1.f8a0b6dd3b19ep-49"),
+        ("0x1.ebfbdff82c590p-3", "0x1.f8a0b6dd3b19ep-49"),
     (SeriesId.CENTERED_OVER_N, -1.0):
         ("-0x1.2a1b6e2725670p-1", "0x1.013e2a8a62b73p-48"),
     (SeriesId.CENTERED_SHIFT, 1.0):
@@ -247,21 +251,20 @@ ENDPOINT_BITS = {
     (SeriesId.CENTERED_SHIFT, -1.0):
         ("0x1.100caf119dc9bp+0", "0x1.086cdfaffc280p-48"),
     (SeriesId.CENTERED_SQ, -1.0):
-        ("0x1.a51a6625307d2p-2", "0x1.261e53200d054p-48"),
+        ("0x1.a51a6625307d2p-2", "0x1.261e53200d056p-48"),
     (SeriesId.CENTERED_SQ, 1.0):
-        ("0x1.62e42fefa39efp-1", "0x1.2a2e670d79f7bp-48"),
+        ("0x1.62e42fefa39efp-1", "0x1.2a2e670d79f7dp-48"),
     (SeriesId.CENTERED_SQ_SHIFT, -1.0):
-        ("-0x1.c51448aca3f17p-2", "0x1.1b280e680cc41p-49"),
+        ("-0x1.c51448aca3f17p-2", "0x1.1b280e680cc3ep-49"),
     (SeriesId.CENTERED_SQ_SHIFT, 1.0):
-        ("0x1.1a9213a2882cfp-1", "0x1.1e4f8c4abe382p-49"),
+        ("0x1.1a9213a2882cfp-1", "0x1.1e4f8c4abe37fp-49"),
     (SeriesId.SKEW_OVER_NSQ, 1.0):
-        ("0x1.0434c8cca6cf8p-1", "0x1.c9a83ea091a08p-51"),
+        ("0x1.0434c8cca6cf8p-1", "0x1.4bc58a6827578p-49"),
 }
 
 
 def test_endpoint_rules_bit_for_bit():
-    assert set(ENDPOINT_BITS) == {
-        (sid, t) for sid, spec in _SPECS.items() for t in spec.endpoints}
+    assert set(ENDPOINT_BITS) == set(ENDS)
     for (sid, t), bits in ENDPOINT_BITS.items():
         res = sum_series(sid, t, tol=1e-10)
         assert (res.value.hex(), res.error_bound.hex()) == bits, (sid, t)
@@ -270,19 +273,54 @@ def test_endpoint_rules_bit_for_bit():
 def test_endpoint_rule_ignores_tol():
     # value, bound and terms do not depend on tol or on earlier calls; tol
     # only picks the status, CONVERGED exactly when bound <= tol
-    for sid, spec in _SPECS.items():
-        for t in spec.endpoints:
-            first = sum_series(sid, t, tol=1e-10)
-            for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15):
-                for _ in range(2):
-                    res = sum_series(sid, t, tol=tol)
-                    assert res[:3] == first[:3], (sid, t, tol)
-                    assert res.terms_used == 32
-            bound = first.error_bound
-            assert sum_series(sid, t, tol=bound).status is Status.CONVERGED
-            short = sum_series(sid, t, tol=math.nextafter(bound, 0.0))
-            assert short.status is Status.MAX_TERMS, (sid, t)
-            assert short[:3] == first[:3], (sid, t)
+    for sid, t in ENDS:
+        first = sum_series(sid, t, tol=1e-10)
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15):
+            for _ in range(2):
+                res = sum_series(sid, t, tol=tol)
+                assert res[:3] == first[:3], (sid, t, tol)
+                assert res.terms_used == 32
+        bound = first.error_bound
+        assert sum_series(sid, t, tol=bound).status is Status.CONVERGED
+        short = sum_series(sid, t, tol=math.nextafter(bound, 0.0))
+        assert short.status is Status.MAX_TERMS, (sid, t)
+        assert short[:3] == first[:3], (sid, t)
+
+
+def test_near_entry_finite_at_each_admitted_end():
+    # an end is its near entry at lam = 0: the elementary part and every
+    # c-sum's terms and tail are finite at each end the domain admits.
+    # The mu series and those with log 2/(1-t) parts (or RAMANUJAN_ODD's
+    # log v) admit none
+    assert {sid for sid in SeriesId if not SERIES[sid.name].domain.ends} == {
+        SeriesId.GF_SKEW, SeriesId.SKEW_SQ, SeriesId.RAMANUJAN_ODD,
+        *MU_NEAR}
+    for sid, t in ENDS:
+        elementary = _SPECS[sid].near[0]
+        if elementary:
+            assert math.isfinite(elementary(t)), (sid, t)
+        bound, res, _ = _endpoint(sid, t)
+        assert math.isfinite(res.value) and math.isfinite(bound), (sid, t)
+
+
+#: Worst |value - reference| / error_bound over the endpoint golden keys
+#: (tests/data/reference.json, ["series", id, +-1, null]).  A gate may
+#: only tighten.
+ENDPOINT_RATIO = 0.03
+
+
+def test_endpoints_against_golden():
+    keys = [k for k in _series_golden(False) if abs(k[1]) == 1.0]
+    assert len(keys) == len(ENDS)
+    assert {k[:2] for k in keys} == set(ENDS)
+    worst = 0.0
+    for sid, t, _, (hi, lo) in keys:
+        res = sum_series(sid, t, tol=1e-12)
+        assert res.status is Status.CONVERGED, (sid, t)
+        err = abs(res.value - hi - lo)
+        assert err <= res.error_bound, (sid, t, err, res.error_bound)
+        worst = max(worst, err / res.error_bound)
+    assert worst <= ENDPOINT_RATIO
 
 
 def test_endpoint_bound_within_envelope():
@@ -371,7 +409,7 @@ def test_near_rule_series():
 
 def test_near_rule_against_golden():
     worst = dict.fromkeys(NEAR, 0.0)
-    keys = list(_series_golden(False))
+    keys = [k for k in _series_golden(False) if abs(k[1]) < 1.0]
     assert len(keys) == 9 * 30 + 15
     for sid, t, _, (hi, lo) in keys:
         res = sum_series(sid, t, tol=1e-12 * max(1.0, abs(hi)))
@@ -384,16 +422,16 @@ def test_near_rule_against_golden():
 
 
 def test_near_rule_meets_the_endpoint_rules():
-    # 1e-15 from an end, the near rule agrees with the end's rule
+    # 1e-15 from an end, the near rule (a Lerch tail in lam) agrees with
+    # the end's value (the zeta or eta tail at lam = 0)
     t_near = 1.0 - 1e-15
-    for sid in NEAR:
-        for end in _SPECS[sid].endpoints:
-            near = sum_series(sid, end * t_near, tol=1e-6)
-            rule = sum_series(sid, end, tol=1e-6)
-            assert near.terms_used == 32 and near.status is Status.CONVERGED
-            gap = abs(near.value - rule.value)
-            assert gap <= near.error_bound + rule.error_bound + 1e-12, (
-                sid, end, gap)
+    for sid, end in ENDS:
+        near = sum_series(sid, end * t_near, tol=1e-6)
+        rule = sum_series(sid, end, tol=1e-6)
+        assert near.terms_used == 32 and near.status is Status.CONVERGED
+        gap = abs(near.value - rule.value)
+        assert gap <= near.error_bound + rule.error_bound + 1e-12, (
+            sid, end, gap)
 
 
 #: tools/series_diff.py's mu grid, less mu = 1

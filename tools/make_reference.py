@@ -100,6 +100,16 @@ def near_endpoint_keys() -> list[list]:
             for s in (1.0, -1.0) for t in NEAR_TS if s * t > spec.lo]
 
 
+def endpoint_keys() -> list[list]:
+    """Every series without mu at each end t = +-1 its catalog Domain
+    admits: the endpoint constants."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from skewlog.catalog import SERIES
+
+    return [["series", name, t, None] for name, row in SERIES.items()
+            if not row.domain.mu for t in row.domain.ends if abs(t) == 1.0]
+
+
 def mu_near_keys() -> list[list]:
     """The three mu series on the near_endpoint_keys points, at mu = -0.9,
     0.5 and 0.9 (not 0: the MU_TRILOG reference divides by mu)."""
@@ -115,7 +125,8 @@ def mu_near_keys() -> list[list]:
 # A new family goes before the last one, so that every existing line of
 # the output, the last one's missing comma included, stays as it is.
 KEY_BUILDERS = [polylog_keys, antiderivative_keys, pole_keys,
-                quadrature_keys, near_endpoint_keys, mu_near_keys]
+                quadrature_keys, near_endpoint_keys, endpoint_keys,
+                mu_near_keys]
 
 
 def main(argv: list[str]) -> int:
