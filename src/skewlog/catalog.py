@@ -4,8 +4,8 @@ Each table is the one place its catalog's names are written, with the data
 and settings that need no numerics: a series' companion closed form, CLI
 alias and Domain; a closed form's Domain; an identity's default grid, row
 tolerance and extra z = +-1 grid.  A Domain is the one place a domain is
-written: the numerics modules copy its fields into their rows, and its
-str is the domain's text.  SeriesId, ClosedFormId and IdentityId
+written: the numerics modules hold it in their rows, and its str is
+the domain's text.  SeriesId, ClosedFormId and IdentityId
 are built from the tables' keys, in table order, each member's value its
 name.  The numerics modules key their rows by those enums.
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Verbs: eval (any function, series or integral at a point), verify (one
-identity or all of them), report (full verification run to JSON/CSV),
-constants (the reference constant table), list (the series / closed-form /
-identity catalogs).  Exit codes: 0 success or all-PASS, 1 any FAIL verdict,
-2 usage or domain errors.
+identity or all of them), report (verify --all, with JSON as its default
+format), constants (the reference constant table), list (the series /
+closed-form / identity catalogs).  Exit codes: 0 success or all-PASS, 1
+any FAIL verdict, 2 usage or domain errors.
 
 Each verb imports the library modules it uses when it runs, each with
 the modules it builds on: constants loads core_numerics, eval li2 polylog,
@@ -81,10 +81,13 @@ def _cmd_eval(args) -> int:
         fn = getattr(_lib(module), name)
         print(f"value={_fmt(fn(*[_need(args, f) for f in flags]))}")
     elif t in _INTEGRAL_TARGETS:
+        from .core_numerics import check_tol
+
         name, flag = _INTEGRAL_TARGETS[t]
         quadrature = _lib("quadrature")
         point = () if flag is None else (_need(args, flag),)
-        cfg = quadrature.QuadratureConfig(abs_tol=max(args.tol, 1e-15))
+        cfg = quadrature.QuadratureConfig(
+            abs_tol=max(check_tol("tol", args.tol), 1e-15))
         _print_result(getattr(quadrature, name)(*point, cfg))
     elif t == "series":
         from .catalog import SERIES, SeriesId, lookup
@@ -168,17 +171,7 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_report(args) -> int:
-    from .report import Verdict, serialize_report
-    from .verifier import verify_all
-
-    report = verify_all()
-    _emit(serialize_report(report, args.format), args.out)
-    failed = any(r.verdict is Verdict.FAIL for r in report.records)
-    return 1 if failed else 0
-
-
-def _cmd_constants() -> int:
+def _cmd_constants(args) -> int:
     from .core_numerics import CONSTANTS
 
     for name in sorted(CONSTANTS):
@@ -197,7 +190,7 @@ def _grid_text(g) -> str:
     return f"t in {values(g.t_values)}"
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     from .catalog import CLOSED_FORMS, IDENTITIES, SERIES
 
     for name in sorted(SERIES):
@@ -239,6 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a function at a point")
+    p_eval.set_defaults(func=_cmd_eval)
     p_eval.add_argument("target", choices=_EVAL_TARGETS)
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--t", type=float)
@@ -249,6 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tol", type=float, default=1e-10)
 
     p_verify = sub.add_parser("verify", help="check identities")
+    p_verify.set_defaults(func=_cmd_verify)
     p_verify.add_argument("--id", type=str)
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--tol", type=float)
@@ -257,12 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", type=str)
 
     p_report = sub.add_parser("report", help="full verification report")
+    p_report.set_defaults(func=_cmd_verify, id=None, all=True)
     p_report.add_argument("--format", choices=("json", "csv"),
                           default="json")
     p_report.add_argument("--out", type=str)
 
-    sub.add_parser("constants", help="print the constant table")
-    sub.add_parser("list", help="print series/closed-form/identity catalogs")
+    sub.add_parser("constants", help="print the constant table"
+                   ).set_defaults(func=_cmd_constants)
+    sub.add_parser("list", help="print series/closed-form/identity catalogs"
+                   ).set_defaults(func=_cmd_list)
     return parser
 
 
@@ -287,17 +285,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "constants":
-            return _cmd_constants()
-        if args.command == "list":
-            return _cmd_list()
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (ValueError, KeyError) as exc:  # DomainError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,18 +226,13 @@ def _eq17(x: float) -> float:
     )
 
 
-def _abel_sides(x: float, mu: float) -> tuple[float, float]:
-    lhs = (
-        li2_real((1.0 + mu) * x / (1.0 + x))
-        + li2_real(mu * (1.0 + x) / (1.0 + mu))
-        - li2_real(mu * x)
-    )
-    rhs = (
+def _abel_rhs(x: float, mu: float) -> float:
+    """The right side of the five-term Abel relation: EQ25_ABEL."""
+    return (
         li2_real(x / (1.0 + x))
         + li2_real(mu / (1.0 + mu))
         + math.log1p(mu) * math.log1p(x)
     )
-    return lhs, rhs
 
 
 #: A closed form's catalog Domain and its numerics: evaluate(t), or
@@ -256,7 +251,7 @@ _FORMS: dict[ClosedFormId, tuple] = {
         ClosedFormId.EQ20: _eq20,
         ClosedFormId.EQ22: _eq22,
         ClosedFormId.EQ24: _eq24,
-        ClosedFormId.EQ25_ABEL: lambda x, mu: _abel_sides(x, mu)[1],
+        ClosedFormId.EQ25_ABEL: _abel_rhs,
         ClosedFormId.EQ26: _eq26,
         ClosedFormId.EQ27_RAMANUJAN: _eq27,
         ClosedFormId.EQ28: _eq28,
@@ -296,4 +291,10 @@ def closed_form_eq17(x: float) -> float:
 
 def abel_sides(mu: float, x: float) -> tuple[float, float]:
     """Both sides of the five-term Abel relation for (mu, x)."""
-    return _abel_sides(*_checked(ClosedFormId.EQ25_ABEL, x, mu)[1])
+    x, mu = _checked(ClosedFormId.EQ25_ABEL, x, mu)[1]
+    lhs = (
+        li2_real((1.0 + mu) * x / (1.0 + x))
+        + li2_real(mu * (1.0 + x) / (1.0 + mu))
+        - li2_real(mu * x)
+    )
+    return lhs, _abel_rhs(x, mu)

@@ -142,14 +142,14 @@ def _plain(block: _Block) -> Callable[[float | None], _Block]:
     return lambda mu: block
 
 
-def _mu_rule(term: Callable[[float, list[float], int, int], Iterable[float]],
-             inner: bool = False) -> Callable[[float], _Block]:
+def _mu_rule(over: int, inner: bool) -> Callable[[float], _Block]:
     """The rule of a mu series: rule(mu) is a fresh block rule.
 
-    a_0 = 0 and a_n = (-1)^(n-1) term(n) for n >= 1, where term is mapped
-    over s_n = H_n^-(mu) (or, with inner, i_n = sum_{k<=n} s_k/k).  Both
-    run as Kahan sums in one loop per block, with no call per term; the
-    block rule carries them, so its calls must cover 0, 1, 2, ... in order.
+    a_0 = 0 and a_n = (-1)^(n-1) mu s_n/(n + over) for n >= 1, with
+    s_n = H_n^-(mu); with inner, a_n = (-1)^(n-1) i_n/(n + over) instead,
+    i_n = sum_{k<=n} s_k/k.  Both run as Kahan sums in one loop per block,
+    with no call per term; the block rule carries them, so its calls must
+    cover 0, 1, 2, ... in order.
     """
     def rule(mu: float) -> _Block:
         s = cs = i = ci = 0.0
@@ -184,7 +184,9 @@ def _mu_rule(term: Callable[[float, list[float], int, int], Iterable[float]],
                     runs.append(s_)
             s, cs, p, i, ci = s_, cs_, p_, i_, ci_
             signs = cycle((1.0, -1.0) if first % 2 else (-1.0, 1.0))
-            a = map(mul, signs, term(mu, runs, first, hi))
+            x = runs if inner else map(mul, repeat(mu), runs)
+            a = map(mul, signs, map(truediv, x, range(first + over,
+                                                      hi + over)))
             return chain((0.0,), a) if lo == 0 else a
         return block
     return rule
@@ -213,14 +215,6 @@ def _env_inv_np1(n: int, mu: float | None) -> float:
 
 def _env_inv_np1_cube(n: int, mu: float | None) -> float:
     return 1.0 / (n + 1) ** 3
-
-
-def _env_mu_shift(n: int, mu: float | None) -> float:
-    return abs(mu) * _c_mu(mu) / (n + 1)
-
-
-def _env_mu_over_n(n: int, mu: float | None) -> float:
-    return abs(mu) * _c_mu(mu) / max(n, 1)
 
 
 def _env_mu_log(n: int, mu: float | None) -> float:
@@ -381,10 +375,9 @@ def _endpoint(series_id: SeriesId,
             EvalResult(value, bound, _TAIL_TERMS, Status.MAX_TERMS))
 
 
-class _SeriesSpec(namedtuple("_SeriesSpec", "lo ends mu p env coeffs near")):
-    """One series: its domain, copied from catalog.Domain (lo < t < 1 and
-    the ends in ends; mu, whether it takes mu), and its numerics.  The
-    value is t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
+class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
+    """One series: its catalog.Domain and its numerics.  The value is
+    t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
     (a _Block; mu is None for a series without mu).  env(n, mu) is the
     majorant of |a_n| in the interior tail bound; it must be nonincreasing
     in n as computed, not only in exact arithmetic, because the interior
@@ -396,7 +389,7 @@ class _SeriesSpec(namedtuple("_SeriesSpec", "lo ends mu p env coeffs near")):
     t^p times the sum of the c-sums of the _Rules in rules, where
     elementary(t) is within rounding (3 if not given) times _FP_SLACK
     |elementary(t)|; or, for a mu series, its _MuSplit.  An end t = +-1
-    in ends is the near entry at lam = 0 (_endpoint).
+    that the domain admits is the near entry at lam = 0 (_endpoint).
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -439,9 +432,23 @@ def _ramanujan_near(t: float) -> float:
 #: L = log1p(mu) and r_n = int_0^mu x^n/(1+x) dx, the series is an
 #: elementary part in L plus a sum of r_n t^n/(n + over), taken through
 #: i_n = sum_(k<=n) H_k^-(mu)/(mu k) if inner (near_endpoint.mu_split).
-_MuSplit = namedtuple("_MuSplit", "over inner", defaults=(False,))
+_MuSplit = namedtuple("_MuSplit", "over inner")
 
-#: series -> (p, env, coeffs, near); _SPECS adds the catalog domain.  Near
+
+def _mu_row(over: int, inner: bool = False) -> tuple:
+    """The row (p, env, coeffs, near) of the mu series t^over sum a_n t^n,
+    a_n as in _mu_rule(over, inner), all four from its split.  As
+    |H_n^-(mu)| <= _c_mu, env is |mu| _c_mu/(n + over), or with inner
+    _c_mu (1 + log n)/n, since |i_n| <= _c_mu H_n."""
+    if inner:
+        env = _env_mu_log
+    else:
+        def env(n: int, mu: float) -> float:
+            return abs(mu) * _c_mu(mu) / max(n + over, 1)
+    return over, env, _mu_rule(over, inner), _MuSplit(over, inner)
+
+
+#: series -> (p, env, coeffs, near); _SPECS adds the catalog Domain.  Near
 #: t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry of a series
 #: without mu is its elementary part and its c-sums.
 _ROWS = {
@@ -487,25 +494,13 @@ _ROWS = {
             pow, range(lo + 1, hi + 1), repeat(2)))),
         # log 2 Li2(t) - t sum c_n (-t)^n/(n+1)^2, from n = 0
         (_log2_li2, (_Rule(1, over=1, deg=2, sign=-1.0, alt=True),))),
-    SeriesId.MU_LEWIN: (
-        1, _env_mu_shift,
-        _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo + 1, hi + 1))),
-        # L (t - log1p(t)) + t sum r_n t^n/(n+1)
-        _MuSplit(over=1)),
-    SeriesId.MU_DILOG: (
-        0, _env_mu_over_n,
-        _mu_rule(lambda mu, s, lo, hi: map(
-            truediv, map(mul, repeat(mu), s), range(lo, hi))),
-        # L log1p(t) + sum r_n t^n/n
-        _MuSplit(over=0)),
-    SeriesId.MU_TRILOG: (
-        0, _env_mu_log,
-        _mu_rule(lambda mu, i, lo, hi: map(truediv, i, range(lo, hi)),
-                 inner=True),
-        # mu i_n = L H_n - R + rho_n, R = sum_k (-1)^k r_k/k and rho_n its
-        # tail beyond n
-        _MuSplit(over=0, inner=True)),
+    # L (t - log1p(t)) + t sum r_n t^n/(n+1)
+    SeriesId.MU_LEWIN: _mu_row(over=1),
+    # L log1p(t) + sum r_n t^n/n
+    SeriesId.MU_DILOG: _mu_row(over=0),
+    # mu i_n = L H_n - R + rho_n, R = sum_k (-1)^k r_k/k and rho_n its tail
+    # beyond n
+    SeriesId.MU_TRILOG: _mu_row(over=0, inner=True),
     SeriesId.RAMANUJAN_ODD: (
         0, _env_ramanujan, _plain(_ramanujan),
         # O_m = H_m/2 + log 2 - c_2m and c_2m = 1/2m - c_(2m-1): elementary
@@ -515,7 +510,7 @@ _ROWS = {
          6.0)),
 }
 _SPECS: dict[SeriesId, _SeriesSpec] = {
-    sid: _SeriesSpec(*SERIES[sid.name].domain, *row)
+    sid: _SeriesSpec(SERIES[sid.name].domain, *row)
     for sid, row in _ROWS.items()}
 
 
@@ -525,9 +520,9 @@ def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
     a time.  A bad n, or a mu outside -1 < mu <= 1, raises DomainError."""
     check_int("n", n)
     spec = lookup(_SPECS, series_id, "series")
-    mu = check_mu(series_id, SERIES[series_id.name].domain, mu)
+    mu = check_mu(series_id, spec.domain, mu)
     block = spec.coeffs(mu)
-    lo = 0 if spec.mu else n
+    lo = 0 if spec.domain.mu else n
     while True:
         hi = min(lo + 4096, n + 1)
         *_, a = block(lo, hi)
@@ -568,19 +563,19 @@ def sum_series(
         spec = _SPECS[series_id]
     except KeyError:
         spec = lookup(_SPECS, series_id, "series")
-    if spec.mu or mu is not None:
-        mu = check_mu(series_id, SERIES[series_id.name].domain, mu,
-                      strict=False)
+    lo, ends, has_mu = spec.domain
+    if has_mu or mu is not None:
+        mu = check_mu(series_id, spec.domain, mu, strict=False)
     t = check_real("t", t)
     # check_mu turned a mu outside -1 < mu <= 1 into NaN, so mu != mu
-    if not (spec.lo < t < 1.0 or t in spec.ends) or mu != mu:
+    if not (lo < t < 1.0 or t in ends) or mu != mu:
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
 
     if abs(t) == 1.0:
         bound, converged, short = _endpoint(series_id, t)
         return converged if bound <= tol else short
     if abs(t) >= _NEAR_START:
-        if spec.mu:
+        if has_mu:
             near = _near_rule().mu_split(
                 spec, t, mu, min(_interior_terms(spec, t, tol, mu),
                                  _SPLIT_MOST))

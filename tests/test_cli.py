@@ -94,6 +94,21 @@ def test_eval_integral(capsys):
     assert "value=" in out and "status=CONVERGED" in out
 
 
+@pytest.mark.parametrize("tol", ["-1e-10", "0"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "integral-g", "--z", "0.5"],
+    ["eval", "integral-bigg", "--z", "0.5"],
+    ["eval", "integral-eq31"],
+    ["eval", "integral-eq32"],
+], ids=["g", "bigg", "eq31", "eq32"])
+def test_eval_integral_bad_tolerance_is_usage_error(argv, tol, capsys):
+    # checked before the 1e-15 floor, as eval series checks it
+    assert run([*argv, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be a positive finite number\n"
+
+
 def test_verify_single(capsys):
     assert run(["verify", "--id", "EQ15"]) == 0
     out = capsys.readouterr().out

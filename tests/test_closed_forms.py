@@ -221,6 +221,28 @@ def test_abel_residual_property(mu, x):
     assert abs(lhs - rhs) <= 1e-11
 
 
+def test_abel_closed_form_takes_only_the_right_side(monkeypatch):
+    # EQ25_ABEL is the relation's right side: two li2 kernel calls, not
+    # the five of both sides; abel_sides returns the same value as its rhs
+    from skewlog import closed_forms
+
+    calls = []
+    kernel = closed_forms.li2_real
+
+    def counted(x):
+        calls.append(x)
+        return kernel(x)
+
+    monkeypatch.setattr(closed_forms, "li2_real", counted)
+    for mu, x in ((0.5, 0.3), (-0.8, -0.9), (1.0, 0.8), (0.2, 0.0)):
+        calls.clear()
+        rhs = closed_form(ClosedFormId.EQ25_ABEL, x, mu=mu)
+        assert len(calls) == 2, (mu, x)
+        calls.clear()
+        assert abel_sides(mu, x)[1] == rhs, (mu, x)
+        assert len(calls) == 5, (mu, x)
+
+
 # --- composed-argument identities ---------------------------------------------
 
 def test_eq26_matches_direct_dilog():

@@ -205,6 +205,45 @@ def test_interior_sums_bit_for_bit():
         assert got == expected, (sid, t, tol, mu, cap)
 
 
+#: Worst |value - reference| / error_bound per series over its interior
+#: golden keys (tests/data/reference.json, ["series", id, t, mu] at |t| <
+#: 0.99: one seeded point per 0.1-wide stratum of |t| and +-0.9, +-0.95,
+#: +-0.98; mu = -0.999, -0.5, 0.5, 0.9, 1), at tol 1e-10 and 1e-13.  A gate
+#: may only tighten.
+INTERIOR_RATIO = {
+    SeriesId.GF_SKEW: 0.757,
+    SeriesId.GF_CENTERED: 0.521,
+    SeriesId.SKEW_OVER_N: 0.719,
+    SeriesId.CENTERED_OVER_N: 0.934,
+    SeriesId.CENTERED_SHIFT: 0.523,
+    SeriesId.SKEW_SQ: 0.574,
+    SeriesId.CENTERED_SQ: 0.286,
+    SeriesId.CENTERED_SQ_SHIFT: 0.299,
+    SeriesId.SKEW_OVER_NSQ: 0.777,
+    SeriesId.MU_LEWIN: 0.990,
+    SeriesId.MU_DILOG: 0.991,
+    SeriesId.MU_TRILOG: 0.874,
+    SeriesId.RAMANUJAN_ODD: 0.763,
+}
+
+
+def test_interior_against_golden():
+    keys = [*_series_golden(False, near=False),
+            *_series_golden(True, near=False)]
+    assert len(keys) == 9 * 24 + 15 + 3 * 5 * 24
+    worst = dict.fromkeys(SeriesId, 0.0)
+    for sid, t, mu, (hi, lo) in keys:
+        for tol in (1e-10, 1e-13):
+            res = sum_series(sid, t, tol, mu=mu)
+            assert res.status is Status.CONVERGED, (sid, t, mu, tol)
+            err = abs(res.value - hi - lo)
+            assert err <= res.error_bound, (sid, t, mu, tol, err,
+                                            res.error_bound)
+            worst[sid] = max(worst[sid], err / res.error_bound)
+    assert {sid: r for sid, r in worst.items()
+            if r > INTERIOR_RATIO[sid]} == {}
+
+
 def test_min_terms_is_honored():
     # a sum at a 1000x smaller tol moves the value by at most the bound
     lo = sum_series(SeriesId.GF_SKEW, 0.1, tol=1e-10)
@@ -362,12 +401,13 @@ def test_mu_domain():
 
 # --- sum_series: near-endpoint rule ------------------------------------------
 
-NEAR = [sid for sid, spec in _SPECS.items() if spec.near and not spec.mu]
-MU_NEAR = [sid for sid, spec in _SPECS.items() if spec.near and spec.mu]
+NEAR = [sid for sid, spec in _SPECS.items()
+        if spec.near and not spec.domain.mu]
+MU_NEAR = [sid for sid, spec in _SPECS.items() if spec.near and spec.domain.mu]
 
-#: Worst |value - reference| / error_bound per series over its golden keys
-#: (tests/data/reference.json, ["series", id, t, null]: +-0.99, +-0.995 and
-#: +-(1 - 10^-k), k = 3..15).  A gate may only tighten.
+#: Worst |value - reference| / error_bound per series over its near golden
+#: keys (tests/data/reference.json, ["series", id, t, null]: +-0.99, +-0.995
+#: and +-(1 - 10^-k), k = 3..15).  A gate may only tighten.
 NEAR_RATIO = {
     SeriesId.GF_SKEW: 0.20,
     SeriesId.GF_CENTERED: 0.12,
@@ -391,11 +431,14 @@ NEAR_MU_RATIO = {
 }
 
 
-def _series_golden(with_mu):
+def _series_golden(with_mu, near=True):
+    """The golden series keys with or without mu, those with |t| >= 0.99
+    if near, else the interior ones."""
     path = pathlib.Path(__file__).parent / "data" / "reference.json"
     for key, ref in json.loads(path.read_text())["values"].items():
         key = json.loads(key)
-        if key[0] == "series" and (key[3] is not None) == with_mu:
+        if (key[0] == "series" and (key[3] is not None) == with_mu
+                and (abs(key[2]) >= 0.99) == near):
             yield SeriesId[key[1]], key[2], key[3], ref
 
 
@@ -447,7 +490,7 @@ def test_near_rule_meets_the_interior_sum():
         spec = _SPECS[sid]
         for edge in (0.99, -0.99):
             for t in (edge, math.nextafter(edge, 0.0)):
-                if t <= spec.lo:
+                if t <= spec.domain.lo:
                     continue
                 if mu is None:
                     near = near_sum(spec, t)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import random
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -96,8 +97,9 @@ def near_endpoint_keys() -> list[list]:
     from skewlog.series_engine import _SPECS
 
     return [["series", sid.name, s * t, None]
-            for sid, spec in _SPECS.items() if spec.near and not spec.mu
-            for s in (1.0, -1.0) for t in NEAR_TS if s * t > spec.lo]
+            for sid, spec in _SPECS.items()
+            if spec.near and not spec.domain.mu
+            for s in (1.0, -1.0) for t in NEAR_TS if s * t > spec.domain.lo]
 
 
 def endpoint_keys() -> list[list]:
@@ -110,6 +112,25 @@ def endpoint_keys() -> list[list]:
             if not row.domain.mu for t in row.domain.ends if abs(t) == 1.0]
 
 
+def interior_keys() -> list[list]:
+    """Every series at stratified interior points |t| < 0.99 in its
+    domain: for each sign, one seeded uniform point in each stratum
+    [k/10, (k+1)/10) of |t|, k = 0..8, then 0.9, 0.95 and 0.98.  The mu
+    series take mu = -0.999, -0.5, 0.5, 0.9 and 1 (not 0: the MU_TRILOG
+    reference divides by mu)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from skewlog.catalog import SERIES
+
+    rng = random.Random(2017)
+    ts = [s * x for s in (1.0, -1.0)
+          for x in [rng.uniform(k / 10, (k + 1) / 10) for k in range(9)]
+          + [0.9, 0.95, 0.98]]
+    return [["series", name, t, mu] for name, row in SERIES.items()
+            for mu in ((-0.999, -0.5, 0.5, 0.9, 1.0) if row.domain.mu
+                       else (None,))
+            for t in ts if t > row.domain.lo]
+
+
 def mu_near_keys() -> list[list]:
     """The three mu series on the near_endpoint_keys points, at mu = -0.9,
     0.5 and 0.9 (not 0: the MU_TRILOG reference divides by mu)."""
@@ -117,7 +138,7 @@ def mu_near_keys() -> list[list]:
     from skewlog.series_engine import _SPECS
 
     return [["series", sid.name, s * t, mu]
-            for sid, spec in _SPECS.items() if spec.mu
+            for sid, spec in _SPECS.items() if spec.domain.mu
             for mu in (-0.9, 0.5, 0.9)
             for s in (1.0, -1.0) for t in NEAR_TS]
 
@@ -126,7 +147,7 @@ def mu_near_keys() -> list[list]:
 # the output, the last one's missing comma included, stays as it is.
 KEY_BUILDERS = [polylog_keys, antiderivative_keys, pole_keys,
                 quadrature_keys, near_endpoint_keys, endpoint_keys,
-                mu_near_keys]
+                interior_keys, mu_near_keys]
 
 
 def main(argv: list[str]) -> int:

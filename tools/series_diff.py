@@ -42,17 +42,17 @@ from skewlog import (
     QuadratureConfig, SeriesId, coefficient, double_integral_bigG,
     double_integral_eq31, double_integral_eq32, double_integral_g,
     integrate_1d, set_max_terms, sum_series)
+from skewlog.catalog import SERIES
 if not pathlib.Path(skewlog.__file__).is_relative_to(sys.argv[1]):
     sys.exit(f"skewlog came from {skewlog.__file__}, not {sys.argv[1]}")
 
-MU_SERIES = {SeriesId.MU_LEWIN, SeriesId.MU_DILOG, SeriesId.MU_TRILOG}
 MUS = (-0.9, -0.7, -0.3, -0.0, 0.0, 0.25, 0.5, 0.8, 1.0)
 TOLS = tuple(10.0 ** -k for k in range(6, 14))
 rng = random.Random(20171)
 
 
 def domain(sid):
-    lo = -1.0 / 3.0 if sid is SeriesId.SKEW_OVER_NSQ else -1.0
+    lo = SERIES[sid.name].domain.lo
     near = (0.99, 0.995, 1.0 - 1e-6, 1.0 - 1e-12)  # the near-endpoint band
     ts = [0.0, -0.0, 1e-3, -1e-3, 0.5, 0.9, *near, 1.0, -1.0, lo]
     ts += [-t for t in (0.5, 0.9, *near) if -t >= lo]
@@ -79,7 +79,8 @@ def row(sid, t, tol, mu, cap=""):
 
 
 for sid in SeriesId:
-    mus = MUS if sid in MU_SERIES else (None,)
+    has_mu = SERIES[sid.name].domain.mu
+    mus = MUS if has_mu else (None,)
     for t in domain(sid):
         for tol in TOLS:
             for mu in mus:
@@ -87,7 +88,7 @@ for sid in SeriesId:
     # |t| = 0.999 takes thousands of terms: three tolerances, fewer mu
     for t in (0.999, -0.999):
         for tol in (1e-6, 1e-10, 1e-13):
-            for mu in (MUS[1], MUS[5], MUS[8]) if sid in MU_SERIES else mus:
+            for mu in (MUS[1], MUS[5], MUS[8]) if has_mu else mus:
                 row(sid, t, tol, mu)
     for n in range(201):
         for mu in mus:
@@ -97,7 +98,7 @@ for sid in SeriesId:
 for cap in (5, 100):
     set_max_terms(cap)
     for sid in SeriesId:
-        mu = 0.5 if sid in MU_SERIES else None
+        mu = 0.5 if SERIES[sid.name].domain.mu else None
         for t in (0.99, -0.99, 0.5, 1.0):
             for tol in (1e-6, 1e-13):
                 row(sid, t, tol, mu, f" cap={cap}")
