@@ -145,6 +145,9 @@ def _emit(payload: bytes | str, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     if bool(args.id) == bool(args.all):
         raise ValueError("verify needs exactly one of --id or --all")
+    if args.all and args.tol is not None:
+        raise ValueError("--tol needs --id: --all checks each identity at "
+                         "its own tolerance")
     from .catalog import IdentityId, lookup
     from .report import Report, Verdict, serialize_report, summarize
     from .verifier import verify_all, verify_identity
@@ -252,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", type=str)
 
     p_report = sub.add_parser("report", help="full verification report")
-    p_report.set_defaults(func=_cmd_verify, id=None, all=True)
+    p_report.set_defaults(func=_cmd_verify, id=None, all=True, tol=None)
     p_report.add_argument("--format", choices=("json", "csv"),
                           default="json")
     p_report.add_argument("--out", type=str)

@@ -176,8 +176,9 @@ _JSON_RECORD = (
     '      "params": %s,\n      "residual": %s,\n      "rhs": %s,\n'
     '      "tolerance": %s,\n      "verdict": %s\n    }')
 _JSON_PARAM = '        [\n          %s,\n          %s\n        ]'
-# the member names are ASCII identifiers: json.dumps only quotes them
-_JSON_NAME = {m: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
+# the member names are ASCII identifiers: json.dumps only quotes them.
+# Keyed by name, not member: Enum.__hash__ is a Python-level call.
+_JSON_NAME = {m.name: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
 
 
 def _json_params(k: int) -> str:
@@ -204,11 +205,13 @@ def _json_records(records) -> str:
 
     identity, params, lhs, rhs, residual, tol, verdict, note = \
         _columns(records)
+    name = attrgetter("_name_")
+    quoted = _JSON_NAME.__getitem__
     return ",\n".join(map(_JSON_RECORD.__mod__, zip(
-        map(_JSON_NAME.__getitem__, identity), floats(lhs), strings(note),
+        map(quoted, map(name, identity)), floats(lhs), strings(note),
         _params_texts(params, strings, floats, _json_params),
         floats(residual), floats(rhs), floats(tol),
-        map(_JSON_NAME.__getitem__, verdict))))
+        map(quoted, map(name, verdict)))))
 
 
 def _json_report(report: Report) -> str:

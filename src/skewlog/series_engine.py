@@ -3,7 +3,7 @@
 Each SeriesId names one concrete power series sum_{n} a_n t^(n+p) whose
 coefficients involve skew-harmonic numbers; its companion closed form,
 alias and domain are in catalog, and its row here adds the numerics.
-sum_series evaluates it three ways depending on t:
+sum_series evaluates it four ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
@@ -14,6 +14,13 @@ sum_series evaluates it three ways depending on t:
   math.fsum.  Every float is rounded as in a term-by-term loop, so value,
   bound, terms and status are those of that loop, bit for bit (the
   argument is in _SeriesSpec);
+* the mu series at 0 < |t| < 0.99: the forward split (forward_split,
+  loaded by the first such call).  With s_n = H_n^-(mu)/mu, the partial
+  sums of log1p(mu)/mu, each series is an elementary part plus sums of
+  what s_n still owes that limit, whose terms shrink like |mu t|^n, so N,
+  which comes from tol, is about log(tol)/log|mu t|.  It is taken when N
+  is at most the interior sum's estimate and the term cap, and its bound
+  at most tol;
 * endpoint t = +-1, where the series' catalog Domain admits it: its near
   entry (below) at lam = 0.  Every term of a c-sum there is
   s_n c_n^k / (n + d)^e with c_n = (-1)^n (log 2 - H_n^-) and s_n = 1 or
@@ -25,11 +32,11 @@ sum_series evaluates it three ways depending on t:
 * near an endpoint, 0.99 <= |t| < 1, for every series (near_endpoint,
   loaded by the first call in the band): the ten without mu as an
   elementary part plus one or two c-sums, their terms each times t^n, as
-  32 terms plus a Lerch tail; the mu series, at |mu| < 1, split by
-  H_n^-(mu) = log1p(mu) - (-1)^n r_n into an elementary part plus sums
-  whose terms shrink like |mu t|^n, when that takes fewer terms than the
-  interior sum would.  A bound above tol falls back to the interior sum,
-  unless that sum could only end at the term cap with a larger bound.
+  32 terms plus a Lerch tail; the mu series, at |mu| < 1, by the same
+  split, but with each tail summed backward from a seed whose N comes
+  from |mu| alone, when that takes fewer terms than the interior sum
+  would.  A bound above tol falls back to the interior sum, unless that
+  sum could only end at the term cap with a larger bound.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -57,8 +64,9 @@ _BLOCK = 64  # the first block of an interior sum, in terms
 
 def set_max_terms(n: int) -> None:
     """Set the global term cap of sum_series's interior sums, an integer
-    from 1 to the harmonic cache limit (DomainError otherwise); the
-    endpoint and near-endpoint rules ignore it."""
+    from 1 to the harmonic cache limit (DomainError otherwise), which the
+    mu series' split keeps too below |t| = 0.99; the endpoint and
+    near-endpoint rules ignore it."""
     global _max_terms
     _max_terms = check_int("max terms", n, 1, DEFAULT_CACHE_LIMIT)
 
@@ -428,10 +436,9 @@ def _ramanujan_near(t: float) -> float:
     return math.copysign(e, t)
 
 
-#: The near entry of a mu series: with H_n^-(mu) = L - (-1)^n r_n,
-#: L = log1p(mu) and r_n = int_0^mu x^n/(1+x) dx, the series is an
-#: elementary part in L plus a sum of r_n t^n/(n + over), taken through
-#: i_n = sum_(k<=n) H_k^-(mu)/(mu k) if inner (near_endpoint.mu_split).
+#: The split of a mu series (forward_split.mu_split below 0.99,
+#: near_endpoint.mu_split in the band): its term's divisor n + over, and
+#: whether the term holds i_n = sum_(k<=n) H_k^-(mu)/(mu k) (inner).
 _MuSplit = namedtuple("_MuSplit", "over inner")
 
 
@@ -548,15 +555,19 @@ def sum_series(
     Domain admits, a series is its near entry at lam = 0, whose value and
     bound do not depend on tol: each end is computed once per process, on
     its first call, and a call only compares the stored bound with tol
-    (CONVERGED when bound <= tol, else MAX_TERMS).  At 0.99 <= |t| < 1 a
-    series returns the near-endpoint rule's result (CONVERGED) when its
-    bound is at most tol, else the interior sum; the rule's tables are
-    built on the first call that needs them, never at import.  For a mu
-    series that rule is near_endpoint.mu_split, taken at |mu| < 1 when its
-    N terms are fewer than the interior sum's estimate and than
-    _SPLIT_MOST.  A near result whose bound exceeds tol but not
-    _capped_tail returns as MAX_TERMS, without the interior sum, which
-    could only end at the cap with a bound no smaller.
+    (CONVERGED when bound <= tol, else MAX_TERMS).  At 0 < |t| < 0.99 a mu
+    series returns its forward split (forward_split, CONVERGED) when the
+    split's N terms are at most the interior sum's estimate
+    (_interior_terms) and the term cap, and its bound is at most tol; else
+    the interior sum.  At 0.99 <= |t| < 1 a series returns the
+    near-endpoint rule's result (CONVERGED) when its bound is at most tol,
+    else the interior sum; the rule's tables are built on the first call
+    that needs them, never at import.  For a mu series that rule is
+    near_endpoint.mu_split, taken at |mu| < 1 when its N terms are fewer
+    than the interior sum's estimate and than _SPLIT_MOST.  A near result
+    whose bound exceeds tol but not _capped_tail returns as MAX_TERMS,
+    without the interior sum, which could only end at the cap with a bound
+    no smaller.
     """
     tol = check_tol("tol", tol)
     try:
@@ -586,6 +597,11 @@ def sum_series(
                 return near
             if near.error_bound <= _capped_tail(spec, t, mu):
                 return near._replace(status=Status.MAX_TERMS)
+    elif has_mu and t:
+        split = _forward_rule().mu_split(spec, t, mu, tol, min(
+            _interior_terms(spec, t, tol, mu), get_max_terms()))
+        if split and split.error_bound <= tol:
+            return split
     return _interior_sum(spec, t, tol, mu)
 
 
@@ -601,8 +617,8 @@ def _capped_tail(spec: _SeriesSpec, t: float, mu: float | None) -> float:
             * (1.0 - (cap + 8) * 2.0**-52))
 
 
-#: The most terms the mu split takes, whatever the cap: it holds them in
-#: lists, as an interior sum under the default cap does.
+#: The most terms the mu split takes in the band, whatever the cap: it
+#: holds them in lists, as an interior sum under the default cap does.
 _SPLIT_MOST = DEFAULT_MAX_TERMS
 
 
@@ -624,6 +640,14 @@ def _near_rule():
     """The near_endpoint module, imported by the first call in the band."""
     from . import near_endpoint
     return near_endpoint
+
+
+@functools.cache
+def _forward_rule():
+    """The forward_split module, imported by the first mu sum below the
+    band."""
+    from . import forward_split
+    return forward_split
 
 
 def _interior_sum(spec: _SeriesSpec, t: float, tol: float,

@@ -134,6 +134,16 @@ def test_verify_bad_tolerance_is_usage_error(capsys):
         assert "tolerance must be a positive finite number" in captured.err
 
 
+def test_verify_all_with_tolerance_is_usage_error(capsys):
+    # --all checks each identity at its own tolerance: a --tol would be
+    # dropped, so it is refused before any identity is checked
+    for tol in ("-5", "1e-30", "1e-9"):
+        assert run(["verify", "--all", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol needs --id" in captured.err
+
+
 def test_verify_all_json_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     assert run(["verify", "--all", "--format", "json", "--out", str(target)]) == 0

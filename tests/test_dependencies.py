@@ -54,8 +54,10 @@ def test_import_loads_no_numpy():
 
 def test_near_rule_waits_for_a_near_call():
     # neither importing series_engine nor a series at t = +-1 nor an
-    # interior sum loads the near-endpoint rule or polylog; the first call
-    # in the band builds the shared values and its own c-sum tables only
+    # interior sum loads the near-endpoint rule or polylog, nor does
+    # MU_DILOG's or MU_LEWIN's forward split, whose module the first mu sum
+    # loads; the first call in the band builds the shared values and its
+    # own c-sum tables only
     out = _child(
         "import sys\n"
         "from skewlog import series_engine as se\n"
@@ -65,6 +67,11 @@ def test_near_rule_waits_for_a_near_call():
         "        if abs(t) == 1.0:\n"
         "            se.sum_series(sid, t)\n"
         "se.sum_series(se.SeriesId.SKEW_SQ, -0.9899)\n"
+        "assert 'skewlog.forward_split' not in sys.modules\n"
+        "for sid in (se.SeriesId.MU_DILOG, se.SeriesId.MU_LEWIN):\n"
+        "    r = se.sum_series(sid, -0.896, 1e-8, mu=0.338)\n"
+        "    assert r.terms_used < 20, r\n"
+        "assert 'skewlog.forward_split' in sys.modules\n"
         "assert 'skewlog.near_endpoint' not in sys.modules\n"
         "assert 'skewlog.polylog' not in sys.modules\n"
         "se.sum_series(se.SeriesId.SKEW_SQ, 0.995)\n"
@@ -95,7 +102,7 @@ def test_bare_import_loads_no_library_module():
 #: loads none of them.
 _NUMERICS = {f"skewlog.{m}" for m in (
     "core_numerics", "polylog", "series_engine", "near_endpoint",
-    "closed_forms", "quadrature", "verifier")}
+    "forward_split", "closed_forms", "quadrature", "verifier")}
 
 
 def test_cli_verbs_load_only_what_they_use():
@@ -173,7 +180,8 @@ def _skewlog_imports(path):
 
 def test_layering():
     src = ROOT / "src" / "skewlog"
-    upper = {"series_engine", "near_endpoint", "verifier", "cli"}
+    upper = {"series_engine", "near_endpoint", "forward_split", "verifier",
+             "cli"}
     for lower in ("polylog", "closed_forms", "quadrature"):
         assert set(_skewlog_imports(src / f"{lower}.py")) & upper == set(), lower
     # the catalog and the report form build on nothing that computes

@@ -22,6 +22,7 @@ from skewlog import (
 )
 from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
+from skewlog.forward_split import mu_split as forward
 from skewlog.near_endpoint import mu_split, near_sum
 from skewlog.series_engine import (
     _SPECS, DEFAULT_MAX_TERMS, _endpoint, _eta, _hurwitz, _interior_sum)
@@ -595,10 +596,10 @@ def test_mu_split_dispatch():
         split = sum_series(sid, t, tol=1e-10, mu=0.5)
         assert split.terms_used < 60 and split.status is Status.CONVERGED
         assert split == mu_split(_SPECS[sid], t, 0.5, math.inf)
-        # the band starts at |t| = 0.99
+        # the band starts at |t| = 0.99: below it, the forward split
         below = math.nextafter(-t, 0.0)
-        assert sum_series(sid, below, tol=1e-10, mu=0.5) == _interior_sum(
-            _SPECS[sid], below, 1e-10, 0.5)
+        assert sum_series(sid, below, tol=1e-10, mu=0.5) == forward(
+            _SPECS[sid], below, 0.5, 1e-10, math.inf)
         # the split ignores the term cap
         set_max_terms(5)
         try:
@@ -620,6 +621,81 @@ def test_mu_split_dispatch():
     split = mu_split(spec, t, 0.5, math.inf)
     tight = sum_series(SeriesId.MU_DILOG, t, tol=split.error_bound / 2, mu=0.5)
     assert tight == _interior_sum(spec, t, split.error_bound / 2, 0.5)
+
+
+# --- sum_series: the forward split of the mu series below 0.99 ---------------
+
+def test_forward_split_dispatch():
+    # MU_LEWIN at t = -0.896, mu = 0.338: 139 interior terms, the split 15
+    spec = _SPECS[SeriesId.MU_LEWIN]
+    res = sum_series(SeriesId.MU_LEWIN, -0.896, tol=1e-8, mu=0.338)
+    assert res.status is Status.CONVERGED and res.terms_used <= 20
+    assert res == forward(spec, -0.896, 0.338, 1e-8, math.inf)
+    assert _interior_sum(spec, -0.896, 1e-8, 0.338).terms_used > 100
+
+
+def test_forward_split_meets_the_interior_sum():
+    # every sign of mu and t: the split and the interior sum agree within
+    # their bounds, at tol 1e-10 and 1e-13
+    for sid in MU_NEAR:
+        spec = _SPECS[sid]
+        for a in (0.9, 0.98):
+            for mu in (a, -a):
+                for t in (0.9, -0.9, 0.98, -0.98):
+                    for tol in (1e-10, 1e-13):
+                        split = forward(spec, t, mu, tol, math.inf)
+                        inner = _interior_sum(spec, t, tol, mu)
+                        assert inner.status is Status.CONVERGED
+                        gap = abs(split.value - inner.value)
+                        assert gap <= split.error_bound + inner.error_bound, (
+                            sid, t, mu, tol, gap)
+
+
+def test_forward_split_edges():
+    for sid in MU_NEAR:
+        spec = _SPECS[sid]
+        # t = 0 keeps the a_0 path
+        assert sum_series(sid, 0.0, mu=0.5) == _interior_sum(
+            spec, 0.0, 1e-12, 0.5)
+        # at mu = 1 the split's terms shrink no faster than the interior
+        # sum's and it would take more of them: the interior sum runs
+        for t in (0.5, -0.9):
+            assert forward(spec, t, 1.0, 1e-12, math.inf).terms_used > (
+                _interior_sum(spec, t, 1e-12, 1.0).terms_used)
+            assert sum_series(sid, t, 1e-12, mu=1.0) == _interior_sum(
+                spec, t, 1e-12, 1.0)
+    # mu = +-0: MU_DILOG and MU_LEWIN are 0, a one-term interior sum;
+    # MU_TRILOG's split is its elementary part and one term
+    for mu in (0.0, -0.0):
+        for sid in (SeriesId.MU_DILOG, SeriesId.MU_LEWIN):
+            res = sum_series(sid, -0.7, tol=1e-12, mu=mu)
+            assert res == _interior_sum(_SPECS[sid], -0.7, 1e-12, mu)
+            assert res.value == 0.0 and res.terms_used == 1
+        spec = _SPECS[SeriesId.MU_TRILOG]
+        res = sum_series(SeriesId.MU_TRILOG, -0.7, tol=1e-12, mu=mu)
+        assert res == forward(spec, -0.7, mu, 1e-12, math.inf)
+        assert res.terms_used == 1 and res.status is Status.CONVERGED
+        inner = _interior_sum(spec, -0.7, 1e-12, mu)
+        assert abs(res.value - inner.value) <= (
+            res.error_bound + inner.error_bound)
+
+
+def test_forward_split_falls_back_to_the_interior_sum():
+    spec = _SPECS[SeriesId.MU_DILOG]
+    # a split of more terms than the cap leaves the interior sum to stop
+    # there
+    set_max_terms(5)
+    try:
+        assert forward(spec, 0.5, 0.5, 1e-10, math.inf).terms_used > 5
+        res = sum_series(SeriesId.MU_DILOG, 0.5, tol=1e-10, mu=0.5)
+        assert res == _interior_sum(spec, 0.5, 1e-10, 0.5)
+        assert res.status is Status.MAX_TERMS and res.terms_used == 5
+    finally:
+        set_max_terms(DEFAULT_MAX_TERMS)
+    # a split bound above tol (under its rounding floor) does too
+    assert forward(spec, 0.5, 0.5, 1e-17, math.inf).error_bound > 1e-17
+    assert sum_series(SeriesId.MU_DILOG, 0.5, 1e-17, mu=0.5) == (
+        _interior_sum(spec, 0.5, 1e-17, 0.5))
 
 
 # --- term cap ----------------------------------------------------------------
