@@ -8,11 +8,13 @@ sum_series evaluates it four ways depending on t:
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
   majorant of |a_n|.  The terms come in blocks: coefficients by C-level
-  maps over the harmonic cache (a fused loop for the mu series), powers
-  and geometric factors by running products carried from block to block,
-  the stopping index by bisection on the nonincreasing tail bound, and one
-  math.fsum.  Every float is rounded as in a term-by-term loop, so value,
-  bound, terms and status are those of that loop, bit for bit (the
+  maps over the harmonic cache (a fused loop for the mu series), and the
+  powers t^n by one running product carried from block to block, which
+  makes both the terms a_n t^n and the tail bound env(n+1) |t^n| c, with
+  c = |t|^(p+1)/(1-|t|) computed once per sum.  That bound is
+  nonincreasing as computed, so the stopping index is found by bisection,
+  and one math.fsum adds the terms: value, bound, terms and status are
+  those of a term-by-term loop with the same bound, bit for bit (the
   argument is in _SeriesSpec);
 * the mu series at 0 < |t| < 0.99: the forward split (forward_split,
   loaded by the first such call).  With s_n = H_n^-(mu)/mu, the partial
@@ -60,6 +62,9 @@ from .result import EvalResult, Status
 DEFAULT_MAX_TERMS = 200_000
 _max_terms = DEFAULT_MAX_TERMS
 _BLOCK = 64  # the first block of an interior sum, in terms
+# an interior result is built without EvalResult's Python-level __new__
+_new = tuple.__new__
+_CONVERGED, _MAX_TERMS = Status.CONVERGED, Status.MAX_TERMS
 
 
 def set_max_terms(n: int) -> None:
@@ -402,16 +407,20 @@ class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
     tol/2 if env kept its value at the block's start, which only saves
-    work.  A block's powers t^n and geometric factors
-    q^(n+1+p)/(1-q), q = |t|, are running products (itertools.accumulate
+    work.  A block's powers t^n are a running product (itertools.accumulate
     with operator.mul) continued from the last value of the block before,
-    so each is rounded exactly as in a term-by-term loop.  The geometric
-    factors never grow (q < 1, and rounding is monotone), so the tail
-    bounds env(n+1) * geom_n are nonincreasing as computed, and the first n
-    whose bound is at most tol/2 is found by bisection: env is evaluated
-    only at the O(log N) probes, and the index is the one the term-by-term
-    test would stop at.  The terms a_n t^n of every block go into one
-    math.fsum, which is exactly rounded whatever their order.
+    so each is rounded exactly as in a term-by-term loop, and they serve
+    twice: the terms are a_n t^n, and the tail bound at n is
+    env(n+1) * |t^n| * c, with c = q^(p+1)/(1-q), q = |t|, computed once
+    per sum.  That bound is nonincreasing in n as computed: |t^n| never
+    grows (|t^(n+1)| is |t^n| q rounded, q < 1, and rounding is monotone),
+    env never grows, and a rounded product of nonincreasing positive
+    factors is nonincreasing.  So the first n whose bound is at most tol/2
+    is found by bisection: env is evaluated only at the O(log N) probes,
+    and the index is the one a term-by-term test would stop at.  Each
+    block's terms are a lazy map of its coefficients times its powers, and
+    all of them go into one math.fsum, which is exactly rounded whatever
+    their order.
     """
 
     __slots__ = ()
@@ -606,11 +615,22 @@ def sum_series(
 
 
 def _capped_tail(spec: _SeriesSpec, t: float, mu: float | None) -> float:
-    """A floor under the interior sum's tail bound at the term cap,
-    env(cap) |t|^(cap+p)/(1-|t|), less a margin for the ~cap roundings of
-    the running product that sum computes it by.  As env and the geometric
-    factors never grow, a sum whose tail bound there exceeds tol/2 ends at
-    the cap, with a bound of at least this."""
+    """A floor under the interior sum's tail bound at the term cap.
+
+    That bound, at n = cap - 1, is env(cap) * |t^(cap-1)| * c with
+    c = q^(p+1)/(1-q), q = |t| (see _SeriesSpec).  Before rounding it is
+    E = env(cap) q^(cap+p)/(1-q), for the same computed env(cap), since
+    |t^(cap-1)| = q^(cap-1).  The running product t^(cap-1) rounds cap - 2
+    times (its first step, 1.0 * t, is exact), c at most four units of
+    2^-53 (q**(p+1) within an ulp, 1 - q, the division), and the two
+    products one each: the computed bound is at least E (1 - (cap+4) 2^-53)
+    to first order.  Here E is computed with at most seven such units
+    (q**(cap+p) within an ulp, 1 - q, the product, the division, the
+    margin's 1 - x and the last product), then shrunk by (cap + 8) 2^-52,
+    so this floor is at most E (1 - (2 cap + 9) 2^-53): below that bound
+    for every cap.  As env and |t^n| never grow, a sum whose tail bound
+    there exceeds tol/2 ends at the cap, and every MAX_TERMS interior
+    result, at the cap or before it, has a bound of at least this."""
     cap = get_max_terms()
     q = abs(t)
     return (spec.env(cap, mu) * q ** (cap + spec.p) / (1.0 - q)
@@ -656,51 +676,48 @@ def _interior_sum(spec: _SeriesSpec, t: float, tol: float,
     block = spec.coeffs(mu)
     if t == 0.0:
         a0 = next(iter(block(0, 1))) if spec.p == 0 else 0.0
-        return EvalResult(a0, 0.0, 1, Status.CONVERGED)
+        return _new(EvalResult, (a0, 0.0, 1, _CONVERGED))
 
-    # blocks of terms, see _SeriesSpec; geom is q^(n+1+p)/(1-q) and pw is
-    # t^n at the block's first n
+    # blocks of terms, see _SeriesSpec; pw is t^n at the block's first n,
+    # and the tail bound at n is env(n+1) |t^n| c
     q = abs(t)
-    geom = q ** (spec.p + 1) / (1.0 - q)
+    c = q ** (spec.p + 1) / (1.0 - q)
     pw = 1.0
     cap = get_max_terms()
     env, half = spec.env, 0.5 * tol
-    terms: list[float] = []
+    blocks = []
     lo, size = 0, _BLOCK
     while True:
         # were env to keep its value at lo, the tail bound would reach tol/2
         # about k terms on: the block ends there (a term to spare for
         # rounding) unless its doubled size ends first.  This only saves
         # work; the bisection below finds the stop.
-        tail = env(lo + 1, mu) * geom
+        tail = env(lo + 1, mu) * abs(pw) * c
         ratio = half / tail if tail > half else 1.0
         k = math.ceil(math.log(ratio) / math.log(q)) if ratio else cap
         hi = min(lo + size, cap, lo + k + 2)
-        geoms = list(accumulate(repeat(q, hi - lo - 1), mul, initial=geom))
-        tail = env(hi, mu) * geoms[-1]
+        powers = list(accumulate(repeat(t, hi - lo - 1), mul, initial=pw))
+        tail = env(hi, mu) * abs(powers[-1]) * c
         done = tail <= half
         if done:  # bisection for the first n whose tail bound is <= tol/2
             a, b = lo, hi - 1
             while a < b:
                 m = (a + b) // 2
-                x = env(m + 1, mu) * geoms[m - lo]
+                x = env(m + 1, mu) * abs(powers[m - lo]) * c
                 if x <= half:
                     b, tail = m, x
                 else:
                     a = m + 1
             hi = b + 1
-            # the last block's powers go straight into its terms
-            terms += map(mul, block(lo, hi), accumulate(
-                repeat(t, hi - lo - 1), mul, initial=pw))
+        # map stops at the block's end, which the bisection may have moved
+        blocks.append(map(mul, block(lo, hi), powers))
+        if done or hi == cap:
             break
-        powers = list(accumulate(repeat(t, hi - lo - 1), mul, initial=pw))
-        terms += map(mul, block(lo, hi), powers)
-        if hi == cap:
-            break
-        geom, pw = geoms[-1] * q, powers[-1] * t
+        pw = powers[-1] * t
         lo, size = hi, 2 * size
-    value = math.fsum(terms) * t**spec.p if spec.p else math.fsum(terms)
+    value = math.fsum(chain.from_iterable(blocks))
+    if spec.p:
+        value *= t**spec.p
     bound = tail + _FP_SLACK * (1.0 + abs(value))
-    if not done or bound > tol:
-        return EvalResult(value, bound, len(terms), Status.MAX_TERMS)
-    return EvalResult(value, bound, len(terms), Status.CONVERGED)
+    status = _CONVERGED if done and bound <= tol else _MAX_TERMS
+    return _new(EvalResult, (value, bound, hi, status))

@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import time
+from itertools import chain, count, islice
 
 import pytest
 
@@ -24,8 +25,10 @@ from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
 from skewlog.forward_split import mu_split as forward
 from skewlog.near_endpoint import mu_split, near_sum
+from skewlog.result import EvalResult
 from skewlog.series_engine import (
-    _SPECS, DEFAULT_MAX_TERMS, _endpoint, _eta, _hurwitz, _interior_sum)
+    _FP_SLACK, _SPECS, DEFAULT_MAX_TERMS, _capped_tail, _endpoint, _eta,
+    _hurwitz, _interior_sum)
 
 LOG2 = math.log(2.0)
 
@@ -204,6 +207,100 @@ def test_interior_sums_bit_for_bit():
         got = [res.value.hex(), res.error_bound.hex(), str(res.terms_used),
                res.status.name]
         assert got == expected, (sid, t, tol, mu, cap)
+
+
+def _running(sid, t, mu):
+    """(a_n t^n, tail bound at n) for n = 0, 1, ..., one term at a time:
+    a_n from the series' block rule 64 at a time, t^n a running product,
+    and the tail bound env(n+1) |t^n| |t|^(p+1)/(1-|t|)."""
+    spec = _SPECS[sid]
+    block = spec.coeffs(mu)
+    coefficients = chain.from_iterable(
+        block(lo, lo + 64) for lo in count(0, 64))
+    q = abs(t)
+    c = q ** (spec.p + 1) / (1.0 - q)
+    pw = 1.0
+    for n, a in enumerate(coefficients):
+        yield a * pw, spec.env(n + 1, mu) * abs(pw) * c
+        pw *= t
+
+
+def _term_by_term(sid, t, tol, mu):
+    """The interior sum as a plain loop: stop at the first n whose tail
+    bound is at most tol/2, or at the term cap, and fsum the terms."""
+    terms = []
+    for term, tail in islice(_running(sid, t, mu), get_max_terms()):
+        terms.append(term)
+        if tail <= 0.5 * tol:
+            break
+    p = _SPECS[sid].p
+    value = math.fsum(terms) * t**p if p else math.fsum(terms)
+    bound = tail + _FP_SLACK * (1.0 + abs(value))
+    status = (Status.CONVERGED if tail <= 0.5 * tol and bound <= tol
+              else Status.MAX_TERMS)
+    return EvalResult(value, bound, len(terms), status)
+
+
+def _bits(res):
+    return (res.value.hex(), res.error_bound.hex(), res.terms_used,
+            res.status)
+
+
+def _at_cap(cap, fn, *args):
+    set_max_terms(cap)
+    try:
+        return fn(*args)
+    finally:
+        set_max_terms(DEFAULT_MAX_TERMS)
+
+
+def test_interior_sums_term_by_term():
+    # the block engine against a plain loop that shares only the
+    # coefficients with it: every pinned row that sum_series sums as an
+    # interior sum ...
+    interior = 0
+    for sid, t, tol, mu, cap, *_ in _interior_rows():
+        sid, t, tol = SeriesId[sid], float(t), float(tol)
+        mu = None if mu == "None" else float(mu)
+        cap = DEFAULT_MAX_TERMS if cap == "-" else int(cap)
+        res = _at_cap(cap, sum_series, sid, t, tol, mu)
+        if res == _at_cap(cap, _interior_sum, _SPECS[sid], t, tol, mu):
+            interior += 1
+            assert _bits(res) == _bits(_at_cap(
+                cap, _term_by_term, sid, t, tol, mu)), (sid, t, tol, mu, cap)
+    assert interior == 141
+    # ... and stops just before, at and after the block edges 64 and 192,
+    # under the default cap and caps of 5 and 100, for both signs of t
+    for sid, mu in ((SeriesId.GF_SKEW, None), (SeriesId.CENTERED_SHIFT, None),
+                    (SeriesId.RAMANUJAN_ODD, None), (SeriesId.MU_TRILOG, 1.0)):
+        for t in (0.85, -0.85):
+            for stop in (63, 64, 65, 191, 192, 193):
+                # tol/2 is the tail bound at the last term summed
+                _, tail = next(islice(_running(sid, t, mu), stop - 1, None))
+                tol = 2.0 * tail
+                for cap in (DEFAULT_MAX_TERMS, 5, 100):
+                    res = _at_cap(cap, sum_series, sid, t, tol, mu)
+                    assert res.terms_used == min(stop, cap)
+                    assert _bits(res) == _bits(_at_cap(
+                        cap, _term_by_term, sid, t, tol, mu)), (
+                            sid, t, stop, cap)
+
+
+def test_capped_tail_is_a_floor():
+    # sum_series returns a near result above tol as MAX_TERMS, without the
+    # interior sum, when its bound is at most _capped_tail: that needs
+    # every interior sum that stops at the cap to report at least it
+    for cap in (5, 100, 1000):
+        for sid in SeriesId:
+            spec = _SPECS[sid]
+            for mu in (-0.9, 0.5, 1.0) if spec.domain.mu else (None,):
+                for q in (0.9, 0.99, 0.999):
+                    for t in (q, -q):
+                        res = _at_cap(cap, _interior_sum, spec, t, 1e-300, mu)
+                        assert res.status is Status.MAX_TERMS
+                        assert res.terms_used == cap
+                        floor = _at_cap(cap, _capped_tail, spec, t, mu)
+                        assert res.error_bound >= floor, (sid, t, mu, cap)
 
 
 #: Worst |value - reference| / error_bound per series over its interior

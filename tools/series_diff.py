@@ -22,12 +22,16 @@ splits; and, without the map at a zero limit, log(t - 0.3) and
 orientations at tol 1e-10 to 1e-15 and once at the default config (frozen
 panels next to the singular limit).  A call that raises prints the
 exception's name.  That is 16,326 rows.  The diff prints the first
-differing rows.  The exit status is 0 when both outputs are identical and
-1 otherwise.
+differing rows, then one line that counts the differing rows by the fields
+that moved (value, bound, terms, status: "bound 1257" counts rows whose
+bound alone moved) and gives the largest relative move of a bound.  The
+exit status is 0 when both outputs are identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import collections
+import math
 import pathlib
 import subprocess
 import sys
@@ -180,6 +184,39 @@ def render(path: str) -> list[str]:
         check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines()
 
 
+FIELDS = ("value", "bound", "terms", "status")
+
+
+def moved(a: str, b: str) -> tuple[str, float]:
+    """Which fields of row b differ from row a, as "value+bound" etc., and
+    the relative move of the bound (0.0 when it did not move).  A row of
+    one field (a coefficient, or an exception's name) has only a value; a
+    row whose call or field count differs is "other"."""
+    (call_a, _, x), (call_b, _, y) = a.partition(" -> "), b.partition(" -> ")
+    x, y = x.split(), y.split()
+    if call_a != call_b or len(x) != len(y) or len(x) not in (1, 4):
+        return "other", 0.0
+    names = [f for f, u, v in zip(FIELDS, x, y) if u != v]
+    rel = 0.0
+    if "bound" in names:
+        u, v = float.fromhex(x[1]), float.fromhex(y[1])
+        rel = abs(v - u) / abs(u) if u else math.inf
+    return "+".join(names), rel
+
+
+def summary(differ: list[tuple[int, str, str]]) -> str:
+    """One line: the differing rows counted by the fields that moved, and
+    the largest relative bound move."""
+    kinds = collections.Counter()
+    worst = 0.0
+    for _, a, b in differ:
+        kind, rel = moved(a, b)
+        kinds[kind] += 1
+        worst = max(worst, rel)
+    counts = ", ".join(f"{kind} {n}" for kind, n in kinds.most_common())
+    return f"moved: {counts}; largest relative bound move {worst:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -189,6 +226,8 @@ def main(argv: list[str]) -> int:
     for i, a, b in differ[:SHOWN]:
         print(f"row {i}:\n  - {a}\n  + {b}")
     print(f"rows: {len(old)} -> {len(new)}, {len(differ)} differ")
+    if differ:
+        print(summary(differ))
     return 0 if old == new else 1
 
 
