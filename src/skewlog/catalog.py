@@ -4,10 +4,10 @@ Each table is the one place its catalog's names are written, with the data
 and settings that need no numerics: a series' companion closed form, CLI
 alias and Domain; a closed form's Domain; an identity's default grid, row
 tolerance and extra z = +-1 grid.  A Domain is the one place a domain is
-written: the numerics modules hold it in their rows, and its str is
-the domain's text.  SeriesId, ClosedFormId and IdentityId
-are built from the tables' keys, in table order, each member's value its
-name.  The numerics modules key their rows by those enums.
+written: the numerics modules hold it in their rows, and its str is the
+domain's text.  SeriesId, ClosedFormId and IdentityId are built from the
+tables' keys, in table order, each member's value its name, and hashed by
+identity.  The numerics modules key their rows by those enums.
 
 Only the standard library is imported here, so listing the catalogs or
 reading a report loads no numerics.
@@ -156,7 +156,15 @@ IDENTITIES = {
     "H_EVEN_ODD_SPLIT": _Identity(GridSpec(n_range=(1, 5000)), 5e-14),
 }
 
-SeriesId = enum.Enum("SeriesId", [(name, name) for name in SERIES])
-ClosedFormId = enum.Enum("ClosedFormId",
-                         [(name, name) for name in CLOSED_FORMS])
-IdentityId = enum.Enum("IdentityId", [(name, name) for name in IDENTITIES])
+
+class _Id(enum.Enum):
+    """The base of the three id enums.  A member equals only itself, so the
+    identity hash of object serves; Enum's own hashes the name in a
+    Python-level call, which every row lookup by member would pay."""
+
+    __hash__ = object.__hash__
+
+
+SeriesId = _Id("SeriesId", [(name, name) for name in SERIES])
+ClosedFormId = _Id("ClosedFormId", [(name, name) for name in CLOSED_FORMS])
+IdentityId = _Id("IdentityId", [(name, name) for name in IDENTITIES])

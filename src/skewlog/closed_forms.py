@@ -153,9 +153,11 @@ def _j_b(x: float) -> float:
 # dJ/du = Li2 with u = -log(1 - x), so polylog's u-series integrates to
 # J = u^2/2 - u^3/12 + sum_(k>=1) B_2k u^(2k+2)/((2k+2)(2k+1)!).  Below
 # |x| = 1/16, |u| < 0.0646 and the first omitted term (k = 5) is under
-# 4e-22 of J.  Horner order, each coefficient rounded once.
+# 4e-22 of J.  Horner order, each coefficient rounded once; _j_u reads
+# them by name, k in the name, as polylog's kernels do.
 _J_P = [_B[2 * k] / (_D * (2 * k + 2) * math.factorial(2 * k + 1))
         for k in range(4, 0, -1)]
+_J4, _J3, _J2, _J1 = _J_P
 
 
 def _j_u(x: float) -> float:
@@ -163,9 +165,7 @@ def _j_u(x: float) -> float:
     add terms of size ~|x| that cancel to J ~ x^2/2; this sum does not."""
     u = -math.log1p(-x)
     v = u * u
-    p = 0.0
-    for c in _J_P:
-        p = p * v + c
+    p = _J1 + v * (_J2 + v * (_J3 + v * _J4))
     return v * (0.5 - u / 12.0 + v * p)
 
 

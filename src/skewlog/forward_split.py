@@ -27,8 +27,8 @@ from itertools import repeat
 from operator import mul, truediv
 
 from .core_numerics import CONSTANTS
-from .result import EvalResult, Status
-from .series_engine import _FP_SLACK, _c_mu
+from .result import EvalResult
+from .series_engine import _CONVERGED, _FP_SLACK, _c_mu, _new
 
 
 def mu_split(spec, t: float, mu: float, tol: float,
@@ -122,4 +122,4 @@ def mu_split(spec, t: float, mu: float, tol: float,
         mass = (2.25 * abs(e) + (0.6 * abs(big_l * lg) if over else 0.0)
                 + 2.25 * abs(part))
     bound = trunc + rounding + _FP_SLACK * (1.0 + mass)
-    return EvalResult(value, bound, n, Status.CONVERGED)
+    return _new(EvalResult, (value, bound, n, _CONVERGED))

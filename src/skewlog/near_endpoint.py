@@ -69,10 +69,10 @@ from operator import mul, truediv
 
 from .core_numerics import _BERNOULLI_DEN, _BERNOULLI_NUM
 from .polylog import li2_real
-from .result import EvalResult, Status
+from .result import EvalResult
 from .series_engine import (
-    _C_ERR, _FP_SLACK, _NEAR_START, _TAIL_ORDER, _TAIL_TERMS, _Rule, _eta,
-    _expansion, _hurwitz, _tail, _terms)
+    _C_ERR, _CONVERGED, _FP_SLACK, _NEAR_START, _TAIL_ORDER, _TAIL_TERMS,
+    _Rule, _eta, _expansion, _hurwitz, _new, _tail, _terms)
 
 _NEAR_ORDER = 16  # powers of lam kept in P; the next 6 bound the rest
 
@@ -179,7 +179,7 @@ def near_sum(spec, t: float) -> EvalResult:
     total = math.fsum(sums)
     value = e + (total * t if spec.p else total)
     bound = err + _FP_SLACK * (1.0 + mass)
-    return EvalResult(value, bound, _TAIL_TERMS, Status.CONVERGED)
+    return _new(EvalResult, (value, bound, _TAIL_TERMS, _CONVERGED))
 
 
 #: The mu split's sums stop at the N where the seed error a^N/((N+1) m) of
@@ -268,4 +268,4 @@ def mu_split(spec, t: float, mu: float, most: float) -> EvalResult | None:
         mass = (2.0 * abs(e) + (abs(lmu * lg) if over else 0.0) + abs(part)
                 + a * a * (k1 + 3.0 / m))
     bound = err + _FP_SLACK * (1.0 + mass)
-    return EvalResult(value, bound, n_end, Status.CONVERGED)
+    return _new(EvalResult, (value, bound, n_end, _CONVERGED))

@@ -32,7 +32,11 @@ mu-series, and all the omitted terms together are under 1.13 times the
 first, so no zone truncates more than 1e-20.  Horner's rule for
 sum_(i=0..n) a_i y^i returns sum (1 + theta_(2i+1)) a_i y^i (theta_2n for
 a_n), |theta_k| <= gamma_k = k 2^-53/(1 - k 2^-53) (Higham, Accuracy and
-Stability of Numerical Algorithms, 5.1).  At the zone edges that bounds
+Stability of Numerical Algorithms, 5.1).  Each polynomial is written out as
+one expression, c_0 + y (c_1 + y (... + y c_n)), rather than looped over
+its list: that is the same recurrence p <- p y + c_i, operation for
+operation, so the bound stands and the bits are those of the loop
+(tests/test_polylog.py checks them).  At the zone edges that bounds
 the rounding of u v P(v) by 3.1e-18, of mu^4 Q by 2.7e-19, and of the
 whole li3 u-series by 2.5e-16 (4.7e-16 relative); the rest is the rounding
 of u (or mu) and of the few leading terms.  Against a 32-digit reference
@@ -61,6 +65,14 @@ _LI3_U = [sum(math.comb(m + 1, j + 1) * _B[j] * _B[m - j]
               for j in range(m + 1)) / (_D * _D * _F(m + 1) * (m + 1))
           for m in range(20, -1, -1)]
 _LI3_Q = [-_B[k - 2] / (_D * (k - 2) * _F(k)) for k in range(18, 2, -2)]
+# The kernels read the coefficients by name, each name with its index in
+# the docstring.  In a written-out polynomial, c + y * (...) is Horner's
+# p * y + c, the same two roundings, and the innermost coefficient stands
+# for the loop's first step 0.0 * y + c, which is exact.
+_P9, _P8, _P7, _P6, _P5, _P4, _P3, _P2, _P1 = _LI2_P
+(_U20, _U19, _U18, _U17, _U16, _U15, _U14, _U13, _U12, _U11, _U10,
+ _U9, _U8, _U7, _U6, _U5, _U4, _U3, _U2, _U1, _U0) = _LI3_U
+_Q18, _Q16, _Q14, _Q12, _Q10, _Q8, _Q6, _Q4 = _LI3_Q
 #: The tabled values at 0 (-0.0 too), +-1 and 1/2.
 _LI2_AT = {0.0: 0.0, 1.0: _PI_SQ_OVER_6, -1.0: CONSTANTS["LI2_MINUS1"],
            0.5: CONSTANTS["LI2_HALF"]}
@@ -71,9 +83,8 @@ _LI3_AT = {0.0: 0.0, 1.0: _ZETA3, -1.0: CONSTANTS["LI3_MINUS1"],
 def _li2_u(u: float) -> float:
     """Li2(1 - e^-u) for |u| <= log 2."""
     v = u * u
-    p = 0.0
-    for c in _LI2_P:
-        p = p * v + c
+    p = _P1 + v * (_P2 + v * (_P3 + v * (_P4 + v * (
+        _P5 + v * (_P6 + v * (_P7 + v * (_P8 + v * _P9)))))))
     return u - 0.25 * v + u * v * p
 
 
@@ -98,16 +109,18 @@ def li3_real(x: float) -> float:
     if x < -1.0:
         lx = math.log(-x)
         return li3_real(1.0 / x) - lx**3 / 6.0 - _PI_SQ_OVER_6 * lx
-    p = 0.0
     if x < 0.5:
         u = -math.log1p(-x)
-        for c in _LI3_U:
-            p = p * u + c
-        return u * p
+        return u * (_U0 + u * (_U1 + u * (_U2 + u * (_U3 + u * (
+            _U4 + u * (_U5 + u * (_U6 + u * (_U7 + u * (_U8 + u * (
+                _U9 + u * (_U10 + u * (_U11 + u * (_U12 + u * (
+                    _U13 + u * (_U14 + u * (_U15 + u * (_U16 + u * (
+                        _U17 + u * (_U18 + u * (
+                            _U19 + u * _U20))))))))))))))))))))
     mu = math.log(x)
     v = mu * mu
-    for c in _LI3_Q:
-        p = p * v + c
+    p = _Q4 + v * (_Q6 + v * (_Q8 + v * (_Q10 + v * (
+        _Q12 + v * (_Q14 + v * (_Q16 + v * _Q18))))))
     return _ZETA3 + mu * (_PI_SQ_OVER_6 + mu * (
         0.75 - 0.5 * math.log(-mu) + mu * (-1.0 / 12.0 + mu * p)))
 

@@ -25,6 +25,8 @@ from .catalog import IdentityId, lookup
 
 
 class Verdict(enum.Enum):
+    __hash__ = object.__hash__  # C-level; a member equals only itself
+
     PASS = "PASS"
     FAIL = "FAIL"
     SKIPPED = "SKIPPED"
@@ -177,8 +179,7 @@ _JSON_RECORD = (
     '      "tolerance": %s,\n      "verdict": %s\n    }')
 _JSON_PARAM = '        [\n          %s,\n          %s\n        ]'
 # the member names are ASCII identifiers: json.dumps only quotes them.
-# Keyed by name, not member: Enum.__hash__ is a Python-level call.
-_JSON_NAME = {m.name: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
+_JSON_NAME = {m: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
 
 
 def _json_params(k: int) -> str:
@@ -205,13 +206,11 @@ def _json_records(records) -> str:
 
     identity, params, lhs, rhs, residual, tol, verdict, note = \
         _columns(records)
-    name = attrgetter("_name_")
     quoted = _JSON_NAME.__getitem__
     return ",\n".join(map(_JSON_RECORD.__mod__, zip(
-        map(quoted, map(name, identity)), floats(lhs), strings(note),
+        map(quoted, identity), floats(lhs), strings(note),
         _params_texts(params, strings, floats, _json_params),
-        floats(residual), floats(rhs), floats(tol),
-        map(quoted, map(name, verdict)))))
+        floats(residual), floats(rhs), floats(tol), map(quoted, verdict))))
 
 
 def _json_report(report: Report) -> str:

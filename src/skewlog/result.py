@@ -7,6 +7,8 @@ from collections import namedtuple
 
 
 class Status(enum.Enum):
+    __hash__ = object.__hash__  # C-level; a member equals only itself
+
     CONVERGED = "CONVERGED"
     MAX_TERMS = "MAX_TERMS"
     DIVERGENT_INPUT = "DIVERGENT_INPUT"

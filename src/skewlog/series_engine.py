@@ -62,7 +62,8 @@ from .result import EvalResult, Status
 DEFAULT_MAX_TERMS = 200_000
 _max_terms = DEFAULT_MAX_TERMS
 _BLOCK = 64  # the first block of an interior sum, in terms
-# an interior result is built without EvalResult's Python-level __new__
+# interior, split and near results are built without EvalResult's
+# Python-level __new__
 _new = tuple.__new__
 _CONVERGED, _MAX_TERMS = Status.CONVERGED, Status.MAX_TERMS
 

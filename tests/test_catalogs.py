@@ -1,17 +1,23 @@
 """Catalog tables: one row per enum member, a wrong id is a ValueError,
-every entry point answers exactly on its catalog domain, and every series
-converges at each end t = +-1 its domain admits, also under a term cap,
-which bounds interior sums only."""
+every library enum hashes by identity, every entry point answers exactly
+on its catalog domain, and every series converges at each end t = +-1 its
+domain admits, also under a term cap, which bounds interior sums only."""
 
+import copy
+import enum
+import importlib
 import math
+import pickle
+import pkgutil
 import re
 
 import pytest
 
+import skewlog
 from skewlog import (
     ClosedFormId, DomainError, IdentityId, SeriesId, Status, closed_form,
     coefficient, set_max_terms, sum_series, verify_identity)
-from skewlog.catalog import CLOSED_FORMS, SERIES
+from skewlog.catalog import CLOSED_FORMS, SERIES, lookup
 from skewlog.closed_forms import _FORMS
 from skewlog.series_engine import _SPECS
 from skewlog.verifier import _CHECKS
@@ -37,6 +43,40 @@ def test_wrong_id_names_the_valid_ones(call, valid):
     # a name, or a member of another catalog, is not an id
     with pytest.raises(ValueError, match=f"unknown .*; valid ids: .*{valid}"):
         call()
+
+
+def _library_enums():
+    """Every enum with members that a skewlog module defines."""
+    found = set()
+    for info in pkgutil.iter_modules(skewlog.__path__):
+        module = importlib.import_module(f"skewlog.{info.name}")
+        found.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, enum.EnumMeta) and len(obj)
+            and obj.__module__ == module.__name__)
+    return sorted(found, key=lambda e: e.__name__)
+
+
+def test_library_enums_hash_by_identity():
+    # rows are looked up by member, so each enum takes object's C-level
+    # hash; a member must then survive pickle and copy as itself, and a
+    # bad key still gets the list of valid ids
+    enums = _library_enums()
+    assert {e.__name__ for e in enums} >= {
+        "SeriesId", "ClosedFormId", "IdentityId", "Status", "Verdict"}
+    for members in enums:
+        table = {m: m.value for m in members}
+        valid = ", ".join(map(str, members))
+        for m in members:
+            assert type(m).__hash__ is object.__hash__, m
+            assert hash(m) == object.__hash__(m), m
+            for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m),
+                         copy.deepcopy(m)):
+                assert twin is m
+            assert lookup(table, m, "id") == m.value
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown id {m.name!r}; valid ids: {valid}")):
+                lookup(table, m.name, "id")
 
 
 def _edge_points(domain):

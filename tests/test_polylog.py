@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,9 @@ from hypothesis import given, strategies as st
 from skewlog import (
     ClosedFormId, DomainError, closed_form, closed_forms, constant, li2, li3)
 from skewlog.catalog import CLOSED_FORMS
-from skewlog.polylog import li2_real, li3_real
+from skewlog.polylog import (
+    _LI2_P, _LI3_Q, _LI3_U, _PI_SQ_OVER_6, _ZETA3, _li2_u, li2_real,
+    li3_real)
 
 #: Error budgets.  Reference values are doubles rounded from the exact
 #: value, so they carry half an ulp of their own; the functional equations
@@ -221,6 +224,50 @@ def test_kernels_are_the_public_functions_bit_for_bit():
         assert li2_real(x).hex() == li2(x).hex(), x
         assert li3_real(x).hex() == li3(x).hex(), x
     assert li2_real(-0.0).hex() == li3_real(-0.0).hex() == (0.0).hex()
+
+
+def _horner(coeffs, y):
+    """The loop each kernel's written-out polynomial stands for."""
+    p = 0.0
+    for c in coeffs:
+        p = p * y + c
+    return p
+
+
+def _uniform(lo, hi, seed, n=10_000):
+    rng = random.Random(seed)
+    return [rng.uniform(lo, hi) for _ in range(n)]
+
+
+def test_straight_line_polynomials_are_the_horner_loop_bit_for_bit():
+    # each zone's polynomial, written out as one expression, rounds as
+    # Horner's loop over its coefficient list: the same bits at 10,000
+    # points of the zone, u in [-log 2, log 2] or mu in (-log 2, 0)
+    log2 = math.log(2.0)
+    differ = []
+    for u in [-log2, log2] + _uniform(-log2, log2, 1):
+        v = u * u
+        ref = u - 0.25 * v + u * v * _horner(_LI2_P, v)
+        if _li2_u(u).hex() != ref.hex():
+            differ.append(("li2", u))
+    # li3 at x = 1 - e^-u, whose u the kernel recomputes
+    for u in _uniform(-log2, log2, 2):
+        x = -math.expm1(-u)
+        if x in (0.0, 0.5):  # tabled
+            continue
+        u = -math.log1p(-x)
+        if li3_real(x).hex() != (u * _horner(_LI3_U, u)).hex():
+            differ.append(("li3 u", x))
+    for x in map(math.exp, _uniform(-log2, 0.0, 3)):
+        if not 0.5 < x < 1.0:
+            continue
+        mu = math.log(x)
+        p = _horner(_LI3_Q, mu * mu)
+        ref = _ZETA3 + mu * (_PI_SQ_OVER_6 + mu * (
+            0.75 - 0.5 * math.log(-mu) + mu * (-1.0 / 12.0 + mu * p)))
+        if li3_real(x).hex() != ref.hex():
+            differ.append(("li3 mu", x))
+    assert differ == []
 
 
 #: Li2(w), Li3(w) below -1, computed with mpmath at 50 digits and rounded.

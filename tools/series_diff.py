@@ -1,4 +1,5 @@
-"""Bit-for-bit diff of two trees' series sums, coefficients and quadratures.
+"""Bit-for-bit diff of two trees' series sums, coefficients, quadratures
+and kernels.
 
     python3 tools/series_diff.py OLD_SRC NEW_SRC
 
@@ -20,12 +21,21 @@ runs it; cos(50t) over [0, 20] at tol 1e-11 to 1e-14, up to 100,000
 splits; and, without the map at a zero limit, log(t - 0.3) and
 (t - 0.3)^-0.5 over [0.3, 1] and log(t + 5) over [-5, -4], each in both
 orientations at tol 1e-10 to 1e-15 and once at the default config (frozen
-panels next to the singular limit).  A call that raises prints the
-exception's name.  That is 16,326 rows.  The diff prints the first
-differing rows, then one line that counts the differing rows by the fields
-that moved (value, bound, terms, status: "bound 1257" counts rows whose
-bound alone moved) and gives the largest relative move of a bound.  The
-exit status is 0 when both outputs are identical and 1 otherwise.
+panels next to the singular limit).  Last come the kernels, each row one
+`float.hex`: `li2_real` and `li3_real` at 2,000 seeded points of [-1, 1],
+at +-(1 - 10^-k) for k = 1..15, at 1/2 and its two neighbouring doubles,
+at 0, -0.0 and +-1, and at six points from -1.5 to -2^53; every closed
+form at 40 seeded points of its domain, its admitted ends, the points
+above that fall inside it and lo + 10^-k (k = 3, 8, 12), each crossed
+with the mu grid for the mu forms; and J = `int_li2_over_1mt` at 700
+seeded points of [-1, 1) (200 of them within 1/16 of 0), at +-1/16 and
+1/2 with their neighbouring doubles, at 1 - 10^-k and -1 + 10^-k, at -1,
++-0.0 and +-1e-300.  A call that raises prints the exception's name.
+That is 24,993 rows (16,326 before the kernel rows).  The diff prints the
+first differing rows, then one line that counts the differing rows by the
+fields that moved (value, bound, terms, status: "bound 1257" counts rows
+whose bound alone moved) and gives the largest relative move of a bound.
+The exit status is 0 when both outputs are identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -43,10 +53,12 @@ import math, pathlib, random, sys
 sys.path.insert(0, sys.argv[1])
 import skewlog
 from skewlog import (
-    QuadratureConfig, SeriesId, coefficient, double_integral_bigG,
-    double_integral_eq31, double_integral_eq32, double_integral_g,
-    integrate_1d, set_max_terms, sum_series)
-from skewlog.catalog import SERIES
+    ClosedFormId, QuadratureConfig, SeriesId, coefficient,
+    double_integral_bigG, double_integral_eq31, double_integral_eq32,
+    double_integral_g, integrate_1d, set_max_terms, sum_series)
+from skewlog.catalog import CLOSED_FORMS, SERIES
+from skewlog.closed_forms import closed_form, int_li2_over_1mt
+from skewlog.polylog import li2_real, li3_real
 if not pathlib.Path(skewlog.__file__).is_relative_to(sys.argv[1]):
     sys.exit(f"skewlog came from {skewlog.__file__}, not {sys.argv[1]}")
 
@@ -69,10 +81,10 @@ def fields(r):
     return f"{value} {r.error_bound.hex()} {r.terms_used} {r.status.name}"
 
 
-def quad(fn, args):
-    # fields of fn(*args), or the name of the exception it raised
+def outcome(fn, args, spell=fields):
+    # spell(fn(*args)), or the name of the exception it raised
     try:
-        return fields(fn(*args))
+        return spell(fn(*args))
     except Exception as exc:
         return type(exc).__name__
 
@@ -128,7 +140,7 @@ for k in range(6, 16):
                   (lambda t: 1.0 / math.sqrt(t), 0.0, 1.0,
                    cfg._replace(max_subdivisions=2000))))
     for name, fn, args in calls:
-        print(f"quad {name} tol={tol!r} -> {quad(fn, args)}")
+        print(f"quad {name} tol={tol!r} -> {outcome(fn, args)}")
 
 # the max_subdivisions exit
 for cap in (1, 3, 10):
@@ -141,17 +153,18 @@ for cap in (1, 3, 10):
                       (f"EQ21 [{x!r}, 0]", integrate_1d, (eq21, x, 0.0, cfg))]
         for name, fn, args in calls:
             print(f"quad {name} tol={tol!r} max_subdivisions={cap} -> "
-                  f"{quad(fn, args)}")
+                  f"{outcome(fn, args)}")
 
 # the EQ21 integral as endpoint-quad runs it, and a spread error over
 # thousands of splits, whose last stop test takes the exact sums
 for k in range(8, 12):
     cfg = QuadratureConfig(abs_tol=10.0 ** -k, rel_tol=1e-12)
     print(f"quad EQ21 [0, 0.8] {cfg} -> "
-          f"{quad(integrate_1d, (eq21, 0.0, 0.8, cfg))}")
+          f"{outcome(integrate_1d, (eq21, 0.0, 0.8, cfg))}")
 for k in range(11, 15):
     cfg = QuadratureConfig(10.0 ** -k, 10.0 ** -k, max_subdivisions=100_000)
-    r = quad(integrate_1d, (lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg))
+    r = outcome(integrate_1d,
+                (lambda t: math.cos(50.0 * t), 0.0, 20.0, cfg))
     print(f"quad cos(50t) [0, 20] {cfg} -> {r}")
 
 # singularities at a nonzero limit, which integrate_1d takes without a
@@ -165,10 +178,42 @@ for k in range(10, 16):
     for name, (f, a, b) in singular.items():
         for lo, hi in ((a, b), (b, a)):
             print(f"quad {name} [{lo!r}, {hi!r}] tol={cfg.abs_tol!r} -> "
-                  f"{quad(integrate_1d, (f, lo, hi, cfg))}")
+                  f"{outcome(integrate_1d, (f, lo, hi, cfg))}")
 for name, (f, a, b) in singular.items():
     print(f"quad {name} [{a!r}, {b!r}] default -> "
-          f"{quad(integrate_1d, (f, a, b))}")
+          f"{outcome(integrate_1d, (f, a, b))}")
+
+
+def around(*xs):
+    # each x with its two neighbouring doubles
+    return [y for x in xs for y in (math.nextafter(x, -2.0), x,
+                                    math.nextafter(x, 2.0))]
+
+
+# the kernels: every zone of li2_real/li3_real, their edges and the
+# inversion below -1; the closed forms on their domains; J across its
+# three zones
+near = [s * (1.0 - 10.0 ** -k) for k in range(1, 16) for s in (1.0, -1.0)]
+xs = [rng.uniform(-1.0, 1.0) for _ in range(2000)] + near + around(0.5)
+xs += [0.0, -0.0, 1.0, -1.0, -1.5, -2.0, -10.0, -1e3, -1e10, -2.0 ** 53]
+for x in xs:
+    print(f"li2 x={x!r} -> {outcome(li2_real, (x,), float.hex)}")
+    print(f"li3 x={x!r} -> {outcome(li3_real, (x,), float.hex)}")
+for cf_id in ClosedFormId:
+    dom = CLOSED_FORMS[cf_id.name]
+    ts = [rng.uniform(dom.lo, 1.0) for _ in range(40)] + list(dom.ends)
+    ts += [t for t in near + [0.0, -0.0, 0.5, -0.5] if dom.lo < t < 1.0]
+    ts += [dom.lo + 10.0 ** -k for k in (3, 8, 12)]
+    for t in ts:
+        for mu in MUS if dom.mu else (None,):
+            print(f"{cf_id.name} t={t!r} mu={mu!r} -> "
+                  f"{outcome(closed_form, (cf_id, t, mu), float.hex)}")
+xs = [rng.uniform(-1.0, 1.0) for _ in range(500)]
+xs += [rng.uniform(-0.0625, 0.0625) for _ in range(200)]
+xs += around(0.0625, -0.0625, 0.5) + [x for x in near if x < 1.0]
+xs += [-1.0, 0.0, -0.0, 1e-300, -1e-300]
+for x in xs:
+    print(f"J x={x!r} -> {outcome(int_li2_over_1mt, (x,), float.hex)}")
 """
 
 
