@@ -19,14 +19,19 @@ is one 1D integral against a shared kernel,
     K(p) = int_p^1 dx / ((1+x)(x+p)) = (2 log((1+p)/2) - log p) / (1 - p),
 
 taken by the 1D rule in p = u^3.  Subtracting F(0) turns the log p end of
-K into p log p.
+K into p log p.  Bisection of [0, 1] in u makes only dyadic panels, and K
+does not depend on F or z, so each panel's nodes p, weights 3u^2 and K(p)
+are tabulated once in a bounded table shared by all four integrals; a
+panel then costs only the 15 values of F(p) - F(0).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import namedtuple
+from operator import mul
 
 from .core_numerics import check_int, check_real, check_tol
 from .errors import DomainError
@@ -196,16 +201,18 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     return _adaptive(g, 0.0, 1.0, cfg) if b else _adaptive(g, 1.0, 0.0, cfg)
 
 
-def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> EvalResult:
+def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
+              rule=_gk15) -> EvalResult:
     """The adaptive loop of integrate_1d on f from a to b, a != b, without
-    the map at a zero limit."""
+    the map at a zero limit.  rule(f, pa, pb) is the panel rule: _gk15, or
+    _gk15_kernel for the double integrals."""
     sign = 1.0
     if b < a:
         a, b = b, a
         sign = -1.0
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     narrow = 1e-14 * max(abs(a), abs(b), 1.0)
-    v, e = _gk15(f, a, b)
+    v, e = rule(f, a, b)
     evals = 15
     if not math.isfinite(v + e):
         return EvalResult(math.nan, math.inf, evals, Status.DIVERGENT_INPUT)
@@ -248,7 +255,7 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> EvalResult:
         val_mu += abs(val)
         err_mu += abs(err)
         for ca, cb in ((pa, m), (m, pb)):
-            cv, ce = _gk15(f, ca, cb)
+            cv, ce = rule(f, ca, cb)
             evals += 15
             if not math.isfinite(cv + ce):
                 return EvalResult(math.nan, math.inf, evals,
@@ -271,32 +278,70 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig) -> EvalResult:
 # log^2 2, correctly rounded
 _LOG2_SQ = 0.48045301391820144
 
+#: Panels the kernel table keeps, about 1.8 KB each.  Bisection of [0, 1]
+#: in u makes dyadic panels only, so g, G, EQ31 and EQ32 at any z, tol and
+#: cap share them: one g or G at tol 1e-15 touches at most about a hundred.
+#: A rapidly oscillating F can touch more; the least recently used panels
+#: are then rebuilt.
+_KERNEL_PANELS = 256
+
+
+def _kernel(p: float) -> float:
+    """K(p) in s = 1 - p, exact for p >= 1/2 by Sterbenz; below s = 1e-3
+    its series sum_k (1 - 2^(1-k))/k s^(k-1), k = 2..6."""
+    s = 1.0 - p
+    if s < 1e-3:
+        return s * (0.25 + s * (0.25 + s * (7.0 / 32.0 + s * (
+            3.0 / 16.0 + s * (31.0 / 192.0)))))
+    # log(p) of the same rounded p: 3 log(u) would not cancel against s
+    return (2.0 * math.log1p(-0.5 * s) - math.log(p)) / s
+
+
+@functools.lru_cache(maxsize=_KERNEL_PANELS)
+def _kernel_panel(a: float, b: float) -> tuple[tuple, tuple, tuple]:
+    """The nodes u of _gk15 on [a, b], in its call order, as three tuples:
+    p = u^3, the weight 3u^2 of dp = 3u^2 du, and K(p)."""
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    us = [c]
+    for x in (_X0, _X1, _X2, _X3, _X4, _X5, _X6):
+        x = h * x
+        us += (c - x, c + x)
+    ps = tuple([u * u * u for u in us])
+    return ps, tuple([3.0 * u * u for u in us]), tuple(map(_kernel, ps))
+
+
+def _gk15_kernel(d, a: float, b: float) -> tuple[float, float]:
+    """_gk15 on [a, b] of u -> 3u^2 d(p) K(p), p = u^3, each value formed
+    left to right as the weight times d(p), times K(p), from the panel's
+    tabulated nodes; d is called once per node, at the nodes in order."""
+    ps, ws, ks = _kernel_panel(a, b)
+    (fc, m0, p0, m1, p1, m2, p2, m3, p3, m4, p4, m5, p5, m6,
+     p6) = map(mul, map(mul, ws, map(d, ps)), ks)
+    s0 = m0 + p0
+    s1 = m1 + p1
+    s2 = m2 + p2
+    s3 = m3 + p3
+    s4 = m4 + p4
+    s5 = m5 + p5
+    s6 = m6 + p6
+    k = (_KC * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4
+         + _K5 * s5 + _K6 * s6)
+    g = _GC * fc + _G1 * s1 + _G3 * s3 + _G5 * s5
+    h = 0.5 * (b - a)
+    return h * k, abs(h * (k - g))
+
 
 def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
     """Integral over [0,1]^2 of F(xy) / ((1+x)(1+y)), given f0 = F(0) and
     d(p) = F(p) - F(0); see the module docstring.  A DIVERGENT_INPUT from
     the loop is returned as it is."""
-
-    def h(u):
-        p = u * u * u
-        # K(p) in s = 1 - p, exact for p >= 1/2 by Sterbenz; below s = 1e-3
-        # its series sum_k (1 - 2^(1-k))/k s^(k-1), k = 2..6
-        s = 1.0 - p
-        if s < 1e-3:
-            k = s * (0.25 + s * (0.25 + s * (7.0 / 32.0 + s * (
-                3.0 / 16.0 + s * (31.0 / 192.0)))))
-        else:
-            # log(p) of the same rounded p: 3 log(u) would not cancel
-            # against s
-            k = (2.0 * math.log1p(-0.5 * s) - math.log(p)) / s
-        return 3.0 * u * u * d(p) * k
-
-    # h maps p = u^3 itself and runs on the loop, not through integrate_1d's
-    # map at 0: the same evaluations, but the map's wrapper call made g
-    # about 7% slower (9 values of z, interleaved), and its weight
-    # 3.0 * (u * u) rounds differently from 3.0 * u * u here
+    # the loop runs in u over [0, 1] with the kernel rule, which maps
+    # p = u^3 itself: integrate_1d's map at 0 would call d through a
+    # wrapper per node, and its weight 3.0 * (u * u) rounds differently
+    # from 3.0 * u * u here
     cfg = cfg or _DEFAULT_CFG
-    r = _adaptive(h, 0.0, 1.0, cfg)
+    r = _adaptive(d, 0.0, 1.0, cfg, _gk15_kernel)
     if r.status is Status.DIVERGENT_INPUT:
         return r
     value = f0 * _LOG2_SQ + r.value

@@ -3,7 +3,11 @@ integrals."""
 
 import json
 import math
+import os
 import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +171,18 @@ def test_f_is_called_strictly_inside(f, a, b, exact):
             assert res.terms_used == len(seen) > 0
             if tol is None or tol >= 1e-14:
                 assert abs(res.value - sign * exact) <= res.error_bound, tol
+
+
+@pytest.mark.xfail(strict=True, reason="the bound omits each panel's "
+                   "rounding: error 1.1e-15 against bound 6.9e-16")
+def test_log_at_minus_5_bound_at_the_tightest_tol():
+    # int_{-5}^{-4} log(t + 5) dt = -1; at tol 1e-15 the loop returns
+    # CONVERGED, but its bound holds only truncation, not the rounding of
+    # the panel sums, which is larger here
+    res = integrate_1d(lambda t: math.log(t + 5.0), -5.0, -4.0,
+                       QuadratureConfig(1e-15, 1e-15))
+    assert res.status is Status.CONVERGED
+    assert abs(res.value + 1.0) <= res.error_bound
 
 
 def test_limits_too_close_for_interior_nodes():
@@ -506,6 +522,97 @@ def test_quadrature_bit_for_bit():
         got = (res.value.hex(), res.error_bound.hex(), res.terms_used,
                res.status.name)
         assert got == expected, (kind, arg, tol)
+
+
+# --- the kernel table -------------------------------------------------------
+
+def _scalar_h(d):
+    """The double integrals' 1D integrand in u, p = u^3, as it was computed
+    node by node before the kernel table: the oracle of _gk15_kernel."""
+    def h(u):
+        p = u * u * u
+        s = 1.0 - p
+        if s < 1e-3:
+            k = s * (0.25 + s * (0.25 + s * (7.0 / 32.0 + s * (
+                3.0 / 16.0 + s * (31.0 / 192.0)))))
+        else:
+            k = (2.0 * math.log1p(-0.5 * s) - math.log(p)) / s
+        return 3.0 * u * u * d(p) * k
+    return h
+
+
+def _with_scalar_h(integral, *args):
+    """integral(*args) with its kernel loop run on _scalar_h through _gk15
+    and the adaptive loop, instead of the kernel rule."""
+    from skewlog import quadrature
+
+    adaptive = quadrature._adaptive
+
+    def scalar(d, a, b, cfg, rule):
+        assert rule is quadrature._gk15_kernel
+        return adaptive(_scalar_h(d), a, b, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_adaptive", scalar)
+        return integral(*args)
+
+
+def _kernel_cases():
+    """(name, integral, args) over seeded z, the ends, the band and G's
+    |pz| < 1e-4 branch, at tol 1e-6 to 1e-15 under caps 1, 5 and 4,000."""
+    rng = random.Random(2028)
+    zs = [rng.uniform(-1.0, 1.0) for _ in range(16)]
+    zs += [s * z for z in (1.0, 0.99, 1.0 - 1e-7, 5e-5) for s in (1.0, -1.0)]
+    for cap in (1, 5, 4000):
+        for k in range(6, 16):
+            cfg = QuadratureConfig(10.0 ** -k, 10.0 ** -k, cap)
+            for kind in ("g", "G"):
+                for z in zs:
+                    yield kind, _INTEGRALS[kind], (z, cfg)
+            yield "EQ31", double_integral_eq31, (cfg,)
+            yield "EQ32", double_integral_eq32, (cfg,)
+
+
+def test_kernel_table_matches_scalar_kernel_bit_for_bit():
+    # g, G, EQ31 and EQ32 through the tabulated kernel equal the scalar
+    # kernel through _gk15, value and bound as float.hex, evaluations and
+    # status: cold (the table emptied before each integral) and warm
+    from skewlog.quadrature import _kernel_panel
+
+    cases = list(_kernel_cases())
+    want = [_bits(_with_scalar_h(fn, *args)) for _, fn, args in cases]
+    for (name, fn, args), w in zip(cases, want):
+        _kernel_panel.cache_clear()
+        assert _bits(fn(*args)) == w, (name, args)
+    for (name, fn, args), w in zip(cases, want):
+        assert _bits(fn(*args)) == w, (name, args)
+    assert _kernel_panel.cache_info().hits > 0
+
+
+def test_kernel_table_is_bounded():
+    # importing the library builds no panel, and integrate_1d adds none
+    from skewlog.quadrature import _KERNEL_PANELS, _kernel_panel
+
+    code = ("import skewlog, skewlog.quadrature as q; "
+            "print(q._kernel_panel.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+    _kernel_panel.cache_clear()
+    cfg = QuadratureConfig(1e-13, 1e-13)
+    for f, a, b in ((_eq21, 0.0, 0.5), (_eq21, 1.0, 0.0), (math.exp, 0.0, 1.0),
+                    (math.cos, 0.5, 2.0)):
+        integrate_1d(f, a, b, cfg)
+    assert _kernel_panel.cache_info().currsize == 0
+    # an oscillating F touches more panels than the table keeps: it stays
+    # within its size, and the result keeps the scalar kernel's bits
+    cfg = QuadratureConfig(1e-15, 1e-15, 100_000)
+    d = lambda p: math.cos(200.0 * p)
+    res = _xy_integral(d, 0.0, cfg)
+    assert res.terms_used // 15 > _KERNEL_PANELS
+    assert _kernel_panel.cache_info().currsize <= _KERNEL_PANELS
+    assert _bits(res) == _bits(_with_scalar_h(_xy_integral, d, 0.0, cfg))
 
 
 def test_terms_used_counts_evaluations():

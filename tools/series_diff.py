@@ -30,8 +30,11 @@ above that fall inside it and lo + 10^-k (k = 3, 8, 12), each crossed
 with the mu grid for the mu forms; and J = `int_li2_over_1mt` at 700
 seeded points of [-1, 1) (200 of them within 1/16 of 0), at +-1/16 and
 1/2 with their neighbouring doubles, at 1 - 10^-k and -1 + 10^-k, at -1,
-+-0.0 and +-1e-300.  A call that raises prints the exception's name.
-That is 24,993 rows (16,326 before the kernel rows).  The diff prints the
++-0.0 and +-1e-300.  Then the double integrals once more: G, EQ31 and
+EQ32 under max_subdivisions 1, 3 and 10 at tol 1e-10 and 1e-13, and g
+and G at 40 seeded z in [-1, 1] and at z = +-1e-5, at tol 1e-8 to 1e-15.
+A call that raises prints the exception's name.  That is 25,707 rows
+(16,326 before the kernel rows, 24,993 before the last quadrature rows).  The diff prints the
 first differing rows, then one line that counts the differing rows by the
 fields that moved (value, bound, terms, status: "bound 1257" counts rows
 whose bound alone moved) and gives the largest relative move of a bound.
@@ -214,6 +217,26 @@ xs += around(0.0625, -0.0625, 0.5) + [x for x in near if x < 1.0]
 xs += [-1.0, 0.0, -0.0, 1e-300, -1e-300]
 for x in xs:
     print(f"J x={x!r} -> {outcome(int_li2_over_1mt, (x,), float.hex)}")
+
+# the double integrals' kernel rule: G, EQ31 and EQ32 under the caps g
+# runs under above, then g and G at seeded z and on either side of 0
+for cap in (1, 3, 10):
+    for tol in (1e-10, 1e-13):
+        cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=cap)
+        calls = [(f"G z={z!r}", double_integral_bigG, (z, cfg))
+                 for z in (0.0, -1.0, 0.5, 0.99, 1.0)]
+        calls += [("EQ31", double_integral_eq31, (cfg,)),
+                  ("EQ32", double_integral_eq32, (cfg,))]
+        for name, fn, args in calls:
+            print(f"quad {name} tol={tol!r} max_subdivisions={cap} -> "
+                  f"{outcome(fn, args)}")
+zs = [rng.uniform(-1.0, 1.0) for _ in range(40)] + [1e-5, -1e-5]
+for k in range(8, 16):
+    tol = 10.0 ** -k
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    for z in zs:
+        for name, fn in (("g", double_integral_g), ("G", double_integral_bigG)):
+            print(f"quad {name} z={z!r} tol={tol!r} -> {outcome(fn, (z, cfg))}")
 """
 
 
