@@ -86,6 +86,8 @@ def summarize(records: list[VerificationRecord]) -> dict[str, dict[str, int]]:
 _CSV_HEADER = ["identity", "params", "lhs", "rhs", "residual",
                "tolerance", "verdict"]
 _IDENTITIES, _VERDICTS = IdentityId.__members__, Verdict.__members__
+# parse_report builds records without the named tuple's Python-level __new__
+_new = tuple.__new__
 
 
 def _members(table, names: list, what: str) -> list:
@@ -303,12 +305,12 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
             verdicts = _members(
                 _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
             records = [
-                VerificationRecord(
+                _new(VerificationRecord, (
                     identity,
                     tuple([(k, float(v)) for k, v in d["params"]]),
                     d["lhs"], d["rhs"], d["residual"], d["tolerance"],
                     verdict, d.get("note", ""),
-                )
+                ))
                 for d, identity, verdict in zip(rows, identities, verdicts)
             ]
         except KeyError as exc:
@@ -328,11 +330,11 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
         raise ValueError("bad CSV header")
     try:
         records = [
-            VerificationRecord(
+            _new(VerificationRecord, (
                 _IDENTITIES[identity], _params_parse(params),
                 float(lhs), float(rhs), float(residual), float(tol),
-                _VERDICTS[verdict],
-            )
+                _VERDICTS[verdict], "",
+            ))
             for identity, params, lhs, rhs, residual, tol, verdict in rows
         ]
     except (KeyError, ValueError, csv.Error) as exc:

@@ -7,11 +7,13 @@ sum_series evaluates it four ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
-  majorant of |a_n|.  The terms come in blocks: coefficients by C-level
-  maps over the harmonic cache (a fused loop for the mu series), and the
-  powers t^n by one running product carried from block to block, which
-  makes both the terms a_n t^n and the tail bound env(n+1) |t^n| c, with
-  c = |t|^(p+1)/(1-|t|) computed once per sum.  That bound is
+  majorant of |a_n|.  The terms come in blocks: the coefficients of a
+  series without mu are slices of a per-process table of a_n, filled by
+  C-level maps over the harmonic cache only as far as a call has read
+  (the mu series run a fused loop per block, as their a_n depend on mu),
+  and the powers t^n by one running product carried from block to block,
+  which makes both the terms a_n t^n and the tail bound env(n+1) |t^n| c,
+  with c = |t|^(p+1)/(1-|t|) computed once per sum.  That bound is
   nonincreasing as computed, so the stopping index is found by bisection,
   and one math.fsum adds the terms: value, bound, terms and status are
   those of a term-by-term loop with the same bound, bit for bit (the
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import accumulate, chain, cycle, islice, repeat
@@ -100,7 +103,8 @@ def _c_mu(mu: float) -> float:
 # A block rule block(lo, hi) returns an iterable of a_lo, ..., a_(hi-1).
 # Those of the series without mu are C-level maps over slices of the
 # harmonic cache, with the float operations of the one-term formula; each
-# fills the cache no further than the last index it reads.
+# fills the cache no further than the last index it reads.  A sum reads
+# them through a table (_plain), which they fill.
 
 #: block(lo, hi) -> a_lo, ..., a_(hi-1)
 _Block = Callable[[int, int], Iterable[float]]
@@ -151,9 +155,35 @@ def _ramanujan(lo: int, hi: int) -> list[float]:
     return out
 
 
+#: The most a_n a series' table holds (~0.5 MB of floats at most); a block
+#: that reaches past it is computed by the series' block rule.
+_TABLE_TERMS = 1 << 14
+
+
 def _plain(block: _Block) -> Callable[[float | None], _Block]:
-    """The rule of a series without mu: one block rule for every sum."""
-    return lambda mu: block
+    """The rule of a series without mu: one block rule for every sum,
+    block through a per-process table of a_0, a_1, ...  The table is
+    filled by block itself under a lock, only as far as a call has read
+    (exactly to its hi), and each call then slices it.  Every rule here is
+    position-independent, a_n's float operations being the same in any
+    block, so the slice holds the bits block(lo, hi) gives, and block reads
+    the harmonic cache no further than it would.  The block rule keeps
+    block as .rule and the table as .table; filled entries are never
+    changed, so reads need no lock."""
+    table: list[float] = []
+    lock = threading.Lock()
+
+    def tabled(lo: int, hi: int) -> Iterable[float]:
+        if hi > len(table):
+            if hi > _TABLE_TERMS:
+                return block(lo, hi)
+            with lock:
+                if hi > len(table):
+                    table.extend(block(len(table), hi))
+        return table[lo:hi]
+
+    tabled.rule, tabled.table = block, table
+    return lambda mu: tabled
 
 
 def _mu_rule(over: int, inner: bool) -> Callable[[float], _Block]:
@@ -392,13 +422,14 @@ def _endpoint(series_id: SeriesId,
 class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
     """One series: its catalog.Domain and its numerics.  The value is
     t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
-    (a _Block; mu is None for a series without mu).  env(n, mu) is the
-    majorant of |a_n| in the interior tail bound; it must be nonincreasing
-    in n as computed, not only in exact arithmetic, because the interior
-    sum finds its stopping index by bisection.  Each env here is a constant
-    over an exact integer power of n or n + 1, or (c + log n)/n, whose
-    relative step of about 1/n is far above its rounding for every n the
-    cache allows.  near, the entry of the near-endpoint rule, is
+    (a _Block; mu is None for a series without mu, whose rule is read
+    through its table of a_n, _plain, but for GF_SKEW's, already a slice
+    of the harmonic cache).  env(n, mu) is the majorant of |a_n| in the
+    interior tail bound; it must be nonincreasing in n as computed, not
+    only in exact arithmetic, because the interior sum finds its stopping
+    index by bisection.  Each env here is a constant over an exact integer
+    power of n or n + 1, or (c + log n)/n, whose relative step of about
+    1/n is far above its rounding for every n the cache allows.  near, the entry of the near-endpoint rule, is
     (elementary, rules[, rounding]): elementary(t), or None for 0, plus
     t^p times the sum of the c-sums of the _Rules in rules, where
     elementary(t) is within rounding (3 if not given) times _FP_SLACK
@@ -470,7 +501,8 @@ def _mu_row(over: int, inner: bool = False) -> tuple:
 #: without mu is its elementary part and its c-sums.
 _ROWS = {
     SeriesId.GF_SKEW: (
-        0, _env_one, _plain(_skew),
+        # its block is already a slice of the harmonic cache: no table
+        0, _env_one, lambda mu: _skew,
         # log 2/(1-t) - sum c_n (-t)^n
         (lambda t: LOG2 / (1.0 - t), (_Rule(1, sign=-1.0, alt=True),))),
     SeriesId.GF_CENTERED: (
@@ -534,7 +566,9 @@ _SPECS: dict[SeriesId, _SeriesSpec] = {
 def coefficient(series_id: SeriesId, n: int, mu: float | None = None) -> float:
     """Coefficient a_n of the tagged series, n an integer >= 0.  A mu
     series runs its block rule from a_0, in O(n) time, a bounded block at
-    a time.  A bad n, or a mu outside -1 < mu <= 1, raises DomainError."""
+    a time; a series with a table of a_n (_plain) fills it through a_n
+    when n < _TABLE_TERMS.  A bad n, or a mu outside -1 < mu <= 1, raises
+    DomainError."""
     check_int("n", n)
     spec = lookup(_SPECS, series_id, "series")
     mu = check_mu(series_id, spec.domain, mu)

@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
 import pathlib
+import random
 import re
+import subprocess
+import sys
+import threading
 import time
 from itertools import chain, count, islice
 
@@ -27,8 +32,8 @@ from skewlog.forward_split import mu_split as forward
 from skewlog.near_endpoint import mu_split, near_sum
 from skewlog.result import EvalResult
 from skewlog.series_engine import (
-    _FP_SLACK, _SPECS, DEFAULT_MAX_TERMS, _capped_tail, _endpoint, _eta,
-    _hurwitz, _interior_sum)
+    _FP_SLACK, _SPECS, _TABLE_TERMS, DEFAULT_MAX_TERMS, _capped_tail,
+    _endpoint, _eta, _hurwitz, _interior_sum, _plain)
 
 LOG2 = math.log(2.0)
 
@@ -186,6 +191,13 @@ def test_sum_series_at_zero():
     assert res0.value == pytest.approx(-LOG2)
 
 
+def _raw_rule(spec, mu):
+    """The series' block rule, without the table a series without mu
+    reads it through."""
+    block = spec.coeffs(mu)
+    return getattr(block, "rule", block)
+
+
 def _interior_rows():
     path = pathlib.Path(__file__).parent / "data" / "interior_bits.txt"
     for line in path.read_text().splitlines():
@@ -211,10 +223,10 @@ def test_interior_sums_bit_for_bit():
 
 def _running(sid, t, mu):
     """(a_n t^n, tail bound at n) for n = 0, 1, ..., one term at a time:
-    a_n from the series' block rule 64 at a time, t^n a running product,
-    and the tail bound env(n+1) |t^n| |t|^(p+1)/(1-|t|)."""
+    a_n from the series' raw block rule (not its table) 64 at a time, t^n a
+    running product, and the tail bound env(n+1) |t^n| |t|^(p+1)/(1-|t|)."""
     spec = _SPECS[sid]
-    block = spec.coeffs(mu)
+    block = _raw_rule(spec, mu)
     coefficients = chain.from_iterable(
         block(lo, lo + 64) for lo in count(0, 64))
     q = abs(t)
@@ -284,6 +296,135 @@ def test_interior_sums_term_by_term():
                     assert _bits(res) == _bits(_at_cap(
                         cap, _term_by_term, sid, t, tol, mu)), (
                             sid, t, stop, cap)
+
+
+# --- coefficient tables -----------------------------------------------------
+
+#: The series whose a_n come from a table: those without mu but GF_SKEW,
+#: whose block is already a slice of the harmonic cache.
+TABLED = [sid for sid, spec in _SPECS.items()
+          if not spec.domain.mu and hasattr(spec.coeffs(None), "rule")]
+
+
+def _hex(xs):
+    return [x.hex() for x in xs]
+
+
+def test_tabled_series():
+    assert set(TABLED) == {sid for sid in SeriesId if not SERIES[
+        sid.name].domain.mu} - {SeriesId.GF_SKEW}
+
+
+def test_coefficient_tables_match_their_rules():
+    # a fresh table grown in ascending, descending and seeded random order
+    # of blocks gives every block the bits of the raw rule, blocks that
+    # reach past _TABLE_TERMS included, and ends as long as the longest
+    # block within _TABLE_TERMS, equal to the rule from a_0
+    rng = random.Random(2929)
+    edge = _TABLE_TERMS
+    blocks = [(0, 1), (0, 64), (5, 6), (64, 192), (edge - 64, edge),
+              (edge - 3, edge + 5), (edge, edge + 64), (edge + 100, edge + 101)]
+    for _ in range(40):
+        lo = rng.randrange(edge + 200)
+        blocks.append((lo, lo + rng.randint(1, 300)))
+    orders = {"ascending": sorted(blocks),
+              "descending": sorted(blocks, reverse=True),
+              "random": rng.sample(blocks, len(blocks))}
+    longest = max(hi for _, hi in blocks if hi <= edge)
+    for sid in TABLED:
+        rule = _raw_rule(_SPECS[sid], None)
+        for order, seq in orders.items():
+            tabled = _plain(rule)(None)
+            for lo, hi in seq:
+                assert _hex(tabled(lo, hi)) == _hex(rule(lo, hi)), (
+                    sid, order, lo, hi)
+            assert len(tabled.table) == longest, (sid, order)
+            assert _hex(tabled.table) == _hex(rule(0, longest)), (sid, order)
+
+
+def test_coefficient_tables_are_bounded():
+    # a clean interpreter: importing builds no table; a_n up to
+    # _TABLE_TERMS - 1 fill a table to _TABLE_TERMS, and coefficients and
+    # interior sums far past it add nothing, while such a sum keeps the
+    # bits of the same engine without tables
+    code = """if True:
+        from skewlog import SeriesId, coefficient
+        from skewlog.series_engine import _SPECS, _TABLE_TERMS, _interior_sum
+        tables = {sid: spec.coeffs(None).table for sid, spec in _SPECS.items()
+                  if not spec.domain.mu and hasattr(spec.coeffs(None), "table")}
+        print(sorted(set(map(len, tables.values()))))
+        same = True
+        for sid in tables:
+            spec = _SPECS[sid]
+            coefficient(sid, _TABLE_TERMS - 1)
+            coefficient(sid, 3 * _TABLE_TERMS)
+            raw = spec._replace(coeffs=lambda mu: spec.coeffs(None).rule)
+            for t in (0.9995, -0.9995):
+                same &= (_interior_sum(spec, t, 1e-13, None)
+                         == _interior_sum(raw, t, 1e-13, None))
+        print(max(map(len, tables.values())), same)
+    """
+    path = os.pathsep.join([str(pathlib.Path(__file__).parents[1] / "src"),
+                            *sys.path])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True,
+                         timeout=120).stdout.split("\n")
+    assert out[0] == "[0]"
+    assert out[1] == f"{_TABLE_TERMS} True"
+
+
+def test_coefficient_tables_fill_under_threads(monkeypatch):
+    # 4 threads sum the tabled rows in turn, each row at four t, each
+    # thread in its own order of t so that they grow a table together, on
+    # empty tables and with a short switch interval, in 20 rounds: each sum
+    # keeps its serial bits, and each table ends as the raw rule up to the
+    # most terms a sum of its row took, so no range went in twice
+    ts = (0.5, -0.9, 0.95, -0.98)
+    jobs = [(sid, t) for sid in TABLED for t in ts]
+    tol = 1e-13
+    serial = {job: _bits(sum_series(job[0], job[1], tol)) for job in jobs}
+    most = {sid: max(serial[job][2] for job in jobs if job[0] is sid)
+            for sid in TABLED}
+
+    def work(k, start, got, errors):
+        try:
+            start.wait(timeout=30)
+            for sid in TABLED:
+                for t in ts[k:] + ts[:k]:
+                    got.append(((sid, t), _bits(sum_series(sid, t, tol))))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            tables = {}
+            for sid in TABLED:
+                coeffs = _plain(_raw_rule(_SPECS[sid], None))
+                tables[sid] = coeffs(None).table
+                monkeypatch.setitem(_SPECS, sid,
+                                    _SPECS[sid]._replace(coeffs=coeffs))
+            start, got, errors = threading.Barrier(4), [[], [], [], []], []
+            threads = [threading.Thread(target=work,
+                                        args=(k, start, got[k], errors))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            for k in range(4):
+                assert len(got[k]) == len(jobs)
+                assert all(bits == serial[job] for job, bits in got[k]), k
+            for sid, table in tables.items():
+                assert len(table) == most[sid], sid
+                assert _hex(table) == _hex(
+                    _raw_rule(_SPECS[sid], None)(0, most[sid])), sid
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_capped_tail_is_a_floor():
