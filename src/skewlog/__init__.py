@@ -14,9 +14,9 @@ _EXPORTS = {
     "catalog": ("ClosedFormId", "GridSpec", "IdentityId", "SeriesId"),
     "closed_forms": ("EQ18_VALUE", "EQ19_VALUE", "abel_sides", "closed_form",
                      "closed_form_eq17", "int_li2_over_1mt"),
-    "core_numerics": ("CONSTANTS", "constant", "digamma_half_diff",
-                      "harmonic", "harmonic2", "odd_harmonic",
-                      "skew_harmonic", "skew_harmonic_mu"),
+    "core_numerics": ("CONSTANTS", "digamma_half_diff", "harmonic",
+                      "harmonic2", "odd_harmonic", "skew_harmonic",
+                      "skew_harmonic_mu"),
     "errors": ("DomainError",),
     "polylog": ("li2", "li3"),
     "quadrature": ("QuadratureConfig", "double_integral_bigG",

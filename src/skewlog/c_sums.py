@@ -1,0 +1,299 @@
+"""The c-sums, in which sum_series sums every series without mu near t = +-1.
+
+With c_n = (-1)^n (log 2 - H_n^-) = integral_0^1 x^n/(1+x) dx > 0, how far
+the skew-harmonic numbers still are from log 2, H_n^- = log 2 - (-1)^n c_n,
+and each series without mu is an elementary part plus t^p times c-sums,
+the terms sign c_n^power / (n + over)^deg x^n from n = start, x = -t or t
+(the near entries of series_engine._ROWS).  RAMANUJAN_ODD's coefficients
+2 O_m/n, n = 2m - 1, hold log n / n, but O_m = H_2m - H_m/2 =
+H_m/2 + H_2m^-, with H_2m^- = log 2 - c_2m and c_2m = 1/(n+1) - c_n,
+makes them (H_m + 2 log 2 - 2/(n+1) + 2 c_n)/n.  The odd powers of the
+first three sum in closed form, and 2 sum_odd c_n t^n/n is
+sum c_n t^n/n - sum c_n (-t)^n/n, so with s = |t| and v = (1-s)/2
+
+    f(t) = sign(t) (atanh(s)^2 + pi^2/12 - Li2(v) - log^2(1-v)/2)
+           + sum_(n>=1) c_n t^n/n - sum_(n>=1) c_n (-t)^n/n,
+
+the Li2((1+s)/2) of the plain sum reflected, as f is odd, so that only
+v, exact for s >= 1/2, reaches li2_real.  Its rounding: with each log
+within 1 ulp, a = atanh(s) = (log1p(-v) - log v)/2 is within 3u
+(u = 2^-53; -log v >= 5.29 in the band), a^2 within 7u, and with the
+other terms (at most 0.0052 together) and three additions the part is
+within 10.1u of itself, under the 6 _FP_SLACK its near entry charges.
+
+A c-sum is its terms below N = _TAIL_TERMS plus the tail beyond them,
+from the asymptotic expansion of c_n in u = 1/(n+1).  c_n is the Laplace
+transform of 1/(1+e^-s) = 1/2 + tanh(s/2)/2 at n+1, so
+
+    c_n ~ u/2 + sum_k (4^k - 1) B_2k/(2k) u^2k = u/2 + u^2/4 - u^4/8 + ...
+
+where (4^k - 1) B_2k/(2k) = (-1)^(k-1) T_(2k-1) / 4^k with the integer
+tangent numbers T, exact in binary.  A term c_n^power / (n + over)^deg is
+that expansion multiplied out (_expansion), A_j through u^_TAIL_ORDER.
+
+* At an end t = +-1 (end_sum), the tail is sum_j A_j zeta(j, N+1), or
+  (-1)^N sum_j A_j eta(j, N+1) for the alternating x^n = (-1)^n (_tail).
+* In the band 0.99 <= |t| < 1 (near_sum), the tail is sum_j A_j L_j,
+  L_j = sum_(n>=N) x^n (n+1)^-j.  With a = N + 1 and lam = -log|x|
+  (Erdelyi et al., Higher Transcendental Functions I, 1.11), for x > 0
+
+      x L_j = sum_{r != j-1} zeta(j-r, a) (-lam)^r/r!
+              + (-lam)^(j-1)/(j-1)! (psi(j) - psi(a) - log lam),
+
+  and for x < 0, where the alternating sum is entire in lam,
+
+      x L_j = (-1)^a sum_r eta(j-r, a) (-lam)^r/r!,
+
+  with zeta(-k, a) = -B_(k+1)(a)/(k+1) and eta(s, a) = 2^-s (zeta(s, a/2) -
+  zeta(s, (a+1)/2)) as in _eta.  Summed over j against A_j these are two
+  polynomials in lam, P(lam) - log(lam) Q(lam), or P alone for x < 0 (the
+  log lam terms of the even and odd halves of the alternating sum cancel).
+  They are tabled once per c-sum and sign of x, on the first call that
+  needs them; a call sums N products and runs Horner's rule once or twice.
+
+series_engine imports this module on the first call at an end or in the
+band, so a process that sums only interior series never compiles it, and
+an end call builds none of the band's tables.  It imports no polylog: the
+elementary parts that need Li2 are series_engine's.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from collections.abc import Callable
+from itertools import repeat
+from operator import mul
+
+from .core_numerics import (
+    _BERNOULLI, _BERNOULLI_DEN, _BERNOULLI_NUM, _TANGENT, LOG2, skew_harmonic)
+from .result import EvalResult
+from .series_engine import _CONVERGED, _FP_SLACK, _NEAR_START, _new
+
+_TAIL_TERMS = 32             # terms summed before the tail takes over
+_TAIL_ORDER = 12             # highest power of u the tail keeps
+_TAIL_DEG = _TAIL_ORDER + 2  # the two omitted powers bound the model error
+#: Error of each computed c_n, n < 40: LOG2's half ulp, the roundings of
+#: the 1/k in H_n^- (2^-53 H_n together) and the compensated sum's few ulp.
+_C_ERR = 8e-16
+_NEAR_ORDER = 16  # powers of lam kept in P; the next 6 bound the rest
+
+
+def _c(n: int) -> float:
+    """c_n = (-1)^n (log 2 - H_n^-) = integral_0^1 x^n/(1+x) dx > 0."""
+    d = LOG2 - skew_harmonic(n)
+    return d if n % 2 == 0 else -d
+
+
+def _mul(a: list[float], b: list[float]) -> list[float]:
+    """Product of two power series in u, truncated after u^_TAIL_DEG."""
+    return [math.fsum(a[i] * b[j - i] for i in range(j + 1))
+            for j in range(_TAIL_DEG + 1)]
+
+
+def _hurwitz(s: int, x: float) -> float:
+    """zeta(s, x) = sum_{i >= 0} (x+i)^-s for s >= 2 and real x > 0, and its
+    finite part -psi(x) at s = 1, by Euler-Maclaurin.  For (x+i)^-s the
+    remainder is below the first omitted correction; corrections are added
+    until one falls under 2^-60 of |sum|."""
+    total = (-math.log(x) if s == 1 else x ** (1 - s) / (s - 1)) + 0.5 * x**-s
+    g = 0.5 * s * x ** (-s - 1)  # s (s+1) ... (s+2k-2) x^(1-s-2k) / (2k)!
+    for k, b in enumerate(_BERNOULLI, 1):
+        total += b * g
+        if abs(b * g) < 2.0**-60 * abs(total):
+            break
+        g *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * x**2)
+    return total
+
+
+def _eta(s: int, x: float) -> float:
+    """eta(s, x) = sum_{i >= 0} (-1)^i (x+i)^-s, s >= 1, as the difference
+    2^-s (zeta(s, x/2) - zeta(s, (x+1)/2)).  The difference cancels most at
+    s = 1, where zeta(1, x/2) ~ -log(x/2); at x = 33 and 34 its rounding is
+    below 7.4e-17 (5e-15 relative), far inside the bound's _C_ERR term."""
+    return 2.0**-s * (_hurwitz(s, 0.5 * x) - _hurwitz(s, 0.5 * (x + 1.0)))
+
+
+@functools.cache
+def _expansion(power: int, over: int | None, deg: int) -> list[float]:
+    """a_0, ..., a__TAIL_DEG of c_n^power / (n + over)^deg ~ sum_j a_j u^j
+    (no divisor for over None), u = 1/(n+1): the expansion of c_n
+    multiplied out."""
+    c = [0.0] * (_TAIL_DEG + 1)
+    c[1] = 0.5
+    for k in range(1, _TAIL_DEG // 2 + 1):
+        c[2 * k] = (-1) ** (k - 1) * _TANGENT[k - 1] / 4**k
+    a = [1.0] + [0.0] * _TAIL_DEG
+    for _ in range(power):
+        a = _mul(a, c)
+    if over is not None:  # 1/(n + over) = u / (1 - (1 - over) u)
+        inv = [0.0] + [float((1 - over) ** (j - 1))
+                       for j in range(1, _TAIL_DEG + 1)]
+        for _ in range(deg):
+            a = _mul(a, inv)
+    return a
+
+
+@functools.cache
+def _tail(power: int, over: int | None, deg: int, alt: bool,
+          m: int) -> tuple[float, float]:
+    """sum_{n >= m-1} s_n c_n^power / (n + over)^deg (no divisor for over
+    None), s_n = (-1)^n if alt else 1, and a bound on its model error: the
+    _expansion's powers through _TAIL_ORDER are summed against zeta(j, m)
+    (eta(j, m) if alt), and twice the two omitted powers, summed against
+    zeta(j, m) without signs, are the bound."""
+    a = _expansion(power, over, deg)
+
+    def against(f: Callable[[int, float], float], js: range) -> list[float]:
+        return [a[j] * f(j, float(m)) if a[j] else 0.0 for j in js]
+
+    # a[0] = 0: every term is O(u)
+    head = against(_eta if alt else _hurwitz, range(1, _TAIL_ORDER + 1))
+    omitted = against(_hurwitz, range(_TAIL_ORDER + 1, _TAIL_DEG + 1))
+    sign = -1.0 if alt and m % 2 == 0 else 1.0  # (-1)^(m-1)
+    return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
+
+
+def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
+           hi: int) -> tuple[list[float], list[float]]:
+    """The terms s_n c_n^power / (n + over)^deg (no divisor for over None),
+    s_n = (-1)^n if alt else 1, for n = lo, ..., hi-1, and the |derivative
+    in c_n| of each."""
+    terms, dterms = [], []
+    for n in range(lo, hi):
+        c = _c(n)
+        x = c**power if over is None else c**power / (n + over) ** deg
+        terms.append(-x if alt and n % 2 else x)
+        dterms.append(power * x / c)
+    return terms, dterms
+
+
+def end_sum(spec, end: float) -> EvalResult:
+    """spec, a series_engine row, at an end t = +-1 its domain admits: the
+    near entry at lam = 0, where a c-sum's x^n is s_n = (-1)^n if x < 0,
+    else 1.  One math.fsum adds the elementary part and each c-sum's
+    _TAIL_TERMS terms and asymptotic tail, all times sign end^p, which is
+    +-1 (so exact) at every admitted end.  The bound is near_sum's without
+    the Lerch cut."""
+    elementary, rules, rounding = (*spec.near, 3.0)[:3]
+    e = elementary(end) if elementary else 0.0
+    parts, err, mass = [e], 0.0, rounding * abs(e)
+    for power, over, deg, sign, alt, start in rules:
+        w = sign * end**spec.p
+        neg = (-end if alt else end) < 0.0
+        n_end = start + _TAIL_TERMS
+        terms, dterms = _terms(power, over, deg, neg, start, n_end)
+        tail, model = _tail(power, over, deg, neg, n_end + 1)
+        parts += [w * x for x in terms]
+        parts.append(w * tail)
+        err += abs(w) * (model + _C_ERR * math.fsum(dterms))
+        mass += abs(w) * (abs(math.fsum(terms)) + abs(tail))
+    value = math.fsum(parts)
+    bound = err + _FP_SLACK * (1.0 + mass)
+    return _new(EvalResult, (value, bound, _TAIL_TERMS, _CONVERGED))
+
+
+def _bernoulli_poly(n: int, p: int, q: int) -> int:
+    """q^n B_n(p/q) times _BERNOULLI_DEN, an exact integer."""
+    return sum(math.comb(n, k) * _BERNOULLI_NUM[k] * p ** (n - k) * q**k
+               for k in range(n + 1))
+
+
+@functools.cache
+def _lerch_values() -> tuple[dict[int, float], dict[int, float]]:
+    """zeta(s, a) (s != 1) and eta(s, a), a = _TAIL_TERMS + 1, for every s
+    the near tables read; below s = 1 each is an exact rational rounded
+    once.  Shared by every c-sum, built on the first call in the band."""
+    a = _TAIL_TERMS + 1
+    zeta, eta = {}, {}
+    for s in range(2 - _NEAR_ORDER - 6, _TAIL_ORDER + 1):
+        if s <= 0:
+            n = 1 - s
+            zeta[s] = -_bernoulli_poly(n, a, 1) / (n * _BERNOULLI_DEN)
+            # 2^-s / 2^n = 1/2
+            eta[s] = (_bernoulli_poly(n, a + 1, 2)
+                      - _bernoulli_poly(n, a, 2)) / (2 * n * _BERNOULLI_DEN)
+        else:
+            eta[s] = _eta(s, float(a))
+            if s > 1:
+                zeta[s] = _hurwitz(s, float(a))
+    return zeta, eta
+
+
+@functools.cache
+def _near_table(rule, neg: bool) -> tuple:
+    """The c-sum of rule, a series_engine._Rule, without its sign, for
+    x = -t if rule.alt else t, x < 0 if neg: (head, dhead, p, q, bound).
+    head[n] t^n is its term n < N and dhead[n] |t|^n that term's
+    |derivative in c_n|; p and q are P's and Q's coefficients in -lam,
+    highest power first (q empty for x < 0); bound is the _tail model
+    error, a majorant here as |x|^n <= 1, plus P's truncation at
+    |t| = _NEAR_START."""
+    power, over, deg, _, alt, start = rule
+    n_end = _TAIL_TERMS
+    head, dhead = _terms(power, over, deg, alt, start, n_end)
+    head, dhead = [0.0] * start + head, [0.0] * start + dhead
+    a = n_end + 1
+    coef = _expansion(power, over, deg)[:_TAIL_ORDER + 1]
+    zeta, eta = _lerch_values()
+    fact = math.factorial
+    js = range(1, _TAIL_ORDER + 1)
+    p, q = [], []
+    if neg:
+        sign = -1.0 if a % 2 else 1.0  # (-1)^a
+        for r in range(_NEAR_ORDER + 6):
+            p.append(sign * math.fsum(coef[j] * eta[j - r] for j in js)
+                     / fact(r))
+    else:
+        # psi(r+1) - psi(a) = H_r - H_(a-1), an exact rational
+        den = math.lcm(*range(1, a))
+        for r in range(_NEAR_ORDER + 6):
+            terms = [coef[j] * zeta[j - r] for j in js if j != r + 1]
+            if r < _TAIL_ORDER:
+                dpsi = -sum(den // k for k in range(r + 1, a)) / den
+                terms.append(coef[r + 1] * dpsi)
+                q.append(coef[r + 1] / fact(r))
+            p.append(math.fsum(terms) / fact(r))
+    lam = -math.log(_NEAR_START)
+    cut = 2.0 * math.fsum(abs(b) * lam**r
+                          for r, b in enumerate(p) if r >= _NEAR_ORDER)
+    model = _tail(power, over, deg, False, a)[1]
+    return head, dhead, p[_NEAR_ORDER - 1::-1], q[::-1], model + cut
+
+
+def near_sum(spec, t: float) -> EvalResult:
+    """The near-endpoint rule of spec, a series_engine row with a near
+    entry, at _NEAR_START <= |t| < 1: N terms of each c-sum plus its tail,
+    times the c-sum's sign.  The bound adds each c-sum's table bound,
+    _C_ERR times its head's sum of |derivative in c_n| |t|^n, and
+    _FP_SLACK times 1 plus the magnitudes of the parts, which may cancel in
+    the value: each head, each of P and log(lam) Q over x, and thrice the
+    elementary part, whose error is two roundings more than its one call
+    (log 2 Li2(t): li2_real's 2.3 ulp), or the rounding its entry names."""
+    elementary, rules, rounding = (*spec.near, 3.0)[:3]
+    y = math.log(abs(t))  # -lam
+    log_lam = math.log(-y)
+    pw = list(map(pow, repeat(t), range(_TAIL_TERMS)))
+    qw = list(map(abs, pw))
+    e = elementary(t) if elementary else 0.0
+    sums, mass, err = [], rounding * abs(e), 0.0
+    for rule in rules:
+        head_c, dhead, p_c, q_c, bound = _near_table(
+            rule, (t < 0.0) != rule.alt)
+        head = math.fsum(map(mul, head_c, pw))
+        p = 0.0
+        for b in p_c:
+            p = p * y + b
+        q = 0.0
+        for b in q_c:
+            q = q * y + b
+        q *= log_lam
+        x = -t if rule.alt else t
+        sums.append(rule.sign * (head + (p - q) / x))
+        w = abs(rule.sign)
+        mass += w * (abs(head) + (abs(p) + abs(q)) / abs(x))
+        err += w * (bound + _C_ERR * math.fsum(map(mul, dhead, qw)))
+    total = math.fsum(sums)
+    value = e + (total * t if spec.p else total)
+    bound = err + _FP_SLACK * (1.0 + mass)
+    return _new(EvalResult, (value, bound, _TAIL_TERMS, _CONVERGED))

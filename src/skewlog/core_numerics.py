@@ -263,13 +263,3 @@ def digamma_half_diff(n: int) -> float:
     m = (n - 1) // 2
     # psi(m + 1) - psi(m + 1/2)
     return harmonic(m) + 2.0 * LOG2 - 2.0 * odd_harmonic(m)
-
-
-def constant(name: str) -> float:
-    """Look up a ConstantTable entry by name."""
-    try:
-        return CONSTANTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown constant {name!r}; valid names: {', '.join(sorted(CONSTANTS))}"
-        ) from None

@@ -7,40 +7,29 @@ sum_series evaluates it four ways depending on t:
 
 * interior |t| < 1: direct summation, geometric tail bound
   env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
-  majorant of |a_n|.  The terms come in blocks: the coefficients of a
-  series without mu are slices of a per-process table of a_n, filled by
-  C-level maps over the harmonic cache only as far as a call has read
-  (the mu series run a fused loop per block, as their a_n depend on mu),
-  and the powers t^n by one running product carried from block to block,
-  which makes both the terms a_n t^n and the tail bound env(n+1) |t^n| c,
-  with c = |t|^(p+1)/(1-|t|) computed once per sum.  That bound is
-  nonincreasing as computed, so the stopping index is found by bisection,
-  and one math.fsum adds the terms: value, bound, terms and status are
-  those of a term-by-term loop with the same bound, bit for bit (the
-  argument is in _SeriesSpec);
-* the mu series at 0 < |t| < 0.99: the forward split (forward_split,
-  loaded by the first such call).  With s_n = H_n^-(mu)/mu, the partial
-  sums of log1p(mu)/mu, each series is an elementary part plus sums of
-  what s_n still owes that limit, whose terms shrink like |mu t|^n, so N,
-  which comes from tol, is about log(tol)/log|mu t|.  It is taken when N
-  is at most the interior sum's estimate and the term cap, and its bound
-  at most tol;
+  majorant of |a_n|.  The terms come in blocks, with the coefficients of a
+  series without mu sliced from a per-process table of a_n and the powers
+  t^n from one running product; value, bound, terms and status are those
+  of a term-by-term loop with the same bound, bit for bit (the argument is
+  in _SeriesSpec);
+* the mu series at 0 < |t| < 0.99, mu < 1: the forward split
+  (mu_split.forward), whose terms shrink like |mu t|^n, so N, which comes
+  from tol, is about log(tol)/log|mu t|.  It is taken when N is at most
+  the interior sum's estimate and the term cap, and its bound at most
+  tol;
 * endpoint t = +-1, where the series' catalog Domain admits it: its near
-  entry (below) at lam = 0.  Every term of a c-sum there is
-  s_n c_n^k / (n + d)^e with c_n = (-1)^n (log 2 - H_n^-) and s_n = 1 or
-  (-1)^n.  A c-sum is a fixed 32 terms plus the tail beyond them, from the
-  asymptotic expansion of c_n in u = 1/(n+1), generated from Bernoulli
-  numbers through u^12 and summed against Euler-Maclaurin Hurwitz zeta
-  values (their alternating combination eta for s_n = (-1)^n); the two
-  omitted orders, doubled, and the rounding of each c_n make the bound;
-* near an endpoint, 0.99 <= |t| < 1, for every series (near_endpoint,
-  loaded by the first call in the band): the ten without mu as an
-  elementary part plus one or two c-sums, their terms each times t^n, as
-  32 terms plus a Lerch tail; the mu series, at |mu| < 1, by the same
-  split, but with each tail summed backward from a seed whose N comes
-  from |mu| alone, when that takes fewer terms than the interior sum
-  would.  A bound above tol falls back to the interior sum, unless that
-  sum could only end at the term cap with a larger bound.
+  entry at lam = 0, each c-sum a fixed 32 terms plus an asymptotic tail
+  (c_sums.end_sum);
+* near an endpoint, 0.99 <= |t| < 1, for every series: the ten without
+  mu as an elementary part plus c-sums, each 32 terms plus a Lerch tail
+  (c_sums.near_sum); the mu series, at |mu| < 1, by the backward split
+  (mu_split.backward), whose N comes from |mu| alone, when that takes
+  fewer terms than the interior sum would.  A bound above tol falls back
+  to the interior sum, unless that sum could only end at the term cap
+  with a larger bound.
+
+c_sums and mu_split are imported by the first call that needs them, so a
+process that sums only interior series compiles neither.
 
 Every returned error_bound is meant to be honest: re-evaluating with more
 terms moves the value by at most the reported bound.
@@ -58,8 +47,8 @@ from operator import mul, sub, truediv
 
 from .catalog import SERIES, SeriesId, lookup
 from .core_numerics import (
-    _BERNOULLI, _CACHE, _TANGENT, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2,
-    check_int, check_mu, check_real, check_tol, skew_harmonic)
+    _CACHE, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2, check_int, check_mu,
+    check_real, check_tol)
 from .result import EvalResult, Status
 
 DEFAULT_MAX_TERMS = 200_000
@@ -82,12 +71,6 @@ def set_max_terms(n: int) -> None:
 
 def get_max_terms() -> int:
     return _max_terms
-
-
-def _c(n: int) -> float:
-    """c_n = (-1)^n (log 2 - H_n^-) = integral_0^1 x^n/(1+x) dx > 0."""
-    d = LOG2 - skew_harmonic(n)
-    return d if n % 2 == 0 else -d
 
 
 def _c_mu(mu: float) -> float:
@@ -271,152 +254,18 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
     return (2.0 + math.log(n)) / n
 
 
-# -- c-sums at t = +-1: a fixed prefix plus an asymptotic tail ---------------
-#
-# c_n is the Laplace transform of 1/(1+e^-s) = 1/2 + tanh(s/2)/2 at n+1, so
-# in u = 1/(n+1)
-#     c_n ~ u/2 + sum_k (4^k - 1) B_2k/(2k) u^2k = u/2 + u^2/4 - u^4/8 + ...
-# where (4^k - 1) B_2k/(2k) = (-1)^(k-1) T_(2k-1) / 4^k with the integer
-# tangent numbers T, exact in binary.  A c-sum's term at t = +-1,
-# s_n c_n^k / (n + d)^e with s_n = 1 or (-1)^n, is that expansion multiplied
-# out, and its sum over n >= N is sum_j a_j zeta(j, N+1), or
-# (-1)^N sum_j a_j eta(j, N+1) for the alternating s_n, with
-# eta(j, m) = sum_{i >= 0} (-1)^i (m+i)^-j.
-
 _FP_SLACK = 2e-16
 
-_TAIL_TERMS = 32             # terms summed before the tail takes over
-_TAIL_ORDER = 12             # highest power of u the tail keeps
-_TAIL_DEG = _TAIL_ORDER + 2  # the two omitted powers bound the model error
-#: Error of each computed c_n, n < 40: LOG2's half ulp, the roundings of
-#: the 1/k in H_n^- (2^-53 H_n together) and the compensated sum's few ulp.
-_C_ERR = 8e-16
-
-#: |t| from which sum_series tries the near-endpoint rule (near_endpoint).
-#: Its tail's terms alternate and shrink as (lam a)^r/r!, lam = -log|t|,
-#: a = _TAIL_TERMS + 1; at |t| = 0.99, lam a = 0.332 and they cancel by
-#: under a bit, but the loss grows as exp(2 lam a) below.
+#: |t| from which sum_series tries the near rules (c_sums, mu_split).  The
+#: Lerch tail's terms alternate and shrink as (lam a)^r/r!, lam = -log|t|,
+#: a = c_sums._TAIL_TERMS + 1; at |t| = 0.99, lam a = 0.332 and they cancel
+#: by under a bit, but the loss grows as exp(2 lam a) below.
 _NEAR_START = 0.99
-
-
-def _mul(a: list[float], b: list[float]) -> list[float]:
-    """Product of two power series in u, truncated after u^_TAIL_DEG."""
-    return [math.fsum(a[i] * b[j - i] for i in range(j + 1))
-            for j in range(_TAIL_DEG + 1)]
-
-
-def _hurwitz(s: int, x: float) -> float:
-    """zeta(s, x) = sum_{i >= 0} (x+i)^-s for s >= 2 and real x > 0, and its
-    finite part -psi(x) at s = 1, by Euler-Maclaurin.  For (x+i)^-s the
-    remainder is below the first omitted correction; corrections are added
-    until one falls under 2^-60 of |sum|."""
-    total = (-math.log(x) if s == 1 else x ** (1 - s) / (s - 1)) + 0.5 * x**-s
-    g = 0.5 * s * x ** (-s - 1)  # s (s+1) ... (s+2k-2) x^(1-s-2k) / (2k)!
-    for k, b in enumerate(_BERNOULLI, 1):
-        total += b * g
-        if abs(b * g) < 2.0**-60 * abs(total):
-            break
-        g *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * x**2)
-    return total
-
-
-def _eta(s: int, x: float) -> float:
-    """eta(s, x) = sum_{i >= 0} (-1)^i (x+i)^-s, s >= 1, as the difference
-    2^-s (zeta(s, x/2) - zeta(s, (x+1)/2)).  The difference cancels most at
-    s = 1, where zeta(1, x/2) ~ -log(x/2); at x = 33 and 34 its rounding is
-    below 7.4e-17 (5e-15 relative), far inside the bound's _C_ERR term."""
-    return 2.0**-s * (_hurwitz(s, 0.5 * x) - _hurwitz(s, 0.5 * (x + 1.0)))
-
-
-@functools.cache
-def _expansion(power: int, over: int | None, deg: int) -> list[float]:
-    """a_0, ..., a__TAIL_DEG of c_n^power / (n + over)^deg ~ sum_j a_j u^j
-    (no divisor for over None), u = 1/(n+1): the expansion of c_n
-    multiplied out."""
-    c = [0.0] * (_TAIL_DEG + 1)
-    c[1] = 0.5
-    for k in range(1, _TAIL_DEG // 2 + 1):
-        c[2 * k] = (-1) ** (k - 1) * _TANGENT[k - 1] / 4**k
-    a = [1.0] + [0.0] * _TAIL_DEG
-    for _ in range(power):
-        a = _mul(a, c)
-    if over is not None:  # 1/(n + over) = u / (1 - (1 - over) u)
-        inv = [0.0] + [float((1 - over) ** (j - 1))
-                       for j in range(1, _TAIL_DEG + 1)]
-        for _ in range(deg):
-            a = _mul(a, inv)
-    return a
-
-
-@functools.cache
-def _tail(power: int, over: int | None, deg: int, alt: bool,
-          m: int) -> tuple[float, float]:
-    """sum_{n >= m-1} s_n c_n^power / (n + over)^deg (no divisor for over
-    None), s_n = (-1)^n if alt else 1, and a bound on its model error: the
-    _expansion's powers through _TAIL_ORDER are summed against zeta(j, m)
-    (eta(j, m) if alt), and twice the two omitted powers, summed against
-    zeta(j, m) without signs, are the bound."""
-    a = _expansion(power, over, deg)
-
-    def against(f: Callable[[int, float], float], js: range) -> list[float]:
-        return [a[j] * f(j, float(m)) if a[j] else 0.0 for j in js]
-
-    # a[0] = 0: every term is O(u)
-    head = against(_eta if alt else _hurwitz, range(1, _TAIL_ORDER + 1))
-    omitted = against(_hurwitz, range(_TAIL_ORDER + 1, _TAIL_DEG + 1))
-    sign = -1.0 if alt and m % 2 == 0 else 1.0  # (-1)^(m-1)
-    return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
-
 
 #: A c-sum of a near entry: the terms sign c_n^power / (n + over)^deg x^n
 #: (no divisor for over None) from n = start, x = -t if alt else t.
 _Rule = namedtuple("_Rule", "power over deg sign alt start",
                    defaults=(None, 1, 1.0, False, 0))
-
-
-def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
-           hi: int) -> tuple[list[float], list[float]]:
-    """The terms s_n c_n^power / (n + over)^deg (no divisor for over None),
-    s_n = (-1)^n if alt else 1, for n = lo, ..., hi-1, and the |derivative
-    in c_n| of each."""
-    terms, dterms = [], []
-    for n in range(lo, hi):
-        c = _c(n)
-        x = c**power if over is None else c**power / (n + over) ** deg
-        terms.append(-x if alt and n % 2 else x)
-        dterms.append(power * x / c)
-    return terms, dterms
-
-
-@functools.cache
-def _endpoint(series_id: SeriesId,
-              end: float) -> tuple[float, EvalResult, EvalResult]:
-    """The series at an end t = +-1 its domain admits: the near entry at
-    lam = 0, where a c-sum's x^n is s_n = (-1)^n if x < 0, else 1.  One
-    math.fsum adds the elementary part and each c-sum's _TAIL_TERMS terms
-    and asymptotic tail, all times sign end^p, which is +-1 (so exact) at
-    every admitted end.  The bound is near_sum's without the Lerch cut.
-    Returns the bound, then the result as CONVERGED and as MAX_TERMS: they
-    do not depend on tol, so each end is computed once, on its first call."""
-    spec = _SPECS[series_id]
-    elementary, rules, rounding = (*spec.near, 3.0)[:3]
-    e = elementary(end) if elementary else 0.0
-    parts, err, mass = [e], 0.0, rounding * abs(e)
-    for power, over, deg, sign, alt, start in rules:
-        w = sign * end**spec.p
-        neg = (-end if alt else end) < 0.0
-        n_end = start + _TAIL_TERMS
-        terms, dterms = _terms(power, over, deg, neg, start, n_end)
-        tail, model = _tail(power, over, deg, neg, n_end + 1)
-        parts += [w * x for x in terms]
-        parts.append(w * tail)
-        err += abs(w) * (model + _C_ERR * math.fsum(dterms))
-        mass += abs(w) * (abs(math.fsum(terms)) + abs(tail))
-    value = math.fsum(parts)
-    bound = err + _FP_SLACK * (1.0 + mass)
-    return (bound,
-            EvalResult(value, bound, _TAIL_TERMS, Status.CONVERGED),
-            EvalResult(value, bound, _TAIL_TERMS, Status.MAX_TERMS))
 
 
 class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
@@ -429,12 +278,13 @@ class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
     only in exact arithmetic, because the interior sum finds its stopping
     index by bisection.  Each env here is a constant over an exact integer
     power of n or n + 1, or (c + log n)/n, whose relative step of about
-    1/n is far above its rounding for every n the cache allows.  near, the entry of the near-endpoint rule, is
-    (elementary, rules[, rounding]): elementary(t), or None for 0, plus
-    t^p times the sum of the c-sums of the _Rules in rules, where
-    elementary(t) is within rounding (3 if not given) times _FP_SLACK
-    |elementary(t)|; or, for a mu series, its _MuSplit.  An end t = +-1
-    that the domain admits is the near entry at lam = 0 (_endpoint).
+    1/n is far above its rounding for every n the cache allows.  near,
+    the near entry, is (elementary, rules[, rounding]): elementary(t), or
+    None for 0, plus t^p times the sum of the c-sums of the _Rules in
+    rules, where elementary(t) is within rounding (3 if not given) times
+    _FP_SLACK |elementary(t)|; or, for a mu series, its _MuSplit.  An end
+    t = +-1 that the domain admits is the near entry at lam = 0
+    (c_sums.end_sum).
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -461,12 +311,12 @@ class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
 def _log2_li2(t: float) -> float:
     if t == 1.0:  # li2_real(1.0), without loading polylog at the end
         return LOG2 * CONSTANTS["PI_SQ_OVER_6"]
-    from .polylog import li2_real  # only the near rule needs polylog
+    from .polylog import li2_real  # only the band needs polylog
     return LOG2 * li2_real(t)
 
 
 def _ramanujan_near(t: float) -> float:
-    """RAMANUJAN_ODD's elementary part near t = +-1 (near_endpoint):
+    """RAMANUJAN_ODD's elementary part near t = +-1 (derived in c_sums):
     sign(t) (atanh(s)^2 + pi^2/12 - Li2(v) - log^2(1-v)/2), s = |t| and
     v = (1-s)/2, exact, within 6 _FP_SLACK of its size."""
     from .polylog import li2_real
@@ -477,9 +327,9 @@ def _ramanujan_near(t: float) -> float:
     return math.copysign(e, t)
 
 
-#: The split of a mu series (forward_split.mu_split below 0.99,
-#: near_endpoint.mu_split in the band): its term's divisor n + over, and
-#: whether the term holds i_n = sum_(k<=n) H_k^-(mu)/(mu k) (inner).
+#: The split of a mu series (mu_split.forward below 0.99, mu_split.backward
+#: in the band): its term's divisor n + over, and whether the term holds
+#: i_n = sum_(k<=n) H_k^-(mu)/(mu k) (inner).
 _MuSplit = namedtuple("_MuSplit", "over inner")
 
 
@@ -498,7 +348,8 @@ def _mu_row(over: int, inner: bool = False) -> tuple:
 
 #: series -> (p, env, coeffs, near); _SPECS adds the catalog Domain.  Near
 #: t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry of a series
-#: without mu is its elementary part and its c-sums.
+#: without mu is its elementary part and its c-sums; the mu series split
+#: (mu_split).
 _ROWS = {
     SeriesId.GF_SKEW: (
         # its block is already a slice of the harmonic cache: no table
@@ -543,12 +394,8 @@ _ROWS = {
             pow, range(lo + 1, hi + 1), repeat(2)))),
         # log 2 Li2(t) - t sum c_n (-t)^n/(n+1)^2, from n = 0
         (_log2_li2, (_Rule(1, over=1, deg=2, sign=-1.0, alt=True),))),
-    # L (t - log1p(t)) + t sum r_n t^n/(n+1)
     SeriesId.MU_LEWIN: _mu_row(over=1),
-    # L log1p(t) + sum r_n t^n/n
     SeriesId.MU_DILOG: _mu_row(over=0),
-    # mu i_n = L H_n - R + rho_n, R = sum_k (-1)^k r_k/k and rho_n its tail
-    # beyond n
     SeriesId.MU_TRILOG: _mu_row(over=0, inner=True),
     SeriesId.RAMANUJAN_ODD: (
         0, _env_ramanujan, _plain(_ramanujan),
@@ -591,27 +438,27 @@ def sum_series(
     """Evaluate the tagged series at t to absolute tolerance tol.
 
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
-    rather than an exception; a bool or non-real t, tol or mu, or a tol
-    that is not positive and finite, raises DomainError.  Interior sums
-    stop at the term cap (set_max_terms) with status MAX_TERMS; the
-    endpoint and near-endpoint rules ignore the cap, and all but the mu
-    series' split sum a fixed 32 terms.  At an end t = +-1 that its catalog
-    Domain admits, a series is its near entry at lam = 0, whose value and
-    bound do not depend on tol: each end is computed once per process, on
-    its first call, and a call only compares the stored bound with tol
-    (CONVERGED when bound <= tol, else MAX_TERMS).  At 0 < |t| < 0.99 a mu
-    series returns its forward split (forward_split, CONVERGED) when the
-    split's N terms are at most the interior sum's estimate
-    (_interior_terms) and the term cap, and its bound is at most tol; else
-    the interior sum.  At 0.99 <= |t| < 1 a series returns the
-    near-endpoint rule's result (CONVERGED) when its bound is at most tol,
-    else the interior sum; the rule's tables are built on the first call
-    that needs them, never at import.  For a mu series that rule is
-    near_endpoint.mu_split, taken at |mu| < 1 when its N terms are fewer
-    than the interior sum's estimate and than _SPLIT_MOST.  A near result
-    whose bound exceeds tol but not _capped_tail returns as MAX_TERMS,
-    without the interior sum, which could only end at the cap with a bound
-    no smaller.
+    rather than an exception; a bool or non-real t, tol or mu, or a tol that
+    is not positive and finite, raises DomainError.  Interior sums stop at
+    the term cap (set_max_terms) with status MAX_TERMS; the c-sums and the
+    backward split ignore the cap, and the c-sums sum a fixed 32 terms.  At
+    an end t = +-1 that its catalog Domain admits, a series is its near
+    entry at lam = 0 (c_sums.end_sum), whose value and bound do not depend
+    on tol: each end is computed once per process, on its first call, and a
+    call only compares the stored bound with tol (CONVERGED when bound <=
+    tol, else MAX_TERMS).  At 0 < |t| < 0.99 a mu series returns its forward
+    split (mu_split.forward, CONVERGED) when mu < 1 (at mu = 1 its terms
+    shrink no faster than the interior sum's), its N terms are at most the
+    interior sum's estimate (_interior_terms) and the term cap, and its
+    bound is at most tol; else the interior sum.  At 0.99 <= |t| < 1 a
+    series returns its near rule's result (CONVERGED) when its bound is at
+    most tol, else the interior sum: c_sums.near_sum, whose tables are built
+    on the first call that needs them, never at import or at an end; for a
+    mu series mu_split.backward, taken at |mu| < 1 when its N terms are
+    fewer than the interior sum's estimate and than _SPLIT_MOST.  A near
+    result whose bound exceeds tol but not _capped_tail returns as
+    MAX_TERMS, without the interior sum, which could only end at the cap
+    with a bound no smaller.
     """
     tol = check_tol("tol", tol)
     try:
@@ -631,18 +478,18 @@ def sum_series(
         return converged if bound <= tol else short
     if abs(t) >= _NEAR_START:
         if has_mu:
-            near = _near_rule().mu_split(
+            near = _mu_split().backward(
                 spec, t, mu, min(_interior_terms(spec, t, tol, mu),
                                  _SPLIT_MOST))
         else:
-            near = _near_rule().near_sum(spec, t)
+            near = _c_sums().near_sum(spec, t)
         if near:
             if near.error_bound <= tol:
                 return near
             if near.error_bound <= _capped_tail(spec, t, mu):
                 return near._replace(status=Status.MAX_TERMS)
-    elif has_mu and t:
-        split = _forward_rule().mu_split(spec, t, mu, tol, min(
+    elif has_mu and t and mu < 1.0:
+        split = _mu_split().forward(spec, t, mu, tol, min(
             _interior_terms(spec, t, tol, mu), get_max_terms()))
         if split and split.error_bound <= tol:
             return split
@@ -691,18 +538,28 @@ def _interior_terms(spec: _SeriesSpec, t: float, tol: float,
 
 
 @functools.cache
-def _near_rule():
-    """The near_endpoint module, imported by the first call in the band."""
-    from . import near_endpoint
-    return near_endpoint
+def _c_sums():
+    """The c_sums module, imported by the first call at an end or in the
+    band."""
+    from . import c_sums
+    return c_sums
 
 
 @functools.cache
-def _forward_rule():
-    """The forward_split module, imported by the first mu sum below the
-    band."""
-    from . import forward_split
-    return forward_split
+def _mu_split():
+    """The mu_split module, imported by the first mu sum that may split."""
+    from . import mu_split
+    return mu_split
+
+
+@functools.cache
+def _endpoint(series_id: SeriesId,
+              end: float) -> tuple[float, EvalResult, EvalResult]:
+    """The series at an end t = +-1 its domain admits (c_sums.end_sum):
+    the bound, then the result as CONVERGED and as MAX_TERMS.  They do not
+    depend on tol, so each end is computed once, on its first call."""
+    res = _c_sums().end_sum(_SPECS[series_id], end)
+    return res.error_bound, res, res._replace(status=_MAX_TERMS)
 
 
 def _interior_sum(spec: _SeriesSpec, t: float, tol: float,

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from skewlog import (
+    CONSTANTS,
     ClosedFormId,
     IdentityId,
     SeriesId,
@@ -19,7 +20,6 @@ from skewlog import (
     Verdict,
     closed_form,
     closed_form_eq17,
-    constant,
     digamma_half_diff,
     double_integral_bigG,
     double_integral_eq31,
@@ -38,7 +38,7 @@ from skewlog import (
 
 LOG2 = math.log(2.0)
 PI = math.pi
-Z3 = constant("ZETA3")
+Z3 = CONSTANTS["ZETA3"]
 
 
 def _report(label: str, detail: str) -> None:
@@ -228,7 +228,7 @@ def test_criterion_11_antiderivative_cross_check():
         assert gap <= 1e-9, (x, gap)
         worst_quad = max(worst_quad, gap)
     closure = abs(int_li2_over_1mt(-1.0)
-                  - (constant("PI_SQ_OVER_12") * LOG2 - Z3 / 4.0))
+                  - (CONSTANTS["PI_SQ_OVER_12"] * LOG2 - Z3 / 4.0))
     assert closure <= 1e-10
     _report("criterion 11",
             f"version gap {worst_pair:.1e}, vs quadrature {worst_quad:.1e}, "

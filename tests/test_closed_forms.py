@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlog import (
+    CONSTANTS,
     ClosedFormId,
     DomainError,
     EQ18_VALUE,
@@ -18,7 +19,6 @@ from skewlog import (
     abel_sides,
     closed_form,
     closed_form_eq17,
-    constant,
     int_li2_over_1mt,
     li2,
     sum_series,
@@ -138,7 +138,7 @@ def test_antiderivative_versions_agree():
 
 def test_antiderivative_closure_value():
     # x = -1 in closed form: pi^2/12 * log 2 - zeta(3)/4
-    ref = constant("PI_SQ_OVER_12") * LOG2 - constant("ZETA3") / 4.0
+    ref = CONSTANTS["PI_SQ_OVER_12"] * LOG2 - CONSTANTS["ZETA3"] / 4.0
     assert int_li2_over_1mt(-1.0) == pytest.approx(ref, abs=1e-13)
 
 
@@ -205,11 +205,11 @@ def test_eq17_assembled_expression():
     assert closed_form_eq17(-1.0) == pytest.approx(EQ19_VALUE, abs=1e-15)
     # endpoint windows snap to the closure constants
     assert closed_form_eq17(1.0 - 1e-12) == closed_form_eq17(1.0)
-    z3 = constant("ZETA3")
+    z3 = CONSTANTS["ZETA3"]
     assert EQ18_VALUE == pytest.approx(
-        1.5 * z3 - constant("PI_SQ_OVER_6") * LOG2 - LOG2**3 / 3.0, abs=1e-15)
+        1.5 * z3 - CONSTANTS["PI_SQ_OVER_6"] * LOG2 - LOG2**3 / 3.0, abs=1e-15)
     assert EQ19_VALUE == pytest.approx(
-        constant("PI_SQ_OVER_12") * LOG2 - 0.75 * z3 - LOG2**3 / 3.0, abs=1e-15)
+        CONSTANTS["PI_SQ_OVER_12"] * LOG2 - 0.75 * z3 - LOG2**3 / 3.0, abs=1e-15)
 
 
 # --- five-term dilog relation -------------------------------------------------

@@ -19,7 +19,6 @@ from skewlog import (
     closed_form,
     closed_form_eq17,
     coefficient,
-    constant,
     digamma_half_diff,
     double_integral_bigG,
     double_integral_g,
@@ -144,27 +143,21 @@ def test_running_sum_identity_to_n_1000():
 
 
 def test_constants_internal_relations():
-    pi = constant("PI")
-    assert abs(constant("PI_SQ_OVER_6") - pi * pi / 6.0) <= 5e-16 * constant("PI_SQ_OVER_6")
-    assert abs(constant("PI_SQ_OVER_12") - pi * pi / 12.0) <= 5e-16
-    assert abs(constant("LOG2") - LOG2) <= 5e-16
+    pi = CONSTANTS["PI"]
+    assert abs(CONSTANTS["PI_SQ_OVER_6"] - pi * pi / 6.0) <= 5e-16 * CONSTANTS["PI_SQ_OVER_6"]
+    assert abs(CONSTANTS["PI_SQ_OVER_12"] - pi * pi / 12.0) <= 5e-16
+    assert abs(CONSTANTS["LOG2"] - LOG2) <= 5e-16
     # Li2(1/2) = pi^2/12 - log^2(2)/2
-    assert abs(constant("LI2_HALF") - (constant("PI_SQ_OVER_12") - 0.5 * LOG2**2)) <= 5e-16
+    assert abs(CONSTANTS["LI2_HALF"] - (CONSTANTS["PI_SQ_OVER_12"] - 0.5 * LOG2**2)) <= 5e-16
     # Li3(1/2) = 7 zeta(3)/8 - pi^2 log2 / 12 + log^3 2 / 6
     li3_half = (
-        0.875 * constant("ZETA3")
-        - constant("PI_SQ_OVER_12") * LOG2
+        0.875 * CONSTANTS["ZETA3"]
+        - CONSTANTS["PI_SQ_OVER_12"] * LOG2
         + LOG2**3 / 6.0
     )
-    assert abs(constant("LI3_HALF") - li3_half) <= 5e-16
-    assert constant("LI2_MINUS1") == pytest.approx(-constant("PI_SQ_OVER_12"), abs=1e-16)
-    assert constant("LI3_MINUS1") == pytest.approx(-0.75 * constant("ZETA3"), abs=1e-16)
-
-
-def test_constant_unknown_name():
-    with pytest.raises(KeyError):
-        constant("PLANCK")
-    assert set(CONSTANTS) >= {"LOG2", "PI", "ZETA3", "CATALAN_G", "EULER_GAMMA"}
+    assert abs(CONSTANTS["LI3_HALF"] - li3_half) <= 5e-16
+    assert CONSTANTS["LI2_MINUS1"] == pytest.approx(-CONSTANTS["PI_SQ_OVER_12"], abs=1e-16)
+    assert CONSTANTS["LI3_MINUS1"] == pytest.approx(-0.75 * CONSTANTS["ZETA3"], abs=1e-16)
 
 
 def test_cache_limit_enforced():

@@ -52,33 +52,46 @@ def test_import_loads_no_numpy():
     assert out.strip() == "False"
 
 
+#: The modules series_engine loads only when a call needs them.
+_LAZY = {"skewlog.c_sums", "skewlog.mu_split", "skewlog.polylog"}
+
+
 def test_near_rule_waits_for_a_near_call():
-    # neither importing series_engine nor a series at t = +-1 nor an
-    # interior sum loads the near-endpoint rule or polylog, nor does
-    # MU_DILOG's or MU_LEWIN's forward split, whose module the first mu sum
-    # loads; the first call in the band builds the shared values and its
-    # own c-sum tables only
-    out = _child(
-        "import sys\n"
-        "from skewlog import series_engine as se\n"
-        "from skewlog.catalog import SERIES\n"
+    # which of _LAZY each path loads in a fresh interpreter: an interior
+    # sum, plain or at mu = 1, none; a series at t = +-1 c_sums, building
+    # no Lerch value; MU_DILOG's and MU_LEWIN's forward split mu_split; the
+    # first call in the band c_sums, building the shared values and its own
+    # c-sum tables only
+    head = ("from skewlog import series_engine as se\n"
+            "from skewlog.catalog import SERIES\n")
+    interior = (
+        "se.sum_series(se.SeriesId.SKEW_SQ, -0.9899)\n"
+        "for sid in (se.SeriesId.MU_DILOG, se.SeriesId.MU_LEWIN,\n"
+        "            se.SeriesId.MU_TRILOG):\n"
+        "    for t in (0.5, -0.9):\n"
+        "        se.sum_series(sid, t, mu=1.0)\n")
+    ends = (
         "for sid in se.SeriesId:\n"
         "    for t in SERIES[sid.name].domain.ends:\n"
         "        if abs(t) == 1.0:\n"
         "            se.sum_series(sid, t)\n"
-        "se.sum_series(se.SeriesId.SKEW_SQ, -0.9899)\n"
-        "assert 'skewlog.forward_split' not in sys.modules\n"
+        "from skewlog.c_sums import _lerch_values\n"
+        "assert _lerch_values.cache_info().currsize == 0\n")
+    forward = (
         "for sid in (se.SeriesId.MU_DILOG, se.SeriesId.MU_LEWIN):\n"
         "    r = se.sum_series(sid, -0.896, 1e-8, mu=0.338)\n"
-        "    assert r.terms_used < 20, r\n"
-        "assert 'skewlog.forward_split' in sys.modules\n"
-        "assert 'skewlog.near_endpoint' not in sys.modules\n"
-        "assert 'skewlog.polylog' not in sys.modules\n"
+        "    assert r.terms_used < 20, r\n")
+    band = (
         "se.sum_series(se.SeriesId.SKEW_SQ, 0.995)\n"
-        "from skewlog import near_endpoint as ne\n"
-        "print(ne._lerch_values.cache_info().currsize,\n"
-        "      ne._near_table.cache_info().currsize)\n")
-    assert out.split() == ["1", "2"]
+        "from skewlog import c_sums as cs\n"
+        "sizes = (cs._lerch_values.cache_info().currsize,\n"
+        "         cs._near_table.cache_info().currsize)\n"
+        "assert sizes == (1, 2), sizes\n")
+    for code, expected in ((interior, set()), (ends, {"skewlog.c_sums"}),
+                           (forward, {"skewlog.mu_split"}),
+                           (band, {"skewlog.c_sums"})):
+        loaded = set(_child(_LOADED.format(head + code)).split())
+        assert loaded & _LAZY == expected, code
 
 
 def test_no_dataclasses():
@@ -101,8 +114,8 @@ def test_bare_import_loads_no_library_module():
 #: The modules that compute: listing the catalogs or reading a report
 #: loads none of them.
 _NUMERICS = {f"skewlog.{m}" for m in (
-    "core_numerics", "polylog", "series_engine", "near_endpoint",
-    "forward_split", "closed_forms", "quadrature", "verifier")}
+    "core_numerics", "polylog", "series_engine", "c_sums", "mu_split",
+    "closed_forms", "quadrature", "verifier")}
 
 
 def test_cli_verbs_load_only_what_they_use():
@@ -122,7 +135,13 @@ def test_cli_verbs_load_only_what_they_use():
             (["eval", "li2", "--x", "0.5"], "skewlog.polylog",
              heavy | {"fractions"}),
             (["list"], "skewlog.catalog", writers | _NUMERICS),
-            (["verify", "--id", "EQ2"], "skewlog.verifier", writers)):
+            (["verify", "--id", "EQ2"], "skewlog.verifier", writers),
+            # an interior sum loads none of the lazy modules, an end sum
+            # only c_sums
+            (["eval", "series", "--id", "GF_SKEW", "--t", "0.5"],
+             "skewlog.series_engine", heavy | _LAZY),
+            (["eval", "series", "--id", "CENTERED_SQ", "--t", "1"],
+             "skewlog.c_sums", heavy | _LAZY - {"skewlog.c_sums"})):
         loaded = set(_child(_LOADED.format(run_cli), *argv).split())
         assert marker in loaded, argv
         assert loaded & banned == set(), argv
@@ -180,11 +199,19 @@ def _skewlog_imports(path):
 
 def test_layering():
     src = ROOT / "src" / "skewlog"
-    upper = {"series_engine", "near_endpoint", "forward_split", "verifier",
-             "cli"}
-    for lower in ("polylog", "closed_forms", "quadrature"):
-        assert set(_skewlog_imports(src / f"{lower}.py")) & upper == set(), lower
+    upper = {"series_engine", "c_sums", "mu_split", "verifier", "cli"}
+    lower = {"polylog", "closed_forms", "quadrature"}
     # the catalog and the report form build on nothing that computes
+    forms = {"catalog", "report"}
+    # the package, its version, errors, results and core numerics build on
+    # one another only
+    base = {"__init__", "_version", "errors", "result", "core_numerics"}
+    # a new module must join a class, or it would pass unchecked
+    assert {p.stem for p in src.glob("*.py")} == upper | lower | forms | base
+    for name in lower:
+        assert set(_skewlog_imports(src / f"{name}.py")) & upper == set(), name
+    for name in base:
+        assert set(_skewlog_imports(src / f"{name}.py")) <= base, name
     assert set(_skewlog_imports(src / "catalog.py")) == set()
     assert set(_skewlog_imports(src / "report.py")) == {"catalog"}
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlog import (
-    ClosedFormId, DomainError, closed_form, closed_forms, constant, li2, li3)
+    CONSTANTS, ClosedFormId, DomainError, closed_form, closed_forms, li2, li3)
 from skewlog.catalog import CLOSED_FORMS
 from skewlog.polylog import (
     _LI2_P, _LI3_Q, _LI3_U, _PI_SQ_OVER_6, _ZETA3, _li2_u, li2_real,
@@ -108,12 +108,12 @@ def test_continuous_across_one_half():
 def test_exact_table_points():
     assert li2(0.0) == 0.0
     assert li3(0.0) == 0.0
-    assert li2(1.0) == constant("PI_SQ_OVER_6")
-    assert li2(-1.0) == constant("LI2_MINUS1")
-    assert li3(1.0) == constant("ZETA3")
-    assert li3(-1.0) == constant("LI3_MINUS1")
-    assert li2(0.5) == constant("LI2_HALF")
-    assert li3(0.5) == constant("LI3_HALF")
+    assert li2(1.0) == CONSTANTS["PI_SQ_OVER_6"]
+    assert li2(-1.0) == CONSTANTS["LI2_MINUS1"]
+    assert li3(1.0) == CONSTANTS["ZETA3"]
+    assert li3(-1.0) == CONSTANTS["LI3_MINUS1"]
+    assert li2(0.5) == CONSTANTS["LI2_HALF"]
+    assert li3(0.5) == CONSTANTS["LI3_HALF"]
 
 
 def polylog_series_oracle(m: int, x: float, n_terms: int) -> float:
@@ -155,7 +155,7 @@ def test_series_oracle_input_checks():
 
 def test_li2_euler_reflection():
     # Li2(x) + Li2(1-x) = pi^2/6 - log(x) log(1-x)
-    pi2_6 = constant("PI_SQ_OVER_6")
+    pi2_6 = CONSTANTS["PI_SQ_OVER_6"]
     for x in (0.05, 0.2, 0.35, 0.5, 0.64, 0.8, 0.97):
         lhs = li2(x) + li2(1.0 - x)
         rhs = pi2_6 - math.log(x) * math.log1p(-x)
@@ -173,8 +173,8 @@ def test_li2_landen():
 def test_li3_three_term_relation():
     # Li3(x) + Li3(1-x) + Li3(1-1/x) resolves into zeta/log terms.
     # Needs x >= 0.5 so the third argument stays inside [-1, 1].
-    z3 = constant("ZETA3")
-    pi2_6 = constant("PI_SQ_OVER_6")
+    z3 = CONSTANTS["ZETA3"]
+    pi2_6 = CONSTANTS["PI_SQ_OVER_6"]
     for x in (0.5, 0.61, 0.77, 0.9, 0.98):
         lx, l1mx = math.log(x), math.log1p(-x)
         rhs = z3 + lx**3 / 6.0 + pi2_6 * lx - 0.5 * lx**2 * l1mx
@@ -286,7 +286,7 @@ def test_inversion_below_minus_one():
     # the kernels map w < -1 to 1/w: within 2 ulp of the reference, and
     # Li2(w) + Li2(1/w) = -pi^2/6 - log^2(-w)/2,
     # Li3(w) - Li3(1/w) = -(pi^2/6) log(-w) - log^3(-w)/6
-    pi2_6 = constant("PI_SQ_OVER_6")
+    pi2_6 = CONSTANTS["PI_SQ_OVER_6"]
     for w, (ref2, ref3) in INVERSION_REFS.items():
         assert abs(li2_real(w) - ref2) <= 2 * math.ulp(ref2), w
         assert abs(li3_real(w) - ref3) <= 2 * math.ulp(ref3), w

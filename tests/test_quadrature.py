@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlog import (
+    CONSTANTS,
     ClosedFormId,
     DomainError,
     EQ18_VALUE,
@@ -22,7 +23,6 @@ from skewlog import (
     Status,
     closed_form,
     closed_form_eq17,
-    constant,
     double_integral_bigG,
     double_integral_eq31,
     double_integral_eq32,
@@ -104,7 +104,7 @@ def test_log_integrand_to_dilog():
 
 def test_antiderivative_cross_check():
     # int_0^{-1} li2(t)/(1-t) dt against the closed value
-    ref = constant("PI_SQ_OVER_12") * LOG2 - constant("ZETA3") / 4.0
+    ref = CONSTANTS["PI_SQ_OVER_12"] * LOG2 - CONSTANTS["ZETA3"] / 4.0
     res = integrate_1d(lambda t: li2(t) / (1.0 - t), 0.0, -1.0)
     assert res.status is Status.CONVERGED
     assert abs(res.value - ref) <= 1e-10
@@ -306,7 +306,7 @@ def test_catalan_combination():
         0.875 * LOG2**2
         + math.pi * LOG2 / 8.0
         - math.pi**2 / 48.0
-        - constant("CATALAN_G") / 2.0
+        - CONSTANTS["CATALAN_G"] / 2.0
     )
     res = double_integral_eq31()
     assert abs(res.value - ref) <= 1e-8
@@ -315,7 +315,7 @@ def test_catalan_combination():
 
 def test_log_product_square():
     # value is log^3(2)/3 - zeta(3)/2 + pi^2 log(2)/12
-    ref = LOG2**3 / 3.0 - constant("ZETA3") / 2.0 + math.pi**2 * LOG2 / 12.0
+    ref = LOG2**3 / 3.0 - CONSTANTS["ZETA3"] / 2.0 + math.pi**2 * LOG2 / 12.0
     res = double_integral_eq32()
     assert abs(res.value - ref) <= 1e-8
     assert abs(res.value - 0.08007047107127240) <= 1e-8

@@ -28,12 +28,12 @@ from skewlog import (
 )
 from skewlog.catalog import SERIES
 from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
-from skewlog.forward_split import mu_split as forward
-from skewlog.near_endpoint import mu_split, near_sum
+from skewlog.c_sums import _eta, _hurwitz, near_sum
+from skewlog.mu_split import backward as mu_split, forward
 from skewlog.result import EvalResult
 from skewlog.series_engine import (
     _FP_SLACK, _SPECS, _TABLE_TERMS, DEFAULT_MAX_TERMS, _capped_tail,
-    _endpoint, _eta, _hurwitz, _interior_sum, _plain)
+    _endpoint, _interior_sum, _plain)
 
 LOG2 = math.log(2.0)
 
