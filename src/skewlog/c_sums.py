@@ -31,30 +31,33 @@ where (4^k - 1) B_2k/(2k) = (-1)^(k-1) T_(2k-1) / 4^k with the integer
 tangent numbers T, exact in binary.  A term c_n^power / (n + over)^deg is
 that expansion multiplied out (_expansion), A_j through u^_TAIL_ORDER.
 
-* At an end t = +-1 (end_sum), the tail is sum_j A_j zeta(j, N+1), or
-  (-1)^N sum_j A_j eta(j, N+1) for the alternating x^n = (-1)^n (_tail).
-* In the band 0.99 <= |t| < 1 (near_sum), the tail is sum_j A_j L_j,
-  L_j = sum_(n>=N) x^n (n+1)^-j.  With a = N + 1 and lam = -log|x|
-  (Erdelyi et al., Higher Transcendental Functions I, 1.11), for x > 0
+In the band 0.99 <= |t| < 1 and at an end t = +-1 alike (near_sum), the
+tail is sum_j A_j L_j, L_j = sum_(n>=N) x^n (n+1)^-j.  With a = N + 1 and
+lam = -log|x| (Erdelyi et al., Higher Transcendental Functions I, 1.11),
+for x > 0
 
-      x L_j = sum_{r != j-1} zeta(j-r, a) (-lam)^r/r!
-              + (-lam)^(j-1)/(j-1)! (psi(j) - psi(a) - log lam),
+    x L_j = sum_{r != j-1} zeta(j-r, a) (-lam)^r/r!
+            + (-lam)^(j-1)/(j-1)! (psi(j) - psi(a) - log lam),
 
-  and for x < 0, where the alternating sum is entire in lam,
+and for x < 0, where the alternating sum is entire in lam,
 
-      x L_j = (-1)^a sum_r eta(j-r, a) (-lam)^r/r!,
+    x L_j = (-1)^a sum_r eta(j-r, a) (-lam)^r/r!,
 
-  with zeta(-k, a) = -B_(k+1)(a)/(k+1) and eta(s, a) = 2^-s (zeta(s, a/2) -
-  zeta(s, (a+1)/2)) as in _eta.  Summed over j against A_j these are two
-  polynomials in lam, P(lam) - log(lam) Q(lam), or P alone for x < 0 (the
-  log lam terms of the even and odd halves of the alternating sum cancel).
-  They are tabled once per c-sum and sign of x, on the first call that
-  needs them; a call sums N products and runs Horner's rule once or twice.
+with zeta(-k, a) = -B_(k+1)(a)/(k+1) and eta(s, a) = 2^-s (zeta(s, a/2) -
+zeta(s, (a+1)/2)) as in _eta.  Summed over j against A_j these are two
+polynomials in lam, P(lam) - log(lam) Q(lam), or P alone for x < 0 (the
+log lam terms of the even and odd halves of the alternating sum cancel).
+They are tabled once per c-sum and sign of x, on the first call that needs
+them; a call sums N products and runs Horner's rule once or twice.  At an
+end lam = 0: P(0) is sum_(j>=2) A_j zeta(j, a), or for x < 0
+(-1)^a sum_j A_j eta(j, a), and Q(0) = A_1 is 0 for every c-sum with x > 0
+that an end admits (its terms are O(u^2), or the sum would diverge), so
+the log lam term drops.
 
 series_engine imports this module on the first call at an end or in the
-band, so a process that sums only interior series never compiles it, and
-an end call builds none of the band's tables.  It imports no polylog: the
-elementary parts that need Li2 are series_engine's.
+band, so a process that sums only interior series never compiles it; that
+call builds the Lerch values every c-sum shares.  It imports no polylog:
+the elementary parts that need Li2 are series_engine's.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def _hurwitz(s: int, x: float) -> float:
 def _eta(s: int, x: float) -> float:
     """eta(s, x) = sum_{i >= 0} (-1)^i (x+i)^-s, s >= 1, as the difference
     2^-s (zeta(s, x/2) - zeta(s, (x+1)/2)).  The difference cancels most at
-    s = 1, where zeta(1, x/2) ~ -log(x/2); at x = 33 and 34 its rounding is
+    s = 1, where zeta(1, x/2) ~ -log(x/2); at x = 33 its rounding is
     below 7.4e-17 (5e-15 relative), far inside the bound's _C_ERR term."""
     return 2.0**-s * (_hurwitz(s, 0.5 * x) - _hurwitz(s, 0.5 * (x + 1.0)))
 
@@ -134,26 +137,6 @@ def _expansion(power: int, over: int | None, deg: int) -> list[float]:
     return a
 
 
-@functools.cache
-def _tail(power: int, over: int | None, deg: int, alt: bool,
-          m: int) -> tuple[float, float]:
-    """sum_{n >= m-1} s_n c_n^power / (n + over)^deg (no divisor for over
-    None), s_n = (-1)^n if alt else 1, and a bound on its model error: the
-    _expansion's powers through _TAIL_ORDER are summed against zeta(j, m)
-    (eta(j, m) if alt), and twice the two omitted powers, summed against
-    zeta(j, m) without signs, are the bound."""
-    a = _expansion(power, over, deg)
-
-    def against(f: Callable[[int, float], float], js: range) -> list[float]:
-        return [a[j] * f(j, float(m)) if a[j] else 0.0 for j in js]
-
-    # a[0] = 0: every term is O(u)
-    head = against(_eta if alt else _hurwitz, range(1, _TAIL_ORDER + 1))
-    omitted = against(_hurwitz, range(_TAIL_ORDER + 1, _TAIL_DEG + 1))
-    sign = -1.0 if alt and m % 2 == 0 else 1.0  # (-1)^(m-1)
-    return sign * math.fsum(head), 2.0 * math.fsum(map(abs, omitted))
-
-
 def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
            hi: int) -> tuple[list[float], list[float]]:
     """The terms s_n c_n^power / (n + over)^deg (no divisor for over None),
@@ -168,31 +151,6 @@ def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
     return terms, dterms
 
 
-def end_sum(spec, end: float) -> EvalResult:
-    """spec, a series_engine row, at an end t = +-1 its domain admits: the
-    near entry at lam = 0, where a c-sum's x^n is s_n = (-1)^n if x < 0,
-    else 1.  One math.fsum adds the elementary part and each c-sum's
-    _TAIL_TERMS terms and asymptotic tail, all times sign end^p, which is
-    +-1 (so exact) at every admitted end.  The bound is near_sum's without
-    the Lerch cut."""
-    elementary, rules, rounding = (*spec.near, 3.0)[:3]
-    e = elementary(end) if elementary else 0.0
-    parts, err, mass = [e], 0.0, rounding * abs(e)
-    for power, over, deg, sign, alt, start in rules:
-        w = sign * end**spec.p
-        neg = (-end if alt else end) < 0.0
-        n_end = start + _TAIL_TERMS
-        terms, dterms = _terms(power, over, deg, neg, start, n_end)
-        tail, model = _tail(power, over, deg, neg, n_end + 1)
-        parts += [w * x for x in terms]
-        parts.append(w * tail)
-        err += abs(w) * (model + _C_ERR * math.fsum(dterms))
-        mass += abs(w) * (abs(math.fsum(terms)) + abs(tail))
-    value = math.fsum(parts)
-    bound = err + _FP_SLACK * (1.0 + mass)
-    return _new(EvalResult, (value, bound, _TAIL_TERMS, _CONVERGED))
-
-
 def _bernoulli_poly(n: int, p: int, q: int) -> int:
     """q^n B_n(p/q) times _BERNOULLI_DEN, an exact integer."""
     return sum(math.comb(n, k) * _BERNOULLI_NUM[k] * p ** (n - k) * q**k
@@ -203,10 +161,11 @@ def _bernoulli_poly(n: int, p: int, q: int) -> int:
 def _lerch_values() -> tuple[dict[int, float], dict[int, float]]:
     """zeta(s, a) (s != 1) and eta(s, a), a = _TAIL_TERMS + 1, for every s
     the near tables read; below s = 1 each is an exact rational rounded
-    once.  Shared by every c-sum, built on the first call in the band."""
+    once.  Shared by every c-sum, built on the first call at an end or in
+    the band."""
     a = _TAIL_TERMS + 1
     zeta, eta = {}, {}
-    for s in range(2 - _NEAR_ORDER - 6, _TAIL_ORDER + 1):
+    for s in range(2 - _NEAR_ORDER - 6, _TAIL_DEG + 1):
         if s <= 0:
             n = 1 - s
             zeta[s] = -_bernoulli_poly(n, a, 1) / (n * _BERNOULLI_DEN)
@@ -214,7 +173,8 @@ def _lerch_values() -> tuple[dict[int, float], dict[int, float]]:
             eta[s] = (_bernoulli_poly(n, a + 1, 2)
                       - _bernoulli_poly(n, a, 2)) / (2 * n * _BERNOULLI_DEN)
         else:
-            eta[s] = _eta(s, float(a))
+            if s <= _TAIL_ORDER:
+                eta[s] = _eta(s, float(a))
             if s > 1:
                 zeta[s] = _hurwitz(s, float(a))
     return zeta, eta
@@ -226,15 +186,16 @@ def _near_table(rule, neg: bool) -> tuple:
     x = -t if rule.alt else t, x < 0 if neg: (head, dhead, p, q, bound).
     head[n] t^n is its term n < N and dhead[n] |t|^n that term's
     |derivative in c_n|; p and q are P's and Q's coefficients in -lam,
-    highest power first (q empty for x < 0); bound is the _tail model
-    error, a majorant here as |x|^n <= 1, plus P's truncation at
+    highest power first (q empty for x < 0); bound is the model error,
+    twice the expansion's two omitted powers summed against zeta(j, a)
+    without signs, a majorant here as |x|^n <= 1, plus P's truncation at
     |t| = _NEAR_START."""
     power, over, deg, _, alt, start = rule
     n_end = _TAIL_TERMS
     head, dhead = _terms(power, over, deg, alt, start, n_end)
     head, dhead = [0.0] * start + head, [0.0] * start + dhead
     a = n_end + 1
-    coef = _expansion(power, over, deg)[:_TAIL_ORDER + 1]
+    coef = _expansion(power, over, deg)
     zeta, eta = _lerch_values()
     fact = math.factorial
     js = range(1, _TAIL_ORDER + 1)
@@ -257,30 +218,37 @@ def _near_table(rule, neg: bool) -> tuple:
     lam = -math.log(_NEAR_START)
     cut = 2.0 * math.fsum(abs(b) * lam**r
                           for r, b in enumerate(p) if r >= _NEAR_ORDER)
-    model = _tail(power, over, deg, False, a)[1]
+    model = 2.0 * math.fsum(abs(coef[j] * zeta[j])
+                            for j in range(_TAIL_ORDER + 1, _TAIL_DEG + 1))
     return head, dhead, p[_NEAR_ORDER - 1::-1], q[::-1], model + cut
 
 
 def near_sum(spec, t: float) -> EvalResult:
     """The near-endpoint rule of spec, a series_engine row with a near
-    entry, at _NEAR_START <= |t| < 1: N terms of each c-sum plus its tail,
-    times the c-sum's sign.  The bound adds each c-sum's table bound,
-    _C_ERR times its head's sum of |derivative in c_n| |t|^n, and
-    _FP_SLACK times 1 plus the magnitudes of the parts, which may cancel in
-    the value: each head, each of P and log(lam) Q over x, and thrice the
-    elementary part, whose error is two roundings more than its one call
-    (log 2 Li2(t): li2_real's 2.3 ulp), or the rounding its entry names."""
+    entry, at _NEAR_START <= |t| < 1 or at an end t = +-1 its domain
+    admits: N terms of each c-sum plus its tail, times the c-sum's sign.
+    At an end, lam = 0: P is its constant term, and the log(lam) Q term
+    drops, as Q(0) = A_1 = 0 for every c-sum with x > 0 there; one
+    math.fsum then adds the elementary part and every term and tail, each
+    times sign t^p, which is +-1 (so exact).  The bound adds each c-sum's
+    table bound, _C_ERR times its head's sum of |derivative in c_n| |t|^n,
+    and _FP_SLACK times 1 plus the magnitudes of the parts, which may
+    cancel in the value: each head, each of P and log(lam) Q over x, and
+    thrice the elementary part, whose error is two roundings more than its
+    one call (log 2 Li2(t): li2_real's 2.3 ulp), or the rounding its entry
+    names."""
     elementary, rules, rounding = (*spec.near, 3.0)[:3]
-    y = math.log(abs(t))  # -lam
-    log_lam = math.log(-y)
+    y = math.log(abs(t))  # -lam, 0.0 at an end
+    log_lam = math.log(-y) if y else 0.0
     pw = list(map(pow, repeat(t), range(_TAIL_TERMS)))
     qw = list(map(abs, pw))
     e = elementary(t) if elementary else 0.0
-    sums, mass, err = [], rounding * abs(e), 0.0
+    sums, mass, err = [] if y else [e], rounding * abs(e), 0.0
     for rule in rules:
         head_c, dhead, p_c, q_c, bound = _near_table(
             rule, (t < 0.0) != rule.alt)
-        head = math.fsum(map(mul, head_c, pw))
+        terms = map(mul, head_c, pw) if y else list(map(mul, head_c, pw))
+        head = math.fsum(terms)
         p = 0.0
         for b in p_c:
             p = p * y + b
@@ -289,11 +257,17 @@ def near_sum(spec, t: float) -> EvalResult:
             q = q * y + b
         q *= log_lam
         x = -t if rule.alt else t
-        sums.append(rule.sign * (head + (p - q) / x))
+        tail = (p - q) / x
+        if y:
+            sums.append(rule.sign * (head + tail))
+        else:
+            sign = rule.sign * t**spec.p
+            sums += [sign * z for z in terms]
+            sums.append(sign * tail)
         w = abs(rule.sign)
         mass += w * (abs(head) + (abs(p) + abs(q)) / abs(x))
         err += w * (bound + _C_ERR * math.fsum(map(mul, dhead, qw)))
     total = math.fsum(sums)
-    value = e + (total * t if spec.p else total)
+    value = e + (total * t if spec.p else total) if y else total
     bound = err + _FP_SLACK * (1.0 + mass)
     return _new(EvalResult, (value, bound, _TAIL_TERMS, _CONVERGED))

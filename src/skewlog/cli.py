@@ -4,7 +4,8 @@ Verbs: eval (any function, series or integral at a point), verify (one
 identity or all of them), report (verify --all, with JSON as its default
 format), constants (the reference constant table), list (the series /
 closed-form / identity catalogs).  Exit codes: 0 success or all-PASS, 1
-any FAIL verdict, 2 usage or domain errors.
+any FAIL verdict, 2 usage or domain errors or an --out file that cannot
+be written.
 
 Each verb imports the library modules it uses when it runs, each with
 the modules it builds on: constants loads core_numerics, eval li2 polylog,
@@ -86,8 +87,12 @@ def _cmd_eval(args) -> int:
         name, flag = _INTEGRAL_TARGETS[t]
         quadrature = _lib("quadrature")
         point = () if flag is None else (_need(args, flag),)
-        cfg = quadrature.QuadratureConfig(
-            abs_tol=max(check_tol("tol", args.tol), 1e-15))
+        # a tol <= 0 gets eval series's message, and one under the
+        # quadrature's 1e-15 floor a message that names the floor; rel_tol
+        # at that floor leaves abs_tol the target, as |value| < 1 for all
+        # four integrals
+        tol = check_tol("tol", check_tol("tol", args.tol), 1e-15)
+        cfg = quadrature.QuadratureConfig(abs_tol=tol, rel_tol=1e-15)
         _print_result(getattr(quadrature, name)(*point, cfg))
     elif t == "series":
         from .catalog import SERIES, SeriesId, lookup
@@ -138,8 +143,12 @@ def _emit(payload: bytes | str, out: str | None) -> None:
             sys.stdout.write("\n")
     else:
         mode = "wb" if isinstance(payload, bytes) else "w"
-        with open(out, mode) as fh:
-            fh.write(payload)
+        try:
+            with open(out, mode) as fh:
+                fh.write(payload)
+        except OSError as exc:  # a usage error (2), not a FAIL verdict (1)
+            raise ValueError(
+                f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_verify(args) -> int:

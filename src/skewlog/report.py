@@ -276,13 +276,29 @@ def serialize_report(report: Report, fmt: str = "json") -> bytes:
     return _csv_report(report).encode("utf-8")
 
 
+def _parse_json_records(rows) -> list[VerificationRecord]:
+    """The records of a JSON report's record list, in one pass."""
+    identities = _members(
+        _IDENTITIES, list(map(itemgetter("identity"), rows)), "identity")
+    verdicts = _members(
+        _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
+    return [
+        _new(VerificationRecord, (
+            identity, tuple([(k, float(v)) for k, v in d["params"]]),
+            d["lhs"], d["rhs"], d["residual"], d["tolerance"], verdict,
+            d.get("note", ""),
+        ))
+        for d, identity, verdict in zip(rows, identities, verdicts)
+    ]
+
+
 def parse_report(data: bytes | str, fmt: str = "json") -> Report:
     """Inverse of serialize_report.
 
     JSON round-trips the full report; CSV carries only the tabular record
     fields, so summary is recomputed and metadata/notes come back empty.
     A malformed report is a ValueError that names what is wrong: the
-    missing JSON key or record field, or the CSV line.  Blank lines at the
+    missing JSON key, the JSON record, or the CSV line.  Blank lines at the
     end of a CSV report are ignored.
     """
     fmt = _format(fmt)
@@ -299,25 +315,24 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
                 raise ValueError(f"JSON report has no {key!r} key")
         rows = obj["records"]
         try:
-            identities = _members(
-                _IDENTITIES, list(map(itemgetter("identity"), rows)),
-                "identity")
-            verdicts = _members(
-                _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
-            records = [
-                _new(VerificationRecord, (
-                    identity,
-                    tuple([(k, float(v)) for k, v in d["params"]]),
-                    d["lhs"], d["rhs"], d["residual"], d["tolerance"],
-                    verdict, d.get("note", ""),
-                ))
-                for d, identity, verdict in zip(rows, identities, verdicts)
-            ]
-        except KeyError as exc:
-            key = exc.args[0]
-            i = next(i for i, d in enumerate(rows) if key not in d)
-            raise ValueError(
-                f"JSON record {i} has no {key!r} field") from None
+            records = _parse_json_records(rows)
+        except (KeyError, TypeError):
+            # parsed again a record at a time, to name the first bad one
+            if not isinstance(rows, list):
+                raise ValueError("a JSON report's 'records' must be a "
+                                 "list") from None
+            for i, d in enumerate(rows):
+                if not isinstance(d, dict):
+                    raise ValueError(
+                        f"JSON record {i} is not an object") from None
+                try:
+                    _parse_json_records([d])
+                except KeyError as exc:
+                    raise ValueError(f"JSON record {i} has no "
+                                     f"{exc.args[0]!r} field") from None
+                except TypeError as exc:
+                    raise ValueError(f"JSON record {i}: {exc}") from None
+            raise
         return Report(records, obj["summary"], obj["metadata"],
                       obj.get("notes", []))
     import csv

@@ -18,8 +18,8 @@ sum_series evaluates it four ways depending on t:
   the interior sum's estimate and the term cap, and its bound at most
   tol;
 * endpoint t = +-1, where the series' catalog Domain admits it: its near
-  entry at lam = 0, each c-sum a fixed 32 terms plus an asymptotic tail
-  (c_sums.end_sum);
+  entry at lam = 0, each c-sum a fixed 32 terms plus its Lerch tail's
+  constant term (c_sums.near_sum);
 * near an endpoint, 0.99 <= |t| < 1, for every series: the ten without
   mu as an elementary part plus c-sums, each 32 terms plus a Lerch tail
   (c_sums.near_sum); the mu series, at |mu| < 1, by the backward split
@@ -284,7 +284,7 @@ class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
     rules, where elementary(t) is within rounding (3 if not given) times
     _FP_SLACK |elementary(t)|; or, for a mu series, its _MuSplit.  An end
     t = +-1 that the domain admits is the near entry at lam = 0
-    (c_sums.end_sum).
+    (c_sums.near_sum).
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -443,7 +443,7 @@ def sum_series(
     the term cap (set_max_terms) with status MAX_TERMS; the c-sums and the
     backward split ignore the cap, and the c-sums sum a fixed 32 terms.  At
     an end t = +-1 that its catalog Domain admits, a series is its near
-    entry at lam = 0 (c_sums.end_sum), whose value and bound do not depend
+    entry at lam = 0 (c_sums.near_sum), whose value and bound do not depend
     on tol: each end is computed once per process, on its first call, and a
     call only compares the stored bound with tol (CONVERGED when bound <=
     tol, else MAX_TERMS).  At 0 < |t| < 0.99 a mu series returns its forward
@@ -453,9 +453,9 @@ def sum_series(
     bound is at most tol; else the interior sum.  At 0.99 <= |t| < 1 a
     series returns its near rule's result (CONVERGED) when its bound is at
     most tol, else the interior sum: c_sums.near_sum, whose tables are built
-    on the first call that needs them, never at import or at an end; for a
-    mu series mu_split.backward, taken at |mu| < 1 when its N terms are
-    fewer than the interior sum's estimate and than _SPLIT_MOST.  A near
+    on the first call that needs them, there or at an end, never at import;
+    for a mu series mu_split.backward, taken at |mu| < 1 when its N terms
+    are fewer than the interior sum's estimate and than _SPLIT_MOST.  A near
     result whose bound exceeds tol but not _capped_tail returns as
     MAX_TERMS, without the interior sum, which could only end at the cap
     with a bound no smaller.
@@ -555,10 +555,11 @@ def _mu_split():
 @functools.cache
 def _endpoint(series_id: SeriesId,
               end: float) -> tuple[float, EvalResult, EvalResult]:
-    """The series at an end t = +-1 its domain admits (c_sums.end_sum):
-    the bound, then the result as CONVERGED and as MAX_TERMS.  They do not
-    depend on tol, so each end is computed once, on its first call."""
-    res = _c_sums().end_sum(_SPECS[series_id], end)
+    """The series at an end t = +-1 its domain admits, its near entry at
+    lam = 0 (c_sums.near_sum): the bound, then the result as CONVERGED and
+    as MAX_TERMS.  They do not depend on tol, so each end is computed once,
+    on its first call."""
+    res = _c_sums().near_sum(_SPECS[series_id], end)
     return res.error_bound, res, res._replace(status=_MAX_TERMS)
 
 

@@ -109,6 +109,31 @@ def test_eval_integral_bad_tolerance_is_usage_error(argv, tol, capsys):
     assert captured.err == "error: tol must be a positive finite number\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "integral-g", "--z", "0.5"],
+    ["eval", "integral-eq31"],
+], ids=["g", "eq31"])
+def test_eval_integral_tolerance_below_the_floor_is_usage_error(argv, capsys):
+    # not raised silently to the quadrature's floor: the message names it
+    assert run([*argv, "--tol", "9e-16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be a finite number >= 1e-15\n"
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["eval", "integral-bigg", "--z", "0.99"], "1e-14"),
+    (["eval", "integral-bigg", "--z", "1"], "1e-14"),
+    (["eval", "integral-eq32"], "1e-15"),
+], ids=["bigg-0.99", "bigg-1", "eq32"])
+def test_eval_integral_converged_bound_is_within_tol(argv, tol, capsys):
+    # CONVERGED means error_bound <= --tol, the relative target included
+    assert run([*argv, "--tol", tol]) == 0
+    out = dict(line.split("=") for line in capsys.readouterr().out.split())
+    assert out["status"] == "CONVERGED"
+    assert float(out["error_bound"]) <= float(tol)
+
+
 def test_verify_single(capsys):
     assert run(["verify", "--id", "EQ15"]) == 0
     out = capsys.readouterr().out
@@ -151,6 +176,21 @@ def test_verify_all_json_to_file(tmp_path, capsys):
     assert set(parsed) == {"metadata", "notes", "records", "summary"}
     assert len(parsed["notes"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "EQ4"],
+    ["report"],
+], ids=["verify", "report"])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    # exit 1 is kept for a FAIL verdict: a file that cannot be written is 2
+    target = tmp_path / "missing" / "r.txt"
+    assert run([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write --out {target}: "
+                            "No such file or directory\n")
+    assert not target.parent.exists()
 
 
 def test_report_csv(capsys):

@@ -58,10 +58,11 @@ _LAZY = {"skewlog.c_sums", "skewlog.mu_split", "skewlog.polylog"}
 
 def test_near_rule_waits_for_a_near_call():
     # which of _LAZY each path loads in a fresh interpreter: an interior
-    # sum, plain or at mu = 1, none; a series at t = +-1 c_sums, building
-    # no Lerch value; MU_DILOG's and MU_LEWIN's forward split mu_split; the
-    # first call in the band c_sums, building the shared values and its own
-    # c-sum tables only
+    # sum, plain or at mu = 1, none; every series at t = +-1 c_sums, whose
+    # near rule builds the shared Lerch values once and no polylog;
+    # MU_DILOG's and MU_LEWIN's forward split mu_split; the first call in
+    # the band c_sums, building the shared values and its own c-sum tables
+    # only
     head = ("from skewlog import series_engine as se\n"
             "from skewlog.catalog import SERIES\n")
     interior = (
@@ -76,7 +77,8 @@ def test_near_rule_waits_for_a_near_call():
         "        if abs(t) == 1.0:\n"
         "            se.sum_series(sid, t)\n"
         "from skewlog.c_sums import _lerch_values\n"
-        "assert _lerch_values.cache_info().currsize == 0\n")
+        "info = _lerch_values.cache_info()\n"
+        "assert (info.misses, info.currsize) == (1, 1), info\n")
     forward = (
         "for sid in (se.SeriesId.MU_DILOG, se.SeriesId.MU_LEWIN):\n"
         "    r = se.sum_series(sid, -0.896, 1e-8, mu=0.338)\n"

@@ -329,6 +329,16 @@ def test_malformed_reports_are_value_errors(full_report):
         del bad["records"][1][field]
         with pytest.raises(ValueError, match=f"record 1 .*'{field}'"):
             parse_report(json.dumps(bad), "json")
+    # records, a record, its params or its identity of the wrong type
+    for rows, match in (([1], "record 0 is not an object"),
+                        ("ab", "'records' must be a list")):
+        with pytest.raises(ValueError, match=match):
+            parse_report(json.dumps({**doc, "records": rows}), "json")
+    for field, value in (("params", 5), ("identity", ["EQ4"])):
+        bad = json.loads(json.dumps(doc))
+        bad["records"][1][field] = value
+        with pytest.raises(ValueError, match="record 1: "):
+            parse_report(json.dumps(bad), "json")
     bad = json.loads(json.dumps(doc))
     del bad["notes"], bad["records"][0]["note"]  # optional: default empty
     back = parse_report(json.dumps(bad), "json")
