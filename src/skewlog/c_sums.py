@@ -1,7 +1,8 @@
 """The c-sums, in which sum_series sums every series without mu near t = +-1.
 
 With c_n = (-1)^n (log 2 - H_n^-) = integral_0^1 x^n/(1+x) dx > 0, how far
-the skew-harmonic numbers still are from log 2, H_n^- = log 2 - (-1)^n c_n,
+the skew-harmonic numbers still are from log 2, H_n^- = log 2 - (-1)^n c_n
+(c_n comes from core_numerics.skew_gaps, with its error _C_ERR),
 and each series without mu is an elementary part plus t^p times c-sums,
 the terms sign c_n^power / (n + over)^deg x^n from n = start, x = -t or t
 (the near entries of series_engine._ROWS).  RAMANUJAN_ODD's coefficients
@@ -43,13 +44,13 @@ and for x < 0, where the alternating sum is entire in lam,
 
     x L_j = (-1)^a sum_r eta(j-r, a) (-lam)^r/r!,
 
-with zeta(-k, a) = -B_(k+1)(a)/(k+1) and eta(s, a) = 2^-s (zeta(s, a/2) -
-zeta(s, (a+1)/2)) as in _eta.  Summed over j against A_j these are two
-polynomials in lam, P(lam) - log(lam) Q(lam), or P alone for x < 0 (the
-log lam terms of the even and odd halves of the alternating sum cancel).
-They are tabled once per c-sum and sign of x, on the first call that needs
-them; a call sums N products and runs Horner's rule once or twice.  At an
-end lam = 0: P(0) is sum_(j>=2) A_j zeta(j, a), or for x < 0
+with eta(s, a) = 2^-s (zeta(s, a/2) - zeta(s, (a+1)/2)) as in _eta, both
+exact rationals at s <= 0 (_lerch_values).  Summed over j against A_j
+these are two polynomials in lam, P(lam) - log(lam) Q(lam), or P alone for
+x < 0 (the log lam terms of the even and odd halves of the alternating sum
+cancel).  They are tabled once per c-sum and sign of x, on the first call
+that needs them; a call sums N products and runs Horner's rule once or
+twice.  At an end lam = 0: P(0) is sum_(j>=2) A_j zeta(j, a), or for x < 0
 (-1)^a sum_j A_j eta(j, a), and Q(0) = A_1 is 0 for every c-sum with x > 0
 that an end admits (its terms are O(u^2), or the sum would diverge), so
 the log lam term drops.
@@ -64,28 +65,18 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from itertools import repeat
 from operator import mul
 
 from .core_numerics import (
-    _BERNOULLI, _BERNOULLI_DEN, _BERNOULLI_NUM, _TANGENT, LOG2, skew_harmonic)
+    _BERNOULLI, _BERNOULLI_DEN, _BERNOULLI_NUM, _C_ERR, _TANGENT, skew_gaps)
 from .result import EvalResult
 from .series_engine import _CONVERGED, _FP_SLACK, _NEAR_START, _new
 
 _TAIL_TERMS = 32             # terms summed before the tail takes over
 _TAIL_ORDER = 12             # highest power of u the tail keeps
 _TAIL_DEG = _TAIL_ORDER + 2  # the two omitted powers bound the model error
-#: Error of each computed c_n, n < 40: LOG2's half ulp, the roundings of
-#: the 1/k in H_n^- (2^-53 H_n together) and the compensated sum's few ulp.
-_C_ERR = 8e-16
 _NEAR_ORDER = 16  # powers of lam kept in P; the next 6 bound the rest
-
-
-def _c(n: int) -> float:
-    """c_n = (-1)^n (log 2 - H_n^-) = integral_0^1 x^n/(1+x) dx > 0."""
-    d = LOG2 - skew_harmonic(n)
-    return d if n % 2 == 0 else -d
 
 
 def _mul(a: list[float], b: list[float]) -> list[float]:
@@ -143,35 +134,32 @@ def _terms(power: int, over: int | None, deg: int, alt: bool, lo: int,
     s_n = (-1)^n if alt else 1, for n = lo, ..., hi-1, and the |derivative
     in c_n| of each."""
     terms, dterms = [], []
-    for n in range(lo, hi):
-        c = _c(n)
+    for n, c in zip(range(lo, hi), map(abs, skew_gaps(lo, hi))):
         x = c**power if over is None else c**power / (n + over) ** deg
         terms.append(-x if alt and n % 2 else x)
         dterms.append(power * x / c)
     return terms, dterms
 
 
-def _bernoulli_poly(n: int, p: int, q: int) -> int:
-    """q^n B_n(p/q) times _BERNOULLI_DEN, an exact integer."""
-    return sum(math.comb(n, k) * _BERNOULLI_NUM[k] * p ** (n - k) * q**k
-               for k in range(n + 1))
-
-
 @functools.cache
 def _lerch_values() -> tuple[dict[int, float], dict[int, float]]:
     """zeta(s, a) (s != 1) and eta(s, a), a = _TAIL_TERMS + 1, for every s
-    the near tables read; below s = 1 each is an exact rational rounded
-    once.  Shared by every c-sum, built on the first call at an end or in
-    the band."""
+    the near tables read.  At s = -k <= 0 each is an exact rational rounded
+    once: with b = B+_(k+1) = (-1)^(k+1) B_(k+1) (B+_1 = +1/2),
+    zeta(-k, a) = -b/(k+1) - sum_(j<a) j^k and eta(-k, a) =
+    (-1)^(a-1) ((2^(k+1) - 1) b/(k+1) - sum_(j<a) (-1)^(j-1) j^k).  Shared
+    by every c-sum, built on the first call at an end or in the band."""
     a = _TAIL_TERMS + 1
     zeta, eta = {}, {}
     for s in range(2 - _NEAR_ORDER - 6, _TAIL_DEG + 1):
         if s <= 0:
-            n = 1 - s
-            zeta[s] = -_bernoulli_poly(n, a, 1) / (n * _BERNOULLI_DEN)
-            # 2^-s / 2^n = 1/2
-            eta[s] = (_bernoulli_poly(n, a + 1, 2)
-                      - _bernoulli_poly(n, a, 2)) / (2 * n * _BERNOULLI_DEN)
+            k = -s
+            b = (-1) ** (k + 1) * _BERNOULLI_NUM[k + 1]
+            den = (k + 1) * _BERNOULLI_DEN
+            powers = [j**k for j in range(1, a)]
+            alt = sum(powers[::2]) - sum(powers[1::2])
+            zeta[s] = (-b - den * sum(powers)) / den
+            eta[s] = (-1) ** (a - 1) * ((2**(k + 1) - 1) * b - den * alt) / den
         else:
             if s <= _TAIL_ORDER:
                 eta[s] = _eta(s, float(a))

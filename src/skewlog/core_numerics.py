@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import numbers
 import threading
+from itertools import repeat
+from operator import sub
 
 from .errors import DomainError
 
@@ -203,6 +205,24 @@ _CACHE = HarmonicCache()
 # reads an entry already filled straight from its list; any other input
 # (bool, negative, non-int, not yet cached) goes to the cache's checks.
 _H, _H2, _SKEW = _CACHE.values_h, _CACHE.values_h2, _CACHE.values_skew
+
+
+def _skew(lo: int, hi: int) -> list[float]:
+    """H_n^- for n = lo, ..., hi-1 (0.0 at n = 0)."""
+    if hi > len(_SKEW):
+        _CACHE.ensure(hi - 1)
+    return _SKEW[lo:hi]
+
+
+#: Error of each c_n from skew_gaps, n < 40: LOG2's half ulp, the roundings
+#: of the 1/k in H_n^- (2^-53 H_n together) and the compensated sum's few ulp.
+_C_ERR = 8e-16
+
+
+def skew_gaps(lo: int, hi: int) -> map:
+    """H_n^- - log 2 = -(-1)^n c_n, n = lo, ..., hi-1, with c_n > 0 as in
+    c_sums; the sign is exact, c_n >= 1/(2n+2) being far above its error."""
+    return map(sub, _skew(lo, hi), repeat(LOG2))
 
 
 def harmonic(n: int) -> float:

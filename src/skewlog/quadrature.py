@@ -62,6 +62,16 @@ class QuadratureConfig(namedtuple("QuadratureConfig",
 
 _DEFAULT_CFG = QuadratureConfig()
 
+
+def _config(cfg) -> QuadratureConfig:
+    """cfg, or the default for None; anything else raises DomainError."""
+    if cfg is None:
+        return _DEFAULT_CFG
+    if not isinstance(cfg, QuadratureConfig):
+        raise DomainError("cfg must be a QuadratureConfig or None")
+    return cfg
+
+
 # Gauss-Kronrod 7/15 on [-1, 1]: the positive Kronrod nodes _X0 > ... > _X6
 # (the rule is symmetric about the centre node 0), their Kronrod weights
 # _K0 ... _K6 and the centre's _KC.  The Gauss 7-point rule uses the odd
@@ -165,7 +175,9 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     called strictly inside (a, b) only (with the map, unless e u^3
     underflows).  Nonzero limits so close together (about a hundred ulps)
     that the first panel's outermost nodes would round onto them raise
-    DomainError.  terms_used counts integrand evaluations, 15 per panel.
+    DomainError, as does a cfg that is neither None (the default config)
+    nor a QuadratureConfig.  terms_used counts integrand evaluations, 15
+    per panel.
 
     Every decision is taken on the fsum of the panels' values and error
     estimates, the exact totals correctly rounded, as if they were kept
@@ -182,9 +194,9 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     a, b = check_real("a", a), check_real("b", b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
+    cfg = _config(cfg)
     if a == b:
         return EvalResult(0.0, 0.0, 0, Status.CONVERGED)
-    cfg = cfg or _DEFAULT_CFG
     if a and b:
         if not _interior(min(a, b), max(a, b)):
             raise DomainError("integration limits too close together: "
@@ -340,7 +352,7 @@ def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
     # p = u^3 itself: integrate_1d's map at 0 would call d through a
     # wrapper per node, and its weight 3.0 * (u * u) rounds differently
     # from 3.0 * u * u here
-    cfg = cfg or _DEFAULT_CFG
+    cfg = _config(cfg)
     r = _adaptive(d, 0.0, 1.0, cfg, _gk15_kernel)
     if r.status is Status.DIVERGENT_INPUT:
         return r

@@ -47,8 +47,8 @@ from operator import mul, sub, truediv
 
 from .catalog import SERIES, SeriesId, lookup
 from .core_numerics import (
-    _CACHE, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2, check_int, check_mu,
-    check_real, check_tol)
+    _CACHE, _H, _skew, CONSTANTS, DEFAULT_CACHE_LIMIT, LOG2, check_int,
+    check_mu, check_real, check_tol, skew_gaps)
 from .result import EvalResult, Status
 
 DEFAULT_MAX_TERMS = 200_000
@@ -91,19 +91,6 @@ def _c_mu(mu: float) -> float:
 
 #: block(lo, hi) -> a_lo, ..., a_(hi-1)
 _Block = Callable[[int, int], Iterable[float]]
-_H, _SKEW = _CACHE.values_h, _CACHE.values_skew
-
-
-def _skew(lo: int, hi: int) -> list[float]:
-    """H_n^- (0.0 at n = 0)."""
-    if hi > len(_SKEW):
-        _CACHE.ensure(hi - 1)
-    return _SKEW[lo:hi]
-
-
-def _centered(lo: int, hi: int) -> Iterable[float]:
-    """H_n^- - log 2."""
-    return map(sub, _skew(lo, hi), repeat(LOG2))
 
 
 def _over_n(x: Iterable[float], lo: int, hi: int) -> Iterable[float]:
@@ -359,7 +346,7 @@ _ROWS = {
     SeriesId.GF_CENTERED: (
         0, _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
-        _plain(_centered),
+        _plain(skew_gaps),
         (None, (_Rule(1, sign=-1.0, alt=True),))),
     SeriesId.SKEW_OVER_N: (
         0, _env_inv,
@@ -369,11 +356,11 @@ _ROWS = {
          (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
     SeriesId.CENTERED_OVER_N: (
         0, _env_half_inv_sq,
-        _plain(lambda lo, hi: _over_n(_centered(lo, hi), lo, hi)),
+        _plain(lambda lo, hi: _over_n(skew_gaps(lo, hi), lo, hi)),
         (None, (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
     SeriesId.CENTERED_SHIFT: (
         1, _env_inv_np1_sq,
-        _plain(lambda lo, hi: _over_np1(_centered(lo, hi), lo, hi)),
+        _plain(lambda lo, hi: _over_np1(skew_gaps(lo, hi), lo, hi)),
         (None, (_Rule(1, over=1, sign=-1.0, alt=True),))),
     SeriesId.SKEW_SQ: (
         0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi))),
@@ -382,11 +369,11 @@ _ROWS = {
          (_Rule(1, sign=-2.0 * LOG2, alt=True), _Rule(2)))),
     SeriesId.CENTERED_SQ: (
         0, _env_inv_np1_sq,
-        _plain(lambda lo, hi: _squares(_centered(lo, hi))),
+        _plain(lambda lo, hi: _squares(skew_gaps(lo, hi))),
         (None, (_Rule(2),))),
     SeriesId.CENTERED_SQ_SHIFT: (
         1, _env_inv_np1_cube,
-        _plain(lambda lo, hi: _over_np1(_squares(_centered(lo, hi)), lo, hi)),
+        _plain(lambda lo, hi: _over_np1(_squares(skew_gaps(lo, hi)), lo, hi)),
         (None, (_Rule(2, over=1),))),
     SeriesId.SKEW_OVER_NSQ: (
         1, _env_inv_np1_sq,

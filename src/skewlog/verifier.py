@@ -14,7 +14,7 @@ verify_all imports datetime for the report's timestamp.
 from __future__ import annotations
 
 import math
-from itertools import cycle, repeat
+from itertools import repeat
 from operator import add, ge, getitem, mul, sub
 
 from ._version import __version__
@@ -35,6 +35,7 @@ from .core_numerics import (
     check_real,
     check_tol,
     digamma_half_diff,
+    skew_gaps,
 )
 from .errors import DomainError
 from .polylog import li2_real
@@ -188,11 +189,8 @@ def _verify_eq1(identity, grid, tol):
                               "n must be an integer >= 1")
     if first <= hi:
         lhs = list(map(digamma_half_diff, range(first, hi + 1)))
-        # 2 (-1)^(n-1) (log 2 - H_(n-1)^-)
-        _CACHE.ensure(hi - 1)
-        signs = cycle((2.0, -2.0) if first % 2 else (-2.0, 2.0))
-        rhs = list(map(mul, signs, map(
-            sub, repeat(LOG2), _CACHE.values_skew[first - 1:hi])))
+        # 2 c_(n-1) = 2 (-1)^(n-1) (log 2 - H_(n-1)^-)
+        rhs = list(map(mul, repeat(2.0), map(abs, skew_gaps(first - 1, hi))))
         out += _n_records(identity, first, lhs, rhs, tol)
     return out
 
@@ -364,11 +362,15 @@ def verify_identity(
     the domain is a SKIPPED record.  A bool or non-real grid value, an
     n_range (lo, hi) that is not two integers with hi >= lo, and a
     tolerance (when given) that is not a positive finite real raise
-    DomainError.  An identity that is not an IdentityId is a ValueError."""
+    DomainError.  An identity that is not an IdentityId, or a grid that is
+    not a GridSpec, is a ValueError."""
     run = lookup(_CHECKS, identity, "identity")
     row = IDENTITIES[identity.name]
     if grid is None:
         grid = row.grid
+    elif not isinstance(grid, GridSpec):
+        raise ValueError(f"{identity.name} takes a GridSpec grid, not "
+                         f"{type(grid).__name__}")
     elif row.grid is NO_PARAMS and (
             # == alone would take False or 0 for NO_PARAMS's 0.0
             grid != NO_PARAMS or type(grid.t_values[0]) is not float):

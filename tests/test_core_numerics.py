@@ -1,6 +1,8 @@
 """Harmonic-family sequences, the shared cache, and named constants."""
 
 import math
+from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +103,38 @@ def test_skew_harmonic_converges_to_log2():
         gap = skew_harmonic(n) - LOG2
         assert abs(gap) <= 1.0 / (n + 1) + 1e-15
         assert math.copysign(1.0, gap) == (-1.0) ** (n - 1)
+
+
+def _log2_enclosure(k=80):
+    """Rationals lo <= log 2 <= hi: log 2 = sum_(j>=1) 1/(j 2^j), whose terms
+    past j = k sum to under 1/((k+1) 2^k)."""
+    lo = sum(Fraction(1, j << j) for j in range(1, k + 1))
+    return lo, lo + Fraction(1, (k + 1) << k)
+
+
+def test_skew_gaps_against_exact_rationals():
+    # each computed c_n = |H_n^- - log 2|, n < 40, is within _C_ERR of
+    # c_n = (-1)^n (log 2 - H_n^-) at both ends of the enclosure, H_n^-
+    # summed exactly, so within _C_ERR of the true c_n
+    enclosure = _log2_enclosure()
+    h = Fraction(0)
+    for n, gap in enumerate(core_numerics.skew_gaps(0, 40)):
+        h += Fraction((-1) ** (n - 1), n) if n else 0
+        for log2 in enclosure:
+            c = (-1) ** n * (log2 - h)
+            assert abs(Fraction(abs(gap)) - c) <= core_numerics._C_ERR, n
+
+
+def test_skew_gaps_sign_is_exact():
+    # H_n^- - log 2 = -(-1)^n c_n with c_n >= 1/(2n+2), far above the
+    # rounding, so the computed sign is exact and abs gives c_n: at every
+    # n <= 1,000, and at every 997th n up to 2 10^5
+    for n in chain(range(1001), range(1001, 200_001, 997)):
+        (gap,) = core_numerics.skew_gaps(n, n + 1)
+        assert math.copysign(1.0, gap) == -(-1.0) ** n, n
+        assert abs(gap) >= 0.5 / (n + 1), n
+    assert list(core_numerics.skew_gaps(0, 1001)) == [
+        next(core_numerics.skew_gaps(n, n + 1)) for n in range(1001)]
 
 
 def test_even_index_split_identities():

@@ -218,6 +218,34 @@ def test_layering():
     assert set(_skewlog_imports(src / "report.py")) == {"catalog"}
 
 
+#: Imported names a module keeps without reading them: the verifier
+#: re-exports these two for the benchmark, which reads them off it.
+_REEXPORTS = {"verifier.py": {"parse_report", "serialize_report"}}
+
+
+def test_every_imported_name_is_read():
+    # the lint: each name a library module binds by an import (but
+    # __future__'s) is read in that module, or listed in its __all__
+    unread = []
+    for path in sorted((ROOT / "src" / "skewlog").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported |= {c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant)}
+        unread += [f"{path.name}: {name}" for name in sorted(
+            bound - read - exported - _REEXPORTS.get(path.name, set()))]
+    assert unread == []
+
+
 def test_traced_boundary_names_resolve():
     # the benchmark's tracer wraps each name of its BOUNDARY on its layer's
     # module; a name the library drops must fail here, not only in traced

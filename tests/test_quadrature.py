@@ -74,6 +74,24 @@ def test_config_validation():
         cfg._replace(max_subdivisions=True)
 
 
+def test_cfg_is_a_config_or_none():
+    # a falsy cfg does not fall back to the default config, and a tuple or a
+    # dict does not get as far as an attribute read: each entry point
+    # refuses them, at a == b too
+    calls = (lambda cfg: integrate_1d(math.exp, 0.0, 1.0, cfg),
+             lambda cfg: integrate_1d(math.exp, 0.5, 0.5, cfg),
+             lambda cfg: double_integral_g(0.5, cfg),
+             lambda cfg: double_integral_bigG(-0.5, cfg),
+             double_integral_eq31, double_integral_eq32)
+    for call in calls:
+        for bad in (0, False, 1e-10, (), (1e-10, 1e-12, 4000),
+                    {"abs_tol": 1e-10}):
+            with pytest.raises(DomainError, match="^cfg must be a "
+                                                  "QuadratureConfig or None$"):
+                call(bad)
+        assert call(None) == call(QuadratureConfig())
+
+
 def test_integrate_constant_and_poly():
     res = integrate_1d(lambda t: 1.0, 0.0, 1.0)
     assert res.value == pytest.approx(1.0, abs=1e-14)

@@ -27,8 +27,10 @@ from skewlog import (
     sum_series,
 )
 from skewlog.catalog import SERIES
-from skewlog.core_numerics import DEFAULT_CACHE_LIMIT
-from skewlog.c_sums import _eta, _expansion, _hurwitz, near_sum
+from skewlog.core_numerics import (
+    _BERNOULLI_DEN, _BERNOULLI_NUM, DEFAULT_CACHE_LIMIT)
+from skewlog.c_sums import (
+    _TAIL_TERMS, _eta, _expansion, _hurwitz, _lerch_values, near_sum)
 from skewlog.mu_split import backward as mu_split, forward
 from skewlog.result import EvalResult
 from skewlog.series_engine import (
@@ -138,6 +140,27 @@ def test_hurwitz_against_literals(s, x, ref):
 def test_eta_against_literals(s, x, ref):
     # the Hurwitz difference cancels up to ~100x at s = 1 (measured 4.8e-15)
     assert abs(_eta(s, x) - ref) <= 1e-14 * ref
+
+
+def _bernoulli_poly(n, p, q):
+    """q^n B_n(p/q) times _BERNOULLI_DEN, an exact integer."""
+    return sum(math.comb(n, k) * _BERNOULLI_NUM[k] * p ** (n - k) * q**k
+               for k in range(n + 1))
+
+
+def test_lerch_values_below_one_are_bernoulli_polynomials():
+    # zeta(1 - n, a) = -B_n(a)/n and eta(1 - n, a) = 2^(n-1) (zeta(1 - n,
+    # a/2) - zeta(1 - n, (a+1)/2)) = (B_n((a+1)/2) - B_n(a/2)) / 2n, each
+    # an exact rational rounded once: the integer sums give the same bits
+    a = _TAIL_TERMS + 1
+    zeta, eta = _lerch_values()
+    below = sorted(s for s in zeta if s <= 0)
+    assert below == sorted(s for s in eta if s <= 0) and len(below) == 21
+    for s in below:
+        n = 1 - s
+        assert zeta[s] == -_bernoulli_poly(n, a, 1) / (n * _BERNOULLI_DEN)
+        assert eta[s] == (_bernoulli_poly(n, a + 1, 2) - _bernoulli_poly(
+            n, a, 2)) / (2 * n * _BERNOULLI_DEN)
 
 
 # --- sum_series: interior points --------------------------------------------

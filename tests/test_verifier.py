@@ -97,6 +97,18 @@ def test_grid_kind_must_match_the_identity():
             verify_identity(identity, grid)
 
 
+def test_grid_is_a_gridspec():
+    # a plain tuple, even one equal to a GridSpec, or any other object is
+    # refused before its fields are read
+    for identity, grid in ((IdentityId.EQ2, ((0.5,), (), None)),
+                           (IdentityId.EQ31, tuple(NO_PARAMS)),
+                           (IdentityId.EQ1_DIGAMMA, {"n_range": (1, 3)}),
+                           (IdentityId.EQ22, [(0.5,), (0.3,)])):
+        with pytest.raises(ValueError, match=f"^{identity.name} takes a "
+                                             "GridSpec grid, not "):
+            verify_identity(identity, grid)
+
+
 @pytest.mark.parametrize("identity", [IdentityId.EQ31, IdentityId.EQ32])
 def test_parameter_free_identity_takes_no_grid(identity):
     # a grid would be ignored: one record with params () whatever it holds
