@@ -171,13 +171,13 @@ def _lerch_values() -> tuple[dict[int, float], dict[int, float]]:
 @functools.cache
 def _near_table(rule, neg: bool) -> tuple:
     """The c-sum of rule, a series_engine._Rule, without its sign, for
-    x = -t if rule.alt else t, x < 0 if neg: (head, dhead, p, q, bound).
-    head[n] t^n is its term n < N and dhead[n] |t|^n that term's
+    x = -t if rule.alt else t, x < 0 if neg: (head, dhead, p, q, model,
+    cut).  head[n] t^n is its term n < N and dhead[n] |t|^n that term's
     |derivative in c_n|; p and q are P's and Q's coefficients in -lam,
-    highest power first (q empty for x < 0); bound is the model error,
+    highest power first (q empty for x < 0); model is the model error,
     twice the expansion's two omitted powers summed against zeta(j, a)
-    without signs, a majorant here as |x|^n <= 1, plus P's truncation at
-    |t| = _NEAR_START."""
+    without signs, a majorant here as |x|^n <= 1, and cut P's truncation
+    at |t| = _NEAR_START, which an end (lam = 0) does not have."""
     power, over, deg, _, alt, start = rule
     n_end = _TAIL_TERMS
     head, dhead = _terms(power, over, deg, alt, start, n_end)
@@ -208,7 +208,7 @@ def _near_table(rule, neg: bool) -> tuple:
                           for r, b in enumerate(p) if r >= _NEAR_ORDER)
     model = 2.0 * math.fsum(abs(coef[j] * zeta[j])
                             for j in range(_TAIL_ORDER + 1, _TAIL_DEG + 1))
-    return head, dhead, p[_NEAR_ORDER - 1::-1], q[::-1], model + cut
+    return head, dhead, p[_NEAR_ORDER - 1::-1], q[::-1], model, cut
 
 
 def near_sum(spec, t: float) -> EvalResult:
@@ -219,8 +219,9 @@ def near_sum(spec, t: float) -> EvalResult:
     drops, as Q(0) = A_1 = 0 for every c-sum with x > 0 there; one
     math.fsum then adds the elementary part and every term and tail, each
     times sign t^p, which is +-1 (so exact).  The bound adds each c-sum's
-    table bound, _C_ERR times its head's sum of |derivative in c_n| |t|^n,
-    and _FP_SLACK times 1 plus the magnitudes of the parts, which may
+    model error, P's truncation (in the band only: at an end P is exact),
+    _C_ERR times its head's sum of |derivative in c_n| |t|^n, and
+    _FP_SLACK times 1 plus the magnitudes of the parts, which may
     cancel in the value: each head, each of P and log(lam) Q over x, and
     thrice the elementary part, whose error is two roundings more than its
     one call (log 2 Li2(t): li2_real's 2.3 ulp), or the rounding its entry
@@ -233,7 +234,7 @@ def near_sum(spec, t: float) -> EvalResult:
     e = elementary(t) if elementary else 0.0
     sums, mass, err = [] if y else [e], rounding * abs(e), 0.0
     for rule in rules:
-        head_c, dhead, p_c, q_c, bound = _near_table(
+        head_c, dhead, p_c, q_c, model, cut = _near_table(
             rule, (t < 0.0) != rule.alt)
         terms = map(mul, head_c, pw) if y else list(map(mul, head_c, pw))
         head = math.fsum(terms)
@@ -254,6 +255,7 @@ def near_sum(spec, t: float) -> EvalResult:
             sums.append(sign * tail)
         w = abs(rule.sign)
         mass += w * (abs(head) + (abs(p) + abs(q)) / abs(x))
+        bound = model + cut if y else model
         err += w * (bound + _C_ERR * math.fsum(map(mul, dhead, qw)))
     total = math.fsum(sums)
     value = e + (total * t if spec.p else total) if y else total

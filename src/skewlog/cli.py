@@ -136,6 +136,14 @@ def _record_lines(records) -> list[str]:
 
 def _emit(payload: bytes | str, out: str | None) -> None:
     if out is None:
+        buffer = getattr(sys.stdout, "buffer", None)
+        if isinstance(payload, bytes) and buffer is not None:
+            # a report's bytes as they are, not decoded and encoded again
+            sys.stdout.flush()
+            buffer.write(payload)
+            if not payload.endswith(b"\n"):
+                buffer.write(b"\n")
+            return
         if isinstance(payload, bytes):
             payload = payload.decode("utf-8")
         sys.stdout.write(payload)

@@ -11,12 +11,24 @@ mutable class.  json, csv, io and array load only when a report is
 written or read: the JSON writer imports json, both writers import array
 when a column's values repeat (tolerances and residuals do), and
 parse_report imports json, or csv and io.
+
+Reading a report holds each record once.  The JSON reader builds each
+record in json's object_hook, as soon as the scanner closes its object,
+so no dict outlives its record, and equal notes share one str; a report
+the hook cannot read whole is parsed again as plain JSON, record by
+record, to name what is wrong.  The CSV reader streams its rows from the
+UTF-8 bytes, with no decoded copy of the text.  The params (("n", n),) of
+the integer grids come from one per-process table (_n_params, at most
+2^14 entries, filled under a lock), which the verifier slices and both
+readers reuse.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
+import threading
 from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter, mul
@@ -106,6 +118,40 @@ def _format(fmt) -> str:
     raise ValueError(f"format must be 'json' or 'csv', not {fmt!r}")
 
 
+#: (("n", float(n)),) for n = 0, 1, ...: the params of the integer-grid
+#: records, one object per n however many reports hold it.
+_N_PARAMS: list[tuple[tuple[str, float]]] = []
+_N_LOCK = threading.Lock()
+_N_TERMS = 1 << 14  # the most the table holds (~2.2 MB when full)
+
+
+def _n_params(lo: int, hi: int) -> list[tuple[tuple[str, float]]]:
+    """The params (("n", float(n)),) of n = lo, ..., hi-1, as a slice of
+    the per-process table, filled under a lock only as far as a call asks;
+    past _N_TERMS they are built afresh.  Filled entries never change, so
+    reads need no lock."""
+    table = _N_PARAMS
+    if hi > len(table):
+        if hi > _N_TERMS:
+            return list(zip(zip(repeat("n"), map(float, range(lo, hi)))))
+        with _N_LOCK:
+            if hi > len(table):
+                table.extend(zip(zip(repeat("n"), map(
+                    float, range(len(table), hi)))))
+    return table[lo:hi]
+
+
+def _shared(params: tuple) -> tuple:
+    """params, or the n table's entry when params is one ("n", v) pair
+    and the table holds v bit for bit (-0.0 is not n = 0)."""
+    if len(params) == 1:
+        (k, v), = params
+        if (k == "n" and v.is_integer() and 0.0 <= v < len(_N_PARAMS)
+                and math.copysign(1.0, v) > 0.0):
+            return _N_PARAMS[int(v)]
+    return params
+
+
 def _params_parse(s: str) -> tuple[tuple[str, float], ...]:
     if not s:
         return ()
@@ -117,7 +163,7 @@ def _params_parse(s: str) -> tuple[tuple[str, float], ...]:
     except ValueError:
         raise ValueError(
             f"params piece {piece!r} is not name=number") from None
-    return tuple(out)
+    return _shared(tuple(out))
 
 
 # Both writers work on columns: the records are transposed once, each
@@ -284,12 +330,144 @@ def _parse_json_records(rows) -> list[VerificationRecord]:
         _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
     return [
         _new(VerificationRecord, (
-            identity, tuple([(k, float(v)) for k, v in d["params"]]),
+            identity, _shared(tuple([(k, float(v)) for k, v in d["params"]])),
             d["lhs"], d["rhs"], d["residual"], d["tolerance"], verdict,
             d.get("note", ""),
         ))
         for d, identity, verdict in zip(rows, identities, verdicts)
     ]
+
+
+def _parse_json(text: str) -> Report:
+    """A JSON report parsed as plain JSON, then record by record: what
+    the hooked reader falls back to, since it names what is wrong."""
+    import json
+
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a JSON report must be an object")
+    for key in ("records", "summary", "metadata"):
+        if key not in obj:
+            raise ValueError(f"JSON report has no {key!r} key")
+    rows = obj["records"]
+    try:
+        records = _parse_json_records(rows)
+    except (KeyError, TypeError):
+        # parsed again a record at a time, to name the first bad one
+        if not isinstance(rows, list):
+            raise ValueError("a JSON report's 'records' must be a "
+                             "list") from None
+        for i, d in enumerate(rows):
+            if not isinstance(d, dict):
+                raise ValueError(
+                    f"JSON record {i} is not an object") from None
+            try:
+                _parse_json_records([d])
+            except KeyError as exc:
+                raise ValueError(f"JSON record {i} has no "
+                                 f"{exc.args[0]!r} field") from None
+            except TypeError as exc:
+                raise ValueError(f"JSON record {i}: {exc}") from None
+        raise
+    return Report(records, obj["summary"], obj["metadata"],
+                  obj.get("notes", []))
+
+
+_RECORD_KEYS = frozenset(VerificationRecord._fields) - {"note"}
+_NOTED_KEYS = frozenset(VerificationRecord._fields)
+
+
+def _parse_json_hooked(text: str) -> Report | None:
+    """A JSON report whose records json's object_hook builds as it closes
+    each object: one with exactly the record fields, note optional.  None
+    when the result is not a report whose 'records' are exactly the
+    records built, each once: a record-like object in the metadata, a
+    record with another key, a top level that is no report."""
+    import json
+
+    built, notes = [], {}
+
+    def hook(d):
+        keys = d.keys()
+        if keys != _NOTED_KEYS and keys != _RECORD_KEYS:
+            return d
+        note = d.get("note", "")
+        if note.__class__ is str:
+            note = notes.setdefault(note, note)
+        record = _new(VerificationRecord, (
+            _IDENTITIES[d["identity"]],
+            _shared(tuple([(k, float(v)) for k, v in d["params"]])),
+            d["lhs"], d["rhs"], d["residual"], d["tolerance"],
+            _VERDICTS[d["verdict"]], note))
+        built.append(record)
+        return record
+
+    obj = json.loads(text, object_hook=hook)
+    if (obj.__class__ is dict and {"summary", "metadata"} <= obj.keys()
+            and obj.get("records") == built):
+        return Report(built, obj["summary"], obj["metadata"],
+                      obj.get("notes", []))
+    return None
+
+
+def _csv_rows(data: bytes):
+    """csv.reader over the UTF-8 bytes, lines split at LF as io.StringIO
+    splits them (newline="\n"), with no decoded copy of the text."""
+    import csv
+    import io
+
+    return csv.reader(io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", newline="\n"))
+
+
+def _parse_csv(data: bytes) -> Report:
+    import csv
+    from itertools import takewhile
+
+    # the rows stream from the reader: each name is resolved by a subscript
+    # as it comes, and lookup runs only on the row that failed; the first
+    # blank row ends the records, and only blank rows may follow it
+    rows = _csv_rows(data)
+    if next(rows, None) != _CSV_HEADER:
+        raise ValueError("bad CSV header")
+    try:
+        records = [
+            _new(VerificationRecord, (
+                _IDENTITIES[identity], _params_parse(params),
+                float(lhs), float(rhs), float(residual), float(tol),
+                _VERDICTS[verdict], "",
+            ))
+            for identity, params, lhs, rhs, residual, tol, verdict
+            in takewhile(len, rows)
+        ]
+    except UnicodeDecodeError:
+        raise  # the bytes, not a line, are at fault
+    except (KeyError, ValueError, csv.Error) as exc:
+        line = rows.line_num
+        rows = _csv_rows(data)
+        try:
+            row = next(row for row in rows if rows.line_num == line)
+        except csv.Error:  # the row itself does not parse: a bare CR, say
+            raise ValueError(f"CSV line {line}: {exc}") from None
+        if len(row) != len(_CSV_HEADER):
+            raise ValueError(f"CSV line {line} has {len(row)} fields, "
+                             f"expected {len(_CSV_HEADER)}") from None
+        if isinstance(exc, KeyError):
+            try:
+                lookup(_IDENTITIES, row[0], "identity")
+                lookup(_VERDICTS, row[6], "verdict")
+            except ValueError as unknown:
+                exc = unknown
+        raise ValueError(f"CSV line {line}: {exc}") from None
+    line = rows.line_num  # the blank row's, if one ended the records
+    try:
+        trailing = any(rows)
+    except csv.Error:
+        trailing = True
+    if trailing:
+        raise ValueError(f"CSV line {line} has 0 fields, "
+                         f"expected {len(_CSV_HEADER)}")
+    return Report(records, summarize(records), {}, [])
 
 
 def parse_report(data: bytes | str, fmt: str = "json") -> Report:
@@ -301,69 +479,13 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
     missing JSON key, the JSON record, or the CSV line.  Blank lines at the
     end of a CSV report are ignored.
     """
-    fmt = _format(fmt)
+    if _format(fmt) == "csv":
+        return _parse_csv(data.encode("utf-8") if isinstance(data, str)
+                          else data)
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if fmt == "json":
-        import json
-
-        obj = json.loads(data)
-        if not isinstance(obj, dict):
-            raise ValueError("a JSON report must be an object")
-        for key in ("records", "summary", "metadata"):
-            if key not in obj:
-                raise ValueError(f"JSON report has no {key!r} key")
-        rows = obj["records"]
-        try:
-            records = _parse_json_records(rows)
-        except (KeyError, TypeError):
-            # parsed again a record at a time, to name the first bad one
-            if not isinstance(rows, list):
-                raise ValueError("a JSON report's 'records' must be a "
-                                 "list") from None
-            for i, d in enumerate(rows):
-                if not isinstance(d, dict):
-                    raise ValueError(
-                        f"JSON record {i} is not an object") from None
-                try:
-                    _parse_json_records([d])
-                except KeyError as exc:
-                    raise ValueError(f"JSON record {i} has no "
-                                     f"{exc.args[0]!r} field") from None
-                except TypeError as exc:
-                    raise ValueError(f"JSON record {i}: {exc}") from None
-            raise
-        return Report(records, obj["summary"], obj["metadata"],
-                      obj.get("notes", []))
-    import csv
-    import io
-
-    # the rows stream from the reader: each name is resolved by a subscript
-    # as it comes, and lookup runs only on the row that failed
-    rows = csv.reader(io.StringIO(data.rstrip("\r\n")))
-    if next(rows, None) != _CSV_HEADER:
-        raise ValueError("bad CSV header")
     try:
-        records = [
-            _new(VerificationRecord, (
-                _IDENTITIES[identity], _params_parse(params),
-                float(lhs), float(rhs), float(residual), float(tol),
-                _VERDICTS[verdict], "",
-            ))
-            for identity, params, lhs, rhs, residual, tol, verdict in rows
-        ]
-    except (KeyError, ValueError, csv.Error) as exc:
-        line = rows.line_num
-        rows = csv.reader(io.StringIO(data))
-        row = next(row for row in rows if rows.line_num == line)
-        if len(row) != len(_CSV_HEADER):
-            raise ValueError(f"CSV line {line} has {len(row)} fields, "
-                             f"expected {len(_CSV_HEADER)}") from None
-        if isinstance(exc, KeyError):
-            try:
-                lookup(_IDENTITIES, row[0], "identity")
-                lookup(_VERDICTS, row[6], "verdict")
-            except ValueError as unknown:
-                exc = unknown
-        raise ValueError(f"CSV line {line}: {exc}") from None
-    return Report(records, summarize(records), {}, [])
+        report = _parse_json_hooked(data)
+    except (KeyError, OverflowError, TypeError, ValueError):
+        report = None
+    return _parse_json(data) if report is None else report

@@ -49,8 +49,8 @@ from .quadrature import (
 )
 # perfbench reads parse_report and serialize_report off this module
 from .report import (
-    Report, Verdict, VerificationRecord, parse_report, serialize_report,
-    summarize)
+    Report, Verdict, VerificationRecord, _n_params, parse_report,
+    serialize_report, summarize)
 from .result import Status
 from .series_engine import SeriesId, sum_series
 
@@ -163,10 +163,11 @@ _VERDICTS = (Verdict.FAIL, Verdict.PASS)
 def _n_records(identity, first, lhs, rhs, tol, residual=None, notes=None):
     """The records of the integers first, first + 1, ... from their columns
     lhs and rhs (lists), and residual and notes when given: what _rec gives
-    point by point, built by C-level maps."""
+    point by point, built by C-level maps.  Each n's params is the one
+    object of report's n table."""
     if residual is None:
         residual = list(map(abs, map(sub, lhs, rhs)))
-    params = zip(zip(repeat("n"), map(float, range(first, first + len(lhs)))))
+    params = _n_params(first, first + len(lhs))
     verdicts = map(_VERDICTS.__getitem__, map(tol.__ge__, residual))
     return list(map(tuple.__new__, repeat(VerificationRecord), zip(
         repeat(identity), params, lhs, rhs, residual, repeat(tol), verdicts,

@@ -200,6 +200,33 @@ def test_report_csv(capsys):
     assert all(line.endswith("PASS") for line in lines[1:] if line)
 
 
+def test_report_bytes_are_written_as_they_are(monkeypatch):
+    # a stdout with a byte layer gets the report's bytes, after the text
+    # written before them; one without (a StringIO) gets them decoded
+    import io
+
+    from skewlog import IdentityId, Report, verify_identity
+    from skewlog._version import __version__
+    from skewlog.report import serialize_report, summarize
+
+    records = verify_identity(IdentityId.EQ15)
+    expected = {fmt: serialize_report(Report(
+        records, summarize(records), {"version": __version__}, []), fmt)
+        for fmt in ("json", "csv")}
+    for fmt, blob in expected.items():
+        binary = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        binary.write("before ")
+        monkeypatch.setattr("sys.stdout", binary)
+        assert run(["verify", "--id", "EQ15", "--format", fmt]) == 0
+        binary.flush()
+        tail = b"" if blob.endswith(b"\n") else b"\n"
+        assert binary.buffer.getvalue() == b"before " + blob + tail, fmt
+        text = io.StringIO()
+        monkeypatch.setattr("sys.stdout", text)
+        assert run(["verify", "--id", "EQ15", "--format", fmt]) == 0
+        assert text.getvalue() == (blob + tail).decode(), fmt
+
+
 def test_constants_output(capsys):
     assert run(["constants"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import operator
 
 import pytest
 
@@ -19,10 +20,11 @@ from skewlog import (
     parse_report,
     set_max_terms,
     sum_series,
+    verify_all,
     verify_identity,
 )
 from skewlog.catalog import CLOSED_FORMS, IDENTITIES, NO_PARAMS
-from skewlog.report import serialize_report, summarize
+from skewlog.report import _n_params, serialize_report, summarize
 
 
 def test_single_identity_run():
@@ -541,3 +543,164 @@ def test_report_diff_names_each_changed_record():
         assert "verdict: " in changed[0] and "FAIL" in changed[0]
     assert "  summary equal: False" in report_diff.diff_json(
         *(serialize_report(r, "json").decode() for r in (old, new)))
+
+
+def _peak(parse):
+    """parse() and the peak bytes that tracemalloc saw it allocate."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return parse(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_parse_holds_each_record_once(full_report, fmt):
+    # A parsed record takes ~225 bytes: the tuple and its four floats, the
+    # n params and the notes being shared.  So 300 bytes a record, plus the
+    # JSON text decoded (one byte a character; the CSV is never decoded
+    # whole), leave no room for a dict per record (>= 272 bytes) or for
+    # the CSV text's UCS-4 copy in io.StringIO (4 bytes a character).
+    n = len(full_report.records)
+    blob = serialize_report(full_report, fmt)
+    text = len(blob) if fmt == "json" else 0
+    back, peak = _peak(lambda: parse_report(blob, fmt))
+    assert len(back.records) == n
+    assert peak < text + 300 * n, (peak, text + 300 * n)
+    assert 300 * n < 4 * len(blob) or fmt == "json"
+
+
+_PLAIN = [
+    VerificationRecord(IdentityId.EQ4, (("t", 0.5),), 1.0, 1.0, 0.0, 1e-10,
+                       Verdict.PASS),
+    VerificationRecord(IdentityId.EQ1_DIGAMMA, (("n", 3.0),), 0.25, 0.5,
+                       0.25, 1e-12, Verdict.FAIL),
+]
+
+
+def test_csv_lines_split_as_stringio_splits_them():
+    blob = serialize_report(_synthetic(_PLAIN), "csv")
+    expected = parse_report(blob, "csv")
+    assert expected.records == _PLAIN
+    crlf = blob.replace(b"\n", b"\r\n")
+    # CRLF rows, and trailing blank lines of either kind, read the same;
+    # a str reads as its UTF-8 bytes do
+    for data in (crlf, blob + b"\n\n\n", blob + b"\r\n\n\r\n",
+                 crlf + b"\r\n\r\n", blob + b"\r"):
+        assert parse_report(data, "csv") == expected, data
+        assert parse_report(data.decode(), "csv") == expected, data
+    # a quoted params name holding a newline, or CRLF, is part of the name
+    quoted = [VerificationRecord(IdentityId.EQ2, ((name, 1.0),), -0.0, 0.0,
+                                 0.0, 1e-10, Verdict.PASS)
+              for name in ("new\nline", "cr\r\nlf", "two\n\nlines")]
+    blob = serialize_report(_synthetic(quoted + _PLAIN), "csv")
+    for data in (blob, blob.decode()):
+        assert parse_report(data, "csv").records == quoted + _PLAIN
+    # a bare CR in an unquoted field, a blank row before the end and a
+    # short row are errors of their own lines, counted past the quoted
+    # newlines
+    for extra, line in ((b"EQ4,a\rb=1,1,1,0,1,PASS\n", 11),
+                        (b"\nEQ4,t=1,1,1,0,1,PASS\n", 11),
+                        (b"EQ4,t=1,1,1,0,1\n", 11)):
+        for data in (blob + extra, (blob + extra).decode()):
+            with pytest.raises(ValueError, match=f"^CSV line {line}[: ]"):
+                parse_report(data, "csv")
+    with pytest.raises(ValueError, match="new-line character"):
+        parse_report(blob + b"EQ4,a\rb=1,1,1,0,1,PASS\n", "csv")
+    with pytest.raises(UnicodeDecodeError):
+        parse_report(blob + b"EQ4,\xff=1,1,1,0,1,PASS\n", "csv")
+
+
+def test_n_params_are_shared(full_report):
+    def n_params(records):
+        return [r.params for r in records
+                if len(r.params) == 1 and r.params[0][0] == "n"]
+
+    mine = n_params(full_report.records)
+    assert len(mine) == 7000
+    for records in (verify_all().records,
+                    parse_report(serialize_report(full_report, "json")).records,
+                    parse_report(serialize_report(full_report, "csv"),
+                                 "csv").records):
+        theirs = n_params(records)
+        assert theirs == mine
+        assert all(map(operator.is_, theirs, mine))
+    # equal notes share one str
+    back = parse_report(serialize_report(full_report, "json"))
+    notes = {id(r.note) for r in back.records if r.note}
+    assert len(notes) == len({r.note for r in back.records if r.note})
+    # -0.0 is not n = 0: it keeps its sign through either form
+    recs = [VerificationRecord(IdentityId.EQ14_LEMMA6, (("n", x),), 1.0, 1.0,
+                               0.0, 1e-12, Verdict.PASS) for x in (-0.0, 0.0)]
+    for fmt in ("json", "csv"):
+        back = parse_report(serialize_report(_synthetic(recs), fmt), fmt)
+        assert [math.copysign(1.0, r.params[0][1])
+                for r in back.records] == [-1.0, 1.0], fmt
+        assert back.records[1].params is _n_params(0, 1)[0]
+
+
+def test_record_like_objects_outside_the_records_stay_dicts():
+    rec = _PLAIN[0]
+    like = json.loads(serialize_report(_synthetic([rec]), "json"))[
+        "records"][0]
+    for report in (
+            _synthetic([rec], metadata={"record": like, "x": [like]}),
+            Report([rec], {"EQ4": like}, {}, []),
+            _synthetic([rec._replace(note=like)])):
+        back = parse_report(serialize_report(report, "json"))
+        assert back == report
+        assert back.records[0] == rec._replace(note=back.records[0].note)
+    # a record with an extra key reads as one without it; an object with
+    # exactly a record's keys at the top is no report
+    doc = json.loads(serialize_report(_synthetic(_PLAIN), "json"))
+    doc["records"][1]["extra"] = {"identity": "EQ4"}
+    assert parse_report(json.dumps(doc)).records == _PLAIN
+    with pytest.raises(ValueError, match="no 'records' key"):
+        parse_report(json.dumps(like))
+
+
+def test_n_table_is_filled_once_by_racing_threads(monkeypatch):
+    # threads that ask for overlapping ranges at once all get slices of one
+    # table, which holds every n once, in order
+    import sys
+    import threading
+
+    from skewlog import report
+
+    his = (1, 700, 40, 1500, 3, 1200, 900, 64)
+
+    def work(k, start, got, errors):
+        try:
+            start.wait(timeout=30)
+            for hi in his[k:] + his[:k]:
+                got.append((hi, report._n_params(hi // 3, hi)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = []
+            monkeypatch.setattr(report, "_N_PARAMS", table)
+            start, got, errors = threading.Barrier(4), [[], [], [], []], []
+            threads = [threading.Thread(target=work,
+                                        args=(k, start, got[k], errors))
+                       for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            assert table == [(("n", float(n)),) for n in range(max(his))]
+            for k in range(4):
+                assert len(got[k]) == len(his)
+                for hi, params in got[k]:
+                    assert all(map(operator.is_, params, table[hi // 3:hi]))
+    finally:
+        sys.setswitchinterval(interval)

@@ -7,13 +7,18 @@ One child process per tree imports skewlog from there and writes
 `serialize_report(verify_all(), fmt)` for JSON and CSV, with the metadata
 timestamp fixed, and the exit code and stdout of the CLI's `list` and of
 `verify --id ID` for every identity, each run in-process by `cli.run`.
+The child also reads both forms back with its own tree's `parse_report`.
 The diff prints every changed, added or removed record, a changed one with
 its residual old -> new and its other differing fields; then whether
 metadata, notes and summary are equal and whether the whole output is
-byte-identical; then each CLI run whose exit code or output differs.  Its
-last line gives the largest residual growth of any record and the total
-residual of each side.  The exit status is 0 when both formats and every
-CLI run are byte-identical and 1 otherwise.
+byte-identical; then, per form, whether each tree read back the report it
+wrote (a CSV record without its note, which CSV does not carry) and how
+many parsed records differ between the trees; then each CLI run whose
+exit code or output differs.  Its last line gives the largest residual
+growth of any record and the total residual of each side.  The exit
+status is 0 when both formats and every CLI run are byte-identical and
+both trees read back what they wrote, record for record alike, and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ _CHILD = r"""
 import contextlib, io, json, pathlib, sys
 sys.path.insert(0, sys.argv[1])
 import skewlog
-from skewlog import IdentityId, serialize_report, verify_all
+from skewlog import IdentityId, parse_report, serialize_report, verify_all
 from skewlog.cli import run
 if not pathlib.Path(skewlog.__file__).is_relative_to(sys.argv[1]):
     sys.exit(f"skewlog came from {skewlog.__file__}, not {sys.argv[1]}")
@@ -40,6 +45,16 @@ report = verify_all()
 report.metadata["timestamp"] = sys.argv[2]
 out = {fmt: serialize_report(report, fmt).decode("utf-8")
        for fmt in ("json", "csv")}
+# each form read back: repr tells -0.0 from 0.0 and compares NaN fields
+parsed = out["parsed"] = {}
+for fmt, rest in (("json", (report.summary, report.metadata, report.notes)),
+                  ("csv", (report.summary, {}, []))):
+    back = parse_report(out[fmt].encode("utf-8"), fmt)
+    written = (report.records if fmt == "json" else
+               [r._replace(note="") for r in report.records])
+    records = list(map(repr, back.records))
+    parsed[fmt] = [records, records == list(map(repr, written))
+                   and (back.summary, back.metadata, back.notes) == rest]
 cli = out["cli"] = {}
 for argv in [["list"]] + [["verify", "--id", i.name] for i in IdentityId]:
     buf = io.StringIO()
@@ -168,6 +183,12 @@ def main(argv: list[str]) -> int:
         same &= identical
         print(f"{fmt}: byte-identical: {identical}")
         print("\n".join(diff(old[fmt], new[fmt])))
+    for fmt in ("json", "csv"):
+        (a, back_a), (b, back_b) = old["parsed"][fmt], new["parsed"][fmt]
+        differ = sum(map(str.__ne__, a, b)) + abs(len(a) - len(b))
+        same &= back_a and back_b and not differ
+        print(f"{fmt} parsed: reads back what it wrote: {back_a} -> "
+              f"{back_b}; records {len(a)} -> {len(b)}, {differ} differ")
     runs = [*old["cli"], *(k for k in new["cli"] if k not in old["cli"])]
     differ = [k for k in runs if old["cli"].get(k) != new["cli"].get(k)]
     same &= not differ
