@@ -19,8 +19,13 @@ the hook cannot read whole is parsed again as plain JSON, record by
 record, to name what is wrong.  The CSV reader streams its rows from the
 UTF-8 bytes, with no decoded copy of the text.  The params (("n", n),) of
 the integer grids come from one per-process table (_n_params, at most
-2^14 entries, filled under a lock), which the verifier slices and both
-readers reuse.
+2^14 entries, filled under a lock), which the verifier slices.  An entry
+is known by identity, never by value: _N_SELF keys each entry by itself,
+so (("n", -0.0),), (("n", 5),) and (("n", True),), equal to entries but
+spelled otherwise, are not entries.  Both writers spell an entry with one
+template fill and the other params in columns; the CSV reader returns the
+entry for a field n=<decimal digits>, and the JSON hook, through
+_shared, for params [["n", v]] whose float(v) the table holds bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import math
 import re
 import threading
 from collections import namedtuple
-from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter, mul
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, is_, itemgetter, mul, not_
 
 from .catalog import IdentityId, lookup
 
@@ -121,6 +126,9 @@ def _format(fmt) -> str:
 #: (("n", float(n)),) for n = 0, 1, ...: the params of the integer-grid
 #: records, one object per n however many reports hold it.
 _N_PARAMS: list[tuple[tuple[str, float]]] = []
+#: each table entry keyed by itself: params p is an entry exactly when
+#: _N_SELF.get(p) is p, which an equal tuple ((("n", True),), say) is not
+_N_SELF: dict = {}
 _N_LOCK = threading.Lock()
 _N_TERMS = 1 << 14  # the most the table holds (~2.2 MB when full)
 
@@ -136,8 +144,11 @@ def _n_params(lo: int, hi: int) -> list[tuple[tuple[str, float]]]:
             return list(zip(zip(repeat("n"), map(float, range(lo, hi)))))
         with _N_LOCK:
             if hi > len(table):
-                table.extend(zip(zip(repeat("n"), map(
+                new = list(zip(zip(repeat("n"), map(
                     float, range(len(table), hi)))))
+                # keyed first, so that no entry is seen without its key
+                _N_SELF.update(zip(new, new))
+                table.extend(new)
     return table[lo:hi]
 
 
@@ -153,6 +164,17 @@ def _shared(params: tuple) -> tuple:
 
 
 def _params_parse(s: str) -> tuple[tuple[str, float], ...]:
+    """A CSV params field as its pairs.  n=<decimal digits> naming an n
+    the table holds is that entry (n=05 too); any other field is split at
+    ";" and "=", each value read by float, and the pairs go to _shared."""
+    digits = s[2:]
+    # isdecimal, not isdigit: int() rejects "\u00b2", which isdigit accepts;
+    # 5 digits hold any n < 2^14, and int() rejects the thousands of digits
+    # that float reads as inf
+    if s[:2] == "n=" and digits.isdecimal() and len(digits) < 6:
+        n = int(digits)
+        if n < len(_N_PARAMS):
+            return _N_PARAMS[n]
     if not s:
         return ()
     out = []
@@ -198,11 +220,30 @@ def _texts(column, spell, scalar) -> list[str]:
     return list(map(text.__getitem__, bits))
 
 
-def _params_texts(params, name_texts, value_texts, template) -> list[str]:
-    """The text of each record's params.  The names and the values of all
-    records are spelled as two columns, name_texts(names) and
-    value_texts(values); a record of k pairs is template(k) filled with its
-    name and value texts in turn."""
+def _params_texts(params, entry, name_texts, value_texts,
+                  template) -> list[str]:
+    """The text of each record's params.  An entry of the n table (found
+    by identity, never by value) is entry % ("n", float(n)), one C-level
+    fill: %d spells n < 2^14 as both repr and %.17g spell float(n).  The
+    other params are spelled by _spelled, and the two merge in order."""
+    try:
+        is_entry = list(map(is_, map(_N_SELF.get, params), params))
+    except TypeError:  # a params that cannot be hashed: a list value
+        is_entry = []
+    if True not in is_entry:
+        return _spelled(params, name_texts, value_texts, template)
+    texts = (
+        iter(_spelled(list(compress(params, map(not_, is_entry))),
+                      name_texts, value_texts, template)),
+        map(entry.__mod__, map(itemgetter(0), compress(params, is_entry))))
+    return list(map(next, map(texts.__getitem__, is_entry)))
+
+
+def _spelled(params, name_texts, value_texts, template) -> list[str]:
+    """The text of each record's params, in columns.  The names and the
+    values of all records are spelled as two columns, name_texts(names)
+    and value_texts(values); a record of k pairs is template(k) filled
+    with its name and value texts in turn."""
     sizes = list(map(len, params))
     pairs = list(chain.from_iterable(params))
     if set(map(len, pairs)) - {2}:
@@ -234,6 +275,9 @@ def _json_params(k: int) -> str:
     return "[\n" + ",\n".join([_JSON_PARAM] * k) + "\n      ]" if k else "[]"
 
 
+_JSON_N = _json_params(1) % ('"%s"', "%d.0")  # an n table entry's params
+
+
 def _json_records(records) -> str:
     import json
     from json.encoder import encode_basestring_ascii
@@ -257,7 +301,7 @@ def _json_records(records) -> str:
     quoted = _JSON_NAME.__getitem__
     return ",\n".join(map(_JSON_RECORD.__mod__, zip(
         map(quoted, identity), floats(lhs), strings(note),
-        _params_texts(params, strings, floats, _json_params),
+        _params_texts(params, _JSON_N, strings, floats, _json_params),
         floats(residual), floats(rhs), floats(tol), map(quoted, verdict))))
 
 
@@ -292,6 +336,9 @@ def _csv_params(k: int) -> str:
     return ";".join(["%s=%s"] * k)
 
 
+_CSV_N = _csv_params(1) % ("%s", "%d")  # an n table entry's params
+
+
 def _csv_quote(field: str) -> str:
     return '"%s"' % field.replace('"', '""')
 
@@ -303,8 +350,8 @@ def _csv_report(report: Report) -> str:
 
     identity, params, lhs, rhs, residual, tol, verdict, _ = \
         _columns(report.records)
-    params = _params_texts(params, lambda names: map(format, names), floats,
-                           _csv_params)
+    params = _params_texts(params, _CSV_N, lambda names: map(format, names),
+                           floats, _csv_params)
     special = set(filter(_CSV_QUOTED.search, params))
     quoted = dict(zip(special, map(_csv_quote, special)))
     name = attrgetter("_name_")
@@ -322,12 +369,22 @@ def serialize_report(report: Report, fmt: str = "json") -> bytes:
     return _csv_report(report).encode("utf-8")
 
 
+_FLOAT_FIELDS = ("lhs", "rhs", "residual", "tolerance")
+_NUMBERS = (int, float)  # a JSON number; true and false are not
+
+
 def _parse_json_records(rows) -> list[VerificationRecord]:
-    """The records of a JSON report's record list, in one pass."""
+    """The records of a JSON report's record list.  A float field that is
+    no JSON number (an int or a float) is a ValueError naming the field."""
     identities = _members(
         _IDENTITIES, list(map(itemgetter("identity"), rows)), "identity")
     verdicts = _members(
         _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
+    for d in rows:
+        for field in _FLOAT_FIELDS:
+            if d[field].__class__ not in _NUMBERS:
+                raise ValueError(
+                    f"{field!r} is not a number: {d[field]!r}")
     return [
         _new(VerificationRecord, (
             identity, _shared(tuple([(k, float(v)) for k, v in d["params"]])),
@@ -352,7 +409,7 @@ def _parse_json(text: str) -> Report:
     rows = obj["records"]
     try:
         records = _parse_json_records(rows)
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         # parsed again a record at a time, to name the first bad one
         if not isinstance(rows, list):
             raise ValueError("a JSON report's 'records' must be a "
@@ -366,7 +423,7 @@ def _parse_json(text: str) -> Report:
             except KeyError as exc:
                 raise ValueError(f"JSON record {i} has no "
                                  f"{exc.args[0]!r} field") from None
-            except TypeError as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"JSON record {i}: {exc}") from None
         raise
     return Report(records, obj["summary"], obj["metadata"],
@@ -382,7 +439,9 @@ def _parse_json_hooked(text: str) -> Report | None:
     each object: one with exactly the record fields, note optional.  None
     when the result is not a report whose 'records' are exactly the
     records built, each once: a record-like object in the metadata, a
-    record with another key, a top level that is no report."""
+    record with another key, a top level that is no report.  Params of
+    one pair go to _shared, with no list built; a float field that is no
+    number raises."""
     import json
 
     built, notes = [], {}
@@ -394,10 +453,21 @@ def _parse_json_hooked(text: str) -> Report | None:
         note = d.get("note", "")
         if note.__class__ is str:
             note = notes.setdefault(note, note)
+        params = d["params"]
+        if len(params) == 1:
+            (k, v), = params
+            params = _shared(((k, float(v)),))
+        else:
+            params = tuple([(k, float(v)) for k, v in params])
+        lhs, rhs, residual, tol = (
+            d["lhs"], d["rhs"], d["residual"], d["tolerance"])
+        if not (lhs.__class__ is rhs.__class__ is residual.__class__
+                is tol.__class__ is float):
+            for x in (lhs, rhs, residual, tol):
+                if x.__class__ not in _NUMBERS:
+                    raise ValueError("a float field is not a number")
         record = _new(VerificationRecord, (
-            _IDENTITIES[d["identity"]],
-            _shared(tuple([(k, float(v)) for k, v in d["params"]])),
-            d["lhs"], d["rhs"], d["residual"], d["tolerance"],
+            _IDENTITIES[d["identity"]], params, lhs, rhs, residual, tol,
             _VERDICTS[d["verdict"]], note))
         built.append(record)
         return record

@@ -24,7 +24,7 @@ from skewlog import (
     verify_identity,
 )
 from skewlog.catalog import CLOSED_FORMS, IDENTITIES, NO_PARAMS
-from skewlog.report import _n_params, serialize_report, summarize
+from skewlog.report import _N_TERMS, _n_params, serialize_report, summarize
 
 
 def test_single_identity_run():
@@ -298,6 +298,8 @@ def test_csv_round_trip(full_report):
         assert back.rhs == orig.rhs
         assert back.verdict == orig.verdict
     assert restored.summary == full_report.summary
+    # the whole report is exactly what csv.writer writes
+    assert blob == _stdlib_csv(full_report)
 
 
 def test_unknown_format_rejected(full_report):
@@ -436,6 +438,44 @@ _REPEATS = [
                         Verdict.PASS)] * 2
 
 
+def _n_record(params):
+    return VerificationRecord(IdentityId.EQ14_LEMMA6, params, 0.25, 0.25, 0.0,
+                              1e-12, Verdict.PASS)
+
+
+def _fresh_n_table(monkeypatch):
+    """An empty n table for this test alone, so that no test fills the
+    process's table further than the code it runs does."""
+    from skewlog import report
+
+    table = []
+    monkeypatch.setattr(report, "_N_PARAMS", table)
+    monkeypatch.setattr(report, "_N_SELF", {})
+    return table
+
+
+@pytest.fixture
+def n_odd(monkeypatch):
+    """Records whose params are one ("n", v) pair, with a fresh n table
+    filled to its end: entries of the table (its first and its last),
+    equal tuples that are not entries, and values equal to an entry's that
+    spell otherwise: -0.0, an int, a bool and n past the table."""
+    _fresh_n_table(monkeypatch)
+    return [_n_record(p) for p in (
+        *_n_params(0, 2), *_n_params(_N_TERMS - 2, _N_TERMS),
+        tuple([("n", 1.0)]), tuple([("n", float(_N_TERMS - 1))]),
+        (("n", -0.0),), (("n", 5),), (("n", True),),
+        *_n_params(_N_TERMS, _N_TERMS + 1), (("n", 2.0 ** 53),),
+        (("n", 1e300),))]
+
+
+def _float_params(report):
+    """report with each params value as the float a reader gives back."""
+    return Report([r._replace(params=tuple((k, float(v)) for k, v in r.params))
+                   for r in report.records],
+                  report.summary, report.metadata, report.notes)
+
+
 @pytest.mark.parametrize("report", [
     _synthetic(_ODD),
     _synthetic(_REPEATS),
@@ -446,14 +486,26 @@ _REPEATS = [
 ], ids=["odd-values", "repeats", "empty-metadata-notes", "no-records",
         "odd-metadata"])
 def test_json_matches_stdlib_encoder(report):
+    _check_json(report)
+
+
+def test_json_matches_stdlib_encoder_with_n_params(n_odd):
+    _check_json(_synthetic(n_odd))
+    _check_json(_synthetic(_ODD + n_odd + _REPEATS))
+
+
+def _check_json(report):
+    """report is written as json.dumps writes it, and reads back."""
     blob = serialize_report(report, "json")
     assert blob == _reference_json(report)
     back = parse_report(blob, "json")
-    # repr compares NaN fields, which == does not
-    assert repr(back.records) == repr(report.records)
+    # repr compares NaN fields, which == does not; an int or bool params
+    # value reads back as its float
+    expected = _float_params(report)
+    assert repr(back.records) == repr(expected.records)
     assert (back.summary, back.metadata, back.notes) == (
         report.summary, report.metadata, report.notes)
-    assert serialize_report(back, "json") == blob
+    assert serialize_report(back, "json") == _reference_json(expected)
 
 
 def _stdlib_csv(report):
@@ -490,6 +542,17 @@ _QUOTING = [
     _ODD, _QUOTING, _REPEATS, _ODD + _QUOTING + _REPEATS, []],
     ids=["odd-values", "quoting", "repeats", "all", "no-records"])
 def test_csv_matches_stdlib_writer(records):
+    _check_csv(records)
+
+
+def test_csv_matches_stdlib_writer_with_n_params(n_odd):
+    _check_csv(n_odd)
+    _check_csv(_ODD + _QUOTING + n_odd + _REPEATS)
+
+
+def _check_csv(records):
+    """records are written as csv.writer writes them, and read back bit
+    for bit."""
     report = _synthetic(records)
     blob = serialize_report(report, "csv")
     assert blob == _stdlib_csv(report)
@@ -503,6 +566,98 @@ def test_csv_matches_stdlib_writer(records):
                 [float(x).hex() for x in floats])
     # every float comes back bit for bit, -0.0, NaN, +-inf and 5e-324 too
     assert [bits(r) for r in back.records] == [bits(r) for r in records]
+
+
+def test_n_table_entries_are_known_by_identity(n_odd):
+    # both readers give a table entry for a value that is one bit for bit,
+    # and both writers spell only the entries themselves as entries
+    from skewlog import report as report_module
+
+    table = report_module._N_PARAMS
+
+    def entry(params):
+        (_, v), = params
+        return 0 <= v < len(table) and params is table[int(v)]
+
+    assert list(map(entry, (r.params for r in n_odd))) == [
+        True] * 4 + [False] * 8
+    for fmt in ("json", "csv"):
+        back = parse_report(serialize_report(_synthetic(n_odd), fmt), fmt)
+        assert list(map(entry, (r.params for r in back.records))) == [
+            True] * 6 + [False, True, True] + [False] * 3, fmt
+    # params that cannot be hashed, a list of pairs or a list value, are
+    # written beside the entries; a list value is spelled as json.dumps
+    # spells it without indent, and csv cannot spell it as %.17g
+    report = _synthetic([*n_odd[:3], _n_record([("n", 1.0)]), n_odd[3]])
+    assert serialize_report(report, "json") == _reference_json(report)
+    assert serialize_report(report, "csv") == _stdlib_csv(report)
+    report = _synthetic([*n_odd[:3], _n_record((("n", [1.0]),)), n_odd[3]])
+    assert json.loads(serialize_report(report, "json")) == json.loads(
+        _reference_json(report))
+    report = _synthetic([n_odd[0], _n_record((("n", [1.0]),))])
+    for write in (_stdlib_csv, lambda r: serialize_report(r, "csv")):
+        with pytest.raises(TypeError):
+            write(report)
+
+
+def test_n_past_the_filled_table_reads_as_a_fresh_tuple(monkeypatch):
+    # an n below 2^14 that the table has not reached yet is read as a new
+    # tuple, as a fresh process reads n = 5 before the verifier asks for it;
+    # once the table holds n, the same bytes read back as its entry
+    for fmt in ("json", "csv"):
+        table = _fresh_n_table(monkeypatch)
+        records = [_n_record(p) for p in (
+            *_n_params(1, 3), (("n", 3.0),), (("n", 5.0),))]
+        blob = serialize_report(_synthetic(records), fmt)
+        params = [r.params for r in parse_report(blob, fmt).records]
+        assert params == [r.params for r in records], fmt
+        assert [p is q for p, q in zip(params, table[1:])] == [True, True]
+        assert len(table) == 3
+        _n_params(0, 6)
+        params = [r.params for r in parse_report(blob, fmt).records]
+        assert [p is table[int(p[0][1])] for p in params] == [True] * 4, fmt
+
+
+def test_csv_n_field_reads_as_float_reads_it(monkeypatch):
+    _fresh_n_table(monkeypatch)
+    header = "identity,params,lhs,rhs,residual,tolerance,verdict\n"
+
+    def params(field):
+        row = f"EQ14_LEMMA6,{field},1,1,0,1,PASS\n"
+        return parse_report(header + row, "csv").records[0].params
+
+    five, = _n_params(5, 6)
+    for field in ("n=5", "n=05", "n=00005", "n=000005", "n=5.0", "n=5e0"):
+        assert params(field) is five, field
+    # -0 keeps its sign; past the table, and past int()'s digit limit,
+    # the value is read by float and is no entry
+    zero = params("n=-0")
+    assert zero == (("n", 0.0),) and math.copysign(1.0, zero[0][1]) == -1.0
+    assert params("n=16384") == (("n", 16384.0),)
+    assert params("n=" + "9" * 5000) == (("n", math.inf),)
+    # a digit that is no decimal is no number: "\u00b2".isdigit() holds
+    with pytest.raises(ValueError, match="^CSV line 2: params piece "
+                       "'n=\u00b2' is not name=number$"):
+        params("n=\u00b2")
+
+
+def test_malformed_json_values_name_the_record():
+    doc = json.loads(serialize_report(_synthetic(_PLAIN), "json"))
+    for field, value, what in (
+            ("params", [["n", "abc"]], "could not convert string to float"),
+            ("params", [["n", 1.0, 2.0]], "too many values"),
+            ("params", [["n", 10 ** 400]], "too large to convert"),
+            ("lhs", "abc", "'lhs' is not a number: 'abc'"),
+            ("rhs", None, "'rhs' is not a number: None"),
+            ("residual", [0.0], "'residual' is not a number: \\[0.0\\]"),
+            ("tolerance", True, "'tolerance' is not a number: True")):
+        bad = json.loads(json.dumps(doc))
+        bad["records"][1][field] = value
+        with pytest.raises(ValueError, match=f"^JSON record 1: .*{what}"):
+            parse_report(json.dumps(bad), "json")
+    # ints are numbers: they read back as they were written
+    doc["records"][1]["lhs"] = 10 ** 400
+    assert parse_report(json.dumps(doc), "json").records[1].lhs == 10 ** 400
 
 
 def test_csv_quotes_a_carriage_return():
@@ -685,8 +840,9 @@ def test_n_table_is_filled_once_by_racing_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            table = []
+            table, keyed = [], {}
             monkeypatch.setattr(report, "_N_PARAMS", table)
+            monkeypatch.setattr(report, "_N_SELF", keyed)
             start, got, errors = threading.Barrier(4), [[], [], [], []], []
             threads = [threading.Thread(target=work,
                                         args=(k, start, got[k], errors))
@@ -698,6 +854,9 @@ def test_n_table_is_filled_once_by_racing_threads(monkeypatch):
             assert not any(th.is_alive() for th in threads)
             assert errors == []
             assert table == [(("n", float(n)),) for n in range(max(his))]
+            # each entry is keyed by itself, and nothing else is keyed
+            assert len(keyed) == len(table)
+            assert all(keyed.get(p) is p for p in table)
             for k in range(4):
                 assert len(got[k]) == len(his)
                 for hi, params in got[k]:

@@ -20,6 +20,13 @@ below |t| = 0.99 (`series_mu`) and the sums at |t| = 0.99
 median pass over the rounds, in microseconds, the change in percent, and
 in how many rounds NEW was faster.
 
+verify-report is timed by stage instead: its one op is `verify_all`, the
+report written to JSON (`json_write`) and to CSV (`csv_write`), and both
+read back (`json_parse`, `csv_parse`), in that order, as the workload's op
+runs them.  Each child makes one op to warm up, then times `--best` ops
+with the cyclic GC on, and a pass is each stage's median over them.  Its
+seed changes no input.
+
 A perfbench run times whole 25-second op loops; this places a saving of a
 few percent per call, which one traced run of each tree cannot.
 """
@@ -34,7 +41,9 @@ import subprocess
 import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = {"point-eval": "PointEval", "endpoint-quad": "EndpointQuad"}
+WORKLOADS = {"point-eval": "PointEval", "endpoint-quad": "EndpointQuad",
+             "verify-report": "VerifyReport"}
+STAGES = ("verify_all", "json_write", "csv_write", "json_parse", "csv_parse")
 
 _CHILD = r"""
 import json, pathlib, sys, time
@@ -56,6 +65,36 @@ for _ in range(int(best)):
         if dt < times[i]:
             times[i] = dt
 json.dump(times, sys.stdout)
+"""
+
+_STAGES_CHILD = r"""
+import json, pathlib, statistics, sys, time
+src, perfbench, ops = sys.argv[1:]
+sys.path[:0] = [src, perfbench]
+import skewlog, workloads
+if not pathlib.Path(skewlog.__file__).is_relative_to(src):
+    sys.exit(f"skewlog came from {skewlog.__file__}, not {src}")
+wl = workloads.VerifyReport(0)
+wl.bind()
+wl.warmup()
+clock = time.perf_counter_ns
+stages = [[] for _ in range(5)]
+for _ in range(int(ops)):
+    t0 = clock()
+    report = wl.verify_all()
+    t1 = clock()
+    js = wl.serialize(report, "json")
+    t2 = clock()
+    cs = wl.serialize(report, "csv")
+    t3 = clock()
+    from_json = wl.parse(js, "json")
+    t4 = clock()
+    from_csv = wl.parse(cs, "csv")
+    t5 = clock()
+    for times, a, b in zip(stages, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
+        times.append(b - a)
+    del report, js, cs, from_json, from_csv
+json.dump([statistics.median(t) / 1e3 for t in stages], sys.stdout)
 """
 
 
@@ -82,14 +121,23 @@ def kind(spec) -> str:
     return "series" if spec[4] is None else "series_mu"
 
 
+def _child(script: str, *args) -> list[float]:
+    out = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)
+
+
 def time_tree(src: pathlib.Path, workload: str, seed: int,
               best: int) -> list[float]:
     """The fastest of best timings of each call, in ns, in a fresh child."""
-    out = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(PERFBENCH),
-         WORKLOADS[workload], str(seed), str(best)],
-        check=True, stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out)
+    return _child(_CHILD, src, PERFBENCH, WORKLOADS[workload], seed, best)
+
+
+def time_stages(src: pathlib.Path, ops: int) -> dict[str, float]:
+    """verify-report's median time per stage over ops warm ops, in us, in
+    a fresh child."""
+    return dict(zip(STAGES, _child(_STAGES_CHILD, src, PERFBENCH, ops)))
 
 
 def passes(specs: list, times: list[float]) -> dict[str, float]:
@@ -109,22 +157,27 @@ def main(argv: list[str]) -> int:
     p.add_argument("--seeds", default="1,2,3",
                    help="comma-separated workload seeds")
     p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--best", type=int, default=7)
+    p.add_argument("--best", type=int, default=7,
+                   help="timings per call, or timed ops per child for "
+                        "verify-report")
     args = p.parse_args(argv)
+    stages = args.workload == "verify-report"
     trees = {"old": _src(args.old), "new": _src(args.new)}
     print(f"{'seed':>5} {'kind':<12} {'calls':>5} {'old us':>10} "
           f"{'new us':>10} {'change':>8} {'new wins':>8}")
     for seed in map(int, args.seeds.split(",")):
-        specs = specs_of(args.workload, seed)
+        specs = [] if stages else specs_of(args.workload, seed)
         runs: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
         for r in range(args.rounds):
             for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
-                runs[side].append(passes(specs, time_tree(
-                    trees[side], args.workload, seed, args.best)))
-        counts: dict[str, int] = {}
+                runs[side].append(
+                    time_stages(trees[side], args.best) if stages else
+                    passes(specs, time_tree(trees[side], args.workload, seed,
+                                            args.best)))
+        counts: dict[str, int] = dict.fromkeys(STAGES, 1) if stages else {}
         for s in specs:
             counts[kind(s)] = counts.get(kind(s), 0) + 1
-        for k in sorted(counts):
+        for k in counts if stages else sorted(counts):
             old = statistics.median(run[k] for run in runs["old"])
             new = statistics.median(run[k] for run in runs["new"])
             wins = sum(b[k] < a[k] for a, b in zip(runs["old"], runs["new"]))
