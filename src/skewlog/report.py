@@ -259,8 +259,9 @@ def _spelled(params, name_texts, value_texts, template) -> list[str]:
 # The JSON form is exactly json.dumps(obj, sort_keys=True, indent=2) of the
 # report dict.  With indent set, json falls back to its pure-Python encoder,
 # so the records list, which is nearly all of the output, is written here
-# with that layout spelled out; strings go through json's own escaper and
-# floats get json's spelling (float.__repr__, NaN, Infinity, -Infinity).
+# with that layout spelled out; strings go through json's own escaper,
+# floats get json's spelling (float.__repr__, NaN, Infinity, -Infinity),
+# and any other value is laid out by json.dumps at its depth.
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_RECORD = (
     '    {\n      "identity": %s,\n      "lhs": %s,\n      "note": %s,\n'
@@ -271,6 +272,16 @@ _JSON_PARAM = '        [\n          %s,\n          %s\n        ]'
 _JSON_NAME = {m: '"%s"' % m.name for m in (*IdentityId, *Verdict)}
 
 
+def _json_nested(obj, indent: int) -> str:
+    """obj as json.dumps(..., sort_keys=True, indent=2) lays it out when it
+    starts on a line indented by indent spaces; json escapes every newline
+    inside a string, so each raw newline is layout."""
+    import json
+
+    return json.dumps(obj, sort_keys=True, indent=2).replace(
+        "\n", "\n" + " " * indent)
+
+
 def _json_params(k: int) -> str:
     return "[\n" + ",\n".join([_JSON_PARAM] * k) + "\n      ]" if k else "[]"
 
@@ -279,19 +290,21 @@ _JSON_N = _json_params(1) % ('"%s"', "%d.0")  # an n table entry's params
 
 
 def _json_records(records) -> str:
-    import json
     from json.encoder import encode_basestring_ascii
 
-    def floats(column):
+    # a value that is no float (or, for strings, no str) is laid out by
+    # _json_nested at its depth: a record field's line is indented by 6
+    # spaces, a params name's or value's by 10
+    def floats(column, indent=10):
         def spell(xs):
             reprs = list(map(float.__repr__, xs))
             return map(_JSON_FLOAT.get, reprs, reprs)
-        return _texts(column, spell, json.dumps)
+        return _texts(column, spell, lambda x: _json_nested(x, indent))
 
-    def strings(column):
+    def strings(column, indent=10):
         """Notes and names: a few distinct strs, each escaped once."""
         if set(map(type, column)) - {str}:
-            return list(map(json.dumps, column))
+            return [_json_nested(x, indent) for x in column]
         distinct = set(column)
         text = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
         return list(map(text.__getitem__, column))
@@ -300,26 +313,20 @@ def _json_records(records) -> str:
         _columns(records)
     quoted = _JSON_NAME.__getitem__
     return ",\n".join(map(_JSON_RECORD.__mod__, zip(
-        map(quoted, identity), floats(lhs), strings(note),
+        map(quoted, identity), floats(lhs, 6), strings(note, 6),
         _params_texts(params, _JSON_N, strings, floats, _json_params),
-        floats(residual), floats(rhs), floats(tol), map(quoted, verdict))))
+        floats(residual, 6), floats(rhs, 6), floats(tol, 6),
+        map(quoted, verdict))))
 
 
 def _json_report(report: Report) -> str:
-    import json
-
-    def nested(obj) -> str:
-        """obj as json.dumps lays it out one level down; json escapes every
-        newline inside a string, so each raw newline is layout."""
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
-
     records = _json_records(report.records)
     return "".join((
-        '{\n  "metadata": ', nested(report.metadata),
-        ',\n  "notes": ', nested(report.notes),
+        '{\n  "metadata": ', _json_nested(report.metadata, 2),
+        ',\n  "notes": ', _json_nested(report.notes, 2),
         ',\n  "records": ', "[\n" if records else "[]", records,
         "\n  ]" if records else "",
-        ',\n  "summary": ', nested(report.summary), "\n}"))
+        ',\n  "summary": ', _json_nested(report.summary, 2), "\n}"))
 
 
 # The CSV form is exactly what csv.writer(buf, lineterminator="\n") writes
@@ -327,7 +334,9 @@ def _json_report(report: Report) -> str:
 # name=value pieces joined by ";", the four floats as %.17g and the verdict
 # name.  Only a params name can hold a character that calls for quoting:
 # csv's QUOTE_MINIMAL, which this writer applies to a params field holding
-# the delimiter, the quote character, CR or LF.
+# the delimiter, the quote character, CR or LF.  An int past the float
+# range, which %.17g cannot spell, is a ValueError naming its line and
+# field, where csv.writer's OverflowError names neither.
 _CSV_RECORD = "%s,%s,%s,%s,%s,%s,%s\n"
 _CSV_QUOTED = re.compile('[,"\r\n]')
 
@@ -344,12 +353,23 @@ def _csv_quote(field: str) -> str:
 
 
 def _csv_report(report: Report) -> str:
-    def floats(column):
-        return _texts(column, lambda xs: map("%.17g".__mod__, xs),
-                      lambda x: format(x, ".17g"))
+    records = report.records
+
+    def floats(column, field="params"):
+        def scalar(x):
+            try:
+                return format(x, ".17g")
+            except OverflowError as exc:  # an int past the float range
+                # the first record that holds x is the one whose line fails
+                values = (map(itemgetter(1), r.params) if field == "params"
+                          else (getattr(r, field),) for r in records)
+                line = 2 + next(n for n, vs in enumerate(values)
+                                if any(v is x for v in vs))
+                raise ValueError(f"CSV line {line}: {field!r} {exc}") from None
+        return _texts(column, lambda xs: map("%.17g".__mod__, xs), scalar)
 
     identity, params, lhs, rhs, residual, tol, verdict, _ = \
-        _columns(report.records)
+        _columns(records)
     params = _params_texts(params, _CSV_N, lambda names: map(format, names),
                            floats, _csv_params)
     special = set(filter(_CSV_QUOTED.search, params))
@@ -358,7 +378,8 @@ def _csv_report(report: Report) -> str:
     return "".join(chain((",".join(_CSV_HEADER) + "\n",), map(
         _CSV_RECORD.__mod__, zip(
             map(name, identity), map(quoted.get, params, params),
-            floats(lhs), floats(rhs), floats(residual), floats(tol),
+            floats(lhs, "lhs"), floats(rhs, "rhs"),
+            floats(residual, "residual"), floats(tol, "tolerance"),
             map(name, verdict)))))
 
 

@@ -633,6 +633,87 @@ def test_kernel_table_is_bounded():
     assert _bits(res) == _bits(_with_scalar_h(_xy_integral, d, 0.0, cfg))
 
 
+def _hexes(xs):
+    return list(map(float.hex, xs))
+
+
+def test_written_out_rules_call_at_the_oracles_nodes(monkeypatch):
+    # the kernel rule calls d, and the map's rule calls f, at the nodes of
+    # the scalar oracles (_scalar_h through _gk15, and _mapped through
+    # _gk15), in their order, 15 per panel
+    from skewlog import quadrature
+
+    seen = []
+    xy = quadrature._xy_integral
+
+    def recording(d, f0, cfg):
+        def rec(p):
+            seen.append(p)
+            return d(p)
+        return xy(rec, f0, cfg)
+
+    cfg = QuadratureConfig(1e-10, 1e-10)
+    branches = set()
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "_xy_integral", recording)
+        for name, z in (("g", 0.5), ("g", -1.0), ("G", 0.5), ("G", -0.9),
+                        ("G", 5e-5), ("G", -5e-5), ("EQ31", None),
+                        ("EQ32", None)):
+            fn = _INTEGRALS[name]
+            seen.clear()
+            want = _with_scalar_h(fn, z, cfg)
+            oracle = _hexes(seen)
+            seen.clear()
+            got = fn(z, cfg)
+            assert _hexes(seen) == oracle, (name, z)
+            assert _bits(got) == _bits(want), (name, z)
+            assert len(seen) == got.terms_used > 0, (name, z)
+            if name == "G":
+                branches |= {abs(p * z) < 1e-4 for p in seen}
+    assert branches == {True, False}  # G's series and its log1p
+    for f in (math.exp, lambda t: 1.0 / math.sqrt(abs(t))):
+        for e in (0.5, 1.0, -0.75):
+            rec = _recorded(f, min(e, 0.0), max(e, 0.0), seen)
+            seen.clear()
+            want = _adaptive(_mapped(rec, e), 0.0, 1.0, cfg)
+            oracle = _hexes(seen)
+            for a, b in ((0.0, e), (e, 0.0)):
+                seen.clear()
+                got = integrate_1d(rec, a, b, cfg)
+                assert _hexes(seen) == oracle, (e, a, b)
+                assert got.terms_used == want.terms_used == len(seen), (e, a)
+                assert len(seen) % 15 == 0
+
+
+def test_nan_at_one_node_ends_as_the_oracle_ends():
+    # a nan at one node ends the integral after that node's panel, with
+    # the oracle's evaluations, under the kernel rule and the map's rule
+    cfg = QuadratureConfig(1e-13, 1e-13)
+
+    def nan_at(f, bad):
+        return lambda t: math.nan if t == bad else f(t)
+
+    seen = []
+    cos = lambda p: math.cos(3.0 * p)
+    _xy_integral(_recorded(cos, 0.0, 1.0, seen), 0.0, cfg)
+    for i in (3, 20, len(seen) - 5):
+        d = nan_at(cos, seen[i])
+        got = _xy_integral(d, 0.0, cfg)
+        assert got.status is Status.DIVERGENT_INPUT and math.isnan(got.value)
+        assert got.terms_used == 15 * (i // 15 + 1), i
+        assert _bits(got) == _bits(_with_scalar_h(_xy_integral, d, 0.0, cfg))
+    for e in (0.5, -0.75):
+        seen = []
+        integrate_1d(_recorded(math.exp, min(e, 0.0), max(e, 0.0), seen),
+                     0.0, e, cfg)
+        for i in (3, 20, len(seen) - 5):
+            f = nan_at(math.exp, seen[i])
+            want = _adaptive(_mapped(f, e), 0.0, 1.0, cfg)
+            assert want.terms_used == 15 * (i // 15 + 1), (e, i)
+            assert _bits(integrate_1d(f, 0.0, e, cfg)) == _bits(want)
+            assert integrate_1d(f, e, 0.0, cfg).terms_used == want.terms_used
+
+
 def test_terms_used_counts_evaluations():
     # terms_used is the number of integrand calls, 15 per panel
     calls = [0]

@@ -586,14 +586,18 @@ def test_n_table_entries_are_known_by_identity(n_odd):
         assert list(map(entry, (r.params for r in back.records))) == [
             True] * 6 + [False, True, True] + [False] * 3, fmt
     # params that cannot be hashed, a list of pairs or a list value, are
-    # written beside the entries; a list value is spelled as json.dumps
-    # spells it without indent, and csv cannot spell it as %.17g
+    # written beside the entries; a list or dict, in params or in a record
+    # field, is laid out as json.dumps lays it out at its depth, and csv
+    # cannot spell it as %.17g
     report = _synthetic([*n_odd[:3], _n_record([("n", 1.0)]), n_odd[3]])
     assert serialize_report(report, "json") == _reference_json(report)
     assert serialize_report(report, "csv") == _stdlib_csv(report)
     report = _synthetic([*n_odd[:3], _n_record((("n", [1.0]),)), n_odd[3]])
-    assert json.loads(serialize_report(report, "json")) == json.loads(
-        _reference_json(report))
+    assert serialize_report(report, "json") == _reference_json(report)
+    report = _synthetic([n_odd[0], _n_record(((["k"], {"b": [1.0], "a": 2}),))
+                         ._replace(lhs=[1.0], rhs={"y": [], "x": [0.5, {}]},
+                                   note=["a", {"n": 1}]), n_odd[1]])
+    assert serialize_report(report, "json") == _reference_json(report)
     report = _synthetic([n_odd[0], _n_record((("n", [1.0]),))])
     for write in (_stdlib_csv, lambda r: serialize_report(r, "csv")):
         with pytest.raises(TypeError):
@@ -658,6 +662,22 @@ def test_malformed_json_values_name_the_record():
     # ints are numbers: they read back as they were written
     doc["records"][1]["lhs"] = 10 ** 400
     assert parse_report(json.dumps(doc), "json").records[1].lhs == 10 ** 400
+
+
+def test_csv_names_an_int_past_the_float_range():
+    # the JSON form writes an int of any size; csv cannot spell one past
+    # the float range as %.17g, and the ValueError names its line and field
+    records = [_n_record((("t", 0.5),)), _n_record((("t", 0.5),))]
+    for field, fixed in (("lhs", {"lhs": -10 ** 400}),
+                         ("tolerance", {"tolerance": 10 ** 309}),
+                         ("params", {"params": (("t", 1), ("mu", 10 ** 400))})):
+        report = _synthetic([records[0], records[1]._replace(**fixed)])
+        assert serialize_report(report, "json") == _reference_json(report)
+        with pytest.raises(OverflowError):
+            _stdlib_csv(report)
+        with pytest.raises(ValueError, match=f"^CSV line 3: '{field}' int "
+                           "too large to convert to float$"):
+            serialize_report(report, "csv")
 
 
 def test_csv_quotes_a_carriage_return():

@@ -18,14 +18,15 @@ series are split into the plain interior sums (`series`), the mu series
 below |t| = 0.99 (`series_mu`) and the sums at |t| = 0.99
 (`series_near`).  For each kind and seed the script prints both trees'
 median pass over the rounds, in microseconds, the change in percent, and
-in how many rounds NEW was faster.
+in how many rounds NEW was faster; then the same for `total`, the summed
+pass over all kinds, which is what a perfbench run's ops_per_s follows.
 
 verify-report is timed by stage instead: its one op is `verify_all`, the
 report written to JSON (`json_write`) and to CSV (`csv_write`), and both
 read back (`json_parse`, `csv_parse`), in that order, as the workload's op
 runs them.  Each child makes one op to warm up, then times `--best` ops
-with the cyclic GC on, and a pass is each stage's median over them.  Its
-seed changes no input.
+with the cyclic GC on, and a pass is each stage's median over them; its
+`total` is the sum of the five.  Its seed changes no input.
 
 A perfbench run times whole 25-second op loops; this places a saving of a
 few percent per call, which one traced run of each tree cannot.
@@ -177,7 +178,11 @@ def main(argv: list[str]) -> int:
         counts: dict[str, int] = dict.fromkeys(STAGES, 1) if stages else {}
         for s in specs:
             counts[kind(s)] = counts.get(kind(s), 0) + 1
-        for k in counts if stages else sorted(counts):
+        for run in runs["old"] + runs["new"]:
+            run["total"] = sum(run.values())
+        order = list(counts) if stages else sorted(counts)
+        counts["total"] = 1 if stages else len(specs)
+        for k in order + ["total"]:
             old = statistics.median(run[k] for run in runs["old"])
             new = statistics.median(run[k] for run in runs["new"])
             wins = sum(b[k] < a[k] for a, b in zip(runs["old"], runs["new"]))

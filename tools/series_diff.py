@@ -33,8 +33,12 @@ seeded points of [-1, 1) (200 of them within 1/16 of 0), at +-1/16 and
 +-0.0 and +-1e-300.  Then the double integrals once more: G, EQ31 and
 EQ32 under max_subdivisions 1, 3 and 10 at tol 1e-10 and 1e-13, and g
 and G at 40 seeded z in [-1, 1] and at z = +-1e-5, at tol 1e-8 to 1e-15.
-A call that raises prints the exception's name.  That is 25,707 rows
-(16,326 before the kernel rows, 24,993 before the last quadrature rows).  The diff prints the
+Last, at tol 1e-8 and 1e-13, `integrate_1d` of exp and of 1/sqrt|t| over
+[0, -0.75] and [-0.75, 0] (the map at a negative limit), and of an
+integrand that is nan beyond 0.99 over [0, 1], [1, 0] and [0.5, 1].  A
+call that raises prints the exception's name.  That is 25,721 rows
+(16,326 before the kernel rows, 24,993 before the quadrature rows after
+them, 25,707 before the last 14).  The diff prints the
 first differing rows, then one line that counts the differing rows by the
 fields that moved (value, bound, terms, status: "bound 1257" counts rows
 whose bound alone moved) and gives the largest relative move of a bound.
@@ -237,6 +241,21 @@ for k in range(8, 16):
     for z in zs:
         for name, fn in (("g", double_integral_g), ("G", double_integral_bigG)):
             print(f"quad {name} z={z!r} tol={tol!r} -> {outcome(fn, (z, cfg))}")
+
+# the map at a negative limit, in both orientations, and an integrand that
+# is nan beyond one node, mapped and not: DIVERGENT_INPUT after the panel
+# that meets it
+mapped = {"exp": math.exp, "1/sqrt|t|": lambda t: 1.0 / math.sqrt(abs(t))}
+nan_beyond = lambda t: math.nan if t > 0.99 else t ** -0.5
+for tol in (1e-8, 1e-13):
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    calls = [(f"{name} [{a!r}, {b!r}]", (f, a, b, cfg))
+             for name, f in mapped.items()
+             for a, b in ((0.0, -0.75), (-0.75, 0.0))]
+    calls += [(f"nan beyond 0.99 [{a!r}, {b!r}]", (nan_beyond, a, b, cfg))
+              for a, b in ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0))]
+    for name, args in calls:
+        print(f"quad {name} tol={tol!r} -> {outcome(integrate_1d, args)}")
 """
 
 
