@@ -124,18 +124,6 @@ class HarmonicCache:
                 sk.append(vsk)
             self._carry = [ch, ch2, csk]
 
-    def h(self, n: int) -> float:
-        self.ensure(n)
-        return self.values_h[n]
-
-    def h2(self, n: int) -> float:
-        self.ensure(n)
-        return self.values_h2[n]
-
-    def skew(self, n: int) -> float:
-        self.ensure(n)
-        return self.values_skew[n]
-
 
 def check_real(name: str, x, bounds: tuple[float, float] | None = None) -> float:
     """x as a float, for every public entry point that takes a real argument.
@@ -229,21 +217,24 @@ def harmonic(n: int) -> float:
     """H_n = sum_{k=1..n} 1/k, with harmonic(0) = 0."""
     if type(n) is int and 0 <= n < len(_H):
         return _H[n]
-    return _CACHE.h(n)
+    _CACHE.ensure(n)
+    return _CACHE.values_h[n]
 
 
 def harmonic2(n: int) -> float:
     """H_n^(2) = sum_{k=1..n} 1/k^2, with harmonic2(0) = 0."""
     if type(n) is int and 0 <= n < len(_H2):
         return _H2[n]
-    return _CACHE.h2(n)
+    _CACHE.ensure(n)
+    return _CACHE.values_h2[n]
 
 
 def skew_harmonic(n: int) -> float:
     """H_n^- = 1 - 1/2 + ... + (-1)^(n-1)/n, with skew_harmonic(0) = 0."""
     if type(n) is int and 0 <= n < len(_SKEW):
         return _SKEW[n]
-    return _CACHE.skew(n)
+    _CACHE.ensure(n)
+    return _CACHE.values_skew[n]
 
 
 def odd_harmonic(n: int) -> float:

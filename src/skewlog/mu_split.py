@@ -123,24 +123,27 @@ def forward(spec, t: float, mu: float, tol: float,
     s_big = min(-math.log1p(-q), h)
     trunc = a * aq ** (n + 1) / ((n + 1) * (n + 2) * m * (1.0 - aq))
     w = _weights(t, over, n)
-    s = cs = 0.0
+    s = cs = fr = cf = 0.0
     neg = -mu
-    # the s_n recurrence is written twice, as in _mu_rule
     if inner:
-        f0 = -0.5 * ell * big_l
-        fr, cf, fs = f0, 0.0, []
-        for k in range(1, n + 1):
-            y = neg ** (k - 1) / k - cs
-            x = s + y
-            cs = (x - s) - y
-            s = x
+        f0 = fr = -0.5 * ell * big_l
+    runs = []  # the F_n with inner, else the G_n
+    for k in range(1, n + 1):
+        y = neg ** (k - 1) / k - cs
+        x = s + y
+        cs = (x - s) - y
+        s = x
+        if inner:
             y = (s - ell) / k - cf
             x = fr + y
             cf = (x - fr) - y
             fr = x
-            fs.append(fr)
+            runs.append(fr)
+        else:
+            runs.append(ell - s)
+    if inner:
         head = -f0 * lg
-        terms = list(map(mul, fs, w))
+        terms = list(map(mul, runs, w))
         tail = math.fsum(terms)
         value = math.fsum((e, head, -tail))
         rounding = (e_g * (CONSTANTS["PI_SQ_OVER_6"] + 0.5 * s_big * s_big)
@@ -149,14 +152,7 @@ def forward(spec, t: float, mu: float, tol: float,
         mass = (4.5 * abs(ell) * (abs(li) + 0.5 * lg * lg) + 4.0 * abs(head)
                 + 1.2 * abs(tail))
     else:
-        gs = []
-        for k in range(1, n + 1):
-            y = neg ** (k - 1) / k - cs
-            x = s + y
-            cs = (x - s) - y
-            s = x
-            gs.append(ell - s)
-        value, part = _g_sum(t, mu, over, e, gs, w)
+        value, part = _g_sum(t, mu, over, e, runs, w)
         rounding = a * s_big * (e_g + 1.7 * _FP_SLACK * c)
         mass = (2.25 * abs(e) + (0.6 * abs(big_l * lg) if over else 0.0)
                 + 2.25 * abs(part))

@@ -12,20 +12,23 @@ written or read: the JSON writer imports json, both writers import array
 when a column's values repeat (tolerances and residuals do), and
 parse_report imports json, or csv and io.
 
-Reading a report holds each record once.  The JSON reader builds each
-record in json's object_hook, as soon as the scanner closes its object,
-so no dict outlives its record, and equal notes share one str; a report
-the hook cannot read whole is parsed again as plain JSON, record by
-record, to name what is wrong.  The CSV reader streams its rows from the
-UTF-8 bytes, with no decoded copy of the text.  The params (("n", n),) of
-the integer grids come from one per-process table (_n_params, at most
-2^14 entries, filled under a lock), which the verifier slices.  An entry
-is known by identity, never by value: _N_SELF keys each entry by itself,
-so (("n", -0.0),), (("n", 5),) and (("n", True),), equal to entries but
-spelled otherwise, are not entries.  Both writers spell an entry with one
-template fill and the other params in columns; the CSV reader returns the
-entry for a field n=<decimal digits>, and the JSON hook, through
-_shared, for params [["n", v]] whose float(v) the table holds bit for bit.
+Reading a report holds each record once.  One JSON object_hook builds
+every record, from each object with exactly the record fields (note
+optional) as the scanner closes it: no dict outlives its record, and equal
+notes share one str.  If that parse raises, or its records are not exactly
+the report's (a record-like object in the metadata, a record with another
+key), a plain re-parse sends each record object, cut to the record fields,
+through the same hook, so that an error names its record.  The CSV reader
+streams its rows from the UTF-8 bytes, with no decoded copy.  The params
+(("n", n),) of the integer grids come from one per-process table
+(_n_params, at most 2^14 entries, filled under a lock), which the verifier
+slices.  An entry is known by identity, never by value: _N_SELF keys each
+entry by itself, so (("n", -0.0),), (("n", 5),) and (("n", True),), equal
+to entries but spelled otherwise, are not entries.  Both writers spell an
+entry with one template fill and the other params in columns; the CSV
+reader returns the entry for a field n=<decimal digits>, and the JSON
+hook, through _shared, for params [["n", v]] whose float(v) the table
+holds bit for bit.
 """
 
 from __future__ import annotations
@@ -105,15 +108,6 @@ _CSV_HEADER = ["identity", "params", "lhs", "rhs", "residual",
 _IDENTITIES, _VERDICTS = IdentityId.__members__, Verdict.__members__
 # parse_report builds records without the named tuple's Python-level __new__
 _new = tuple.__new__
-
-
-def _members(table, names: list, what: str) -> list:
-    """table[name] for each of names, resolved in one pass; an unknown name
-    is the ValueError of catalog.lookup."""
-    members = list(map(table.get, names))
-    if None in members:
-        lookup(table, names[members.index(None)], what)
-    return members
 
 
 def _format(fmt) -> str:
@@ -239,6 +233,16 @@ def _params_texts(params, entry, name_texts, value_texts,
     return list(map(next, map(texts.__getitem__, is_entry)))
 
 
+def _refuse(records, field: str, x, exc, where: str, first: int = 0):
+    """Raise a writer's ValueError for x, an int past the float range: it
+    names where and the first record (from first) with x as field or as a
+    params value for field "params", by identity, and the field."""
+    values = (map(itemgetter(1), r.params) if field == "params"
+              else (getattr(r, field),) for r in records)
+    i = next(n for n, vs in enumerate(values) if any(v is x for v in vs))
+    raise ValueError(f"{where} {first + i}: {field!r} {exc}") from None
+
+
 def _spelled(params, name_texts, value_texts, template) -> list[str]:
     """The text of each record's params, in columns.  The names and the
     values of all records are spelled as two columns, name_texts(names)
@@ -261,7 +265,9 @@ def _spelled(params, name_texts, value_texts, template) -> list[str]:
 # so the records list, which is nearly all of the output, is written here
 # with that layout spelled out; strings go through json's own escaper,
 # floats get json's spelling (float.__repr__, NaN, Infinity, -Infinity),
-# and any other value is laid out by json.dumps at its depth.
+# and any other value is laid out by json.dumps at its depth, but for a
+# params value that is an int past the float range, which the reader's
+# float() refuses: as in CSV, a ValueError names its record and field.
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_RECORD = (
     '    {\n      "identity": %s,\n      "lhs": %s,\n      "note": %s,\n'
@@ -299,7 +305,15 @@ def _json_records(records) -> str:
         def spell(xs):
             reprs = list(map(float.__repr__, xs))
             return map(_JSON_FLOAT.get, reprs, reprs)
-        return _texts(column, spell, lambda x: _json_nested(x, indent))
+
+        def scalar(x):
+            if indent == 10 and isinstance(x, int):  # a params value
+                try:
+                    float(x)  # as the reader takes it
+                except OverflowError as exc:
+                    _refuse(records, "params", x, exc, "JSON record")
+            return _json_nested(x, indent)
+        return _texts(column, spell, scalar)
 
     def strings(column, indent=10):
         """Notes and names: a few distinct strs, each escaped once."""
@@ -360,12 +374,7 @@ def _csv_report(report: Report) -> str:
             try:
                 return format(x, ".17g")
             except OverflowError as exc:  # an int past the float range
-                # the first record that holds x is the one whose line fails
-                values = (map(itemgetter(1), r.params) if field == "params"
-                          else (getattr(r, field),) for r in records)
-                line = 2 + next(n for n, vs in enumerate(values)
-                                if any(v is x for v in vs))
-                raise ValueError(f"CSV line {line}: {field!r} {exc}") from None
+                _refuse(records, field, x, exc, "CSV line", 2)
         return _texts(column, lambda xs: map("%.17g".__mod__, xs), scalar)
 
     identity, params, lhs, rhs, residual, tol, verdict, _ = \
@@ -390,115 +399,78 @@ def serialize_report(report: Report, fmt: str = "json") -> bytes:
     return _csv_report(report).encode("utf-8")
 
 
-_FLOAT_FIELDS = ("lhs", "rhs", "residual", "tolerance")
-_NUMBERS = (int, float)  # a JSON number; true and false are not
-
-
-def _parse_json_records(rows) -> list[VerificationRecord]:
-    """The records of a JSON report's record list.  A float field that is
-    no JSON number (an int or a float) is a ValueError naming the field."""
-    identities = _members(
-        _IDENTITIES, list(map(itemgetter("identity"), rows)), "identity")
-    verdicts = _members(
-        _VERDICTS, list(map(itemgetter("verdict"), rows)), "verdict")
-    for d in rows:
-        for field in _FLOAT_FIELDS:
-            if d[field].__class__ not in _NUMBERS:
-                raise ValueError(
-                    f"{field!r} is not a number: {d[field]!r}")
-    return [
-        _new(VerificationRecord, (
-            identity, _shared(tuple([(k, float(v)) for k, v in d["params"]])),
-            d["lhs"], d["rhs"], d["residual"], d["tolerance"], verdict,
-            d.get("note", ""),
-        ))
-        for d, identity, verdict in zip(rows, identities, verdicts)
-    ]
-
-
-def _parse_json(text: str) -> Report:
-    """A JSON report parsed as plain JSON, then record by record: what
-    the hooked reader falls back to, since it names what is wrong."""
-    import json
-
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("a JSON report must be an object")
-    for key in ("records", "summary", "metadata"):
-        if key not in obj:
-            raise ValueError(f"JSON report has no {key!r} key")
-    rows = obj["records"]
-    try:
-        records = _parse_json_records(rows)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        # parsed again a record at a time, to name the first bad one
-        if not isinstance(rows, list):
-            raise ValueError("a JSON report's 'records' must be a "
-                             "list") from None
-        for i, d in enumerate(rows):
-            if not isinstance(d, dict):
-                raise ValueError(
-                    f"JSON record {i} is not an object") from None
-            try:
-                _parse_json_records([d])
-            except KeyError as exc:
-                raise ValueError(f"JSON record {i} has no "
-                                 f"{exc.args[0]!r} field") from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"JSON record {i}: {exc}") from None
-        raise
-    return Report(records, obj["summary"], obj["metadata"],
-                  obj.get("notes", []))
-
-
 _RECORD_KEYS = frozenset(VerificationRecord._fields) - {"note"}
 _NOTED_KEYS = frozenset(VerificationRecord._fields)
 
 
-def _parse_json_hooked(text: str) -> Report | None:
-    """A JSON report whose records json's object_hook builds as it closes
-    each object: one with exactly the record fields, note optional.  None
-    when the result is not a report whose 'records' are exactly the
-    records built, each once: a record-like object in the metadata, a
-    record with another key, a top level that is no report.  Params of
-    one pair go to _shared, with no list built; a float field that is no
-    number raises."""
+def _parse_json(text: str) -> Report:
+    """A JSON report, each record built by hook (see the module docstring)."""
     import json
 
     built, notes = [], {}
 
     def hook(d):
+        """The record of d, or d itself when d is no record object."""
         keys = d.keys()
         if keys != _NOTED_KEYS and keys != _RECORD_KEYS:
             return d
-        note = d.get("note", "")
-        if note.__class__ is str:
-            note = notes.setdefault(note, note)
-        params = d["params"]
-        if len(params) == 1:
-            (k, v), = params
-            params = _shared(((k, float(v)),))
-        else:
-            params = tuple([(k, float(v)) for k, v in params])
+        identity, verdict = _IDENTITIES[d["identity"]], _VERDICTS[d["verdict"]]
         lhs, rhs, residual, tol = (
             d["lhs"], d["rhs"], d["residual"], d["tolerance"])
         if not (lhs.__class__ is rhs.__class__ is residual.__class__
                 is tol.__class__ is float):
-            for x in (lhs, rhs, residual, tol):
-                if x.__class__ not in _NUMBERS:
-                    raise ValueError("a float field is not a number")
+            for field in ("lhs", "rhs", "residual", "tolerance"):
+                if d[field].__class__ not in (int, float):  # true is no number
+                    raise ValueError(
+                        f"{field!r} is not a number: {d[field]!r}")
+        params = d["params"]
+        if params.__class__ is list and len(params) == 1:
+            (k, v), = params
+            params = _shared(((k, float(v)),))
+        else:
+            params = tuple([(k, float(v)) for k, v in params])
+        note = d.get("note", "")
+        if note.__class__ is str:
+            note = notes.setdefault(note, note)
         record = _new(VerificationRecord, (
-            _IDENTITIES[d["identity"]], params, lhs, rhs, residual, tol,
-            _VERDICTS[d["verdict"]], note))
+            identity, params, lhs, rhs, residual, tol, verdict, note))
         built.append(record)
         return record
 
-    obj = json.loads(text, object_hook=hook)
-    if (obj.__class__ is dict and {"summary", "metadata"} <= obj.keys()
+    try:
+        obj = json.loads(text, object_hook=hook)
+    except (KeyError, OverflowError, TypeError, ValueError):
+        obj = None
+    if not (obj.__class__ is dict and {"summary", "metadata"} <= obj.keys()
             and obj.get("records") == built):
-        return Report(built, obj["summary"], obj["metadata"],
-                      obj.get("notes", []))
-    return None
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a JSON report must be an object")
+        for key in ("records", "summary", "metadata"):
+            if key not in obj:
+                raise ValueError(f"JSON report has no {key!r} key")
+        if not isinstance(obj["records"], list):
+            raise ValueError("a JSON report's 'records' must be a list")
+        built.clear()
+        for i, d in enumerate(obj["records"]):
+            if not isinstance(d, dict):
+                raise ValueError(f"JSON record {i} is not an object")
+            cut = {k: d[k] for k in _NOTED_KEYS & d.keys()}
+            try:
+                try:
+                    record = hook(cut)
+                except KeyError:  # lookup names the unknown name
+                    lookup(_IDENTITIES, cut["identity"], "identity")
+                    lookup(_VERDICTS, cut["verdict"], "verdict")
+                    raise
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"JSON record {i}: {exc}") from None
+            if record is cut:
+                missing = next(k for k in VerificationRecord._fields
+                               if k not in cut)
+                raise ValueError(f"JSON record {i} has no {missing!r} field")
+    return Report(built, obj["summary"], obj["metadata"],
+                  obj.get("notes", []))
 
 
 def _csv_rows(data: bytes):
@@ -575,8 +547,4 @@ def parse_report(data: bytes | str, fmt: str = "json") -> Report:
                           else data)
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        report = _parse_json_hooked(data)
-    except (KeyError, OverflowError, TypeError, ValueError):
-        report = None
-    return _parse_json(data) if report is None else report
+    return _parse_json(data)

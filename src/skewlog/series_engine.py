@@ -174,27 +174,19 @@ def _mu_rule(over: int, inner: bool) -> Callable[[float], _Block]:
             nonlocal s, cs, i, ci, p
             first = max(lo, 1)
             s_, cs_, p_, i_, ci_, runs = s, cs, p, i, ci, []
-            # the s_n recurrence is written twice: the loop without i_n is
-            # the mu series' hot path
-            if inner:
-                for n in range(first, hi):
-                    y = p_ / n - cs_
-                    x = s_ + y
-                    cs_ = (x - s_) - y
-                    s_ = x
-                    p_ *= neg
+            for n in range(first, hi):
+                y = p_ / n - cs_
+                x = s_ + y
+                cs_ = (x - s_) - y
+                s_ = x
+                p_ *= neg
+                if inner:
                     y = s_ / n - ci_
                     x = i_ + y
                     ci_ = (x - i_) - y
                     i_ = x
                     runs.append(i_)
-            else:
-                for n in range(first, hi):
-                    y = p_ / n - cs_
-                    x = s_ + y
-                    cs_ = (x - s_) - y
-                    s_ = x
-                    p_ *= neg
+                else:
                     runs.append(s_)
             s, cs, p, i, ci = s_, cs_, p_, i_, ci_
             signs = cycle((1.0, -1.0) if first % 2 else (-1.0, 1.0))

@@ -57,12 +57,20 @@ def test_negative_index_rejected():
     # values as a fresh cache both inside the fill and beyond it.
     harmonic(64)
     fresh = HarmonicCache()
+
+    def read(values):
+        def ref(n):
+            fresh.ensure(n)
+            return values[n]
+        return ref
+
+    h = read(fresh.values_h)
     # fn: (reference, the cache index fn(n) reads per unit of n)
     expected = {
-        harmonic: (fresh.h, 1),
-        harmonic2: (fresh.h2, 1),
-        skew_harmonic: (fresh.skew, 1),
-        odd_harmonic: (lambda n: fresh.h(2 * n) - 0.5 * fresh.h(n), 2),
+        harmonic: (h, 1),
+        harmonic2: (read(fresh.values_h2), 1),
+        skew_harmonic: (read(fresh.values_skew), 1),
+        odd_harmonic: (lambda n: h(2 * n) - 0.5 * h(n), 2),
     }
     for fn, (ref, reach) in expected.items():
         for bad in (True, 2.0, "3", -1):
@@ -197,7 +205,7 @@ def test_constants_internal_relations():
 def test_cache_limit_enforced():
     cache = HarmonicCache(limit=100)
     cache.ensure(100)
-    assert cache.h(100) == pytest.approx(harmonic(100))
+    assert cache.values_h[100] == pytest.approx(harmonic(100))
     with pytest.raises(ValueError):
         cache.ensure(101)
     beyond = core_numerics.DEFAULT_CACHE_LIMIT + 1
@@ -218,9 +226,9 @@ def test_cache_agrees_with_fresh_instance():
     fresh = HarmonicCache(limit=2000)
     fresh.ensure(2000)
     for n in (1, 17, 256, 2000):
-        assert fresh.h(n) == harmonic(n)
-        assert fresh.h2(n) == harmonic2(n)
-        assert fresh.skew(n) == skew_harmonic(n)
+        assert fresh.values_h[n] == harmonic(n)
+        assert fresh.values_h2[n] == harmonic2(n)
+        assert fresh.values_skew[n] == skew_harmonic(n)
 
 
 # Every public entry point that takes a real argument, with one argument
@@ -272,7 +280,6 @@ INT_ENTRY_POINTS = {
     "coefficient n": lambda n: coefficient(SeriesId.GF_SKEW, n),
     "set_max_terms": set_max_terms,
     "HarmonicCache limit": HarmonicCache,
-    "HarmonicCache.h": lambda n: HarmonicCache(100).h(n),
     "HarmonicCache.ensure": lambda n: HarmonicCache(100).ensure(n),
     "QuadratureConfig max_subdivisions": lambda n: QuadratureConfig(
         max_subdivisions=n),

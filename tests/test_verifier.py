@@ -665,19 +665,85 @@ def test_malformed_json_values_name_the_record():
 
 
 def test_csv_names_an_int_past_the_float_range():
-    # the JSON form writes an int of any size; csv cannot spell one past
-    # the float range as %.17g, and the ValueError names its line and field
+    # the JSON form writes an int of any size in a float field; csv cannot
+    # spell one past the float range as %.17g, and the ValueError names its
+    # line and field
     records = [_n_record((("t", 0.5),)), _n_record((("t", 0.5),))]
     for field, fixed in (("lhs", {"lhs": -10 ** 400}),
                          ("tolerance", {"tolerance": 10 ** 309}),
                          ("params", {"params": (("t", 1), ("mu", 10 ** 400))})):
         report = _synthetic([records[0], records[1]._replace(**fixed)])
-        assert serialize_report(report, "json") == _reference_json(report)
+        if field != "params":
+            assert serialize_report(report, "json") == _reference_json(report)
         with pytest.raises(OverflowError):
             _stdlib_csv(report)
         with pytest.raises(ValueError, match=f"^CSV line 3: '{field}' int "
                            "too large to convert to float$"):
             serialize_report(report, "csv")
+
+
+def test_both_writers_refuse_a_params_int_past_the_float_range():
+    # a reader takes a params value by float(), which refuses such an int;
+    # so neither writer writes one, and both name the first record that
+    # holds it and the field alike
+    big = 10 ** 400
+    records = [_n_record((("t", 0.5),))] + [
+        _n_record((("mu", big), ("t", 0.5)))] * 2
+    report = _synthetic(records)
+    for fmt, where in (("json", "JSON record 1"), ("csv", "CSV line 3")):
+        with pytest.raises(ValueError, match=f"^{where}: 'params' int too "
+                           "large to convert to float$"):
+            serialize_report(report, fmt)
+    # json.dumps writes it, and the reader refuses what it wrote
+    with pytest.raises(ValueError, match="^JSON record 1: int too large"):
+        parse_report(_reference_json(report), "json")
+    # an int in range is written as json writes it, and reads as its float
+    report = _synthetic([_n_record((("mu", 2 ** 1000), ("t", 1)))])
+    assert serialize_report(report, "json") == _reference_json(report)
+    assert parse_report(serialize_report(report, "json")).records == [
+        _n_record((("mu", 2.0 ** 1000), ("t", 1.0)))]
+
+
+def test_the_reparse_builds_the_records_the_hook_builds(full_report):
+    # a record-like object in the metadata leaves the hooked parse with a
+    # record that is not the report's, so the text is parsed again as plain
+    # JSON and each record object goes through the same hook: the same
+    # records, equal notes in one str, and every n params the table's entry
+    doc = json.loads(serialize_report(full_report, "json"))
+    doc["metadata"]["record-like"] = doc["records"][0]
+    texts = serialize_report(full_report, "json"), json.dumps(doc)
+    for text, reparsed in zip(texts, (False, True)):
+        back = parse_report(text, "json")
+        assert len(back.records) == 7176
+        assert repr(back.records) == repr(full_report.records)
+        # the re-parse leaves the record-like object a dict
+        assert back.metadata.get("record-like") == (
+            doc["records"][0] if reparsed else None)
+        notes = [r.note for r in back.records if r.note]
+        assert len(set(map(id, notes))) == len(set(notes)) > 1
+        n_params = [r.params for r in back.records
+                    if len(r.params) == 1 and r.params[0][0] == "n"]
+        assert len(n_params) == 7000
+        assert all(p is _n_params(int(v), int(v) + 1)[0]
+                   for p in n_params for (_, v), in [p])
+    # a record with another key goes through the re-parse without it
+    doc = json.loads(serialize_report(_synthetic(_PLAIN), "json"))
+    doc["records"][1]["extra"] = [1]
+    assert parse_report(json.dumps(doc), "json").records == _PLAIN
+
+
+def test_a_missing_field_is_named_in_field_order():
+    doc = json.loads(serialize_report(_synthetic(_PLAIN), "json"))
+    for gone, first in ((("verdict", "lhs", "params"), "params"),
+                        (("note", "tolerance", "rhs"), "rhs"),
+                        (("verdict", "identity"), "identity"),
+                        (("verdict", "residual"), "residual")):
+        bad = json.loads(json.dumps(doc))
+        for field in gone:
+            del bad["records"][1][field]
+        with pytest.raises(ValueError, match=f"^JSON record 1 has no "
+                           f"'{first}' field$"):
+            parse_report(json.dumps(bad), "json")
 
 
 def test_csv_quotes_a_carriage_return():
