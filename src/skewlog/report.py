@@ -8,9 +8,17 @@ parse_report reads either form back.
 Only the standard library and the catalog are imported here, so reading a
 report loads no numerics.  Records are named tuples; the Report is a plain
 mutable class.  json, csv, io and array load only when a report is
-written or read: the JSON writer imports json, both writers import array
-when a column's values repeat (tolerances and residuals do), and
+written or read: the JSON writer imports json, both writers import io and,
+when a column's values repeat (tolerances and residuals do), array, and
 parse_report imports json, or csv and io.
+
+Both writers emit _CHUNK records at a time into one io.BytesIO, each run
+spelled column by column, joined and encoded at once, and return its
+bytes without a copy; the JSON head and tail (metadata, notes, summary)
+are written around the runs.  So the whole report is never held as a str,
+nor its records' texts as a list: held whole, those two and the bytes took
+3-4 times the output at once, and in the verify-report op the JSON write
+was the largest single step up in the process's peak memory.
 
 Reading a report holds each record once.  One JSON object_hook builds
 every record, from each object with exactly the record fields (note
@@ -27,8 +35,9 @@ entry by itself, so (("n", -0.0),), (("n", 5),) and (("n", True),), equal
 to entries but spelled otherwise, are not entries.  Both writers spell an
 entry with one template fill and the other params in columns; the CSV
 reader returns the entry for a field n=<decimal digits>, and the JSON
-hook, through _shared, for params [["n", v]] whose float(v) the table
-holds bit for bit.
+hook, through _shared, for params [["n", v]] whose float the table holds
+bit for bit.  A JSON params value must be a number, a float or an int, as
+a float field must: true, null or a string is a ValueError.
 """
 
 from __future__ import annotations
@@ -182,9 +191,9 @@ def _params_parse(s: str) -> tuple[tuple[str, float], ...]:
     return _shared(tuple(out))
 
 
-# Both writers work on columns: the records are transposed once, each
-# column is turned into text by C-level maps, and every record is one
-# %-template filled from the zipped columns.
+# Both writers work on columns: each run of _CHUNK records is transposed
+# once, each column is turned into text by C-level maps, and every record
+# is one %-template filled from the zipped columns.
 
 
 def _columns(records) -> list[list]:
@@ -295,7 +304,8 @@ def _json_params(k: int) -> str:
 _JSON_N = _json_params(1) % ('"%s"', "%d.0")  # an n table entry's params
 
 
-def _json_records(records) -> str:
+def _json_records(records, first: int) -> str:
+    """The records, from JSON record first on, joined by ",\n"."""
     from json.encoder import encode_basestring_ascii
 
     # a value that is no float (or, for strings, no str) is laid out by
@@ -311,7 +321,7 @@ def _json_records(records) -> str:
                 try:
                     float(x)  # as the reader takes it
                 except OverflowError as exc:
-                    _refuse(records, "params", x, exc, "JSON record")
+                    _refuse(records, "params", x, exc, "JSON record", first)
             return _json_nested(x, indent)
         return _texts(column, spell, scalar)
 
@@ -331,16 +341,6 @@ def _json_records(records) -> str:
         _params_texts(params, _JSON_N, strings, floats, _json_params),
         floats(residual, 6), floats(rhs, 6), floats(tol, 6),
         map(quoted, verdict))))
-
-
-def _json_report(report: Report) -> str:
-    records = _json_records(report.records)
-    return "".join((
-        '{\n  "metadata": ', _json_nested(report.metadata, 2),
-        ',\n  "notes": ', _json_nested(report.notes, 2),
-        ',\n  "records": ', "[\n" if records else "[]", records,
-        "\n  ]" if records else "",
-        ',\n  "summary": ', _json_nested(report.summary, 2), "\n}"))
 
 
 # The CSV form is exactly what csv.writer(buf, lineterminator="\n") writes
@@ -366,15 +366,14 @@ def _csv_quote(field: str) -> str:
     return '"%s"' % field.replace('"', '""')
 
 
-def _csv_report(report: Report) -> str:
-    records = report.records
-
+def _csv_records(records, first: int) -> str:
+    """The rows of the records, from CSV line first on, each ending in LF."""
     def floats(column, field="params"):
         def scalar(x):
             try:
                 return format(x, ".17g")
             except OverflowError as exc:  # an int past the float range
-                _refuse(records, field, x, exc, "CSV line", 2)
+                _refuse(records, field, x, exc, "CSV line", first)
         return _texts(column, lambda xs: map("%.17g".__mod__, xs), scalar)
 
     identity, params, lhs, rhs, residual, tol, verdict, _ = \
@@ -384,23 +383,53 @@ def _csv_report(report: Report) -> str:
     special = set(filter(_CSV_QUOTED.search, params))
     quoted = dict(zip(special, map(_csv_quote, special)))
     name = attrgetter("_name_")
-    return "".join(chain((",".join(_CSV_HEADER) + "\n",), map(
-        _CSV_RECORD.__mod__, zip(
-            map(name, identity), map(quoted.get, params, params),
-            floats(lhs, "lhs"), floats(rhs, "rhs"),
-            floats(residual, "residual"), floats(tol, "tolerance"),
-            map(name, verdict)))))
+    return "".join(map(_CSV_RECORD.__mod__, zip(
+        map(name, identity), map(quoted.get, params, params),
+        floats(lhs, "lhs"), floats(rhs, "rhs"),
+        floats(residual, "residual"), floats(tol, "tolerance"),
+        map(name, verdict))))
+
+
+_CHUNK = 1024  # records spelled at a time (see the module docstring)
 
 
 def serialize_report(report: Report, fmt: str = "json") -> bytes:
     """The report as UTF-8 JSON or CSV bytes (fmt in any case)."""
-    if _format(fmt) == "json":
-        return _json_report(report).encode("utf-8")
-    return _csv_report(report).encode("utf-8")
+    import io
+
+    records = report.records
+    if _format(fmt) == "json":  # records number from 0, CSV lines from 2
+        head = "".join((
+            '{\n  "metadata": ', _json_nested(report.metadata, 2),
+            ',\n  "notes": ', _json_nested(report.notes, 2),
+            ',\n  "records": ', "[\n" if records else "[]"))
+        spell, first, sep = _json_records, 0, b",\n"
+        tail = "".join(("\n  ]" if records else "", ',\n  "summary": ',
+                        _json_nested(report.summary, 2), "\n}"))
+    else:
+        head, spell, first, sep, tail = (
+            ",".join(_CSV_HEADER) + "\n", _csv_records, 2, b"", "")
+    buf = io.BytesIO()
+    buf.write(head.encode("utf-8"))
+    for lo in range(0, len(records), _CHUNK):
+        if lo:
+            buf.write(sep)
+        buf.write(spell(records[lo:lo + _CHUNK], first + lo).encode("utf-8"))
+    buf.write(tail.encode("utf-8"))
+    return buf.getvalue()
 
 
 _RECORD_KEYS = frozenset(VerificationRecord._fields) - {"note"}
 _NOTED_KEYS = frozenset(VerificationRecord._fields)
+
+
+def _param_value(v) -> float:
+    """A JSON params value that is no float, as its float: an int is a
+    number (past the float range, an OverflowError), true, null or a
+    string is not."""
+    if v.__class__ is not int:
+        raise ValueError(f"'params' value is not a number: {v!r}")
+    return float(v)
 
 
 def _parse_json(text: str) -> Report:
@@ -426,9 +455,11 @@ def _parse_json(text: str) -> Report:
         params = d["params"]
         if params.__class__ is list and len(params) == 1:
             (k, v), = params
-            params = _shared(((k, float(v)),))
+            params = _shared(((k, v if v.__class__ is float
+                               else _param_value(v)),))
         else:
-            params = tuple([(k, float(v)) for k, v in params])
+            params = tuple([(k, v if v.__class__ is float
+                             else _param_value(v)) for k, v in params])
         note = d.get("note", "")
         if note.__class__ is str:
             note = notes.setdefault(note, note)

@@ -489,9 +489,22 @@ def test_json_matches_stdlib_encoder(report):
     _check_json(report)
 
 
+def _numbers(records):
+    """records but those with a bool params value, which the JSON form
+    writes as json.dumps writes it and the JSON reader takes as no number."""
+    return [r for r in records
+            if not any(v.__class__ is bool for _, v in r.params)]
+
+
 def test_json_matches_stdlib_encoder_with_n_params(n_odd):
-    _check_json(_synthetic(n_odd))
-    _check_json(_synthetic(_ODD + n_odd + _REPEATS))
+    _check_json(_synthetic(_numbers(n_odd)))
+    _check_json(_synthetic(_ODD + _numbers(n_odd) + _REPEATS))
+    report = _synthetic(n_odd)
+    blob = serialize_report(report, "json")
+    assert blob == _reference_json(report)
+    with pytest.raises(ValueError, match="^JSON record 8: 'params' value is "
+                       "not a number: True$"):
+        parse_report(blob, "json")
 
 
 def _check_json(report):
@@ -499,7 +512,7 @@ def _check_json(report):
     blob = serialize_report(report, "json")
     assert blob == _reference_json(report)
     back = parse_report(blob, "json")
-    # repr compares NaN fields, which == does not; an int or bool params
+    # repr compares NaN fields, which == does not; an int params
     # value reads back as its float
     expected = _float_params(report)
     assert repr(back.records) == repr(expected.records)
@@ -581,10 +594,12 @@ def test_n_table_entries_are_known_by_identity(n_odd):
 
     assert list(map(entry, (r.params for r in n_odd))) == [
         True] * 4 + [False] * 8
-    for fmt in ("json", "csv"):
-        back = parse_report(serialize_report(_synthetic(n_odd), fmt), fmt)
+    # (the JSON reader takes no bool; CSV reads the bool's n=1 as n = 1)
+    for fmt, records, bools in (("json", _numbers(n_odd), []),
+                                ("csv", n_odd, [True])):
+        back = parse_report(serialize_report(_synthetic(records), fmt), fmt)
         assert list(map(entry, (r.params for r in back.records))) == [
-            True] * 6 + [False, True, True] + [False] * 3, fmt
+            True] * 6 + [False, True, *bools] + [False] * 3, fmt
     # params that cannot be hashed, a list of pairs or a list value, are
     # written beside the entries; a list or dict, in params or in a record
     # field, is laid out as json.dumps lays it out at its depth, and csv
@@ -648,7 +663,12 @@ def test_csv_n_field_reads_as_float_reads_it(monkeypatch):
 def test_malformed_json_values_name_the_record():
     doc = json.loads(serialize_report(_synthetic(_PLAIN), "json"))
     for field, value, what in (
-            ("params", [["n", "abc"]], "could not convert string to float"),
+            ("params", [["n", "abc"]],
+             "'params' value is not a number: 'abc'"),
+            ("params", [["t", 0.5], ["mu", "0.5"]],
+             "'params' value is not a number: '0\\.5'"),
+            ("params", [["n", True]], "'params' value is not a number: True"),
+            ("params", [["n", None]], "'params' value is not a number: None"),
             ("params", [["n", 1.0, 2.0]], "too many values"),
             ("params", [["n", 10 ** 400]], "too large to convert"),
             ("lhs", "abc", "'lhs' is not a number: 'abc'"),
@@ -813,6 +833,52 @@ def test_parse_holds_each_record_once(full_report, fmt):
     assert len(back.records) == n
     assert peak < text + 300 * n, (peak, text + 300 * n)
     assert 300 * n < 4 * len(blob) or fmt == "json"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writers_never_hold_the_whole_report_as_text(full_report, fmt):
+    # The writers spell _CHUNK records at a time into one bytes buffer.  A
+    # list of the record texts, their joined str and its bytes, held at
+    # once, take 3-4 times the output; the buffer and one chunk's texts
+    # beside it stay below a quarter more than the output and 1 MiB.
+    blob, peak = _peak(lambda: serialize_report(full_report, fmt))
+    assert peak < 1.25 * len(blob) + 2 ** 20, (peak, len(blob))
+
+
+def test_chunks_join_into_the_same_bytes(full_report, n_odd, monkeypatch):
+    # runs of 1, 2 and 7 records, which split the reports below at every
+    # kind of boundary, join into the bytes that the stdlib writers write
+    from skewlog import report as report_module
+
+    reports = [full_report, _synthetic(_PLAIN), _synthetic(n_odd),
+               _synthetic(_ODD + _QUOTING + n_odd + _REPEATS)]
+    expected = [(_reference_json(r), _stdlib_csv(r)) for r in reports]
+    empty = _synthetic([], metadata={}, notes=[])
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr(report_module, "_CHUNK", chunk)
+        for report, (js, cs) in zip(reports, expected):
+            assert serialize_report(report, "json") == js, chunk
+            assert serialize_report(report, "csv") == cs, chunk
+        assert serialize_report(empty, "json") == (
+            b'{\n  "metadata": {},\n  "notes": [],\n  "records": [],\n'
+            b'  "summary": {}\n}') == _reference_json(empty)
+        assert serialize_report(empty, "csv") == (
+            b"identity,params,lhs,rhs,residual,tolerance,verdict\n")
+
+
+def test_a_refusal_names_its_record_past_the_first_chunk(monkeypatch):
+    # each chunk is spelled knowing where it starts, so the record that a
+    # writer refuses is named by its place in the report
+    from skewlog import report as report_module
+
+    monkeypatch.setattr(report_module, "_CHUNK", 2)
+    records = [_n_record((("t", 0.5),))] * 5 + [
+        _n_record((("mu", 10 ** 400), ("t", 0.5)))] * 2
+    report = _synthetic(records)
+    for fmt, where in (("json", "JSON record 5"), ("csv", "CSV line 7")):
+        with pytest.raises(ValueError, match=f"^{where}: 'params' int too "
+                           "large to convert to float$"):
+            serialize_report(report, fmt)
 
 
 _PLAIN = [

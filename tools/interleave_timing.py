@@ -26,7 +26,11 @@ report written to JSON (`json_write`) and to CSV (`csv_write`), and both
 read back (`json_parse`, `csv_parse`), in that order, as the workload's op
 runs them.  Each child makes one op to warm up, then times `--best` ops
 with the cyclic GC on, and a pass is each stage's median over them; its
-`total` is the sum of the five.  Its seed changes no input.
+`total` is the sum of the five.  Its seed changes no input.  Each seed
+then ends with a `peak_mb` row: the child's `ru_maxrss`, in MB, read right
+after the warm-up op, which is the cold op that a perfbench run's
+peak_rss_mb reads; both trees' median over the rounds, the change, and in
+how many rounds NEW peaked lower.  It is kept out of `total`.
 
 A perfbench run times whole 25-second op loops; this places a saving of a
 few percent per call, which one traced run of each tree cannot.
@@ -69,7 +73,7 @@ json.dump(times, sys.stdout)
 """
 
 _STAGES_CHILD = r"""
-import json, pathlib, statistics, sys, time
+import json, pathlib, resource, statistics, sys, time
 src, perfbench, ops = sys.argv[1:]
 sys.path[:0] = [src, perfbench]
 import skewlog, workloads
@@ -78,6 +82,7 @@ if not pathlib.Path(skewlog.__file__).is_relative_to(src):
 wl = workloads.VerifyReport(0)
 wl.bind()
 wl.warmup()
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 clock = time.perf_counter_ns
 stages = [[] for _ in range(5)]
 for _ in range(int(ops)):
@@ -95,7 +100,8 @@ for _ in range(int(ops)):
     for times, a, b in zip(stages, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
         times.append(b - a)
     del report, js, cs, from_json, from_csv
-json.dump([statistics.median(t) / 1e3 for t in stages], sys.stdout)
+json.dump([statistics.median(t) / 1e3 for t in stages] + [peak_mb],
+          sys.stdout)
 """
 
 
@@ -136,9 +142,10 @@ def time_tree(src: pathlib.Path, workload: str, seed: int,
 
 
 def time_stages(src: pathlib.Path, ops: int) -> dict[str, float]:
-    """verify-report's median time per stage over ops warm ops, in us, in
-    a fresh child."""
-    return dict(zip(STAGES, _child(_STAGES_CHILD, src, PERFBENCH, ops)))
+    """verify-report's median time per stage over ops warm ops, in us, and
+    its peak_mb after the warm-up op, in a fresh child."""
+    return dict(zip(STAGES + ("peak_mb",),
+                    _child(_STAGES_CHILD, src, PERFBENCH, ops)))
 
 
 def passes(specs: list, times: list[float]) -> dict[str, float]:
@@ -178,16 +185,21 @@ def main(argv: list[str]) -> int:
         counts: dict[str, int] = dict.fromkeys(STAGES, 1) if stages else {}
         for s in specs:
             counts[kind(s)] = counts.get(kind(s), 0) + 1
-        for run in runs["old"] + runs["new"]:
-            run["total"] = sum(run.values())
         order = list(counts) if stages else sorted(counts)
+        for run in runs["old"] + runs["new"]:
+            run["total"] = sum(map(run.__getitem__, order))
         counts["total"] = 1 if stages else len(specs)
-        for k in order + ["total"]:
+        rows = order + ["total"]
+        if stages:  # a peak in MB: lower wins, as for a time
+            counts["peak_mb"] = 1
+            rows.append("peak_mb")
+        for k in rows:
             old = statistics.median(run[k] for run in runs["old"])
             new = statistics.median(run[k] for run in runs["new"])
             wins = sum(b[k] < a[k] for a, b in zip(runs["old"], runs["new"]))
-            print(f"{seed:>5} {k:<12} {counts[k]:>5} {old:>10.1f} "
-                  f"{new:>10.1f} {100.0 * (new / old - 1.0):>+7.1f}% "
+            digits = 2 if k == "peak_mb" else 1
+            print(f"{seed:>5} {k:<12} {counts[k]:>5} {old:>10.{digits}f} "
+                  f"{new:>10.{digits}f} {100.0 * (new / old - 1.0):>+7.1f}% "
                   f"{wins:>4}/{args.rounds}")
     return 0
 
