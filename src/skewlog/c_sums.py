@@ -223,10 +223,10 @@ def near_sum(spec, t: float) -> EvalResult:
     _C_ERR times its head's sum of |derivative in c_n| |t|^n, and
     _FP_SLACK times 1 plus the magnitudes of the parts, which may
     cancel in the value: each head, each of P and log(lam) Q over x, and
-    thrice the elementary part, whose error is two roundings more than its
-    one call (log 2 Li2(t): li2_real's 2.3 ulp), or the rounding its entry
-    names."""
-    elementary, rules, rounding = (*spec.near, 3.0)[:3]
+    the elementary part times the rounding its entry names (3 where its
+    error is two roundings more than its one call, as for log 2 Li2(t)
+    with li2_real's 2.3 ulp)."""
+    elementary, rules, rounding = spec.near
     y = math.log(abs(t))  # -lam, 0.0 at an end
     log_lam = math.log(-y) if y else 0.0
     pw = list(map(pow, repeat(t), range(_TAIL_TERMS)))

@@ -37,7 +37,8 @@ entry with one template fill and the other params in columns; the CSV
 reader returns the entry for a field n=<decimal digits>, and the JSON
 hook, through _shared, for params [["n", v]] whose float the table holds
 bit for bit.  A JSON params value must be a number, a float or an int, as
-a float field must: true, null or a string is a ValueError.
+a float field must: true, null or a string is a ValueError.  Both writers
+refuse, in the readers' words, what the readers would not take back.
 """
 
 from __future__ import annotations
@@ -242,10 +243,24 @@ def _params_texts(params, entry, name_texts, value_texts,
     return list(map(next, map(texts.__getitem__, is_entry)))
 
 
-def _refuse(records, field: str, x, exc, where: str, first: int = 0):
-    """Raise a writer's ValueError for x, an int past the float range: it
-    names where and the first record (from first) with x as field or as a
-    params value for field "params", by identity, and the field."""
+def _refuse(records, field: str, x, where: str, first: int,
+            wide: bool = False) -> None:
+    """Refuse x, a float field's value or (field "params") a params value,
+    unless the readers take it back: an int or a float, no bool, within
+    the float range unless wide (the JSON form's float fields keep any
+    int).  The ValueError names where, the first record (from first) that
+    holds x, by identity, and the field."""
+    if x.__class__ is bool or not isinstance(x, (int, float)):
+        what = "value is" if field == "params" else "is"
+        exc = f"{what} not a number: {x!r}"
+    else:
+        try:
+            float(x)
+            return
+        except OverflowError as err:  # an int past the float range
+            if wide:
+                return
+            exc = err
     values = (map(itemgetter(1), r.params) if field == "params"
               else (getattr(r, field),) for r in records)
     i = next(n for n, vs in enumerate(values) if any(v is x for v in vs))
@@ -274,9 +289,9 @@ def _spelled(params, name_texts, value_texts, template) -> list[str]:
 # so the records list, which is nearly all of the output, is written here
 # with that layout spelled out; strings go through json's own escaper,
 # floats get json's spelling (float.__repr__, NaN, Infinity, -Infinity),
-# and any other value is laid out by json.dumps at its depth, but for a
-# params value that is an int past the float range, which the reader's
-# float() refuses: as in CSV, a ValueError names its record and field.
+# and ints json.dumps's.  A float field or params value that the reader
+# would refuse (True, None, a str, a list, or in params an int past the
+# float range) is a ValueError naming its record and field, as in CSV.
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_RECORD = (
     '    {\n      "identity": %s,\n      "lhs": %s,\n      "note": %s,\n'
@@ -308,23 +323,20 @@ def _json_records(records, first: int) -> str:
     """The records, from JSON record first on, joined by ",\n"."""
     from json.encoder import encode_basestring_ascii
 
-    # a value that is no float (or, for strings, no str) is laid out by
-    # _json_nested at its depth: a record field's line is indented by 6
-    # spaces, a params name's or value's by 10
-    def floats(column, indent=10):
+    def floats(column, field="params"):
         def spell(xs):
             reprs = list(map(float.__repr__, xs))
             return map(_JSON_FLOAT.get, reprs, reprs)
 
         def scalar(x):
-            if indent == 10 and isinstance(x, int):  # a params value
-                try:
-                    float(x)  # as the reader takes it
-                except OverflowError as exc:
-                    _refuse(records, "params", x, exc, "JSON record", first)
-            return _json_nested(x, indent)
+            _refuse(records, field, x, "JSON record", first,
+                    wide=field != "params")
+            return _json_nested(x, 0)
         return _texts(column, spell, scalar)
 
+    # a note or a params name that is no str is laid out by _json_nested
+    # at its depth: a record field's line is indented by 6 spaces, a params
+    # name's by 10
     def strings(column, indent=10):
         """Notes and names: a few distinct strs, each escaped once."""
         if set(map(type, column)) - {str}:
@@ -337,9 +349,10 @@ def _json_records(records, first: int) -> str:
         _columns(records)
     quoted = _JSON_NAME.__getitem__
     return ",\n".join(map(_JSON_RECORD.__mod__, zip(
-        map(quoted, identity), floats(lhs, 6), strings(note, 6),
+        map(quoted, identity), floats(lhs, "lhs"), strings(note, 6),
         _params_texts(params, _JSON_N, strings, floats, _json_params),
-        floats(residual, 6), floats(rhs, 6), floats(tol, 6),
+        floats(residual, "residual"), floats(rhs, "rhs"),
+        floats(tol, "tolerance"),
         map(quoted, verdict))))
 
 
@@ -348,9 +361,10 @@ def _json_records(records, first: int) -> str:
 # name=value pieces joined by ";", the four floats as %.17g and the verdict
 # name.  Only a params name can hold a character that calls for quoting:
 # csv's QUOTE_MINIMAL, which this writer applies to a params field holding
-# the delimiter, the quote character, CR or LF.  An int past the float
-# range, which %.17g cannot spell, is a ValueError naming its line and
-# field, where csv.writer's OverflowError names neither.
+# the delimiter, the quote character, CR or LF.  A value that is no
+# number (True, None, a str, a list) or an int past the float range is a
+# ValueError naming its line and field, where csv.writer writes True as 1
+# and fails on the others without naming either.
 _CSV_RECORD = "%s,%s,%s,%s,%s,%s,%s\n"
 _CSV_QUOTED = re.compile('[,"\r\n]')
 
@@ -370,10 +384,8 @@ def _csv_records(records, first: int) -> str:
     """The rows of the records, from CSV line first on, each ending in LF."""
     def floats(column, field="params"):
         def scalar(x):
-            try:
-                return format(x, ".17g")
-            except OverflowError as exc:  # an int past the float range
-                _refuse(records, field, x, exc, "CSV line", first)
+            _refuse(records, field, x, "CSV line", first)
+            return format(x, ".17g")
         return _texts(column, lambda xs: map("%.17g".__mod__, xs), scalar)
 
     identity, params, lhs, rhs, residual, tol, verdict, _ = \

@@ -2,31 +2,13 @@
 
 Each SeriesId names one concrete power series sum_{n} a_n t^(n+p) whose
 coefficients involve skew-harmonic numbers; its companion closed form,
-alias and domain are in catalog, and its row here adds the numerics.
-sum_series evaluates it four ways depending on t:
-
-* interior |t| < 1: direct summation, geometric tail bound
-  env(N+1) |t|^(N+1+p) / (1 - |t|), where env is a per-series nonincreasing
-  majorant of |a_n|.  The terms come in blocks, with the coefficients of a
-  series without mu sliced from a per-process table of a_n and the powers
-  t^n from one running product; value, bound, terms and status are those
-  of a term-by-term loop with the same bound, bit for bit (the argument is
-  in _SeriesSpec);
-* the mu series at 0 < |t| < 0.99, mu < 1: the forward split
-  (mu_split.forward), whose terms shrink like |mu t|^n, so N, which comes
-  from tol, is about log(tol)/log|mu t|.  It is taken when N is at most
-  the interior sum's estimate and the term cap, and its bound at most
-  tol;
-* endpoint t = +-1, where the series' catalog Domain admits it: its near
-  entry at lam = 0, each c-sum a fixed 32 terms plus its Lerch tail's
-  constant term (c_sums.near_sum);
-* near an endpoint, 0.99 <= |t| < 1, for every series: the ten without
-  mu as an elementary part plus c-sums, each 32 terms plus a Lerch tail
-  (c_sums.near_sum); the mu series, at |mu| < 1, by the backward split
-  (mu_split.backward), whose N comes from |mu| alone, when that takes
-  fewer terms than the interior sum would.  A bound above tol falls back
-  to the interior sum, unless that sum could only end at the term cap
-  with a larger bound.
+alias and domain are in catalog, and its row here (_SeriesSpec) adds the
+numerics, the regimes in which sum_series evaluates it among them.  Where
+no regime's result will do, sum_series sums the series directly: the
+interior sum at |t| < 1, with geometric tail bound
+env(N+1) |t|^(N+1+p) / (1 - |t|), env a per-series nonincreasing majorant
+of |a_n|, taken in blocks whose value, bound, terms and status are those
+of a term-by-term loop with the same bound, bit for bit.
 
 c_sums and mu_split are imported by the first call that needs them, so a
 process that sums only interior series compiles neither.
@@ -38,6 +20,7 @@ terms moves the value by at most the reported bound.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import threading
 from collections import namedtuple
@@ -235,8 +218,8 @@ def _env_ramanujan(n: int, mu: float | None) -> float:
 
 _FP_SLACK = 2e-16
 
-#: |t| from which sum_series tries the near rules (c_sums, mu_split).  The
-#: Lerch tail's terms alternate and shrink as (lam a)^r/r!, lam = -log|t|,
+#: |t| from which a row's near entry is tried.  The Lerch tail's terms
+#: (c_sums) alternate and shrink as (lam a)^r/r!, lam = -log|t|,
 #: a = c_sums._TAIL_TERMS + 1; at |t| = 0.99, lam a = 0.332 and they cancel
 #: by under a bit, but the loss grows as exp(2 lam a) below.
 _NEAR_START = 0.99
@@ -247,7 +230,42 @@ _Rule = namedtuple("_Rule", "power over deg sign alt start",
                    defaults=(None, 1, 1.0, False, 0))
 
 
-class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
+@functools.cache
+def _lazy(name: str):
+    """The module skewlog.<name> (c_sums or mu_split), imported by the
+    first call that needs it."""
+    return importlib.import_module("." + name, __package__)
+
+
+# The regimes' rules: rule(spec, t, tol, mu) is a result, or None where
+# the rule does not apply, each with its own gate and term budget.
+
+def _near(spec, t: float, tol: float, mu: None) -> EvalResult:
+    """The near entry of a series without mu (c_sums.near_sum)."""
+    return _lazy("c_sums").near_sum(spec, t)
+
+
+def _backward(spec, t: float, tol: float, mu: float) -> EvalResult | None:
+    """The backward split (mu_split.backward), at |mu| < 1, when its N
+    terms are fewer than the interior sum's estimate and than
+    DEFAULT_MAX_TERMS, whatever the cap: it holds them in lists, as an
+    interior sum under the default cap does."""
+    return _lazy("mu_split").backward(spec, t, mu, min(
+        _interior_terms(spec, t, tol, mu), DEFAULT_MAX_TERMS))
+
+
+def _forward(spec, t: float, tol: float, mu: float) -> EvalResult | None:
+    """The forward split (mu_split.forward), at t != 0 and mu < 1 (at
+    mu = 1 its terms shrink no faster than the interior sum's), when its
+    N terms are at most the interior sum's estimate and the term cap."""
+    if t and mu < 1.0:
+        return _lazy("mu_split").forward(spec, t, mu, tol, min(
+            _interior_terms(spec, t, tol, mu), get_max_terms()))
+    return None
+
+
+class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near regimes",
+                             defaults=(((_NEAR_START, _near),),))):
     """One series: its catalog.Domain and its numerics.  The value is
     t^p * sum a_n t^n.  coeffs(mu) returns the series' block rule
     (a _Block; mu is None for a series without mu, whose rule is read
@@ -258,12 +276,18 @@ class _SeriesSpec(namedtuple("_SeriesSpec", "domain p env coeffs near")):
     index by bisection.  Each env here is a constant over an exact integer
     power of n or n + 1, or (c + log n)/n, whose relative step of about
     1/n is far above its rounding for every n the cache allows.  near,
-    the near entry, is (elementary, rules[, rounding]): elementary(t), or
+    the near entry, is (elementary, rules, rounding): elementary(t), or
     None for 0, plus t^p times the sum of the c-sums of the _Rules in
-    rules, where elementary(t) is within rounding (3 if not given) times
-    _FP_SLACK |elementary(t)|; or, for a mu series, its _MuSplit.  An end
-    t = +-1 that the domain admits is the near entry at lam = 0
-    (c_sums.near_sum).
+    rules, where elementary(t) is within rounding times
+    _FP_SLACK |elementary(t)|; or, for a mu series, (over, inner), its
+    splits' divisor n + over and whether their term holds
+    i_n = sum_(k<=n) H_k^-(mu)/(mu k).
+
+    regimes are the row's (start, rule) pairs, in order (see sum_series):
+    by default, for a series without mu, its near entry from
+    |t| = _NEAR_START (_near); for a mu series its backward split there
+    and its forward split below (_backward and _forward, in mu_split).  An end t = +-1 that the domain
+    admits is the near entry at lam = 0 (c_sums.near_sum).
 
     An interior sum takes its terms in blocks that double from 64 up to
     the term cap; a block ends early where the tail bound would reach
@@ -306,73 +330,68 @@ def _ramanujan_near(t: float) -> float:
     return math.copysign(e, t)
 
 
-#: The split of a mu series (mu_split.forward below 0.99, mu_split.backward
-#: in the band): its term's divisor n + over, and whether the term holds
-#: i_n = sum_(k<=n) H_k^-(mu)/(mu k) (inner).
-_MuSplit = namedtuple("_MuSplit", "over inner")
-
-
 def _mu_row(over: int, inner: bool = False) -> tuple:
-    """The row (p, env, coeffs, near) of the mu series t^over sum a_n t^n,
-    a_n as in _mu_rule(over, inner), all four from its split.  As
-    |H_n^-(mu)| <= _c_mu, env is |mu| _c_mu/(n + over), or with inner
-    _c_mu (1 + log n)/n, since |i_n| <= _c_mu H_n."""
+    """The row (p, env, coeffs, near, regimes) of the mu series
+    t^over sum a_n t^n, a_n as in _mu_rule(over, inner), all from its
+    splits.  As |H_n^-(mu)| <= _c_mu, env is |mu| _c_mu/(n + over), or
+    with inner _c_mu (1 + log n)/n, since |i_n| <= _c_mu H_n."""
     if inner:
         env = _env_mu_log
     else:
         def env(n: int, mu: float) -> float:
             return abs(mu) * _c_mu(mu) / max(n + over, 1)
-    return over, env, _mu_rule(over, inner), _MuSplit(over, inner)
+    return (over, env, _mu_rule(over, inner), (over, inner),
+            ((_NEAR_START, _backward), (0.0, _forward)))
 
 
-#: series -> (p, env, coeffs, near); _SPECS adds the catalog Domain.  Near
-#: t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry of a series
-#: without mu is its elementary part and its c-sums; the mu series split
-#: (mu_split).
+#: series -> (p, env, coeffs, near[, regimes]); _SPECS adds the catalog
+#: Domain.  Near t = +-1, with H_n^- = log 2 - (-1)^n c_n, each near entry
+#: of a series without mu is its elementary part and its c-sums; the mu
+#: series split (mu_split).
 _ROWS = {
     SeriesId.GF_SKEW: (
         # its block is already a slice of the harmonic cache: no table
         0, _env_one, lambda mu: _skew,
         # log 2/(1-t) - sum c_n (-t)^n
-        (lambda t: LOG2 / (1.0 - t), (_Rule(1, sign=-1.0, alt=True),))),
+        (lambda t: LOG2 / (1.0 - t), (_Rule(1, sign=-1.0, alt=True),), 3.0)),
     SeriesId.GF_CENTERED: (
         0, _env_inv_np1,
         # H_n^- - log 2 = -(-1)^n c_n
         _plain(skew_gaps),
-        (None, (_Rule(1, sign=-1.0, alt=True),))),
+        (None, (_Rule(1, sign=-1.0, alt=True),), 3.0)),
     SeriesId.SKEW_OVER_N: (
         0, _env_inv,
         _plain(lambda lo, hi: _over_n(_skew(lo, hi), lo, hi)),
         # -log 2 log(1-t) - sum c_n (-t)^n/n
         (lambda t: -LOG2 * math.log1p(-t),
-         (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
+         (_Rule(1, over=0, sign=-1.0, alt=True, start=1),), 3.0)),
     SeriesId.CENTERED_OVER_N: (
         0, _env_half_inv_sq,
         _plain(lambda lo, hi: _over_n(skew_gaps(lo, hi), lo, hi)),
-        (None, (_Rule(1, over=0, sign=-1.0, alt=True, start=1),))),
+        (None, (_Rule(1, over=0, sign=-1.0, alt=True, start=1),), 3.0)),
     SeriesId.CENTERED_SHIFT: (
         1, _env_inv_np1_sq,
         _plain(lambda lo, hi: _over_np1(skew_gaps(lo, hi), lo, hi)),
-        (None, (_Rule(1, over=1, sign=-1.0, alt=True),))),
+        (None, (_Rule(1, over=1, sign=-1.0, alt=True),), 3.0)),
     SeriesId.SKEW_SQ: (
         0, _env_one, _plain(lambda lo, hi: _squares(_skew(lo, hi))),
         # log^2 2/(1-t) - 2 log 2 sum c_n (-t)^n + sum c_n^2 t^n
         (lambda t: LOG2**2 / (1.0 - t),
-         (_Rule(1, sign=-2.0 * LOG2, alt=True), _Rule(2)))),
+         (_Rule(1, sign=-2.0 * LOG2, alt=True), _Rule(2)), 3.0)),
     SeriesId.CENTERED_SQ: (
         0, _env_inv_np1_sq,
         _plain(lambda lo, hi: _squares(skew_gaps(lo, hi))),
-        (None, (_Rule(2),))),
+        (None, (_Rule(2),), 3.0)),
     SeriesId.CENTERED_SQ_SHIFT: (
         1, _env_inv_np1_cube,
         _plain(lambda lo, hi: _over_np1(_squares(skew_gaps(lo, hi)), lo, hi)),
-        (None, (_Rule(2, over=1),))),
+        (None, (_Rule(2, over=1),), 3.0)),
     SeriesId.SKEW_OVER_NSQ: (
         1, _env_inv_np1_sq,
         _plain(lambda lo, hi: map(truediv, _skew(lo, hi), map(
             pow, range(lo + 1, hi + 1), repeat(2)))),
         # log 2 Li2(t) - t sum c_n (-t)^n/(n+1)^2, from n = 0
-        (_log2_li2, (_Rule(1, over=1, deg=2, sign=-1.0, alt=True),))),
+        (_log2_li2, (_Rule(1, over=1, deg=2, sign=-1.0, alt=True),), 3.0)),
     SeriesId.MU_LEWIN: _mu_row(over=1),
     SeriesId.MU_DILOG: _mu_row(over=0),
     SeriesId.MU_TRILOG: _mu_row(over=0, inner=True),
@@ -418,26 +437,19 @@ def sum_series(
 
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
     rather than an exception; a bool or non-real t, tol or mu, or a tol that
-    is not positive and finite, raises DomainError.  Interior sums stop at
-    the term cap (set_max_terms) with status MAX_TERMS; the c-sums and the
-    backward split ignore the cap, and the c-sums sum a fixed 32 terms.  At
-    an end t = +-1 that its catalog Domain admits, a series is its near
-    entry at lam = 0 (c_sums.near_sum), whose value and bound do not depend
-    on tol: each end is computed once per process, on its first call, and a
-    call only compares the stored bound with tol (CONVERGED when bound <=
-    tol, else MAX_TERMS).  At 0 < |t| < 0.99 a mu series returns its forward
-    split (mu_split.forward, CONVERGED) when mu < 1 (at mu = 1 its terms
-    shrink no faster than the interior sum's), its N terms are at most the
-    interior sum's estimate (_interior_terms) and the term cap, and its
-    bound is at most tol; else the interior sum.  At 0.99 <= |t| < 1 a
-    series returns its near rule's result (CONVERGED) when its bound is at
-    most tol, else the interior sum: c_sums.near_sum, whose tables are built
-    on the first call that needs them, there or at an end, never at import;
-    for a mu series mu_split.backward, taken at |mu| < 1 when its N terms
-    are fewer than the interior sum's estimate and than _SPLIT_MOST.  A near
-    result whose bound exceeds tol but not _capped_tail returns as
-    MAX_TERMS, without the interior sum, which could only end at the cap
-    with a bound no smaller.
+    is not positive and finite, raises DomainError.  At an end t = +-1 that
+    its catalog Domain admits, a series is its near entry at lam = 0
+    (c_sums.near_sum), whose value and bound do not depend on tol: each end
+    is computed once per process, on its first call, and a call only
+    compares the stored bound with tol (CONVERGED when bound <= tol, else
+    MAX_TERMS).  At any other t, the rule of the first of the row's regimes
+    whose start |t| reaches (see _SeriesSpec) gives a result, or None; a
+    result whose bound is at most tol returns as it is (CONVERGED), and one
+    whose bound is at most _capped_tail returns as MAX_TERMS, without the
+    interior sum, which could only end at the term cap with a bound no
+    smaller.  Else the interior sum runs: it stops at the term cap
+    (set_max_terms) with status MAX_TERMS.  The c-sums sum a fixed 32 terms
+    and the backward split ignores the cap.
     """
     tol = check_tol("tol", tol)
     try:
@@ -452,26 +464,19 @@ def sum_series(
     if not (lo < t < 1.0 or t in ends) or mu != mu:
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)
 
-    if abs(t) == 1.0:
+    q = abs(t)
+    if q == 1.0:
         bound, converged, short = _endpoint(series_id, t)
         return converged if bound <= tol else short
-    if abs(t) >= _NEAR_START:
-        if has_mu:
-            near = _mu_split().backward(
-                spec, t, mu, min(_interior_terms(spec, t, tol, mu),
-                                 _SPLIT_MOST))
-        else:
-            near = _c_sums().near_sum(spec, t)
-        if near:
-            if near.error_bound <= tol:
-                return near
-            if near.error_bound <= _capped_tail(spec, t, mu):
-                return near._replace(status=Status.MAX_TERMS)
-    elif has_mu and t and mu < 1.0:
-        split = _mu_split().forward(spec, t, mu, tol, min(
-            _interior_terms(spec, t, tol, mu), get_max_terms()))
-        if split and split.error_bound <= tol:
-            return split
+    for start, rule in spec.regimes:
+        if q >= start:
+            res = rule(spec, t, tol, mu)
+            if res:
+                if res.error_bound <= tol:
+                    return res
+                if res.error_bound <= _capped_tail(spec, t, mu):
+                    return res._replace(status=_MAX_TERMS)
+            break
     return _interior_sum(spec, t, tol, mu)
 
 
@@ -498,11 +503,6 @@ def _capped_tail(spec: _SeriesSpec, t: float, mu: float | None) -> float:
             * (1.0 - (cap + 8) * 2.0**-52))
 
 
-#: The most terms the mu split takes in the band, whatever the cap: it
-#: holds them in lists, as an interior sum under the default cap does.
-_SPLIT_MOST = DEFAULT_MAX_TERMS
-
-
 def _interior_terms(spec: _SeriesSpec, t: float, tol: float,
                     mu: float | None) -> float:
     """About how many terms the interior sum takes at t: the n at which
@@ -517,28 +517,13 @@ def _interior_terms(spec: _SeriesSpec, t: float, tol: float,
 
 
 @functools.cache
-def _c_sums():
-    """The c_sums module, imported by the first call at an end or in the
-    band."""
-    from . import c_sums
-    return c_sums
-
-
-@functools.cache
-def _mu_split():
-    """The mu_split module, imported by the first mu sum that may split."""
-    from . import mu_split
-    return mu_split
-
-
-@functools.cache
 def _endpoint(series_id: SeriesId,
               end: float) -> tuple[float, EvalResult, EvalResult]:
     """The series at an end t = +-1 its domain admits, its near entry at
     lam = 0 (c_sums.near_sum): the bound, then the result as CONVERGED and
     as MAX_TERMS.  They do not depend on tol, so each end is computed once,
     on its first call."""
-    res = _c_sums().near_sum(_SPECS[series_id], end)
+    res = _lazy("c_sums").near_sum(_SPECS[series_id], end)
     return res.error_bound, res, res._replace(status=_MAX_TERMS)
 
 

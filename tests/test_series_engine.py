@@ -451,8 +451,8 @@ def test_coefficient_tables_fill_under_threads(monkeypatch):
 
 
 def test_capped_tail_is_a_floor():
-    # sum_series returns a near result above tol as MAX_TERMS, without the
-    # interior sum, when its bound is at most _capped_tail: that needs
+    # sum_series returns a regime's result above tol as MAX_TERMS, without
+    # the interior sum, when its bound is at most _capped_tail: that needs
     # every interior sum that stops at the cap to report at least it
     for cap in (5, 100, 1000):
         for sid in SeriesId:
@@ -974,6 +974,22 @@ def test_forward_split_falls_back_to_the_interior_sum():
     assert sum_series(SeriesId.MU_DILOG, 0.5, 1e-17, mu=0.5) == (
         _interior_sum(spec, 0.5, 1e-17, 0.5))
 
+
+
+def test_forward_split_within_the_capped_tail_returns_as_max_terms():
+    # a split whose bound lies above tol but under _capped_tail returns as
+    # MAX_TERMS, as a result in the band does: under that cap the interior
+    # sum could only end at the cap, with a bound no smaller
+    spec = _SPECS[SeriesId.MU_DILOG]
+    res = _at_cap(8, sum_series, SeriesId.MU_DILOG, 0.05, 1e-16, 0.05)
+    inner = _at_cap(8, _interior_sum, spec, 0.05, 1e-16, 0.05)
+    floor = _at_cap(8, _capped_tail, spec, 0.05, 0.05)
+    split = forward(spec, 0.05, 0.05, 1e-16, math.inf)
+    assert 1e-16 < split.error_bound <= floor
+    assert res == split._replace(status=Status.MAX_TERMS)
+    assert res.terms_used == 5 and res.error_bound < 3e-16
+    assert inner.status is Status.MAX_TERMS and inner.terms_used == 8
+    assert res.error_bound <= inner.error_bound
 
 # --- term cap ----------------------------------------------------------------
 

@@ -459,12 +459,12 @@ def n_odd(monkeypatch):
     """Records whose params are one ("n", v) pair, with a fresh n table
     filled to its end: entries of the table (its first and its last),
     equal tuples that are not entries, and values equal to an entry's that
-    spell otherwise: -0.0, an int, a bool and n past the table."""
+    spell otherwise: -0.0, an int and n past the table."""
     _fresh_n_table(monkeypatch)
     return [_n_record(p) for p in (
         *_n_params(0, 2), *_n_params(_N_TERMS - 2, _N_TERMS),
         tuple([("n", 1.0)]), tuple([("n", float(_N_TERMS - 1))]),
-        (("n", -0.0),), (("n", 5),), (("n", True),),
+        (("n", -0.0),), (("n", 5),),
         *_n_params(_N_TERMS, _N_TERMS + 1), (("n", 2.0 ** 53),),
         (("n", 1e300),))]
 
@@ -489,22 +489,9 @@ def test_json_matches_stdlib_encoder(report):
     _check_json(report)
 
 
-def _numbers(records):
-    """records but those with a bool params value, which the JSON form
-    writes as json.dumps writes it and the JSON reader takes as no number."""
-    return [r for r in records
-            if not any(v.__class__ is bool for _, v in r.params)]
-
-
 def test_json_matches_stdlib_encoder_with_n_params(n_odd):
-    _check_json(_synthetic(_numbers(n_odd)))
-    _check_json(_synthetic(_ODD + _numbers(n_odd) + _REPEATS))
-    report = _synthetic(n_odd)
-    blob = serialize_report(report, "json")
-    assert blob == _reference_json(report)
-    with pytest.raises(ValueError, match="^JSON record 8: 'params' value is "
-                       "not a number: True$"):
-        parse_report(blob, "json")
+    _check_json(_synthetic(n_odd))
+    _check_json(_synthetic(_ODD + n_odd + _REPEATS))
 
 
 def _check_json(report):
@@ -593,30 +580,53 @@ def test_n_table_entries_are_known_by_identity(n_odd):
         return 0 <= v < len(table) and params is table[int(v)]
 
     assert list(map(entry, (r.params for r in n_odd))) == [
-        True] * 4 + [False] * 8
-    # (the JSON reader takes no bool; CSV reads the bool's n=1 as n = 1)
-    for fmt, records, bools in (("json", _numbers(n_odd), []),
-                                ("csv", n_odd, [True])):
-        back = parse_report(serialize_report(_synthetic(records), fmt), fmt)
+        True] * 4 + [False] * 7
+    for fmt in ("json", "csv"):
+        back = parse_report(serialize_report(_synthetic(n_odd), fmt), fmt)
         assert list(map(entry, (r.params for r in back.records))) == [
-            True] * 6 + [False, True, *bools] + [False] * 3, fmt
-    # params that cannot be hashed, a list of pairs or a list value, are
-    # written beside the entries; a list or dict, in params or in a record
-    # field, is laid out as json.dumps lays it out at its depth, and csv
-    # cannot spell it as %.17g
+            True] * 6 + [False, True] + [False] * 3, fmt
+    # params that cannot be hashed, a list of pairs, are written beside the
+    # entries; a params name or a note that is no str is laid out as
+    # json.dumps lays it out at its depth
     report = _synthetic([*n_odd[:3], _n_record([("n", 1.0)]), n_odd[3]])
     assert serialize_report(report, "json") == _reference_json(report)
     assert serialize_report(report, "csv") == _stdlib_csv(report)
-    report = _synthetic([*n_odd[:3], _n_record((("n", [1.0]),)), n_odd[3]])
+    report = _synthetic([n_odd[0], _n_record(((["k"], 2),))._replace(
+        note=["a", {"n": 1}]), n_odd[1]])
     assert serialize_report(report, "json") == _reference_json(report)
-    report = _synthetic([n_odd[0], _n_record(((["k"], {"b": [1.0], "a": 2}),))
-                         ._replace(lhs=[1.0], rhs={"y": [], "x": [0.5, {}]},
-                                   note=["a", {"n": 1}]), n_odd[1]])
-    assert serialize_report(report, "json") == _reference_json(report)
-    report = _synthetic([n_odd[0], _n_record((("n", [1.0]),))])
-    for write in (_stdlib_csv, lambda r: serialize_report(r, "csv")):
-        with pytest.raises(TypeError):
-            write(report)
+    # a bool equal to an entry's value is no entry, and no number either
+    report = _synthetic(n_odd + [_n_record((("n", True),))])
+    for fmt, where in (("json", "JSON record 11"), ("csv", "CSV line 13")):
+        with pytest.raises(ValueError, match=f"^{where}: 'params' value is "
+                           "not a number: True$"):
+            serialize_report(report, fmt)
+
+
+def test_writers_refuse_what_the_readers_refuse():
+    # a params value or a float field that is no int or float would not
+    # read back: both writers refuse it, naming its record or line and
+    # field in the JSON reader's words, and never write it as csv.writer
+    # does (True as 1) or fail as it does (a bare TypeError)
+    ok = _n_record((("t", 0.5),))
+    for field, value in (
+            ("params", True), ("params", None), ("params", "0.5"),
+            ("params", [1.0]), ("params", {"a": 2, "b": [1.0]}),
+            ("lhs", [1.0]), ("rhs", {"x": [0.5, {}], "y": []}),
+            ("residual", "abc"), ("tolerance", True), ("lhs", None)):
+        if field == "params":
+            bad = ok._replace(params=(("t", 0.5), ("mu", value)))
+            what = f"'params' value is not a number: {value!r}"
+        else:
+            bad = ok._replace(**{field: value})
+            what = f"{field!r} is not a number: {value!r}"
+        report = _synthetic([ok, bad, ok])
+        with pytest.raises(ValueError) as read:
+            parse_report(_reference_json(report), "json")
+        assert str(read.value) == f"JSON record 1: {what}"
+        for fmt, where in (("json", "JSON record 1"), ("csv", "CSV line 3")):
+            with pytest.raises(ValueError) as written:
+                serialize_report(report, fmt)
+            assert str(written.value) == f"{where}: {what}", fmt
 
 
 def test_n_past_the_filled_table_reads_as_a_fresh_tuple(monkeypatch):

@@ -35,10 +35,15 @@ EQ32 under max_subdivisions 1, 3 and 10 at tol 1e-10 and 1e-13, and g
 and G at 40 seeded z in [-1, 1] and at z = +-1e-5, at tol 1e-8 to 1e-15.
 Last, at tol 1e-8 and 1e-13, `integrate_1d` of exp and of 1/sqrt|t| over
 [0, -0.75] and [-0.75, 0] (the map at a negative limit), and of an
-integrand that is nan beyond 0.99 over [0, 1], [1, 0] and [0.5, 1].  A
-call that raises prints the exception's name.  That is 25,721 rows
+integrand that is nan beyond 0.99 over [0, 1], [1, 0] and [0.5, 1].
+Last, the window edges that the series rows hold as data, at tol 1e-6
+and 1e-13, at the default cap and again under cap 5: every series at
++-nextafter(0.99, 0) on its domain, with the mu grid, and the mu series
+at mu = nextafter(1, 0) and nextafter(-1, 0), t = +-0.5 and +-0.99.  A
+call that raises prints the exception's name.  That is 26,109 rows
 (16,326 before the kernel rows, 24,993 before the quadrature rows after
-them, 25,707 before the last 14).  The diff prints the
+them, 25,707 before the 14 after those, 25,721 before the 388 edge
+rows).  The diff prints the
 first differing rows, then one line that counts the differing rows by the
 fields that moved (value, bound, terms, status: "bound 1257" counts rows
 whose bound alone moved) and gives the largest relative move of a bound.
@@ -66,6 +71,7 @@ from skewlog import (
 from skewlog.catalog import CLOSED_FORMS, SERIES
 from skewlog.closed_forms import closed_form, int_li2_over_1mt
 from skewlog.polylog import li2_real, li3_real
+from skewlog.series_engine import DEFAULT_MAX_TERMS
 if not pathlib.Path(skewlog.__file__).is_relative_to(sys.argv[1]):
     sys.exit(f"skewlog came from {skewlog.__file__}, not {sys.argv[1]}")
 
@@ -256,6 +262,26 @@ for tol in (1e-8, 1e-13):
               for a, b in ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0))]
     for name, args in calls:
         print(f"quad {name} tol={tol!r} -> {outcome(integrate_1d, args)}")
+
+# both sides of each window edge that the series rows hold as data: every
+# series just below |t| = 0.99, where the band starts, with the mu grid,
+# and the mu series at mu next to +-1, where the splits stop; at the
+# default cap, then under cap 5
+edge = math.nextafter(0.99, 0.0)
+for cap in (DEFAULT_MAX_TERMS, 5):
+    set_max_terms(cap)
+    tag = f" cap={cap}" if cap != DEFAULT_MAX_TERMS else ""
+    for sid in SeriesId:
+        dom = SERIES[sid.name].domain
+        calls = [(t, mu) for t in (edge, -edge) if dom.lo < t
+                 for mu in (MUS if dom.mu else (None,))]
+        if dom.mu:
+            calls += [(t, mu) for mu in (math.nextafter(1.0, 0.0),
+                                         math.nextafter(-1.0, 0.0))
+                      for t in (0.5, -0.5, 0.99, -0.99)]
+        for tol in (1e-6, 1e-13):
+            for t, mu in calls:
+                row(sid, t, tol, mu, tag)
 """
 
 
