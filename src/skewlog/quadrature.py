@@ -24,25 +24,40 @@ does not depend on F or z, so each panel's nodes p, weights 3u^2 and K(p)
 are tabulated once in a bounded table shared by all four integrals; a
 panel then costs only the 15 values of F(p) - F(0).
 
-The three panel rules (_gk15, _gk15_map for the map at a zero limit,
-_gk15_kernel for the kernel integral) are written out node by node, so
-that every integrand call is made from Python code: CPython 3.11 runs a
-call from Python code in the caller's interpreter loop, while a call made
-from C, through map or a per-node wrapper called by it, enters the
-interpreter anew.  Three other ways were measured and rejected: f called
-through a C-level map (the EQ21 integrals 10% slower), d applied to a
-panel's nodes through a chain of maps (2.9 us a warm panel of g's d,
-against 1.9 us written out), and a table of the map's nodes (the EQ21
-integrals 17% faster, but cos(50t) on [0, 20] at tol 1e-12, whose panels
-miss it, from 4.3 to 7.3 ms).
+The panel rules (_gk15; _gk15_map and _gk15_map_deep for the map at a
+zero limit; _gk15_kernel for the kernel integral) are written out node by
+node, so that every integrand call is made from Python code: CPython 3.11
+runs a call from Python code in the caller's interpreter loop, while a
+call made from C, through map or a per-node wrapper called by it, enters
+the interpreter anew.  Two other ways were measured and rejected: f
+called through a C-level map (the EQ21 integrals 10% slower), and d
+applied to a panel's nodes through a chain of maps (2.9 us a warm panel
+of g's d, against 1.9 us written out).
+
+The map's nodes u^3 and u^2 do not depend on the limit or the integrand,
+and every mapped integral bisects [0, 1] in u, so _gk15_map reads them
+from a memo of dyadic panels, as the kernel rule reads its table.  The
+memo keeps only panels no narrower than _MAP_FLOOR = 2^-7: at most 255,
+about 0.3 MB, and the EQ21 integrals' panels nearly all are (498 of 502
+visits in endpoint-quad), which then take about 10% less time.  A memo
+without the floor (an LRU of 256 panels) was rejected: cos(50t) on
+[0, 20] at tol 1e-12 visits about 1,000 panels, 800 of them narrower
+than 2^-7 and each once per integral, so that memo only churned and the
+integral took 76-81% longer (at tol 1e-10 and 1e-12).  Below the floor
+_gk15_map_deep forms the nodes inline, as the rule did before the memo,
+and that integral takes as long as without a memo (-1% to +1%);
+building a node tuple for those panels and reading it back, even
+unstored, cost it 8-9%.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from collections import namedtuple
+from heapq import heappop, heappush, heapreplace
+from itertools import chain
+from operator import itemgetter
 
 from .core_numerics import check_int, check_real, check_tol
 from .errors import DomainError
@@ -72,6 +87,10 @@ class QuadratureConfig(namedtuple("QuadratureConfig",
 
 
 _DEFAULT_CFG = QuadratureConfig()
+
+# results are built without EvalResult's Python-level __new__
+_new = tuple.__new__
+_CONVERGED, _MAX_TERMS = Status.CONVERGED, Status.MAX_TERMS
 
 
 def _config(cfg) -> QuadratureConfig:
@@ -143,10 +162,62 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return h * k, abs(h * (k - g))
 
 
+def _map_nodes(a: float, b: float) -> tuple[float, ...]:
+    """The nodes u of _gk15 on [a, b], each formed as _gk15 forms it, in
+    its call order, as one flat tuple of 30 floats: the 15 (u u) u, then
+    the 15 u u."""
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    us = [c]
+    for x in (_X0, _X1, _X2, _X3, _X4, _X5, _X6):
+        x = h * x
+        us += (c - x, c + x)
+    qs = [u * u for u in us]
+    return (*[q * u for q, u in zip(qs, us)], *qs)
+
+
+#: The narrowest panel, in u, whose nodes the map's memo keeps: the
+#: dyadic panels of [0, 1] no narrower are at most 255, about 1.1 KB each.
+_MAP_FLOOR = 2.0 ** -7
+
+#: The map's panel nodes, _map_nodes(a, b), for the panels no narrower
+#: than _MAP_FLOOR, each built on its first visit and never changed.
+_map_panel = functools.cache(_map_nodes)
+
+
 def _gk15_map(few, a: float, b: float) -> tuple[float, float]:
     """_gk15 on [a, b] of u -> f(e u^3) 3e u^2, for few = (f, e, 3e): each
-    node u as _gk15 forms it, and each value formed as f(e (u^2 u)) times
-    3e u^2, in _gk15's call and summation order."""
+    node u as _gk15 forms it, and each value formed as f(e ((u u) u))
+    times 3e (u u), in _gk15's call and summation order.
+
+    A panel no narrower than _MAP_FLOOR reads its nodes from the memo
+    _map_panel; a narrower one goes to _gk15_map_deep, which forms them
+    inline.  Both rules are written out and call f from their own code."""
+    if b - a < _MAP_FLOOR:
+        return _gk15_map_deep(few, a, b)
+    f, e, w = few
+    (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14,
+     q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13,
+     q14) = _map_panel(a, b)
+    fc = f(e * p0) * (w * q0)
+    s0 = f(e * p1) * (w * q1) + f(e * p2) * (w * q2)
+    s1 = f(e * p3) * (w * q3) + f(e * p4) * (w * q4)
+    s2 = f(e * p5) * (w * q5) + f(e * p6) * (w * q6)
+    s3 = f(e * p7) * (w * q7) + f(e * p8) * (w * q8)
+    s4 = f(e * p9) * (w * q9) + f(e * p10) * (w * q10)
+    s5 = f(e * p11) * (w * q11) + f(e * p12) * (w * q12)
+    s6 = f(e * p13) * (w * q13) + f(e * p14) * (w * q14)
+    k = (_KC * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4
+         + _K5 * s5 + _K6 * s6)
+    g = _GC * fc + _G1 * s1 + _G3 * s3 + _G5 * s5
+    h = 0.5 * (b - a)
+    return h * k, abs(h * (k - g))
+
+
+def _gk15_map_deep(few, a: float, b: float) -> tuple[float, float]:
+    """_gk15_map on a panel narrower than _MAP_FLOOR: the same values,
+    with each node's (u u) u and u u formed inline, as _map_nodes forms
+    them, and kept by nobody."""
     f, e, w = few
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
@@ -194,12 +265,15 @@ def _gk15_map(few, a: float, b: float) -> tuple[float, float]:
 _U2 = 2.0 ** -52
 
 
+_NEG_ERR, _VALUE = itemgetter(0), itemgetter(4)
+
+
 def _totals(heap: list, frozen: list) -> tuple[float, float]:
     """The fsum of the values and of the error estimates of every panel,
-    live and frozen: each the exact total, correctly rounded."""
-    panels = heap + frozen
-    return (math.fsum([p[4] for p in panels]),
-            math.fsum([-p[0] for p in panels]))
+    live and frozen: each the exact total, correctly rounded (the second
+    as the exact negation of the fsum of the negated estimates)."""
+    return (math.fsum(map(_VALUE, chain(heap, frozen))),
+            -math.fsum(map(_NEG_ERR, chain(heap, frozen))))
 
 
 def _interior(a: float, b: float) -> bool:
@@ -220,8 +294,9 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     the exact negation of that.  Only a zero limit is mapped: near 0 floats
     resolve nodes that cluster like u^3, while nodes clustered toward a
     nonzero limit round onto it.  Otherwise f is integrated as it is.  The
-    map has its own panel rule, _gk15_map, which forms each node's e u^3
-    and 3e u^2 inline and calls f itself, with no wrapper per node.
+    map has its own panel rule, _gk15_map, which reads each node's u^3 and
+    u^2 from its memo (or forms them, below the memo's floor), forms
+    e u^3 and 3e u^2 inline and calls f itself, with no wrapper per node.
 
     The panel with the largest error estimate is bisected until twice the
     summed estimates is within half the target, or after
@@ -270,7 +345,14 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
     """The adaptive loop of integrate_1d on f from a to b, a != b.
     rule(f, pa, pb) is the panel rule: _gk15 on an integrand f,
     _gk15_map on f = (f, e, 3e) for the map at a zero limit, or
-    _gk15_kernel on f = d for the double integrals."""
+    _gk15_kernel on f = d for the double integrals.
+
+    The heap holds (-error, evaluations so far, a, b, value) per live
+    panel.  The loop reads the worst panel at heap[0]: a frozen one is
+    popped onto the frozen list as it is; a split one is replaced in place
+    by its first half (heapreplace), and its second half is pushed.  The
+    evaluation counts are unique, so no two keys tie, and which panel
+    comes out next does not depend on the heap's layout."""
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -307,11 +389,11 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
                 rhs = 0.5 * max(abs_tol, rel_tol * abs(val))
             if lhs <= rhs:
                 break
-        neg_e, n, pa, pb, pv = heapq.heappop(heap)
+        neg_e, _, pa, pb, pv = heap[0]  # the worst panel
         m = 0.5 * (pa + pb)
         if pb - pa < narrow or not (_interior(pa, m) and _interior(m, pb)):
             # frozen: its value and error stay in the totals
-            frozen.append((neg_e, n, pa, pb, pv))
+            frozen.append(heappop(heap))
             moved = False
             continue
         moved = True
@@ -319,7 +401,7 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
         err += neg_e
         val_mu += abs(val)
         err_mu += abs(err)
-        for ca, cb in ((pa, m), (m, pb)):
+        for ca, cb, put in ((pa, m, heapreplace), (m, pb, heappush)):
             cv, ce = rule(f, ca, cb)
             evals += 15
             if not math.isfinite(cv + ce):
@@ -329,15 +411,14 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
             err += ce
             val_mu += abs(val)
             err_mu += abs(err)
-            # evals is unique per panel, so ties go in insertion order
-            heapq.heappush(heap, (-ce, evals, ca, cb, cv))
+            put(heap, (-ce, evals, ca, cb, cv))
         splits += 1
 
     value, err = _totals(heap, frozen)
     bound = 2.0 * err + 1e-16 * (1.0 + abs(value))
     target = max(abs_tol, rel_tol * abs(value))
-    status = Status.CONVERGED if bound <= target else Status.MAX_TERMS
-    return EvalResult(sign * value, bound, evals, status)
+    status = _CONVERGED if bound <= target else _MAX_TERMS
+    return _new(EvalResult, (sign * value, bound, evals, status))
 
 
 # log^2 2, correctly rounded
@@ -421,8 +502,8 @@ def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
     bound = r.error_bound + 2.5e-16 * (abs(f0) * _LOG2_SQ + abs(value))
     status = r.status
     if bound > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        status = Status.MAX_TERMS
-    return EvalResult(value, bound, r.terms_used, status)
+        status = _MAX_TERMS
+    return _new(EvalResult, (value, bound, r.terms_used, status))
 
 
 def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResult:

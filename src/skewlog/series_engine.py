@@ -246,12 +246,14 @@ def _near(spec, t: float, tol: float, mu: None) -> EvalResult:
 
 
 def _backward(spec, t: float, tol: float, mu: float) -> EvalResult | None:
-    """The backward split (mu_split.backward), at |mu| < 1, when its N
+    """The backward split (mu_split.backward), at mu < 1, when its N
     terms are fewer than the interior sum's estimate and than
     DEFAULT_MAX_TERMS, whatever the cap: it holds them in lists, as an
     interior sum under the default cap does."""
-    return _lazy("mu_split").backward(spec, t, mu, min(
-        _interior_terms(spec, t, tol, mu), DEFAULT_MAX_TERMS))
+    if mu < 1.0:
+        return _lazy("mu_split").backward(spec, t, mu, min(
+            _interior_terms(spec, t, tol, mu), DEFAULT_MAX_TERMS))
+    return None
 
 
 def _forward(spec, t: float, tol: float, mu: float) -> EvalResult | None:

@@ -58,8 +58,9 @@ _LAZY = {"skewlog.c_sums", "skewlog.mu_split", "skewlog.polylog"}
 
 def test_near_rule_waits_for_a_near_call():
     # which of _LAZY each path loads in a fresh interpreter: an interior
-    # sum, plain or at mu = 1, none; every series at t = +-1 c_sums, whose
-    # near rule builds the shared Lerch values once and no polylog;
+    # sum, plain or at mu = 1 (in the band too), none; every series at
+    # t = +-1 c_sums, whose near rule builds the shared Lerch values once
+    # and no polylog;
     # MU_DILOG's and MU_LEWIN's forward split mu_split; the first call in
     # the band c_sums, building the shared values and its own c-sum tables
     # only
@@ -69,7 +70,7 @@ def test_near_rule_waits_for_a_near_call():
         "se.sum_series(se.SeriesId.SKEW_SQ, -0.9899)\n"
         "for sid in (se.SeriesId.MU_DILOG, se.SeriesId.MU_LEWIN,\n"
         "            se.SeriesId.MU_TRILOG):\n"
-        "    for t in (0.5, -0.9):\n"
+        "    for t in (0.5, -0.9, 0.995):\n"
         "        se.sum_series(sid, t, mu=1.0)\n")
     ends = (
         "for sid in se.SeriesId:\n"

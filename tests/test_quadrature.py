@@ -633,6 +633,62 @@ def test_kernel_table_is_bounded():
     assert _bits(res) == _bits(_with_scalar_h(_xy_integral, d, 0.0, cfg))
 
 
+def test_map_memo_matches_the_mapped_loop_bit_for_bit():
+    # integrate_1d through the map's node memo equals the loop on
+    # f(e u^3) 3e u^2 through _gk15, value and bound as float.hex,
+    # evaluations and status: cold (the memo emptied before each integral)
+    # and warm; EQ21 on positive e only
+    from skewlog.quadrature import _map_panel
+
+    cases = [(f, e, QuadratureConfig(tol, tol)) for tol in (1e-8, 1e-13)
+             for f in (_eq21, lambda t: 1.0 / math.sqrt(abs(t)), math.exp)
+             for e in (0.5, 1.0, -0.75) if not (f is _eq21 and e < 0.0)]
+    want = [_bits(_adaptive(_mapped(f, e), 0.0, 1.0, cfg))
+            for f, e, cfg in cases]
+    for (f, e, cfg), w in zip(cases, want):
+        _map_panel.cache_clear()
+        assert _bits(integrate_1d(f, 0.0, e, cfg)) == w, (e, cfg)
+    for (f, e, cfg), w in zip(cases, want):
+        assert _bits(integrate_1d(f, 0.0, e, cfg)) == w, (e, cfg)
+    assert _map_panel.cache_info().hits > 0
+
+
+def test_map_memo_is_bounded(monkeypatch):
+    # importing the library builds no entry; an oscillating integrand at a
+    # tight tol visits more panels than the memo may hold, and the memo
+    # keeps only dyadic panels of [0, 1] no narrower than its floor, at
+    # most the 2 / floor - 1 of them; the kernel table gains nothing
+    from skewlog import quadrature
+    from skewlog.quadrature import _MAP_FLOOR, _kernel_panel, _map_panel
+
+    code = ("import skewlog, skewlog.quadrature as q; "
+            "print(q._map_panel.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+    kept = set()
+
+    def recording(a, b):
+        kept.add((a, b))
+        return _map_panel(a, b)
+
+    monkeypatch.setattr(quadrature, "_map_panel", recording)
+    _map_panel.cache_clear()
+    _kernel_panel.cache_clear()
+    cfg = QuadratureConfig(1e-12, 1e-12, 100_000)
+    f = lambda t: math.cos(50.0 * t)
+    res = integrate_1d(f, 0.0, 20.0, cfg)
+    most = 2.0 / _MAP_FLOOR - 1.0
+    assert res.status is Status.CONVERGED and res.terms_used // 15 > most
+    assert len(kept) == _map_panel.cache_info().currsize <= most
+    for a, b in kept:
+        assert 0.0 <= a < b <= 1.0 and b - a >= _MAP_FLOOR, (a, b)
+        assert (a / (b - a)).is_integer() and math.log2(b - a).is_integer()
+    assert _kernel_panel.cache_info().currsize == 0
+    assert _bits(res) == _bits(_adaptive(_mapped(f, 20.0), 0.0, 1.0, cfg))
+
+
 def _hexes(xs):
     return list(map(float.hex, xs))
 

@@ -20,6 +20,11 @@ below |t| = 0.99 (`series_mu`) and the sums at |t| = 0.99
 median pass over the rounds, in microseconds, the change in percent, and
 in how many rounds NEW was faster; then the same for `total`, the summed
 pass over all kinds, which is what a perfbench run's ops_per_s follows.
+Each row also gives both trees' summed `terms_used` over the kind's calls,
+read from the warm-up call (series terms, or quadrature evaluations; `-`
+for a kind whose calls return a bare float, and for verify-report's
+stages), and ends in `DIFF` where the two sums differ.  So a row tells a
+change that did less work from one that did the same work faster.
 
 verify-report is timed by stage instead: its one op is `verify_all`, the
 report written to JSON (`json_write`) and to CSV (`csv_write`), and both
@@ -59,7 +64,7 @@ if not pathlib.Path(skewlog.__file__).is_relative_to(src):
     sys.exit(f"skewlog came from {skewlog.__file__}, not {src}")
 wl = getattr(workloads, cls)(int(seed))
 wl.bind()
-wl.warmup()
+terms = [getattr(r, "terms_used", None) for r in wl.warmup()]
 clock, call, n = time.perf_counter_ns, wl.call, len(wl.specs)
 times = [float("inf")] * n
 for _ in range(int(best)):
@@ -69,7 +74,7 @@ for _ in range(int(best)):
         dt = clock() - t0
         if dt < times[i]:
             times[i] = dt
-json.dump(times, sys.stdout)
+json.dump([times, terms], sys.stdout)
 """
 
 _STAGES_CHILD = r"""
@@ -136,8 +141,9 @@ def _child(script: str, *args) -> list[float]:
 
 
 def time_tree(src: pathlib.Path, workload: str, seed: int,
-              best: int) -> list[float]:
-    """The fastest of best timings of each call, in ns, in a fresh child."""
+              best: int) -> list[list]:
+    """The fastest of best timings of each call, in ns, and each call's
+    terms_used (None for a bare float), in a fresh child."""
     return _child(_CHILD, src, PERFBENCH, WORKLOADS[workload], seed, best)
 
 
@@ -156,6 +162,21 @@ def passes(specs: list, times: list[float]) -> dict[str, float]:
     return out
 
 
+def work(specs: list, terms: list[int | None]) -> dict[str, int]:
+    """Summed terms_used per kind and in `total`, over the calls that
+    report one; a kind none of whose calls does is left out."""
+    out: dict[str, int] = {}
+    for s, n in zip(specs, terms):
+        if n is not None:
+            out[kind(s)] = out.get(kind(s), 0) + n
+            out["total"] = out.get("total", 0) + n
+    return out
+
+
+def _count(n: int | None) -> str:
+    return "-" if n is None else str(n)
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old")
@@ -172,16 +193,21 @@ def main(argv: list[str]) -> int:
     stages = args.workload == "verify-report"
     trees = {"old": _src(args.old), "new": _src(args.new)}
     print(f"{'seed':>5} {'kind':<12} {'calls':>5} {'old us':>10} "
-          f"{'new us':>10} {'change':>8} {'new wins':>8}")
+          f"{'new us':>10} {'change':>8} {'new wins':>8} {'old terms':>10} "
+          f"{'new terms':>10}")
     for seed in map(int, args.seeds.split(",")):
         specs = [] if stages else specs_of(args.workload, seed)
         runs: dict[str, list[dict[str, float]]] = {"old": [], "new": []}
+        terms: dict[str, dict[str, int]] = {"old": {}, "new": {}}
         for r in range(args.rounds):
             for side in ("old", "new") if r % 2 == 0 else ("new", "old"):
-                runs[side].append(
-                    time_stages(trees[side], args.best) if stages else
-                    passes(specs, time_tree(trees[side], args.workload, seed,
-                                            args.best)))
+                if stages:
+                    runs[side].append(time_stages(trees[side], args.best))
+                    continue
+                times, used = time_tree(trees[side], args.workload, seed,
+                                        args.best)
+                runs[side].append(passes(specs, times))
+                terms[side] = work(specs, used)
         counts: dict[str, int] = dict.fromkeys(STAGES, 1) if stages else {}
         for s in specs:
             counts[kind(s)] = counts.get(kind(s), 0) + 1
@@ -198,9 +224,12 @@ def main(argv: list[str]) -> int:
             new = statistics.median(run[k] for run in runs["new"])
             wins = sum(b[k] < a[k] for a, b in zip(runs["old"], runs["new"]))
             digits = 2 if k == "peak_mb" else 1
+            old_n, new_n = terms["old"].get(k), terms["new"].get(k)
+            flag = " DIFF" if old_n != new_n else ""
             print(f"{seed:>5} {k:<12} {counts[k]:>5} {old:>10.{digits}f} "
                   f"{new:>10.{digits}f} {100.0 * (new / old - 1.0):>+7.1f}% "
-                  f"{wins:>4}/{args.rounds}")
+                  f"{wins:>4}/{args.rounds} {_count(old_n):>10} "
+                  f"{_count(new_n):>10}{flag}")
     return 0
 
 
