@@ -57,6 +57,7 @@ import math
 from collections import namedtuple
 from heapq import heappop, heappush, heapreplace
 from itertools import chain
+from math import isfinite
 from operator import itemgetter
 
 from .core_numerics import check_int, check_real, check_tol
@@ -91,6 +92,8 @@ _DEFAULT_CFG = QuadratureConfig()
 # results are built without EvalResult's Python-level __new__
 _new = tuple.__new__
 _CONVERGED, _MAX_TERMS = Status.CONVERGED, Status.MAX_TERMS
+_DIVERGENT = Status.DIVERGENT_INPUT
+_INF = math.inf
 
 
 def _config(cfg) -> QuadratureConfig:
@@ -293,10 +296,13 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     or a power of t) becomes a zero of the new integrand; from e to 0 it is
     the exact negation of that.  Only a zero limit is mapped: near 0 floats
     resolve nodes that cluster like u^3, while nodes clustered toward a
-    nonzero limit round onto it.  Otherwise f is integrated as it is.  The
-    map has its own panel rule, _gk15_map, which reads each node's u^3 and
-    u^2 from its memo (or forms them, below the memo's floor), forms
-    e u^3 and 3e u^2 inline and calls f itself, with no wrapper per node.
+    nonzero limit round onto it.  Otherwise f is integrated as it is, and
+    so is f with a zero limit when the map's weight 3e overflows (|e| above
+    a third of the largest float); the rule's nodes then stay strictly
+    inside [a, b] as well.  The map has its own panel rule, _gk15_map,
+    which reads each node's u^3 and u^2 from its memo (or forms them,
+    below the memo's floor), forms e u^3 and 3e u^2 inline and calls f
+    itself, with no wrapper per node.
 
     The panel with the largest error estimate is bisected until twice the
     summed estimates is within half the target, or after
@@ -304,9 +310,12 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     when it is narrower than 1e-14 times the scale of its limits, or when a
     half's outermost node would round onto that half's ends, so f is
     called strictly inside (a, b) only (with the map, unless e u^3
-    underflows).  Nonzero limits so close together (about a hundred ulps)
-    that the first panel's outermost nodes would round onto them raise
-    DomainError, as does a cfg that is neither None (the default config)
+    underflows).  A limit that is not a float is checked by check_real
+    (a plain float is taken as it is) and must be finite.  Limits whose
+    |a| + |b| overflows raise DomainError (the range is too wide for the
+    rule's width and midpoint); so do nonzero limits so close together
+    (about a hundred ulps) that the first panel's outermost nodes would
+    round onto them, and a cfg that is neither None (the default config)
     nor a QuadratureConfig.  terms_used counts integrand evaluations, 15
     per panel.
 
@@ -322,22 +331,29 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> 
     returned nan or inf there) the integral stops and returns
     EvalResult(nan, inf, evaluations so far, Status.DIVERGENT_INPUT).
     """
-    a, b = check_real("a", a), check_real("b", b)
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if type(a) is not float:
+        a = check_real("a", a)
+    if type(b) is not float:
+        b = check_real("b", b)
+    if not (-_INF < a < _INF and -_INF < b < _INF):
         raise DomainError("integration limits must be finite")
     cfg = _config(cfg)
     if a == b:
         return EvalResult(0.0, 0.0, 0, Status.CONVERGED)
+    if abs(a) + abs(b) == _INF:
+        raise DomainError("integration range too wide: |a| + |b| overflows")
     if a and b:
         if not _interior(min(a, b), max(a, b)):
             raise DomainError("integration limits too close together: "
                               "the rule's nodes would round onto them")
         return _adaptive(f, a, b, cfg)
     e = a or b  # the nonzero limit
-    few = (f, e, 3.0 * e)
+    w = 3.0 * e
+    if not isfinite(w):
+        return _adaptive(f, a, b, cfg)
     # from e to 0 is the same loop oriented the other way: its exact negation
-    return (_adaptive(few, 0.0, 1.0, cfg, _gk15_map) if b
-            else _adaptive(few, 1.0, 0.0, cfg, _gk15_map))
+    return (_adaptive((f, e, w), 0.0, 1.0, cfg, _gk15_map) if b
+            else _adaptive((f, e, w), 1.0, 0.0, cfg, _gk15_map))
 
 
 def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
@@ -352,16 +368,21 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
     popped onto the frozen list as it is; a split one is replaced in place
     by its first half (heapreplace), and its second half is pushed.  The
     evaluation counts are unique, so no two keys tie, and which panel
-    comes out next does not depend on the heap's layout."""
+    comes out next does not depend on the heap's layout.
+
+    The loop is written for the interpreter: the two halves are written
+    out, each half's _interior test is inlined with the same float
+    operations, and max in the stop test is the equal conditional
+    expression.  None of this moves a decision or a bit."""
     sign = 1.0
     if b < a:
         a, b = b, a
         sign = -1.0
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    abs_tol, rel_tol, cap = cfg
     narrow = 1e-14 * max(abs(a), abs(b), 1.0)
     v, e = rule(f, a, b)
     evals = 15
-    if not math.isfinite(v + e):
+    if not isfinite(v + e):
         return EvalResult(math.nan, math.inf, evals, Status.DIVERGENT_INPUT)
     heap = [(-e, 0, a, b, v)]
     frozen = []
@@ -371,7 +392,7 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
     moved = True  # the totals changed since the last stop test, which
     # otherwise would give the same answer again
     splits = 0
-    while splits < cfg.max_subdivisions and heap:
+    while splits < cap and heap:
         if moved:
             # The test is 2 fsum(errs) <= 0.5 max(abs_tol, rel_tol
             # |fsum(vals)|).  lhs - rhs is within slack of that difference:
@@ -379,19 +400,32 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
             # the products in rhs, the difference and slack itself round by
             # a few u of lhs + rhs, inside 1e-15 (lhs + rhs), about 9u.
             lhs = 2.0 * err
-            rhs = 0.5 * max(abs_tol, rel_tol * abs(val))
+            rhs = rel_tol * abs(val)
+            rhs = 0.5 * (rhs if rhs > abs_tol else abs_tol)
             slack = (_U2 * (2.0 * err_mu + 0.5 * rel_tol * val_mu)
                      + 1e-15 * (lhs + rhs))
             if abs(lhs - rhs) <= slack:  # too close: take the exact sums
                 val, err = _totals(heap, frozen)
                 val_mu, err_mu = abs(val), err
                 lhs = 2.0 * err
-                rhs = 0.5 * max(abs_tol, rel_tol * abs(val))
+                rhs = rel_tol * abs(val)
+                rhs = 0.5 * (rhs if rhs > abs_tol else abs_tol)
             if lhs <= rhs:
                 break
         neg_e, _, pa, pb, pv = heap[0]  # the worst panel
         m = 0.5 * (pa + pb)
-        if pb - pa < narrow or not (_interior(pa, m) and _interior(m, pb)):
+        # _interior(pa, m) and _interior(m, pb), written out
+        if pb - pa < narrow:
+            ok = False
+        else:
+            c = 0.5 * (pa + m)
+            x = 0.5 * (m - pa) * _X0
+            ok = pa < c - x and c + x < m
+            if ok:
+                c = 0.5 * (m + pb)
+                x = 0.5 * (pb - m) * _X0
+                ok = m < c - x and c + x < pb
+        if not ok:
             # frozen: its value and error stay in the totals
             frozen.append(heappop(heap))
             moved = False
@@ -401,17 +435,26 @@ def _adaptive(f, a: float, b: float, cfg: QuadratureConfig,
         err += neg_e
         val_mu += abs(val)
         err_mu += abs(err)
-        for ca, cb, put in ((pa, m, heapreplace), (m, pb, heappush)):
-            cv, ce = rule(f, ca, cb)
-            evals += 15
-            if not math.isfinite(cv + ce):
-                return EvalResult(math.nan, math.inf, evals,
-                                  Status.DIVERGENT_INPUT)
-            val += cv
-            err += ce
-            val_mu += abs(val)
-            err_mu += abs(err)
-            put(heap, (-ce, evals, ca, cb, cv))
+        cv, ce = rule(f, pa, m)
+        evals += 15
+        if not isfinite(cv + ce):
+            return EvalResult(math.nan, math.inf, evals,
+                              Status.DIVERGENT_INPUT)
+        val += cv
+        err += ce
+        val_mu += abs(val)
+        err_mu += abs(err)
+        heapreplace(heap, (-ce, evals, pa, m, cv))
+        cv, ce = rule(f, m, pb)
+        evals += 15
+        if not isfinite(cv + ce):
+            return EvalResult(math.nan, math.inf, evals,
+                              Status.DIVERGENT_INPUT)
+        val += cv
+        err += ce
+        val_mu += abs(val)
+        err_mu += abs(err)
+        heappush(heap, (-ce, evals, m, pb, cv))
         splits += 1
 
     value, err = _totals(heap, frozen)
@@ -496,14 +539,14 @@ def _xy_integral(d, f0: float, cfg: QuadratureConfig | None) -> EvalResult:
     # rounds differently from 3.0 * u * u here
     cfg = _config(cfg)
     r = _adaptive(d, 0.0, 1.0, cfg, _gk15_kernel)
-    if r.status is Status.DIVERGENT_INPUT:
+    value, bound, evals, status = r
+    if status is _DIVERGENT:
         return r
-    value = f0 * _LOG2_SQ + r.value
-    bound = r.error_bound + 2.5e-16 * (abs(f0) * _LOG2_SQ + abs(value))
-    status = r.status
+    value = f0 * _LOG2_SQ + value
+    bound += 2.5e-16 * (abs(f0) * _LOG2_SQ + abs(value))
     if bound > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         status = _MAX_TERMS
-    return _new(EvalResult, (value, bound, r.terms_used, status))
+    return _new(EvalResult, (value, bound, evals, status))
 
 
 def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResult:
@@ -513,7 +556,8 @@ def double_integral_g(z: float, cfg: QuadratureConfig | None = None) -> EvalResu
     z = 1 it grows like 1/(1 - p) while K(p) vanishes like (1 - p)/4, so the
     1D integrand stays bounded.
     """
-    z = check_real("z", z, (-1.0, 1.0))
+    if type(z) is not float or not -1.0 <= z <= 1.0:
+        z = check_real("z", z, (-1.0, 1.0))
 
     def d(p):
         w = p * z
@@ -529,7 +573,8 @@ def double_integral_bigG(z: float, cfg: QuadratureConfig | None = None) -> EvalR
     replaced by its power series through w^5 (w = pz, truncation below
     1e-20 relative) to avoid cancellation.
     """
-    z = check_real("z", z, (-1.0, 1.0))
+    if type(z) is not float or not -1.0 <= z <= 1.0:
+        z = check_real("z", z, (-1.0, 1.0))
 
     def d(p):
         w = p * z

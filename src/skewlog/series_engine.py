@@ -41,6 +41,7 @@ _BLOCK = 64  # the first block of an interior sum, in terms
 # Python-level __new__
 _new = tuple.__new__
 _CONVERGED, _MAX_TERMS = Status.CONVERGED, Status.MAX_TERMS
+_INF = math.inf
 
 
 def set_max_terms(n: int) -> None:
@@ -439,7 +440,11 @@ def sum_series(
 
     Out-of-domain t (or mu) yields status DIVERGENT_INPUT with value nan
     rather than an exception; a bool or non-real t, tol or mu, or a tol that
-    is not positive and finite, raises DomainError.  At an end t = +-1 that
+    is not positive and finite, raises DomainError.  A t that is an exact
+    float, and a tol that is an exact float in (0, inf), are taken as they
+    are; any other t or tol goes through check_real or check_tol, so every
+    value is accepted or refused, with the same message, as by those
+    checks.  At an end t = +-1 that
     its catalog Domain admits, a series is its near entry at lam = 0
     (c_sums.near_sum), whose value and bound do not depend on tol: each end
     is computed once per process, on its first call, and a call only
@@ -453,7 +458,8 @@ def sum_series(
     (set_max_terms) with status MAX_TERMS.  The c-sums sum a fixed 32 terms
     and the backward split ignores the cap.
     """
-    tol = check_tol("tol", tol)
+    if type(tol) is not float or not 0.0 < tol < _INF:
+        tol = check_tol("tol", tol)
     try:
         spec = _SPECS[series_id]
     except KeyError:
@@ -461,7 +467,8 @@ def sum_series(
     lo, ends, has_mu = spec.domain
     if has_mu or mu is not None:
         mu = check_mu(series_id, spec.domain, mu, strict=False)
-    t = check_real("t", t)
+    if type(t) is not float:
+        t = check_real("t", t)
     # check_mu turned a mu outside -1 < mu <= 1 into NaN, so mu != mu
     if not (lo < t < 1.0 or t in ends) or mu != mu:
         return EvalResult(math.nan, math.inf, 0, Status.DIVERGENT_INPUT)

@@ -243,6 +243,9 @@ REAL_ENTRY_POINTS = {
     "abel_sides x": lambda x: abel_sides(0.5, x),
     "int_li2_over_1mt": int_li2_over_1mt,
     "sum_series t": lambda x: sum_series(SeriesId.GF_SKEW, x),
+    # True == 1.0 and both hash alike: a bool must be refused before the
+    # stored end's lookup
+    "sum_series end t": lambda x: sum_series(SeriesId.CENTERED_SQ, x),
     "sum_series tol": lambda x: sum_series(SeriesId.GF_SKEW, 0.5, tol=x),
     "sum_series mu": lambda x: sum_series(SeriesId.MU_DILOG, 0.5, mu=x),
     "coefficient mu": lambda x: coefficient(SeriesId.MU_DILOG, 3, mu=x),
@@ -254,6 +257,7 @@ REAL_ENTRY_POINTS = {
     "double_integral_g": double_integral_g,
     "double_integral_bigG": double_integral_bigG,
     "integrate_1d": lambda x: integrate_1d(lambda t: t, 0.0, x),
+    "integrate_1d a": lambda x: integrate_1d(lambda t: t, x, 1.0),
     "verify_identity grid t": lambda x: verify_identity(
         IdentityId.EQ2, GridSpec((x,))),
     "verify_identity grid mu": lambda x: verify_identity(
@@ -266,6 +270,51 @@ REAL_ENTRY_POINTS = {
 def test_bool_and_non_real_arguments_raise_domain_error(entry, bad):
     with pytest.raises(DomainError):
         REAL_ENTRY_POINTS[entry](bad)
+
+
+class _Real(float):
+    """A float subclass: not an exact float, so no float fast path takes it."""
+
+
+# The entry points that take an exact float on a fast path, with one
+# argument left free, and values for it: accepted ones, then refused ones.
+FLOAT_FAST_PATHS = {
+    "sum_series t": (lambda x: sum_series(SeriesId.GF_SKEW, x),
+                     (0.0, -1.0, 2.0)),
+    "sum_series end t": (lambda x: sum_series(SeriesId.CENTERED_SQ, x),
+                         (1.0, -1.0, math.nan)),
+    "sum_series tol": (lambda x: sum_series(SeriesId.GF_SKEW, 0.5, tol=x),
+                       (1.0, 1e-12, 0.0, -1.0, math.inf, math.nan)),
+    "sum_series end tol": (
+        lambda x: sum_series(SeriesId.CENTERED_SQ, 1.0, tol=x),
+        (1.0, 1e-15, 0.0, math.inf)),
+    "double_integral_g": (double_integral_g, (-1.0, 0.0, 2.0, math.nan)),
+    "double_integral_bigG": (double_integral_bigG,
+                             (1.0, 0.5, -1.0000000000000002, math.nan)),
+    "integrate_1d a": (lambda x: integrate_1d(math.exp, x, 2.0),
+                       (1.0, -3.0, 0.0, math.inf, math.nan)),
+    "integrate_1d b": (lambda x: integrate_1d(math.exp, 0.0, x),
+                       (3.0, -0.5, -math.inf)),
+}
+
+
+def _outcome(call, x):
+    try:
+        return repr(call(x))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_FAST_PATHS))
+def test_float_subclass_and_int_match_the_exact_float(entry):
+    # a float subclass and an int take the checked path; each must give the
+    # exact float's result, or its message, to the last bit
+    call, xs = FLOAT_FAST_PATHS[entry]
+    for x in xs:
+        want = _outcome(call, x)
+        others = [_Real(x)] + ([int(x)] if x.is_integer() else [])
+        for y in others:
+            assert _outcome(call, y) == want, (x, y)
 
 
 # Every public entry point that takes an integer argument, with one argument

@@ -220,6 +220,46 @@ def test_limits_too_close_for_interior_nodes():
     assert abs(res.value - b * (math.log(b) - 1.0)) <= res.error_bound
 
 
+@pytest.mark.parametrize("e", [7e307, -7e307, sys.float_info.max],
+                         ids=["7e307", "-7e307", "max"])
+def test_zero_limit_whose_map_weight_overflows(e):
+    # 3e overflows, so the map's integrand would be inf at every node: the
+    # loop runs unmapped on [0, e], with every node strictly inside, in
+    # both orientations
+    cfg = QuadratureConfig()
+    lo, hi = min(0.0, e), max(0.0, e)
+    for a, b in ((0.0, e), (e, 0.0)):
+        seen = []
+        res = integrate_1d(_recorded(lambda t: 1.0, lo, hi, seen), a, b)
+        assert res == _adaptive(lambda t: 1.0, a, b, cfg)
+        assert res.value == b - a and res.status is Status.CONVERGED
+        assert res.terms_used == len(seen) == 15
+
+
+def test_zero_limit_whose_map_weight_just_fits_is_mapped():
+    # the largest e whose 3e is finite keeps the map, and its bits
+    e = math.nextafter(sys.float_info.max / 3.0, 0.0)
+    assert math.isfinite(3.0 * e)
+    assert not math.isfinite(3.0 * math.nextafter(e, math.inf))
+    cfg = QuadratureConfig()
+    for a, b, u0, u1 in ((0.0, e, 0.0, 1.0), (e, 0.0, 1.0, 0.0)):
+        res = integrate_1d(lambda t: 1.0, a, b)
+        assert res.status is Status.CONVERGED
+        assert res == _adaptive(_mapped(lambda t: 1.0, e), u0, u1, cfg)
+
+
+@pytest.mark.parametrize("a,b", [(-1e308, 1e308), (1e308, -1e308),
+                                 (1e308, 1.7e308), (-1.7e308, -1e308)])
+def test_range_too_wide_for_the_rule(a, b):
+    # |a| + |b| overflows, so the first panel's width or midpoint would:
+    # the message says so, and f is never called
+    seen = []
+    with pytest.raises(DomainError, match="range too wide"):
+        integrate_1d(_recorded(lambda t: 1.0, -math.inf, math.inf, seen),
+                     a, b)
+    assert seen == []
+
+
 def _mapped(f, e):
     """The integrand integrate_1d takes over [0, 1] for f over [0, e]."""
     w = 3.0 * e
